@@ -54,6 +54,9 @@ SERIES_HEADER = "t,mx_exact,my_exact,mx_analytic,my_analytic"
 SPECTRUM_HEADER = "freq_over_nu,magnitude"
 CUT_PROJECT_LENGTH = 1000
 ORACLE_TOLERANCE = 1e-9
+# gamma = 0 splittings at or under this are double-precision noise: the fit
+# skips them and summary.json lists their N as unresolved
+SPLITTING_FLOOR = 1e-13
 
 _FLAG_KEYS = (
     "n", "h", "gamma", "g", "phi-n", "tmax", "samples", "cutoff-k",
@@ -466,11 +469,14 @@ def cmd_gap(cfg: RunConfig) -> dict:
 
     n_values = cfg.n if len(cfg.n) > 1 else list(range(20, 61, 4))
     scan = gamma0_gap_scan(n_values, h)
+    symmetric = h > 1.0
     rows = []
     # the third column is the well overlap 2 alpha, which falls ever further
-    # below the splitting; it is not an estimate of it (see wkb_rate)
+    # below the splitting; it is not an estimate of it (see wkb_rate).  The
+    # symmetric phase h > 1 has no wells, hence nan.
     for n_val, splitting in scan:
-        rows.append((n_val, splitting, newman_alpha(n_val, h).gap))
+        overlap = math.nan if symmetric else newman_alpha(n_val, h).gap
+        rows.append((n_val, splitting, overlap))
     files.append(
         _write_table(
             os.path.join(cfg.out, f"gap_gamma0.{ext}"),
@@ -478,14 +484,20 @@ def cmd_gap(cfg: RunConfig) -> dict:
             rows,
         )
     )
-    resolvable = [(n_val, s) for n_val, s in scan if s > 1e-13]
-    if len(resolvable) >= 3:
+    resolvable = [(n_val, s) for n_val, s in scan if s > SPLITTING_FLOOR]
+    summary["gamma0_unresolved_n"] = sorted(
+        n_val for n_val, s in scan if s <= SPLITTING_FLOOR
+    )
+    # in the symmetric phase the splitting decays as a power of N, so an
+    # exponential rate would mean nothing
+    if not symmetric and len(resolvable) >= 3:
         ns = np.array([n_val for n_val, _ in resolvable], dtype=float)
         ss = np.array([s for _, s in resolvable])
         rate = -float(np.polyfit(ns, np.log(ss), 1)[0])
         summary["gamma0_fitted_rate"] = rate
-    summary["c_h"] = -math.log(h) if h > 0 else None
-    summary["wkb_rate"] = wkb_rate(h) if h > 0 else None
+    rates_defined = 0.0 < h and not symmetric
+    summary["c_h"] = -math.log(h) if rates_defined else None
+    summary["wkb_rate"] = wkb_rate(h) if rates_defined else None
     summary["files"] = files
     return summary
 
@@ -650,7 +662,7 @@ def main(argv=None) -> int:
     except OracleMismatchError as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return 3
-    except NumericError as exc:
+    except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:

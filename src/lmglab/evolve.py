@@ -1,6 +1,8 @@
 """Diagonalization, exact propagation, projected analytic dynamics, and the
 ground-state correlation function.
 
+Sector Hamiltonians are diagonalized in full by LAPACK (``numpy.linalg.eigh``
+on the dense (N+1)-dimensional matrix); diagonal ones need only a sort.
 Evolution always goes through a full eigendecomposition: the frequencies of
 interest are O(1/N) and the states live for O(N^3), so time stepping would
 accumulate phase error where it hurts most.  Propagation uses the
@@ -26,7 +28,6 @@ from .spinspace import (
     collective_operators,
     ladder_plus_band,
 )
-from .tridiag import eigh_banded
 
 _GRID_RTOL = 1e-9
 
@@ -65,10 +66,10 @@ def default_time_grid(N: int, periods: float = 20.0, samples: int = 4096) -> np.
 class EigenSystem:
     """Spectrum of a sector Hamiltonian in the Sz basis.
 
-    ``energies`` ascend (stable index tie-break).  ``vectors`` holds
-    orthonormal eigenvector columns.  When H was diagonal, ``permutation``
-    maps level k to its Sz basis index and every column is a coordinate
-    vector.  ``Mk`` is <k|Sz|k> per level.
+    ``energies`` ascend.  ``vectors`` holds orthonormal eigenvector
+    columns.  When H was diagonal, ties keep their index order,
+    ``permutation`` maps level k to its Sz basis index and every column is a
+    coordinate vector.  ``Mk`` is <k|Sz|k> per level.
     """
 
     energies: np.ndarray
@@ -101,8 +102,10 @@ def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
     """Diagonalize a banded Hermitian sector operator.
 
     Diagonal input short-circuits to a sort plus permutation; banded input
-    goes through the Householder/phase/QL pipeline.  The magnetization per
-    level uses M(m) = (dim - 1)/2 - m of the universal descending ordering.
+    goes to LAPACK through one dense ``numpy.linalg.eigh`` call, which
+    raises ``numpy.linalg.LinAlgError`` if it fails to converge.  The
+    magnetization per level uses M(m) = (dim - 1)/2 - m of the universal
+    descending ordering.
     """
     n = op.dim
     if op.bandwidth > 2:
@@ -122,7 +125,7 @@ def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
             Mk=_readonly(m_values[perm].copy()),
             permutation=_readonly(perm),
         )
-    w, v = eigh_banded(op)
+    w, v = np.linalg.eigh(op.to_dense())
     mk = (np.abs(v) ** 2 * m_values[:, None]).sum(axis=0)
     return EigenSystem(
         energies=_readonly(w),
@@ -337,9 +340,7 @@ def correlation_fN(
         amps[idx0] = 1.0
         u = ops.sx.apply(amps)
         # direct route: sum over every level, weights from the matvec
-        gaps = np.array(
-            [isotropic_gap(n, tm, two_m0, h) for tm in sector.two_m]
-        )
+        gaps = isotropic_gap(n, sector.two_m, two_m0, h)
         weights_all = np.abs(u) ** 2
         direct = (4.0 / n**2) * (
             weights_all[None, :] @ np.exp(-1j * gaps[:, None] * tgrid[None, :])

@@ -20,7 +20,6 @@ from .spinspace import (
     StateVector,
     basis_state,
     build_sector,
-    expectation,
     ladder_plus_band,
 )
 from .tridiag import NumericError
@@ -103,8 +102,10 @@ def isotropic_energies(sector: SpinSector, h: float) -> np.ndarray:
     return -(ts * (ts + 2) - tm * tm) / (4.0 * sector.N) - h * (tm / 2.0)
 
 
-def isotropic_gap(N: int, two_m: int, two_m0: int, h: float) -> float:
-    """E(M) - E(M0) formed from small quantities.
+def isotropic_gap(
+    N: int, two_m: int | np.ndarray, two_m0: int, h: float
+) -> float | np.ndarray:
+    """E(M) - E(M0) formed from small quantities; ``two_m`` may be an array.
 
     Written as (M - M0) * ((M + M0)/N - h) so that nearby-level gaps never
     suffer the cancellation of subtracting two O(N) energies.
@@ -280,10 +281,3 @@ def lifetime_bound(delta_e: float, N: int) -> float:
     if delta_e <= 0.0:
         raise ValueError("delta_e must be positive")
     return N / (2.0 * delta_e)
-
-
-def hamiltonian_expectation(
-    params: LmgParams, sector: SpinSector, psi: StateVector
-) -> float:
-    """<psi|H|psi> for the unperturbed Hamiltonian (convenience wrapper)."""
-    return expectation(build_hamiltonian(params, sector), psi).real

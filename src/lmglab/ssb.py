@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import eigensystem, ground_state
-from .model import LmgParams, build_hamiltonian, ground_M, isotropic_gap
+from .model import LmgParams, _bisect, build_hamiltonian, ground_M
 from .spinspace import (
     SZ_BASIS,
     SpinSector,
@@ -150,27 +150,11 @@ def rotated_frame_angles(h: float, g: float) -> tuple[float, float]:
         while width < math.pi / 2.0:
             lo, hi = center - width, center + width
             if f(lo) * f(hi) <= 0.0:
-                return _bisect_scalar(f, lo, hi)
+                return _bisect(f, lo, hi)
             width *= 2.0
         raise NumericError(f"no bracket around theta = {center}")
 
     return (solve_near(theta0), solve_near(-theta0))
-
-
-def _bisect_scalar(f, lo, hi, tol=1e-12):
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

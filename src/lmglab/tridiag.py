@@ -1,13 +1,8 @@
-"""Banded Hermitian eigensolver built from classical dense-algebra kernels.
+"""Numeric error type and the independent Jacobi reference eigensolver.
 
-Pipeline: a complex Hermitian banded matrix (bandwidth <= 2) is reduced to
-complex Hermitian tridiagonal form (Householder reflections on a dense copy
-when the outer band is populated), the tridiagonal is made real symmetric by
-a diagonal phase rotation, and the spectrum comes out of an implicit-shift
-QL iteration with accumulated eigenvectors.
-
-A cyclic Jacobi eigenvalue solver is included as an independent cross-check;
-it shares no code with the QL path.
+Sector Hamiltonians are diagonalized by LAPACK through ``numpy.linalg.eigh``
+in ``lmglab.evolve.eigensystem``.  The cyclic Jacobi solver below shares no
+code with LAPACK; tests compare ``eigensystem`` against it.
 """
 
 from __future__ import annotations
@@ -16,177 +11,15 @@ import math
 
 import numpy as np
 
-_EPS = float(np.finfo(np.float64).eps)
-
 
 class NumericError(RuntimeError):
     """An iterative numeric procedure failed to converge or bracket."""
 
 
-def hermitian_to_tridiagonal(a: np.ndarray):
-    """Householder reduction of a dense complex Hermitian matrix.
-
-    Returns (d, t, q) with d the real diagonal, t the complex subdiagonal
-    and q unitary such that a = q T q^H.
-    """
-    a = np.array(a, dtype=np.complex128)
-    n = a.shape[0]
-    q = np.eye(n, dtype=np.complex128)
-    for k in range(n - 2):
-        x = a[k + 1 :, k]
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        phase = x[0] / abs(x[0]) if x[0] != 0.0 else 1.0
-        alpha = -phase * nx
-        v = x.copy()
-        v[0] -= alpha
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
-        block = a[k + 1 :, k + 1 :]
-        w = block @ v
-        mu = float(np.real(np.vdot(v, w)))
-        w -= mu * v
-        block -= 2.0 * np.outer(w, v.conj())
-        block -= 2.0 * np.outer(v, w.conj())
-        a[k + 1, k] = alpha
-        a[k, k + 1] = np.conj(alpha)
-        a[k + 2 :, k] = 0.0
-        a[k, k + 2 :] = 0.0
-        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v.conj())
-    d = a.diagonal().real.copy()
-    t = a.diagonal(-1).copy()
-    return d, t, q
-
-
-def phase_rotation(t: np.ndarray) -> np.ndarray:
-    """Unit phases u with conj(u[j]) t[j] u[j+1]... real, i.e. u[j+1] = u[j] t[j]/|t[j]|."""
-    n = t.shape[0] + 1
-    u = np.ones(n, dtype=np.complex128)
-    for j in range(n - 1):
-        tj = t[j]
-        u[j + 1] = u[j] * (tj / abs(tj)) if tj != 0.0 else u[j]
-    return u
-
-
-def tridiagonal_ql(d: np.ndarray, e: np.ndarray, w=None, max_iter: int = 50):
-    """Implicit-shift QL iteration on a real symmetric tridiagonal matrix.
-
-    ``d`` (length n) holds the diagonal and is overwritten with eigenvalues;
-    ``e`` (length n) holds the subdiagonal in e[:n-1] and is destroyed.
-    ``w``, if given, is an (n, m) array whose ROWS are rotated along: if
-    w[i] starts as the i-th basis vector of the tridiagonal problem, row k
-    ends up as the eigenvector belonging to d[k].
-
-    Raises NumericError if an eigenvalue fails to converge within
-    ``max_iter`` sweeps.
-    """
-    n = d.shape[0]
-    if n == 1:
-        return
-    hypot = math.hypot
-    if w is not None:
-        scratch = np.empty_like(w[0])
-        scratch2 = np.empty_like(w[0])
-    for l in range(n):
-        iters = 0
-        while True:
-            for m in range(l, n - 1):
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-            else:
-                m = n - 1
-            if m == l:
-                break
-            iters += 1
-            if iters > max_iter:
-                raise NumericError(
-                    f"QL iteration did not converge for index {l} "
-                    f"after {max_iter} sweeps"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if w is not None:
-                    # plane rotation of rows i, i+1 without temporaries
-                    np.multiply(w[i], s, out=scratch)
-                    scratch += np.multiply(w[i + 1], c, out=scratch2)
-                    w[i] *= c
-                    w[i] -= np.multiply(w[i + 1], s, out=scratch2)
-                    np.copyto(w[i + 1], scratch)
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-
-
-def eigh_banded(op, max_iter: int = 50):
-    """Full spectrum and eigenvectors of a BandedHermitianOperator-like object.
-
-    Returns (w, v) with ascending eigenvalues (stable index tie-break) and
-    orthonormal eigenvector columns.
-    """
-    n = op.dim
-    if op.bandwidth > 2:
-        raise ValueError("eigensolver supports bandwidth <= 2")
-    outer = op.band(2) if op.bandwidth >= 2 else np.zeros(max(n - 2, 0))
-    inner = op.band(1) if op.bandwidth >= 1 else np.zeros(max(n - 1, 0))
-    diag = op.band(0).real.astype(np.float64)
-
-    if np.any(outer != 0.0):
-        d, t, q = hermitian_to_tridiagonal(op.to_dense())
-    else:
-        d = diag.copy()
-        t = inner.conj()  # subdiagonal entries A[j+1, j]
-        q = None
-
-    u = phase_rotation(t)
-    e = np.empty(n, dtype=np.float64)
-    e[: n - 1] = np.abs(t)
-    e[n - 1] = 0.0
-
-    # rows of ``rows`` track the accumulated transform (reduction * phases)
-    if q is None:
-        rows = np.zeros((n, n), dtype=np.complex128)
-        rows[np.arange(n), np.arange(n)] = u
-    else:
-        rows = q.T * u[:, None]
-
-    tridiagonal_ql(d, e, rows, max_iter=max_iter)
-
-    order = np.argsort(d, kind="stable")
-    return d[order], rows[order].T
-
-
 def jacobi_eigenvalues(a: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
     """Eigenvalues of a dense complex Hermitian matrix by cyclic Jacobi.
 
-    Independent of the QL pipeline; used as a numerical oracle in tests.
+    Independent of LAPACK; used as a numerical oracle in tests.
     """
     a = np.array(a, dtype=np.complex128)
     n = a.shape[0]

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lmglab
 from lmglab.cli import main
 from lmglab.ssb import wkb_rate
 
@@ -182,6 +185,33 @@ class TestGap:
         assert summary["c_h"] == pytest.approx(-math.log(0.71), rel=1e-12)
         assert summary["wkb_rate"] == pytest.approx(wkb_rate(0.71), rel=1e-12)
 
+    def test_symmetric_phase_scan(self, tmp_path):
+        out = str(tmp_path / "run")
+        rc = main(["gap", "--n", "20,40,60", "--h", "1.5", "--out", out])
+        assert rc == 0
+        header, rows = read_csv(os.path.join(out, "gap_gamma0.csv"))
+        assert header == "n,splitting,tunneling_gap_estimate"
+        assert rows[:, 0].tolist() == [20, 40, 60]
+        assert np.all(np.isfinite(rows[:, 1])) and np.all(rows[:, 1] > 0.0)
+        # no mean-field wells above h = 1, so no overlap estimate
+        assert np.all(np.isnan(rows[:, 2]))
+        summary = read_json(os.path.join(out, "summary.json"))
+        assert summary["c_h"] is None
+        assert summary["wkb_rate"] is None
+        assert "gamma0_fitted_rate" not in summary
+        assert summary["gamma0_unresolved_n"] == []
+
+    def test_sub_floor_splittings_are_flagged(self, tmp_path):
+        out = str(tmp_path / "run")
+        rc = main(
+            ["gap", "--n", "20,40,60,100", "--h", "0.3", "--gamma", "0", "--out", out]
+        )
+        assert rc == 0
+        summary = read_json(os.path.join(out, "summary.json"))
+        # true splittings ~ exp(-0.92 N) sit far under double precision
+        assert summary["gamma0_unresolved_n"] == [40, 60, 100]
+        assert "gamma0_fitted_rate" not in summary
+
 
 class TestQuasicrystal:
     def test_outputs(self, tmp_path):
@@ -259,6 +289,33 @@ class TestSweep:
         assert rc == 0
         summary = read_json(os.path.join(out, "summary.json"))
         assert summary["jobs"] == 1
+
+
+class TestNumericFailure:
+    def test_eigensolver_failure_exits_two(self, tmp_path, monkeypatch):
+        def no_convergence(a, UPLO="L"):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        out = str(tmp_path / "run")
+        rc = main(["spectrum", "--n", "20", "--h", "0.5", "--out", out] + FAST)
+        assert rc == 2
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_out(self):
+        # scipy's import alone costs more than all of lmglab.cli
+        src = os.path.dirname(os.path.dirname(lmglab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, lmglab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestUsageErrors:
