@@ -550,6 +550,8 @@ def cmd_oracle(cfg: RunConfig) -> dict:
     tolerance = ORACLE_TOLERANCE if cfg.threshold is None else cfg.threshold
     n_values = cfg.n if cfg.n else [4, 6, 8]
     h_values = cfg.h if cfg.h else [0.3, 0.5, 0.7]
+    if max(n_values) > MAX_CORRELATION_N:
+        raise ValueError(f"oracle supports N <= {MAX_CORRELATION_N}")
     rows = []
     worst = 0.0
     for n_val in n_values:

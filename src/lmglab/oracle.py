@@ -1,9 +1,12 @@
 """Brute-force validation of the sector computations in the full 2^N space.
 
-Everything here works on dense Kronecker-product operators with no sector
-bookkeeping, so agreement with the (N+1)-dimensional computations is a real
-cross-check.  Dense diagonalization is LAPACK's (numpy.linalg.eigh), a
-different code path from the banded kernel used on the sector side.
+Everything here works on dense operators over the 2^N product basis with no
+sector bookkeeping: the collective spins are sums of single-site spin-1/2
+operators, built by flipping single bits of the basis index.  The sector
+side builds its (N+1)-dimensional matrices from the Dicke ladder instead,
+so agreement between the two routes is a real cross-check of the
+Hamiltonian, the states and the observables.  Both sides diagonalize with
+LAPACK (numpy.linalg.eigh); the independence lies in the 2^N construction.
 """
 
 from __future__ import annotations
@@ -23,12 +26,6 @@ MAX_CORRELATION_N = 10
 
 _DEGEN_RTOL = 1e-10
 
-_PAULI_HALF = {
-    "x": np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.complex128),
-    "y": np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=np.complex128),
-    "z": np.array([[0.5, 0.0], [0.0, -0.5]], dtype=np.complex128),
-}
-
 
 class OracleMismatchError(RuntimeError):
     """A sector-vs-full comparison exceeded its tolerance."""
@@ -36,7 +33,10 @@ class OracleMismatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class FullSpaceOperators:
-    """Dense collective operators S_x, S_y, S_z on the 2^N product space."""
+    """Dense collective operators S_x, S_y, S_z on the 2^N product space.
+
+    ``sx`` and ``sz`` are real; ``sy`` is complex with a zero real part.
+    """
 
     N: int
     sx: np.ndarray
@@ -44,31 +44,34 @@ class FullSpaceOperators:
     sz: np.ndarray
 
 
-def _site_sum(N: int, single: np.ndarray) -> np.ndarray:
-    dim = 2**N
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for site in range(N):
-        op = np.kron(
-            np.eye(2**site), np.kron(single, np.eye(2 ** (N - 1 - site)))
-        )
-        total += op
-    return total
-
-
 def full_space_operators(N: int) -> FullSpaceOperators:
-    """Collective spin operators as sums of single-site Pauli/2 matrices."""
+    """Collective spin operators as sums of single-site Pauli/2 matrices.
+
+    The basis follows the Kronecker ordering: site 0 is the most significant
+    bit of the index and a 0 bit is spin up, so index 0 is the all-up state.
+    Each site's S_x and S_y connect the indices that differ in its bit, and
+    S_z is diagonal with N/2 minus the number of down spins.
+    """
     if N > MAX_FULL_SPACE_N:
         raise ValueError(
             f"resource limit: full-space operators support N <= {MAX_FULL_SPACE_N}"
         )
     if N < 1:
         raise ValueError("N must be >= 1")
-    return FullSpaceOperators(
-        N=N,
-        sx=_site_sum(N, _PAULI_HALF["x"]),
-        sy=_site_sum(N, _PAULI_HALF["y"]),
-        sz=_site_sum(N, _PAULI_HALF["z"]),
-    )
+    dim = 1 << N
+    index = np.arange(dim)
+    sx = np.zeros((dim, dim))
+    sy = np.zeros((dim, dim), dtype=np.complex128)
+    sz_diag = np.zeros(dim)
+    for site in range(N):
+        bit = 1 << (N - 1 - site)
+        down = (index & bit) != 0
+        flipped = index ^ bit
+        sx[flipped, index] = 0.5
+        # <down|s_y|up> = i/2, <up|s_y|down> = -i/2
+        sy[flipped, index] = np.where(down, -0.5j, 0.5j)
+        sz_diag += np.where(down, -0.5, 0.5)
+    return FullSpaceOperators(N=N, sx=sx, sy=sy, sz=np.diag(sz_diag))
 
 
 def full_hamiltonian(
@@ -77,13 +80,22 @@ def full_hamiltonian(
     g: float = 0.0,
     phi_n: float = 0.0,
 ) -> np.ndarray:
-    """Dense H = (lam/N)(Sx^2 + gamma Sy^2) - h Sz - g S_n on the product space."""
-    h_full = (params.lam / params.N) * (
-        ops.sx @ ops.sx + params.gamma * (ops.sy @ ops.sy)
-    )
+    """Dense H = (lam/N)(Sx^2 + gamma Sy^2) - h Sz - g S_n on the product space.
+
+    S_y = iA with A = Im S_y real, so S_y^2 = -A^2: H is real symmetric,
+    and complex Hermitian only when the kick has a y component (g != 0 and
+    sin(phi_n) != 0).
+    """
+    h_full = ops.sx @ ops.sx
+    if params.gamma != 0.0:
+        a = np.ascontiguousarray(ops.sy.imag)
+        h_full -= params.gamma * (a @ a)
+    h_full *= params.lam / params.N
     h_full -= params.h * ops.sz
     if g != 0.0:
-        h_full -= g * (math.cos(phi_n) * ops.sx + math.sin(phi_n) * ops.sy)
+        h_full -= (g * math.cos(phi_n)) * ops.sx
+        if math.sin(phi_n) != 0.0:
+            h_full = h_full - (g * math.sin(phi_n)) * ops.sy
     return h_full
 
 
@@ -95,31 +107,36 @@ class FullGround:
 
 
 def full_space_ground(
-    N: int, params: LmgParams, g: float = 0.0, phi_n: float = 0.0
+    N: int,
+    params: LmgParams,
+    g: float = 0.0,
+    phi_n: float = 0.0,
+    *,
+    ops: FullSpaceOperators | None = None,
 ) -> FullGround:
-    """Dense ground state of the (possibly kicked) Hamiltonian."""
-    ops = full_space_operators(N)
+    """Dense ground state of the (possibly kicked) Hamiltonian.
+
+    ``ops`` passes in operators already built for this N.
+    """
+    if ops is None:
+        ops = full_space_operators(N)
     w, v = np.linalg.eigh(full_hamiltonian(params, ops, g=g, phi_n=phi_n))
     degenerate = bool(w[1] - w[0] <= _DEGEN_RTOL * max(1.0, abs(w[0])))
     return FullGround(energy=float(w[0]), vector=v[:, 0].copy(), degenerate=degenerate)
 
 
-def full_space_correlation(N: int, h: float, tgrid) -> list[tuple[float, TimeSeries]]:
-    """f_N(t) evaluated entirely in the 2^N space.
-
-    Returns one (ground Sz expectation, series) pair per ground level,
-    ascending in Sz.  A degenerate ground pair is resolved by diagonalizing
-    Sz inside the ground eigenspace, which reproduces the sector-side
-    magnetization members.
-    """
+def _check_correlation_size(N: int) -> None:
     if N > MAX_CORRELATION_N:
         raise ValueError(
             f"resource limit: full-space correlation supports N <= {MAX_CORRELATION_N}"
         )
-    tgrid = np.asarray(tgrid, dtype=np.float64)
-    ops = full_space_operators(N)
-    params = LmgParams(N=N, h=h)
-    w, v = np.linalg.eigh(full_hamiltonian(params, ops))
+
+
+def _correlation_members(
+    ops: FullSpaceOperators, w: np.ndarray, v: np.ndarray, tgrid: np.ndarray
+) -> list[tuple[float, TimeSeries]]:
+    """f_N(t) members from the full spectrum (w, v) of the free Hamiltonian."""
+    N = ops.N
     e0 = w[0]
     ground_idx = np.nonzero(w - e0 <= _DEGEN_RTOL * max(1.0, abs(e0)))[0]
     basis = v[:, ground_idx]
@@ -143,6 +160,20 @@ def full_space_correlation(N: int, h: float, tgrid) -> list[tuple[float, TimeSer
         )
     members.sort(key=lambda pair: pair[0])
     return members
+
+
+def full_space_correlation(N: int, h: float, tgrid) -> list[tuple[float, TimeSeries]]:
+    """f_N(t) evaluated entirely in the 2^N space.
+
+    Returns one (ground Sz expectation, series) pair per ground level,
+    ascending in Sz.  A degenerate ground pair is resolved by diagonalizing
+    Sz inside the ground eigenspace, which reproduces the sector-side
+    magnetization members.
+    """
+    _check_correlation_size(N)
+    ops = full_space_operators(N)
+    w, v = np.linalg.eigh(full_hamiltonian(LmgParams(N=N, h=h), ops))
+    return _correlation_members(ops, w, v, np.asarray(tgrid, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -175,19 +206,21 @@ def sector_vs_full_checks(
     from .evolve import correlation_fN
     from .ssb import default_kick
 
+    _check_correlation_size(N)
     if g is None:
         g = default_kick(N)
     params = LmgParams(N=N, h=h)
     sector = build_sector(N)
+    ops = full_space_operators(N)
 
-    # ground energy
+    # ground energy, from the one solve of the free H that also feeds f_N(t)
     e0_sector = eigensystem(build_hamiltonian(params, sector)).ground_energy
-    full = full_space_ground(N, params)
-    dev_energy = abs(e0_sector - full.energy)
+    w, v = np.linalg.eigh(full_hamiltonian(params, ops))
+    dev_energy = abs(e0_sector - float(w[0]))
 
     # ground Sz expectation, matched member by member
     tgrid = np.arange(samples) * (2.0 * math.pi * N / samples)
-    full_members = full_space_correlation(N, h, tgrid)
+    full_members = _correlation_members(ops, w, v, tgrid)
     sector_levels = ground_M(N, h).levels
     dev_sz = max(
         abs(m_full - m_sec)
@@ -205,8 +238,7 @@ def sector_vs_full_checks(
 
     # localized order parameter
     localized = localize_ground_state(params, g=g)
-    kicked = full_space_ground(N, params, g=g)
-    ops = full_space_operators(N)
+    kicked = full_space_ground(N, params, g=g, ops=ops)
     mx_full = 2.0 / N * float(np.real(np.vdot(kicked.vector, ops.sx @ kicked.vector)))
     dev_mx = abs(localized.m_n - mx_full)
 

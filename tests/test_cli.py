@@ -249,6 +249,20 @@ class TestOracleCommand:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("n_values", ["11", "4,11"])
+    def test_oversized_n_fails_before_any_solve(self, tmp_path, monkeypatch, n_values):
+        calls = []
+
+        def counting_eigh(a, UPLO="L"):
+            calls.append(np.shape(a))
+            raise AssertionError("eigh reached")
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        out = str(tmp_path / "run")
+        rc = main(["oracle", "--n", n_values, "--h", "0.5", "--out", out])
+        assert rc == 1
+        assert calls == []
+
 
 class TestSweep:
     def test_grid_outputs(self, tmp_path):

@@ -15,6 +15,25 @@ from lmglab.oracle import (
 from lmglab.spinspace import build_sector
 
 
+_PAULI_HALF = {
+    "x": np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.complex128),
+    "y": np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=np.complex128),
+    "z": np.array([[0.5, 0.0], [0.0, -0.5]], dtype=np.complex128),
+}
+
+
+def kron_site_sum(N, single):
+    """Reference collective operator: the sum of Kronecker-embedded site terms."""
+    dim = 2**N
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for site in range(N):
+        op = np.kron(
+            np.eye(2**site), np.kron(single, np.eye(2 ** (N - 1 - site)))
+        )
+        total += op
+    return total
+
+
 def sector_multiplicity(N, s):
     """Number of spin-s irreps of N spin-1/2 sites (Catalan triangle)."""
     k = N // 2 - s if N % 2 == 0 else (N - 1) // 2 - (s - 0.5)
@@ -51,6 +70,15 @@ class TestOperators:
             count = int(round(2 * s + 1)) * sector_multiplicity(N, s)
             expected.extend([s * (s + 1)] * count)
         assert np.allclose(np.sort(eigenvalues), np.sort(expected), atol=1e-10)
+
+    @pytest.mark.parametrize("N", range(1, 8))
+    def test_bit_construction_equals_kron_sum(self, N):
+        ops = full_space_operators(N)
+        assert np.array_equal(ops.sx, kron_site_sum(N, _PAULI_HALF["x"]))
+        assert np.array_equal(ops.sy, kron_site_sum(N, _PAULI_HALF["y"]))
+        assert np.array_equal(ops.sz, kron_site_sum(N, _PAULI_HALF["z"]))
+        assert not np.iscomplexobj(ops.sx) and not np.iscomplexobj(ops.sz)
+        assert np.iscomplexobj(ops.sy) and not np.any(ops.sy.real)
 
     def test_resource_cap(self):
         with pytest.raises(ValueError):
@@ -104,6 +132,42 @@ class TestGround:
         assert full.degenerate
 
 
+    @pytest.mark.parametrize(
+        "N,h,gamma,phi_n",
+        [(5, 0.6, 0.5, 0.9), (7, 0.4, 0.0, 0.0), (6, 0.7, 0.3, math.pi / 2)],
+    )
+    def test_kicked_anisotropic_ground_energy_matches_sector(self, N, h, gamma, phi_n):
+        g = 1e-2
+        params = LmgParams(N=N, h=h, gamma=gamma)
+        ham = build_hamiltonian(params, build_sector(N), g=g, phi_n=phi_n)
+        e_sector = eigensystem(ham).ground_energy
+        full = full_space_ground(N, params, g=g, phi_n=phi_n)
+        assert abs(full.energy - e_sector) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "g,phi_n",
+        [(0.0, 0.0), (0.0, 0.9), (1e-2, 0.0), (1e-2, 0.9), (1e-2, math.pi / 2),
+         (1e-2, math.pi)],
+    )
+    def test_hamiltonian_is_real_unless_kicked_off_axis(self, g, phi_n):
+        N = 4
+        ops = full_space_operators(N)
+        for gamma in (0.0, 0.5, 1.0):
+            ham = full_hamiltonian(LmgParams(N=N, h=0.5, gamma=gamma), ops, g=g, phi_n=phi_n)
+            assert np.iscomplexobj(ham) == (g != 0.0 and math.sin(phi_n) != 0.0)
+            assert np.max(np.abs(ham - ham.conj().T)) <= 1e-14
+
+    def test_hamiltonian_matches_operator_products(self):
+        N, g, phi_n = 5, 0.03, 0.7
+        ops = full_space_operators(N)
+        params = LmgParams(N=N, h=0.45, gamma=0.35)
+        expected = (params.lam / N) * (ops.sx @ ops.sx + params.gamma * (ops.sy @ ops.sy))
+        expected = expected - params.h * ops.sz
+        expected = expected - g * (math.cos(phi_n) * ops.sx + math.sin(phi_n) * ops.sy)
+        ham = full_hamiltonian(params, ops, g=g, phi_n=phi_n)
+        assert np.max(np.abs(ham - expected)) <= 1e-13
+
+
 class TestCorrelation:
     @pytest.mark.parametrize("N,h", [(8, 0.5), (6, 0.7)])
     def test_matches_sector_computation(self, N, h):
@@ -143,3 +207,26 @@ class TestChecks:
     def test_all_deviations_small(self, N, h):
         report = sector_vs_full_checks(N, h)
         assert report.worst() <= 1e-9
+
+    def test_each_hamiltonian_is_solved_once(self, monkeypatch):
+        N = 8
+        sizes = []
+        original = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        report = sector_vs_full_checks(N, 0.5)
+        # the free H and the kicked H, one dense solve each
+        assert sizes.count(2**N) == 2
+        assert report.worst() <= 1e-9
+
+    def test_oversized_n_is_rejected_before_any_solve(self, monkeypatch):
+        def no_solve(a, *args, **kwargs):
+            raise AssertionError("eigh reached")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_solve)
+        with pytest.raises(ValueError):
+            sector_vs_full_checks(11, 0.5)
