@@ -216,10 +216,13 @@ def _write_table(path: str, header: str, rows) -> str:
         }
         _write_json(path, payload)
         return path
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    # one format string per table; "%.17g" formats exactly like _fmt
+    line = ",".join(["%.17g"] * len(header.split(","))) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
     return path
 
 
@@ -506,6 +509,8 @@ def cmd_quasicrystal(cfg: RunConfig) -> dict:
     N = cfg.single_n()
     kappa = cfg.kappa
     fields = quasicrystal_h(N, kappa)
+    if len(fields) == 0 and not cfg.h:
+        raise ValueError(f"no field in [0, 1) at N={N}; pass --h")
     ext = _table_ext(cfg)
     files = []
     files.append(

@@ -6,7 +6,10 @@ on the dense (N+1)-dimensional matrix); diagonal ones need only a sort.
 Evolution always goes through a full eigendecomposition: the frequencies of
 interest are O(1/N) and the states live for O(N^3), so time stepping would
 accumulate phase error where it hurts most.  Propagation uses the
-e^{-iHt} phase convention.
+e^{-iHt} phase convention.  When H is diagonal, an expectation value over a
+time grid is a sum of Bohr lines, one per stored matrix element of the
+observable, and no state is evolved; otherwise the state is evolved in the
+eigenbasis over the grid.
 """
 
 from __future__ import annotations
@@ -32,6 +35,16 @@ from .spinspace import (
 _GRID_RTOL = 1e-9
 
 
+def _check_grid(t: np.ndarray) -> None:
+    """Raise ValueError unless t is a strictly increasing uniform grid."""
+    if t.ndim != 1 or t.size < 2:
+        raise ValueError("time grid needs at least two points")
+    dt = np.diff(t)
+    step = dt[0]
+    if step <= 0.0 or np.any(np.abs(dt - step) > _GRID_RTOL * abs(step)):
+        raise ValueError("time grid must be uniform and increasing")
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Values sampled on a strictly increasing uniform time grid."""
@@ -42,12 +55,7 @@ class TimeSeries:
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=np.float64)
-        if t.ndim != 1 or t.size < 2:
-            raise ValueError("time grid needs at least two points")
-        dt = np.diff(t)
-        step = dt[0]
-        if step <= 0.0 or np.any(np.abs(dt - step) > _GRID_RTOL * abs(step)):
-            raise ValueError("time grid must be uniform and increasing")
+        _check_grid(t)
         object.__setattr__(self, "t", _readonly(t))
         object.__setattr__(self, "values", _readonly(np.asarray(self.values)))
 
@@ -160,12 +168,27 @@ def observable_series(
 ) -> TimeSeries:
     """<psi(t)|op|psi(t)> on a uniform grid.
 
-    Phases are formed from E_k - E_0; the dropped global phase cancels in
-    every expectation value and keeps the phase arguments small.
+    When H was diagonal (``eig.permutation`` set), the series is a sum of
+    Bohr lines, one per stored entry of ``op.bands``:
+    <op>(t) = sum c_m^* op_{mn} c_n e^{i (E_m - E_n) t}.  The phases factor
+    over the grid: with B = ceil(sqrt(T)) and t_{qB+r} = t_{qB} + (t_r - t_0),
+    the series is one (Q x L) @ (L x B) product of phase blocks, L (Q + B)
+    complex exponentials for L lines instead of (N + 1) T.
+
+    Otherwise psi(t) is evolved in the eigenbasis over the grid.  Phases are
+    formed from E_k - E_0; the dropped global phase cancels in every
+    expectation value and keeps the phase arguments small.
+
+    Raises ValueError on a dimension mismatch or a grid that is not uniform
+    with at least two points, before any work.
     """
     if psi0.dim != eig.dim or op.dim != eig.dim:
         raise ValueError("dimension mismatch")
     tgrid = np.asarray(tgrid, dtype=np.float64)
+    _check_grid(tgrid)
+    if eig.permutation is not None:
+        values = _line_sum(eig, psi0.amplitudes, op.bands, tgrid)
+        return TimeSeries(t=tgrid, values=values, label=label)
     coeffs = eig.to_energy_basis(psi0.amplitudes)
     shifted = eig.energies - eig.energies[0]
     out = np.empty(tgrid.shape[0], dtype=np.complex128)
@@ -178,6 +201,31 @@ def observable_series(
             "mt,mt->t", psi_t.conj(), op.apply(psi_t)
         )
     return TimeSeries(t=tgrid, values=out, label=label)
+
+
+def _line_sum(eig: EigenSystem, amps, bands, tgrid: np.ndarray) -> np.ndarray:
+    """Bohr-line sum of observable_series for a diagonal H."""
+    dim = eig.dim
+    energies = np.empty(dim)
+    energies[eig.permutation] = eig.energies
+    freqs = [np.zeros(0)]
+    weights = [np.zeros(0, dtype=np.complex128)]
+    for off, diag in bands.items():
+        # entry (m, m + off) sits at diag[min(m, m + off)]
+        lo = max(0, -off)
+        rows = slice(lo, lo + diag.shape[0])
+        cols = slice(lo + off, lo + off + diag.shape[0])
+        weights.append(amps[rows].conj() * diag * amps[cols])
+        freqs.append(energies[rows] - energies[cols])
+    weights = np.concatenate(weights)
+    freqs = np.concatenate(freqs)
+    used = weights != 0.0
+    weights, freqs = weights[used], freqs[used]
+    T = tgrid.shape[0]
+    B = math.isqrt(T - 1) + 1
+    anchors = np.exp(1j * tgrid[::B, None] * freqs[None, :])
+    offsets = np.exp(1j * freqs[:, None] * (tgrid[:B] - tgrid[0])[None, :])
+    return (anchors @ (weights[:, None] * offsets)).ravel()[:T]
 
 
 @dataclass(frozen=True)

@@ -134,8 +134,10 @@ class BandedOperator:
 class BandedHermitianOperator:
     """Complex Hermitian banded matrix (bandwidth <= 2 in this package).
 
-    Only the diagonal and superdiagonals are stored; the subdiagonals are
-    their conjugates by construction, so Hermiticity holds exactly as stored.
+    ``diags`` holds the diagonal and superdiagonals as given; ``bands`` is
+    the full {offset: diagonal} mapping of ``BandedOperator.bands``, whose
+    subdiagonals are their conjugates by construction, so Hermiticity holds
+    exactly as stored.
     """
 
     def __init__(self, dim: int, diags: dict[int, np.ndarray]):
@@ -152,6 +154,10 @@ class BandedHermitianOperator:
         if 0 in ups and np.max(np.abs(ups[0].imag), initial=0.0) != 0.0:
             raise ValueError("diagonal of a Hermitian operator must be real")
         self.diags = ups
+        self.bands = dict(ups)
+        for off, diag in ups.items():
+            if off > 0:
+                self.bands[-off] = _readonly(diag.conj())
 
     @property
     def bandwidth(self) -> int:
@@ -174,11 +180,7 @@ class BandedHermitianOperator:
         vec = np.asarray(vec, dtype=np.complex128)
         if vec.shape[0] != self.dim:
             raise ValueError("dimension mismatch")
-        bands = dict(self.diags)
-        for off, diag in self.diags.items():
-            if off > 0:
-                bands[-off] = diag.conj()
-        return _band_matvec(self.dim, bands, vec)
+        return _band_matvec(self.dim, self.bands, vec)
 
     def scaled(self, factor: float) -> "BandedHermitianOperator":
         if np.imag(factor) != 0:

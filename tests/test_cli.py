@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lmglab
-from lmglab.cli import main
+from lmglab.cli import _write_table, main
 from lmglab.ssb import wkb_rate
 
 FAST = ["--samples", "64"]
@@ -231,6 +231,51 @@ class TestQuasicrystal:
         assert wave.shape[1] == 3
         # ground-mode component of a weakly kicked state: bounded by m_x = 1
         assert np.max(np.abs(wave[:, 1])) < 1.0
+
+
+    def test_single_spin_has_no_field_and_needs_h(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        rc = main(["quasicrystal", "--n", "1", "--out", out] + FAST)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_single_spin_with_explicit_h(self, tmp_path):
+        out = str(tmp_path / "run")
+        rc = main(["quasicrystal", "--n", "1", "--h", "0.3", "--out", out] + FAST)
+        assert rc == 0
+        header, wave = read_csv(os.path.join(out, "waveform.csv"))
+        assert wave.shape == (64, 3)
+
+
+def per_value_csv(header, rows):
+    """The CSV bytes of the original writer: one _fmt call per value."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(f"{float(v):.17g}" for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestTableWriter:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [
+                (math.nan, math.inf, -math.inf),
+                (-0.0, 5e-324, 1e300),
+                (3, np.float64(0.1), -7),
+                (np.float64(-2.5e-17), 1.0 / 3.0, 12345678901234567),
+            ],
+            np.array([[math.nan, -0.0, 5e-324], [1e300, -math.inf, 0.1]]),
+            [],
+            np.zeros((0, 3)),
+        ],
+    )
+    def test_bytes_match_per_value_writer(self, tmp_path, rows):
+        header = "a,b,c"
+        path = str(tmp_path / "table.csv")
+        _write_table(path, header, rows)
+        with open(path, "rb") as fh:
+            assert fh.read() == per_value_csv(header, rows)
 
 
 class TestOracleCommand:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lmglab.evolve import (
+    EigenSystem,
     ProjectedMode,
     TimeSeries,
     analytic_sum,
@@ -22,8 +23,11 @@ from lmglab.model import (
     MeanFieldAngles,
     build_hamiltonian,
     mean_field_state,
+    trial_localized_state,
 )
 from lmglab.spinspace import (
+    BandedHermitianOperator,
+    BandedOperator,
     basis_state,
     build_sector,
     collective_operators,
@@ -149,6 +153,86 @@ class TestObservableSeries:
         for op in (ops.sx, ops.sy, ops.sz):
             series = observable_series(eig, loc.state, op, tgrid)
             assert np.max(np.abs(series.values.imag)) <= 1e-10 * N
+
+
+def dense_copy(eig):
+    """The same eigensystem without its permutation: forces state evolution."""
+    return EigenSystem(eig.energies, eig.vectors, eig.Mk, permutation=None)
+
+
+class TestLineSum:
+    """The diagonal-H line sum of observable_series against state evolution."""
+
+    @pytest.mark.parametrize(
+        "N,T,prep",
+        [
+            (1, 16385, "kicked"),
+            (2, 16, "kicked"),
+            (7, 17, "kicked"),
+            (7, 16385, "trial"),
+            (50, 16385, "kicked"),
+            (50, 16, "trial"),
+            (301, 17, "kicked"),
+            (301, 4096, "kicked"),
+            (301, 4096, "trial"),
+        ],
+    )
+    def test_matches_dense_path(self, N, T, prep):
+        h = 0.6
+        params = LmgParams(N=N, h=h)
+        sec = build_sector(N)
+        eig = eigensystem(build_hamiltonian(params, sec))
+        assert eig.permutation is not None
+        if prep == "trial":
+            psi = trial_localized_state(sec, h).state
+        else:
+            psi = localize_ground_state(params, g=1e-3, phi_n=0.4).state
+        ops = collective_operators(sec)
+        # t0 != 0 and, for T = 17 and 16385, T not a multiple of ceil(sqrt(T))
+        tgrid = 5.3 + np.arange(T) * (40.0 * math.pi * N / T)
+        dense = dense_copy(eig)
+        for op in (ops.sx, ops.sy, ops.sz, ops.splus, ops.sminus):
+            lines = observable_series(eig, psi, op, tgrid)
+            ref = observable_series(dense, psi, op, tgrid)
+            assert lines.values.dtype == np.complex128
+            assert lines.values.shape == (T,)
+            scale = np.max(np.abs(ref.values))
+            assert np.max(np.abs(lines.values - ref.values)) <= 1e-12 * scale
+
+    def test_never_applies_the_operator(self, monkeypatch):
+        def refuse(self, vec):
+            raise AssertionError("op.apply reached")
+
+        N, h = 40, 0.55
+        params = LmgParams(N=N, h=h)
+        sec = build_sector(N)
+        eig = eigensystem(build_hamiltonian(params, sec))
+        psi = localize_ground_state(params, g=1e-3).state
+        ops = collective_operators(sec)
+        tgrid = default_time_grid(N, periods=2, samples=128)
+        monkeypatch.setattr(BandedHermitianOperator, "apply", refuse)
+        monkeypatch.setattr(BandedOperator, "apply", refuse)
+        for op in (ops.sx, ops.sy, ops.sz, ops.splus, ops.sminus):
+            observable_series(eig, psi, op, tgrid)
+
+    @pytest.mark.parametrize(
+        "tgrid", [np.array([0.0]), np.array([0.0, 1.0, 3.0]), np.zeros((2, 2))]
+    )
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_bad_grid_rejected_before_any_work(self, monkeypatch, tgrid, diagonal):
+        N, h = 10, 0.5
+        sec = build_sector(N)
+        eig = eigensystem(build_hamiltonian(LmgParams(N=N, h=h), sec))
+        if not diagonal:
+            eig = dense_copy(eig)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("phases formed")
+
+        monkeypatch.setattr(np, "exp", refuse)
+        psi = basis_state(sec.dim, 3)
+        with pytest.raises(ValueError):
+            observable_series(eig, psi, collective_operators(sec).sx, tgrid)
 
 
 class TestProjectedDynamics:

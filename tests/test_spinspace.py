@@ -3,6 +3,7 @@ import pytest
 
 from lmglab.spinspace import (
     BandedHermitianOperator,
+    BandedOperator,
     StateVector,
     apply,
     basis_state,
@@ -127,6 +128,21 @@ def test_apply_matches_dense_matvec():
     )
     vec = rng.normal(size=n) + 1j * rng.normal(size=n)
     assert np.allclose(op.apply(vec), op.to_dense() @ vec, rtol=1e-13, atol=1e-13)
+
+
+def test_hermitian_bands_hold_every_entry():
+    rng = np.random.default_rng(4)
+    n = 9
+    op = BandedHermitianOperator(
+        n,
+        {
+            0: rng.normal(size=n).astype(complex),
+            2: rng.normal(size=n - 2) + 1j * rng.normal(size=n - 2),
+        },
+    )
+    assert sorted(op.bands) == [-2, 0, 2]
+    rebuilt = BandedOperator(n, op.bands).to_dense()
+    assert np.array_equal(rebuilt, op.to_dense())
 
 
 def test_expectation_examples():
