@@ -194,8 +194,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("samples must be >= 16")
     if cfg.cutoff_k < 0:
         raise ValueError("cutoff-k must be >= 0")
-    if cfg.tmax is not None and cfg.tmax <= 0.0:
-        raise ValueError("tmax must be positive")
+    if cfg.tmax is not None and not 0.0 < cfg.tmax < math.inf:
+        raise ValueError("tmax must be positive and finite")
     if cfg.window not in ("hann", "none"):
         raise ValueError("window must be hann or none")
     if cfg.format not in ("csv", "json"):

@@ -1,15 +1,15 @@
 """Diagonalization, exact propagation, projected analytic dynamics, and the
 ground-state correlation function.
 
-Sector Hamiltonians are diagonalized in full by LAPACK (``numpy.linalg.eigh``
-on the dense (N+1)-dimensional matrix); diagonal ones need only a sort.
-Evolution always goes through a full eigendecomposition: the frequencies of
+Sector Hamiltonians are diagonalized in full by LAPACK
+(``numpy.linalg.eigh``), in real arithmetic and by parity blocks where the
+matrix allows (see ``eigensystem``); diagonal ones need only a sort.
+Dynamics always go through the full eigendecomposition: the frequencies of
 interest are O(1/N) and the states live for O(N^3), so time stepping would
-accumulate phase error where it hurts most.  Propagation uses the
-e^{-iHt} phase convention.  When H is diagonal, an expectation value over a
-time grid is a sum of Bohr lines, one per stored matrix element of the
-observable, and no state is evolved; otherwise the state is evolved in the
-eigenbasis over the grid.
+accumulate phase error where it hurts most.  No state is evolved over a
+grid: an expectation value is a sum of Bohr lines with phases factored
+over the grid and a stated truncation bound.  Propagation uses the
+e^{-iHt} phase convention.
 """
 
 from __future__ import annotations
@@ -33,12 +33,16 @@ from .spinspace import (
 )
 
 _GRID_RTOL = 1e-9
+# truncation tolerance of a Bohr-line series, relative to a bound on ||O||
+_LINE_RTOL = 1e-13
 
 
 def _check_grid(t: np.ndarray) -> None:
-    """Raise ValueError unless t is a strictly increasing uniform grid."""
+    """Raise ValueError unless t is a finite, strictly increasing uniform grid."""
     if t.ndim != 1 or t.size < 2:
         raise ValueError("time grid needs at least two points")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("time grid must be finite")
     dt = np.diff(t)
     step = dt[0]
     if step <= 0.0 or np.any(np.abs(dt - step) > _GRID_RTOL * abs(step)):
@@ -47,11 +51,13 @@ def _check_grid(t: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Values sampled on a strictly increasing uniform time grid."""
+    """Values on a strictly increasing uniform time grid; ``error_bound``
+    bounds their truncation error, not counting rounding."""
 
     t: np.ndarray
     values: np.ndarray
     label: str = ""
+    error_bound: float = 0.0
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=np.float64)
@@ -74,10 +80,11 @@ def default_time_grid(N: int, periods: float = 20.0, samples: int = 4096) -> np.
 class EigenSystem:
     """Spectrum of a sector Hamiltonian in the Sz basis.
 
-    ``energies`` ascend.  ``vectors`` holds orthonormal eigenvector
-    columns.  When H was diagonal, ties keep their index order,
-    ``permutation`` maps level k to its Sz basis index and every column is a
-    coordinate vector.  ``Mk`` is <k|Sz|k> per level.
+    ``energies`` ascend.  ``vectors`` holds all orthonormal eigenvector
+    columns, real float64 when solved in real arithmetic.  When H was
+    diagonal, ties keep their index order, ``permutation`` maps level k to
+    its Sz basis index and every column is a coordinate vector.  ``Mk`` is
+    <k|Sz|k> per level.
     """
 
     energies: np.ndarray
@@ -109,23 +116,24 @@ class EigenSystem:
 def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
     """Diagonalize a banded Hermitian sector operator.
 
-    Diagonal input short-circuits to a sort plus permutation; banded input
-    goes to LAPACK through one dense ``numpy.linalg.eigh`` call, which
-    raises ``numpy.linalg.LinAlgError`` if it fails to converge.  The
-    magnetization per level uses M(m) = (dim - 1)/2 - m of the universal
-    descending ordering.
+    Diagonal input short-circuits to a sort plus permutation.  Otherwise
+    ``numpy.linalg.eigh`` solves it densely (raising ``LinAlgError`` if it
+    does not converge), in real arithmetic for real input.  A complex
+    tridiagonal is made real first: with D = diag(e^{-i theta_m}), theta_m
+    the summed phases of the first m off-diagonal entries, D^H H D has
+    off-diagonals |H_{m,m+1}|.  Bandwidth 2 with an all-zero first band
+    commutes with the parity (-1)^m and is solved as its even-m and odd-m
+    blocks, merged by a stable sort.  Mk uses M(m) = (dim - 1)/2 - m.
     """
     n = op.dim
     if op.bandwidth > 2:
         raise ValueError("expected bandwidth <= 2")
     m_values = (n - 1) / 2.0 - np.arange(n)
-    off_band = any(
-        off > 0 and np.any(diag != 0.0) for off, diag in op.diags.items()
-    )
-    if not off_band:
+    bands = {off for off, band in op.diags.items() if off > 0 and np.any(band != 0.0)}
+    if not bands:
         diag = op.band(0).real
         perm = np.argsort(diag, kind="stable")
-        vectors = np.zeros((n, n), dtype=np.complex128)
+        vectors = np.zeros((n, n))
         vectors[perm, np.arange(n)] = 1.0
         return EigenSystem(
             energies=_readonly(diag[perm].copy()),
@@ -133,7 +141,25 @@ def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
             Mk=_readonly(m_values[perm].copy()),
             permutation=_readonly(perm),
         )
-    w, v = np.linalg.eigh(op.to_dense())
+    dense = op.to_dense()
+    gauge = None
+    if bands == {1} and np.any(op.band(1).imag != 0.0):
+        gauge = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(op.band(1))))))
+        dense = gauge.conj()[:, None] * dense * gauge[None, :]
+    if gauge is not None or not np.any(dense.imag):
+        dense = dense.real
+    if 1 in bands:
+        w, v = np.linalg.eigh(dense)
+    else:
+        (w0, v0), (w1, v1) = (np.linalg.eigh(dense[p::2, p::2]) for p in (0, 1))
+        v = np.zeros((n, n), dtype=dense.dtype)
+        v[0::2, : w0.shape[0]] = v0
+        v[1::2, w0.shape[0] :] = v1
+        w = np.concatenate([w0, w1])
+        order = np.argsort(w, kind="stable")
+        w, v = w[order], v[:, order]
+    if gauge is not None:
+        v = gauge[:, None] * v
     mk = (np.abs(v) ** 2 * m_values[:, None]).sum(axis=0)
     return EigenSystem(
         energies=_readonly(w),
@@ -166,45 +192,29 @@ def observable_series(
     tgrid: np.ndarray,
     label: str = "",
 ) -> TimeSeries:
-    """<psi(t)|op|psi(t)> on a uniform grid.
+    """<psi(t)|op|psi(t)> = sum_jk b_j^* O_jk b_k e^{i (E_j - E_k) t} on a
+    uniform grid, summed line by line by ``_phase_sum``.
 
-    When H was diagonal (``eig.permutation`` set), the series is a sum of
-    Bohr lines, one per stored entry of ``op.bands``:
-    <op>(t) = sum c_m^* op_{mn} c_n e^{i (E_m - E_n) t}.  The phases factor
-    over the grid: with B = ceil(sqrt(T)) and t_{qB+r} = t_{qB} + (t_r - t_0),
-    the series is one (Q x L) @ (L x B) product of phase blocks, L (Q + B)
-    complex exponentials for L lines instead of (N + 1) T.
-
-    Otherwise psi(t) is evolved in the eigenbasis over the grid.  Phases are
-    formed from E_k - E_0; the dropped global phase cancels in every
-    expectation value and keeps the phase arguments small.
-
-    Raises ValueError on a dimension mismatch or a grid that is not uniform
-    with at least two points, before any work.
+    When H was diagonal (``eig.permutation`` set) there is one line per
+    stored entry of ``op.bands`` and nothing is truncated.  Otherwise the
+    lines are those of ``_level_lines``, and ``error_bound`` is their
+    truncation bound.  Raises ValueError on a dimension mismatch or a grid
+    that is not finite and uniform with at least two points, before any work.
     """
     if psi0.dim != eig.dim or op.dim != eig.dim:
         raise ValueError("dimension mismatch")
     tgrid = np.asarray(tgrid, dtype=np.float64)
     _check_grid(tgrid)
     if eig.permutation is not None:
-        values = _line_sum(eig, psi0.amplitudes, op.bands, tgrid)
-        return TimeSeries(t=tgrid, values=values, label=label)
-    coeffs = eig.to_energy_basis(psi0.amplitudes)
-    shifted = eig.energies - eig.energies[0]
-    out = np.empty(tgrid.shape[0], dtype=np.complex128)
-    chunk = max(1, (1 << 22) // eig.dim)
-    for start in range(0, tgrid.shape[0], chunk):
-        ts = tgrid[start : start + chunk]
-        phases = np.exp(-1j * shifted[:, None] * ts[None, :])
-        psi_t = eig.from_energy_basis(coeffs[:, None] * phases)
-        out[start : start + ts.shape[0]] = np.einsum(
-            "mt,mt->t", psi_t.conj(), op.apply(psi_t)
-        )
-    return TimeSeries(t=tgrid, values=out, label=label)
+        freqs, weights, bound = *_band_lines(eig, psi0.amplitudes, op.bands), 0.0
+    else:
+        freqs, weights, bound = _level_lines(eig, psi0.amplitudes, op)
+    values = _phase_sum(freqs, weights, tgrid)
+    return TimeSeries(t=tgrid, values=values, label=label, error_bound=bound)
 
 
-def _line_sum(eig: EigenSystem, amps, bands, tgrid: np.ndarray) -> np.ndarray:
-    """Bohr-line sum of observable_series for a diagonal H."""
+def _band_lines(eig: EigenSystem, amps, bands) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero Bohr lines of a diagonal H, one per stored band entry."""
     dim = eig.dim
     energies = np.empty(dim)
     energies[eig.permutation] = eig.energies
@@ -220,7 +230,50 @@ def _line_sum(eig: EigenSystem, amps, bands, tgrid: np.ndarray) -> np.ndarray:
     weights = np.concatenate(weights)
     freqs = np.concatenate(freqs)
     used = weights != 0.0
-    weights, freqs = weights[used], freqs[used]
+    return freqs[used], weights[used]
+
+
+def _level_lines(eig: EigenSystem, amps, op) -> tuple[np.ndarray, np.ndarray, float]:
+    """Bohr lines of <op> between the levels that carry the state.
+
+    With b = V^H psi, tol = 1e-13 ||O|| and ||O|| bounded by the sum over
+    bands of the largest |entry|, two truncations each move <op>(t) by at
+    most tol / 2 at every t.  The levels of smallest |b_k| are dropped while
+    their amplitude norm d keeps ||O|| (2 d + d^2) <= tol / 2; then the
+    lines b_j^* O_jk b_k between kept levels of smallest |weight| are
+    dropped while their summed |weight| stays <= tol / 2.  Returns the kept
+    frequencies E_j - E_k and weights in row-major (j, k) order, and the
+    sum of both truncation bounds.
+    """
+    norm = float(sum(np.max(np.abs(band), initial=0.0) for band in op.bands.values()))
+    tol = _LINE_RTOL * norm
+    b = eig.to_energy_basis(amps)
+    mass = np.abs(b) ** 2
+    by_mass = np.argsort(mass)
+    d = np.sqrt(np.cumsum(mass[by_mass]))
+    n_drop = int(np.count_nonzero(norm * (2.0 * d + d * d) <= 0.5 * tol))
+    bound = norm * (2.0 * d[n_drop - 1] + d[n_drop - 1] ** 2) if n_drop else 0.0
+    keep = np.sort(by_mass[n_drop:])
+    vk = eig.vectors[:, keep]
+    energies, bk = eig.energies[keep], b[keep]
+    freqs = (energies[:, None] - energies[None, :]).ravel()
+    weights = (bk.conj()[:, None] * (vk.conj().T @ op.apply(vk)) * bk[None, :]).ravel()
+    mags = np.abs(weights)
+    by_weight = np.argsort(mags)
+    dropped = np.cumsum(mags[by_weight])
+    n_drop = int(np.count_nonzero(dropped <= 0.5 * tol))
+    bound += float(dropped[n_drop - 1]) if n_drop else 0.0
+    lines = np.sort(by_weight[n_drop:])
+    return freqs[lines], weights[lines], float(bound)
+
+
+def _phase_sum(freqs: np.ndarray, weights: np.ndarray, tgrid: np.ndarray) -> np.ndarray:
+    """sum_l weights_l e^{i freqs_l t} on a uniform grid, phases factored.
+
+    With B = ceil(sqrt(T)) and t_{qB+r} = t_{qB} + (t_r - t_0), the sum is
+    one (Q x L) @ (L x B) product of phase blocks: L (Q + B) complex
+    exponentials for L lines instead of L T.
+    """
     T = tgrid.shape[0]
     B = math.isqrt(T - 1) + 1
     anchors = np.exp(1j * tgrid[::B, None] * freqs[None, :])

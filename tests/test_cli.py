@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lmglab
-from lmglab.cli import _write_table, main
+from lmglab.cli import RunConfig, _write_table, main, validate_config
 from lmglab.ssb import wkb_rate
 
 FAST = ["--samples", "64"]
@@ -384,6 +384,18 @@ class TestUsageErrors:
         assert main(["evolve", "--n", "10", "--h", "-0.5", "--out", out]) == 1
         assert main(["evolve", "--n", "10", "--h", "0.5", "--gamma", "2", "--out", out]) == 1
         assert main(["evolve", "--n", "10,20", "--h", "0.5", "--out", out]) == 1
+
+    @pytest.mark.parametrize("tmax", ["nan", "inf", "-1"])
+    def test_bad_tmax_exits_one_without_output(self, tmp_path, tmax):
+        out = str(tmp_path / "run")
+        args = ["evolve", "--n", "20", "--h", "0.5", "--samples", "16"]
+        assert main(args + ["--tmax", tmax, "--out", out]) == 1
+        assert not os.path.exists(os.path.join(out, "series.csv"))
+
+    def test_bad_tmax_rejected_by_validation(self):
+        for tmax in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError):
+                validate_config(RunConfig(command="evolve", tmax=tmax))
 
     def test_unknown_flag(self):
         assert main(["evolve", "--bogus", "1"]) == 1

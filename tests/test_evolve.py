@@ -156,12 +156,35 @@ class TestObservableSeries:
 
 
 def dense_copy(eig):
-    """The same eigensystem without its permutation: forces state evolution."""
+    """The same eigensystem without its permutation: forces the line sum
+    over eigenbasis levels."""
     return EigenSystem(eig.energies, eig.vectors, eig.Mk, permutation=None)
 
 
+def evolved_series(eig, psi, op, tgrid):
+    """<op>(t) by evolving the state over the grid with ``propagate``.
+
+    Energies are shifted by E_0, a global phase that cancels in every
+    expectation value and keeps the phase arguments small.
+    """
+    shifted = EigenSystem(
+        eig.energies - eig.energies[0], eig.vectors, eig.Mk, eig.permutation
+    )
+    out = np.empty(tgrid.shape[0], dtype=np.complex128)
+    for i, t in enumerate(tgrid):
+        amps = propagate(shifted, psi, t).amplitudes
+        out[i] = np.vdot(amps, op.apply(amps))
+    return out
+
+
+def norm_bound(op):
+    """Sum over bands of the largest |entry|, a bound on ||op||."""
+    return sum(np.max(np.abs(band)) for band in op.bands.values())
+
+
 class TestLineSum:
-    """The diagonal-H line sum of observable_series against state evolution."""
+    """The diagonal-H line sum of observable_series against the eigenbasis
+    line sum over the same eigensystem (``dense_copy``)."""
 
     @pytest.mark.parametrize(
         "N,T,prep",
@@ -216,7 +239,13 @@ class TestLineSum:
             observable_series(eig, psi, op, tgrid)
 
     @pytest.mark.parametrize(
-        "tgrid", [np.array([0.0]), np.array([0.0, 1.0, 3.0]), np.zeros((2, 2))]
+        "tgrid",
+        [
+            np.array([0.0]),
+            np.array([0.0, 1.0, 3.0]),
+            np.zeros((2, 2)),
+            np.full(4, math.nan),
+        ],
     )
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_bad_grid_rejected_before_any_work(self, monkeypatch, tgrid, diagonal):
@@ -233,6 +262,73 @@ class TestLineSum:
         psi = basis_state(sec.dim, 3)
         with pytest.raises(ValueError):
             observable_series(eig, psi, collective_operators(sec).sx, tgrid)
+
+
+class TestBohrLines:
+    """observable_series against state evolution on the same eigensystem.
+
+    Sizes stay small: state evolution rounds each phase (E_k - E_0) t on
+    its own, so its own error grows with N t and would hide that of the
+    line sum.
+    """
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("N", [24, 31])
+    @pytest.mark.parametrize(
+        "prep,phi_n",
+        [("kicked", 0.0), ("kicked", 0.7), ("kicked", math.pi / 2), ("trial", 0.0)],
+    )
+    def test_matches_state_evolution(self, gamma, N, prep, phi_n):
+        h = 0.6
+        params = LmgParams(N=N, h=h, gamma=gamma)
+        sec = build_sector(N)
+        eig = eigensystem(build_hamiltonian(params, sec))
+        if prep == "trial":
+            psi = trial_localized_state(sec, h).state
+        else:
+            psi = localize_ground_state(params, g=2e-3, phi_n=phi_n).state
+        ops = collective_operators(sec)
+        tgrid = 5.3 + np.arange(203) * (40.0 * math.pi * N / 203)
+        eigs = [eig] if eig.permutation is None else [eig, dense_copy(eig)]
+        for e in eigs:
+            for op in (ops.sx, ops.sy, ops.sz, ops.splus):
+                series = observable_series(e, psi, op, tgrid)
+                ref = evolved_series(e, psi, op, tgrid)
+                norm = norm_bound(op)
+                assert series.error_bound <= 1e-13 * norm
+                err = np.max(np.abs(series.values - ref))
+                assert err <= series.error_bound + 1e-12 * norm
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    def test_evolution_under_complex_kicked_hamiltonian(self, gamma):
+        N, h = 27, 0.55
+        params = LmgParams(N=N, h=h, gamma=gamma)
+        sec = build_sector(N)
+        eig = eigensystem(build_hamiltonian(params, sec, g=0.05, phi_n=0.7))
+        assert np.iscomplexobj(eig.vectors)
+        psi = trial_localized_state(sec, h).state
+        ops = collective_operators(sec)
+        tgrid = np.arange(150) * (4.0 * math.pi * N / 150)
+        for op in (ops.sx, ops.sy, ops.sz, ops.splus):
+            series = observable_series(eig, psi, op, tgrid)
+            norm = norm_bound(op)
+            err = np.max(np.abs(series.values - evolved_series(eig, psi, op, tgrid)))
+            assert err <= series.error_bound + 1e-12 * norm
+
+    def test_truncation_is_reported(self):
+        # the kicked ground state reaches every free level, most of them
+        # with amplitudes far below the cut, so the bound is nonzero
+        N, h = 200, 0.716
+        params = LmgParams(N=N, h=h, gamma=0.5)
+        sec = build_sector(N)
+        eig = eigensystem(build_hamiltonian(params, sec))
+        psi = localize_ground_state(params).state
+        sx = collective_operators(sec).sx
+        tgrid = default_time_grid(N, periods=1, samples=64)
+        series = observable_series(eig, psi, sx, tgrid)
+        assert 0.0 < series.error_bound <= 1e-13 * norm_bound(sx)
+        err = np.max(np.abs(series.values - evolved_series(eig, psi, sx, tgrid)))
+        assert err <= series.error_bound + 1e-12 * norm_bound(sx)
 
 
 class TestProjectedDynamics:
@@ -435,6 +531,19 @@ class TestTimeSeries:
     def test_rejects_decreasing_grid(self):
         with pytest.raises(ValueError):
             TimeSeries(t=np.array([0.0, -1.0, -2.0]), values=np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            np.full(4, math.nan),
+            np.arange(4) * math.nan,
+            np.array([0.0, math.inf, math.inf, math.inf]),
+            np.array([0.0, 1.0, 2.0, math.nan]),
+        ],
+    )
+    def test_rejects_non_finite_grid(self, t):
+        with pytest.raises(ValueError):
+            TimeSeries(t=t, values=np.zeros(4))
 
 
 class TestConcurrency:
