@@ -33,8 +33,8 @@ from .spinspace import (
 )
 
 _GRID_RTOL = 1e-9
-# truncation tolerance of a Bohr-line series, relative to a bound on ||O||
-_LINE_RTOL = 1e-13
+_LINE_RTOL = 1e-13  # Bohr-line truncation tolerance, relative to a bound on ||O||
+_PHASE_BLOCK = 1 << 20  # complex phases per block of lines in _phase_sum
 
 
 def _check_grid(t: np.ndarray) -> None:
@@ -51,8 +51,7 @@ def _check_grid(t: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Values on a strictly increasing uniform time grid; ``error_bound``
-    bounds their truncation error, not counting rounding."""
+    """Values on a uniform increasing time grid; ``error_bound`` bounds truncation."""
 
     t: np.ndarray
     values: np.ndarray
@@ -81,10 +80,9 @@ class EigenSystem:
     """Spectrum of a sector Hamiltonian in the Sz basis.
 
     ``energies`` ascend.  ``vectors`` holds all orthonormal eigenvector
-    columns, real float64 when solved in real arithmetic.  When H was
-    diagonal, ties keep their index order, ``permutation`` maps level k to
-    its Sz basis index and every column is a coordinate vector.  ``Mk`` is
-    <k|Sz|k> per level.
+    columns, real if H was solved in real arithmetic.  When H was diagonal,
+    ties keep their index order, ``permutation`` maps level k to its Sz
+    basis index and every column is a coordinate vector.  Mk = <k|Sz|k>.
     """
 
     energies: np.ndarray
@@ -117,13 +115,12 @@ def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
     """Diagonalize a banded Hermitian sector operator.
 
     Diagonal input short-circuits to a sort plus permutation.  Otherwise
-    ``numpy.linalg.eigh`` solves it densely (raising ``LinAlgError`` if it
-    does not converge), in real arithmetic for real input.  A complex
-    tridiagonal is made real first: with D = diag(e^{-i theta_m}), theta_m
-    the summed phases of the first m off-diagonal entries, D^H H D has
-    off-diagonals |H_{m,m+1}|.  Bandwidth 2 with an all-zero first band
-    commutes with the parity (-1)^m and is solved as its even-m and odd-m
-    blocks, merged by a stable sort.  Mk uses M(m) = (dim - 1)/2 - m.
+    dense ``numpy.linalg.eigh`` (``LinAlgError`` if it fails) solves real
+    input in real arithmetic.  A complex tridiagonal is made real first by
+    D = diag(e^{-i theta_m}), theta_m the summed phases of the first m
+    off-diagonals.  Bandwidth 2 with an all-zero band 1 commutes with the
+    parity (-1)^m: its even-m and odd-m blocks are solved apart and merged
+    by a stable sort.  Mk uses M(m) = (dim - 1)/2 - m.
     """
     n = op.dim
     if op.bandwidth > 2:
@@ -153,8 +150,7 @@ def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
     else:
         (w0, v0), (w1, v1) = (np.linalg.eigh(dense[p::2, p::2]) for p in (0, 1))
         v = np.zeros((n, n), dtype=dense.dtype)
-        v[0::2, : w0.shape[0]] = v0
-        v[1::2, w0.shape[0] :] = v1
+        v[0::2, : w0.size], v[1::2, w0.size :] = v0, v1
         w = np.concatenate([w0, w1])
         order = np.argsort(w, kind="stable")
         w, v = w[order], v[:, order]
@@ -197,7 +193,7 @@ def observable_series(
 
     When H was diagonal (``eig.permutation`` set) there is one line per
     stored entry of ``op.bands`` and nothing is truncated.  Otherwise the
-    lines are those of ``_level_lines``, and ``error_bound`` is their
+    lines are those of ``bohr_lines``, and ``error_bound`` is their
     truncation bound.  Raises ValueError on a dimension mismatch or a grid
     that is not finite and uniform with at least two points, before any work.
     """
@@ -208,7 +204,7 @@ def observable_series(
     if eig.permutation is not None:
         freqs, weights, bound = *_band_lines(eig, psi0.amplitudes, op.bands), 0.0
     else:
-        freqs, weights, bound = _level_lines(eig, psi0.amplitudes, op)
+        freqs, weights, bound = bohr_lines(eig, psi0.amplitudes, op)
     values = _phase_sum(freqs, weights, tgrid)
     return TimeSeries(t=tgrid, values=values, label=label, error_bound=bound)
 
@@ -233,20 +229,20 @@ def _band_lines(eig: EigenSystem, amps, bands) -> tuple[np.ndarray, np.ndarray]:
     return freqs[used], weights[used]
 
 
-def _level_lines(eig: EigenSystem, amps, op) -> tuple[np.ndarray, np.ndarray, float]:
+def bohr_lines(
+    eig: EigenSystem, amps, op, tol: float | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Bohr lines of <op> between the levels that carry the state.
 
-    With b = V^H psi, tol = 1e-13 ||O|| and ||O|| bounded by the sum over
-    bands of the largest |entry|, two truncations each move <op>(t) by at
-    most tol / 2 at every t.  The levels of smallest |b_k| are dropped while
-    their amplitude norm d keeps ||O|| (2 d + d^2) <= tol / 2; then the
-    lines b_j^* O_jk b_k between kept levels of smallest |weight| are
-    dropped while their summed |weight| stays <= tol / 2.  Returns the kept
-    frequencies E_j - E_k and weights in row-major (j, k) order, and the
-    sum of both truncation bounds.
+    With b = V^H psi, ||O|| <= sum over bands of the largest |entry| and
+    tol = 1e-13 ||O|| by default, the levels of smallest |b_k| are dropped
+    while their amplitude norm d keeps ||O|| (2 d + d^2) <= tol / 2, then
+    the lines b_j^* O_jk b_k of smallest |weight| while their summed
+    |weight| stays <= tol / 2.  Returns the kept frequencies E_j - E_k and
+    weights in row-major (j, k) order, and the sum of both bounds.
     """
     norm = float(sum(np.max(np.abs(band), initial=0.0) for band in op.bands.values()))
-    tol = _LINE_RTOL * norm
+    tol = _LINE_RTOL * norm if tol is None else tol
     b = eig.to_energy_basis(amps)
     mass = np.abs(b) ** 2
     by_mass = np.argsort(mass)
@@ -271,14 +267,19 @@ def _phase_sum(freqs: np.ndarray, weights: np.ndarray, tgrid: np.ndarray) -> np.
     """sum_l weights_l e^{i freqs_l t} on a uniform grid, phases factored.
 
     With B = ceil(sqrt(T)) and t_{qB+r} = t_{qB} + (t_r - t_0), the sum is
-    one (Q x L) @ (L x B) product of phase blocks: L (Q + B) complex
-    exponentials for L lines instead of L T.
+    a (Q x L) @ (L x B) product of phase blocks, L (Q + B) exponentials
+    instead of L T, taken over blocks of lines so memory stays bounded.
     """
     T = tgrid.shape[0]
     B = math.isqrt(T - 1) + 1
-    anchors = np.exp(1j * tgrid[::B, None] * freqs[None, :])
-    offsets = np.exp(1j * freqs[:, None] * (tgrid[:B] - tgrid[0])[None, :])
-    return (anchors @ (weights[:, None] * offsets)).ravel()[:T]
+    anchor_t, offset_t = tgrid[::B], tgrid[:B] - tgrid[0]
+    step = max(1, _PHASE_BLOCK // (anchor_t.shape[0] + B))
+    out = np.zeros((anchor_t.shape[0], B), dtype=np.complex128)
+    for lo in range(0, freqs.shape[0], step):
+        f, w = freqs[lo : lo + step], weights[lo : lo + step]
+        anchors = np.exp(1j * anchor_t[:, None] * f[None, :])
+        out += anchors @ (w[:, None] * np.exp(1j * f[:, None] * offset_t[None, :]))
+    return out.ravel()[:T]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import EigenSystem, TimeSeries, _level_lines
+from .evolve import EigenSystem, TimeSeries, bohr_lines
 from .model import ground_M
 from .spinspace import StateVector
 
@@ -44,12 +44,12 @@ def line_spectrum(
 
     Frequencies are E_j - E_k, so every oscillating line appears with both
     signs; a j = k pair contributes a zero-frequency line.  Pairs come from
-    ``evolve._level_lines``, whose truncation drops no line of weight above
-    5e-14 ||O||.
+    ``evolve.bohr_lines`` at tolerance 2 ``threshold``, which drops no line
+    above ``threshold``: a dropped level's lines weigh at most tol / 4.
     """
     if psi0.dim != eig.dim or op.dim != eig.dim:
         raise ValueError("dimension mismatch")
-    freqs, weights, _ = _level_lines(eig, psi0.amplitudes, op)
+    freqs, weights, _ = bohr_lines(eig, psi0.amplitudes, op, 2.0 * threshold)
     kept = np.abs(weights) > threshold
     return LineSpectrum(
         frequencies=freqs[kept], weights=weights[kept], threshold=threshold

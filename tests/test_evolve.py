@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lmglab import evolve
 from lmglab.evolve import (
     EigenSystem,
     ProjectedMode,
@@ -161,8 +162,9 @@ def dense_copy(eig):
     return EigenSystem(eig.energies, eig.vectors, eig.Mk, permutation=None)
 
 
-def evolved_series(eig, psi, op, tgrid):
-    """<op>(t) by evolving the state over the grid with ``propagate``.
+def evolved_series(eig, psi, ops, tgrid):
+    """<op>(t) for each op, one row per op, by evolving the state over the
+    grid with ``propagate``.
 
     Energies are shifted by E_0, a global phase that cancels in every
     expectation value and keeps the phase arguments small.
@@ -170,10 +172,10 @@ def evolved_series(eig, psi, op, tgrid):
     shifted = EigenSystem(
         eig.energies - eig.energies[0], eig.vectors, eig.Mk, eig.permutation
     )
-    out = np.empty(tgrid.shape[0], dtype=np.complex128)
+    out = np.empty((len(ops), tgrid.shape[0]), dtype=np.complex128)
     for i, t in enumerate(tgrid):
         amps = propagate(shifted, psi, t).amplitudes
-        out[i] = np.vdot(amps, op.apply(amps))
+        out[:, i] = [np.vdot(amps, op.apply(amps)) for op in ops]
     return out
 
 
@@ -183,8 +185,8 @@ def norm_bound(op):
 
 
 class TestLineSum:
-    """The diagonal-H line sum of observable_series against the eigenbasis
-    line sum over the same eigensystem (``dense_copy``)."""
+    """Both line sums of observable_series over a diagonal H, the band sum
+    and the eigenbasis one (``dense_copy``), against state evolution."""
 
     @pytest.mark.parametrize(
         "N,T,prep",
@@ -213,14 +215,15 @@ class TestLineSum:
         ops = collective_operators(sec)
         # t0 != 0 and, for T = 17 and 16385, T not a multiple of ceil(sqrt(T))
         tgrid = 5.3 + np.arange(T) * (40.0 * math.pi * N / T)
-        dense = dense_copy(eig)
-        for op in (ops.sx, ops.sy, ops.sz, ops.splus, ops.sminus):
-            lines = observable_series(eig, psi, op, tgrid)
-            ref = observable_series(dense, psi, op, tgrid)
-            assert lines.values.dtype == np.complex128
-            assert lines.values.shape == (T,)
-            scale = np.max(np.abs(ref.values))
-            assert np.max(np.abs(lines.values - ref.values)) <= 1e-12 * scale
+        op_list = (ops.sx, ops.sy, ops.sz, ops.splus, ops.sminus)
+        for op, ref in zip(op_list, evolved_series(eig, psi, op_list, tgrid)):
+            scale = np.max(np.abs(ref))
+            for e in (eig, dense_copy(eig)):
+                lines = observable_series(e, psi, op, tgrid)
+                assert lines.values.dtype == np.complex128
+                assert lines.values.shape == (T,)
+                err = np.max(np.abs(lines.values - ref))
+                assert err <= lines.error_bound + 1e-12 * scale
 
     def test_never_applies_the_operator(self, monkeypatch):
         def refuse(self, vec):
@@ -290,10 +293,10 @@ class TestBohrLines:
         ops = collective_operators(sec)
         tgrid = 5.3 + np.arange(203) * (40.0 * math.pi * N / 203)
         eigs = [eig] if eig.permutation is None else [eig, dense_copy(eig)]
+        op_list = (ops.sx, ops.sy, ops.sz, ops.splus)
         for e in eigs:
-            for op in (ops.sx, ops.sy, ops.sz, ops.splus):
+            for op, ref in zip(op_list, evolved_series(e, psi, op_list, tgrid)):
                 series = observable_series(e, psi, op, tgrid)
-                ref = evolved_series(e, psi, op, tgrid)
                 norm = norm_bound(op)
                 assert series.error_bound <= 1e-13 * norm
                 err = np.max(np.abs(series.values - ref))
@@ -309,11 +312,28 @@ class TestBohrLines:
         psi = trial_localized_state(sec, h).state
         ops = collective_operators(sec)
         tgrid = np.arange(150) * (4.0 * math.pi * N / 150)
-        for op in (ops.sx, ops.sy, ops.sz, ops.splus):
+        op_list = (ops.sx, ops.sy, ops.sz, ops.splus)
+        for op, ref in zip(op_list, evolved_series(eig, psi, op_list, tgrid)):
             series = observable_series(eig, psi, op, tgrid)
             norm = norm_bound(op)
-            err = np.max(np.abs(series.values - evolved_series(eig, psi, op, tgrid)))
+            err = np.max(np.abs(series.values - ref))
             assert err <= series.error_bound + 1e-12 * norm
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    def test_one_line_per_phase_block(self, monkeypatch, gamma):
+        # every block holds a single line, so each block boundary is crossed
+        N, h = 30, 0.6
+        params = LmgParams(N=N, h=h, gamma=gamma)
+        sec = build_sector(N)
+        eig = eigensystem(build_hamiltonian(params, sec))
+        psi = trial_localized_state(sec, h).state
+        sx = collective_operators(sec).sx
+        tgrid = 5.3 + np.arange(101) * (40.0 * math.pi * N / 101)
+        monkeypatch.setattr(evolve, "_PHASE_BLOCK", 1)
+        series = observable_series(eig, psi, sx, tgrid)
+        ref = evolved_series(eig, psi, [sx], tgrid)[0]
+        err = np.max(np.abs(series.values - ref))
+        assert err <= series.error_bound + 1e-12 * norm_bound(sx)
 
     def test_truncation_is_reported(self):
         # the kicked ground state reaches every free level, most of them
@@ -327,7 +347,7 @@ class TestBohrLines:
         tgrid = default_time_grid(N, periods=1, samples=64)
         series = observable_series(eig, psi, sx, tgrid)
         assert 0.0 < series.error_bound <= 1e-13 * norm_bound(sx)
-        err = np.max(np.abs(series.values - evolved_series(eig, psi, sx, tgrid)))
+        err = np.max(np.abs(series.values - evolved_series(eig, psi, [sx], tgrid)[0]))
         assert err <= series.error_bound + 1e-12 * norm_bound(sx)
 
 
