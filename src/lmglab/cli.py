@@ -190,6 +190,14 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("h must be >= 0")
     if not 0.0 <= cfg.gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
+    # both work on the free gamma = 1 H (the oracle adds its own 1/N^2 kick
+    # along x), so these flags would be recorded without taking effect
+    command = cfg.run if cfg.command == "sweep" else cfg.command
+    if command in ("oracle", "correlation"):
+        if cfg.gamma != 1.0:
+            raise ValueError(f"{command} supports gamma = 1 only")
+        if cfg.g is not None or cfg.phi_n != 0.0:
+            raise ValueError(f"{command} takes no --g or --phi-n")
     if cfg.samples < 16:
         raise ValueError("samples must be >= 16")
     if cfg.cutoff_k < 0:

@@ -2,11 +2,19 @@
 
 Everything here works on dense operators over the 2^N product basis with no
 sector bookkeeping: the collective spins are sums of single-site spin-1/2
-operators, built by flipping single bits of the basis index.  The sector
-side builds its (N+1)-dimensional matrices from the Dicke ladder instead,
-so agreement between the two routes is a real cross-check of the
-Hamiltonian, the states and the observables.  Both sides diagonalize with
-LAPACK (numpy.linalg.eigh); the independence lies in the 2^N construction.
+operators, built by flipping single bits of the basis index, and the
+Hamiltonian is assembled entry by entry from pairs of bit flips.  The
+sector side builds its (N+1)-dimensional matrices from the Dicke ladder
+instead, so agreement between the two routes is a real cross-check of the
+Hamiltonian, the states and the observables.
+
+The 2^N matrices are solved in exact symmetry blocks whose labels come
+from the bits of the index alone: the free gamma = 1 Hamiltonian conserves
+S_z, so it splits by the number of down spins (popcount), and every
+collective Hamiltonian commutes with the site reversal R (bit reversal of
+the index), so the kicked one splits into an R-even and an R-odd block.
+Both sides diagonalize with LAPACK (numpy.linalg.eigh); the independence
+lies in the 2^N construction.
 """
 
 from __future__ import annotations
@@ -26,6 +34,9 @@ MAX_CORRELATION_N = 10
 
 _DEGEN_RTOL = 1e-10
 
+# one symmetry block of a 2^N matrix: (product-basis indices, energies, vectors)
+_Block = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 class OracleMismatchError(RuntimeError):
     """A sector-vs-full comparison exceeded its tolerance."""
@@ -42,6 +53,12 @@ class FullSpaceOperators:
     sx: np.ndarray
     sy: np.ndarray
     sz: np.ndarray
+
+
+def _down_spins(N: int) -> np.ndarray:
+    """Number of down spins (set bits) of every product-basis index."""
+    index = np.arange(1 << N)
+    return sum((index >> site) & 1 for site in range(N))
 
 
 def full_space_operators(N: int) -> FullSpaceOperators:
@@ -62,16 +79,13 @@ def full_space_operators(N: int) -> FullSpaceOperators:
     index = np.arange(dim)
     sx = np.zeros((dim, dim))
     sy = np.zeros((dim, dim), dtype=np.complex128)
-    sz_diag = np.zeros(dim)
     for site in range(N):
         bit = 1 << (N - 1 - site)
-        down = (index & bit) != 0
         flipped = index ^ bit
         sx[flipped, index] = 0.5
         # <down|s_y|up> = i/2, <up|s_y|down> = -i/2
-        sy[flipped, index] = np.where(down, -0.5j, 0.5j)
-        sz_diag += np.where(down, -0.5, 0.5)
-    return FullSpaceOperators(N=N, sx=sx, sy=sy, sz=np.diag(sz_diag))
+        sy[flipped, index] = np.where((index & bit) != 0, -0.5j, 0.5j)
+    return FullSpaceOperators(N=N, sx=sx, sy=sy, sz=np.diag(N / 2 - _down_spins(N)))
 
 
 def full_hamiltonian(
@@ -82,16 +96,32 @@ def full_hamiltonian(
 ) -> np.ndarray:
     """Dense H = (lam/N)(Sx^2 + gamma Sy^2) - h Sz - g S_n on the product space.
 
-    S_y = iA with A = Im S_y real, so S_y^2 = -A^2: H is real symmetric,
-    and complex Hermitian only when the kick has a y component (g != 0 and
+    Sx^2 + gamma Sy^2 is the sum over site pairs (i, j) of
+    s^x_i s^x_j + gamma s^y_i s^y_j.  The N terms with i = j put (1+gamma)/4
+    each on the diagonal.  The terms with i != j flip the bits of sites i
+    and j: with amplitude (1+gamma)/2 when the two spins are antiparallel (a
+    flip-flop) and (1-gamma)/2 when they are parallel (a double flip).  The
+    kick flips single bits through ``ops``.  H is real symmetric, and complex
+    Hermitian only when the kick has a y component (g != 0 and
     sin(phi_n) != 0).
     """
-    h_full = ops.sx @ ops.sx
-    if params.gamma != 0.0:
-        a = np.ascontiguousarray(ops.sy.imag)
-        h_full -= params.gamma * (a @ a)
-    h_full *= params.lam / params.N
-    h_full -= params.h * ops.sz
+    N = ops.N
+    scale = params.lam / params.N
+    gamma = params.gamma
+    index = np.arange(1 << N)
+    h_full = np.zeros((1 << N, 1 << N))
+    h_full[index, index] = (N / 4 + gamma * (N / 4)) * scale - params.h * (
+        N / 2 - _down_spins(N)
+    )
+    flip_flop = (0.5 + 0.5 * gamma) * scale
+    double_flip = (0.5 - 0.5 * gamma) * scale
+    bits = [1 << (N - 1 - site) for site in range(N)]
+    for i in range(N):
+        for j in range(i + 1, N):
+            parallel = ((index & bits[i]) == 0) == ((index & bits[j]) == 0)
+            h_full[index ^ (bits[i] | bits[j]), index] = np.where(
+                parallel, double_flip, flip_flop
+            )
     if g != 0.0:
         h_full -= (g * math.cos(phi_n)) * ops.sx
         if math.sin(phi_n) != 0.0:
@@ -114,15 +144,53 @@ def full_space_ground(
     *,
     ops: FullSpaceOperators | None = None,
 ) -> FullGround:
-    """Dense ground state of the (possibly kicked) Hamiltonian.
+    """Ground state of the (possibly kicked) Hamiltonian, solved by site reversal.
 
+    Bit reversal R of the index reverses the sites, and every collective H
+    commutes with it.  The palindromic indices p and the pairs (a, Ra) with
+    a < Ra give the R-even basis {e_p, (e_a + e_Ra)/sqrt(2)} and the R-odd
+    basis {(e_a - e_Ra)/sqrt(2)}.  As H[Ra, Rc] = H[a, c], the blocks are
+        even: [[H_pp, sqrt(2) H_pa], [sqrt(2) H_ap, H_aa + H_a,Rc]]
+        odd:  H_aa - H_a,Rc
+    of sizes (2^N + 2^ceil(N/2))/2 and (2^N - 2^ceil(N/2))/2.  The lower of
+    the two block ground states is mapped back to the product basis, and
+    ``degenerate`` compares the two lowest levels of the merged spectra.
     ``ops`` passes in operators already built for this N.
     """
     if ops is None:
         ops = full_space_operators(N)
-    w, v = np.linalg.eigh(full_hamiltonian(params, ops, g=g, phi_n=phi_n))
-    degenerate = bool(w[1] - w[0] <= _DEGEN_RTOL * max(1.0, abs(w[0])))
-    return FullGround(energy=float(w[0]), vector=v[:, 0].copy(), degenerate=degenerate)
+    ham = full_hamiltonian(params, ops, g=g, phi_n=phi_n)
+    index = np.arange(1 << N)
+    reverse = np.zeros_like(index)
+    for site in range(N):
+        reverse |= ((index >> site) & 1) << (N - 1 - site)
+    pal = np.flatnonzero(reverse == index)
+    a = np.flatnonzero(index < reverse)
+    ra = reverse[a]
+    h_aa = ham[np.ix_(a, a)]
+    h_ara = ham[np.ix_(a, ra)]
+    root2 = math.sqrt(2.0)
+    even = np.block(
+        [
+            [ham[np.ix_(pal, pal)], root2 * ham[np.ix_(pal, a)]],
+            [root2 * ham[np.ix_(a, pal)], h_aa + h_ara],
+        ]
+    )
+    w_even, v_even = np.linalg.eigh(even)
+    w_odd, v_odd = np.linalg.eigh(h_aa - h_ara)  # 0 x 0 at N = 1
+    vector = np.zeros(1 << N, dtype=ham.dtype)
+    if w_odd.size and w_odd[0] < w_even[0]:
+        energy = w_odd[0]
+        vector[a] = v_odd[:, 0] / root2
+        vector[ra] = -vector[a]
+    else:
+        energy = w_even[0]
+        vector[pal] = v_even[: pal.size, 0]
+        vector[a] = v_even[pal.size :, 0] / root2
+        vector[ra] = vector[a]
+    e0, e1 = np.sort(np.concatenate([w_even[:2], w_odd[:2]]))[:2]
+    degenerate = bool(e1 - e0 <= _DEGEN_RTOL * max(1.0, abs(e0)))
+    return FullGround(energy=float(energy), vector=vector, degenerate=degenerate)
 
 
 def _check_correlation_size(N: int) -> None:
@@ -132,32 +200,45 @@ def _check_correlation_size(N: int) -> None:
         )
 
 
+def _sz_blocks(ham: np.ndarray, N: int) -> list[_Block]:
+    """Eigenpairs of an S_z-conserving H, one block per number k of down
+    spins, k = 0..N; block k has C(N, k) indices."""
+    down = _down_spins(N)
+    blocks = []
+    for k in range(N + 1):
+        idx = np.flatnonzero(down == k)
+        w, v = np.linalg.eigh(ham[np.ix_(idx, idx)])
+        blocks.append((idx, w, v))
+    return blocks
+
+
 def _correlation_members(
-    ops: FullSpaceOperators, w: np.ndarray, v: np.ndarray, tgrid: np.ndarray
+    ops: FullSpaceOperators, blocks: list[_Block], tgrid: np.ndarray
 ) -> list[tuple[float, TimeSeries]]:
-    """f_N(t) members from the full spectrum (w, v) of the free Hamiltonian."""
+    """f_N(t) members from the S_z blocks of the free gamma = 1 Hamiltonian.
+
+    The ground levels are the block levels within _DEGEN_RTOL of the lowest
+    one; a ground level in block k has S_z = N/2 - k.  S_x maps block k into
+    blocks k - 1 and k + 1 only, so the levels of those two blocks carry the
+    whole spectral weight of S_x|ground>.
+    """
     N = ops.N
-    e0 = w[0]
-    ground_idx = np.nonzero(w - e0 <= _DEGEN_RTOL * max(1.0, abs(e0)))[0]
-    basis = v[:, ground_idx]
-    if ground_idx.shape[0] > 1:
-        # resolve the degenerate subspace along Sz
-        sz_block = basis.conj().T @ ops.sz @ basis
-        _, rot = np.linalg.eigh(sz_block)
-        basis = basis @ rot
+    e0 = min(w[0] for _, w, _ in blocks)
     members = []
-    for col in range(basis.shape[1]):
-        phi = basis[:, col]
-        m_val = float(np.real(np.vdot(phi, ops.sz @ phi)))
-        u = ops.sx @ phi
-        proj = v.conj().T @ u
-        weights = np.abs(proj) ** 2
-        values = (4.0 / N**2) * (
-            weights[None, :] @ np.exp(-1j * (w - e0)[:, None] * tgrid[None, :])
-        )[0]
-        members.append(
-            (m_val, TimeSeries(t=tgrid, values=values, label="fN_full"))
-        )
+    for k, (idx, w, v) in enumerate(blocks):
+        for col in np.flatnonzero(w - e0 <= _DEGEN_RTOL * max(1.0, abs(e0))):
+            phi = np.zeros(1 << N)
+            phi[idx] = v[:, col]
+            u = ops.sx @ phi
+            near = [blocks[j] for j in (k - 1, k + 1) if 0 <= j <= N]
+            weights = np.concatenate([np.abs(vj.T @ u[ij]) ** 2 for ij, _, vj in near])
+            omega = np.concatenate([wj - e0 for _, wj, _ in near])
+            values = (4.0 / N**2) * (
+                weights[None, :] @ np.exp(-1j * omega[:, None] * tgrid[None, :])
+            )[0]
+            members.append(
+                (N / 2 - k, TimeSeries(t=tgrid, values=values, label="fN_full"))
+            )
     members.sort(key=lambda pair: pair[0])
     return members
 
@@ -165,15 +246,15 @@ def _correlation_members(
 def full_space_correlation(N: int, h: float, tgrid) -> list[tuple[float, TimeSeries]]:
     """f_N(t) evaluated entirely in the 2^N space.
 
-    Returns one (ground Sz expectation, series) pair per ground level,
-    ascending in Sz.  A degenerate ground pair is resolved by diagonalizing
-    Sz inside the ground eigenspace, which reproduces the sector-side
-    magnetization members.
+    Returns one (ground Sz, series) pair per ground level, ascending in Sz.
+    The free Hamiltonian is solved in S_z blocks, so the two members of a
+    degenerate ground pair come out of two different blocks and carry the
+    sector-side magnetizations directly.
     """
     _check_correlation_size(N)
     ops = full_space_operators(N)
-    w, v = np.linalg.eigh(full_hamiltonian(LmgParams(N=N, h=h), ops))
-    return _correlation_members(ops, w, v, np.asarray(tgrid, dtype=np.float64))
+    blocks = _sz_blocks(full_hamiltonian(LmgParams(N=N, h=h), ops), N)
+    return _correlation_members(ops, blocks, np.asarray(tgrid, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -199,9 +280,9 @@ def sector_vs_full_checks(
 ) -> OracleReport:
     """Run every sector-vs-full comparison for one parameter point.
 
-    Covers the ground energy, the ground Sz expectation (per degenerate
-    member), f_N(t) on a uniform grid over one collective period, and the
-    order parameter of the kicked ground state.
+    Covers the ground energy, the ground Sz (the S_z block of each
+    degenerate member), f_N(t) on a uniform grid over one collective period,
+    and the order parameter of the kicked ground state.
     """
     from .evolve import correlation_fN
     from .ssb import default_kick
@@ -213,14 +294,14 @@ def sector_vs_full_checks(
     sector = build_sector(N)
     ops = full_space_operators(N)
 
-    # ground energy, from the one solve of the free H that also feeds f_N(t)
+    # ground energy, from the one block solve of the free H that also feeds f_N(t)
     e0_sector = eigensystem(build_hamiltonian(params, sector)).ground_energy
-    w, v = np.linalg.eigh(full_hamiltonian(params, ops))
-    dev_energy = abs(e0_sector - float(w[0]))
+    blocks = _sz_blocks(full_hamiltonian(params, ops), N)
+    dev_energy = abs(e0_sector - float(min(w[0] for _, w, _ in blocks)))
 
-    # ground Sz expectation, matched member by member
+    # ground Sz, matched member by member
     tgrid = np.arange(samples) * (2.0 * math.pi * N / samples)
-    full_members = _correlation_members(ops, w, v, tgrid)
+    full_members = _correlation_members(ops, blocks, tgrid)
     sector_levels = ground_M(N, h).levels
     dev_sz = max(
         abs(m_full - m_sec)

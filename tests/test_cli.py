@@ -308,6 +308,30 @@ class TestOracleCommand:
         assert rc == 1
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--gamma", "0.5"],
+            ["oracle", "--g", "0.01"],
+            ["oracle", "--phi-n", "0.3"],
+            ["correlation", "--gamma", "0.5"],
+            ["correlation", "--g", "0.01"],
+            ["sweep", "--run", "oracle", "--gamma", "0.5"],
+        ],
+    )
+    def test_flags_it_would_ignore_exit_one(self, tmp_path, argv):
+        # both commands run at gamma = 1 and choose their own kick, so these
+        # flags would be recorded in summary.json without taking effect
+        out = str(tmp_path / "run")
+        assert main(argv + ["--n", "4", "--h", "0.5", "--out", out]) == 1
+        assert not os.path.exists(os.path.join(out, "summary.json"))
+
+    def test_gamma_one_is_accepted(self, tmp_path):
+        out = str(tmp_path / "run")
+        rc = main(["correlation", "--gamma", "1", "--n", "4", "--h", "0.5",
+                   "--out", out] + FAST)
+        assert rc == 0
+
 
 class TestSweep:
     def test_grid_outputs(self, tmp_path):

@@ -1,11 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from lmglab.evolve import correlation_fN, eigensystem
 from lmglab.model import LmgParams, build_hamiltonian
 from lmglab.oracle import (
+    _sz_blocks,
     full_hamiltonian,
     full_space_correlation,
     full_space_ground,
@@ -158,14 +162,70 @@ class TestGround:
             assert np.max(np.abs(ham - ham.conj().T)) <= 1e-14
 
     def test_hamiltonian_matches_operator_products(self):
-        N, g, phi_n = 5, 0.03, 0.7
+        N = 5
         ops = full_space_operators(N)
-        params = LmgParams(N=N, h=0.45, gamma=0.35)
-        expected = (params.lam / N) * (ops.sx @ ops.sx + params.gamma * (ops.sy @ ops.sy))
-        expected = expected - params.h * ops.sz
-        expected = expected - g * (math.cos(phi_n) * ops.sx + math.sin(phi_n) * ops.sy)
-        ham = full_hamiltonian(params, ops, g=g, phi_n=phi_n)
-        assert np.max(np.abs(ham - expected)) <= 1e-13
+        kicks = [(0.0, 0.0), (0.03, 0.0), (0.03, 0.7)]  # none, along x, complex
+        for gamma in (0.0, 0.35, 1.0):
+            for g, phi_n in kicks:
+                params = LmgParams(N=N, h=0.45, gamma=gamma)
+                s2 = ops.sx @ ops.sx + params.gamma * (ops.sy @ ops.sy)
+                kick = math.cos(phi_n) * ops.sx + math.sin(phi_n) * ops.sy
+                expected = (params.lam / N) * s2 - params.h * ops.sz - g * kick
+                ham = full_hamiltonian(params, ops, g=g, phi_n=phi_n)
+                assert np.max(np.abs(ham - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_sz_block_spectrum_equals_dense_spectrum(self, N):
+        ham = full_hamiltonian(LmgParams(N=N, h=0.37), full_space_operators(N))
+        blocks = _sz_blocks(ham, N)
+        sizes = [idx.size for idx, _, _ in blocks]
+        assert sizes == [math.comb(N, k) for k in range(N + 1)]
+        merged = np.sort(np.concatenate([w for _, w, _ in blocks]))
+        assert np.max(np.abs(merged - np.linalg.eigvalsh(ham))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "N,h,gamma,g,phi_n",
+        [
+            (1, 0.5, 1.0, 0.0, 0.0),
+            (1, 0.5, 0.5, 0.03, 0.9),
+            (3, 0.4, 1.0, 1e-2, 0.0),
+            (5, 0.6, 0.5, 1e-2, 0.9),  # complex kick at gamma < 1
+            (5, 0.0, 0.0, 0.0, 0.0),  # exactly degenerate pair, S_x = +-N/2
+            (6, 0.5, 1.0, 0.0, 0.0),  # crescent field: degenerate pair
+            (6, 0.5, 1.0, 1.0 / 36, 0.0),  # crescent field, kicked
+            (7, 0.3, 0.0, 0.0, 0.0),
+            (8, 0.7, 0.3, 1e-2, math.pi / 2),
+            (8, 3.0, 1.0, 0.0, 0.0),
+        ],
+    )
+    def test_reversal_block_ground_equals_dense_ground(self, N, h, gamma, g, phi_n):
+        params = LmgParams(N=N, h=h, gamma=gamma)
+        ham = full_hamiltonian(params, full_space_operators(N), g=g, phi_n=phi_n)
+        w, v = np.linalg.eigh(ham)
+        degenerate = w[1] - w[0] <= 1e-10 * max(1.0, abs(w[0]))
+        full = full_space_ground(N, params, g=g, phi_n=phi_n)
+        assert abs(full.energy - w[0]) <= 1e-12
+        assert full.degenerate == degenerate
+        # a degenerate ground state is any vector of the dense ground pair
+        ground_space = v[:, : 2 if degenerate else 1]
+        overlap = np.linalg.norm(ground_space.conj().T @ full.vector)
+        assert abs(overlap - 1.0) <= 1e-12
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    N=st.integers(1, 8),
+    h=st.floats(0.0, 2.0),
+    gamma=st.floats(0.0, 1.0),
+    g=st.floats(0.0, 0.2),
+    phi_n=st.floats(0.0, 2.0 * math.pi),
+)
+def test_full_space_ground_energy_matches_sector(N, h, gamma, g, phi_n):
+    params = LmgParams(N=N, h=h, gamma=gamma)
+    ham = build_hamiltonian(params, build_sector(N), g=g, phi_n=phi_n)
+    full = full_space_ground(N, params, g=g, phi_n=phi_n)
+    assert abs(full.energy - eigensystem(ham).ground_energy) <= 1e-10
 
 
 class TestCorrelation:
@@ -214,13 +274,19 @@ class TestChecks:
         original = np.linalg.eigh
 
         def counting_eigh(a, *args, **kwargs):
-            sizes.append(np.shape(a)[0])
+            if sys._getframe(1).f_globals["__name__"] == "lmglab.oracle":
+                sizes.append(np.shape(a)[0])
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         report = sector_vs_full_checks(N, 0.5)
-        # the free H and the kicked H, one dense solve each
-        assert sizes.count(2**N) == 2
+        # the free H in its N+1 S_z blocks, the kicked H in its two
+        # site-reversal blocks, and never the whole 2^N matrix
+        half = 2 ** math.ceil(N / 2)  # palindromic indices
+        reversal = [(2**N + half) // 2, (2**N - half) // 2]
+        expected = [math.comb(N, k) for k in range(N + 1)] + reversal
+        assert sorted(sizes) == sorted(expected)
+        assert 2**N not in sizes
         assert report.worst() <= 1e-9
 
     def test_oversized_n_is_rejected_before_any_solve(self, monkeypatch):
