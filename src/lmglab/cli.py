@@ -48,6 +48,7 @@ from .ssb import (
     newman_alpha,
     wkb_rate,
 )
+from .tables import csv_body
 from .tridiag import NumericError
 
 SERIES_HEADER = "t,mx_exact,my_exact,mx_analytic,my_analytic"
@@ -57,11 +58,6 @@ ORACLE_TOLERANCE = 1e-9
 # gamma = 0 splittings at or under this are double-precision noise: the fit
 # skips them and summary.json lists their N as unresolved
 SPLITTING_FLOOR = 1e-13
-
-_FLAG_KEYS = (
-    "n", "h", "gamma", "g", "phi-n", "tmax", "samples", "cutoff-k",
-    "kappa", "window", "threshold", "trial", "out", "format", "jobs", "run",
-)
 
 
 @dataclass
@@ -114,6 +110,38 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(part) for part in str(text).split(",") if part != ""]
 
 
+def _shared_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, declared once as a parent parser."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--n", type=_parse_int_list, default=None)
+    p.add_argument("--h", type=_parse_float_list, default=None)
+    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--g", type=_parse_float_list, default=None)
+    p.add_argument("--phi-n", dest="phi_n", type=float, default=None)
+    p.add_argument("--tmax", type=float, default=None)
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--cutoff-k", dest="cutoff_k", type=int, default=None)
+    p.add_argument("--kappa", type=float, default=None)
+    p.add_argument("--window", choices=("hann", "none"), default=None)
+    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--trial", action="store_const", const=True, default=None)
+    p.add_argument("--out", type=str, default=None)
+    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--config", type=str, default=None)
+    p.add_argument("--jobs", type=int, default=None)
+    return p
+
+
+_SHARED_FLAGS = _shared_flags()
+# the keys a --config file may set: every shared flag but --config, and
+# sweep's --run
+_FLAG_KEYS = tuple(
+    action.option_strings[0][2:]
+    for action in _SHARED_FLAGS._actions
+    if action.dest != "config"
+) + ("run",)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lmglab",
@@ -130,23 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("oracle", "sector vs full 2^N comparisons (exit 3 on mismatch)"),
         ("sweep", "run a subcommand over an N x h grid in parallel"),
     ):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--n", type=_parse_int_list, default=None)
-        p.add_argument("--h", type=_parse_float_list, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--g", type=_parse_float_list, default=None)
-        p.add_argument("--phi-n", dest="phi_n", type=float, default=None)
-        p.add_argument("--tmax", type=float, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--cutoff-k", dest="cutoff_k", type=int, default=None)
-        p.add_argument("--kappa", type=float, default=None)
-        p.add_argument("--window", choices=("hann", "none"), default=None)
-        p.add_argument("--threshold", type=float, default=None)
-        p.add_argument("--trial", action="store_const", const=True, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--jobs", type=int, default=None)
+        p = sub.add_parser(name, help=text, parents=[_SHARED_FLAGS])
         if name == "sweep":
             p.add_argument("--run", type=str, default=None)
     return parser
@@ -217,20 +229,16 @@ def _fmt(x: float) -> str:
 
 
 def _write_table(path: str, header: str, rows) -> str:
+    columns = header.split(",")
     if path.endswith(".json"):
-        columns = header.split(",")
         payload = {
             col: [_fmt(row[i]) for row in rows] for i, col in enumerate(columns)
         }
         _write_json(path, payload)
         return path
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    # one format string per table; "%.17g" formats exactly like _fmt
-    line = ",".join(["%.17g"] * len(header.split(","))) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(line % tuple(row) for row in rows)
+    table = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(columns))
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8") + b"\n" + csv_body(table))
     return path
 
 

@@ -33,6 +33,11 @@ MAX_FULL_SPACE_N = 12
 MAX_CORRELATION_N = 10
 
 _DEGEN_RTOL = 1e-10
+# time columns per block of the f_N(t) line sum: at most 420 lines (N = 10)
+# times 256 complex phases, 1.7 MB.  A power of two keeps every block aligned
+# as in one product over the whole grid, which with OpenBLAS gives the same
+# sums bit for bit.
+_TIME_BLOCK = 256
 
 # one symmetry block of a 2^N matrix: (product-basis indices, energies, vectors)
 _Block = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -220,7 +225,8 @@ def _correlation_members(
     The ground levels are the block levels within _DEGEN_RTOL of the lowest
     one; a ground level in block k has S_z = N/2 - k.  S_x maps block k into
     blocks k - 1 and k + 1 only, so the levels of those two blocks carry the
-    whole spectral weight of S_x|ground>.
+    whole spectral weight of S_x|ground>.  The line sum runs over blocks of
+    time columns, so its phases take bounded memory at any grid length.
     """
     N = ops.N
     e0 = min(w[0] for _, w, _ in blocks)
@@ -233,9 +239,11 @@ def _correlation_members(
             near = [blocks[j] for j in (k - 1, k + 1) if 0 <= j <= N]
             weights = np.concatenate([np.abs(vj.T @ u[ij]) ** 2 for ij, _, vj in near])
             omega = np.concatenate([wj - e0 for _, wj, _ in near])
-            values = (4.0 / N**2) * (
-                weights[None, :] @ np.exp(-1j * omega[:, None] * tgrid[None, :])
-            )[0]
+            values = np.empty(tgrid.shape[0], dtype=np.complex128)
+            for lo in range(0, tgrid.shape[0], _TIME_BLOCK):
+                cols = slice(lo, lo + _TIME_BLOCK)
+                values[cols] = weights @ np.exp(-1j * omega[:, None] * tgrid[None, cols])
+            values *= 4.0 / N**2
             members.append(
                 (N / 2 - k, TimeSeries(t=tgrid, values=values, label="fN_full"))
             )

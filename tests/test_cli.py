@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 import lmglab
-from lmglab.cli import RunConfig, _write_table, main, validate_config
+from lmglab.cli import (
+    _FLAG_KEYS,
+    RunConfig,
+    _config_from_args,
+    _write_table,
+    build_parser,
+    main,
+    validate_config,
+)
 from lmglab.ssb import wkb_rate
 
 FAST = ["--samples", "64"]
@@ -278,6 +286,35 @@ class TestTableWriter:
             assert fh.read() == per_value_csv(header, rows)
 
 
+class TestOutputFiles:
+    COMMANDS = [
+        ["evolve", "--n", "40", "--h", "0.716", "--g", "1e-4"],
+        ["spectrum", "--n", "50", "--h", "0.716", "--g", "1e-4"],
+        ["spectrum", "--n", "50", "--h", "0.72", "--trial"],
+        ["spectrum", "--n", "30", "--h", "0.6", "--gamma", "0.5"],
+        ["modes", "--n", "100", "--h", "0.710,0.716,0.720"],
+        ["correlation", "--n", "8", "--h", "0.5"],
+        ["gap", "--n", "100,20,24,28", "--h", "0.71"],
+        ["gap", "--n", "20,40", "--h", "1.5"],
+        ["quasicrystal", "--n", "60"],
+        ["oracle", "--n", "4,6", "--h", "0.3,0.5"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv))
+    def test_every_csv_is_its_own_per_value_reformat(self, tmp_path, argv):
+        # "%.17g" round-trips every float, so a table written exactly comes
+        # back byte for byte when parsed and formatted value by value
+        out = str(tmp_path / "run")
+        assert main(argv + ["--samples", "512", "--out", out]) == 0
+        tables = [name for name in os.listdir(out) if name.endswith(".csv")]
+        assert tables
+        for name in tables:
+            header, rows = read_csv(os.path.join(out, name))
+            rows = rows.reshape(-1, len(header.split(",")))
+            with open(os.path.join(out, name), "rb") as fh:
+                assert fh.read() == per_value_csv(header, rows)
+
+
 class TestOracleCommand:
     def test_success(self, tmp_path):
         out = str(tmp_path / "run")
@@ -430,6 +467,61 @@ class TestUsageErrors:
     def test_help_exits_clean(self, capsys):
         assert main(["--help"]) == 0
         assert "lmglab" in capsys.readouterr().out
+
+
+class TestParser:
+    def test_flag_keys(self):
+        assert _FLAG_KEYS == (
+            "n", "h", "gamma", "g", "phi-n", "tmax", "samples", "cutoff-k",
+            "kappa", "window", "threshold", "trial", "out", "format", "jobs", "run",
+        )
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["evolve", "--n", "30", "--h", "0.4", "--g", "1e-3", "--phi-n", "0.2",
+                 "--tmax", "50", "--samples", "64", "--cutoff-k", "2", "--window",
+                 "none", "--trial", "--out", "o", "--format", "json"],
+                dict(n=[30], h=[0.4], g=[1e-3], phi_n=0.2, tmax=50.0, samples=64,
+                     cutoff_k=2, window="none", trial=True, out="o", format="json"),
+            ),
+            (["spectrum", "--n", "100", "--h", "0.5", "--gamma", "0.5",
+              "--threshold", "0.02"],
+             dict(n=[100], h=[0.5], gamma=0.5, threshold=0.02)),
+            (["modes", "--n", "100", "--h", "0.71,0.716"],
+             dict(n=[100], h=[0.71, 0.716])),
+            (["correlation", "--n", "8", "--h", "0.5", "--samples", "32"],
+             dict(n=[8], h=[0.5], samples=32)),
+            (["gap", "--n", "100,20,24", "--h", "0.71", "--g", "1e-6,1e-5"],
+             dict(n=[100, 20, 24], h=[0.71], g=[1e-6, 1e-5])),
+            (["quasicrystal", "--n", "100", "--kappa", "0.4"],
+             dict(n=[100], kappa=0.4)),
+            (["oracle", "--n", "4,6", "--h", "0.3", "--threshold", "1e-8"],
+             dict(n=[4, 6], h=[0.3], threshold=1e-8)),
+            (["sweep", "--run", "evolve", "--n", "20,30", "--h", "0.4", "--jobs", "2"],
+             dict(n=[20, 30], h=[0.4], jobs=2, run="evolve")),
+        ],
+    )
+    def test_each_subcommand_reads_the_shared_flags(self, argv, expected):
+        cfg = _config_from_args(build_parser().parse_args(argv))
+        assert cfg == RunConfig(command=argv[0], **expected)
+
+    def test_config_file_under_flags(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"n": "25", "samples": 64, "g": "1e-3", "tmax": 10.0, "trial": True,
+             "window": "none"}
+        ))
+        argv = ["evolve", "--config", str(path), "--h", "0.5"]
+        cfg = _config_from_args(build_parser().parse_args(argv))
+        assert cfg == RunConfig(
+            command="evolve", n=[25], h=[0.5], g=[1e-3], tmax=10.0, samples=64,
+            window="none", trial=True,
+        )
+
+    def test_run_is_a_sweep_flag_only(self):
+        assert main(["evolve", "--run", "evolve"]) == 1
 
 
 class TestConfigFile:

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,37 @@ class TestCorrelation:
         full = full_space_ground(N, LmgParams(N=N, h=h))
         static = 4.0 / N**2 * np.vdot(ops.sx @ full.vector, ops.sx @ full.vector).real
         assert members[0][1].values[0].real == pytest.approx(static, rel=1e-10)
+
+    def test_phase_sum_memory_is_bounded(self):
+        # at N = 10 the 420 lines over 4096 samples took 27.5 MB for the
+        # phase arguments and as much for their exponentials, on top of
+        # about 40 MB for the operators, H and its blocks
+        N, h = 10, 0.5
+        tgrid = np.arange(4096) * (40 * math.pi * N / 4096)
+        tracemalloc.start()
+        try:
+            members = full_space_correlation(N, h, tgrid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 55e6
+        # the unblocked line sum as the reference
+        ops = full_space_operators(N)
+        blocks = _sz_blocks(full_hamiltonian(LmgParams(N=N, h=h), ops), N)
+        e0 = min(w[0] for _, w, _ in blocks)
+        for m0, series in members:
+            k = round(N / 2 - m0)
+            phi = np.zeros(2**N)
+            phi[blocks[k][0]] = blocks[k][2][:, 0]
+            u = ops.sx @ phi
+            near = [blocks[j] for j in (k - 1, k + 1) if 0 <= j <= N]
+            weights = np.concatenate(
+                [np.abs(v.T @ u[idx]) ** 2 for idx, _, v in near]
+            )
+            omega = np.concatenate([w - e0 for _, w, _ in near])
+            expected = (4.0 / N**2) * (weights @ np.exp(-1j * omega[:, None] * tgrid))
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(series.values - expected)) <= 1e-14 * scale
 
     def test_exactly_two_lines_in_full_space(self):
         # the spectral weights of Sx|ground> touch only the two neighbors

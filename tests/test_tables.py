@@ -1,0 +1,92 @@
+"""csv_body against Python's own "%.17g", byte for byte."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from lmglab.tables import CHUNK, csv_body
+
+
+def per_value_text(rows):
+    """The reference: one "%.17g" per value, as the CLI wrote tables before."""
+    return "".join(
+        ",".join("%.17g" % float(v) for v in row) + "\n" for row in rows
+    ).encode()
+
+
+def assert_exact(table):
+    table = np.asarray(table, dtype=np.float64)
+    assert csv_body(table) == per_value_text(table.tolist())
+
+
+def test_random_bit_patterns_and_log_uniform_values():
+    rng = np.random.default_rng(20261018)
+    bits = rng.integers(0, 2**64, size=7 * 16384, dtype=np.uint64, endpoint=False)
+    # every exponent field, nan, inf and subnormals included; 7 columns do
+    # not divide the chunk size, so rows straddle chunk boundaries
+    assert_exact(bits.view(np.float64).reshape(-1, 7))
+    sign = rng.choice([-1.0, 1.0], size=100000)
+    assert_exact((sign * 10.0 ** rng.uniform(-45, 18, size=100000)).reshape(-1, 5))
+
+
+def test_powers_of_ten_and_their_neighbours():
+    values = []
+    for e in range(-40, 18):
+        for p in {float(f"1e{e}"), 10.0**e}:
+            values += [p, np.nextafter(p, 0.0), np.nextafter(p, math.inf)]
+    values = np.array(values)
+    assert_exact(np.column_stack([values, -values]))
+
+
+@pytest.mark.parametrize("edge", [1e-39, 1e17])
+def test_edges_of_the_fast_range(edge):
+    near = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)]
+    assert_exact([near, [-v for v in near]])
+
+
+def test_special_values_and_python_numbers():
+    rows = [
+        (0.0, -0.0, math.nan),
+        (math.inf, -math.inf, 5e-324),
+        (1e300, -1e-300, 2.2250738585072014e-308),
+        (3, -7, 12345678901234567),
+        (np.float64(0.1), np.float64(-2.5e-17), 1.0 / 3.0),
+    ]
+    assert csv_body(rows) == per_value_text(rows)
+
+
+def test_exact_ties_round_half_even():
+    assert csv_body([[1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125]]) == (
+        b"1000000000000000.2,1000000000000000.8,100000000000000.12\n"
+    )
+    # 16-digit integers plus quarters and 15-digit ones plus eighths have an
+    # 18th significant digit 5: exact ties at 17 digits
+    rng = np.random.default_rng(7)
+    whole16 = rng.integers(10**15, 2**51, size=2000).astype(np.float64)
+    whole15 = rng.integers(10**14, 2**50 // 8, size=2000).astype(np.float64)
+    eighths = rng.choice([0.125, 0.375, 0.625, 0.875], size=2000)
+    ties = np.column_stack([whole16 + 0.25, whole16 + 0.75, whole15 + eighths])
+    assert_exact(np.concatenate([ties, -ties]))
+
+
+def test_integers_keep_their_trailing_zeros():
+    whole = np.arange(-20000, 20000, 7, dtype=np.float64)
+    assert_exact((whole * 10.0 ** (np.arange(whole.size) % 12)).reshape(-1, 5))
+
+
+def test_zero_rows_and_one_column():
+    assert csv_body(np.zeros((0, 3))) == b""
+    assert csv_body(np.zeros((0, 1))) == b""
+    rng = np.random.default_rng(3)
+    assert_exact(rng.standard_normal((CHUNK + 3, 1)))
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(st.floats(), min_size=1, max_size=24), st.integers(1, 3))
+def test_any_float_formats_like_python(values, n_cols):
+    values += [0.0] * (-len(values) % n_cols)
+    assert_exact(np.array(values).reshape(-1, n_cols))
