@@ -8,12 +8,14 @@ Dynamics always go through the full eigendecomposition: the frequencies of
 interest are O(1/N) and the states live for O(N^3), so time stepping would
 accumulate phase error where it hurts most.  No state is evolved over a
 grid: an expectation value is a sum of Bohr lines with phases factored
-over the grid and a stated truncation bound.  Propagation uses the
+over the grid and a stated truncation bound, a projected mode is two such
+lines, and f_N(t) sums only the levels that Sx reaches.  Propagation uses the
 e^{-iHt} phase convention.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -305,8 +307,9 @@ def projected_init(
 
     Level k maps to a single Sz index m; its amplitudes collect the two
     coherences c_m^* c_{m+-1} weighted by the Sx / Sy matrix elements, with
-    missing neighbors dropped at the sector edges.  Summing sx0 over all
-    modes reproduces <Sx> at t = 0 exactly.
+    missing neighbors dropped at the sector edges.  The coherences of all
+    levels are formed as arrays.  Summing sx0 over all modes reproduces
+    <Sx> at t = 0 exactly.
     """
     if psi0.basis != SZ_BASIS:
         raise ValueError("expected a state in the Sz basis")
@@ -317,32 +320,49 @@ def projected_init(
     perm = np.argsort(energies, kind="stable")
     c = psi0.amplitudes
     a = ladder_plus_band(sector)  # <m|S+|m+1>, m = 0..N-1
-    m_values = sector.m_values
-    modes = []
-    for k in range(n + 1):
-        m = int(perm[k])
-        sx0 = 0.0j
-        sy0 = 0.0j
-        if m + 1 <= n:
-            coh = np.conj(c[m]) * c[m + 1]
-            sx0 += coh * (a[m] / 2.0)
-            sy0 += coh * (-0.5j * a[m])
-        if m - 1 >= 0:
-            coh = np.conj(c[m]) * c[m - 1]
-            sx0 += coh * (a[m - 1] / 2.0)
-            sy0 += coh * (0.5j * a[m - 1])
-        mk = m_values[m]
-        modes.append(
-            ProjectedMode(
-                k=k,
-                Mk=float(mk),
-                nu=1.0 / n,
-                omega_k=h - 2.0 * mk / n,
-                sx0=complex(sx0),
-                sy0=complex(sy0),
-            )
+    up = np.conj(c[:-1]) * c[1:]  # c_m^* c_{m+1}, m = 0..N-1
+    down = np.conj(c[1:]) * c[:-1]  # c_m^* c_{m-1}, m = 1..N
+    sx0 = np.zeros(n + 1, dtype=np.complex128)
+    sy0 = np.zeros(n + 1, dtype=np.complex128)
+    sx0[:-1] += up * (a / 2.0)
+    sy0[:-1] += up * (-0.5j * a)
+    sx0[1:] += down * (a / 2.0)
+    sy0[1:] += down * (0.5j * a)
+    mk = sector.m_values[perm]
+    # fields in ProjectedMode order: k, Mk, nu, omega_k, sx0, sy0
+    return list(
+        map(
+            ProjectedMode,
+            range(n + 1),
+            mk.tolist(),
+            itertools.repeat(1.0 / n),
+            (h - 2.0 * mk / n).tolist(),
+            sx0[perm].tolist(),
+            sy0[perm].tolist(),
         )
-    return modes
+    )
+
+
+def _mode_lines(
+    modes: list[ProjectedMode],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bohr lines of the modes: frequencies and the S_x and S_y weights.
+
+    With a = sx0, b = sy0, each mode contributes e^{i (w - nu) t} with
+    weights (a - ib)/2 and (b + ia)/2, and e^{-i (w + nu) t} with weights
+    (a + ib)/2 and (b - ia)/2.  Lines of equal frequency are merged, so a
+    mode with w = 0 and b = 0 gives an S_y that is exactly zero.
+    """
+    w = np.array([m.omega_k for m in modes], dtype=np.float64)
+    nu = np.array([m.nu for m in modes], dtype=np.float64)
+    a = np.array([m.sx0 for m in modes], dtype=np.complex128)
+    b = np.array([m.sy0 for m in modes], dtype=np.complex128)
+    freqs, line = np.unique(np.concatenate([w - nu, -(w + nu)]), return_inverse=True)
+    wx = np.zeros(freqs.shape[0], dtype=np.complex128)
+    wy = np.zeros_like(wx)
+    np.add.at(wx, line, np.concatenate([a - 1j * b, a + 1j * b]) / 2.0)
+    np.add.at(wy, line, np.concatenate([b + 1j * a, b - 1j * a]) / 2.0)
+    return freqs, wx, wy
 
 
 def projected_solution(
@@ -351,17 +371,16 @@ def projected_solution(
     """Closed-form mode dynamics.
 
     Sx_k(t) = e^{-i nu t} [Sx_k(0) cos(w_k t) + Sy_k(0) sin(w_k t)] and the
-    Sy companion with the rotated sign pattern.
+    Sy companion with the rotated sign pattern, each summed as its two Bohr
+    lines (see ``_mode_lines``) by ``_phase_sum``.  Raises ValueError on a
+    grid that is not finite and uniform with at least two points.
     """
     tgrid = np.asarray(tgrid, dtype=np.float64)
-    envelope = np.exp(-1j * mode.nu * tgrid)
-    cw = np.cos(mode.omega_k * tgrid)
-    sw = np.sin(mode.omega_k * tgrid)
-    sx = envelope * (mode.sx0 * cw + mode.sy0 * sw)
-    sy = envelope * (mode.sy0 * cw - mode.sx0 * sw)
+    _check_grid(tgrid)
+    freqs, wx, wy = _mode_lines([mode])
     return (
-        TimeSeries(t=tgrid, values=sx, label=f"sx_k{mode.k}"),
-        TimeSeries(t=tgrid, values=sy, label=f"sy_k{mode.k}"),
+        TimeSeries(t=tgrid, values=_phase_sum(freqs, wx, tgrid), label=f"sx_k{mode.k}"),
+        TimeSeries(t=tgrid, values=_phase_sum(freqs, wy, tgrid), label=f"sy_k{mode.k}"),
     )
 
 
@@ -370,9 +389,13 @@ def analytic_sum(
 ) -> tuple[TimeSeries, TimeSeries]:
     """Superposition of the projected modes k = 0..K (inclusive).
 
-    With K equal to the level count the sum reproduces the exact <Sx(t)>,
-    <Sy(t)> under the isotropic Hamiltonian.
+    One ``_phase_sum`` per component over the 2 (K + 1) Bohr lines of the
+    modes.  With K equal to the level count the sum reproduces the exact
+    <Sx(t)>, <Sy(t)> under the isotropic Hamiltonian.  The grid is checked
+    before any work.
     """
+    tgrid = np.asarray(tgrid, dtype=np.float64)
+    _check_grid(tgrid)
     n_max = len(modes) - 1
     if K > n_max:
         warnings.warn(
@@ -382,16 +405,10 @@ def analytic_sum(
         K = n_max
     if K < 0:
         raise ValueError("cutoff must be >= 0")
-    tgrid = np.asarray(tgrid, dtype=np.float64)
-    sx = np.zeros(tgrid.shape[0], dtype=np.complex128)
-    sy = np.zeros_like(sx)
-    for mode in modes[: K + 1]:
-        mx, my = projected_solution(mode, tgrid)
-        sx += mx.values
-        sy += my.values
+    freqs, wx, wy = _mode_lines(modes[: K + 1])
     return (
-        TimeSeries(t=tgrid, values=sx, label=f"sx_sum_K{K}"),
-        TimeSeries(t=tgrid, values=sy, label=f"sy_sum_K{K}"),
+        TimeSeries(t=tgrid, values=_phase_sum(freqs, wx, tgrid), label=f"sx_sum_K{K}"),
+        TimeSeries(t=tgrid, values=_phase_sum(freqs, wy, tgrid), label=f"sy_sum_K{K}"),
     )
 
 
@@ -422,7 +439,7 @@ def correlation_fN(
     """Ground-state correlation of the order parameter, f_N(t) = <m_x(t) m_x(0)>.
 
     Two evaluations are returned per ground level: a direct spectral sum over
-    every level reached by Sx|0>, and the closed form carrying one term per
+    every level reached by Sx|M0>, and the closed form carrying one term per
     existing magnetization neighbor with ladder-element weights.  Both use
     gap arithmetic for the Bohr frequencies, so they may only differ through
     the weights and the term count.  A degenerate ground pair yields one
@@ -441,12 +458,13 @@ def correlation_fN(
         amps = np.zeros(sector.dim, dtype=np.complex128)
         amps[idx0] = 1.0
         u = ops.sx.apply(amps)
-        # direct route: sum over every level, weights from the matvec
-        gaps = isotropic_gap(n, sector.two_m, two_m0, h)
+        # direct route: every level reached by Sx|M0>, weights from the matvec
         weights_all = np.abs(u) ** 2
+        reached = np.flatnonzero(weights_all)
+        gaps = isotropic_gap(n, sector.two_m[reached], two_m0, h)
         direct = (4.0 / n**2) * (
-            weights_all[None, :] @ np.exp(-1j * gaps[:, None] * tgrid[None, :])
-        )[0]
+            weights_all[reached] @ np.exp(-1j * gaps[:, None] * tgrid[None, :])
+        )
         # closed form: one term per existing neighbor, ladder-element weights
         freqs = []
         weights = []

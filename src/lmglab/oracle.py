@@ -19,6 +19,7 @@ lies in the 2^N construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,8 @@ _DEGEN_RTOL = 1e-10
 # as in one product over the whole grid, which with OpenBLAS gives the same
 # sums bit for bit.
 _TIME_BLOCK = 256
+# summed weight of the f_N(t) lines dropped, relative to the total weight
+_LINE_DROP_RTOL = 1e-15
 
 # one symmetry block of a 2^N matrix: (product-basis indices, energies, vectors)
 _Block = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -47,50 +50,56 @@ class OracleMismatchError(RuntimeError):
     """A sector-vs-full comparison exceeded its tolerance."""
 
 
-@dataclass(frozen=True)
-class FullSpaceOperators:
-    """Dense collective operators S_x, S_y, S_z on the 2^N product space.
-
-    ``sx`` and ``sz`` are real; ``sy`` is complex with a zero real part.
-    """
-
-    N: int
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-
-
 def _down_spins(N: int) -> np.ndarray:
     """Number of down spins (set bits) of every product-basis index."""
     index = np.arange(1 << N)
     return sum((index >> site) & 1 for site in range(N))
 
 
-def full_space_operators(N: int) -> FullSpaceOperators:
-    """Collective spin operators as sums of single-site Pauli/2 matrices.
+@dataclass(frozen=True)
+class FullSpaceOperators:
+    """Dense collective operators S_x, S_y, S_z on the 2^N product space.
 
     The basis follows the Kronecker ordering: site 0 is the most significant
     bit of the index and a 0 bit is spin up, so index 0 is the all-up state.
     Each site's S_x and S_y connect the indices that differ in its bit, and
-    S_z is diagonal with N/2 minus the number of down spins.
+    S_z is diagonal with N/2 minus the number of down spins.  ``sx`` and
+    ``sz`` are real; ``sy`` is complex with a zero real part.  ``sy`` and
+    ``sz`` are built on first access, as only some callers read them.
     """
+
+    N: int
+    sx: np.ndarray
+
+    @functools.cached_property
+    def sy(self) -> np.ndarray:
+        index = np.arange(1 << self.N)
+        sy = np.zeros((1 << self.N, 1 << self.N), dtype=np.complex128)
+        for site in range(self.N):
+            bit = 1 << (self.N - 1 - site)
+            # <down|s_y|up> = i/2, <up|s_y|down> = -i/2
+            sy[index ^ bit, index] = np.where((index & bit) != 0, -0.5j, 0.5j)
+        return sy
+
+    @functools.cached_property
+    def sz(self) -> np.ndarray:
+        return np.diag(self.N / 2 - _down_spins(self.N))
+
+
+def full_space_operators(N: int) -> FullSpaceOperators:
+    """Collective spin operators as sums of single-site Pauli/2 matrices,
+    built by flipping single bits of the index (see ``FullSpaceOperators``)."""
     if N > MAX_FULL_SPACE_N:
         raise ValueError(
             f"resource limit: full-space operators support N <= {MAX_FULL_SPACE_N}"
         )
     if N < 1:
         raise ValueError("N must be >= 1")
-    dim = 1 << N
-    index = np.arange(dim)
-    sx = np.zeros((dim, dim))
-    sy = np.zeros((dim, dim), dtype=np.complex128)
+    index = np.arange(1 << N)
+    sx = np.zeros((1 << N, 1 << N))
     for site in range(N):
-        bit = 1 << (N - 1 - site)
-        flipped = index ^ bit
-        sx[flipped, index] = 0.5
-        # <down|s_y|up> = i/2, <up|s_y|down> = -i/2
-        sy[flipped, index] = np.where((index & bit) != 0, -0.5j, 0.5j)
-    return FullSpaceOperators(N=N, sx=sx, sy=sy, sz=np.diag(N / 2 - _down_spins(N)))
+        sx[index ^ (1 << (N - 1 - site)), index] = 0.5
+    return FullSpaceOperators(N=N, sx=sx)
 
 
 def full_hamiltonian(
@@ -217,6 +226,15 @@ def _sz_blocks(ham: np.ndarray, N: int) -> list[_Block]:
     return blocks
 
 
+def _weighty_lines(weights: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the lines left after dropping the smallest
+    weights while their sum stays <= _LINE_DROP_RTOL * sum(weights)."""
+    order = np.argsort(weights)
+    dropped = np.cumsum(weights[order])
+    n_drop = int(np.count_nonzero(dropped <= _LINE_DROP_RTOL * dropped[-1]))
+    return np.sort(order[n_drop:])
+
+
 def _correlation_members(
     ops: FullSpaceOperators, blocks: list[_Block], tgrid: np.ndarray
 ) -> list[tuple[float, TimeSeries]]:
@@ -225,8 +243,11 @@ def _correlation_members(
     The ground levels are the block levels within _DEGEN_RTOL of the lowest
     one; a ground level in block k has S_z = N/2 - k.  S_x maps block k into
     blocks k - 1 and k + 1 only, so the levels of those two blocks carry the
-    whole spectral weight of S_x|ground>.  The line sum runs over blocks of
-    time columns, so its phases take bounded memory at any grid length.
+    whole spectral weight of S_x|ground>.  S_x|ground> stays in the
+    symmetric multiplet, so all but one level of each block carry weight at
+    rounding level: the lines are cut by ``_weighty_lines``, which changes
+    f_N by at most _LINE_DROP_RTOL * f_N(0).  The line sum runs over blocks
+    of time columns, so its phases take bounded memory at any grid length.
     """
     N = ops.N
     e0 = min(w[0] for _, w, _ in blocks)
@@ -239,6 +260,8 @@ def _correlation_members(
             near = [blocks[j] for j in (k - 1, k + 1) if 0 <= j <= N]
             weights = np.concatenate([np.abs(vj.T @ u[ij]) ** 2 for ij, _, vj in near])
             omega = np.concatenate([wj - e0 for _, wj, _ in near])
+            lines = _weighty_lines(weights)
+            weights, omega = weights[lines], omega[lines]
             values = np.empty(tgrid.shape[0], dtype=np.complex128)
             for lo in range(0, tgrid.shape[0], _TIME_BLOCK):
                 cols = slice(lo, lo + _TIME_BLOCK)

@@ -60,8 +60,13 @@ def localize_ground_state(
     """Ground state of H + V under the instantaneous kick V = -g S_n.
 
     Reports the energy elevation above the unperturbed ground state,
-    delta_e = <H|psi> - E0(H), and the order parameter along n.  With g = 0
-    this returns the exact (un-localized) ground state with m_n = 0.
+    delta_e = <psi|H|psi> - E0(H), and the order parameter along n.
+    delta_e is summed as sum_k |b_k|^2 (E_k - E0) over the levels of H,
+    b_k = <k|psi>: no two O(N) energies cancel, and what rounding remains
+    is that of the gaps E_k - E0, which at gamma = 1 are differences of
+    diagonal entries and rounded once.
+    With g = 0 this returns the exact (un-localized) ground state with
+    m_n = 0.
     """
     if g is None:
         g = default_kick(params.N)
@@ -69,15 +74,15 @@ def localize_ground_state(
     h_kicked = build_hamiltonian(params, sector, g=g, phi_n=phi_n)
     eig = eigensystem(h_kicked)
     psi = ground_state(eig)
-    h_free = build_hamiltonian(params, sector)
-    e_free = eigensystem(h_free).ground_energy
-    energy_in_free = expectation(h_free, psi).real
+    free = eigensystem(build_hamiltonian(params, sector))
+    b = free.to_energy_basis(psi.amplitudes)
+    delta_e = float(np.sum(np.abs(b) ** 2 * (free.energies - free.ground_energy)))
     return LocalizedState(
         state=psi,
-        delta_e=energy_in_free - e_free,
+        delta_e=delta_e,
         m_n=order_parameter(psi, phi_n, params.N),
         energy=eig.ground_energy,
-        unperturbed_ground_energy=e_free,
+        unperturbed_ground_energy=free.ground_energy,
     )
 
 

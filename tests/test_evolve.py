@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from lmglab import evolve
 from lmglab.evolve import (
@@ -23,6 +26,8 @@ from lmglab.model import (
     LmgParams,
     MeanFieldAngles,
     build_hamiltonian,
+    isotropic_energies,
+    isotropic_gap,
     mean_field_state,
     trial_localized_state,
 )
@@ -33,6 +38,7 @@ from lmglab.spinspace import (
     build_sector,
     collective_operators,
     expectation,
+    ladder_plus_band,
     normalized_state,
 )
 from lmglab.ssb import localize_ground_state
@@ -467,7 +473,138 @@ class TestAnalyticSum:
         assert np.array_equal(clamped.values, full.values)
 
 
+def per_mode_formula(mode, tgrid):
+    """The mode waveform as written in projected_solution's docstring."""
+    envelope = np.exp(-1j * mode.nu * tgrid)
+    cw, sw = np.cos(mode.omega_k * tgrid), np.sin(mode.omega_k * tgrid)
+    return (
+        envelope * (mode.sx0 * cw + mode.sy0 * sw),
+        envelope * (mode.sy0 * cw - mode.sx0 * sw),
+    )
+
+
+def per_level_init(psi, sec, h):
+    """projected_init as one loop over the levels."""
+    n = sec.N
+    perm = np.argsort(isotropic_energies(sec, h), kind="stable")
+    c, a = psi.amplitudes, ladder_plus_band(sec)
+    modes = []
+    for k in range(n + 1):
+        m = int(perm[k])
+        sx0 = sy0 = 0.0j
+        if m + 1 <= n:
+            coh = np.conj(c[m]) * c[m + 1]
+            sx0 += coh * (a[m] / 2.0)
+            sy0 += coh * (-0.5j * a[m])
+        if m - 1 >= 0:
+            coh = np.conj(c[m]) * c[m - 1]
+            sx0 += coh * (a[m - 1] / 2.0)
+            sy0 += coh * (0.5j * a[m - 1])
+        mk = sec.m_values[m]
+        modes.append(
+            ProjectedMode(k, float(mk), 1.0 / n, h - 2.0 * mk / n, complex(sx0), complex(sy0))
+        )
+    return modes
+
+
+_unit = st.floats(-1.0, 1.0)
+_complex = st.builds(complex, _unit, _unit)
+
+
+class TestModeLines:
+    """projected_solution and analytic_sum, summed as two Bohr lines per
+    mode, against the per-mode cos/sin formula."""
+
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        modes=st.lists(
+            st.builds(ProjectedMode, st.integers(0, 9), st.just(0.0), _unit, _unit,
+                      _complex, _complex),
+            min_size=1,
+            max_size=6,
+        ),
+        T=st.integers(2, 16385),
+        start=st.integers(-1000, 1000),
+        t_max=st.floats(1e-3, 250.0),
+    )
+    def test_matches_per_mode_formula(self, modes, T, start, t_max):
+        # |frequency| * |t| <= 500, so both routes round their phases alike
+        step = t_max / (abs(start) + T)
+        tgrid = (start + np.arange(T)) * step
+        ref_x, ref_y = (np.sum(c, axis=0) for c in zip(*(per_mode_formula(m, tgrid) for m in modes)))
+        sum_x, sum_y = analytic_sum(modes, len(modes) - 1, tgrid)
+        scale = max(np.max(np.abs(ref_x)), np.max(np.abs(ref_y)))
+        assert np.max(np.abs(sum_x.values - ref_x)) <= 1e-12 * scale
+        assert np.max(np.abs(sum_y.values - ref_y)) <= 1e-12 * scale
+        ref_x, ref_y = per_mode_formula(modes[0], tgrid)
+        sol_x, sol_y = projected_solution(modes[0], tgrid)
+        scale = max(np.max(np.abs(ref_x)), np.max(np.abs(ref_y)))
+        assert np.max(np.abs(sol_x.values - ref_x)) <= 1e-12 * scale
+        assert np.max(np.abs(sol_y.values - ref_y)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("N,h", [(1, 0.5), (10, 0.3), (33, 0.62), (500, 0.8338)])
+    def test_init_matches_per_level_loop(self, N, h):
+        sec = build_sector(N)
+        rng = np.random.default_rng(N)
+        psi = normalized_state(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
+        for got, ref in zip(projected_init(psi, sec, h), per_level_init(psi, sec, h), strict=True):
+            assert (got.k, got.Mk, got.nu, got.omega_k) == (ref.k, ref.Mk, ref.nu, ref.omega_k)
+            # |sx0| + |sy0| bounds both coherence terms of the level, so this
+            # allows a few roundings of each term
+            tol = 1e-15 * (abs(ref.sx0) + abs(ref.sy0))
+            assert abs(got.sx0 - ref.sx0) <= tol
+            assert abs(got.sy0 - ref.sy0) <= tol
+
+    @pytest.mark.parametrize(
+        "tgrid", [np.array([0.0]), np.array([0.0, 1.0, 3.0]), np.full(4, math.nan)]
+    )
+    def test_bad_grid_rejected_before_any_work(self, monkeypatch, tgrid):
+        mode = ProjectedMode(k=0, Mk=1.0, nu=0.1, omega_k=0.05, sx0=1.0, sy0=0.5j)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("phases formed")
+
+        monkeypatch.setattr(evolve, "_phase_sum", refuse)
+        with pytest.raises(ValueError):
+            analytic_sum([mode], 0, tgrid)
+        with pytest.raises(ValueError):
+            projected_solution(mode, tgrid)
+
+
+def full_direct_sum(sec, h, m0, tgrid):
+    """(4/N^2) sum over all N + 1 levels of |<m|Sx|M0>|^2 e^{-i (E_m - E_M0) t}."""
+    N = sec.N
+    idx0 = int(np.flatnonzero(sec.m_values == m0)[0])
+    u = collective_operators(sec).sx.apply(basis_state(sec.dim, idx0).amplitudes)
+    gaps = isotropic_gap(N, sec.two_m, round(2 * m0), h)
+    return (4.0 / N**2) * (np.abs(u) ** 2 @ np.exp(-1j * gaps[:, None] * tgrid[None, :]))
+
+
 class TestCorrelation:
+    @pytest.mark.parametrize(
+        "N,h", [(1, 0.5), (2, 0.3), (8, 0.55), (100, 0.71), (500, 0.8338)]
+    )
+    def test_direct_matches_sum_over_every_level(self, N, h):
+        sec = build_sector(N)
+        tgrid = 0.7 + np.arange(1000) * (40 * math.pi * N / 1000)
+        for member in correlation_fN(sec, h, tgrid).members:
+            ref = full_direct_sum(sec, h, member.m0, tgrid)
+            assert np.max(np.abs(member.direct.values - ref)) <= 1e-15
+
+    def test_memory_is_two_lines(self):
+        # the (N+1) x T phases of a sum over every level peaked at 63-66 MB
+        N, h = 500, 0.8338
+        sec = build_sector(N)
+        tgrid = default_time_grid(N, samples=4096)
+        tracemalloc.start()
+        try:
+            correlation_fN(sec, h, tgrid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
     @pytest.mark.parametrize("N", [8, 50, 500])
     def test_direct_and_closed_form_agree(self, N):
         sec = build_sector(N)

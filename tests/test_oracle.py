@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from lmglab.evolve import correlation_fN, eigensystem
 from lmglab.model import LmgParams, build_hamiltonian
 from lmglab.oracle import (
+    FullSpaceOperators,
+    _LINE_DROP_RTOL,
     _sz_blocks,
+    _weighty_lines,
     full_hamiltonian,
     full_space_correlation,
     full_space_ground,
@@ -280,6 +283,56 @@ class TestCorrelation:
             expected = (4.0 / N**2) * (weights @ np.exp(-1j * omega[:, None] * tgrid))
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(series.values - expected)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("N,h", [(1, 0.5), (3, 0.0), (6, 0.5), (9, 0.95), (10, 0.3)])
+    def test_dropped_lines_carry_no_weight(self, N, h):
+        # every line of the two neighbor blocks as the reference
+        ops = full_space_operators(N)
+        blocks = _sz_blocks(full_hamiltonian(LmgParams(N=N, h=h), ops), N)
+        e0 = min(w[0] for _, w, _ in blocks)
+        tgrid = np.arange(512) * (40 * math.pi * N / 512)
+        members = full_space_correlation(N, h, tgrid)
+        for m0, series in members:
+            k = round(N / 2 - m0)
+            phi = np.zeros(2**N)
+            phi[blocks[k][0]] = blocks[k][2][:, 0]
+            u = ops.sx @ phi
+            near = [blocks[j] for j in (k - 1, k + 1) if 0 <= j <= N]
+            weights = np.concatenate([np.abs(v.T @ u[idx]) ** 2 for idx, _, v in near])
+            omega = np.concatenate([w - e0 for _, w, _ in near])
+            kept = _weighty_lines(weights)
+            assert np.sum(np.delete(weights, kept)) <= _LINE_DROP_RTOL * np.sum(weights)
+            # one line per block: the level of the symmetric multiplet
+            assert kept.size == len(near)
+            expected = (4.0 / N**2) * (weights @ np.exp(-1j * omega[:, None] * tgrid))
+            assert np.max(np.abs(series.values - expected)) <= 2e-15 * expected[0].real
+
+    def test_dropped_weight_is_bounded(self):
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 7, 400):
+            weights = 10.0 ** rng.uniform(-40, 0, size)
+            kept = _weighty_lines(weights)
+            assert np.array_equal(kept, np.sort(kept))
+            dropped = np.delete(weights, kept)
+            assert np.sum(dropped) <= _LINE_DROP_RTOL * np.sum(weights)
+            # maximal: the lightest kept line would break the bound
+            lightest = np.min(weights[kept])
+            assert np.sum(dropped) + lightest > _LINE_DROP_RTOL * np.sum(weights)
+            assert np.all(dropped <= lightest)
+
+    def test_sy_and_sz_are_built_on_first_access(self, monkeypatch):
+        ops = full_space_operators(5)
+        assert "sy" not in vars(ops) and "sz" not in vars(ops)
+        assert ops.sy is ops.sy and ops.sz is ops.sz
+
+        def refuse(self):
+            raise AssertionError("built an operator nobody reads")
+
+        # the free-H correlation and the gamma = 1 checks read S_x only
+        monkeypatch.setattr(FullSpaceOperators, "sy", property(refuse))
+        monkeypatch.setattr(FullSpaceOperators, "sz", property(refuse))
+        full_space_correlation(5, 0.5, np.arange(8) * 1.0)
+        assert sector_vs_full_checks(5, 0.5).worst() <= 1e-9
 
     def test_exactly_two_lines_in_full_space(self):
         # the spectral weights of Sx|ground> touch only the two neighbors

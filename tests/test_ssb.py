@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -85,6 +86,21 @@ class TestLocalize:
         o_energy = eig.vectors.conj().T @ ops.sx.apply(eig.vectors)
         low = np.sum(np.abs(np.conj(b)[:, None] * o_energy * b[None, :]))
         assert low >= 0.95 * total
+
+    @pytest.mark.parametrize("N,h", [(300, 0.55), (500, 0.8338)])
+    def test_energy_elevation_against_high_precision(self, N, h):
+        # <psi|H|psi>/<psi|psi> - E0 in 50 digits on the same amplitudes and
+        # the same free diagonal (H is diagonal in the Sz basis at gamma = 1)
+        params = LmgParams(N=N, h=h)
+        loc = localize_ground_state(params)
+        diag = build_hamiltonian(params, build_sector(N)).band(0).real
+        with mpmath.workdps(50):
+            e0 = mpmath.mpf(float(np.min(diag)))
+            mass = [mpmath.mpf(float(a.real)) ** 2 + mpmath.mpf(float(a.imag)) ** 2
+                    for a in loc.state.amplitudes]
+            num = mpmath.fsum(w * (mpmath.mpf(float(e)) - e0) for w, e in zip(mass, diag))
+            ref = num / mpmath.fsum(mass)
+            assert abs(mpmath.mpf(loc.delta_e) - ref) <= 1e-11 * ref
 
     def test_kick_direction_sets_sign(self):
         params = LmgParams(N=30, h=0.4)
