@@ -238,7 +238,8 @@ def _write_table(path: str, header: str, rows) -> str:
         return path
     table = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(columns))
     with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8") + b"\n" + csv_body(table))
+        fh.write(header.encode("utf-8") + b"\n")
+        fh.write(csv_body(table))
     return path
 
 

@@ -3,14 +3,17 @@ ground-state correlation function.
 
 Sector Hamiltonians are diagonalized in full by LAPACK
 (``numpy.linalg.eigh``), in real arithmetic and by parity blocks where the
-matrix allows (see ``eigensystem``); diagonal ones need only a sort.
-Dynamics always go through the full eigendecomposition: the frequencies of
-interest are O(1/N) and the states live for O(N^3), so time stepping would
-accumulate phase error where it hurts most.  No state is evolved over a
-grid: an expectation value is a sum of Bohr lines with phases factored
-over the grid and a stated truncation bound, a projected mode is two such
-lines, and f_N(t) sums only the levels that Sx reaches.  Propagation uses the
-e^{-iHt} phase convention.
+matrix allows (see ``eigensystem``); diagonal ones need only a sort.  The
+kicked gamma = 1 ground state, the one eigenpair of that H in use, comes
+from a certified window of a few dozen levels around the lowest diagonal
+entry (see ``_windowed_ground``).  Dynamics always go through the full
+eigendecomposition: the frequencies of interest are O(1/N) and the states
+live for O(N^3), so time stepping would accumulate phase error where it
+hurts most.  No state is evolved over a grid: an expectation value is a
+sum of Bohr lines with phases factored over the grid and a stated
+truncation bound, a projected mode is two such lines, and f_N(t) sums only
+the levels that Sx reaches.  Propagation uses the e^{-iHt} phase
+convention.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +41,8 @@ from .spinspace import (
 _GRID_RTOL = 1e-9
 _LINE_RTOL = 1e-13  # Bohr-line truncation tolerance, relative to a bound on ||O||
 _PHASE_BLOCK = 1 << 20  # complex phases per block of lines in _phase_sum
+_WINDOW_PAD = 16  # first pad of a ground-state window, rows on each side
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _check_grid(t: np.ndarray) -> None:
@@ -167,6 +173,68 @@ def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
     )
 
 
+def _windowed_ground(op: BandedHermitianOperator) -> tuple[float, StateVector]:
+    """Ground energy and state of H, from a window of rows when that is certified.
+
+    A tridiagonal H (bandwidth 1) is solved on the rows whose Gershgorin
+    disc reaches down to c = min diag H, padded by ``_WINDOW_PAD`` rows on
+    each side, with c taken off the window's diagonal so that the solve's
+    error scales with ||H_W - c|| rather than ||H||.  With v and E the
+    window's ground vector and level, e1 its second level, G a Gershgorin
+    lower bound of the block outside the window and C the couplings across
+    the window's edges, all shifted by c, the window is accepted when
+
+        r = ||H_out,W v|| <= eps ||H_W - c||   and   mu > E + r + eps ||H_W - c||,
+        mu = (e1 + G)/2 - sqrt(((G - e1)/2)^2 + ||C||_F^2).
+
+    By Courant-Fischer over x orthogonal to v, lambda_1(H) >= mu, so E is
+    lambda_0 and the state error is at most (r + eps ||H_W - c||)/(mu - E)
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 10-11), and the
+    ground energy is c + E.  Otherwise the pad doubles.  A window of at
+    least half the rows, and any H of another bandwidth, goes to
+    ``eigensystem(op)`` whole.
+    """
+    n = op.dim
+    if op.bandwidth == 1:
+        diag, band = op.band(0).real, op.band(1)
+        c = float(diag.min())
+        mag = np.abs(band)
+        radius = np.zeros(n)
+        radius[:-1] += mag
+        radius[1:] += mag
+        lower = diag - c - radius  # Gershgorin lower ends, shifted by c
+        low = np.flatnonzero(lower <= 0.0)
+        pad = _WINDOW_PAD
+        while True:
+            a, b = max(int(low[0]) - pad, 0), min(int(low[-1]) + pad + 1, n)
+            if 2 * (b - a) >= n:
+                break
+            window = eigensystem(
+                BandedHermitianOperator(b - a, {0: diag[a:b] - c, 1: band[a : b - 1]})
+            )
+            levels, v = window.energies, window.vectors[:, 0]
+            scale = _EPS * max(abs(levels[0]), abs(levels[-1]))
+            left = mag[a - 1] if a > 0 else 0.0
+            right = mag[b - 1] if b < n else 0.0
+            r = math.hypot(left * abs(v[0]), right * abs(v[-1]))
+            outside = np.concatenate([lower[:a], lower[b:]])
+            if a > 0:
+                outside[a - 1] += left
+            if b < n:
+                outside[a] += right
+            g_out, e1 = float(outside.min()), float(levels[1])
+            mu = 0.5 * (e1 + g_out) - math.sqrt(
+                (0.5 * (g_out - e1)) ** 2 + left**2 + right**2
+            )
+            if r <= scale and mu > levels[0] + r + scale:
+                amps = np.zeros(n, dtype=np.complex128)
+                amps[a:b] = v
+                return c + float(levels[0]), StateVector(basis=SZ_BASIS, amplitudes=amps)
+            pad *= 2
+    eig = eigensystem(op)
+    return eig.ground_energy, ground_state(eig)
+
+
 def ground_state(eig: EigenSystem) -> StateVector:
     return StateVector(basis=SZ_BASIS, amplitudes=eig.vectors[:, 0].copy())
 
@@ -284,8 +352,7 @@ def _phase_sum(freqs: np.ndarray, weights: np.ndarray, tgrid: np.ndarray) -> np.
     return out.ravel()[:T]
 
 
-@dataclass(frozen=True)
-class ProjectedMode:
+class ProjectedMode(NamedTuple):
     """One level's contribution to the in-plane polarization dynamics.
 
     Each mode oscillates with the universal frequency nu = 1/N entangled

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import eigensystem, ground_state
+from .evolve import _windowed_ground, eigensystem
 from .model import LmgParams, _bisect, build_hamiltonian, ground_M
 from .spinspace import (
     SZ_BASIS,
@@ -71,9 +71,7 @@ def localize_ground_state(
     if g is None:
         g = default_kick(params.N)
     sector = build_sector(params.N)
-    h_kicked = build_hamiltonian(params, sector, g=g, phi_n=phi_n)
-    eig = eigensystem(h_kicked)
-    psi = ground_state(eig)
+    energy, psi = _windowed_ground(build_hamiltonian(params, sector, g=g, phi_n=phi_n))
     free = eigensystem(build_hamiltonian(params, sector))
     b = free.to_energy_basis(psi.amplitudes)
     delta_e = float(np.sum(np.abs(b) ** 2 * (free.energies - free.ground_energy)))
@@ -81,7 +79,7 @@ def localize_ground_state(
         state=psi,
         delta_e=delta_e,
         m_n=order_parameter(psi, phi_n, params.N),
-        energy=eig.ground_energy,
+        energy=energy,
         unperturbed_ground_energy=free.ground_energy,
     )
 

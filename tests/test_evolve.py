@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -725,3 +726,97 @@ class TestConcurrency:
             results = list(pool.map(run, range(16)))
         for values in results:
             assert np.array_equal(values, serial)
+
+
+def inverse_iteration_ground(op, dps=40, steps=3):
+    """Ground state of a tridiagonal H by inverse iteration in ``dps`` digits.
+
+    H = D T D^H with D the diagonal gauge that makes the band real and
+    positive, as in ``eigensystem``; T is solved by an LU factorization
+    shifted to its lowest eigenvalue in double precision.
+    """
+    diag, band = op.band(0).real, op.band(1)
+    off = np.abs(band)
+    gauge = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(band)))))
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    shift = float(np.linalg.eigvalsh(dense)[0])
+    with mpmath.workdps(dps):
+        e = [mpmath.mpf(float(x)) for x in off]
+        u = [mpmath.mpf(float(diag[0])) - shift]
+        low = []
+        for i in range(1, op.dim):
+            low.append(e[i - 1] / u[-1])
+            u.append(mpmath.mpf(float(diag[i])) - shift - low[-1] * e[i - 1])
+        x = [mpmath.mpf(1)] * op.dim
+        for _ in range(steps):
+            y = [x[0]]
+            for i in range(1, op.dim):
+                y.append(x[i] - low[i - 1] * y[-1])
+            z = [y[-1] / u[-1]]
+            for i in range(op.dim - 2, -1, -1):
+                z.append((y[i] - e[i] * z[-1]) / u[i])
+            z.reverse()
+            norm = mpmath.sqrt(mpmath.fsum(t * t for t in z))
+            x = [t / norm for t in z]
+        return gauge * np.array([float(t) for t in x])
+
+
+def phase_aligned_distance(psi, ref):
+    """min over phases a of ||psi - a ref||, for unit vectors."""
+    overlap = np.vdot(ref, psi)
+    return float(np.linalg.norm(psi - ref * (overlap / abs(overlap))))
+
+
+class TestWindowedGround:
+    """The kicked ground state solved on a certified window of levels."""
+
+    @pytest.mark.parametrize("N,M0", [(300, 90), (500, 150)])
+    @pytest.mark.parametrize("crescent", [False, True])
+    @pytest.mark.parametrize("g", ["1/N^2", 1e-3])
+    @pytest.mark.parametrize("phi_n", [0.0, 1.3])
+    def test_state_against_high_precision(self, N, M0, crescent, g, phi_n):
+        # h = 2 M0 / N puts the ground level at M0 (round); h = (2 M0 + 1)/N
+        # makes M0 and M0 + 1 a degenerate pair (crescent)
+        h = (2 * M0 + crescent) / N
+        g = 1.0 / N**2 if g == "1/N^2" else g
+        params = LmgParams(N=N, h=h)
+        op = build_hamiltonian(params, build_sector(N), g=g, phi_n=phi_n)
+        psi = localize_ground_state(params, g=g, phi_n=phi_n).state.amplitudes
+        assert phase_aligned_distance(psi, inverse_iteration_ground(op)) <= 1e-13
+
+    @seed(20261018)
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        N=st.integers(2, 500),
+        h=st.floats(0.3, 0.9),
+        log_g=st.floats(-5.0, -3.0),
+        phi_n=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_window_agrees_with_full_solve(self, N, h, log_g, phi_n):
+        op = build_hamiltonian(LmgParams(N=N, h=h), build_sector(N), g=10.0**log_g,
+                               phi_n=phi_n)
+        energy, psi = evolve._windowed_ground(op)
+        full = eigensystem(op)
+        assert phase_aligned_distance(psi.amplitudes, full.vectors[:, 0]) <= 1e-9
+        assert abs(energy - full.ground_energy) <= 1e-12 * op.norm_inf()
+
+    @pytest.mark.parametrize(
+        "N,gamma,g",
+        [(200, 0.5, 1e-3), (10, 1.0, 1e-2), (200, 1.0, 0.5)],
+        ids=["bandwidth-2", "small-N", "large-g"],
+    )
+    def test_other_cases_solve_whole(self, N, gamma, g, monkeypatch):
+        op = build_hamiltonian(LmgParams(N=N, h=0.6, gamma=gamma), build_sector(N), g=g,
+                               phi_n=0.7)
+        solved = []
+
+        def counting(matrix):
+            solved.append(matrix)
+            return eigensystem(matrix)
+
+        monkeypatch.setattr(evolve, "eigensystem", counting)
+        energy, psi = evolve._windowed_ground(op)
+        assert solved == [op]
+        full = eigensystem(op)
+        assert energy == full.ground_energy
+        assert np.array_equal(psi.amplitudes, full.vectors[:, 0])

@@ -41,6 +41,16 @@ def test_powers_of_ten_and_their_neighbours():
     assert_exact(np.column_stack([values, -values]))
 
 
+def test_every_decimal_exponent():
+    # k = -6 and -7 sit on either side of the switch from the exact product
+    # (s = 16 - k <= 22) to integer arithmetic, and every k has its own
+    # lead, point and exponent words
+    rng = np.random.default_rng(11)
+    for k in range(-40, 17):
+        mantissa = rng.uniform(1.0, 10.0, size=600) * rng.choice([-1.0, 1.0], size=600)
+        assert_exact((mantissa * 10.0**k).reshape(-1, 6))
+
+
 @pytest.mark.parametrize("edge", [1e-39, 1e17])
 def test_edges_of_the_fast_range(edge):
     near = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)]
