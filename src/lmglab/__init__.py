@@ -27,6 +27,7 @@ from .model import (
     GroundLevel,
     LmgParams,
     MeanFieldAngles,
+    NumericError,
     TrialState,
     build_hamiltonian,
     ground_M,
@@ -63,7 +64,6 @@ from .spectra import (
 )
 from .spinspace import (
     BandedHermitianOperator,
-    BandedOperator,
     CollectiveOperators,
     SpinSector,
     StateVector,
@@ -88,6 +88,5 @@ from .ssb import (
     order_parameter,
     wkb_rate,
 )
-from .tridiag import NumericError, jacobi_eigenvalues
 
 __version__ = "0.1.0"

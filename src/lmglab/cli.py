@@ -1,10 +1,11 @@
 """Command-line front end: run experiments, emit CSV/JSON data files.
 
 Subcommands: evolve, spectrum, modes, correlation, gap, quasicrystal,
-oracle, sweep.  Outputs are deterministic (17-significant-digit floats,
-LF endings, sorted JSON keys), so identical configs give byte-identical
-files.  Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 oracle
-mismatch.
+oracle.  Each run writes its tables into ``--out`` as CSV or JSON
+(``--format``) plus a ``summary.json``.  Outputs are deterministic
+(17-significant-digit floats, LF endings, sorted JSON keys), so identical
+configs give byte-identical files.  Exit codes: 0 success, 1 usage error,
+2 numeric failure, 3 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,8 +29,19 @@ from .evolve import (
     projected_solution,
     ProjectedMode,
 )
-from .model import LmgParams, build_hamiltonian, ground_M, trial_localized_state
-from .oracle import MAX_CORRELATION_N, OracleMismatchError, sector_vs_full_checks
+from .model import (
+    LmgParams,
+    NumericError,
+    build_hamiltonian,
+    ground_M,
+    trial_localized_state,
+)
+from .oracle import (
+    MAX_CORRELATION_N,
+    OracleMismatchError,
+    full_space_correlation,
+    sector_vs_full_checks,
+)
 from .spectra import (
     classify_mode,
     cut_and_project_sequence,
@@ -43,13 +54,13 @@ from .spectra import (
 from .spinspace import build_sector, collective_operators
 from .ssb import (
     default_kick,
+    degenerate_pt_gap,
     gamma0_gap_scan,
     localize_ground_state,
     newman_alpha,
     wkb_rate,
 )
 from .tables import csv_body
-from .tridiag import NumericError
 
 SERIES_HEADER = "t,mx_exact,my_exact,mx_analytic,my_analytic"
 SPECTRUM_HEADER = "freq_over_nu,magnitude"
@@ -78,8 +89,6 @@ class RunConfig:
     trial: bool = False
     out: str = "."
     format: str = "csv"
-    jobs: int | None = None
-    run: str | None = None
 
     def single_n(self) -> int:
         if not self.n:
@@ -128,18 +137,16 @@ def _shared_flags() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--config", type=str, default=None)
-    p.add_argument("--jobs", type=int, default=None)
     return p
 
 
 _SHARED_FLAGS = _shared_flags()
-# the keys a --config file may set: every shared flag but --config, and
-# sweep's --run
+# the keys a --config file may set: every shared flag but --config
 _FLAG_KEYS = tuple(
     action.option_strings[0][2:]
     for action in _SHARED_FLAGS._actions
     if action.dest != "config"
-) + ("run",)
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,11 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("gap", "perturbative splittings and the gamma=0 gap scan"),
         ("quasicrystal", "h(kappa) table, two-tone waveform, symbol sequence"),
         ("oracle", "sector vs full 2^N comparisons (exit 3 on mismatch)"),
-        ("sweep", "run a subcommand over an N x h grid in parallel"),
     ):
-        p = sub.add_parser(name, help=text, parents=[_SHARED_FLAGS])
-        if name == "sweep":
-            p.add_argument("--run", type=str, default=None)
+        sub.add_parser(name, help=text, parents=[_SHARED_FLAGS])
     return parser
 
 
@@ -202,14 +206,18 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("h must be >= 0")
     if not 0.0 <= cfg.gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
+    reals = [*cfg.h, *(cfg.g or []), cfg.phi_n]
+    if cfg.threshold is not None:
+        reals.append(cfg.threshold)
+    if not all(math.isfinite(x) for x in reals):
+        raise ValueError("h, g, phi-n and threshold must be finite")
     # both work on the free gamma = 1 H (the oracle adds its own 1/N^2 kick
     # along x), so these flags would be recorded without taking effect
-    command = cfg.run if cfg.command == "sweep" else cfg.command
-    if command in ("oracle", "correlation"):
+    if cfg.command in ("oracle", "correlation"):
         if cfg.gamma != 1.0:
-            raise ValueError(f"{command} supports gamma = 1 only")
+            raise ValueError(f"{cfg.command} supports gamma = 1 only")
         if cfg.g is not None or cfg.phi_n != 0.0:
-            raise ValueError(f"{command} takes no --g or --phi-n")
+            raise ValueError(f"{cfg.command} takes no --g or --phi-n")
     if cfg.samples < 16:
         raise ValueError("samples must be >= 16")
     if cfg.cutoff_k < 0:
@@ -220,8 +228,6 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("window must be hann or none")
     if cfg.format not in ("csv", "json"):
         raise ValueError("format must be csv or json")
-    if cfg.jobs is not None and cfg.jobs < 1:
-        raise ValueError("jobs must be >= 1")
 
 
 def _fmt(x: float) -> str:
@@ -250,8 +256,9 @@ def _write_json(path: str, payload) -> str:
     return path
 
 
-def _table_ext(cfg: RunConfig) -> str:
-    return "json" if cfg.format == "json" else "csv"
+def _table(cfg: RunConfig, stem: str, header: str, rows) -> str:
+    """Write one table to ``--out`` as ``stem.csv`` or ``stem.json``."""
+    return _write_table(os.path.join(cfg.out, f"{stem}.{cfg.format}"), header, rows)
 
 
 def _time_grid(cfg: RunConfig, N: int) -> np.ndarray:
@@ -259,21 +266,18 @@ def _time_grid(cfg: RunConfig, N: int) -> np.ndarray:
     return np.arange(cfg.samples) * (t_max / cfg.samples)
 
 
-def _prepare_state(cfg: RunConfig, N: int, h: float, g: float):
-    """Localized state plus bookkeeping: (state, delta_e, label)."""
-    params = LmgParams(N=N, h=h, gamma=cfg.gamma)
-    if cfg.trial:
-        trial = trial_localized_state(build_sector(N), h)
-        return trial.state, trial.delta_e, "trial"
-    localized = localize_ground_state(params, g=g, phi_n=cfg.phi_n)
-    return localized.state, localized.delta_e, "kicked"
-
-
-def _evolve_tables(cfg: RunConfig, N: int, h: float, g: float):
+def _series_run(cfg: RunConfig, N: int, h: float, g: float):
+    """Prepare the localized state, write its series table and start the
+    summary; also return what ``spectrum`` reads of the run."""
     sector = build_sector(N)
     ops = collective_operators(sector)
     params = LmgParams(N=N, h=h, gamma=cfg.gamma)
-    state, delta_e, prep = _prepare_state(cfg, N, h, g)
+    if cfg.trial:
+        prepared, prep = trial_localized_state(sector, h), "trial"
+    else:
+        prepared = localize_ground_state(params, g=g, phi_n=cfg.phi_n)
+        prep = "kicked"
+    state = prepared.state
     tgrid = _time_grid(cfg, N)
     eig0 = eigensystem(build_hamiltonian(params, sector))
     mx = observable_series(eig0, state, ops.sx, tgrid)
@@ -290,8 +294,12 @@ def _evolve_tables(cfg: RunConfig, N: int, h: float, g: float):
             ay.values.real * scale,
         ]
     )
+    summary = _base_summary(cfg, N, h, g)
+    summary["delta_e"] = prepared.delta_e
+    summary["preparation"] = prep
+    summary["files"] = [_table(cfg, "series", SERIES_HEADER, rows)]
     mx_series = TimeSeries(t=tgrid, values=mx.values * scale, label="mx")
-    return rows, mx_series, delta_e, prep, eig0, state
+    return summary, mx_series, eig0, state, ops.sx
 
 
 def _base_summary(cfg: RunConfig, N: int, h: float, g: float) -> dict:
@@ -314,76 +322,46 @@ def _base_summary(cfg: RunConfig, N: int, h: float, g: float) -> dict:
 
 def cmd_evolve(cfg: RunConfig) -> dict:
     N, h = cfg.single_n(), cfg.single_h()
-    g = cfg.kick_values(N)[0]
-    rows, _, delta_e, prep, _, _ = _evolve_tables(cfg, N, h, g)
-    path = os.path.join(cfg.out, f"series.{_table_ext(cfg)}")
-    _write_table(path, SERIES_HEADER, rows)
-    summary = _base_summary(cfg, N, h, g)
-    summary["delta_e"] = delta_e
-    summary["preparation"] = prep
-    summary["files"] = [path]
-    return summary
+    return _series_run(cfg, N, h, cfg.kick_values(N)[0])[0]
 
 
 def cmd_spectrum(cfg: RunConfig) -> dict:
     N, h = cfg.single_n(), cfg.single_h()
     g = cfg.kick_values(N)[0]
-    rows, mx_series, delta_e, prep, eig0, state = _evolve_tables(cfg, N, h, g)
-    sector = build_sector(N)
-    ops = collective_operators(sector)
+    summary, mx_series, eig0, state, sx = _series_run(cfg, N, h, g)
     spec = periodogram(mx_series, N, window=cfg.window)
     peaks = find_peaks(spec, cfg.peak_threshold())
-    lines = line_spectrum(eig0, state, ops.sx, threshold=1e-8 * N)
-    ext = _table_ext(cfg)
-    files = []
-    files.append(
-        _write_table(
-            os.path.join(cfg.out, f"series.{ext}"), SERIES_HEADER, rows
-        )
-    )
-    files.append(
-        _write_table(
-            os.path.join(cfg.out, f"spectrum.{ext}"),
+    lines = line_spectrum(eig0, state, sx, threshold=1e-8 * N)
+    summary["peaks"] = [
+        {"freq_over_nu": p.freq_over_nu, "height": p.height} for p in peaks
+    ]
+    nu = 1.0 / N
+    summary["files"] += [
+        _table(
+            cfg,
+            "spectrum",
             SPECTRUM_HEADER,
             np.column_stack([spec.freq_over_nu, spec.magnitudes]),
-        )
-    )
-    files.append(
+        ),
         _write_json(
-            os.path.join(cfg.out, "spectrum_peaks.json"),
-            {
-                "peaks": [
-                    {"freq_over_nu": p.freq_over_nu, "height": p.height}
-                    for p in peaks
-                ]
-            },
-        )
-    )
-    nu = 1.0 / N
-    files.append(
-        _write_table(
-            os.path.join(cfg.out, f"lines.{ext}"),
+            os.path.join(cfg.out, "spectrum_peaks.json"), {"peaks": summary["peaks"]}
+        ),
+        _table(
+            cfg,
+            "lines",
             "freq_over_nu,weight_abs,weight_re,weight_im",
             [
                 (f / nu, abs(w), w.real, w.imag)
                 for f, w in zip(lines.frequencies, lines.weights)
             ],
-        )
-    )
-    summary = _base_summary(cfg, N, h, g)
-    summary["delta_e"] = delta_e
-    summary["preparation"] = prep
-    summary["peaks"] = [
-        {"freq_over_nu": p.freq_over_nu, "height": p.height} for p in peaks
+        ),
     ]
-    summary["files"] = files
     return summary
 
 
 def cmd_modes(cfg: RunConfig) -> dict:
     N = cfg.single_n()
     h_grid = cfg.h if cfg.h else [0.710, 0.716, 0.720]
-    ext = _table_ext(cfg)
     files = []
     table_rows = []
     tgrid = _time_grid(cfg, N)
@@ -399,17 +377,16 @@ def cmd_modes(cfg: RunConfig) -> dict:
         )
         wx, wy = projected_solution(ideal, tgrid)
         files.append(
-            _write_table(
-                os.path.join(cfg.out, f"mode_h{h:.10g}.{ext}"),
+            _table(
+                cfg,
+                f"mode_h{h:.10g}",
                 "t,mx_ideal,my_ideal",
                 np.column_stack(
                     [tgrid, wx.values.real * 2.0 / N, wy.values.real * 2.0 / N]
                 ),
             )
         )
-    mode_table = os.path.join(cfg.out, f"modes.{ext}")
-    _write_table(mode_table, "h,nh,m0,omega0,degenerate", table_rows)
-    files.insert(0, mode_table)
+    files.insert(0, _table(cfg, "modes", "h,nh,m0,omega0,degenerate", table_rows))
     summary = _base_summary(cfg, N, h_grid[0], 0.0)
     summary["modes"] = [
         {"h": h, "mode": classify_mode(N, h).label} for h in h_grid
@@ -425,10 +402,7 @@ def cmd_correlation(cfg: RunConfig) -> dict:
     result = correlation_fN(sector, h, tgrid)
     oracle_members = None
     if N <= MAX_CORRELATION_N:
-        from .oracle import full_space_correlation
-
         oracle_members = full_space_correlation(N, h, tgrid)
-    ext = _table_ext(cfg)
     files = []
     for idx, member in enumerate(result.members):
         cols = [
@@ -444,11 +418,7 @@ def cmd_correlation(cfg: RunConfig) -> dict:
             cols.append(oracle_members[idx][1].values.imag)
             header += ",fn_oracle_re,fn_oracle_im"
         files.append(
-            _write_table(
-                os.path.join(cfg.out, f"correlation_m{member.m0:.10g}.{ext}"),
-                header,
-                np.column_stack(cols),
-            )
+            _table(cfg, f"correlation_m{member.m0:.10g}", header, np.column_stack(cols))
         )
     summary = _base_summary(cfg, N, h, 0.0)
     summary["frequencies"] = [
@@ -462,30 +432,21 @@ def cmd_gap(cfg: RunConfig) -> dict:
     # first --n value drives the degenerate-PT part; the list drives the scan
     N = cfg.n[0] if cfg.n else 100
     h = cfg.single_h()
-    ext = _table_ext(cfg)
     files = []
     summary = _base_summary(cfg, N, h, 0.0)
 
     ground = ground_M(N, h)
     if ground.degenerate:
-        from .ssb import degenerate_pt_gap
-        from .spinspace import build_sector as _bs
-
-        sector = _bs(N)
+        sector = build_sector(N)
         kicks = cfg.g if cfg.g is not None else [1e-6, 1e-5, 1e-4]
+        # the PT splitting is that of the gamma = 1 H, whatever --gamma says
+        params = LmgParams(N=N, h=h)
         rows = []
         for g in kicks:
             pt = degenerate_pt_gap(sector, h, g)
-            params = LmgParams(N=N, h=h, gamma=cfg.gamma)
             w = eigensystem(build_hamiltonian(params, sector, g=g)).energies
             rows.append((g, float(w[1] - w[0]), pt.splitting))
-        files.append(
-            _write_table(
-                os.path.join(cfg.out, f"gap_pt.{ext}"),
-                "g,splitting_numeric,splitting_pt",
-                rows,
-            )
-        )
+        files.append(_table(cfg, "gap_pt", "g,splitting_numeric,splitting_pt", rows))
 
     n_values = cfg.n if len(cfg.n) > 1 else list(range(20, 61, 4))
     scan = gamma0_gap_scan(n_values, h)
@@ -498,11 +459,7 @@ def cmd_gap(cfg: RunConfig) -> dict:
         overlap = math.nan if symmetric else newman_alpha(n_val, h).gap
         rows.append((n_val, splitting, overlap))
     files.append(
-        _write_table(
-            os.path.join(cfg.out, f"gap_gamma0.{ext}"),
-            "n,splitting,tunneling_gap_estimate",
-            rows,
-        )
+        _table(cfg, "gap_gamma0", "n,splitting,tunneling_gap_estimate", rows)
     )
     resolvable = [(n_val, s) for n_val, s in scan if s > SPLITTING_FLOOR]
     summary["gamma0_unresolved_n"] = sorted(
@@ -528,15 +485,7 @@ def cmd_quasicrystal(cfg: RunConfig) -> dict:
     fields = quasicrystal_h(N, kappa)
     if len(fields) == 0 and not cfg.h:
         raise ValueError(f"no field in [0, 1) at N={N}; pass --h")
-    ext = _table_ext(cfg)
-    files = []
-    files.append(
-        _write_table(
-            os.path.join(cfg.out, f"quasicrystal_h.{ext}"),
-            "index,h",
-            list(enumerate(fields)),
-        )
-    )
+    files = [_table(cfg, "quasicrystal_h", "index,h", list(enumerate(fields)))]
     # two-tone waveform: the ground-mode component of an actual kicked run
     h_pick = cfg.h[0] if cfg.h else float(fields[len(fields) // 2])
     tgrid = _time_grid(cfg, N)
@@ -548,8 +497,9 @@ def cmd_quasicrystal(cfg: RunConfig) -> dict:
     ground_mode = projected_init(localized.state, sector, h_pick)[0]
     wx, wy = projected_solution(ground_mode, tgrid)
     files.append(
-        _write_table(
-            os.path.join(cfg.out, f"waveform.{ext}"),
+        _table(
+            cfg,
+            "waveform",
             "t,mx_mode,my_mode",
             np.column_stack(
                 [tgrid, wx.values.real * 2.0 / N, wy.values.real * 2.0 / N]
@@ -591,8 +541,9 @@ def cmd_oracle(cfg: RunConfig) -> dict:
                     report.worst(),
                 )
             )
-    path = _write_table(
-        os.path.join(cfg.out, f"oracle.{_table_ext(cfg)}"),
+    path = _table(
+        cfg,
+        "oracle",
         "n,h,ground_energy_dev,ground_sz_dev,correlation_dev,localized_mx_dev,worst",
         rows,
     )
@@ -608,57 +559,6 @@ def cmd_oracle(cfg: RunConfig) -> dict:
     return summary
 
 
-_SWEEPABLE = (
-    "evolve", "spectrum", "correlation", "gap", "quasicrystal", "modes", "oracle",
-)
-
-
-def _sweep_point(payload: dict) -> dict:
-    cfg = RunConfig(**payload)
-    os.makedirs(cfg.out, exist_ok=True)
-    summary = _COMMANDS[cfg.command](cfg)
-    _write_json(os.path.join(cfg.out, "summary.json"), summary)
-    return summary
-
-
-def cmd_sweep(cfg: RunConfig) -> dict:
-    if cfg.run is None or cfg.run not in _SWEEPABLE:
-        raise ValueError(f"--run must be one of {_SWEEPABLE}")
-    if not cfg.n or not cfg.h:
-        raise ValueError("sweep needs explicit --n and --h lists")
-    jobs = cfg.jobs
-    if jobs is None:
-        env = os.environ.get("LMGLAB_JOBS")
-        jobs = int(env) if env else (os.cpu_count() or 1)
-    payloads = []
-    for n_val in cfg.n:
-        for h_val in cfg.h:
-            point = replace(
-                cfg,
-                command=cfg.run,
-                n=[n_val],
-                h=[h_val],
-                out=os.path.join(cfg.out, f"n{n_val}_h{h_val:.10g}"),
-                run=None,
-                jobs=None,
-            )
-            payloads.append(vars(point))
-    if jobs == 1 or len(payloads) == 1:
-        summaries = [_sweep_point(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(pool.map(_sweep_point, payloads))
-    summary = {
-        "command": cfg.run,
-        "points": [
-            {"n": s["n"], "h": s["h"], "files": s["files"]} for s in summaries
-        ],
-        "jobs": jobs,
-        "files": [],
-    }
-    return summary
-
-
 _COMMANDS = {
     "evolve": cmd_evolve,
     "spectrum": cmd_spectrum,
@@ -667,7 +567,6 @@ _COMMANDS = {
     "gap": cmd_gap,
     "quasicrystal": cmd_quasicrystal,
     "oracle": cmd_oracle,
-    "sweep": cmd_sweep,
 }
 
 

@@ -22,13 +22,16 @@ from .spinspace import (
     build_sector,
     ladder_plus_band,
 )
-from .tridiag import NumericError
 
 BROKEN = "broken"
 SYMMETRIC = "symmetric"
 
 # energies equal within this relative tolerance count as a degenerate pair
 DEGENERACY_RTOL = 1e-12
+
+
+class NumericError(RuntimeError):
+    """An iterative numeric procedure failed to converge or bracket."""
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import TimeSeries, eigensystem
+from .evolve import TimeSeries, correlation_fN, eigensystem
 from .model import LmgParams, build_hamiltonian, ground_M
 from .spinspace import build_sector
-from .ssb import localize_ground_state
+from .ssb import default_kick, localize_ground_state
 
 MAX_FULL_SPACE_N = 12
 MAX_CORRELATION_N = 10
@@ -315,9 +315,6 @@ def sector_vs_full_checks(
     degenerate member), f_N(t) on a uniform grid over one collective period,
     and the order parameter of the kicked ground state.
     """
-    from .evolve import correlation_fN
-    from .ssb import default_kick
-
     _check_correlation_size(N)
     if g is None:
         g = default_kick(N)

@@ -83,61 +83,13 @@ def _band_matvec(dim, bands, vec):
     return out
 
 
-class BandedOperator:
-    """General complex banded matrix, stored as {offset: diagonal}.
-
-    Offsets count j - i, so positive offsets are superdiagonals.  Used for
-    the ladder operators S+ and S-, which are not Hermitian.
-    """
-
-    def __init__(self, dim: int, bands: dict[int, np.ndarray]):
-        self.dim = int(dim)
-        self.bands = {}
-        for off, diag in bands.items():
-            diag = np.asarray(diag, dtype=np.complex128)
-            if diag.shape != (dim - abs(off),):
-                raise ValueError(f"band at offset {off} has wrong length")
-            self.bands[int(off)] = _readonly(diag)
-
-    @property
-    def bandwidth(self) -> int:
-        return max((abs(o) for o in self.bands), default=0)
-
-    def entry(self, i: int, j: int) -> complex:
-        diag = self.bands.get(j - i)
-        if diag is None:
-            return 0j
-        return complex(diag[min(i, j)])
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=np.complex128)
-        if vec.shape[0] != self.dim:
-            raise ValueError("dimension mismatch")
-        return _band_matvec(self.dim, self.bands, vec)
-
-    def adjoint(self) -> "BandedOperator":
-        return BandedOperator(
-            self.dim, {-off: diag.conj() for off, diag in self.bands.items()}
-        )
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for off, diag in self.bands.items():
-            idx = np.arange(self.dim - abs(off))
-            if off >= 0:
-                out[idx, idx + off] = diag
-            else:
-                out[idx - off, idx] = diag
-        return out
-
-
 class BandedHermitianOperator:
     """Complex Hermitian banded matrix (bandwidth <= 2 in this package).
 
     ``diags`` holds the diagonal and superdiagonals as given; ``bands`` is
-    the full {offset: diagonal} mapping of ``BandedOperator.bands``, whose
-    subdiagonals are their conjugates by construction, so Hermiticity holds
-    exactly as stored.
+    the full {offset: diagonal} mapping, offset = j - i, whose subdiagonals
+    are their conjugates by construction, so Hermiticity holds exactly as
+    stored.
     """
 
     def __init__(self, dim: int, diags: dict[int, np.ndarray]):
@@ -263,25 +215,20 @@ class CollectiveOperators:
     sx: BandedHermitianOperator
     sy: BandedHermitianOperator
     sz: BandedHermitianOperator
-    splus: BandedOperator
-    sminus: BandedOperator
 
 
 def collective_operators(sector: SpinSector) -> CollectiveOperators:
     """Collective spin operators of the sector as banded matrices.
 
     Sz is diagonal with entries M(m).  Sx = (S+ + S-)/2 is real symmetric
-    with bandwidth 1, Sy = (S+ - S-)/(2i) is purely imaginary Hermitian with
-    bandwidth 1, and S+/S- are single-band ladder operators that are exact
-    adjoints of each other.
+    with bandwidth 1 and Sy = (S+ - S-)/(2i) is purely imaginary Hermitian
+    with bandwidth 1, both built from ``ladder_plus_band``.
     """
     a = ladder_plus_band(sector)
     sz = BandedHermitianOperator(sector.dim, {0: sector.two_m / 2.0})
     sx = BandedHermitianOperator(sector.dim, {1: a / 2.0})
     sy = BandedHermitianOperator(sector.dim, {1: -0.5j * a})
-    splus = BandedOperator(sector.dim, {1: a})
-    sminus = splus.adjoint()
-    return CollectiveOperators(sx=sx, sy=sy, sz=sz, splus=splus, sminus=sminus)
+    return CollectiveOperators(sx=sx, sy=sy, sz=sz)
 
 
 def _amps_in_sz(psi) -> np.ndarray:

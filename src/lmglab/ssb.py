@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import _windowed_ground, eigensystem
-from .model import LmgParams, _bisect, build_hamiltonian, ground_M
+from .model import LmgParams, NumericError, _bisect, build_hamiltonian, ground_M
 from .spinspace import (
     SZ_BASIS,
     SpinSector,
@@ -23,7 +23,6 @@ from .spinspace import (
     collective_operators,
     expectation,
 )
-from .tridiag import NumericError
 
 
 @dataclass(frozen=True)

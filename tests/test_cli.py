@@ -178,20 +178,24 @@ class TestCorrelation:
 
 class TestGap:
     def test_scan_and_pt_tables(self, tmp_path):
-        out = str(tmp_path / "run")
-        rc = main(
-            ["gap", "--n", "100,20,24,28,32", "--h", "0.71", "--out", out] + FAST
-        )
-        assert rc == 0
-        header, rows = read_csv(os.path.join(out, "gap_pt.csv"))
-        assert header == "g,splitting_numeric,splitting_pt"
-        assert np.allclose(rows[:, 1], rows[:, 2], rtol=0.05)
-        header, rows = read_csv(os.path.join(out, "gap_gamma0.csv"))
-        assert header == "n,splitting,tunneling_gap_estimate"
-        summary = read_json(os.path.join(out, "summary.json"))
-        assert summary["gamma0_fitted_rate"] > 0.0
-        assert summary["c_h"] == pytest.approx(-math.log(0.71), rel=1e-12)
-        assert summary["wkb_rate"] == pytest.approx(wkb_rate(0.71), rel=1e-12)
+        # the PT splitting is a gamma = 1 quantity, so gap_pt.csv must set
+        # it next to the gamma = 1 numeric splitting whatever --gamma says
+        for gamma in ("1", "0", "0.5"):
+            out = str(tmp_path / f"run{gamma}")
+            rc = main(
+                ["gap", "--n", "100,20,24,28,32", "--h", "0.71", "--gamma", gamma,
+                 "--out", out] + FAST
+            )
+            assert rc == 0
+            header, rows = read_csv(os.path.join(out, "gap_pt.csv"))
+            assert header == "g,splitting_numeric,splitting_pt"
+            assert np.allclose(rows[:, 1], rows[:, 2], rtol=0.05)
+            header, rows = read_csv(os.path.join(out, "gap_gamma0.csv"))
+            assert header == "n,splitting,tunneling_gap_estimate"
+            summary = read_json(os.path.join(out, "summary.json"))
+            assert summary["gamma0_fitted_rate"] > 0.0
+            assert summary["c_h"] == pytest.approx(-math.log(0.71), rel=1e-12)
+            assert summary["wkb_rate"] == pytest.approx(wkb_rate(0.71), rel=1e-12)
 
     def test_symmetric_phase_scan(self, tmp_path):
         out = str(tmp_path / "run")
@@ -371,27 +375,8 @@ class TestOracleCommand:
 
 
 class TestSweep:
-    def test_grid_outputs(self, tmp_path):
-        out = str(tmp_path / "run")
-        rc = main(
-            [
-                "sweep",
-                "--run", "evolve",
-                "--n", "20,30",
-                "--h", "0.4,0.5",
-                "--jobs", "2",
-                "--out", out,
-            ]
-            + FAST
-        )
-        assert rc == 0
-        summary = read_json(os.path.join(out, "summary.json"))
-        assert len(summary["points"]) == 4
-        for n in (20, 30):
-            for h in (0.4, 0.5):
-                point_dir = os.path.join(out, f"n{n}_h{h:.10g}")
-                assert os.path.exists(os.path.join(point_dir, "series.csv"))
-                assert os.path.exists(os.path.join(point_dir, "summary.json"))
+    """The parallel grid runner is gone (a shell loop over single runs does
+    the same): its subcommand, --run and --jobs are usage errors."""
 
     def test_requires_valid_run(self, tmp_path):
         rc = main(["sweep", "--run", "sweep", "--out", str(tmp_path)])
@@ -399,16 +384,18 @@ class TestSweep:
         rc = main(["sweep", "--out", str(tmp_path)])
         assert rc == 1
 
-    def test_jobs_env_variable(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LMGLAB_JOBS", "1")
+    def test_jobs_flag_exits_one(self, tmp_path):
         out = str(tmp_path / "run")
-        rc = main(
-            ["sweep", "--run", "evolve", "--n", "12", "--h", "0.4", "--out", out]
-            + FAST
-        )
-        assert rc == 0
-        summary = read_json(os.path.join(out, "summary.json"))
-        assert summary["jobs"] == 1
+        argv = ["evolve", "--n", "12", "--h", "0.4", "--jobs", "2", "--out", out]
+        assert main(argv + FAST) == 1
+        assert not os.path.exists(os.path.join(out, "summary.json"))
+
+    def test_jobs_config_key_exits_one(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": "12", "h": "0.4", "jobs": 2}))
+        out = str(tmp_path / "run")
+        assert main(["evolve", "--config", str(path), "--out", out] + FAST) == 1
+        assert not os.path.exists(os.path.join(out, "summary.json"))
 
 
 class TestNumericFailure:
@@ -458,6 +445,31 @@ class TestUsageErrors:
             with pytest.raises(ValueError):
                 validate_config(RunConfig(command="evolve", tmax=tmax))
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["evolve", "--h", "nan"], None),
+            (["evolve", "--h", "inf"], None),
+            (["evolve", "--g", "nan"], None),
+            (["evolve", "--phi-n", "inf"], None),
+            (["oracle", "--threshold", "nan"], None),
+            (["evolve"], {"h": math.nan}),
+            (["evolve"], {"g": "1e-4,inf"}),
+            (["evolve"], {"phi-n": -math.inf}),
+            (["oracle"], {"threshold": math.nan}),
+        ],
+    )
+    def test_non_finite_reals_exit_one(self, tmp_path, argv, config):
+        # a nan field crashed the window solve; a nan threshold passed every
+        # oracle point and wrote "tolerance": NaN, which is not JSON
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        out = str(tmp_path / "run")
+        assert main(argv + ["--n", "6", "--out", out] + FAST) == 1
+        assert not os.path.exists(os.path.join(out, "summary.json"))
+
     def test_unknown_flag(self):
         assert main(["evolve", "--bogus", "1"]) == 1
 
@@ -473,7 +485,7 @@ class TestParser:
     def test_flag_keys(self):
         assert _FLAG_KEYS == (
             "n", "h", "gamma", "g", "phi-n", "tmax", "samples", "cutoff-k",
-            "kappa", "window", "threshold", "trial", "out", "format", "jobs", "run",
+            "kappa", "window", "threshold", "trial", "out", "format",
         )
 
     @pytest.mark.parametrize(
@@ -499,8 +511,6 @@ class TestParser:
              dict(n=[100], kappa=0.4)),
             (["oracle", "--n", "4,6", "--h", "0.3", "--threshold", "1e-8"],
              dict(n=[4, 6], h=[0.3], threshold=1e-8)),
-            (["sweep", "--run", "evolve", "--n", "20,30", "--h", "0.4", "--jobs", "2"],
-             dict(n=[20, 30], h=[0.4], jobs=2, run="evolve")),
         ],
     )
     def test_each_subcommand_reads_the_shared_flags(self, argv, expected):

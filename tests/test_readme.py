@@ -1,0 +1,55 @@
+"""README's examples stay runnable: the library quick start runs and finds
+the peaks it promises, and every ``lmglab`` command line parses and passes
+validation (none is run)."""
+
+import contextlib
+import io
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from lmglab.cli import _config_from_args, build_parser, validate_config
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+    encoding="utf-8"
+)
+
+
+def code_blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```", README, re.M | re.S)
+
+
+def command_lines():
+    """Every ``lmglab`` line of the shell blocks, with each loop variable
+    replaced by the first value its ``for`` line gives it."""
+    lines = []
+    for block in code_blocks("sh"):
+        loop_values = dict(re.findall(r"^\s*for (\w+) in (\S+)", block, re.M))
+        for line in block.splitlines():
+            line = line.strip()
+            if line.startswith("lmglab "):
+                lines.append(
+                    re.sub(r"\$\{?(\w+)\}?", lambda m: loop_values[m.group(1)], line)
+                )
+    return lines
+
+
+def test_quick_start_finds_its_peaks():
+    (block,) = [b for b in code_blocks("python") if "find_peaks" in b]
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(block, "README.md", "exec"), namespace)
+    freqs = [p.freq_over_nu for p in namespace["peaks"][:3]]
+    assert freqs == pytest.approx([0.6, 1.4, 2.6], abs=1e-9)
+
+
+def test_command_lines_are_found():
+    assert len(command_lines()) >= 8
+
+
+@pytest.mark.parametrize("line", command_lines())
+def test_command_line_is_valid(line):
+    args = build_parser().parse_args(shlex.split(line)[1:])
+    validate_config(_config_from_args(args))
