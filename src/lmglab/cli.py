@@ -142,11 +142,12 @@ def _shared_flags() -> argparse.ArgumentParser:
 
 _SHARED_FLAGS = _shared_flags()
 # the keys a --config file may set: every shared flag but --config
-_FLAG_KEYS = tuple(
-    action.option_strings[0][2:]
+_FLAG_ACTIONS = {
+    action.option_strings[0][2:]: action
     for action in _SHARED_FLAGS._actions
     if action.dest != "config"
-)
+}
+_FLAG_KEYS = tuple(_FLAG_ACTIONS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,34 +169,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(value, kind) -> bool:
+    """Whether a JSON value is a number a flag of type ``kind`` (int or
+    float) would read; JSON true and false are not numbers here."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (kind is float and isinstance(value, float))
+
+
+def _config_value(key: str, value):
+    """A --config value checked against its flag's type and converted as
+    the flag would be; any other JSON type is a ValueError naming the key."""
+    kind = _FLAG_ACTIONS[key].type
+    if kind in (_parse_int_list, _parse_float_list):
+        item = int if kind is _parse_int_list else float
+        if isinstance(value, str):
+            try:
+                return kind(value)
+            except ValueError:
+                raise ValueError(f"config key {key!r}: cannot parse {value!r}") from None
+        if isinstance(value, list) and all(_is_number(x, item) for x in value):
+            return [item(x) for x in value]
+    elif kind in (int, float):
+        if _is_number(value, kind):
+            return kind(value)
+    elif key == "trial":
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, str):
+        return value
+    raise ValueError(f"config key {key!r} has the wrong JSON type: {value!r}")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     file_values = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("a config file holds one JSON object")
         unknown = set(raw) - set(_FLAG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        file_values = raw
-    merged = {}
+        file_values = {key: _config_value(key, value) for key, value in raw.items()}
     for key in _FLAG_KEYS:
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             continue
         flag_value = getattr(args, attr)
         if flag_value is not None:
-            merged[attr] = flag_value
+            setattr(cfg, attr, flag_value)
         elif key in file_values:
-            merged[attr] = file_values[key]
-    if "n" in merged and not isinstance(merged["n"], list):
-        merged["n"] = _parse_int_list(merged["n"])
-    if "h" in merged and not isinstance(merged["h"], list):
-        merged["h"] = _parse_float_list(merged["h"])
-    if "g" in merged and not isinstance(merged["g"], list):
-        merged["g"] = _parse_float_list(merged["g"])
-    for attr, value in merged.items():
-        setattr(cfg, attr, value)
+            setattr(cfg, attr, file_values[key])
     return cfg
 
 
@@ -570,10 +596,12 @@ _COMMANDS = {
 }
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -11,10 +11,11 @@ Hamiltonian, the states and the observables.
 The 2^N matrices are solved in exact symmetry blocks whose labels come
 from the bits of the index alone: the free gamma = 1 Hamiltonian conserves
 S_z, so it splits by the number of down spins (popcount), and every
-collective Hamiltonian commutes with the site reversal R (bit reversal of
-the index), so the kicked one splits into an R-even and an R-odd block.
-Both sides diagonalize with LAPACK (numpy.linalg.eigh); the independence
-lies in the 2^N construction.
+collective Hamiltonian commutes with the cyclic site shift T (bit rotation
+of the index), so the kicked one splits into N momentum blocks of about
+2^N/N rows (Sandvik, AIP Conf. Proc. 1297, 135 (2010), sec. 4.1).  Both
+sides diagonalize with LAPACK (numpy.linalg.eigh); the independence lies
+in the 2^N construction.
 """
 
 from __future__ import annotations
@@ -158,53 +159,65 @@ def full_space_ground(
     *,
     ops: FullSpaceOperators | None = None,
 ) -> FullGround:
-    """Ground state of the (possibly kicked) Hamiltonian, solved by site reversal.
-
-    Bit reversal R of the index reverses the sites, and every collective H
-    commutes with it.  The palindromic indices p and the pairs (a, Ra) with
-    a < Ra give the R-even basis {e_p, (e_a + e_Ra)/sqrt(2)} and the R-odd
-    basis {(e_a - e_Ra)/sqrt(2)}.  As H[Ra, Rc] = H[a, c], the blocks are
-        even: [[H_pp, sqrt(2) H_pa], [sqrt(2) H_ap, H_aa + H_a,Rc]]
-        odd:  H_aa - H_a,Rc
-    of sizes (2^N + 2^ceil(N/2))/2 and (2^N - 2^ceil(N/2))/2.  The lower of
-    the two block ground states is mapped back to the product basis, and
-    ``degenerate`` compares the two lowest levels of the merged spectra.
-    ``ops`` passes in operators already built for this N.
-    """
+    """Ground state of the (possibly kicked) Hamiltonian, solved in the
+    momentum blocks of ``_momentum_ground``.  ``ops`` passes in operators
+    already built for this N."""
     if ops is None:
         ops = full_space_operators(N)
-    ham = full_hamiltonian(params, ops, g=g, phi_n=phi_n)
+    return _momentum_ground(full_hamiltonian(params, ops, g=g, phi_n=phi_n), N)[0]
+
+
+def _momentum_ground(ham: np.ndarray, N: int) -> tuple[FullGround, np.ndarray]:
+    """Ground state and sorted spectrum of a 2^N H that commutes with the
+    cyclic site shift T, as every collective H does.
+
+    T rotates the N bits of the index by one place.  Each orbit has a
+    representative r (its least index) and a period P, and each index is
+    i = T^(s_i) r.  The momentum states
+        |r, q> = P^(-1/2) sum_{s<P} exp(2 pi i q s/N) |T^s r>,  q P = 0 (mod N),
+    give block q of H as
+        H_q[r', r] = sqrt(P P')/N sum_{s<N} exp(-2 pi i q s/N) H[T^s r', r],
+    one discrete Fourier transform over s of the gathered columns H[:, reps]
+    (the sum visits each orbit N/P' times).  Every block is solved for its
+    eigenvalues only; a real H needs q <= N/2 alone, as block N - q is the
+    complex conjugate of block q and is counted twice.  The one block that
+    holds the lowest level is solved again with its vectors and mapped back
+    by psi_i = c_r exp(2 pi i q s_i/N) / sqrt(P).  ``degenerate`` compares
+    the two lowest levels of the spectrum.
+    """
     index = np.arange(1 << N)
-    reverse = np.zeros_like(index)
-    for site in range(N):
-        reverse |= ((index >> site) & 1) << (N - 1 - site)
-    pal = np.flatnonzero(reverse == index)
-    a = np.flatnonzero(index < reverse)
-    ra = reverse[a]
-    h_aa = ham[np.ix_(a, a)]
-    h_ara = ham[np.ix_(a, ra)]
-    root2 = math.sqrt(2.0)
-    even = np.block(
-        [
-            [ham[np.ix_(pal, pal)], root2 * ham[np.ix_(pal, a)]],
-            [root2 * ham[np.ix_(a, pal)], h_aa + h_ara],
-        ]
+    rot = np.array(  # rot[s] = T^s(index)
+        [((index << s) | (index >> (N - s))) & ((1 << N) - 1) for s in range(N)]
     )
-    w_even, v_even = np.linalg.eigh(even)
-    w_odd, v_odd = np.linalg.eigh(h_aa - h_ara)  # 0 x 0 at N = 1
-    vector = np.zeros(1 << N, dtype=ham.dtype)
-    if w_odd.size and w_odd[0] < w_even[0]:
-        energy = w_odd[0]
-        vector[a] = v_odd[:, 0] / root2
-        vector[ra] = -vector[a]
-    else:
-        energy = w_even[0]
-        vector[pal] = v_even[: pal.size, 0]
-        vector[a] = v_even[pal.size :, 0] / root2
-        vector[ra] = vector[a]
-    e0, e1 = np.sort(np.concatenate([w_even[:2], w_odd[:2]]))[:2]
+    least = np.argmin(rot, axis=0)
+    rep, shift = rot[least, index], (-least) % N
+    reps = np.flatnonzero(rep == index)
+    period = N // np.count_nonzero(rot[:, reps] == reps, axis=0)
+    real = not np.iscomplexobj(ham)
+    gathered = ham[rot[:, reps][:, :, None], reps]  # [s, r', r] = H[T^s r', r]
+    fourier = np.fft.rfft(gathered, axis=0) if real else np.fft.fft(gathered, axis=0)
+    fourier *= np.sqrt(np.outer(period, period)) / N
+
+    def block(q: int) -> tuple[np.ndarray, np.ndarray]:
+        keep = np.flatnonzero(q * period % N == 0)
+        h_q = fourier[q][np.ix_(keep, keep)]
+        return keep, h_q.real if real and 2 * q % N == 0 else h_q
+
+    solved = [np.linalg.eigvalsh(block(q)[1]) for q in range(fourier.shape[0])]
+    twice = [w for q, w in enumerate(solved) if real and 0 < 2 * q < N]
+    levels = np.sort(np.concatenate(solved + twice))
+    q = int(np.argmin([w[0] for w in solved]))
+    keep, h_q = block(q)
+    w, v = np.linalg.eigh(h_q)
+    c = np.zeros(reps.size, dtype=v.dtype)
+    c[keep] = v[:, 0]
+    phase = np.exp(2j * np.pi * (q * shift % N) / N)
+    orbit = np.searchsorted(reps, rep)
+    vector = c[orbit] * (phase.real if np.isrealobj(c) else phase)
+    vector /= np.sqrt(period[orbit])
+    e0, e1 = levels[:2]
     degenerate = bool(e1 - e0 <= _DEGEN_RTOL * max(1.0, abs(e0)))
-    return FullGround(energy=float(energy), vector=vector, degenerate=degenerate)
+    return FullGround(energy=float(w[0]), vector=vector, degenerate=degenerate), levels
 
 
 def _check_correlation_size(N: int) -> None:

@@ -20,8 +20,7 @@ from .spinspace import (
     SpinSector,
     StateVector,
     build_sector,
-    collective_operators,
-    expectation,
+    ladder_plus_band,
 )
 
 
@@ -42,15 +41,20 @@ def default_kick(N: int) -> float:
 
 
 def order_parameter(psi: StateVector, phi_n: float, N: int) -> float:
-    """In-plane polarization m_n = (2/N) <Sx cos phi_n + Sy sin phi_n>."""
+    """In-plane polarization m_n = (2/N) <Sx cos phi_n + Sy sin phi_n>.
+
+    As <Sx> + i <Sy> = <S+>, this is (2/N) Re(exp(-i phi_n) <S+>), with
+    <S+> = sum_m conj(psi_m) a_m psi_(m+1) over the ``ladder_plus_band``
+    elements a_m.
+    """
+    if psi.basis != SZ_BASIS:
+        raise ValueError("operator algebra expects a state in the Sz basis")
     sector = build_sector(N)
     if psi.dim != sector.dim:
         raise ValueError("dimension mismatch")
-    ops = collective_operators(sector)
-    val = math.cos(phi_n) * expectation(ops.sx, psi) + math.sin(
-        phi_n
-    ) * expectation(ops.sy, psi)
-    return 2.0 / N * val.real
+    amps = psi.amplitudes
+    s_plus = np.vdot(amps[:-1], ladder_plus_band(sector) * amps[1:])
+    return 2.0 / N * (complex(math.cos(phi_n), -math.sin(phi_n)) * s_plus).real
 
 
 def localize_ground_state(

@@ -553,3 +553,48 @@ class TestConfigFile:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"nonsense": 1}))
         assert main(["evolve", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"samples": "64"},  # was a TypeError traceback
+            {"gamma": "0.5"},  # was a TypeError traceback
+            {"trial": "yes"},  # ran with a truthy string
+            {"samples": 64.5},
+            {"samples": True},
+            {"gamma": False},
+            {"trial": 1},
+            {"out": 5},
+            {"format": ["csv"]},
+            {"n": 10},
+            {"n": ["10"]},
+            {"h": [0.5, True]},
+            {"g": None},
+            {"h": "0.5,x"},
+        ],
+    )
+    def test_wrong_json_type_exits_one_naming_the_key(self, tmp_path, config, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = str(tmp_path / "run")
+        argv = ["evolve", "--n", "6", "--config", str(path), "--out", out] + FAST
+        assert main(argv) == 1
+        (key,) = config
+        assert repr(key) in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "summary.json"))
+
+    def test_config_values_take_the_flag_types(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps({"n": [25], "h": [1], "gamma": 1, "samples": 64, "trial": False})
+        )
+        args = build_parser().parse_args(["evolve", "--config", str(path)])
+        cfg = _config_from_args(args)
+        assert cfg.n == [25] and cfg.h == [1.0] and isinstance(cfg.h[0], float)
+        assert cfg.gamma == 1.0 and isinstance(cfg.gamma, float)
+        assert cfg.samples == 64 and cfg.trial is False
+
+    def test_config_file_holds_an_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([["n", 10]]))
+        assert main(["evolve", "--config", str(path)]) == 1

@@ -12,6 +12,7 @@ from lmglab.model import LmgParams, build_hamiltonian
 from lmglab.oracle import (
     FullSpaceOperators,
     _LINE_DROP_RTOL,
+    _momentum_ground,
     _sz_blocks,
     _weighty_lines,
     full_hamiltonian,
@@ -216,6 +217,93 @@ class TestGround:
         assert abs(overlap - 1.0) <= 1e-12
 
 
+def rotation(N, s):
+    """Index map of the cyclic site shift T^s, one index at a time."""
+    mask = (1 << N) - 1
+    return np.array([((i << s) | (i >> (N - s))) & mask for i in range(1 << N)])
+
+
+def translation_orbits(N):
+    """Periods of the orbits of T, one per orbit, by rotating every index."""
+    seen, periods = set(), []
+    for i in range(1 << N):
+        if i not in seen:
+            orbit = {int(rotation(N, s)[i]) for s in range(N)}
+            seen |= orbit
+            periods.append(len(orbit))
+    return periods
+
+
+def momentum_block_sizes(N, qs):
+    periods = translation_orbits(N)
+    return [sum(1 for p in periods if q * p % N == 0) for q in qs]
+
+
+def translation_invariant(N, complex_entries, rng, bias_q=None):
+    """sum_s T^s A T^-s of a random Hermitian A; ``bias_q`` pulls a momentum-q
+    state (and, for a real H, its conjugate at -q) far below the rest."""
+    dim = 1 << N
+    a = rng.normal(size=(dim, dim))
+    if complex_entries:
+        a = a + 1j * rng.normal(size=(dim, dim))
+    a = a + a.conj().T
+    ham = np.zeros_like(a)
+    for s in range(N):
+        perm = rotation(N, s)
+        ham[np.ix_(perm, perm)] += a
+    if bias_q is not None:
+        # a momentum-q state on the orbit of index 1, of period N
+        state = np.zeros(dim, dtype=np.complex128)
+        for s in range(N):
+            state[rotation(N, s)[1]] = np.exp(2j * np.pi * bias_q * s / N)
+        state /= np.linalg.norm(state)
+        pull = np.outer(state, state.conj())
+        if not complex_entries:
+            pull = (pull + pull.conj()).real
+        ham = ham - 50.0 * N * pull
+    return ham
+
+
+class TestMomentumBlocks:
+    @pytest.mark.parametrize("N", range(1, 9))
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_random_invariant_matrix(self, N, complex_entries, bias):
+        rng = np.random.default_rng(100 * N + 10 * complex_entries + bias)
+        # with bias, the ground sits at q = 1: off {0, N/2} from N = 3 on, and
+        # for a real H it pairs with its conjugate at q = N - 1
+        bias_q = 1 if bias and N >= 3 else None
+        ham = translation_invariant(N, complex_entries, rng, bias_q)
+        w = np.linalg.eigvalsh(ham)
+        full, levels = _momentum_ground(ham, N)
+        norm = np.linalg.norm(ham, 2)
+        assert np.max(np.abs(levels - w)) <= 1e-12 * norm
+        assert abs(full.energy - w[0]) <= 1e-12 * norm
+        assert abs(np.linalg.norm(full.vector) - 1.0) <= 1e-12
+        residual = np.linalg.norm(ham @ full.vector - full.energy * full.vector)
+        assert residual <= 1e-12 * norm
+        assert full.degenerate == (w[1] - w[0] <= 1e-10 * max(1.0, abs(w[0])))
+        if bias_q is not None:
+            # the ground state has momentum q: T psi = exp(-2 pi i q/N) psi
+            shifted = np.zeros_like(full.vector)
+            shifted[rotation(N, 1)] = full.vector
+            phase = np.vdot(full.vector, shifted)
+            if complex_entries:
+                assert abs(phase - np.exp(-2j * np.pi / N)) <= 1e-10
+            # a real H pairs q = 1 with q = N - 1: an exact conjugate pair
+            assert full.degenerate == (not complex_entries)
+
+    @pytest.mark.parametrize("N", [11, 12])
+    def test_large_n_ground_energy_matches_sector(self, N):
+        ops = full_space_operators(N)
+        params = LmgParams(N=N, h=0.6)
+        sector = build_sector(N)
+        for g in (0.0, 1.0 / N**2):
+            e_sector = eigensystem(build_hamiltonian(params, sector, g=g)).ground_energy
+            full = full_space_ground(N, params, g=g, ops=ops)
+            assert abs(full.energy - e_sector) <= 1e-10
+
+
 @seed(20261018)
 @settings(max_examples=40, deadline=None, database=None)
 @given(
@@ -355,23 +443,30 @@ class TestChecks:
 
     def test_each_hamiltonian_is_solved_once(self, monkeypatch):
         N = 8
-        sizes = []
-        original = np.linalg.eigh
+        sizes = {"eigh": [], "eigvalsh": []}
 
-        def counting_eigh(a, *args, **kwargs):
-            if sys._getframe(1).f_globals["__name__"] == "lmglab.oracle":
-                sizes.append(np.shape(a)[0])
-            return original(a, *args, **kwargs)
+        def counting(name):
+            original = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+            def solve(a, *args, **kwargs):
+                if sys._getframe(1).f_globals["__name__"] == "lmglab.oracle":
+                    sizes[name].append(np.shape(a)[0])
+                return original(a, *args, **kwargs)
+
+            return solve
+
+        for name in sizes:
+            monkeypatch.setattr(np.linalg, name, counting(name))
         report = sector_vs_full_checks(N, 0.5)
-        # the free H in its N+1 S_z blocks, the kicked H in its two
-        # site-reversal blocks, and never the whole 2^N matrix
-        half = 2 ** math.ceil(N / 2)  # palindromic indices
-        reversal = [(2**N + half) // 2, (2**N - half) // 2]
-        expected = [math.comb(N, k) for k in range(N + 1)] + reversal
-        assert sorted(sizes) == sorted(expected)
-        assert 2**N not in sizes
+        # the free H in its N+1 S_z blocks; the kicked H, real, in its
+        # momentum blocks q <= N/2 for eigenvalues, and once more with
+        # vectors in q = 0, where the ground state of the symmetric
+        # multiplet lies; never the whole 2^N matrix
+        momentum = momentum_block_sizes(N, range(N // 2 + 1))
+        assert sizes["eigvalsh"] == momentum
+        expected = [math.comb(N, k) for k in range(N + 1)] + momentum[:1]
+        assert sorted(sizes["eigh"]) == sorted(expected)
+        assert 2**N not in sizes["eigh"] + sizes["eigvalsh"]
         assert report.worst() <= 1e-9
 
     def test_oversized_n_is_rejected_before_any_solve(self, monkeypatch):

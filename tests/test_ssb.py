@@ -126,6 +126,27 @@ class TestOrderParameter:
             psi = basis_state(sec.dim, m)
             assert order_parameter(psi, 0.3, 12) == 0.0
 
+    @pytest.mark.parametrize("N", [1, 2, 7, 40, 501])
+    def test_equals_collective_operator_expectation(self, N):
+        from lmglab.spinspace import normalized_state
+
+        ops = collective_operators(build_sector(N))
+        rng = np.random.default_rng(N)
+        psi = normalized_state(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
+        for phi_n in (0.0, 0.7, math.pi / 2, 4.0):
+            val = math.cos(phi_n) * expectation(ops.sx, psi) + math.sin(
+                phi_n
+            ) * expectation(ops.sy, psi)
+            assert abs(order_parameter(psi, phi_n, N) - 2.0 / N * val.real) <= 1e-15
+
+    def test_rejects_energy_basis_and_wrong_dimension(self):
+        from lmglab.spinspace import StateVector
+
+        with pytest.raises(ValueError):
+            order_parameter(StateVector("energy", np.eye(5)[0]), 0.0, 4)
+        with pytest.raises(ValueError):
+            order_parameter(StateVector("sz", np.eye(5)[0]), 0.0, 5)
+
 
 class TestDegeneratePt:
     def test_requires_degenerate_pair(self):
