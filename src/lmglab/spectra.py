@@ -69,7 +69,6 @@ class Spectrum:
     freq_over_nu: np.ndarray
     magnitudes: np.ndarray
     window: str = "hann"
-    peaks: tuple[Peak, ...] = ()
 
 
 def periodogram(series: TimeSeries, n_spins: int, window: str = "hann") -> Spectrum:

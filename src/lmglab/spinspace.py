@@ -121,13 +121,6 @@ class BandedHermitianOperator:
             return self.diags[off]
         return np.zeros(self.dim - abs(off), dtype=np.complex128)
 
-    def entry(self, i: int, j: int) -> complex:
-        if j >= i:
-            diag = self.diags.get(j - i)
-            return complex(diag[i]) if diag is not None else 0j
-        diag = self.diags.get(i - j)
-        return complex(np.conj(diag[j])) if diag is not None else 0j
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec, dtype=np.complex128)
         if vec.shape[0] != self.dim:

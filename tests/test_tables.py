@@ -42,16 +42,16 @@ def test_powers_of_ten_and_their_neighbours():
 
 
 def test_every_decimal_exponent():
-    # k = -6 and -7 sit on either side of the switch from the exact product
-    # (s = 16 - k <= 22) to integer arithmetic, and every k has its own
-    # lead, point and exponent words
+    # k = -6 and -7 sit on either side of the switch from one exact product
+    # (s = 16 - k <= 22) to two, and every k has its own lead, point and
+    # exponent words
     rng = np.random.default_rng(11)
     for k in range(-40, 17):
         mantissa = rng.uniform(1.0, 10.0, size=600) * rng.choice([-1.0, 1.0], size=600)
         assert_exact((mantissa * 10.0**k).reshape(-1, 6))
 
 
-@pytest.mark.parametrize("edge", [1e-39, 1e17])
+@pytest.mark.parametrize("edge", [1e-39, 1e-27, 1e17])
 def test_edges_of_the_fast_range(edge):
     near = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)]
     assert_exact([near, [-v for v in near]])
@@ -80,6 +80,28 @@ def test_exact_ties_round_half_even():
     eighths = rng.choice([0.125, 0.375, 0.625, 0.875], size=2000)
     ties = np.column_stack([whole16 + 0.25, whole16 + 0.75, whole15 + eighths])
     assert_exact(np.concatenate([ties, -ties]))
+
+
+def test_ties_and_near_ties_below_one_millionth():
+    # a / 2^(s+1) with a odd is an exact 17-digit tie when a 5^s / 2 lies in
+    # [1e16, 1e17); below 1e-6 (s > 22) that holds for these nine values only
+    ties = [a / 2.0 ** (s + 1) for s, odd in ((23, range(3, 17, 2)), (24, (1, 3)))
+            for a in odd]
+    rng = np.random.default_rng(13)
+    # (D + 1/2) 10^(k-16), correctly rounded from its decimal text
+    near = [float(f"{d}5e{k - 17}") for k in range(-27, -6)
+            for d in rng.integers(10**16, 10**17, size=50).tolist()]
+    # doubles m 2^-(c+s) with m 5^s = 2^(c-1) + delta (mod 2^c): their
+    # m 5^s / 2^c lies delta / 2^c from a tie, down to 2^-53 away, where
+    # the second product cannot tell the side and Python writes the value
+    closest = [m * 2.0 ** (-c - s) for s in range(23, 44) for c in range(50, 60)
+               for delta in range(-64, 65) if delta
+               for m in [(2 ** (c - 1) + delta) * pow(5**s, -1, 2**c) % 2**c]
+               if 2**52 <= m < 2**53 and 10**16 << c <= m * 5**s < 10**17 << c]
+    values = np.array(ties + near + closest)
+    assert_exact(np.column_stack(
+        [values, np.nextafter(values, 0.0), -np.nextafter(values, math.inf)]
+    ))
 
 
 def test_integers_keep_their_trailing_zeros():
