@@ -1,21 +1,22 @@
 """Brute-force validation of the sector computations in the full 2^N space.
 
-Everything here works on dense operators over the 2^N product basis with no
-sector bookkeeping: the collective spins are sums of single-site spin-1/2
-operators, built by flipping single bits of the basis index, and the
-Hamiltonian is assembled entry by entry from pairs of bit flips.  The
-sector side builds its (N+1)-dimensional matrices from the Dicke ladder
-instead, so agreement between the two routes is a real cross-check of the
+Everything here works in the 2^N product basis with no sector bookkeeping:
+the collective spins are sums of single-site spin-1/2 operators, and every
+matrix element comes from flipping bits of the basis index.  The sector
+side builds its (N+1)-dimensional matrices from the Dicke ladder instead,
+so agreement between the two routes is a real cross-check of the
 Hamiltonian, the states and the observables.
 
-The 2^N matrices are solved in exact symmetry blocks whose labels come
-from the bits of the index alone: the free gamma = 1 Hamiltonian conserves
-S_z, so it splits by the number of down spins (popcount), and every
-collective Hamiltonian commutes with the cyclic site shift T (bit rotation
-of the index), so the kicked one splits into N momentum blocks of about
-2^N/N rows (Sandvik, AIP Conf. Proc. 1297, 135 (2010), sec. 4.1).  Both
-sides diagonalize with LAPACK (numpy.linalg.eigh); the independence lies
-in the 2^N construction.
+No 2^N x 2^N matrix is formed on the checking path.  Every collective H
+commutes with the cyclic site shift T (bit rotation of the index), so it is
+solved in the N momentum blocks of T, of about 2^N/N rows each, built
+straight from the columns of H at the orbit representatives of T (Sandvik,
+AIP Conf. Proc. 1297, 135 (2010), sec. 4.1).  A column is a short list of
+(target index, amplitude) pairs: the diagonal entry, the N(N-1)/2 pair flips
+of the coupling and the N single flips of the kick.  The free gamma = 1 H
+also conserves S_z, so each of its momentum blocks splits further by the
+number of down spins (popcount).  Both sides diagonalize with LAPACK
+(numpy.linalg); the independence lies in the 2^N construction.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,26 +37,36 @@ MAX_FULL_SPACE_N = 12
 MAX_CORRELATION_N = 10
 
 _DEGEN_RTOL = 1e-10
-# time columns per block of the f_N(t) line sum: at most 420 lines (N = 10)
-# times 256 complex phases, 1.7 MB.  A power of two keeps every block aligned
-# as in one product over the whole grid, which with OpenBLAS gives the same
-# sums bit for bit.
+# time columns per block of the f_N(t) line sum, so that its phases take
+# bounded memory at any grid length.  A power of two keeps every block
+# aligned as in one product over the whole grid, which with OpenBLAS gives
+# the same sums bit for bit.
 _TIME_BLOCK = 256
 # summed weight of the f_N(t) lines dropped, relative to the total weight
 _LINE_DROP_RTOL = 1e-15
-
-# one symmetry block of a 2^N matrix: (product-basis indices, energies, vectors)
-_Block = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class OracleMismatchError(RuntimeError):
     """A sector-vs-full comparison exceeded its tolerance."""
 
 
-def _down_spins(N: int) -> np.ndarray:
-    """Number of down spins (set bits) of every product-basis index."""
-    index = np.arange(1 << N)
+def _check_full_size(N: int) -> None:
+    if N > MAX_FULL_SPACE_N:
+        raise ValueError(
+            f"resource limit: full-space operators support N <= {MAX_FULL_SPACE_N}"
+        )
+    if N < 1:
+        raise ValueError("N must be >= 1")
+
+
+def _down_spins(index: np.ndarray, N: int) -> np.ndarray:
+    """Number of down spins (set bits) of each product-basis index."""
     return sum((index >> site) & 1 for site in range(N))
+
+
+def _site_bits(N: int) -> np.ndarray:
+    """Bit of each site: site 0 is the most significant bit of the index."""
+    return 1 << (N - 1 - np.arange(N))
 
 
 @dataclass(frozen=True)
@@ -76,72 +88,119 @@ class FullSpaceOperators:
     def sy(self) -> np.ndarray:
         index = np.arange(1 << self.N)
         sy = np.zeros((1 << self.N, 1 << self.N), dtype=np.complex128)
-        for site in range(self.N):
-            bit = 1 << (self.N - 1 - site)
+        for bit in _site_bits(self.N):
             # <down|s_y|up> = i/2, <up|s_y|down> = -i/2
             sy[index ^ bit, index] = np.where((index & bit) != 0, -0.5j, 0.5j)
         return sy
 
     @functools.cached_property
     def sz(self) -> np.ndarray:
-        return np.diag(self.N / 2 - _down_spins(self.N))
+        return np.diag(self.N / 2 - _down_spins(np.arange(1 << self.N), self.N))
 
 
 def full_space_operators(N: int) -> FullSpaceOperators:
     """Collective spin operators as sums of single-site Pauli/2 matrices,
     built by flipping single bits of the index (see ``FullSpaceOperators``)."""
-    if N > MAX_FULL_SPACE_N:
-        raise ValueError(
-            f"resource limit: full-space operators support N <= {MAX_FULL_SPACE_N}"
-        )
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_full_size(N)
     index = np.arange(1 << N)
     sx = np.zeros((1 << N, 1 << N))
-    for site in range(N):
-        sx[index ^ (1 << (N - 1 - site)), index] = 0.5
+    for bit in _site_bits(N):
+        sx[index ^ bit, index] = 0.5
     return FullSpaceOperators(N=N, sx=sx)
 
 
-def full_hamiltonian(
-    params: LmgParams,
-    ops: FullSpaceOperators,
-    g: float = 0.0,
-    phi_n: float = 0.0,
-) -> np.ndarray:
-    """Dense H = (lam/N)(Sx^2 + gamma Sy^2) - h Sz - g S_n on the product space.
+class _Orbits(NamedTuple):
+    """Orbits of the cyclic site shift T, which rotates the N bits of the
+    index by one place: the representative r (least index, ascending) and
+    period P of each orbit, and the orbit and shift s_i of each index i,
+    i = T^(s_i) r."""
+
+    N: int
+    reps: np.ndarray
+    period: np.ndarray
+    orbit: np.ndarray
+    shift: np.ndarray
+
+
+@functools.cache
+def _orbits(N: int) -> _Orbits:
+    index = np.arange(1 << N)
+    rot = np.array(  # rot[s] = T^s(index)
+        [((index << s) | (index >> (N - s))) & ((1 << N) - 1) for s in range(N)]
+    )
+    least = np.argmin(rot, axis=0)
+    rep = rot[least, index]
+    reps = np.flatnonzero(rep == index)
+    period = N // np.count_nonzero(rot[:, reps] == reps, axis=0)
+    return _Orbits(N, reps, period, np.searchsorted(reps, rep), (-least) % N)
+
+
+def _lmg_columns(
+    params: LmgParams, N: int, reps: np.ndarray, g: float = 0.0, phi_n: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columns H[:, r] at the indices ``reps`` of
+    H = (lam/N)(Sx^2 + gamma Sy^2) - h Sz - g S_n, as (targets, amplitudes),
+    one row per column.
 
     Sx^2 + gamma Sy^2 is the sum over site pairs (i, j) of
     s^x_i s^x_j + gamma s^y_i s^y_j.  The N terms with i = j put (1+gamma)/4
     each on the diagonal.  The terms with i != j flip the bits of sites i
     and j: with amplitude (1+gamma)/2 when the two spins are antiparallel (a
     flip-flop) and (1-gamma)/2 when they are parallel (a double flip).  The
-    kick flips single bits through ``ops``.  H is real symmetric, and complex
-    Hermitian only when the kick has a y component (g != 0 and
-    sin(phi_n) != 0).
+    kick flips single bits: -g e^(i phi_n)/2 from up to down and
+    -g e^(-i phi_n)/2 from down to up.  The amplitudes are real unless the
+    kick has a y component (g != 0 and sin(phi_n) != 0).
     """
-    N = ops.N
     scale = params.lam / params.N
     gamma = params.gamma
-    index = np.arange(1 << N)
-    h_full = np.zeros((1 << N, 1 << N))
-    h_full[index, index] = (N / 4 + gamma * (N / 4)) * scale - params.h * (
-        N / 2 - _down_spins(N)
-    )
-    flip_flop = (0.5 + 0.5 * gamma) * scale
-    double_flip = (0.5 - 0.5 * gamma) * scale
-    bits = [1 << (N - 1 - site) for site in range(N)]
-    for i in range(N):
-        for j in range(i + 1, N):
-            parallel = ((index & bits[i]) == 0) == ((index & bits[j]) == 0)
-            h_full[index ^ (bits[i] | bits[j]), index] = np.where(
-                parallel, double_flip, flip_flop
-            )
+    r = reps[:, None]
+    bits = _site_bits(N)
+    diag = (N / 4 + gamma * (N / 4)) * scale - params.h * (N / 2 - _down_spins(r, N))
+    i, j = np.triu_indices(N, 1)
+    parallel = ((r & bits[i]) == 0) == ((r & bits[j]) == 0)
+    double_flip, flip_flop = (0.5 - 0.5 * gamma) * scale, (0.5 + 0.5 * gamma) * scale
+    flips = np.where(parallel, double_flip, flip_flop)
+    targets, amps = [r, r ^ (bits[i] | bits[j])], [diag, flips]
     if g != 0.0:
-        h_full -= (g * math.cos(phi_n)) * ops.sx
+        sign = np.where((r & bits) == 0, 1.0, -1.0)  # +1 flips an up spin down
+        kick = np.full(sign.shape, -0.5 * g * math.cos(phi_n))
         if math.sin(phi_n) != 0.0:
-            h_full = h_full - (g * math.sin(phi_n)) * ops.sy
-    return h_full
+            kick = kick + 1j * (-0.5 * g * math.sin(phi_n)) * sign
+        targets.append(r ^ bits)
+        amps.append(kick)
+    return np.hstack(targets), np.hstack(amps)
+
+
+def _momentum_blocks(
+    orbits: _Orbits, targets: np.ndarray, amps: np.ndarray, qs
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Momentum blocks of an operator that commutes with T, from its columns
+    at the representatives given as (targets, amps), one row per
+    representative.
+
+    The momentum states |r, q> = P^(-1/2) sum_{s<P} exp(2 pi i q s/N) |T^s r>
+    exist for q P = 0 (mod N) and give block q as
+        H_q[o(t), r] = sqrt(P_r/P_o) sum_t H[t, r] exp(-2 pi i q s_t/N),
+    a sum over the targets t of column r, each in orbit o(t) at shift s_t.
+    Returns (orbits kept, H_q on them) for each q of ``qs``; a block of a
+    real operator is real at 2q = 0 (mod N).
+    """
+    N, n = orbits.N, orbits.reps.size
+    rows = orbits.orbit[targets]
+    flat = (rows * n + np.arange(n)[:, None]).ravel()
+    weight = (amps * np.sqrt(orbits.period[:, None] / orbits.period[rows])).ravel()
+    turns = orbits.shift[targets].ravel()
+    roots = np.exp(-2j * np.pi * np.arange(N) / N)
+    real = not np.iscomplexobj(amps)
+    blocks = []
+    for q in qs:
+        keep = np.flatnonzero(q * orbits.period % N == 0)
+        values = weight * roots[q * turns % N]
+        block = np.bincount(flat, values.real, n * n)
+        if not (real and 2 * q % N == 0):
+            block = block + 1j * np.bincount(flat, values.imag, n * n)
+        blocks.append((keep, block.reshape(n, n)[np.ix_(keep, keep)]))
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -152,72 +211,52 @@ class FullGround:
 
 
 def full_space_ground(
-    N: int,
-    params: LmgParams,
-    g: float = 0.0,
-    phi_n: float = 0.0,
-    *,
-    ops: FullSpaceOperators | None = None,
+    N: int, params: LmgParams, g: float = 0.0, phi_n: float = 0.0
 ) -> FullGround:
-    """Ground state of the (possibly kicked) Hamiltonian, solved in the
-    momentum blocks of ``_momentum_ground``.  ``ops`` passes in operators
-    already built for this N."""
-    if ops is None:
-        ops = full_space_operators(N)
-    return _momentum_ground(full_hamiltonian(params, ops, g=g, phi_n=phi_n), N)[0]
+    """Ground state of the (possibly kicked) Hamiltonian on the 2^N space,
+    solved in the momentum blocks of ``_momentum_ground``."""
+    _check_full_size(N)
+    orbits = _orbits(N)
+    return _momentum_ground(orbits, *_lmg_columns(params, N, orbits.reps, g, phi_n))[0]
 
 
-def _momentum_ground(ham: np.ndarray, N: int) -> tuple[FullGround, np.ndarray]:
-    """Ground state and sorted spectrum of a 2^N H that commutes with the
-    cyclic site shift T, as every collective H does.
+def _momentum_ground(
+    orbits: _Orbits, targets: np.ndarray, amps: np.ndarray
+) -> tuple[FullGround, np.ndarray]:
+    """Ground state and sorted spectrum of the H whose columns at the orbit
+    representatives are (targets, amps), from its momentum blocks.
 
-    T rotates the N bits of the index by one place.  Each orbit has a
-    representative r (its least index) and a period P, and each index is
-    i = T^(s_i) r.  The momentum states
-        |r, q> = P^(-1/2) sum_{s<P} exp(2 pi i q s/N) |T^s r>,  q P = 0 (mod N),
-    give block q of H as
-        H_q[r', r] = sqrt(P P')/N sum_{s<N} exp(-2 pi i q s/N) H[T^s r', r],
-    one discrete Fourier transform over s of the gathered columns H[:, reps]
-    (the sum visits each orbit N/P' times).  Every block is solved for its
-    eigenvalues only; a real H needs q <= N/2 alone, as block N - q is the
-    complex conjugate of block q and is counted twice.  The one block that
-    holds the lowest level is solved again with its vectors and mapped back
-    by psi_i = c_r exp(2 pi i q s_i/N) / sqrt(P).  ``degenerate`` compares
-    the two lowest levels of the spectrum.
+    Every block is solved for its eigenvalues only; for a real H, block
+    N - q is the complex conjugate of block q, so only q <= N/2 is solved
+    and 0 < q < N/2 counted twice.  The one block that holds the lowest
+    level is solved again with its vectors and mapped back by
+    psi_i = c_r exp(2 pi i q s_i/N) / sqrt(P).  ``degenerate`` compares the
+    two lowest levels of the spectrum.
     """
-    index = np.arange(1 << N)
-    rot = np.array(  # rot[s] = T^s(index)
-        [((index << s) | (index >> (N - s))) & ((1 << N) - 1) for s in range(N)]
-    )
-    least = np.argmin(rot, axis=0)
-    rep, shift = rot[least, index], (-least) % N
-    reps = np.flatnonzero(rep == index)
-    period = N // np.count_nonzero(rot[:, reps] == reps, axis=0)
-    real = not np.iscomplexobj(ham)
-    gathered = ham[rot[:, reps][:, :, None], reps]  # [s, r', r] = H[T^s r', r]
-    fourier = np.fft.rfft(gathered, axis=0) if real else np.fft.fft(gathered, axis=0)
-    fourier *= np.sqrt(np.outer(period, period)) / N
-
-    def block(q: int) -> tuple[np.ndarray, np.ndarray]:
-        keep = np.flatnonzero(q * period % N == 0)
-        h_q = fourier[q][np.ix_(keep, keep)]
-        return keep, h_q.real if real and 2 * q % N == 0 else h_q
-
-    solved = [np.linalg.eigvalsh(block(q)[1]) for q in range(fourier.shape[0])]
-    twice = [w for q, w in enumerate(solved) if real and 0 < 2 * q < N]
+    N = orbits.N
+    real = not np.iscomplexobj(amps)
+    qs = range(N // 2 + 1) if real else range(N)
+    blocks = _momentum_blocks(orbits, targets, amps, qs)
+    solved = [np.linalg.eigvalsh(block) for _, block in blocks]
+    twice = [w for q, w in zip(qs, solved) if real and 0 < 2 * q < N]
     levels = np.sort(np.concatenate(solved + twice))
     q = int(np.argmin([w[0] for w in solved]))
-    keep, h_q = block(q)
-    w, v = np.linalg.eigh(h_q)
-    c = np.zeros(reps.size, dtype=v.dtype)
+    keep, block = blocks[q]
+    w, v = np.linalg.eigh(block)
+    c = np.zeros(orbits.reps.size, dtype=v.dtype)
     c[keep] = v[:, 0]
-    phase = np.exp(2j * np.pi * (q * shift % N) / N)
-    orbit = np.searchsorted(reps, rep)
-    vector = c[orbit] * (phase.real if np.isrealobj(c) else phase)
-    vector /= np.sqrt(period[orbit])
+    phase = np.exp(2j * np.pi * (q * orbits.shift % N) / N)
+    vector = c[orbits.orbit] * (phase.real if np.isrealobj(c) else phase)
+    vector /= np.sqrt(orbits.period[orbits.orbit])
     e0, e1 = levels[:2]
     degenerate = bool(e1 - e0 <= _DEGEN_RTOL * max(1.0, abs(e0)))
     return FullGround(energy=float(w[0]), vector=vector, degenerate=degenerate), levels
+
+
+def _apply_sx(vector: np.ndarray, N: int) -> np.ndarray:
+    """S_x |psi> on the 2^N product basis, by single-bit flips."""
+    index = np.arange(1 << N)
+    return 0.5 * sum(vector[index ^ bit] for bit in _site_bits(N))
 
 
 def _check_correlation_size(N: int) -> None:
@@ -225,18 +264,7 @@ def _check_correlation_size(N: int) -> None:
         raise ValueError(
             f"resource limit: full-space correlation supports N <= {MAX_CORRELATION_N}"
         )
-
-
-def _sz_blocks(ham: np.ndarray, N: int) -> list[_Block]:
-    """Eigenpairs of an S_z-conserving H, one block per number k of down
-    spins, k = 0..N; block k has C(N, k) indices."""
-    down = _down_spins(N)
-    blocks = []
-    for k in range(N + 1):
-        idx = np.flatnonzero(down == k)
-        w, v = np.linalg.eigh(ham[np.ix_(idx, idx)])
-        blocks.append((idx, w, v))
-    return blocks
+    _check_full_size(N)
 
 
 def _weighty_lines(weights: np.ndarray) -> np.ndarray:
@@ -248,31 +276,65 @@ def _weighty_lines(weights: np.ndarray) -> np.ndarray:
     return np.sort(order[n_drop:])
 
 
-def _correlation_members(
-    ops: FullSpaceOperators, blocks: list[_Block], tgrid: np.ndarray
-) -> list[tuple[float, TimeSeries]]:
-    """f_N(t) members from the S_z blocks of the free gamma = 1 Hamiltonian.
+def _free_blocks(orbits: _Orbits, h: float) -> dict:
+    """Blocks (q, k), q <= N/2, of the free gamma = 1 H, which conserves
+    S_z: the momentum block q restricted to the orbits with k down spins.
+    Maps (q, k) to (rows of block q, H_(q,k)); empty blocks are left out."""
+    N = orbits.N
+    down = _down_spins(orbits.reps, N)
+    qs = range(N // 2 + 1)  # H is real: block N - q is block q conjugated
+    columns = _lmg_columns(LmgParams(N=N, h=h), N, orbits.reps)
+    split = {}
+    for q, (keep, block) in zip(qs, _momentum_blocks(orbits, *columns, qs)):
+        for k in np.flatnonzero(np.bincount(down[keep])).tolist():
+            part = np.flatnonzero(down[keep] == k)
+            split[q, k] = part, block[np.ix_(part, part)]
+    return split
 
-    The ground levels are the block levels within _DEGEN_RTOL of the lowest
-    one; a ground level in block k has S_z = N/2 - k.  S_x maps block k into
-    blocks k - 1 and k + 1 only, so the levels of those two blocks carry the
-    whole spectral weight of S_x|ground>.  S_x|ground> stays in the
-    symmetric multiplet, so all but one level of each block carry weight at
-    rounding level: the lines are cut by ``_weighty_lines``, which changes
-    f_N by at most _LINE_DROP_RTOL * f_N(0).  The line sum runs over blocks
-    of time columns, so its phases take bounded memory at any grid length.
+
+def _free_correlation(
+    N: int, h: float, tgrid: np.ndarray
+) -> tuple[float, list[tuple[float, TimeSeries]]]:
+    """Ground energy and f_N(t) members of the free gamma = 1 Hamiltonian,
+    from its blocks (q, k) (``_free_blocks``); a level in block (q, k) has
+    S_z = N/2 - k, and a ground level at 0 < q < N/2 has a conjugate twin
+    at N - q with the same f_N(t).
+
+    The ground levels are the block levels within _DEGEN_RTOL of the
+    lowest.  S_x commutes with T and maps k to k +- 1, so only the blocks
+    (q, k +- 1) carry weight of S_x|ground>; they and the ground's block
+    are solved with vectors, once each.  S_x|ground> stays in the symmetric
+    multiplet, so all but one level of each block carry weight at rounding
+    level: ``_weighty_lines`` cuts them, which changes f_N by at most
+    _LINE_DROP_RTOL * f_N(0).  The line sum runs over blocks of time
+    columns, so its phases take bounded memory at any grid length.
     """
-    N = ops.N
-    e0 = min(w[0] for _, w, _ in blocks)
+    orbits = _orbits(N)
+    split = _free_blocks(orbits, h)
+    levels = {key: np.linalg.eigvalsh(block) for key, (_, block) in split.items()}
+    e0 = min(w[0] for w in levels.values())
+    tol = _DEGEN_RTOL * max(1.0, abs(e0))
+    n = orbits.reps.size
+    sx_columns = (orbits.reps[:, None] ^ _site_bits(N), np.full((n, N), 0.5))
+    pairs = functools.cache(lambda key: np.linalg.eigh(split[key][1]))
+    sx = functools.cache(lambda q: _momentum_blocks(orbits, *sx_columns, [q])[0][1])
     members = []
-    for k, (idx, w, v) in enumerate(blocks):
-        for col in np.flatnonzero(w - e0 <= _DEGEN_RTOL * max(1.0, abs(e0))):
-            phi = np.zeros(1 << N)
-            phi[idx] = v[:, col]
-            u = ops.sx @ phi
-            near = [blocks[j] for j in (k - 1, k + 1) if 0 <= j <= N]
-            weights = np.concatenate([np.abs(vj.T @ u[ij]) ** 2 for ij, _, vj in near])
-            omega = np.concatenate([wj - e0 for _, wj, _ in near])
+    for (q, k), w in levels.items():
+        if w[0] - e0 > tol:
+            continue
+        w_k, v_k = pairs((q, k))
+        # (eigenpairs of block (q, j), S_x from block (q, k) into it)
+        near = [
+            (pairs((q, j)), sx(q)[np.ix_(split[q, j][0], split[q, k][0])])
+            for j in (k - 1, k + 1)
+            if (q, j) in split
+        ]
+        for col in np.flatnonzero(w_k - e0 <= tol):
+            ground = v_k[:, col]
+            weights = np.concatenate(
+                [np.abs(v_j.conj().T @ (link @ ground)) ** 2 for (_, v_j), link in near]
+            )
+            omega = np.concatenate([w_j - e0 for (w_j, _), _ in near])
             lines = _weighty_lines(weights)
             weights, omega = weights[lines], omega[lines]
             values = np.empty(tgrid.shape[0], dtype=np.complex128)
@@ -280,25 +342,22 @@ def _correlation_members(
                 cols = slice(lo, lo + _TIME_BLOCK)
                 values[cols] = weights @ np.exp(-1j * omega[:, None] * tgrid[None, cols])
             values *= 4.0 / N**2
-            members.append(
-                (N / 2 - k, TimeSeries(t=tgrid, values=values, label="fN_full"))
-            )
+            member = (N / 2 - k, TimeSeries(t=tgrid, values=values, label="fN_full"))
+            members += [member] * (2 if 0 < 2 * q < N else 1)
     members.sort(key=lambda pair: pair[0])
-    return members
+    return float(e0), members
 
 
 def full_space_correlation(N: int, h: float, tgrid) -> list[tuple[float, TimeSeries]]:
     """f_N(t) evaluated entirely in the 2^N space.
 
     Returns one (ground Sz, series) pair per ground level, ascending in Sz.
-    The free Hamiltonian is solved in S_z blocks, so the two members of a
-    degenerate ground pair come out of two different blocks and carry the
-    sector-side magnetizations directly.
+    The free Hamiltonian is solved in blocks of fixed S_z, so the two
+    members of a degenerate ground pair come out of two different blocks and
+    carry the sector-side magnetizations directly.
     """
     _check_correlation_size(N)
-    ops = full_space_operators(N)
-    blocks = _sz_blocks(full_hamiltonian(LmgParams(N=N, h=h), ops), N)
-    return _correlation_members(ops, blocks, np.asarray(tgrid, dtype=np.float64))
+    return _free_correlation(N, h, np.asarray(tgrid, dtype=np.float64))[1]
 
 
 @dataclass(frozen=True)
@@ -333,20 +392,16 @@ def sector_vs_full_checks(
         g = default_kick(N)
     params = LmgParams(N=N, h=h)
     sector = build_sector(N)
-    ops = full_space_operators(N)
 
-    # ground energy: the full side from the one block solve of the free H
-    # that also feeds f_N(t), the sector side from the free solve that
-    # localizes the ground state
+    # ground energy: the full side from the block solves of the free H that
+    # also feed f_N(t), the sector side from the free solve that localizes
+    # the ground state
     localized = localize_ground_state(params, g=g)
-    blocks = _sz_blocks(full_hamiltonian(params, ops), N)
-    dev_energy = abs(
-        localized.unperturbed_ground_energy - float(min(w[0] for _, w, _ in blocks))
-    )
+    tgrid = np.arange(samples) * (2.0 * math.pi * N / samples)
+    e0_full, full_members = _free_correlation(N, h, tgrid)
+    dev_energy = abs(localized.unperturbed_ground_energy - e0_full)
 
     # ground Sz, matched member by member
-    tgrid = np.arange(samples) * (2.0 * math.pi * N / samples)
-    full_members = _correlation_members(ops, blocks, tgrid)
     sector_levels = ground_M(N, h).levels
     dev_sz = max(
         abs(m_full - m_sec)
@@ -363,8 +418,9 @@ def sector_vs_full_checks(
         )
 
     # localized order parameter
-    kicked = full_space_ground(N, params, g=g, ops=ops)
-    mx_full = 2.0 / N * float(np.real(np.vdot(kicked.vector, ops.sx @ kicked.vector)))
+    kicked = full_space_ground(N, params, g=g)
+    sx_kicked = _apply_sx(kicked.vector, N)
+    mx_full = 2.0 / N * float(np.real(np.vdot(kicked.vector, sx_kicked)))
     dev_mx = abs(localized.m_n - mx_full)
 
     return OracleReport(

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from lmglab.tables import CHUNK, csv_body
+from lmglab import tables
+from lmglab.tables import CHUNK, PER_VALUE_MAX, csv_body
 
 
 def per_value_text(rows):
@@ -20,6 +21,11 @@ def per_value_text(rows):
 def assert_exact(table):
     table = np.asarray(table, dtype=np.float64)
     assert csv_body(table) == per_value_text(table.tolist())
+    # a small table is written value by value; repeat its rows so that the
+    # vectorized kernel formats the same values too
+    if 0 < table.size <= PER_VALUE_MAX:
+        tiled = np.tile(table, (PER_VALUE_MAX // table.size + 1, 1))
+        assert csv_body(tiled) == per_value_text(tiled.tolist())
 
 
 def test_random_bit_patterns_and_log_uniform_values():
@@ -66,12 +72,14 @@ def test_special_values_and_python_numbers():
         (np.float64(0.1), np.float64(-2.5e-17), 1.0 / 3.0),
     ]
     assert csv_body(rows) == per_value_text(rows)
+    assert_exact(rows)
 
 
 def test_exact_ties_round_half_even():
     assert csv_body([[1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125]]) == (
         b"1000000000000000.2,1000000000000000.8,100000000000000.12\n"
     )
+    assert_exact([[1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125]])
     # 16-digit integers plus quarters and 15-digit ones plus eighths have an
     # 18th significant digit 5: exact ties at 17 digits
     rng = np.random.default_rng(7)
@@ -122,3 +130,31 @@ def test_zero_rows_and_one_column():
 def test_any_float_formats_like_python(values, n_cols):
     values += [0.0] * (-len(values) % n_cols)
     assert_exact(np.array(values).reshape(-1, n_cols))
+
+
+def test_small_tables_format_value_by_value(monkeypatch):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310,
+                2.2250738585072014e-308, 1e300, -1e-300, 0.1, 12345678901234567.0]
+    rng = np.random.default_rng(17)
+    scaled = rng.standard_normal(64) * 10.0 ** rng.integers(-30, 30, 64)
+    pool = np.concatenate([specials, scaled])
+
+    def refuse(*args):
+        raise AssertionError("a small table reached the vectorized kernel")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(tables, "_chunk_text", refuse)
+        for rows in range(1, 17):
+            for cols in range(1, 9):
+                # every special value leads some tables, random ones fill the rest
+                lead = np.roll(specials, -(rows * 8 + cols))
+                flat = np.concatenate([lead, rng.choice(pool, size=rows * cols)])
+                table = rng.permutation(flat[: rows * cols]).reshape(rows, cols)
+                assert csv_body(table) == per_value_text(table.tolist())
+    # one value more goes through the kernel
+    calls = []
+    original = tables._chunk_text
+    monkeypatch.setattr(tables, "_chunk_text", lambda *a: calls.append(1) or original(*a))
+    table = rng.choice(pool, size=(PER_VALUE_MAX + 1, 1))
+    assert csv_body(table) == per_value_text(table.tolist())
+    assert calls == [1]
