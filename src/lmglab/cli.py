@@ -107,8 +107,12 @@ class RunConfig:
     def peak_threshold(self) -> float:
         return 0.01 if self.threshold is None else self.threshold
 
-    def kick_values(self, N: int) -> list[float]:
-        return [default_kick(N)] if self.g is None else self.g
+    def single_g(self, N: int) -> float:
+        if self.g is None:
+            return default_kick(N)
+        if len(self.g) != 1:
+            raise ValueError("this subcommand takes exactly one --g value")
+        return self.g[0]
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -237,9 +241,10 @@ def validate_config(cfg: RunConfig) -> None:
         reals.append(cfg.threshold)
     if not all(math.isfinite(x) for x in reals):
         raise ValueError("h, g, phi-n and threshold must be finite")
-    # both work on the free gamma = 1 H (the oracle adds its own 1/N^2 kick
-    # along x), so these flags would be recorded without taking effect
-    if cfg.command in ("oracle", "correlation"):
+    # oracle and correlation work on the free gamma = 1 H (the oracle adds its
+    # own 1/N^2 kick along x) and modes on its closed forms, so these flags
+    # would be recorded without taking effect
+    if cfg.command in ("oracle", "correlation", "modes"):
         if cfg.gamma != 1.0:
             raise ValueError(f"{cfg.command} supports gamma = 1 only")
         if cfg.g is not None or cfg.phi_n != 0.0:
@@ -348,12 +353,12 @@ def _base_summary(cfg: RunConfig, N: int, h: float, g: float) -> dict:
 
 def cmd_evolve(cfg: RunConfig) -> dict:
     N, h = cfg.single_n(), cfg.single_h()
-    return _series_run(cfg, N, h, cfg.kick_values(N)[0])[0]
+    return _series_run(cfg, N, h, cfg.single_g(N))[0]
 
 
 def cmd_spectrum(cfg: RunConfig) -> dict:
     N, h = cfg.single_n(), cfg.single_h()
-    g = cfg.kick_values(N)[0]
+    g = cfg.single_g(N)
     summary, mx_series, eig0, state, sx = _series_run(cfg, N, h, g)
     spec = periodogram(mx_series, N, window=cfg.window)
     peaks = find_peaks(spec, cfg.peak_threshold())
@@ -511,14 +516,12 @@ def cmd_quasicrystal(cfg: RunConfig) -> dict:
     fields = quasicrystal_h(N, kappa)
     if len(fields) == 0 and not cfg.h:
         raise ValueError(f"no field in [0, 1) at N={N}; pass --h")
-    files = [_table(cfg, "quasicrystal_h", "index,h", list(enumerate(fields)))]
     # two-tone waveform: the ground-mode component of an actual kicked run
-    h_pick = cfg.h[0] if cfg.h else float(fields[len(fields) // 2])
+    h_pick = cfg.single_h() if cfg.h else float(fields[len(fields) // 2])
     tgrid = _time_grid(cfg, N)
     params = LmgParams(N=N, h=h_pick, gamma=cfg.gamma)
-    localized = localize_ground_state(
-        params, g=cfg.kick_values(N)[0], phi_n=cfg.phi_n
-    )
+    localized = localize_ground_state(params, g=cfg.single_g(N), phi_n=cfg.phi_n)
+    files = [_table(cfg, "quasicrystal_h", "index,h", list(enumerate(fields)))]
     sector = build_sector(N)
     ground_mode = projected_init(localized.state, sector, h_pick)[0]
     wx, wy = projected_solution(ground_mode, tgrid)

@@ -87,15 +87,15 @@ def default_time_grid(N: int, periods: float = 20.0, samples: int = 4096) -> np.
 class EigenSystem:
     """Spectrum of a sector Hamiltonian in the Sz basis.
 
-    ``energies`` ascend.  ``vectors`` holds all orthonormal eigenvector
-    columns, real if H was solved in real arithmetic.  When H was diagonal,
-    ties keep their index order, ``permutation`` maps level k to its Sz
-    basis index and every column is a coordinate vector.  Mk = <k|Sz|k>.
+    ``energies`` ascend.  When H was diagonal, ``permutation`` maps level k
+    to its Sz basis index (ties keep their index order), every eigenvector
+    is a coordinate vector and ``vectors`` is None.  Otherwise ``vectors``
+    holds all orthonormal eigenvector columns, real if H was solved in real
+    arithmetic, and ``permutation`` is None.  ``columns`` reads either form.
     """
 
     energies: np.ndarray
-    vectors: np.ndarray
-    Mk: np.ndarray
+    vectors: np.ndarray | None
     permutation: np.ndarray | None = None
 
     @property
@@ -105,6 +105,15 @@ class EigenSystem:
     @property
     def ground_energy(self) -> float:
         return float(self.energies[0])
+
+    def columns(self, levels) -> np.ndarray:
+        """Eigenvector columns of a sequence of levels, (dim, len(levels))."""
+        if self.permutation is None:
+            return self.vectors[:, levels]
+        levels = np.asarray(levels, dtype=np.intp)
+        out = np.zeros((self.dim, levels.shape[0]))
+        out[self.permutation[levels], np.arange(levels.shape[0])] = 1.0
+        return out
 
     def to_energy_basis(self, amps: np.ndarray) -> np.ndarray:
         if self.permutation is not None:
@@ -128,24 +137,16 @@ def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
     D = diag(e^{-i theta_m}), theta_m the summed phases of the first m
     off-diagonals.  Bandwidth 2 with an all-zero band 1 commutes with the
     parity (-1)^m: its even-m and odd-m blocks are solved apart and merged
-    by a stable sort.  Mk uses M(m) = (dim - 1)/2 - m.
+    by a stable sort.
     """
     n = op.dim
     if op.bandwidth > 2:
         raise ValueError("expected bandwidth <= 2")
-    m_values = (n - 1) / 2.0 - np.arange(n)
     bands = {off for off, band in op.diags.items() if off > 0 and np.any(band != 0.0)}
     if not bands:
         diag = op.band(0).real
         perm = np.argsort(diag, kind="stable")
-        vectors = np.zeros((n, n))
-        vectors[perm, np.arange(n)] = 1.0
-        return EigenSystem(
-            energies=_readonly(diag[perm].copy()),
-            vectors=_readonly(vectors),
-            Mk=_readonly(m_values[perm].copy()),
-            permutation=_readonly(perm),
-        )
+        return EigenSystem(_readonly(diag[perm]), None, _readonly(perm))
     dense = op.to_dense()
     gauge = None
     if bands == {1} and np.any(op.band(1).imag != 0.0):
@@ -164,13 +165,7 @@ def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
         w, v = w[order], v[:, order]
     if gauge is not None:
         v = gauge[:, None] * v
-    mk = (np.abs(v) ** 2 * m_values[:, None]).sum(axis=0)
-    return EigenSystem(
-        energies=_readonly(w),
-        vectors=_readonly(np.ascontiguousarray(v)),
-        Mk=_readonly(mk),
-        permutation=None,
-    )
+    return EigenSystem(_readonly(w), _readonly(np.ascontiguousarray(v)))
 
 
 def _windowed_ground(op: BandedHermitianOperator) -> tuple[float, StateVector]:
@@ -212,7 +207,7 @@ def _windowed_ground(op: BandedHermitianOperator) -> tuple[float, StateVector]:
             window = eigensystem(
                 BandedHermitianOperator(b - a, {0: diag[a:b] - c, 1: band[a : b - 1]})
             )
-            levels, v = window.energies, window.vectors[:, 0]
+            levels, v = window.energies, window.columns([0])[:, 0]
             scale = _EPS * max(abs(levels[0]), abs(levels[-1]))
             left = mag[a - 1] if a > 0 else 0.0
             right = mag[b - 1] if b < n else 0.0
@@ -236,7 +231,7 @@ def _windowed_ground(op: BandedHermitianOperator) -> tuple[float, StateVector]:
 
 
 def ground_state(eig: EigenSystem) -> StateVector:
-    return StateVector(basis=SZ_BASIS, amplitudes=eig.vectors[:, 0].copy())
+    return StateVector(basis=SZ_BASIS, amplitudes=eig.columns([0])[:, 0])
 
 
 def propagate(eig: EigenSystem, psi0: StateVector, t: float) -> StateVector:
@@ -320,7 +315,7 @@ def bohr_lines(
     n_drop = int(np.count_nonzero(norm * (2.0 * d + d * d) <= 0.5 * tol))
     bound = norm * (2.0 * d[n_drop - 1] + d[n_drop - 1] ** 2) if n_drop else 0.0
     keep = np.sort(by_mass[n_drop:])
-    vk = eig.vectors[:, keep]
+    vk = eig.columns(keep)
     energies, bk = eig.energies[keep], b[keep]
     freqs = (energies[:, None] - energies[None, :]).ravel()
     weights = (bk.conj()[:, None] * (vk.conj().T @ op.apply(vk)) * bk[None, :]).ravel()

@@ -358,11 +358,15 @@ class TestOracleCommand:
             ["correlation", "--gamma", "0.5"],
             ["correlation", "--g", "0.01"],
             ["sweep", "--run", "oracle", "--gamma", "0.5"],
+            ["modes", "--gamma", "0.5"],
+            ["modes", "--g", "0.1"],
+            ["modes", "--phi-n", "0.3"],
         ],
     )
     def test_flags_it_would_ignore_exit_one(self, tmp_path, argv):
-        # both commands run at gamma = 1 and choose their own kick, so these
-        # flags would be recorded in summary.json without taking effect
+        # these commands run at gamma = 1 (modes from its closed forms) and
+        # choose their own kick, so these flags would be recorded in
+        # summary.json without taking effect
         out = str(tmp_path / "run")
         assert main(argv + ["--n", "4", "--h", "0.5", "--out", out]) == 1
         assert not os.path.exists(os.path.join(out, "summary.json"))
@@ -469,6 +473,22 @@ class TestUsageErrors:
         out = str(tmp_path / "run")
         assert main(argv + ["--n", "6", "--out", out] + FAST) == 1
         assert not os.path.exists(os.path.join(out, "summary.json"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--h", "0.6", "--g", "1e-4,1e-3"],
+            ["spectrum", "--h", "0.6", "--g", "1e-4,1e-3"],
+            ["quasicrystal", "--g", "1e-4,1e-3"],
+            ["quasicrystal", "--h", "0.3,0.5"],
+        ],
+        ids=["evolve-g", "spectrum-g", "quasicrystal-g", "quasicrystal-h"],
+    )
+    def test_extra_values_exit_one_without_output(self, tmp_path, argv):
+        # the first value used to run and the others to vanish without a word
+        out = tmp_path / "run"
+        assert main(argv + ["--n", "40", "--out", str(out)] + FAST) == 1
+        assert list(out.iterdir()) == []
 
     def test_unknown_flag(self):
         assert main(["evolve", "--bogus", "1"]) == 1

@@ -41,6 +41,7 @@ from lmglab.spinspace import (
     ladder_plus_band,
     normalized_state,
 )
+from lmglab.spectra import line_spectrum
 from lmglab.ssb import localize_ground_state
 
 
@@ -52,13 +53,41 @@ def isotropic_eigensystem(N, h):
 class TestEigensystem:
     def test_diagonal_fast_path_levels(self):
         sec, eig = isotropic_eigensystem(100, 0.716)
-        assert eig.permutation is not None
+        assert eig.permutation is not None and eig.vectors is None
         assert eig.energies[1] - eig.energies[0] == pytest.approx(0.006, abs=1e-12)
         assert eig.energies[2] - eig.energies[0] == pytest.approx(0.014, abs=1e-12)
-        assert eig.Mk[0] == 36.0
+        assert sec.m_values[eig.permutation[0]] == 36.0
         # eigenvectors of a diagonal H are coordinate vectors
-        cols = eig.vectors[:, :3]
+        cols = eig.columns([0, 1, 2])
         assert np.count_nonzero(cols) == 3
+
+    @pytest.mark.parametrize("levels", [[0], [3, 1, 4], [], list(range(13))])
+    def test_diagonal_columns_are_permuted_identity_columns(self, levels):
+        # what a dense identity scattered by the permutation held
+        sec, eig = isotropic_eigensystem(12, 0.3)
+        ref = np.eye(sec.dim)[:, eig.permutation][:, levels]
+        cols = eig.columns(levels)
+        assert cols.dtype == ref.dtype and np.array_equal(cols, ref)
+        assert np.array_equal(eig.columns(np.array(levels, dtype=int)), ref)
+
+    def test_diagonal_solve_stores_no_square_array(self):
+        # localize + free solve + observable_series + line_spectrum at
+        # gamma = 1: a dense (N+1)^2 identity alone would be 200 MB here
+        N, h = 5000, 0.716
+        params = LmgParams(N=N, h=h)
+        sec = build_sector(N)
+        ops = collective_operators(sec)
+        tgrid = default_time_grid(N)
+        tracemalloc.start()
+        try:
+            psi = localize_ground_state(params).state
+            eig = eigensystem(build_hamiltonian(params, sec))
+            observable_series(eig, psi, ops.sx, tgrid)
+            line_spectrum(eig, psi, ops.sx, threshold=1e-8 * N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_two_level_closed_form(self):
         sec = build_sector(1)
@@ -80,18 +109,6 @@ class TestEigensystem:
         assert np.max(residual_norms) <= 1e-10 * norm_h
         gram = eig.vectors.conj().T @ eig.vectors
         assert np.max(np.abs(gram - np.eye(N + 1))) <= 1e-11
-
-    def test_magnetization_per_level(self):
-        N = 25
-        sec = build_sector(N)
-        ham = build_hamiltonian(LmgParams(N=N, h=0.3), sec, g=0.01)
-        eig = eigensystem(ham)
-        sz = collective_operators(sec).sz
-        for k in (0, 3, N):
-            vec = eig.vectors[:, k]
-            assert eig.Mk[k] == pytest.approx(
-                np.vdot(vec, sz.apply(vec)).real, abs=1e-12 * N
-            )
 
 
 class TestPropagate:
@@ -165,7 +182,7 @@ class TestObservableSeries:
 def dense_copy(eig):
     """The same eigensystem without its permutation: forces the line sum
     over eigenbasis levels."""
-    return EigenSystem(eig.energies, eig.vectors, eig.Mk, permutation=None)
+    return EigenSystem(eig.energies, eig.columns(np.arange(eig.dim)))
 
 
 def evolved_series(eig, psi, ops, tgrid):
@@ -175,9 +192,7 @@ def evolved_series(eig, psi, ops, tgrid):
     Energies are shifted by E_0, a global phase that cancels in every
     expectation value and keeps the phase arguments small.
     """
-    shifted = EigenSystem(
-        eig.energies - eig.energies[0], eig.vectors, eig.Mk, eig.permutation
-    )
+    shifted = EigenSystem(eig.energies - eig.energies[0], eig.vectors, eig.permutation)
     out = np.empty((len(ops), tgrid.shape[0]), dtype=np.complex128)
     for i, t in enumerate(tgrid):
         amps = propagate(shifted, psi, t).amplitudes

@@ -83,7 +83,8 @@ class TestLocalize:
         low = 0.0
         b = coeffs.copy()
         b[3:] = 0.0
-        o_energy = eig.vectors.conj().T @ ops.sx.apply(eig.vectors)
+        v = eig.columns(np.arange(eig.dim))
+        o_energy = v.conj().T @ ops.sx.apply(v)
         low = np.sum(np.abs(np.conj(b)[:, None] * o_energy * b[None, :]))
         assert low >= 0.95 * total
 
@@ -101,6 +102,21 @@ class TestLocalize:
             num = mpmath.fsum(w * (mpmath.mpf(float(e)) - e0) for w, e in zip(mass, diag))
             ref = num / mpmath.fsum(mass)
             assert abs(mpmath.mpf(loc.delta_e) - ref) <= 1e-11 * ref
+
+    @pytest.mark.parametrize("h", [0.716, 0.71])
+    @pytest.mark.parametrize("g", [0.0, 5e-324], ids=["zero", "underflow"])
+    def test_zero_kick_returns_the_free_ground_coordinate_vector(self, g, h):
+        # h = 0.71 puts a degenerate pair at the bottom: the tie goes to the
+        # lower Sz index, as the stable sort orders it.  g = 5e-324 keeps a
+        # band that underflows to zero, so its window is solved as diagonal
+        N = 100
+        params = LmgParams(N=N, h=h)
+        loc = localize_ground_state(params, g=g)
+        free = eigensystem(build_hamiltonian(params, build_sector(N)))
+        expected = np.zeros(N + 1)
+        expected[free.permutation[0]] = 1.0
+        assert np.array_equal(loc.state.amplitudes, expected)
+        assert loc.m_n == 0.0 and loc.delta_e == 0.0
 
     def test_kick_direction_sets_sign(self):
         params = LmgParams(N=30, h=0.4)
