@@ -17,7 +17,6 @@ from .evolve import (
     default_time_grid,
     eigensystem,
     ground_state,
-    mean_field_ode,
     observable_series,
     projected_init,
     projected_solution,
@@ -26,16 +25,11 @@ from .evolve import (
 from .model import (
     GroundLevel,
     LmgParams,
-    MeanFieldAngles,
-    NumericError,
     TrialState,
     build_hamiltonian,
     ground_M,
     isotropic_energies,
     lifetime_bound,
-    mean_field_energy,
-    mean_field_minimize,
-    mean_field_state,
     trial_localized_state,
 )
 from .oracle import (
@@ -79,7 +73,6 @@ from .ssb import (
     GapResult,
     LocalizedState,
     two_well_eigenvalues,
-    rotated_frame_angles,
     default_kick,
     degenerate_pt_gap,
     gamma0_gap_scan,

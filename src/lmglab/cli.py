@@ -31,7 +31,6 @@ from .evolve import (
 )
 from .model import (
     LmgParams,
-    NumericError,
     build_hamiltonian,
     ground_M,
     trial_localized_state,
@@ -242,13 +241,17 @@ def validate_config(cfg: RunConfig) -> None:
     if not all(math.isfinite(x) for x in reals):
         raise ValueError("h, g, phi-n and threshold must be finite")
     # oracle and correlation work on the free gamma = 1 H (the oracle adds its
-    # own 1/N^2 kick along x) and modes on its closed forms, so these flags
-    # would be recorded without taking effect
+    # own 1/N^2 kick along x), modes on its closed forms, gap kicks along x and
+    # a trial state takes no kick: these flags would be recorded, not applied
     if cfg.command in ("oracle", "correlation", "modes"):
         if cfg.gamma != 1.0:
             raise ValueError(f"{cfg.command} supports gamma = 1 only")
         if cfg.g is not None or cfg.phi_n != 0.0:
             raise ValueError(f"{cfg.command} takes no --g or --phi-n")
+    if cfg.trial and (cfg.g is not None or cfg.phi_n != 0.0):
+        raise ValueError("--trial takes no --g or --phi-n")
+    if cfg.command == "gap" and cfg.phi_n != 0.0:
+        raise ValueError("gap takes no --phi-n")
     if cfg.samples < 16:
         raise ValueError("samples must be >= 16")
     if cfg.cutoff_k < 0:
@@ -616,7 +619,7 @@ def main(argv=None) -> int:
     except OracleMismatchError as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return 3
-    except (NumericError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:

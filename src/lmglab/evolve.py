@@ -554,36 +554,3 @@ def correlation_fN(
         )
     return CorrelationResult(nu=1.0 / n, members=tuple(members))
 
-
-def mean_field_ode(
-    init: tuple[float, float, float],
-    h: float,
-    N: int,
-    tgrid: np.ndarray,
-) -> tuple[TimeSeries, TimeSeries, TimeSeries]:
-    """Classical precession equations integrated with fixed-step RK4.
-
-    dSx/dt = -(2 Sz/N - h) Sy, dSy/dt = (2 Sz/N - h) Sx, dSz/dt = 0.
-    One RK4 step per grid interval, global error O(dt^4).
-    """
-    tgrid = np.asarray(tgrid, dtype=np.float64)
-    y = np.array(init, dtype=np.float64)
-
-    def rhs(state):
-        omega = 2.0 * state[2] / N - h
-        return np.array([-omega * state[1], omega * state[0], 0.0])
-
-    out = np.empty((tgrid.shape[0], 3))
-    out[0] = y
-    for i in range(tgrid.shape[0] - 1):
-        dt = tgrid[i + 1] - tgrid[i]
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = y
-    return tuple(
-        TimeSeries(t=tgrid, values=out[:, j].copy(), label=lbl)
-        for j, lbl in enumerate(("sx_mf", "sy_mf", "sz_mf"))
-    )

@@ -1,4 +1,4 @@
-"""LMG Hamiltonians, analytic spectra, mean-field and trial localized states.
+"""LMG Hamiltonians, analytic spectra and trial localized states.
 
 The model is H = (lambda/N)(Sx^2 + gamma*Sy^2) - h*Sz on the S = N/2 sector,
 with lambda = -1 (ferromagnetic) throughout.  A symmetry-breaking kick enters
@@ -18,7 +18,6 @@ from .spinspace import (
     BandedHermitianOperator,
     SpinSector,
     StateVector,
-    basis_state,
     build_sector,
     ladder_plus_band,
 )
@@ -28,10 +27,6 @@ SYMMETRIC = "symmetric"
 
 # energies equal within this relative tolerance count as a degenerate pair
 DEGENERACY_RTOL = 1e-12
-
-
-class NumericError(RuntimeError):
-    """An iterative numeric procedure failed to converge or bracket."""
 
 
 @dataclass(frozen=True)
@@ -56,14 +51,6 @@ class LmgParams:
     @property
     def phase(self) -> str:
         return BROKEN if self.h < 1.0 else SYMMETRIC
-
-
-@dataclass(frozen=True)
-class MeanFieldAngles:
-    """Bloch angles of a coherent spin state, <S> = (N/2)(sin t cos p, sin t sin p, cos t)."""
-
-    theta: float
-    phi: float
 
 
 def build_hamiltonian(
@@ -153,84 +140,6 @@ def ground_M(N: int, h: float) -> GroundLevel:
     levels = tuple(sorted(sector.two_m[i] / 2.0 for i in ties))
     m0 = min(levels, key=lambda m: (abs(m), m))
     return GroundLevel(m0=m0, levels=levels, degenerate=len(levels) > 1)
-
-
-def mean_field_state(sector: SpinSector, angles: MeanFieldAngles) -> StateVector:
-    """Dicke-sector amplitudes of the product coherent state |theta, phi>.
-
-    c_m = sqrt(C(N, m)) cos(theta/2)^(N-m) sin(theta/2)^m e^{i phi (m - N/2)},
-    evaluated in log space so N up to a few thousand stays finite.
-    """
-    n = sector.N
-    theta = angles.theta
-    phi = angles.phi
-    ct = math.cos(theta / 2.0)
-    st = math.sin(theta / 2.0)
-    m = np.arange(n + 1)
-    if st == 0.0:
-        return basis_state(sector.dim, 0)
-    if ct == 0.0:
-        amps = np.zeros(sector.dim, dtype=np.complex128)
-        amps[n] = np.exp(1j * phi * (n - n / 2.0))
-        return StateVector(basis=SZ_BASIS, amplitudes=amps)
-    ln_binom = (
-        math.lgamma(n + 1)
-        - np.array([math.lgamma(k + 1) + math.lgamma(n - k + 1) for k in m])
-    )
-    log_mag = 0.5 * ln_binom + (n - m) * math.log(abs(ct)) + m * math.log(abs(st))
-    signs = np.sign(ct) ** (n - m) * np.sign(st) ** m
-    amps = signs * np.exp(log_mag) * np.exp(1j * phi * (m - n / 2.0))
-    amps = amps / np.linalg.norm(amps)
-    return StateVector(basis=SZ_BASIS, amplitudes=amps)
-
-
-def mean_field_energy(angles: MeanFieldAngles, h: float, g: float, N: int) -> float:
-    """Variational energy -N/4 (sin^2 t + 2h cos t + 2g sin t cos p)."""
-    st = math.sin(angles.theta)
-    ct = math.cos(angles.theta)
-    return -0.25 * N * (st * st + 2.0 * h * ct + 2.0 * g * st * math.cos(angles.phi))
-
-
-def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise NumericError(f"no sign change on bracket [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
-def mean_field_minimize(h: float, g: float) -> MeanFieldAngles:
-    """Stationary angles of the variational energy in the broken phase.
-
-    Solves sin t (cos t - h) + g cos t = 0 on the phi = 0 branch by bracketed
-    bisection to 1e-12; the g -> 0 limit is theta = arccos h.
-    """
-    if not 0.0 <= h < 1.0:
-        raise ValueError("broken phase requires 0 <= h < 1")
-    if g < 0.0:
-        raise ValueError("g must be >= 0")
-    theta_mf = math.acos(h)
-    if g == 0.0:
-        return MeanFieldAngles(theta=theta_mf, phi=0.0)
-
-    def f(t):
-        return math.sin(t) * (math.cos(t) - h) + g * math.cos(t)
-
-    theta = _bisect(f, theta_mf, math.pi / 2.0)
-    return MeanFieldAngles(theta=theta, phi=0.0)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import _windowed_ground, eigensystem
-from .model import LmgParams, NumericError, _bisect, build_hamiltonian, ground_M
+from .model import LmgParams, build_hamiltonian, ground_M
 from .spinspace import (
     SZ_BASIS,
     SpinSector,
@@ -134,33 +134,6 @@ def degenerate_pt_gap(sector: SpinSector, h: float, g: float) -> DegeneratePtGap
         splitting=2.0 * g * x,
         mixed_states=tuple(mixed),
     )
-
-
-def rotated_frame_angles(h: float, g: float) -> tuple[float, float]:
-    """Both roots of sin t cos t - h sin t + g cos t = 0 near +-arccos h.
-
-    At g = 0 the roots are exactly +-arccos(h); for small g they shift and
-    their sum tends to zero.  Solved by expanding-bracket bisection to 1e-12.
-    """
-    if not 0.0 < h < 1.0:
-        raise ValueError("need 0 < h < 1")
-    theta0 = math.acos(h)
-    if g == 0.0:
-        return (theta0, -theta0)
-
-    def f(t):
-        return math.sin(t) * math.cos(t) - h * math.sin(t) + g * math.cos(t)
-
-    def solve_near(center):
-        width = 1e-4
-        while width < math.pi / 2.0:
-            lo, hi = center - width, center + width
-            if f(lo) * f(hi) <= 0.0:
-                return _bisect(f, lo, hi)
-            width *= 2.0
-        raise NumericError(f"no bracket around theta = {center}")
-
-    return (solve_near(theta0), solve_near(-theta0))
 
 
 @dataclass(frozen=True)

@@ -361,12 +361,18 @@ class TestOracleCommand:
             ["modes", "--gamma", "0.5"],
             ["modes", "--g", "0.1"],
             ["modes", "--phi-n", "0.3"],
+            ["gap", "--phi-n", "0.3"],
+            ["evolve", "--trial", "--g", "0.01"],
+            ["evolve", "--trial", "--phi-n", "0.3"],
+            ["spectrum", "--trial", "--g", "0.01"],
+            ["spectrum", "--trial", "--phi-n", "0.3"],
         ],
     )
     def test_flags_it_would_ignore_exit_one(self, tmp_path, argv):
         # these commands run at gamma = 1 (modes from its closed forms) and
-        # choose their own kick, so these flags would be recorded in
-        # summary.json without taking effect
+        # choose their own kick, gap kicks along x and a trial state takes no
+        # kick, so these flags would be recorded in summary.json without
+        # taking effect
         out = str(tmp_path / "run")
         assert main(argv + ["--n", "4", "--h", "0.5", "--out", out]) == 1
         assert not os.path.exists(os.path.join(out, "summary.json"))

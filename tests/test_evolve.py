@@ -17,7 +17,6 @@ from lmglab.evolve import (
     default_time_grid,
     eigensystem,
     ground_state,
-    mean_field_ode,
     observable_series,
     projected_init,
     projected_solution,
@@ -25,11 +24,9 @@ from lmglab.evolve import (
 )
 from lmglab.model import (
     LmgParams,
-    MeanFieldAngles,
     build_hamiltonian,
     isotropic_energies,
     isotropic_gap,
-    mean_field_state,
     trial_localized_state,
 )
 from lmglab.spinspace import (
@@ -43,6 +40,8 @@ from lmglab.spinspace import (
 )
 from lmglab.spectra import line_spectrum
 from lmglab.ssb import localize_ground_state
+
+from coherent import coherent_state
 
 
 def isotropic_eigensystem(N, h):
@@ -406,7 +405,7 @@ class TestProjectedDynamics:
         # ground mode is still the single largest contribution
         N, h = 100, 0.716
         sec = build_sector(N)
-        psi = mean_field_state(sec, MeanFieldAngles(theta=math.acos(h), phi=0.0))
+        psi = coherent_state(sec, math.acos(h))
         modes = projected_init(psi, sec, h)
         amps = [abs(m.sx0) for m in modes]
         assert int(np.argmax(amps)) == 0
@@ -459,7 +458,7 @@ class TestAnalyticSum:
         rng = np.random.default_rng(100 * N)
         states = [
             normalized_state(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)),
-            mean_field_state(sec, MeanFieldAngles(theta=1.0, phi=0.4)),
+            coherent_state(sec, 1.0, 0.4),
         ]
         tgrid = np.arange(256) * (2 * math.pi * N / 256)
         for psi in states:
@@ -489,7 +488,7 @@ class TestAnalyticSum:
     def test_cutoff_clamps_with_warning(self):
         N = 6
         sec = build_sector(N)
-        psi = mean_field_state(sec, MeanFieldAngles(theta=1.2, phi=0.0))
+        psi = coherent_state(sec, 1.2)
         modes = projected_init(psi, sec, 0.5)
         tgrid = np.arange(32) * 1.0
         with pytest.warns(UserWarning):
@@ -674,35 +673,6 @@ class TestCorrelation:
     def test_rejects_symmetric_phase(self):
         with pytest.raises(ValueError):
             correlation_fN(build_sector(10), 1.0, np.arange(16) * 1.0)
-
-
-class TestMeanFieldOde:
-    def test_uniform_precession_phase_accuracy(self):
-        N, h = 50, 0.3
-        sz = 5.0
-        omega = 2.0 * sz / N - h
-        period = 2 * math.pi / abs(omega)
-        tgrid = np.linspace(0.0, period, 1001)
-        sx, sy, sz_series = mean_field_ode((1.0, 0.0, sz), h, N, tgrid)
-        exact_x = np.cos(omega * tgrid)
-        assert np.max(np.abs(sx.values - exact_x)) <= 1e-8
-        assert np.max(np.abs(sz_series.values - sz)) == 0.0
-
-    def test_stationary_at_critical_magnetization(self):
-        N, h = 20, 0.4
-        tgrid = np.linspace(0.0, 100.0, 101)
-        sx, sy, _ = mean_field_ode((3.0, 0.0, N * h / 2.0), h, N, tgrid)
-        assert np.max(np.abs(sx.values - 3.0)) <= 1e-12
-        assert np.max(np.abs(sy.values)) <= 1e-12
-
-    def test_in_plane_magnitude_conserved(self):
-        N, h = 30, 0.7
-        omega = 2.0 * 4.0 / N - h
-        period = 2 * math.pi / abs(omega)
-        tgrid = np.linspace(0.0, period, 1001)
-        sx, sy, _ = mean_field_ode((2.0, 1.0, 4.0), h, N, tgrid)
-        mag = sx.values**2 + sy.values**2
-        assert np.max(np.abs(mag - mag[0])) <= 1e-10 * mag[0]
 
 
 class TestTimeSeries:

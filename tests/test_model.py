@@ -5,14 +5,10 @@ import pytest
 
 from lmglab.model import (
     LmgParams,
-    MeanFieldAngles,
     build_hamiltonian,
     ground_M,
     isotropic_energies,
     lifetime_bound,
-    mean_field_energy,
-    mean_field_minimize,
-    mean_field_state,
     trial_localized_state,
 )
 from lmglab.spinspace import (
@@ -20,6 +16,8 @@ from lmglab.spinspace import (
     collective_operators,
     expectation,
 )
+
+from coherent import coherent_state
 
 
 def brute_force_ground_scan(N, h):
@@ -147,15 +145,18 @@ class TestGroundM:
 
 
 class TestMeanField:
+    """The coherent-state reference helper, and the mean-field energy its
+    expectation approaches."""
+
     def test_north_pole(self):
         sec = build_sector(12)
-        state = mean_field_state(sec, MeanFieldAngles(theta=0.0, phi=0.0))
+        state = coherent_state(sec, 0.0)
         assert state.amplitudes[0] == 1.0
         assert np.count_nonzero(state.amplitudes) == 1
 
     def test_equator_two_spins(self):
         sec = build_sector(2)
-        state = mean_field_state(sec, MeanFieldAngles(theta=math.pi / 2, phi=0.0))
+        state = coherent_state(sec, math.pi / 2)
         assert np.allclose(state.amplitudes, [0.5, 1 / math.sqrt(2), 0.5], atol=1e-15)
         sx = collective_operators(sec).sx
         assert expectation(sx, state).real == pytest.approx(1.0, rel=1e-14)
@@ -168,7 +169,7 @@ class TestMeanField:
         for _ in range(4):
             theta = float(rng.uniform(0.05, math.pi - 0.05))
             phi = float(rng.uniform(0.0, 2 * math.pi))
-            state = mean_field_state(sec, MeanFieldAngles(theta=theta, phi=phi))
+            state = coherent_state(sec, theta, phi)
             measured = np.array(
                 [
                     expectation(ops.sx, state).real,
@@ -187,50 +188,19 @@ class TestMeanField:
 
     def test_large_n_stays_finite(self):
         sec = build_sector(2000)
-        state = mean_field_state(sec, MeanFieldAngles(theta=1.1, phi=0.2))
+        state = coherent_state(sec, 1.1, 0.2)
         assert np.all(np.isfinite(state.amplitudes))
-
-    def test_energy_closed_form(self):
-        assert mean_field_energy(
-            MeanFieldAngles(theta=0.0, phi=0.0), h=0.7, g=0.0, N=50
-        ) == pytest.approx(-50 * 0.7 / 2.0, rel=1e-15)
-        h = 0.6
-        angles = MeanFieldAngles(theta=math.acos(h), phi=0.0)
-        assert mean_field_energy(angles, h=h, g=0.0, N=80) == pytest.approx(
-            -(80 / 4.0) * (1 + h * h), rel=1e-14
-        )
 
     def test_energy_matches_quantum_expectation_to_finite_size(self):
         N, h = 200, 0.5
         sec = build_sector(N)
         params = LmgParams(N=N, h=h)
-        angles = MeanFieldAngles(theta=math.acos(h), phi=0.0)
-        state = mean_field_state(sec, angles)
+        theta = math.acos(h)
+        state = coherent_state(sec, theta)
         quantum = expectation(build_hamiltonian(params, sec), state).real
-        classical = mean_field_energy(angles, h=h, g=0.0, N=N)
+        classical = -(N / 4.0) * (math.sin(theta) ** 2 + 2.0 * h * math.cos(theta))
         # finite-size corrections are O(1) against an O(N) energy
         assert abs(quantum - classical) <= 2.0
-
-    def test_minimize_limits(self):
-        assert mean_field_minimize(0.5, 0.0).theta == pytest.approx(
-            math.pi / 3, abs=1e-14
-        )
-        assert mean_field_minimize(0.0, 0.0).theta == pytest.approx(
-            math.pi / 2, abs=1e-14
-        )
-
-    def test_minimize_residual(self):
-        h, g = 0.5, 0.01
-        angles = mean_field_minimize(h, g)
-        residual = (
-            math.sin(angles.theta) * (math.cos(angles.theta) - h)
-            + g * math.cos(angles.theta)
-        )
-        assert abs(residual) <= 1e-12
-
-    def test_minimize_rejects_symmetric_phase(self):
-        with pytest.raises(ValueError):
-            mean_field_minimize(1.2, 0.0)
 
 
 class TestTrialState:

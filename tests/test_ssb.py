@@ -14,7 +14,6 @@ from lmglab.spinspace import (
 )
 from lmglab.ssb import (
     two_well_eigenvalues,
-    rotated_frame_angles,
     degenerate_pt_gap,
     gamma0_gap_scan,
     localize_ground_state,
@@ -22,6 +21,8 @@ from lmglab.ssb import (
     order_parameter,
     wkb_rate,
 )
+
+from coherent import coherent_state
 
 # splittings below this are double-precision noise at O(1) matrix norms
 RESOLUTION_FLOOR = 1e-13
@@ -128,10 +129,8 @@ class TestLocalize:
 
 class TestOrderParameter:
     def test_fully_polarized_coherent_state(self):
-        from lmglab.model import MeanFieldAngles, mean_field_state
-
         sec = build_sector(24)
-        psi = mean_field_state(sec, MeanFieldAngles(theta=math.pi / 2, phi=0.0))
+        psi = coherent_state(sec, math.pi / 2)
         assert order_parameter(psi, 0.0, 24) == pytest.approx(1.0, abs=1e-12)
 
     def test_eigenstates_have_no_polarization(self):
@@ -202,33 +201,6 @@ class TestDegeneratePt:
         c_bound = residuals[1e-4] / 1e-4**2
         for g, res in residuals.items():
             assert res <= c_bound * g * g * (1.0 + 1e-9)
-
-
-class TestRotatedFrameAngles:
-    def test_zero_kick_exact(self):
-        t1, t2 = rotated_frame_angles(0.5, 0.0)
-        assert t1 == math.acos(0.5)
-        assert t2 == -math.acos(0.5)
-
-    def test_residual_at_roots(self):
-        for g in (1e-2, 1e-3):
-            t1, t2 = rotated_frame_angles(0.5, g)
-            for t in (t1, t2):
-                res = math.sin(t) * math.cos(t) - 0.5 * math.sin(t) + g * math.cos(t)
-                assert abs(res) <= 1e-11
-
-    def test_roots_merge_symmetrically(self):
-        sums = [
-            abs(sum(rotated_frame_angles(0.5, g))) for g in (1e-2, 1e-3, 1e-4)
-        ]
-        assert all(b < a for a, b in zip(sums, sums[1:]))
-        assert sums[-1] < 1e-3
-
-    def test_rejects_bad_field(self):
-        with pytest.raises(ValueError):
-            rotated_frame_angles(0.0, 1e-3)
-        with pytest.raises(ValueError):
-            rotated_frame_angles(1.0, 1e-3)
 
 
 class TestNewmanAlpha:

@@ -15,7 +15,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lmglab.evolve import eigensystem
-from lmglab.model import LmgParams, NumericError, build_hamiltonian
+from lmglab.model import LmgParams, build_hamiltonian
 from lmglab.spinspace import BandedHermitianOperator, build_sector
 
 
@@ -59,7 +59,7 @@ def jacobi_eigenvalues(a: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
                 a[p, :] = np.conj(jpp) * rowp + np.conj(jqp) * rowq
                 a[q, :] = np.conj(jpq) * rowp + np.conj(jqq) * rowq
     else:
-        raise NumericError("Jacobi sweeps did not converge")
+        raise RuntimeError("Jacobi sweeps did not converge")
     return np.sort(a.diagonal().real)
 
 
