@@ -10,7 +10,7 @@ construction.
 from .evolve import (
     CorrelationResult,
     EigenSystem,
-    ProjectedMode,
+    ProjectedModes,
     TimeSeries,
     analytic_sum,
     correlation_fN,

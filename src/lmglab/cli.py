@@ -20,14 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolve import (
+    ProjectedModes,
     TimeSeries,
     analytic_sum,
     correlation_fN,
+    default_time_grid,
     eigensystem,
     observable_series,
     projected_init,
     projected_solution,
-    ProjectedMode,
 )
 from .model import (
     LmgParams,
@@ -296,8 +297,9 @@ def _table(cfg: RunConfig, stem: str, header: str, rows) -> str:
 
 
 def _time_grid(cfg: RunConfig, N: int) -> np.ndarray:
-    t_max = cfg.tmax if cfg.tmax is not None else 40.0 * math.pi * N
-    return np.arange(cfg.samples) * (t_max / cfg.samples)
+    if cfg.tmax is None:
+        return default_time_grid(N, samples=cfg.samples)
+    return np.arange(cfg.samples) * (cfg.tmax / cfg.samples)
 
 
 def _series_run(cfg: RunConfig, N: int, h: float, g: float):
@@ -332,7 +334,7 @@ def _series_run(cfg: RunConfig, N: int, h: float, g: float):
     summary["delta_e"] = prepared.delta_e
     summary["preparation"] = prep
     summary["files"] = [_table(cfg, "series", SERIES_HEADER, rows)]
-    mx_series = TimeSeries(t=tgrid, values=mx.values * scale, label="mx")
+    mx_series = TimeSeries(t=tgrid, values=mx.values * scale)
     return summary, mx_series, eig0, state, ops.sx
 
 
@@ -405,9 +407,8 @@ def cmd_modes(cfg: RunConfig) -> dict:
         table_rows.append(
             (h, N * h, freqs.m0, freqs.omega0, 1.0 if mode.degenerate else 0.0)
         )
-        ideal = ProjectedMode(
-            k=0, Mk=freqs.m0, nu=1.0 / N, omega_k=freqs.omega0,
-            sx0=N / 2.0, sy0=0.0,
+        ideal = ProjectedModes(
+            1.0 / N, np.array([freqs.omega0]), np.array([N / 2.0]), np.zeros(1)
         )
         wx, wy = projected_solution(ideal, tgrid)
         files.append(
@@ -468,6 +469,8 @@ def cmd_gap(cfg: RunConfig) -> dict:
     h = cfg.single_h()
     files = []
     summary = _base_summary(cfg, N, h, 0.0)
+    # the PT part uses gamma = 1 and the scan gamma = 0; --gamma applies to neither
+    summary["gamma"] = None
 
     ground = ground_M(N, h)
     if ground.degenerate:
@@ -526,7 +529,7 @@ def cmd_quasicrystal(cfg: RunConfig) -> dict:
     localized = localize_ground_state(params, g=cfg.single_g(N), phi_n=cfg.phi_n)
     files = [_table(cfg, "quasicrystal_h", "index,h", list(enumerate(fields)))]
     sector = build_sector(N)
-    ground_mode = projected_init(localized.state, sector, h_pick)[0]
+    ground_mode = projected_init(localized.state, sector, h_pick).first(1)
     wx, wy = projected_solution(ground_mode, tgrid)
     files.append(
         _table(

@@ -18,18 +18,14 @@ convention.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .model import ground_M, isotropic_energies, isotropic_gap
 from .spinspace import (
-    ENERGY_BASIS,
-    SZ_BASIS,
     BandedHermitianOperator,
     SpinSector,
     StateVector,
@@ -63,7 +59,6 @@ class TimeSeries:
 
     t: np.ndarray
     values: np.ndarray
-    label: str = ""
     error_bound: float = 0.0
 
     def __post_init__(self):
@@ -224,26 +219,22 @@ def _windowed_ground(op: BandedHermitianOperator) -> tuple[float, StateVector]:
             if r <= scale and mu > levels[0] + r + scale:
                 amps = np.zeros(n, dtype=np.complex128)
                 amps[a:b] = v
-                return c + float(levels[0]), StateVector(basis=SZ_BASIS, amplitudes=amps)
+                return c + float(levels[0]), StateVector(amps)
             pad *= 2
     eig = eigensystem(op)
     return eig.ground_energy, ground_state(eig)
 
 
 def ground_state(eig: EigenSystem) -> StateVector:
-    return StateVector(basis=SZ_BASIS, amplitudes=eig.columns([0])[:, 0])
+    return StateVector(eig.columns([0])[:, 0])
 
 
 def propagate(eig: EigenSystem, psi0: StateVector, t: float) -> StateVector:
     """psi(t) = sum_k e^{-i E_k t} b_k |k>, b_k = <k|psi0>."""
     if psi0.dim != eig.dim:
         raise ValueError("dimension mismatch")
-    if psi0.basis == ENERGY_BASIS:
-        coeffs = psi0.amplitudes
-    else:
-        coeffs = eig.to_energy_basis(psi0.amplitudes)
-    evolved = eig.from_energy_basis(np.exp(-1j * eig.energies * t) * coeffs)
-    return StateVector(basis=SZ_BASIS, amplitudes=evolved)
+    coeffs = eig.to_energy_basis(psi0.amplitudes)
+    return StateVector(eig.from_energy_basis(np.exp(-1j * eig.energies * t) * coeffs))
 
 
 def observable_series(
@@ -251,7 +242,6 @@ def observable_series(
     psi0: StateVector,
     op,
     tgrid: np.ndarray,
-    label: str = "",
 ) -> TimeSeries:
     """<psi(t)|op|psi(t)> = sum_jk b_j^* O_jk b_k e^{i (E_j - E_k) t} on a
     uniform grid, summed line by line by ``_phase_sum``.
@@ -271,7 +261,7 @@ def observable_series(
     else:
         freqs, weights, bound = bohr_lines(eig, psi0.amplitudes, op)
     values = _phase_sum(freqs, weights, tgrid)
-    return TimeSeries(t=tgrid, values=values, label=label, error_bound=bound)
+    return TimeSeries(t=tgrid, values=values, error_bound=bound)
 
 
 def _band_lines(eig: EigenSystem, amps, bands) -> tuple[np.ndarray, np.ndarray]:
@@ -347,34 +337,30 @@ def _phase_sum(freqs: np.ndarray, weights: np.ndarray, tgrid: np.ndarray) -> np.
     return out.ravel()[:T]
 
 
-class ProjectedMode(NamedTuple):
-    """One level's contribution to the in-plane polarization dynamics.
+@dataclass(frozen=True)
+class ProjectedModes:
+    """In-plane polarization modes: level k (entry k of each array) beats at the
+    universal nu = 1/N against its own omega_k = h - 2 M_k / N from sx0, sy0."""
 
-    Each mode oscillates with the universal frequency nu = 1/N entangled
-    with its own omega_k = h - 2 M_k / N.
-    """
-
-    k: int
-    Mk: float
     nu: float
-    omega_k: float
-    sx0: complex
-    sy0: complex
+    omega_k: np.ndarray
+    sx0: np.ndarray
+    sy0: np.ndarray
+
+    def first(self, count: int) -> "ProjectedModes":
+        """The modes of levels 0..count-1."""
+        cut = slice(count)
+        return ProjectedModes(self.nu, self.omega_k[cut], self.sx0[cut], self.sy0[cut])
 
 
-def projected_init(
-    psi0: StateVector, sector: SpinSector, h: float
-) -> list[ProjectedMode]:
+def projected_init(psi0: StateVector, sector: SpinSector, h: float) -> ProjectedModes:
     """Initial mode amplitudes of a state under the isotropic Hamiltonian.
 
     Level k maps to a single Sz index m; its amplitudes collect the two
     coherences c_m^* c_{m+-1} weighted by the Sx / Sy matrix elements, with
-    missing neighbors dropped at the sector edges.  The coherences of all
-    levels are formed as arrays.  Summing sx0 over all modes reproduces
-    <Sx> at t = 0 exactly.
+    missing neighbors dropped at the sector edges.  Summing sx0 over all
+    modes reproduces <Sx> at t = 0 exactly.
     """
-    if psi0.basis != SZ_BASIS:
-        raise ValueError("expected a state in the Sz basis")
     n = sector.N
     if psi0.dim != sector.dim:
         raise ValueError("dimension mismatch")
@@ -390,24 +376,11 @@ def projected_init(
     sy0[:-1] += up * (-0.5j * a)
     sx0[1:] += down * (a / 2.0)
     sy0[1:] += down * (0.5j * a)
-    mk = sector.m_values[perm]
-    # fields in ProjectedMode order: k, Mk, nu, omega_k, sx0, sy0
-    return list(
-        map(
-            ProjectedMode,
-            range(n + 1),
-            mk.tolist(),
-            itertools.repeat(1.0 / n),
-            (h - 2.0 * mk / n).tolist(),
-            sx0[perm].tolist(),
-            sy0[perm].tolist(),
-        )
-    )
+    omega_k = h - 2.0 * sector.m_values[perm] / n
+    return ProjectedModes(1.0 / n, omega_k, sx0[perm], sy0[perm])
 
 
-def _mode_lines(
-    modes: list[ProjectedMode],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _mode_lines(modes: ProjectedModes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bohr lines of the modes: frequencies and the S_x and S_y weights.
 
     With a = sx0, b = sy0, each mode contributes e^{i (w - nu) t} with
@@ -415,10 +388,7 @@ def _mode_lines(
     (a + ib)/2 and (b - ia)/2.  Lines of equal frequency are merged, so a
     mode with w = 0 and b = 0 gives an S_y that is exactly zero.
     """
-    w = np.array([m.omega_k for m in modes], dtype=np.float64)
-    nu = np.array([m.nu for m in modes], dtype=np.float64)
-    a = np.array([m.sx0 for m in modes], dtype=np.complex128)
-    b = np.array([m.sy0 for m in modes], dtype=np.complex128)
+    w, nu, a, b = modes.omega_k, modes.nu, modes.sx0, modes.sy0
     freqs, line = np.unique(np.concatenate([w - nu, -(w + nu)]), return_inverse=True)
     wx = np.zeros(freqs.shape[0], dtype=np.complex128)
     wy = np.zeros_like(wx)
@@ -428,9 +398,9 @@ def _mode_lines(
 
 
 def projected_solution(
-    mode: ProjectedMode, tgrid: np.ndarray
+    modes: ProjectedModes, tgrid: np.ndarray
 ) -> tuple[TimeSeries, TimeSeries]:
-    """Closed-form mode dynamics.
+    """Closed-form dynamics of the given modes, summed.
 
     Sx_k(t) = e^{-i nu t} [Sx_k(0) cos(w_k t) + Sy_k(0) sin(w_k t)] and the
     Sy companion with the rotated sign pattern, each summed as its two Bohr
@@ -439,15 +409,15 @@ def projected_solution(
     """
     tgrid = np.asarray(tgrid, dtype=np.float64)
     _check_grid(tgrid)
-    freqs, wx, wy = _mode_lines([mode])
+    freqs, wx, wy = _mode_lines(modes)
     return (
-        TimeSeries(t=tgrid, values=_phase_sum(freqs, wx, tgrid), label=f"sx_k{mode.k}"),
-        TimeSeries(t=tgrid, values=_phase_sum(freqs, wy, tgrid), label=f"sy_k{mode.k}"),
+        TimeSeries(t=tgrid, values=_phase_sum(freqs, wx, tgrid)),
+        TimeSeries(t=tgrid, values=_phase_sum(freqs, wy, tgrid)),
     )
 
 
 def analytic_sum(
-    modes: list[ProjectedMode], K: int, tgrid: np.ndarray
+    modes: ProjectedModes, K: int, tgrid: np.ndarray
 ) -> tuple[TimeSeries, TimeSeries]:
     """Superposition of the projected modes k = 0..K (inclusive).
 
@@ -456,9 +426,8 @@ def analytic_sum(
     <Sx(t)>, <Sy(t)> under the isotropic Hamiltonian.  The grid is checked
     before any work.
     """
-    tgrid = np.asarray(tgrid, dtype=np.float64)
-    _check_grid(tgrid)
-    n_max = len(modes) - 1
+    _check_grid(np.asarray(tgrid, dtype=np.float64))
+    n_max = modes.omega_k.shape[0] - 1
     if K > n_max:
         warnings.warn(
             f"cutoff K={K} exceeds the top level {n_max}; clamping",
@@ -467,11 +436,7 @@ def analytic_sum(
         K = n_max
     if K < 0:
         raise ValueError("cutoff must be >= 0")
-    freqs, wx, wy = _mode_lines(modes[: K + 1])
-    return (
-        TimeSeries(t=tgrid, values=_phase_sum(freqs, wx, tgrid), label=f"sx_sum_K{K}"),
-        TimeSeries(t=tgrid, values=_phase_sum(freqs, wy, tgrid), label=f"sy_sum_K{K}"),
-    )
+    return projected_solution(modes.first(K + 1), tgrid)
 
 
 @dataclass(frozen=True)
@@ -546,8 +511,8 @@ def correlation_fN(
         members.append(
             CorrelationMember(
                 m0=m0_val,
-                direct=TimeSeries(t=tgrid, values=direct, label="fN_direct"),
-                closed_form=TimeSeries(t=tgrid, values=closed, label="fN_closed"),
+                direct=TimeSeries(t=tgrid, values=direct),
+                closed_form=TimeSeries(t=tgrid, values=closed),
                 frequencies=tuple(freqs),
                 weights=tuple(weights),
             )

@@ -14,16 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spinspace import (
-    SZ_BASIS,
     BandedHermitianOperator,
     SpinSector,
     StateVector,
     build_sector,
     ladder_plus_band,
 )
-
-BROKEN = "broken"
-SYMMETRIC = "symmetric"
 
 # energies equal within this relative tolerance count as a degenerate pair
 DEGENERACY_RTOL = 1e-12
@@ -47,10 +43,6 @@ class LmgParams:
             raise ValueError("gamma must lie in [0, 1]")
         if self.h < 0.0:
             raise ValueError("h must be >= 0")
-
-    @property
-    def phase(self) -> str:
-        return BROKEN if self.h < 1.0 else SYMMETRIC
 
 
 def build_hamiltonian(
@@ -179,7 +171,7 @@ def trial_localized_state(sector: SpinSector, h: float) -> TrialState:
     amps[idx0] = math.sqrt(1.0 - 2.0 / n)
     amps[idx0 - 1] = 1.0 / math.sqrt(n)
     amps[idx0 + 1] = 1.0 / math.sqrt(n)
-    state = StateVector(basis=SZ_BASIS, amplitudes=amps)
+    state = StateVector(amps)
     return TrialState(
         state=state,
         m0=ground.m0,

@@ -342,7 +342,7 @@ def _free_correlation(
                 cols = slice(lo, lo + _TIME_BLOCK)
                 values[cols] = weights @ np.exp(-1j * omega[:, None] * tgrid[None, cols])
             values *= 4.0 / N**2
-            member = (N / 2 - k, TimeSeries(t=tgrid, values=values, label="fN_full"))
+            member = (N / 2 - k, TimeSeries(t=tgrid, values=values))
             members += [member] * (2 if 0 < 2 * q < N else 1)
     members.sort(key=lambda pair: pair[0])
     return float(e0), members

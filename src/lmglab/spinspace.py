@@ -16,10 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SZ_BASIS = "sz"
-ENERGY_BASIS = "energy"
-
-_BASES = (SZ_BASIS, ENERGY_BASIS)
 _NORM_TOL = 1e-12
 
 
@@ -158,14 +154,11 @@ class BandedHermitianOperator:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized complex amplitudes in a tagged basis ('sz' or 'energy')."""
+    """Normalized complex amplitudes in the Sz basis."""
 
-    basis: str
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.basis not in _BASES:
-            raise ValueError(f"unknown basis tag {self.basis!r}")
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > _NORM_TOL:
@@ -177,19 +170,19 @@ class StateVector:
         return self.amplitudes.shape[0]
 
 
-def normalized_state(amplitudes, basis: str = SZ_BASIS) -> StateVector:
+def normalized_state(amplitudes) -> StateVector:
     """Normalize raw amplitudes and wrap them as a StateVector."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
     norm = np.linalg.norm(amps)
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    return StateVector(basis=basis, amplitudes=amps / norm)
+    return StateVector(amps / norm)
 
 
-def basis_state(dim: int, index: int, basis: str = SZ_BASIS) -> StateVector:
+def basis_state(dim: int, index: int) -> StateVector:
     amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0
-    return StateVector(basis=basis, amplitudes=amps)
+    return StateVector(amps)
 
 
 def ladder_plus_band(sector: SpinSector) -> np.ndarray:
@@ -226,8 +219,6 @@ def collective_operators(sector: SpinSector) -> CollectiveOperators:
 
 def _amps_in_sz(psi) -> np.ndarray:
     if isinstance(psi, StateVector):
-        if psi.basis != SZ_BASIS:
-            raise ValueError("operator algebra expects a state in the Sz basis")
         return psi.amplitudes
     return np.asarray(psi, dtype=np.complex128)
 

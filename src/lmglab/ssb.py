@@ -16,7 +16,6 @@ import numpy as np
 from .evolve import _windowed_ground, eigensystem
 from .model import LmgParams, build_hamiltonian, ground_M
 from .spinspace import (
-    SZ_BASIS,
     SpinSector,
     StateVector,
     build_sector,
@@ -47,8 +46,6 @@ def order_parameter(psi: StateVector, phi_n: float, N: int) -> float:
     <S+> = sum_m conj(psi_m) a_m psi_(m+1) over the ``ladder_plus_band``
     elements a_m.
     """
-    if psi.basis != SZ_BASIS:
-        raise ValueError("operator algebra expects a state in the Sz basis")
     sector = build_sector(N)
     if psi.dim != sector.dim:
         raise ValueError("dimension mismatch")
@@ -126,7 +123,7 @@ def degenerate_pt_gap(sector: SpinSector, h: float, g: float) -> DegeneratePtGap
         amps = np.zeros(sector.dim, dtype=np.complex128)
         amps[idx_lo] = 1.0 / math.sqrt(2.0)
         amps[idx_hi] = sign / math.sqrt(2.0)
-        mixed.append(StateVector(basis=SZ_BASIS, amplitudes=amps))
+        mixed.append(StateVector(amps))
     return DegeneratePtGap(
         sx_updown=x,
         epsilon_plus=g * x,

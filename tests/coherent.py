@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from lmglab.spinspace import SZ_BASIS, SpinSector, StateVector, basis_state
+from lmglab.spinspace import SpinSector, StateVector, basis_state
 
 
 def coherent_state(sector: SpinSector, theta: float, phi: float = 0.0) -> StateVector:
@@ -26,4 +26,4 @@ def coherent_state(sector: SpinSector, theta: float, phi: float = 0.0) -> StateV
     log_mag = 0.5 * ln_binom + (n - m) * math.log(abs(ct)) + m * math.log(abs(st))
     signs = np.sign(ct) ** (n - m) * np.sign(st) ** m
     amps = signs * np.exp(log_mag) * np.exp(1j * phi * (m - n / 2.0))
-    return StateVector(basis=SZ_BASIS, amplitudes=amps / np.linalg.norm(amps))
+    return StateVector(amps / np.linalg.norm(amps))

@@ -63,7 +63,7 @@ def _localized_mx_series(N, h, g, periods=20.0, samples=4096):
     ops = collective_operators(sector)
     tgrid = default_time_grid(N, periods=periods, samples=samples)
     series = observable_series(eig, localized.state, ops.sx, tgrid)
-    mx = TimeSeries(t=tgrid, values=series.values * (2.0 / N), label="mx")
+    mx = TimeSeries(t=tgrid, values=series.values * (2.0 / N))
     return localized, eig, sector, mx
 
 

@@ -197,6 +197,13 @@ class TestGap:
             assert summary["c_h"] == pytest.approx(-math.log(0.71), rel=1e-12)
             assert summary["wkb_rate"] == pytest.approx(wkb_rate(0.71), rel=1e-12)
 
+    @pytest.mark.parametrize("flags", [["--gamma", "0.5"], []])
+    def test_records_no_gamma(self, tmp_path, flags):
+        # neither part of the run uses --gamma, so summary.json records none
+        out = str(tmp_path / "run")
+        assert main(["gap", "--n", "40", "--h", "0.71", *flags, "--out", out]) == 0
+        assert read_json(os.path.join(out, "summary.json"))["gamma"] is None
+
     def test_symmetric_phase_scan(self, tmp_path):
         out = str(tmp_path / "run")
         rc = main(["gap", "--n", "20,40,60", "--h", "1.5", "--out", out])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lmglab import evolve
 from lmglab.evolve import (
     EigenSystem,
-    ProjectedMode,
+    ProjectedModes,
     TimeSeries,
     analytic_sum,
     correlation_fN,
@@ -381,6 +381,10 @@ class TestBohrLines:
         assert err <= series.error_bound + 1e-12 * norm_bound(sx)
 
 
+def one_mode(nu, omega_k, sx0, sy0):
+    return ProjectedModes(nu, np.array([omega_k]), np.array([sx0]), np.array([sy0]))
+
+
 class TestProjectedDynamics:
     def test_mode_sum_telescopes_to_initial_expectation(self):
         N, h = 33, 0.62
@@ -389,8 +393,8 @@ class TestProjectedDynamics:
         psi = normalized_state(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
         ops = collective_operators(sec)
         modes = projected_init(psi, sec, h)
-        sx_total = sum(m.sx0 for m in modes)
-        sy_total = sum(m.sy0 for m in modes)
+        sx_total = modes.sx0.sum()
+        sy_total = modes.sy0.sum()
         assert sx_total == pytest.approx(expectation(ops.sx, psi), abs=1e-12 * N)
         assert sy_total == pytest.approx(expectation(ops.sy, psi), abs=1e-12 * N)
 
@@ -398,7 +402,7 @@ class TestProjectedDynamics:
         N = 10
         sec = build_sector(N)
         modes = projected_init(basis_state(sec.dim, 0), sec, 0.5)
-        assert all(m.sx0 == 0.0 and m.sy0 == 0.0 for m in modes)
+        assert not np.any(modes.sx0) and not np.any(modes.sy0)
 
     def test_ground_mode_is_largest_for_coherent_state(self):
         # the mean-field state is broad, so neighbors are comparable; the
@@ -407,8 +411,7 @@ class TestProjectedDynamics:
         sec = build_sector(N)
         psi = coherent_state(sec, math.acos(h))
         modes = projected_init(psi, sec, h)
-        amps = [abs(m.sx0) for m in modes]
-        assert int(np.argmax(amps)) == 0
+        assert int(np.argmax(np.abs(modes.sx0))) == 0
 
     def test_low_modes_dominate_for_weakly_kicked_state(self):
         # a weak kick concentrates the dynamics on the lowest few modes
@@ -417,16 +420,13 @@ class TestProjectedDynamics:
         sec = build_sector(N)
         loc = localize_ground_state(params, g=1e-4)
         modes = projected_init(loc.state, sec, h)
-        lead = abs(modes[0].sx0)
-        for mode in modes[3:]:
-            assert lead > 10.0 * abs(mode.sx0)
+        assert np.all(abs(modes.sx0[0]) > 10.0 * np.abs(modes.sx0[3:]))
 
     def test_round_mode_waveform(self):
         N = 50
         tgrid = default_time_grid(N, periods=2, samples=256)
         nu = 1.0 / N
-        mode = ProjectedMode(k=0, Mk=0.0, nu=nu, omega_k=0.0, sx0=N / 2.0, sy0=0.0)
-        sx, sy = projected_solution(mode, tgrid)
+        sx, sy = projected_solution(one_mode(nu, 0.0, N / 2.0, 0.0), tgrid)
         assert np.max(np.abs(sx.values.real - (N / 2.0) * np.cos(nu * tgrid))) <= 1e-12 * N
         # full circle: the polarization reaches -N/2
         assert sx.values.real.min() <= -0.99 * (N / 2.0)
@@ -435,27 +435,39 @@ class TestProjectedDynamics:
         N = 50
         tgrid = default_time_grid(N, periods=2, samples=256)
         nu = 1.0 / N
-        mode = ProjectedMode(k=0, Mk=0.0, nu=nu, omega_k=nu, sx0=N / 2.0, sy0=0.0)
-        sx, _ = projected_solution(mode, tgrid)
+        sx, _ = projected_solution(one_mode(nu, nu, N / 2.0, 0.0), tgrid)
         expected = (N / 2.0) * np.cos(nu * tgrid) ** 2
         assert np.max(np.abs(sx.values.real - expected)) <= 1e-12 * N
         # bounded in half a circle
         assert sx.values.real.min() >= -1e-9
 
     def test_time_zero_returns_initial_values(self):
-        mode = ProjectedMode(k=2, Mk=1.0, nu=0.1, omega_k=0.05, sx0=1 + 2j, sy0=0.5j)
         tgrid = np.array([0.0, 1.0])
-        sx, sy = projected_solution(mode, tgrid)
-        assert sx.values[0] == mode.sx0
-        assert sy.values[0] == mode.sy0
+        sx, sy = projected_solution(one_mode(0.1, 0.05, 1 + 2j, 0.5j), tgrid)
+        assert sx.values[0] == 1 + 2j
+        assert sy.values[0] == 0.5j
 
 
 class TestAnalyticSum:
     @pytest.mark.parametrize("N,h", [(2, 0.3), (3, 0.5), (17, 0.55), (100, 0.716)])
     def test_full_sum_reproduces_exact_series(self, N, h):
+        self.check_full_sum(N, h, state_seed=100 * N)
+
+    @seed(20261019)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        N=st.integers(1, 60),
+        h=st.floats(0.0, 1.0, exclude_max=True),
+        state_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_full_sum_reproduces_exact_series_property(self, N, h, state_seed):
+        self.check_full_sum(N, h, state_seed)
+
+    @staticmethod
+    def check_full_sum(N, h, state_seed):
         sec, eig = isotropic_eigensystem(N, h)
         ops = collective_operators(sec)
-        rng = np.random.default_rng(100 * N)
+        rng = np.random.default_rng(state_seed)
         states = [
             normalized_state(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)),
             coherent_state(sec, 1.0, 0.4),
@@ -497,22 +509,23 @@ class TestAnalyticSum:
         assert np.array_equal(clamped.values, full.values)
 
 
-def per_mode_formula(mode, tgrid):
-    """The mode waveform as written in projected_solution's docstring."""
-    envelope = np.exp(-1j * mode.nu * tgrid)
-    cw, sw = np.cos(mode.omega_k * tgrid), np.sin(mode.omega_k * tgrid)
-    return (
-        envelope * (mode.sx0 * cw + mode.sy0 * sw),
-        envelope * (mode.sy0 * cw - mode.sx0 * sw),
-    )
+def per_mode_formula(modes, tgrid):
+    """The modes' waveform as written in projected_solution's docstring, summed."""
+    envelope = np.exp(-1j * modes.nu * tgrid)
+    sx = sy = np.zeros(tgrid.shape[0], dtype=np.complex128)
+    for w, a, b in zip(modes.omega_k, modes.sx0, modes.sy0, strict=True):
+        cw, sw = np.cos(w * tgrid), np.sin(w * tgrid)
+        sx = sx + envelope * (a * cw + b * sw)
+        sy = sy + envelope * (b * cw - a * sw)
+    return sx, sy
 
 
 def per_level_init(psi, sec, h):
-    """projected_init as one loop over the levels."""
+    """projected_init as one loop over the levels: omega_k, sx0 and sy0."""
     n = sec.N
     perm = np.argsort(isotropic_energies(sec, h), kind="stable")
     c, a = psi.amplitudes, ladder_plus_band(sec)
-    modes = []
+    omega_k, sx0s, sy0s = [], [], []
     for k in range(n + 1):
         m = int(perm[k])
         sx0 = sy0 = 0.0j
@@ -524,11 +537,10 @@ def per_level_init(psi, sec, h):
             coh = np.conj(c[m]) * c[m - 1]
             sx0 += coh * (a[m - 1] / 2.0)
             sy0 += coh * (0.5j * a[m - 1])
-        mk = sec.m_values[m]
-        modes.append(
-            ProjectedMode(k, float(mk), 1.0 / n, h - 2.0 * mk / n, complex(sx0), complex(sy0))
-        )
-    return modes
+        omega_k.append(h - 2.0 * sec.m_values[m] / n)
+        sx0s.append(complex(sx0))
+        sy0s.append(complex(sy0))
+    return np.array(omega_k), np.array(sx0s), np.array(sy0s)
 
 
 _unit = st.floats(-1.0, 1.0)
@@ -542,27 +554,25 @@ class TestModeLines:
     @seed(20261018)
     @settings(max_examples=60, deadline=None, database=None)
     @given(
-        modes=st.lists(
-            st.builds(ProjectedMode, st.integers(0, 9), st.just(0.0), _unit, _unit,
-                      _complex, _complex),
-            min_size=1,
-            max_size=6,
-        ),
+        nu=_unit,
+        levels=st.lists(st.tuples(_unit, _complex, _complex), min_size=1, max_size=6),
         T=st.integers(2, 16385),
         start=st.integers(-1000, 1000),
         t_max=st.floats(1e-3, 250.0),
     )
-    def test_matches_per_mode_formula(self, modes, T, start, t_max):
+    def test_matches_per_mode_formula(self, nu, levels, T, start, t_max):
         # |frequency| * |t| <= 500, so both routes round their phases alike
         step = t_max / (abs(start) + T)
         tgrid = (start + np.arange(T)) * step
-        ref_x, ref_y = (np.sum(c, axis=0) for c in zip(*(per_mode_formula(m, tgrid) for m in modes)))
-        sum_x, sum_y = analytic_sum(modes, len(modes) - 1, tgrid)
+        omega_k, sx0, sy0 = (np.array(column) for column in zip(*levels))
+        modes = ProjectedModes(nu, omega_k, sx0, sy0)
+        ref_x, ref_y = per_mode_formula(modes, tgrid)
+        sum_x, sum_y = analytic_sum(modes, len(levels) - 1, tgrid)
         scale = max(np.max(np.abs(ref_x)), np.max(np.abs(ref_y)))
         assert np.max(np.abs(sum_x.values - ref_x)) <= 1e-12 * scale
         assert np.max(np.abs(sum_y.values - ref_y)) <= 1e-12 * scale
-        ref_x, ref_y = per_mode_formula(modes[0], tgrid)
-        sol_x, sol_y = projected_solution(modes[0], tgrid)
+        ref_x, ref_y = per_mode_formula(modes.first(1), tgrid)
+        sol_x, sol_y = projected_solution(modes.first(1), tgrid)
         scale = max(np.max(np.abs(ref_x)), np.max(np.abs(ref_y)))
         assert np.max(np.abs(sol_x.values - ref_x)) <= 1e-12 * scale
         assert np.max(np.abs(sol_y.values - ref_y)) <= 1e-12 * scale
@@ -572,26 +582,28 @@ class TestModeLines:
         sec = build_sector(N)
         rng = np.random.default_rng(N)
         psi = normalized_state(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
-        for got, ref in zip(projected_init(psi, sec, h), per_level_init(psi, sec, h), strict=True):
-            assert (got.k, got.Mk, got.nu, got.omega_k) == (ref.k, ref.Mk, ref.nu, ref.omega_k)
-            # |sx0| + |sy0| bounds both coherence terms of the level, so this
-            # allows a few roundings of each term
-            tol = 1e-15 * (abs(ref.sx0) + abs(ref.sy0))
-            assert abs(got.sx0 - ref.sx0) <= tol
-            assert abs(got.sy0 - ref.sy0) <= tol
+        got = projected_init(psi, sec, h)
+        omega_k, sx0, sy0 = per_level_init(psi, sec, h)
+        assert got.nu == 1.0 / N
+        assert np.array_equal(got.omega_k, omega_k)
+        # |sx0| + |sy0| bounds both coherence terms of the level, so this
+        # allows a few roundings of each term
+        tol = 1e-15 * (np.abs(sx0) + np.abs(sy0))
+        assert np.all(np.abs(got.sx0 - sx0) <= tol)
+        assert np.all(np.abs(got.sy0 - sy0) <= tol)
 
     @pytest.mark.parametrize(
         "tgrid", [np.array([0.0]), np.array([0.0, 1.0, 3.0]), np.full(4, math.nan)]
     )
     def test_bad_grid_rejected_before_any_work(self, monkeypatch, tgrid):
-        mode = ProjectedMode(k=0, Mk=1.0, nu=0.1, omega_k=0.05, sx0=1.0, sy0=0.5j)
+        mode = one_mode(0.1, 0.05, 1.0, 0.5j)
 
         def refuse(*args, **kwargs):
             raise AssertionError("phases formed")
 
         monkeypatch.setattr(evolve, "_phase_sum", refuse)
         with pytest.raises(ValueError):
-            analytic_sum([mode], 0, tgrid)
+            analytic_sum(mode, 0, tgrid)
         with pytest.raises(ValueError):
             projected_solution(mode, tgrid)
 

@@ -269,11 +269,6 @@ class TestLifetime:
 
 
 class TestParams:
-    def test_phase_labels(self):
-        assert LmgParams(N=4, h=0.0).phase == "broken"
-        assert LmgParams(N=4, h=0.999).phase == "broken"
-        assert LmgParams(N=4, h=1.0).phase == "symmetric"
-
     def test_validation(self):
         with pytest.raises(ValueError):
             LmgParams(N=0, h=0.5)

@@ -154,13 +154,11 @@ class TestOrderParameter:
             ) * expectation(ops.sy, psi)
             assert abs(order_parameter(psi, phi_n, N) - 2.0 / N * val.real) <= 1e-15
 
-    def test_rejects_energy_basis_and_wrong_dimension(self):
+    def test_rejects_wrong_dimension(self):
         from lmglab.spinspace import StateVector
 
         with pytest.raises(ValueError):
-            order_parameter(StateVector("energy", np.eye(5)[0]), 0.0, 4)
-        with pytest.raises(ValueError):
-            order_parameter(StateVector("sz", np.eye(5)[0]), 0.0, 5)
+            order_parameter(StateVector(np.eye(5)[0]), 0.0, 5)
 
 
 class TestDegeneratePt:
