@@ -60,7 +60,7 @@ from .ssb import (
     newman_alpha,
     wkb_rate,
 )
-from .tables import csv_body
+from .tables import csv_pieces
 
 SERIES_HEADER = "t,mx_exact,my_exact,mx_analytic,my_analytic"
 SPECTRUM_HEADER = "freq_over_nu,magnitude"
@@ -280,7 +280,7 @@ def _write_table(path: str, header: str, rows) -> str:
     table = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(columns))
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
-        fh.write(csv_body(table))
+        fh.writelines(csv_pieces(table))
     return path
 
 

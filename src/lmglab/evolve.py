@@ -41,8 +41,9 @@ _WINDOW_PAD = 16  # first pad of a ground-state window, rows on each side
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _check_grid(t: np.ndarray) -> None:
-    """Raise ValueError unless t is a finite, strictly increasing uniform grid."""
+def _check_grid(t) -> np.ndarray:
+    """t as float64; ValueError unless it is a finite, strictly increasing uniform grid."""
+    t = np.asarray(t, dtype=np.float64)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("time grid needs at least two points")
     if not np.all(np.isfinite(t)):
@@ -51,6 +52,7 @@ def _check_grid(t: np.ndarray) -> None:
     step = dt[0]
     if step <= 0.0 or np.any(np.abs(dt - step) > _GRID_RTOL * abs(step)):
         raise ValueError("time grid must be uniform and increasing")
+    return t
 
 
 @dataclass(frozen=True)
@@ -62,14 +64,19 @@ class TimeSeries:
     error_bound: float = 0.0
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=np.float64)
-        _check_grid(t)
-        object.__setattr__(self, "t", _readonly(t))
+        object.__setattr__(self, "t", _readonly(_check_grid(self.t)))
         object.__setattr__(self, "values", _readonly(np.asarray(self.values)))
 
     @property
     def dt(self) -> float:
         return float(self.t[1] - self.t[0])
+
+
+def _series(t: np.ndarray, values, bound: float = 0.0) -> TimeSeries:
+    """A TimeSeries on a grid that ``_check_grid`` returned: not checked again."""
+    series = object.__new__(TimeSeries)
+    series.__dict__.update(t=_readonly(t), values=_readonly(np.asarray(values)), error_bound=bound)
+    return series
 
 
 def default_time_grid(N: int, periods: float = 20.0, samples: int = 4096) -> np.ndarray:
@@ -254,14 +261,12 @@ def observable_series(
     """
     if psi0.dim != eig.dim or op.dim != eig.dim:
         raise ValueError("dimension mismatch")
-    tgrid = np.asarray(tgrid, dtype=np.float64)
-    _check_grid(tgrid)
+    tgrid = _check_grid(tgrid)
     if eig.permutation is not None:
         freqs, weights, bound = *_band_lines(eig, psi0.amplitudes, op.bands), 0.0
     else:
         freqs, weights, bound = bohr_lines(eig, psi0.amplitudes, op)
-    values = _phase_sum(freqs, weights, tgrid)
-    return TimeSeries(t=tgrid, values=values, error_bound=bound)
+    return _series(tgrid, _phase_sum(freqs, weights, tgrid), bound)
 
 
 def _band_lines(eig: EigenSystem, amps, bands) -> tuple[np.ndarray, np.ndarray]:
@@ -305,10 +310,19 @@ def bohr_lines(
     n_drop = int(np.count_nonzero(norm * (2.0 * d + d * d) <= 0.5 * tol))
     bound = norm * (2.0 * d[n_drop - 1] + d[n_drop - 1] ** 2) if n_drop else 0.0
     keep = np.sort(by_mass[n_drop:])
-    vk = eig.columns(keep)
+    if eig.permutation is None:
+        vk = eig.columns(keep)
+        block = vk.conj().T @ op.apply(vk)
+    else:  # V_K^H O V_K straight from the bands: entry (a, b) on band index[b] - index[a]
+        index = eig.permutation[keep]
+        offset, low = index - index[:, None], np.minimum(index, index[:, None])
+        block = np.zeros(offset.shape, dtype=np.complex128)
+        for off, diag in op.bands.items():
+            block[offset == off] = diag[low[offset == off]]
+        block += 0.0  # the -0 parts of conjugated bands become +0, as in a matvec
     energies, bk = eig.energies[keep], b[keep]
     freqs = (energies[:, None] - energies[None, :]).ravel()
-    weights = (bk.conj()[:, None] * (vk.conj().T @ op.apply(vk)) * bk[None, :]).ravel()
+    weights = (bk.conj()[:, None] * block * bk[None, :]).ravel()
     mags = np.abs(weights)
     by_weight = np.argsort(mags)
     dropped = np.cumsum(mags[by_weight])
@@ -407,13 +421,13 @@ def projected_solution(
     lines (see ``_mode_lines``) by ``_phase_sum``.  Raises ValueError on a
     grid that is not finite and uniform with at least two points.
     """
-    tgrid = np.asarray(tgrid, dtype=np.float64)
-    _check_grid(tgrid)
+    return _projected(modes, _check_grid(tgrid))
+
+
+def _projected(modes: ProjectedModes, tgrid: np.ndarray) -> tuple[TimeSeries, TimeSeries]:
+    """``projected_solution`` on a grid that ``_check_grid`` returned."""
     freqs, wx, wy = _mode_lines(modes)
-    return (
-        TimeSeries(t=tgrid, values=_phase_sum(freqs, wx, tgrid)),
-        TimeSeries(t=tgrid, values=_phase_sum(freqs, wy, tgrid)),
-    )
+    return tuple(_series(tgrid, _phase_sum(freqs, w, tgrid)) for w in (wx, wy))
 
 
 def analytic_sum(
@@ -426,7 +440,7 @@ def analytic_sum(
     <Sx(t)>, <Sy(t)> under the isotropic Hamiltonian.  The grid is checked
     before any work.
     """
-    _check_grid(np.asarray(tgrid, dtype=np.float64))
+    tgrid = _check_grid(tgrid)
     n_max = modes.omega_k.shape[0] - 1
     if K > n_max:
         warnings.warn(
@@ -436,7 +450,7 @@ def analytic_sum(
         K = n_max
     if K < 0:
         raise ValueError("cutoff must be >= 0")
-    return projected_solution(modes.first(K + 1), tgrid)
+    return _projected(modes.first(K + 1), tgrid)
 
 
 @dataclass(frozen=True)
@@ -475,7 +489,7 @@ def correlation_fN(
     n = sector.N
     if h >= 1.0:
         raise ValueError("correlation function is defined in the broken phase")
-    tgrid = np.asarray(tgrid, dtype=np.float64)
+    tgrid = _check_grid(tgrid)
     ops = collective_operators(sector)
     ground = ground_M(n, h)
     members = []
@@ -511,8 +525,8 @@ def correlation_fN(
         members.append(
             CorrelationMember(
                 m0=m0_val,
-                direct=TimeSeries(t=tgrid, values=direct),
-                closed_form=TimeSeries(t=tgrid, values=closed),
+                direct=_series(tgrid, direct),
+                closed_form=_series(tgrid, closed),
                 frequencies=tuple(freqs),
                 weights=tuple(weights),
             )

@@ -121,12 +121,12 @@ def find_peaks(spectrum: Spectrum, min_height_fraction: float) -> list[Peak]:
         return []
     cut = min_height_fraction * reference
     bin_width = float(spectrum.freq_over_nu[1] - spectrum.freq_over_nu[0])
+    # interior bins above the cut and both neighbours (negated: nan fails no test)
+    inner = mags[1:-1]
+    candidates = 1 + np.flatnonzero(~(inner < cut) & ~(mags[:-2] >= inner) & ~(mags[2:] >= inner))
     peaks = []
-    for k in range(1, mags.shape[0] - 1):
-        y0 = mags[k]
-        if y0 < cut or mags[k - 1] >= y0 or mags[k + 1] >= y0:
-            continue
-        ym1, yp1 = mags[k - 1], mags[k + 1]
+    for k in candidates.tolist():
+        y0, ym1, yp1 = mags[k], mags[k - 1], mags[k + 1]
         if spectrum.window == "hann":
             offset = 2.0 * (yp1 - ym1) / (ym1 + 2.0 * y0 + yp1)
             height = y0 / _hann_shape(offset)

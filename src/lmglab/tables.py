@@ -1,9 +1,9 @@
 """CSV bodies of float tables, formatted exactly like ``"%.17g"`` but vectorized.
 
 ``csv_body(table)`` returns the bytes of ``"%.17g,...,%.17g\\n" % row`` over
-every row of a 2-D float64 table.  CPython formats one float at a time
-(about 0.5 us per value), which made text conversion the largest cost of the
-CLI; this module does the same fixed-precision conversion over whole arrays.
+every row of a 2-D float64 table, and ``csv_pieces(table)`` the same bytes
+in pieces for ``writelines``.  CPython formats one float at a time (about
+0.5 us per value); this module does the same conversion over whole arrays.
 
 For a double x with decimal exponent k, the 17 significant digits are
 D = round-half-even(|x| 10^s), s = 16 - k.  For s <= 22, 10^s is exact in
@@ -23,8 +23,9 @@ the zero bytes are dropped at the end:
 
     slot 0-3    sign ('-' or 0), then the lead "0." .. "0.000" when -4 <= k < 0
     slot 4-20   the 17 digits, each slot a digit byte and an empty point byte;
-                stripped trailing digits are masked to 0, and one scatter
-                puts '.' after digit k (fixed notation) or digit 0 (exponent)
+                stripped trailing zeros are masked to 0, and one scatter
+                puts '.' after digit k (fixed notation) or digit 0
+                (exponent), or into byte 6, which the lead word clears
     slot 21-22  "e-XX" when k < -4
     slot 23     the separator
 
@@ -33,20 +34,29 @@ below, trailing zeros stripped.  The fast range is 1e-27 <= |x| < 1e17 plus
 the signed zeros.  Everything else (nan, inf, subnormals, other tiny or huge
 values, rows in doubt) is formatted by Python and written into its row, so
 the output is exact for every float64.  Tables of at most
-``PER_VALUE_MAX`` values are formatted by Python alone.
+``PER_VALUE_MAX`` values or more than ``CHUNK`` columns are formatted by
+Python alone.
+
+Every step writes into one ``_Workspace`` of about 4 MB, kept for the
+process in a pool of one (a concurrent call builds its own), through
+``out=`` and ``take(..., out=, mode="clip")``, so no table allocates or
+faults in chunk-sized temporaries; rows are compacted ``SLICE`` at a time.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 
 import numpy as np
 
-# values converted per pass; bounds the temporaries whatever the table size
+# values converted per pass; sizes the workspace whatever the table size
 CHUNK = 1 << 14
-# up to this many values, Python's "%.17g" (1-2 us a value) beats the
-# kernel's fixed cost of about 150 numpy calls (0.15-0.2 ms a table)
-PER_VALUE_MAX = 128
+# values compacted per piece: 48 KB of rows
+SLICE = 1 << 10
+# up to this many values, Python's "%.17g" (about 0.8 us a value) beats
+# the kernel's fixed cost of about 100 numpy calls (0.15 ms a table)
+PER_VALUE_MAX = 192
 
 _FAST_MIN, _FAST_MAX = 1e-27, 1e17
 _K_MIN = -27  # the double 1e-27 lies just above 10^-27
@@ -56,14 +66,14 @@ _SPLIT = float(2**27 + 1)  # Veltkamp's splitter for 53-bit doubles
 _ROW = 48  # bytes of one value's row: 24 uint16 slots
 _POINT0 = 9  # byte of the point slot after digit 0
 _SEP_SHIFT = np.uint64(48)  # the separator's bit offset in the row's last word
+_POOL: list[_Workspace] = []  # the idle workspace, if any
 
 
 @functools.cache
 def _tables():
-    """Lookup tables, built on first use: the exact powers 10^s as doubles
-    and their Veltkamp halves, the 4-digit groups as four (digit, point)
-    slots in a uint64 and their trailing zero counts, the digit masks by
-    digits kept, and the lead and exponent words."""
+    """Lookup tables, built on first use: the exact powers 10^s and their
+    Veltkamp halves, the 4-digit groups as four (digit, point) slots and
+    their trailing zeros, row masks, lead and exponent words, point bytes."""
     pow10 = np.array([float(10**s) for s in range(_S_EXACT + 1)])
     t = pow10 * _SPLIT
     pow10_hi = t - (t - pow10)
@@ -74,141 +84,217 @@ def _tables():
     quads = (digits + ord("0")).astype("<u2").view("<u8")[:, 0]
     trailing = np.where(n % 10 != 0, 0, np.where(n % 100 != 0, 1,
                         np.where(n % 1000 != 0, 2, np.where(n != 0, 3, 4)))).astype(np.int8)
-    # words 1-4 of a row hold digits 0-15, digit j in the low byte of slot
-    # 4 + j; masks[w, n] keeps those of word w + 1 among the first n digits
-    kept = np.arange(18)[None, :, None] > np.arange(16).reshape(4, 1, 4)
-    masks = (kept * np.uint16(0xFF)).astype("<u2").view("<u8")[..., 0]
+    # words 1-5 of a row hold digits 0-16, digit j in slot 4 + j; masks[n]
+    # keeps the first n digits and the exponent and separator slots 21-23
+    slot = np.arange(20).reshape(5, 4)
+    kept = (np.arange(18)[:, None, None] > slot) | (slot > 16)
+    masks = (kept * np.uint16(0xFFFF)).astype("<u2").view("<u8")[..., 0]
+    # the point's byte by k - _K_MIN: after digit k (fixed, k < 16) or digit
+    # 0 (exponent); byte 6, which the lead word clears, where there is none
+    k = np.arange(_K_MIN, 17)
+    point = np.select([(k >= 0) & (k < 16), k < -4], [_POINT0 + 2 * k, _POINT0], 6)
 
-    # word 0 by clip(k, -5, 0) + 5: exponent, k = -4 .. -1, fixed
+    # word 0 by clip(k + 5, 0, 5): exponent, k = -4 .. -1, fixed
     lead = np.zeros((6, 8), dtype=np.uint8)
     for k in range(-4, 0):
         text = b"0." + b"0" * (-k - 1)
         lead[k + 5, 1 : 1 + len(text)] = list(text)
-    # word 5 by clip(-k, 4, -_K_MIN) - 4: bytes 2-5 hold "e-XX" when k < -4
+    # word 5 by clip(-k - 4, 0, -_K_MIN - 4): bytes 2-5 hold "e-XX" when k < -4
     expo = np.zeros((-_K_MIN - 4 + 1, 8), dtype=np.uint8)
     for minus_k in range(5, -_K_MIN + 1):
         expo[minus_k - 4, 2:6] = list(b"e-%02d" % minus_k)
     return (pow10, pow10_hi, pow10_lo, quads, trailing, masks,
-            lead.view("<u8")[:, 0], expo.view("<u8")[:, 0])
+            lead.view("<u8")[:, 0], expo.view("<u8")[:, 0], point)
 
 
-def _two_product(a, b, b_hi, b_lo):
-    """p = fl(a b) and e with p + e = a b exactly, for b split by Veltkamp
-    as b_hi + b_lo (Dekker's exact product)."""
-    p = a * b
-    t = a * _SPLIT
-    a_hi = t - (t - a)
-    a_lo = a - a_hi
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+@functools.lru_cache(maxsize=8)
+def _separators(n_cols: int) -> np.ndarray:
+    """The separator bits of the last row word over a chunk of whole lines."""
+    sep = np.where(np.arange(n_cols) < n_cols - 1, ord(","), ord("\n")).astype(np.uint64)
+    return np.tile(sep << _SEP_SHIFT, CHUNK // n_cols)
 
 
-def _scaled_digits(v, k, tables):
-    """round-half-even(v 10^(16-k)) for positive v in the fast range, as
-    int64, whether it was rounded up, and whether that rounding is in doubt;
-    exact wherever the result is at least 2^53 and not in doubt."""
-    pow10, pow10_hi, pow10_lo = tables[:3]
-    s = 16 - k
-    first = np.minimum(s, _S_EXACT)
-    p, f = _two_product(v, pow10[first], pow10_hi[first], pow10_lo[first])
-    doubt = np.zeros(v.size, dtype=bool)
-    rows = np.flatnonzero(s > _S_EXACT)
+class _Workspace:
+    """The buffers one chunk of up to ``size`` values is formatted in."""
+
+    def __init__(self, size: int):
+        self.f = np.empty((12, size))
+        self.i = np.empty((12, size), dtype=np.int64)
+        self.b = np.empty((10, size), dtype=bool)
+        self.word = np.empty(size, dtype=np.uint64)
+        self.row = np.empty((size, _ROW // 8), dtype=np.uint64)
+        self.row_start = np.arange(size, dtype=np.int64) * _ROW
+
+
+def _two_product(a, b, b_hi, b_lo, p, e, t, u):
+    """p = fl(a b) and e with p + e = a b exactly (Dekker's exact product),
+    for b split by Veltkamp as b_hi + b_lo; t and u are scratch."""
+    np.multiply(a, b, out=p)
+    a_hi = np.subtract(np.multiply(a, _SPLIT, out=t), np.subtract(t, a, out=u), out=u)
+    a_lo = np.subtract(a, a_hi, out=t)
+    # e = ((a_hi b_hi - p) + a_hi b_lo + a_lo b_hi) + a_lo b_lo
+    np.subtract(np.multiply(a_hi, b_hi, out=e), p, out=e)
+    e += np.multiply(a_hi, b_lo, out=u)
+    e += np.multiply(a_lo, b_hi, out=u)
+    e += np.multiply(a_lo, b_lo, out=t)
+
+
+def _scaled_digits(ws, v, k, d, up, doubt):
+    """round-half-even(v 10^(16-k)) into d for positive v in the fast range,
+    whether it was rounded up and whether that is in doubt; exact wherever
+    d >= 2^53 and not in doubt.  Works in ws.f[:10], ws.i[:2], ws.b[:2]."""
+    m = v.size
+    pow10s = _tables()[:3]
+    b, b_hi, b_lo, p, f, t, u, a2, p2, e2 = (buf[:m] for buf in ws.f[:10])
+    s = np.subtract(16, k, out=ws.i[0, :m])
+    for table, out in zip(pow10s, (b, b_hi, b_lo)):
+        table.take(s, out=out, mode="clip")  # 10^min(s, 22)
+    _two_product(v, b, b_hi, b_lo, p, f, t, u)
+    doubt[...] = False
+    rows = np.greater(s, _S_EXACT, out=ws.b[0, :m]).nonzero()[0]
     if rows.size:
         # p + f = v 10^22 exactly; scale both by the exact 10^(s-22).  The
         # product of p is exact again and that of f rounds once, so f comes
         # within 2^-48 of v 10^s - p and only a near-tie is in doubt.
-        rest = s[rows] - _S_EXACT
-        p[rows], e = _two_product(p[rows], pow10[rest], pow10_hi[rest], pow10_lo[rest])
-        f[rows] = e + f[rows] * pow10[rest]
-        doubt[rows] = np.abs(f[rows] - np.rint(f[rows])) > 0.5 - 2.0**-46
-    r = np.rint(f)
-    return p.astype(np.int64) + r.astype(np.int64), r > f, doubt
+        c = rows.size
+        b, b_hi, b_lo, t, u, a2, p2, e2 = (x[:c] for x in (b, b_hi, b_lo, t, u, a2, p2, e2))
+        rest, near = ws.i[1, :c], ws.b[1, :c]
+        np.subtract(s.take(rows, out=rest, mode="clip"), _S_EXACT, out=rest)
+        for table, out in zip(pow10s, (b, b_hi, b_lo)):
+            table.take(rest, out=out, mode="clip")
+        _two_product(p.take(rows, out=a2, mode="clip"), b, b_hi, b_lo, p2, e2, t, u)
+        np.multiply(f.take(rows, out=a2, mode="clip"), b, out=a2)
+        a2 += e2
+        p[rows], f[rows] = p2, a2
+        np.subtract(a2, np.rint(a2, out=e2), out=e2)
+        np.greater(np.abs(e2, out=e2), 0.5 - 2.0**-46, out=near)
+        doubt[rows] = near
+    r = np.rint(f, out=ws.f[0, :m])
+    np.greater(r, f, out=up)
+    np.add(p, r, out=d, dtype=np.int64, casting="unsafe")
 
 
-def _digits_and_exponent(v, tables):
-    """(D, k, doubt) for positive v in the fast range: v = D 10^(k-16) to
-    17 digits on every row not in doubt."""
-    k = np.clip(np.floor(np.log10(v)).astype(np.int64), _K_MIN, 16)
-    d, up, doubt = _scaled_digits(v, k, tables)
+def _digits_and_exponent(ws, v, k, d, doubt):
+    """D into d, k into k and the rows in doubt for positive v in the fast
+    range: v = D 10^(k-16) to 17 digits on every row not in doubt.  Works
+    in ws.f[:11], ws.i[:4] and ws.b[:6]."""
+    n = v.size
+    up, redo_up, redo_doubt, wrong = (buf[:n] for buf in ws.b[2:6])
+    np.floor(np.log10(v, out=ws.f[0, :n]), out=k, casting="unsafe")
+    np.maximum(np.minimum(k, 16, out=k), _K_MIN, out=k)
+    _scaled_digits(ws, v, k, d, up, doubt)
     # log10 may miss k by one next to a power of ten.  The exact value, not
     # the rounded one, tells whether k is one too high; a D of 10^17 after
     # rounding means the next k, where D = 10^16.  A redone row stays in
     # doubt if it was: a near-tie under 10^17 is no longer one at k + 1.
-    for step in (-1, 1):
-        redo = np.flatnonzero(d - up < 10**16 if step < 0 else d >= 10**17)
-        if redo.size:
-            k[redo] += step
-            d[redo], _, again = _scaled_digits(v[redo], k[redo], tables)
-            doubt[redo] |= again
-    return d, k, doubt
+    def redo(rows, step):
+        if c := rows.size:
+            k[rows] += step
+            redo_v = v.take(rows, out=ws.f[10, :c], mode="clip")
+            redo_k = k.take(rows, out=ws.i[2, :c], mode="clip")
+            _scaled_digits(ws, redo_v, redo_k, ws.i[3, :c], redo_up[:c], redo_doubt[:c])
+            d[rows] = ws.i[3, :c]
+            doubt[rows] |= redo_doubt[:c]
+    low = np.less_equal(d, 10**16, out=wrong).nonzero()[0]
+    redo(low[d[low] - up[low] < 10**16], -1)
+    redo(np.greater_equal(d, 10**17, out=wrong).nonzero()[0], 1)
 
 
-def _chunk_text(x, sep, tables):
-    quads, trailing, masks, lead, expo = tables[3:]
+def _chunk_text(ws, x, sep):
+    """Lay the values x with separators sep out in their rows of ws.row,
+    one pass per step over the whole chunk; returns those rows."""
+    quads, trailing, masks, lead, expo, point = _tables()[3:]
     n = x.size
-    mag = np.abs(x)
-    fast = (mag >= _FAST_MIN) & (mag < _FAST_MAX)
+    v, word, row = ws.f[11, :n], ws.word[:n], ws.row[:n]
+    k, d, hi, lo = (buf[:n] for buf in ws.i[4:8])
+    groups = ws.i[8:, :n]
+    fast, zero, doubt, flag = (buf[:n] for buf in ws.b[6:])
+
+    np.abs(x, out=v)
+    np.greater_equal(v, _FAST_MIN, out=fast)
+    fast &= np.less(v, _FAST_MAX, out=flag)
+    np.equal(v, 0.0, out=zero)
     # rows outside the fast range are digitized as 1.0 (k = 0) and zeros
     # become D = 0; the others are overwritten below
-    d, k, doubt = _digits_and_exponent(np.where(fast, mag, 1.0), tables)
-    d[mag == 0.0] = 0
+    np.copyto(v, 1.0, where=np.logical_not(fast, out=flag))
+    _digits_and_exponent(ws, v, k, d, doubt)
+    np.copyto(d, 0, where=zero)
 
-    hi = d // 10**9
-    lo = d - hi * 10**9
-    g0 = hi // 10**4
-    g1 = hi - g0 * 10**4
-    g2 = lo // 10**5
-    rest = lo - g2 * 10**5
-    g3 = rest // 10
-    last = rest - g3 * 10
-    zeros = (last == 0).astype(np.int8)
-    for width, g in ((1, g3), (5, g2), (9, g1), (13, g0)):
-        zeros += (zeros == width) * trailing[g]
-    # digits before the point stay; the point stays when a digit follows it
-    whole = np.maximum(k, 0) + 1
-    n_digits = np.maximum(17 - zeros, whole)
+    # D as four 4-digit groups g0..g3 and its last digit, which goes to d
+    g0, g1, g2, g3 = groups
+    for a, b, q, r in ((d, 10**9, hi, lo), (hi, 10**4, g0, g1),
+                       (lo, 10**5, g2, hi), (hi, 10, g3, d)):
+        np.floor_divide(a, b, out=q)
+        np.subtract(a, np.multiply(q, b, out=r), out=r)
+    last = d
+    for w, g in enumerate(groups, 1):
+        row[:, w] = quads.take(g, out=word, mode="clip")
+    expo.take(np.subtract(-4, k, out=lo), out=word, mode="clip")  # by clip(-k - 4, 0, 23)
+    word |= sep
+    word |= np.add(last, ord("0"), out=last).view(np.uint64)
+    row[:, 5] = word
+    where = point.take(np.subtract(k, _K_MIN, out=lo), out=hi, mode="clip")
+    where += ws.row_start[:n]
+    # a row ending in a zero digit drops its trailing zeros, but not those
+    # before the point, and the point when no digit follows it
+    rows = np.equal(last, ord("0"), out=flag).nonzero()[0]
+    if rows.size:
+        # zeros of g3, then of g2 if g3 is all zeros, and so on
+        t0, t1, t2, t3 = trailing[groups.take(rows, axis=1)]
+        zeros = 1 + t3 + (t3 == 4) * (t2 + (t2 == 4) * (t1 + (t1 == 4) * t0))
+        whole = np.maximum(k[rows], 0) + 1
+        n_digits = np.maximum(17 - zeros, whole)
+        at = rows[:, None] * (_ROW // 8) + np.arange(1, _ROW // 8)
+        row.reshape(-1)[at] &= masks.take(n_digits, axis=0)
+        bare = rows[n_digits == whole]
+        where[bare] = bare * _ROW + 6
+    row.reshape(-1).view(np.uint8)[where] = ord(".")
+    lead.take(np.add(k, 5, out=lo), out=word, mode="clip")  # by clip(k + 5, 0, 5)
+    np.bitwise_or(word, ord("-"), out=word, where=np.signbit(x, out=flag))
+    row[:, 0] = word
 
-    row = np.empty((n, _ROW // 8), dtype=np.uint64)
-    row[:, 0] = lead[np.clip(k, -5, 0) + 5] | np.signbit(x) * np.uint64(ord("-"))
-    for w, g in enumerate((g0, g1, g2, g3)):
-        np.bitwise_and(quads[g], masks[w][n_digits], out=row[:, w + 1])
-    row[:, 5] = expo[np.clip(-k, 4, -_K_MIN) - 4] | sep
-    row[:, 5] |= (n_digits == 17) * (last.astype(np.uint64) + np.uint64(ord("0")))
-    text = row.view(np.uint8)
-    point = np.flatnonzero((n_digits > whole) & ((k >= 0) | (k < -4)))
-    text.reshape(-1)[point * _ROW + _POINT0 + 2 * whole[point] - 2] = ord(".")
-
-    other = np.flatnonzero((~fast & (mag != 0.0)) | doubt)
+    np.logical_not(np.logical_or(fast, zero, out=flag), out=flag)
+    other = np.logical_or(flag, doubt, out=flag).nonzero()[0]
     if other.size:
         ends = (sep[other] >> _SEP_SHIFT).astype(np.uint8).tobytes().decode()
         padded = "".join(
             ("%.17g" % value + end).ljust(_ROW, "\0")
             for value, end in zip(x[other].tolist(), ends)
         )
-        text[other] = np.frombuffer(padded.encode(), np.uint8).reshape(-1, _ROW)
-    return row.tobytes().translate(None, b"\0")
+        row.view(np.uint8)[other] = np.frombuffer(padded.encode(), np.uint8).reshape(-1, _ROW)
+    return row
 
 
-def csv_body(table) -> bytes:
-    """The bytes of ``"%.17g,...,%.17g\\n" % row`` over every row of ``table``.
-
-    ``table`` is a 2-D array-like of floats, one row per CSV line.
-    """
+def csv_pieces(table):
+    """The bytes of ``csv_body(table)`` in pieces, for ``writelines``."""
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2:
         raise ValueError("csv_body takes a 2-D table")
     if table.size == 0:
-        return b""
+        return
     n_cols = table.shape[1]
-    if table.size <= PER_VALUE_MAX:
+    if table.size <= PER_VALUE_MAX or n_cols > CHUNK:
         line = ",".join(["%.17g"] * n_cols) + "\n"
-        return "".join(line % tuple(row) for row in table.tolist()).encode()
-    tables = _tables()
+        yield "".join(line % tuple(row) for row in table.tolist()).encode()
+        return
     flat = np.ascontiguousarray(table).ravel()
-    chunk = max(CHUNK // n_cols, 1) * n_cols
-    sep = np.full(n_cols, ord(","), dtype=np.uint64)
-    sep[-1] = ord("\n")
-    sep = np.tile(sep << _SEP_SHIFT, chunk // n_cols)
-    return b"".join(
-        _chunk_text(flat[lo : lo + chunk], sep[: min(chunk, flat.size - lo)], tables)
-        for lo in range(0, flat.size, chunk)
-    )
+    sep = _separators(n_cols)
+    try:
+        ws = _POOL.pop()
+    except IndexError:
+        ws = _Workspace(CHUNK)
+    try:
+        for lo in range(0, flat.size, sep.size):
+            values = flat[lo : lo + sep.size]
+            row = _chunk_text(ws, values, sep[: values.size])
+            for a in range(0, values.size, SLICE):
+                yield row[a : a + SLICE].tobytes().translate(None, b"\0")
+    finally:
+        _POOL[:] = [ws]
+
+
+def csv_body(table) -> bytes:
+    """The bytes of ``"%.17g,...,%.17g\\n" % row`` over every row of a 2-D ``table``."""
+    body = io.BytesIO()
+    body.writelines(csv_pieces(table))
+    return body.getvalue()

@@ -13,6 +13,7 @@ from lmglab.evolve import (
     ProjectedModes,
     TimeSeries,
     analytic_sum,
+    bohr_lines,
     correlation_fN,
     default_time_grid,
     eigensystem,
@@ -364,6 +365,29 @@ class TestBohrLines:
         ref = evolved_series(eig, psi, [sx], tgrid)[0]
         err = np.max(np.abs(series.values - ref))
         assert err <= series.error_bound + 1e-12 * norm_bound(sx)
+
+    @pytest.mark.parametrize("N,h", [(40, 0.6), (41, 0.55), (200, 0.716)])
+    def test_diagonal_h_reads_lines_off_the_bands(self, N, h):
+        # a diagonal H reads V_K^H O V_K straight from the bands; its dense
+        # copy applies O to the K eigenvector columns
+        params = LmgParams(N=N, h=h)
+        sec = build_sector(N)
+        eig = eigensystem(build_hamiltonian(params, sec))
+        assert eig.permutation is not None
+        rng = np.random.default_rng(N)
+        states = [
+            normalized_state(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)),
+            localize_ground_state(params, g=2e-3, phi_n=0.7).state,
+        ]
+        ops = collective_operators(sec)
+        for psi in states:
+            for op in (ops.sx, ops.sy, ops.sz, random_band2(sec.dim, N)):
+                for tol in (None, 1e-6 * N):
+                    freqs, weights, bound = bohr_lines(eig, psi.amplitudes, op, tol)
+                    ref = bohr_lines(dense_copy(eig), psi.amplitudes, op, tol)
+                    np.testing.assert_array_equal(freqs, ref[0])
+                    np.testing.assert_array_equal(weights, ref[1])
+                    assert bound == ref[2]
 
     def test_truncation_is_reported(self):
         # the kicked ground state reaches every free level, most of them

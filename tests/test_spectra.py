@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from lmglab.evolve import TimeSeries, default_time_grid, eigensystem, ground_state
 from lmglab.model import LmgParams, build_hamiltonian
 from lmglab.spectra import (
+    Peak,
+    Spectrum,
+    _hann_shape,
     classify_mode,
     cut_and_project_sequence,
     find_peaks,
@@ -102,6 +107,73 @@ class TestFindPeaks:
         assert len(tall) == 1
         both = find_peaks(spec, 0.01)
         assert len(both) == 2
+
+
+def per_bin_peaks(spectrum, min_height_fraction):
+    """The reference: find_peaks as a loop that visits every bin."""
+    mags = spectrum.magnitudes
+    if mags.shape[0] < 3:
+        return []
+    reference = float(mags[1:].max())
+    if reference <= 0.0:
+        return []
+    cut = min_height_fraction * reference
+    bin_width = float(spectrum.freq_over_nu[1] - spectrum.freq_over_nu[0])
+    peaks = []
+    for k in range(1, mags.shape[0] - 1):
+        y0 = mags[k]
+        if y0 < cut or mags[k - 1] >= y0 or mags[k + 1] >= y0:
+            continue
+        ym1, yp1 = mags[k - 1], mags[k + 1]
+        if spectrum.window == "hann":
+            offset = 2.0 * (yp1 - ym1) / (ym1 + 2.0 * y0 + yp1)
+            height = y0 / _hann_shape(offset)
+        else:
+            if ym1 > 0.0 and yp1 > 0.0:
+                lm1, l0, lp1 = math.log(ym1), math.log(y0), math.log(yp1)
+            else:
+                lm1, l0, lp1 = ym1, y0, yp1
+            denom = 2.0 * (2.0 * l0 - lp1 - lm1)
+            offset = (lp1 - lm1) / denom if denom != 0.0 else 0.0
+            height = y0 - 0.25 * (ym1 - yp1) * offset
+        peaks.append(
+            Peak(
+                freq_over_nu=float(spectrum.freq_over_nu[k] + offset * bin_width),
+                height=float(height),
+            )
+        )
+    peaks.sort(key=lambda p: -p.height)
+    return peaks
+
+
+class TestFindPeaksAgainstPerBinLoop:
+    @seed(20261019)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        # few distinct levels, so plateaus of equal neighbours are common
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.0]) | st.floats(0.0, 10.0),
+                 min_size=0, max_size=40),
+        st.sampled_from(["hann", "none"]),
+        st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.5]),
+    )
+    def test_same_peaks_as_per_bin_loop(self, mags, window, fraction):
+        spec = Spectrum(
+            freq_over_nu=np.arange(len(mags)) * 0.25,
+            magnitudes=np.array(mags, dtype=np.float64),
+            window=window,
+        )
+        assert find_peaks(spec, fraction) == per_bin_peaks(spec, fraction)
+
+    @pytest.mark.parametrize("window", ["hann", "none"])
+    def test_periodograms_and_empty_spectra(self, window):
+        spec = periodogram(tone_series(100, [0.6, 1.4, 7.3], [10.0, 0.2, 1.0]), 100,
+                           window=window)
+        for fraction in (0.0, 1e-6, 0.01, 0.1, 0.5, 2.0):
+            assert find_peaks(spec, fraction) == per_bin_peaks(spec, fraction)
+        # nothing above the cut, and nothing above zero
+        assert find_peaks(spec, 2.0) == []
+        flat = Spectrum(np.arange(64) * 0.1, np.zeros(64), window=window)
+        assert find_peaks(flat, 0.1) == per_bin_peaks(flat, 0.1) == []
 
 
 class TestLineSpectrum:

@@ -1,14 +1,22 @@
 """csv_body against Python's own "%.17g", byte for byte."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import lmglab
 from lmglab import tables
-from lmglab.tables import CHUNK, PER_VALUE_MAX, csv_body
+from lmglab.cli import main
+from lmglab.tables import CHUNK, PER_VALUE_MAX, csv_body, csv_pieces
 
 
 def per_value_text(rows):
@@ -158,3 +166,109 @@ def test_small_tables_format_value_by_value(monkeypatch):
     table = rng.choice(pool, size=(PER_VALUE_MAX + 1, 1))
     assert csv_body(table) == per_value_text(table.tolist())
     assert calls == [1]
+
+
+def shaped_tables():
+    """Tables of the shapes the CLI writes, and one of special values."""
+    rng = np.random.default_rng(23)
+    specials = np.array([math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+                         2.2250738585072014e-308, 1e300, -0.0, 0.1, 1e-30])
+    # special values in the first rows: the Python fallback writes their text
+    # into the rows that later tables reuse
+    special = np.concatenate([np.tile(specials, 30), rng.standard_normal(200)]).reshape(-1, 5)
+    shape = (CHUNK // 7 + 40, 7)
+    wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 17, shape)
+    spectrum = np.column_stack([np.arange(2049) * 0.0245, np.abs(rng.standard_normal(2049)) * 1e-9])
+    small = rng.standard_normal((16, 8))
+    return {"special": special, "wide": wide, "spectrum": spectrum, "small": small}
+
+
+def test_tables_in_any_order_share_nothing():
+    shaped = shaped_tables()
+    assert shaped["wide"].size > CHUNK and shaped["small"].size <= PER_VALUE_MAX
+    for name in ["special", "wide", "spectrum", "small",
+                 "spectrum", "small", "wide", "special", "spectrum"]:
+        table = shaped[name]
+        assert csv_body(table) == per_value_text(table.tolist()), name
+        assert b"".join(csv_pieces(table)) == csv_body(table), name
+
+
+def test_interleaved_pieces_use_separate_workspaces():
+    # a table whose pieces are still being read keeps its workspace; one
+    # formatted meanwhile must build its own
+    shaped = shaped_tables()
+    names = ["wide", "spectrum"]
+    pieces = {name: [] for name in names}
+    for both in itertools.zip_longest(*(csv_pieces(shaped[name]) for name in names)):
+        for name, piece in zip(names, both):
+            pieces[name] += [piece] if piece is not None else []
+    for name in names:
+        assert len(pieces[name]) > 1
+        assert b"".join(pieces[name]) == per_value_text(shaped[name].tolist())
+
+
+def test_threads_format_at_once():
+    # more threads than cores, switching often: each call that finds the
+    # pooled workspace taken must build its own
+    shaped = shaped_tables()
+    names = ["wide", "special", "spectrum", "wide"]
+    expected = [per_value_text(shaped[name].tolist()) for name in names]
+    start = threading.Barrier(len(names))
+    results = [[] for _ in names]
+
+    def work(i):
+        start.wait()
+        for _ in range(4):
+            results[i].append(csv_body(shaped[names[i]]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(names))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[text] * 4 for text in expected]
+
+
+def test_second_call_allocates_about_its_output():
+    table = np.random.default_rng(29).standard_normal((4096, 5))
+    csv_body(table)  # the first call builds the workspace
+    tracemalloc.start()
+    try:
+        body = csv_body(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(body) + 256 * 1024
+
+
+def test_in_process_run_writes_what_a_fresh_process_writes(tmp_path):
+    # the workspace has formatted tables of other shapes before this run
+    for table in shaped_tables().values():
+        csv_body(table)
+    argv = ["spectrum", "--n", "60", "--h", "0.6", "--samples", "2048"]
+    warm, fresh = tmp_path / "warm", tmp_path / "fresh"
+    assert main([*argv, "--out", str(warm)]) == 0
+    src = os.path.dirname(os.path.dirname(lmglab.__file__))
+    subprocess.run([sys.executable, "-m", "lmglab", *argv, "--out", str(fresh)],
+                   env=dict(os.environ, PYTHONPATH=src), check=True)
+    names = sorted(os.listdir(warm))
+    assert names == sorted(os.listdir(fresh))
+    assert {"series.csv", "spectrum.csv", "lines.csv"} <= set(names)
+    for name in names:
+        warm_bytes, fresh_bytes = (path.joinpath(name).read_bytes() for path in (warm, fresh))
+        if name == "summary.json":
+            warm_bytes = warm_bytes.replace(str(warm).encode(), b"OUT")
+            fresh_bytes = fresh_bytes.replace(str(fresh).encode(), b"OUT")
+        assert warm_bytes == fresh_bytes, name
+
+
+def test_table_wider_than_a_chunk():
+    # a line longer than CHUNK values goes to Python whole
+    table = np.random.default_rng(31).standard_normal((2, CHUNK + 5))
+    assert csv_body(table) == per_value_text(table.tolist())
