@@ -4,9 +4,11 @@ ground-state correlation function.
 Sector Hamiltonians are diagonalized in full by LAPACK
 (``numpy.linalg.eigh``), in real arithmetic and by parity blocks where the
 matrix allows (see ``eigensystem``); diagonal ones need only a sort.  The
-kicked gamma = 1 ground state, the one eigenpair of that H in use, comes
-from a certified window of a few dozen levels around the lowest diagonal
-entry (see ``_windowed_ground``).  Dynamics always go through the full
+kicked ground state, the one eigenpair of that H in use, comes from a
+certified window: at gamma = 1 of a few dozen Sz rows around the lowest
+diagonal entry (``_windowed_ground``), at gamma < 1 of the few dozen
+lowest levels of the free H (``_free_level_ground``), both accepted by one
+Courant-Fischer test (``_certified``).  Dynamics always go through the full
 eigendecomposition: the frequencies of interest are O(1/N) and the states
 live for O(N^3), so time stepping would accumulate phase error where it
 hurts most.  No state is evolved over a grid: an expectation value is a
@@ -38,6 +40,7 @@ _GRID_RTOL = 1e-9
 _LINE_RTOL = 1e-13  # Bohr-line truncation tolerance, relative to a bound on ||O||
 _PHASE_BLOCK = 1 << 20  # complex phases per block of lines in _phase_sum
 _WINDOW_PAD = 16  # first pad of a ground-state window, rows on each side
+_LEVEL_STEP = 16  # free levels per step of _free_level_ground, which starts at two
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -64,8 +67,9 @@ class TimeSeries:
     error_bound: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "t", _readonly(_check_grid(self.t)))
-        object.__setattr__(self, "values", _readonly(np.asarray(self.values)))
+        # read-only views: the caller's own arrays stay writable
+        object.__setattr__(self, "t", _readonly(_check_grid(self.t).view()))
+        object.__setattr__(self, "values", _readonly(np.asarray(self.values).view()))
 
     @property
     def dt(self) -> float:
@@ -75,7 +79,9 @@ class TimeSeries:
 def _series(t: np.ndarray, values, bound: float = 0.0) -> TimeSeries:
     """A TimeSeries on a grid that ``_check_grid`` returned: not checked again."""
     series = object.__new__(TimeSeries)
-    series.__dict__.update(t=_readonly(t), values=_readonly(np.asarray(values)), error_bound=bound)
+    series.__dict__.update(
+        t=_readonly(t.view()), values=_readonly(np.asarray(values)), error_bound=bound
+    )
     return series
 
 
@@ -176,17 +182,10 @@ def _windowed_ground(op: BandedHermitianOperator) -> tuple[float, StateVector]:
     A tridiagonal H (bandwidth 1) is solved on the rows whose Gershgorin
     disc reaches down to c = min diag H, padded by ``_WINDOW_PAD`` rows on
     each side, with c taken off the window's diagonal so that the solve's
-    error scales with ||H_W - c|| rather than ||H||.  With v and E the
-    window's ground vector and level, e1 its second level, G a Gershgorin
-    lower bound of the block outside the window and C the couplings across
-    the window's edges, all shifted by c, the window is accepted when
-
-        r = ||H_out,W v|| <= eps ||H_W - c||   and   mu > E + r + eps ||H_W - c||,
-        mu = (e1 + G)/2 - sqrt(((G - e1)/2)^2 + ||C||_F^2).
-
-    By Courant-Fischer over x orthogonal to v, lambda_1(H) >= mu, so E is
-    lambda_0 and the state error is at most (r + eps ||H_W - c||)/(mu - E)
-    (Parlett, The Symmetric Eigenvalue Problem, ch. 10-11), and the
+    error scales with ||H_W - c|| rather than ||H||.  With (E, v) the
+    window's ground pair, G a Gershgorin lower bound of the block outside
+    the window and C the couplings across its edges, all shifted by c, the
+    window is accepted by ``_certified`` with r = ||H_out,W v||, and the
     ground energy is c + E.  Otherwise the pad doubles.  A window of at
     least half the rows, and any H of another bandwidth, goes to
     ``eigensystem(op)`` whole.
@@ -210,7 +209,6 @@ def _windowed_ground(op: BandedHermitianOperator) -> tuple[float, StateVector]:
                 BandedHermitianOperator(b - a, {0: diag[a:b] - c, 1: band[a : b - 1]})
             )
             levels, v = window.energies, window.columns([0])[:, 0]
-            scale = _EPS * max(abs(levels[0]), abs(levels[-1]))
             left = mag[a - 1] if a > 0 else 0.0
             right = mag[b - 1] if b < n else 0.0
             r = math.hypot(left * abs(v[0]), right * abs(v[-1]))
@@ -219,15 +217,66 @@ def _windowed_ground(op: BandedHermitianOperator) -> tuple[float, StateVector]:
                 outside[a - 1] += left
             if b < n:
                 outside[a] += right
-            g_out, e1 = float(outside.min()), float(levels[1])
-            mu = 0.5 * (e1 + g_out) - math.sqrt(
-                (0.5 * (g_out - e1)) ** 2 + left**2 + right**2
-            )
-            if r <= scale and mu > levels[0] + r + scale:
+            if _certified(levels, r, float(outside.min()), left**2 + right**2):
                 amps = np.zeros(n, dtype=np.complex128)
                 amps[a:b] = v
                 return c + float(levels[0]), StateVector(amps)
             pad *= 2
+    eig = eigensystem(op)
+    return eig.ground_energy, ground_state(eig)
+
+
+def _certified(levels: np.ndarray, r: float, g_out: float, coupling_sq: float) -> bool:
+    """Whether a window's lowest pair (E, v) is the ground pair of the whole H.
+
+    ``levels`` is the window's ascending spectrum (E, e1, ...), r the
+    residual norm of v in H, G = ``g_out`` a lower bound of H outside the
+    window and ``coupling_sq`` a bound of ||C||_F^2 on the couplings across
+    it.  With scale = eps max|levels| it holds when r <= scale and
+
+        mu = (e1 + G)/2 - sqrt(((G - e1)/2)^2 + ||C||_F^2) > E + r + scale.
+
+    By Courant-Fischer over x orthogonal to v, lambda_1(H) >= mu, so E is
+    lambda_0 and the state error is at most (r + scale)/(mu - E) (Parlett,
+    The Symmetric Eigenvalue Problem, ch. 10-11).
+    """
+    scale = _EPS * max(abs(levels[0]), abs(levels[-1]))
+    e1 = float(levels[1])
+    mu = 0.5 * (e1 + g_out) - math.sqrt((0.5 * (g_out - e1)) ** 2 + coupling_sq)
+    return bool(r <= scale and mu > levels[0] + r + scale)
+
+
+def _free_level_ground(
+    op: BandedHermitianOperator, free: EigenSystem
+) -> tuple[float, StateVector]:
+    """Ground energy and state of H = H0 + W from the lowest levels of H0.
+
+    ``free`` is the solved H0, which is ``op`` without its band 1; W is that
+    band (a kick), real when its entries are.  For K = 32, 48, ... while
+    4K <= 3 dim, with V_K the K lowest free vectors, M = V_K^H W V_K formed
+    band-wise and H_K = diag(E_K - E0) + M, the lowest pair (E, v) of H_K
+    is accepted by ``_certified`` with r = ||R v||, R = W V_K - V_K M,
+    C bounded by ||R||_F and G = E_K - E0 - 2 max|band 1|, E_K the first
+    level left out.  The state is then V_K v and the energy E0 + E.  If no
+    K is certified, ``eigensystem(op)`` solves H whole.
+    """
+    w = op.band(1)
+    if not np.any(w.imag):
+        w = w.real
+    shifted = free.energies - free.energies[0]
+    for k in range(2 * _LEVEL_STEP, 3 * op.dim // 4 + 1, _LEVEL_STEP):
+        vk = free.columns(np.arange(k))
+        wv = np.zeros((op.dim, k), dtype=np.result_type(w, vk))
+        wv[:-1] += w[:, None] * vk[1:]
+        wv[1:] += w.conj()[:, None] * vk[:-1]
+        m = vk.conj().T @ wv
+        levels, vecs = np.linalg.eigh(m + np.diag(shifted[:k]))
+        v = vecs[:, 0]
+        res = wv - vk @ m
+        r = float(np.linalg.norm(res @ v))
+        g_out = float(shifted[k] - 2.0 * np.abs(w).max())
+        if _certified(levels, r, g_out, float(np.linalg.norm(res)) ** 2):
+            return float(free.energies[0] + levels[0]), StateVector(vk @ v)
     eig = eigensystem(op)
     return eig.ground_energy, ground_state(eig)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import _windowed_ground, eigensystem
+from .evolve import _free_level_ground, _windowed_ground, eigensystem, ground_state
 from .model import LmgParams, build_hamiltonian, ground_M
 from .spinspace import (
     SpinSector,
@@ -65,14 +65,22 @@ def localize_ground_state(
     b_k = <k|psi>: no two O(N) energies cancel, and what rounding remains
     is that of the gaps E_k - E0, which at gamma = 1 are differences of
     diagonal entries and rounded once.
-    With g = 0 this returns the exact (un-localized) ground state with
-    m_n = 0.
+    The free H is solved once; the kicked ground state comes from a
+    certified window of Sz rows at gamma = 1 (``_windowed_ground``) or of
+    free levels at gamma < 1 (``_free_level_ground``).  With g = 0 this is
+    level 0 of the free solve, the exact ground state with m_n = 0.
     """
     if g is None:
         g = default_kick(params.N)
     sector = build_sector(params.N)
-    energy, psi = _windowed_ground(build_hamiltonian(params, sector, g=g, phi_n=phi_n))
     free = eigensystem(build_hamiltonian(params, sector))
+    kicked = build_hamiltonian(params, sector, g=g, phi_n=phi_n)
+    if g == 0.0:
+        energy, psi = free.ground_energy, ground_state(free)
+    elif params.gamma < 1.0:
+        energy, psi = _free_level_ground(kicked, free)
+    else:
+        energy, psi = _windowed_ground(kicked)
     b = free.to_energy_basis(psi.amplitudes)
     delta_e = float(np.sum(np.abs(b) ** 2 * (free.energies - free.ground_energy)))
     return LocalizedState(
@@ -231,9 +239,10 @@ def two_well_eigenvalues(alpha: float, g: float, h: float) -> TwoWellEigenvalues
 def gamma0_gap_scan(N_list, h: float) -> list[tuple[int, float]]:
     """Lowest-pair splitting of the per-spin gamma = 0 Hamiltonian vs N.
 
-    Diagonalizes H_N = -Sx^2/N^2 - h Sz/N for each N; the per-spin
-    normalization keeps the spectrum O(1).  For 0 < h < 1 the splittings
-    decay at ``wkb_rate(h)``, well above the overlap 2 alpha from
+    Takes the eigenvalues alone of H_N = -Sx^2/N^2 - h Sz/N for each N,
+    from its even-m and odd-m parity blocks (``numpy.linalg.eigvalsh``);
+    the per-spin normalization keeps the spectrum O(1).  For 0 < h < 1
+    the splittings decay at ``wkb_rate(h)``, well above the overlap 2 alpha from
     ``newman_alpha``.  Splittings below roughly 1e3 * eps * |H| are
     double-precision noise, not physics.
     """
@@ -244,7 +253,9 @@ def gamma0_gap_scan(N_list, h: float) -> list[tuple[int, float]]:
             raise ValueError("gap scan supports N <= 2000")
         sector = build_sector(n)
         params = LmgParams(N=n, h=h, gamma=0.0)
-        h_per_spin = build_hamiltonian(params, sector).scaled(1.0 / n)
-        eig = eigensystem(h_per_spin)
-        results.append((n, float(eig.energies[1] - eig.energies[0])))
+        dense = build_hamiltonian(params, sector).scaled(1.0 / n).to_dense().real
+        levels = np.sort(
+            np.concatenate([np.linalg.eigvalsh(dense[p::2, p::2]) for p in (0, 1)])
+        )
+        results.append((n, float(levels[1] - levels[0])))
     return results

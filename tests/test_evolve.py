@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -733,6 +734,18 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries(t=t, values=np.zeros(4))
 
+    def test_caller_arrays_stay_writable(self):
+        # the series keeps read-only views; the caller's own grid and values
+        # are not frozen by building a series on them
+        t, values = default_time_grid(10, samples=64), np.zeros(64)
+        series = TimeSeries(t=t, values=values)
+        sec, eig = isotropic_eigensystem(10, 0.5)
+        exact = observable_series(eig, basis_state(11, 3), collective_operators(sec).sx, t)
+        t[0], values[0] = 1.0, 1.0
+        assert t[0] == 1.0 and values[0] == 1.0
+        for arr in (series.t, series.values, exact.t, exact.values):
+            assert not arr.flags.writeable
+
 
 class TestConcurrency:
     def test_shared_eigensystem_across_threads(self):
@@ -759,36 +772,39 @@ class TestConcurrency:
 
 
 def inverse_iteration_ground(op, dps=40, steps=3):
-    """Ground state of a tridiagonal H by inverse iteration in ``dps`` digits.
+    """Ground state of a banded Hermitian H by inverse iteration in ``dps`` digits.
 
-    H = D T D^H with D the diagonal gauge that makes the band real and
-    positive, as in ``eigensystem``; T is solved by an LU factorization
-    shifted to its lowest eigenvalue in double precision.
+    H - sigma is factored as L U without pivoting, which is stable because
+    sigma lies just below the lowest eigenvalue (H - sigma is positive
+    definite), and the band keeps its width through the elimination.
     """
-    diag, band = op.band(0).real, op.band(1)
-    off = np.abs(band)
-    gauge = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(band)))))
-    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    shift = float(np.linalg.eigvalsh(dense)[0])
+    n, width = op.dim, op.bandwidth
+    sigma = float(np.linalg.eigvalsh(op.to_dense())[0]) - 1e-10
     with mpmath.workdps(dps):
-        e = [mpmath.mpf(float(x)) for x in off]
-        u = [mpmath.mpf(float(diag[0])) - shift]
-        low = []
-        for i in range(1, op.dim):
-            low.append(e[i - 1] / u[-1])
-            u.append(mpmath.mpf(float(diag[i])) - shift - low[-1] * e[i - 1])
-        x = [mpmath.mpf(1)] * op.dim
+        rows = []  # the band of H - sigma, row i as {column: entry}
+        for i in range(n):
+            cols = range(max(0, i - width), min(n, i + width + 1))
+            rows.append({j: mpmath.mpc(complex(op.bands[j - i][min(i, j)])) for j in cols})
+            rows[i][i] -= mpmath.mpf(sigma)
+        low = [dict() for _ in range(n)]
+        for k in range(n):
+            for i in range(k + 1, min(n, k + width + 1)):
+                factor = rows[i][k] / rows[k][k]
+                low[i][k] = factor
+                for j in range(k, min(n, k + width + 1)):
+                    rows[i][j] = rows[i].get(j, 0) - factor * rows[k][j]
+        x = [mpmath.mpc(1)] * n
         for _ in range(steps):
-            y = [x[0]]
-            for i in range(1, op.dim):
-                y.append(x[i] - low[i - 1] * y[-1])
-            z = [y[-1] / u[-1]]
-            for i in range(op.dim - 2, -1, -1):
-                z.append((y[i] - e[i] * z[-1]) / u[i])
-            z.reverse()
-            norm = mpmath.sqrt(mpmath.fsum(t * t for t in z))
+            y = []
+            for i in range(n):
+                y.append(x[i] - mpmath.fsum(f * y[k] for k, f in low[i].items()))
+            z = [mpmath.mpc(0)] * n
+            for i in range(n - 1, -1, -1):
+                tail = mpmath.fsum(rows[i][j] * z[j] for j in rows[i] if j > i)
+                z[i] = (y[i] - tail) / rows[i][i]
+            norm = mpmath.sqrt(mpmath.fsum(abs(t) ** 2 for t in z))
             x = [t / norm for t in z]
-        return gauge * np.array([float(t) for t in x])
+        return np.array([complex(t) for t in x])
 
 
 def phase_aligned_distance(psi, ref):
@@ -850,3 +866,66 @@ class TestWindowedGround:
         full = eigensystem(op)
         assert energy == full.ground_energy
         assert np.array_equal(psi.amplitudes, full.vectors[:, 0])
+
+
+class TestFreeLevelGround:
+    """The gamma < 1 kicked ground state from the lowest free levels."""
+
+    @staticmethod
+    def solve(N, h, gamma, g, phi_n):
+        params = LmgParams(N=N, h=h, gamma=gamma)
+        sec = build_sector(N)
+        free = eigensystem(build_hamiltonian(params, sec))
+        op = build_hamiltonian(params, sec, g=g, phi_n=phi_n)
+        with mock.patch.object(evolve, "eigensystem", wraps=evolve.eigensystem) as whole:
+            energy, psi = evolve._free_level_ground(op, free)
+        return op, energy, psi, whole.call_count == 0
+
+    @pytest.mark.parametrize("N", [60, 80, 100])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("phi_n", [0.0, 1.3])
+    def test_state_against_high_precision(self, N, gamma, phi_n):
+        params = LmgParams(N=N, h=0.6, gamma=gamma)
+        op = build_hamiltonian(params, build_sector(N), g=1.0 / N**2, phi_n=phi_n)
+        psi = localize_ground_state(params, phi_n=phi_n).state.amplitudes
+        ref = inverse_iteration_ground(op)
+        assert phase_aligned_distance(psi, ref) <= 1e-10
+
+    @seed(20261019)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        N=st.integers(40, 300),
+        h=st.floats(0.3, 0.9),
+        gamma=st.floats(0.0, 0.95),
+        log_g=st.floats(-6.0, -3.0),
+        phi_n=st.one_of(st.just(0.0), st.floats(0.0, 2.0 * math.pi)),
+    )
+    def test_certified_levels_agree_with_whole_solve(self, N, h, gamma, log_g, phi_n):
+        op, energy, psi, certified = self.solve(N, h, gamma, 10.0**log_g, phi_n)
+        full = eigensystem(op)
+        if certified:
+            assert abs(energy - full.ground_energy) <= 1e-12 * op.norm_inf()
+            assert phase_aligned_distance(psi.amplitudes, full.vectors[:, 0]) <= 1e-9
+        else:
+            assert energy == full.ground_energy
+            assert np.array_equal(psi.amplitudes, full.vectors[:, 0])
+
+    @pytest.mark.parametrize("N", [200, 1000])
+    def test_large_n_needs_no_whole_solve(self, N):
+        assert self.solve(N, 0.6, 0.5, 1.0 / N**2, 0.7)[3]
+
+    @pytest.mark.parametrize(
+        "N,gamma", [(60, 0.5), (40, 0.5)], ids=["residual-too-large", "below-cut-off"]
+    )
+    def test_uncertified_case_returns_the_whole_solve(self, N, gamma):
+        # at N = 60 the only K under the cut-off (32) leaves a residual above
+        # eps max|levels|; at N = 40 no K is under it.  Both return exactly
+        # the ground pair of the whole kicked H
+        op, energy, psi, certified = self.solve(N, 0.6, gamma, 1.0 / N**2, 0.0)
+        assert not certified
+        full = eigensystem(op)
+        assert energy == full.ground_energy
+        assert np.array_equal(psi.amplitudes, ground_state(full).amplitudes)
+        loc = localize_ground_state(LmgParams(N=N, h=0.6, gamma=gamma))
+        assert loc.energy == energy
+        assert np.array_equal(loc.state.amplitudes, psi.amplitudes)

@@ -4,7 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from lmglab.evolve import eigensystem
+from lmglab import evolve, ssb
+from lmglab.cli import SPLITTING_FLOOR
+from lmglab.evolve import eigensystem, ground_state
 from lmglab.model import LmgParams, build_hamiltonian
 from lmglab.spectra import line_spectrum
 from lmglab.spinspace import (
@@ -118,6 +120,24 @@ class TestLocalize:
         expected[free.permutation[0]] = 1.0
         assert np.array_equal(loc.state.amplitudes, expected)
         assert loc.m_n == 0.0 and loc.delta_e == 0.0
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5, 0.0])
+    def test_zero_kick_reads_level_zero_of_the_one_free_solve(self, gamma, monkeypatch):
+        N = 60
+        params = LmgParams(N=N, h=0.6, gamma=gamma)
+        solved = []
+
+        def counting(op):
+            solved.append(op)
+            return eigensystem(op)
+
+        monkeypatch.setattr(ssb, "eigensystem", counting)
+        monkeypatch.setattr(evolve, "eigensystem", counting)
+        loc = localize_ground_state(params, g=0.0)
+        assert len(solved) == 1
+        free = eigensystem(build_hamiltonian(params, build_sector(N)))
+        assert np.array_equal(loc.state.amplitudes, ground_state(free).amplitudes)
+        assert loc.energy == free.ground_energy == loc.unperturbed_ground_energy
 
     def test_kick_direction_sets_sign(self):
         params = LmgParams(N=30, h=0.4)
@@ -296,6 +316,20 @@ class TestGammaZeroScan:
         # measured decay rate at h = 0.5 sits near 0.46, just above the
         # instanton rate 0.451 and far below the overlap rate -ln h = 0.693
         assert -slope == pytest.approx(0.465, abs=0.02)
+
+    @pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
+    def test_parity_block_eigenvalues_match_the_eigensystem_route(self, h):
+        ns = [20, 33, 40, 57, 80, 101, 120, 144, 160]
+        scan = gamma0_gap_scan(ns, h)
+        ref = []
+        for n in ns:
+            per_spin = build_hamiltonian(LmgParams(N=n, h=h, gamma=0.0), build_sector(n))
+            levels = eigensystem(per_spin.scaled(1.0 / n)).energies
+            ref.append(float(levels[1] - levels[0]))
+        assert [n for n, _ in scan] == ns
+        assert all(abs(s - r) <= 1e-14 for (_, s), r in zip(scan, ref))
+        unresolved = [n for n, s in scan if s <= SPLITTING_FLOOR]
+        assert unresolved == [n for n, r in zip(ns, ref) if r <= SPLITTING_FLOOR]
 
     def test_symmetric_phase_gap_is_polynomial(self):
         h = 1.5
