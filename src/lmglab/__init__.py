@@ -60,13 +60,9 @@ from .spinspace import (
     BandedHermitianOperator,
     CollectiveOperators,
     SpinSector,
-    StateVector,
-    apply,
-    basis_state,
     build_sector,
     collective_operators,
     expectation,
-    normalized_state,
 )
 from .ssb import (
     DegeneratePtGap,

@@ -30,7 +30,7 @@ from .model import ground_M, isotropic_energies, isotropic_gap
 from .spinspace import (
     BandedHermitianOperator,
     SpinSector,
-    StateVector,
+    _check_state,
     _readonly,
     collective_operators,
     ladder_plus_band,
@@ -176,7 +176,7 @@ def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
     return EigenSystem(_readonly(w), _readonly(np.ascontiguousarray(v)))
 
 
-def _windowed_ground(op: BandedHermitianOperator) -> tuple[float, StateVector]:
+def _windowed_ground(op: BandedHermitianOperator) -> tuple[float, np.ndarray]:
     """Ground energy and state of H, from a window of rows when that is certified.
 
     A tridiagonal H (bandwidth 1) is solved on the rows whose Gershgorin
@@ -220,7 +220,7 @@ def _windowed_ground(op: BandedHermitianOperator) -> tuple[float, StateVector]:
             if _certified(levels, r, float(outside.min()), left**2 + right**2):
                 amps = np.zeros(n, dtype=np.complex128)
                 amps[a:b] = v
-                return c + float(levels[0]), StateVector(amps)
+                return c + float(levels[0]), _check_state(amps, n)
             pad *= 2
     eig = eigensystem(op)
     return eig.ground_energy, ground_state(eig)
@@ -248,7 +248,7 @@ def _certified(levels: np.ndarray, r: float, g_out: float, coupling_sq: float) -
 
 def _free_level_ground(
     op: BandedHermitianOperator, free: EigenSystem
-) -> tuple[float, StateVector]:
+) -> tuple[float, np.ndarray]:
     """Ground energy and state of H = H0 + W from the lowest levels of H0.
 
     ``free`` is the solved H0, which is ``op`` without its band 1; W is that
@@ -276,26 +276,25 @@ def _free_level_ground(
         r = float(np.linalg.norm(res @ v))
         g_out = float(shifted[k] - 2.0 * np.abs(w).max())
         if _certified(levels, r, g_out, float(np.linalg.norm(res)) ** 2):
-            return float(free.energies[0] + levels[0]), StateVector(vk @ v)
+            return float(free.energies[0] + levels[0]), _check_state(vk @ v, op.dim)
     eig = eigensystem(op)
     return eig.ground_energy, ground_state(eig)
 
 
-def ground_state(eig: EigenSystem) -> StateVector:
-    return StateVector(eig.columns([0])[:, 0])
+def ground_state(eig: EigenSystem) -> np.ndarray:
+    return _check_state(eig.columns([0])[:, 0], eig.dim)
 
 
-def propagate(eig: EigenSystem, psi0: StateVector, t: float) -> StateVector:
+def propagate(eig: EigenSystem, psi0, t: float) -> np.ndarray:
     """psi(t) = sum_k e^{-i E_k t} b_k |k>, b_k = <k|psi0>."""
-    if psi0.dim != eig.dim:
-        raise ValueError("dimension mismatch")
-    coeffs = eig.to_energy_basis(psi0.amplitudes)
-    return StateVector(eig.from_energy_basis(np.exp(-1j * eig.energies * t) * coeffs))
+    coeffs = eig.to_energy_basis(_check_state(psi0, eig.dim))
+    phases = np.exp(-1j * eig.energies * t)
+    return _check_state(eig.from_energy_basis(phases * coeffs), eig.dim)
 
 
 def observable_series(
     eig: EigenSystem,
-    psi0: StateVector,
+    psi0,
     op,
     tgrid: np.ndarray,
 ) -> TimeSeries:
@@ -305,16 +304,18 @@ def observable_series(
     When H was diagonal (``eig.permutation`` set) there is one line per
     stored entry of ``op.bands`` and nothing is truncated.  Otherwise the
     lines are those of ``bohr_lines``, and ``error_bound`` is their
-    truncation bound.  Raises ValueError on a dimension mismatch or a grid
-    that is not finite and uniform with at least two points, before any work.
+    truncation bound.  Raises ValueError on a state or operator that does not
+    fit ``eig`` or a grid that is not finite and uniform with at least two
+    points, before any work.
     """
-    if psi0.dim != eig.dim or op.dim != eig.dim:
+    amps = _check_state(psi0, eig.dim)
+    if op.dim != eig.dim:
         raise ValueError("dimension mismatch")
     tgrid = _check_grid(tgrid)
     if eig.permutation is not None:
-        freqs, weights, bound = *_band_lines(eig, psi0.amplitudes, op.bands), 0.0
+        freqs, weights, bound = *_band_lines(eig, amps, op.bands), 0.0
     else:
-        freqs, weights, bound = bohr_lines(eig, psi0.amplitudes, op)
+        freqs, weights, bound = bohr_lines(eig, amps, op)
     return _series(tgrid, _phase_sum(freqs, weights, tgrid), bound)
 
 
@@ -416,7 +417,7 @@ class ProjectedModes:
         return ProjectedModes(self.nu, self.omega_k[cut], self.sx0[cut], self.sy0[cut])
 
 
-def projected_init(psi0: StateVector, sector: SpinSector, h: float) -> ProjectedModes:
+def projected_init(psi0, sector: SpinSector, h: float) -> ProjectedModes:
     """Initial mode amplitudes of a state under the isotropic Hamiltonian.
 
     Level k maps to a single Sz index m; its amplitudes collect the two
@@ -425,11 +426,9 @@ def projected_init(psi0: StateVector, sector: SpinSector, h: float) -> Projected
     modes reproduces <Sx> at t = 0 exactly.
     """
     n = sector.N
-    if psi0.dim != sector.dim:
-        raise ValueError("dimension mismatch")
+    c = _check_state(psi0, sector.dim)
     energies = isotropic_energies(sector, h)
     perm = np.argsort(energies, kind="stable")
-    c = psi0.amplitudes
     a = ladder_plus_band(sector)  # <m|S+|m+1>, m = 0..N-1
     up = np.conj(c[:-1]) * c[1:]  # c_m^* c_{m+1}, m = 0..N-1
     down = np.conj(c[1:]) * c[:-1]  # c_m^* c_{m-1}, m = 1..N

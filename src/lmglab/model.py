@@ -16,13 +16,14 @@ import numpy as np
 from .spinspace import (
     BandedHermitianOperator,
     SpinSector,
-    StateVector,
+    _check_state,
     build_sector,
     ladder_plus_band,
 )
 
 # energies equal within this relative tolerance count as a degenerate pair
 DEGENERACY_RTOL = 1e-12
+LAM = -1.0  # the coupling lambda: ferromagnetic, fixed
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,6 @@ class LmgParams:
     N: int
     h: float
     gamma: float = 1.0
-    lam: float = -1.0
 
     def __post_init__(self):
         if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)):
@@ -51,7 +51,7 @@ def build_hamiltonian(
     g: float = 0.0,
     phi_n: float = 0.0,
 ) -> BandedHermitianOperator:
-    """Assemble H = (lam/N)(Sx^2 + gamma Sy^2) - h Sz - g (Sx cos + Sy sin) band-wise.
+    """Assemble H = (LAM/N)(Sx^2 + gamma Sy^2) - h Sz - g (Sx cos + Sy sin) band-wise.
 
     The bands come from ladder-operator algebra directly:
     Sx^2 + gamma Sy^2 = (1+gamma)/2 * (S(S+1) - Sz^2)  on the diagonal plus
@@ -64,7 +64,7 @@ def build_hamiltonian(
     ts = np.int64(n)
     tm = sector.two_m
     casimir_minus_m2 = (ts * (ts + 2) - tm * tm) / 4.0  # S(S+1) - M^2, exact
-    diag = (params.lam / n) * ((1.0 + params.gamma) / 2.0) * casimir_minus_m2
+    diag = (LAM / n) * ((1.0 + params.gamma) / 2.0) * casimir_minus_m2
     diag = diag - params.h * (tm / 2.0)
     diags: dict[int, np.ndarray] = {0: diag.astype(np.complex128)}
     a = ladder_plus_band(sector)
@@ -72,7 +72,7 @@ def build_hamiltonian(
         diags[1] = (-0.5 * g * np.exp(-1j * phi_n)) * a
     if params.gamma != 1.0:
         diags[2] = (
-            (params.lam / n) * ((1.0 - params.gamma) / 4.0) * a[:-1] * a[1:]
+            (LAM / n) * ((1.0 - params.gamma) / 4.0) * a[:-1] * a[1:]
         ).astype(np.complex128)
     return BandedHermitianOperator(sector.dim, diags)
 
@@ -138,7 +138,7 @@ def ground_M(N: int, h: float) -> GroundLevel:
 class TrialState:
     """Near-ground trial state and its exact energy elevation."""
 
-    state: StateVector
+    state: np.ndarray
     m0: float
     delta_e: float
     degenerate_ground: bool
@@ -171,9 +171,8 @@ def trial_localized_state(sector: SpinSector, h: float) -> TrialState:
     amps[idx0] = math.sqrt(1.0 - 2.0 / n)
     amps[idx0 - 1] = 1.0 / math.sqrt(n)
     amps[idx0 + 1] = 1.0 / math.sqrt(n)
-    state = StateVector(amps)
     return TrialState(
-        state=state,
+        state=_check_state(amps, sector.dim),
         m0=ground.m0,
         delta_e=(gap_up + gap_down) / n,
         degenerate_ground=ground.degenerate,

@@ -139,7 +139,7 @@ def _lmg_columns(
     params: LmgParams, N: int, reps: np.ndarray, g: float = 0.0, phi_n: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Columns H[:, r] at the indices ``reps`` of
-    H = (lam/N)(Sx^2 + gamma Sy^2) - h Sz - g S_n, as (targets, amplitudes),
+    H = -(1/N)(Sx^2 + gamma Sy^2) - h Sz - g S_n, as (targets, amplitudes),
     one row per column.
 
     Sx^2 + gamma Sy^2 is the sum over site pairs (i, j) of
@@ -151,7 +151,7 @@ def _lmg_columns(
     -g e^(-i phi_n)/2 from down to up.  The amplitudes are real unless the
     kick has a y component (g != 0 and sin(phi_n) != 0).
     """
-    scale = params.lam / params.N
+    scale = -1.0 / params.N  # lambda = -1
     gamma = params.gamma
     r = reps[:, None]
     bits = _site_bits(N)

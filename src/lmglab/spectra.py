@@ -15,7 +15,7 @@ import numpy as np
 
 from .evolve import EigenSystem, TimeSeries, bohr_lines
 from .model import ground_M
-from .spinspace import StateVector
+from .spinspace import _check_state
 
 ROUND = "round"
 CRESCENT = "crescent"
@@ -38,7 +38,7 @@ class LineSpectrum:
 
 
 def line_spectrum(
-    eig: EigenSystem, psi0: StateVector, op, threshold: float
+    eig: EigenSystem, psi0, op, threshold: float
 ) -> LineSpectrum:
     """All level pairs (j, k) whose weight  b_j^* O_jk b_k  clears ``threshold``.
 
@@ -47,9 +47,10 @@ def line_spectrum(
     ``evolve.bohr_lines`` at tolerance 2 ``threshold``, which drops no line
     above ``threshold``: a dropped level's lines weigh at most tol / 4.
     """
-    if psi0.dim != eig.dim or op.dim != eig.dim:
+    amps = _check_state(psi0, eig.dim)
+    if op.dim != eig.dim:
         raise ValueError("dimension mismatch")
-    freqs, weights, _ = bohr_lines(eig, psi0.amplitudes, op, 2.0 * threshold)
+    freqs, weights, _ = bohr_lines(eig, amps, op, 2.0 * threshold)
     kept = np.abs(weights) > threshold
     return LineSpectrum(
         frequencies=freqs[kept], weights=weights[kept], threshold=threshold

@@ -7,7 +7,8 @@ other modules inherit this ordering.
 
 Magnetizations are kept as doubled integers (2M) internally so that
 half-integer values for odd N stay exact and parity logic never touches
-floating point.
+floating point.  A state is a plain array of its N + 1 Sz amplitudes; each
+public function that reads or makes one checks it with ``_check_state``.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class SpinSector:
     N: int
     dim: int
     two_m: np.ndarray
-
-    @property
-    def S(self) -> float:
-        return self.N / 2.0
 
     @property
     def m_values(self) -> np.ndarray:
@@ -95,7 +92,9 @@ class BandedHermitianOperator:
             off = int(off)
             if off < 0:
                 raise ValueError("store superdiagonals only (offset >= 0)")
-            diag = np.asarray(diag, dtype=np.complex128)
+            # a copy: the caller's array stays writable, and later writes to
+            # it cannot reach these bands or their stored conjugates
+            diag = np.array(diag, dtype=np.complex128)
             if diag.shape != (dim - off,):
                 raise ValueError(f"band at offset {off} has wrong length")
             ups[off] = _readonly(diag)
@@ -123,13 +122,6 @@ class BandedHermitianOperator:
             raise ValueError("dimension mismatch")
         return _band_matvec(self.dim, self.bands, vec)
 
-    def scaled(self, factor: float) -> "BandedHermitianOperator":
-        if np.imag(factor) != 0:
-            raise ValueError("scale factor must be real to stay Hermitian")
-        return BandedHermitianOperator(
-            self.dim, {off: diag * factor for off, diag in self.diags.items()}
-        )
-
     def norm_inf(self) -> float:
         """Upper bound on the operator norm (max absolute row sum)."""
         total = np.zeros(self.dim)
@@ -152,37 +144,15 @@ class BandedHermitianOperator:
         return out
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized complex amplitudes in the Sz basis."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > _NORM_TOL:
-            raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
-        object.__setattr__(self, "amplitudes", _readonly(amps))
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-
-def normalized_state(amplitudes) -> StateVector:
-    """Normalize raw amplitudes and wrap them as a StateVector."""
-    amps = np.asarray(amplitudes, dtype=np.complex128)
-    norm = np.linalg.norm(amps)
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return StateVector(amps / norm)
-
-
-def basis_state(dim: int, index: int) -> StateVector:
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(amps)
+def _check_state(psi, dim: int) -> np.ndarray:
+    """Sz amplitudes as complex128; ValueError unless shaped (dim,) and of unit norm."""
+    amps = np.asarray(psi, dtype=np.complex128)
+    if amps.shape != (dim,):
+        raise ValueError(f"state has shape {amps.shape}, expected ({dim},)")
+    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    if abs(norm_sq - 1.0) > _NORM_TOL:
+        raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
+    return amps
 
 
 def ladder_plus_band(sector: SpinSector) -> np.ndarray:
@@ -217,23 +187,7 @@ def collective_operators(sector: SpinSector) -> CollectiveOperators:
     return CollectiveOperators(sx=sx, sy=sy, sz=sz)
 
 
-def _amps_in_sz(psi) -> np.ndarray:
-    if isinstance(psi, StateVector):
-        return psi.amplitudes
-    return np.asarray(psi, dtype=np.complex128)
-
-
-def apply(op, psi) -> np.ndarray:
-    """Banded matrix-vector product; returns raw (unnormalized) amplitudes."""
-    amps = _amps_in_sz(psi)
-    if amps.shape[0] != op.dim:
-        raise ValueError("dimension mismatch")
-    return op.apply(amps)
-
-
 def expectation(op, psi) -> complex:
     """<psi|op|psi> as a complex scalar."""
-    amps = _amps_in_sz(psi)
-    if amps.shape[0] != op.dim:
-        raise ValueError("dimension mismatch")
+    amps = _check_state(psi, op.dim)
     return complex(np.vdot(amps, op.apply(amps)))

@@ -15,19 +15,14 @@ import numpy as np
 
 from .evolve import _free_level_ground, _windowed_ground, eigensystem, ground_state
 from .model import LmgParams, build_hamiltonian, ground_M
-from .spinspace import (
-    SpinSector,
-    StateVector,
-    build_sector,
-    ladder_plus_band,
-)
+from .spinspace import SpinSector, _check_state, build_sector, ladder_plus_band
 
 
 @dataclass(frozen=True)
 class LocalizedState:
     """Perturbed ground state together with its energy cost and polarization."""
 
-    state: StateVector
+    state: np.ndarray
     delta_e: float
     m_n: float
     energy: float
@@ -39,7 +34,7 @@ def default_kick(N: int) -> float:
     return 1.0 / N**2
 
 
-def order_parameter(psi: StateVector, phi_n: float, N: int) -> float:
+def order_parameter(psi, phi_n: float, N: int) -> float:
     """In-plane polarization m_n = (2/N) <Sx cos phi_n + Sy sin phi_n>.
 
     As <Sx> + i <Sy> = <S+>, this is (2/N) Re(exp(-i phi_n) <S+>), with
@@ -47,9 +42,7 @@ def order_parameter(psi: StateVector, phi_n: float, N: int) -> float:
     elements a_m.
     """
     sector = build_sector(N)
-    if psi.dim != sector.dim:
-        raise ValueError("dimension mismatch")
-    amps = psi.amplitudes
+    amps = _check_state(psi, sector.dim)
     s_plus = np.vdot(amps[:-1], ladder_plus_band(sector) * amps[1:])
     return 2.0 / N * (complex(math.cos(phi_n), -math.sin(phi_n)) * s_plus).real
 
@@ -81,7 +74,7 @@ def localize_ground_state(
         energy, psi = _free_level_ground(kicked, free)
     else:
         energy, psi = _windowed_ground(kicked)
-    b = free.to_energy_basis(psi.amplitudes)
+    b = free.to_energy_basis(psi)
     delta_e = float(np.sum(np.abs(b) ** 2 * (free.energies - free.ground_energy)))
     return LocalizedState(
         state=psi,
@@ -100,7 +93,7 @@ class DegeneratePtGap:
     epsilon_plus: float
     epsilon_minus: float
     splitting: float
-    mixed_states: tuple[StateVector, StateVector]
+    mixed_states: tuple[np.ndarray, np.ndarray]
 
 
 def degenerate_pt_gap(sector: SpinSector, h: float, g: float) -> DegeneratePtGap:
@@ -131,7 +124,7 @@ def degenerate_pt_gap(sector: SpinSector, h: float, g: float) -> DegeneratePtGap
         amps = np.zeros(sector.dim, dtype=np.complex128)
         amps[idx_lo] = 1.0 / math.sqrt(2.0)
         amps[idx_hi] = sign / math.sqrt(2.0)
-        mixed.append(StateVector(amps))
+        mixed.append(_check_state(amps, sector.dim))
     return DegeneratePtGap(
         sx_updown=x,
         epsilon_plus=g * x,
@@ -253,7 +246,7 @@ def gamma0_gap_scan(N_list, h: float) -> list[tuple[int, float]]:
             raise ValueError("gap scan supports N <= 2000")
         sector = build_sector(n)
         params = LmgParams(N=n, h=h, gamma=0.0)
-        dense = build_hamiltonian(params, sector).scaled(1.0 / n).to_dense().real
+        dense = build_hamiltonian(params, sector).to_dense().real * (1.0 / n)
         levels = np.sort(
             np.concatenate([np.linalg.eigvalsh(dense[p::2, p::2]) for p in (0, 1)])
         )

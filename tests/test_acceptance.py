@@ -34,11 +34,9 @@ from lmglab.spectra import (
     periodogram,
 )
 from lmglab.spinspace import (
-    basis_state,
     build_sector,
     collective_operators,
     expectation,
-    normalized_state,
 )
 from lmglab.ssb import (
     degenerate_pt_gap,
@@ -46,6 +44,8 @@ from lmglab.ssb import (
     localize_ground_state,
     wkb_rate,
 )
+
+from coherent import basis, unit
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -302,17 +302,15 @@ def test_c11_algebra_suite():
         ops = collective_operators(sector)
         s = N / 2.0
         rng = np.random.default_rng(N)
-        psi = normalized_state(
-            rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
-        )
+        psi = unit(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
 
         # Casimir
         total = (
-            ops.sx.apply(ops.sx.apply(psi.amplitudes))
-            + ops.sy.apply(ops.sy.apply(psi.amplitudes))
-            + ops.sz.apply(ops.sz.apply(psi.amplitudes))
+            ops.sx.apply(ops.sx.apply(psi))
+            + ops.sy.apply(ops.sy.apply(psi))
+            + ops.sz.apply(ops.sz.apply(psi))
         )
-        if np.max(np.abs(total - s * (s + 1) * psi.amplitudes)) > 1e-10 * s * s:
+        if np.max(np.abs(total - s * (s + 1) * psi)) > 1e-10 * s * s:
             failures.append(f"casimir N={N}")
 
         # commutators (dense check)
@@ -351,13 +349,13 @@ def test_c11_algebra_suite():
         kicked = (
             localize_ground_state(params, g=1.0 / N**2).state
             if N >= 3
-            else basis_state(sector.dim, 0)
+            else basis(sector.dim, 0)
         )
         e_ref = expectation(ham0, kicked).real
         sz_ref = expectation(ops.sz, kicked).real
         for t in (0.0, 1.0, 57.0, 2000.0):
             evolved = propagate(eig, kicked, t)
-            if abs(np.linalg.norm(evolved.amplitudes) - 1.0) > 1e-12:
+            if abs(np.linalg.norm(evolved) - 1.0) > 1e-12:
                 failures.append(f"unitarity N={N} t={t}")
             if abs(expectation(ham0, evolved).real - e_ref) > 1e-10 * max(
                 1.0, abs(e_ref)

@@ -33,17 +33,15 @@ from lmglab.model import (
 )
 from lmglab.spinspace import (
     BandedHermitianOperator,
-    basis_state,
     build_sector,
     collective_operators,
     expectation,
     ladder_plus_band,
-    normalized_state,
 )
 from lmglab.spectra import line_spectrum
 from lmglab.ssb import localize_ground_state
 
-from coherent import coherent_state
+from coherent import basis, coherent_state, unit
 
 
 def isotropic_eigensystem(N, h):
@@ -117,17 +115,17 @@ class TestPropagate:
         sec, eig = isotropic_eigensystem(12, 0.3)
         k = 4
         m_index = eig.permutation[k]
-        psi = basis_state(sec.dim, int(m_index))
+        psi = basis(sec.dim, int(m_index))
         out = propagate(eig, psi, t=2.5)
-        expected = np.exp(-1j * eig.energies[k] * 2.5) * psi.amplitudes
-        assert np.max(np.abs(out.amplitudes - expected)) <= 1e-13
+        expected = np.exp(-1j * eig.energies[k] * 2.5) * psi
+        assert np.max(np.abs(out - expected)) <= 1e-13
 
     def test_time_zero_is_identity(self):
         sec, eig = isotropic_eigensystem(9, 0.2)
         rng = np.random.default_rng(1)
-        psi = normalized_state(rng.normal(size=10) + 1j * rng.normal(size=10))
+        psi = unit(rng.normal(size=10) + 1j * rng.normal(size=10))
         out = propagate(eig, psi, 0.0)
-        assert np.max(np.abs(out.amplitudes - psi.amplitudes)) <= 1e-14
+        assert np.max(np.abs(out - psi)) <= 1e-14
 
     def test_norm_and_conservation_along_trajectory(self):
         N, h = 40, 0.55
@@ -141,7 +139,7 @@ class TestPropagate:
         sz_ref = expectation(ops.sz, loc.state).real
         for t in (0.0, 3.7, 190.0, 4000.0):
             psi_t = propagate(eig, loc.state, t)
-            assert abs(np.linalg.norm(psi_t.amplitudes) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(psi_t) - 1.0) <= 1e-12
             assert abs(expectation(ham, psi_t).real - e_ref) <= 1e-10 * abs(e_ref)
             assert abs(expectation(ops.sz, psi_t).real - sz_ref) <= 1e-10 * N
 
@@ -196,7 +194,7 @@ def evolved_series(eig, psi, ops, tgrid):
     shifted = EigenSystem(eig.energies - eig.energies[0], eig.vectors, eig.permutation)
     out = np.empty((len(ops), tgrid.shape[0]), dtype=np.complex128)
     for i, t in enumerate(tgrid):
-        amps = propagate(shifted, psi, t).amplitudes
+        amps = propagate(shifted, psi, t)
         out[:, i] = [np.vdot(amps, op.apply(amps)) for op in ops]
     return out
 
@@ -294,7 +292,7 @@ class TestLineSum:
             raise AssertionError("phases formed")
 
         monkeypatch.setattr(np, "exp", refuse)
-        psi = basis_state(sec.dim, 3)
+        psi = basis(sec.dim, 3)
         with pytest.raises(ValueError):
             observable_series(eig, psi, collective_operators(sec).sx, tgrid)
 
@@ -377,15 +375,15 @@ class TestBohrLines:
         assert eig.permutation is not None
         rng = np.random.default_rng(N)
         states = [
-            normalized_state(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)),
+            unit(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)),
             localize_ground_state(params, g=2e-3, phi_n=0.7).state,
         ]
         ops = collective_operators(sec)
         for psi in states:
             for op in (ops.sx, ops.sy, ops.sz, random_band2(sec.dim, N)):
                 for tol in (None, 1e-6 * N):
-                    freqs, weights, bound = bohr_lines(eig, psi.amplitudes, op, tol)
-                    ref = bohr_lines(dense_copy(eig), psi.amplitudes, op, tol)
+                    freqs, weights, bound = bohr_lines(eig, psi, op, tol)
+                    ref = bohr_lines(dense_copy(eig), psi, op, tol)
                     np.testing.assert_array_equal(freqs, ref[0])
                     np.testing.assert_array_equal(weights, ref[1])
                     assert bound == ref[2]
@@ -415,7 +413,7 @@ class TestProjectedDynamics:
         N, h = 33, 0.62
         sec = build_sector(N)
         rng = np.random.default_rng(8)
-        psi = normalized_state(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
+        psi = unit(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
         ops = collective_operators(sec)
         modes = projected_init(psi, sec, h)
         sx_total = modes.sx0.sum()
@@ -426,7 +424,7 @@ class TestProjectedDynamics:
     def test_top_basis_state_has_no_coherence(self):
         N = 10
         sec = build_sector(N)
-        modes = projected_init(basis_state(sec.dim, 0), sec, 0.5)
+        modes = projected_init(basis(sec.dim, 0), sec, 0.5)
         assert not np.any(modes.sx0) and not np.any(modes.sy0)
 
     def test_ground_mode_is_largest_for_coherent_state(self):
@@ -494,7 +492,7 @@ class TestAnalyticSum:
         ops = collective_operators(sec)
         rng = np.random.default_rng(state_seed)
         states = [
-            normalized_state(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)),
+            unit(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)),
             coherent_state(sec, 1.0, 0.4),
         ]
         tgrid = np.arange(256) * (2 * math.pi * N / 256)
@@ -549,7 +547,7 @@ def per_level_init(psi, sec, h):
     """projected_init as one loop over the levels: omega_k, sx0 and sy0."""
     n = sec.N
     perm = np.argsort(isotropic_energies(sec, h), kind="stable")
-    c, a = psi.amplitudes, ladder_plus_band(sec)
+    c, a = psi, ladder_plus_band(sec)
     omega_k, sx0s, sy0s = [], [], []
     for k in range(n + 1):
         m = int(perm[k])
@@ -606,7 +604,7 @@ class TestModeLines:
     def test_init_matches_per_level_loop(self, N, h):
         sec = build_sector(N)
         rng = np.random.default_rng(N)
-        psi = normalized_state(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
+        psi = unit(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
         got = projected_init(psi, sec, h)
         omega_k, sx0, sy0 = per_level_init(psi, sec, h)
         assert got.nu == 1.0 / N
@@ -637,7 +635,7 @@ def full_direct_sum(sec, h, m0, tgrid):
     """(4/N^2) sum over all N + 1 levels of |<m|Sx|M0>|^2 e^{-i (E_m - E_M0) t}."""
     N = sec.N
     idx0 = int(np.flatnonzero(sec.m_values == m0)[0])
-    u = collective_operators(sec).sx.apply(basis_state(sec.dim, idx0).amplitudes)
+    u = collective_operators(sec).sx.apply(basis(sec.dim, idx0))
     gaps = isotropic_gap(N, sec.two_m, round(2 * m0), h)
     return (4.0 / N**2) * (np.abs(u) ** 2 @ np.exp(-1j * gaps[:, None] * tgrid[None, :]))
 
@@ -696,7 +694,7 @@ class TestCorrelation:
         member = result.members[0]
         ops = collective_operators(sec)
         idx0 = int(np.nonzero(sec.m_values == member.m0)[0][0])
-        u = ops.sx.apply(basis_state(sec.dim, idx0).amplitudes)
+        u = ops.sx.apply(basis(sec.dim, idx0))
         static = (4.0 / N**2) * float(np.sum(np.abs(u) ** 2))
         assert member.closed_form.values[0].real == pytest.approx(static, rel=1e-14)
         assert member.direct.values[0].real == pytest.approx(static, rel=1e-14)
@@ -740,7 +738,7 @@ class TestTimeSeries:
         t, values = default_time_grid(10, samples=64), np.zeros(64)
         series = TimeSeries(t=t, values=values)
         sec, eig = isotropic_eigensystem(10, 0.5)
-        exact = observable_series(eig, basis_state(11, 3), collective_operators(sec).sx, t)
+        exact = observable_series(eig, basis(11, 3), collective_operators(sec).sx, t)
         t[0], values[0] = 1.0, 1.0
         assert t[0] == 1.0 and values[0] == 1.0
         for arr in (series.t, series.values, exact.t, exact.values):
@@ -827,7 +825,7 @@ class TestWindowedGround:
         g = 1.0 / N**2 if g == "1/N^2" else g
         params = LmgParams(N=N, h=h)
         op = build_hamiltonian(params, build_sector(N), g=g, phi_n=phi_n)
-        psi = localize_ground_state(params, g=g, phi_n=phi_n).state.amplitudes
+        psi = localize_ground_state(params, g=g, phi_n=phi_n).state
         assert phase_aligned_distance(psi, inverse_iteration_ground(op)) <= 1e-13
 
     @seed(20261018)
@@ -843,7 +841,7 @@ class TestWindowedGround:
                                phi_n=phi_n)
         energy, psi = evolve._windowed_ground(op)
         full = eigensystem(op)
-        assert phase_aligned_distance(psi.amplitudes, full.vectors[:, 0]) <= 1e-9
+        assert phase_aligned_distance(psi, full.vectors[:, 0]) <= 1e-9
         assert abs(energy - full.ground_energy) <= 1e-12 * op.norm_inf()
 
     @pytest.mark.parametrize(
@@ -865,7 +863,7 @@ class TestWindowedGround:
         assert solved == [op]
         full = eigensystem(op)
         assert energy == full.ground_energy
-        assert np.array_equal(psi.amplitudes, full.vectors[:, 0])
+        assert np.array_equal(psi, full.vectors[:, 0])
 
 
 class TestFreeLevelGround:
@@ -887,7 +885,7 @@ class TestFreeLevelGround:
     def test_state_against_high_precision(self, N, gamma, phi_n):
         params = LmgParams(N=N, h=0.6, gamma=gamma)
         op = build_hamiltonian(params, build_sector(N), g=1.0 / N**2, phi_n=phi_n)
-        psi = localize_ground_state(params, phi_n=phi_n).state.amplitudes
+        psi = localize_ground_state(params, phi_n=phi_n).state
         ref = inverse_iteration_ground(op)
         assert phase_aligned_distance(psi, ref) <= 1e-10
 
@@ -905,10 +903,10 @@ class TestFreeLevelGround:
         full = eigensystem(op)
         if certified:
             assert abs(energy - full.ground_energy) <= 1e-12 * op.norm_inf()
-            assert phase_aligned_distance(psi.amplitudes, full.vectors[:, 0]) <= 1e-9
+            assert phase_aligned_distance(psi, full.vectors[:, 0]) <= 1e-9
         else:
             assert energy == full.ground_energy
-            assert np.array_equal(psi.amplitudes, full.vectors[:, 0])
+            assert np.array_equal(psi, full.vectors[:, 0])
 
     @pytest.mark.parametrize("N", [200, 1000])
     def test_large_n_needs_no_whole_solve(self, N):
@@ -925,7 +923,7 @@ class TestFreeLevelGround:
         assert not certified
         full = eigensystem(op)
         assert energy == full.ground_energy
-        assert np.array_equal(psi.amplitudes, ground_state(full).amplitudes)
+        assert np.array_equal(psi, ground_state(full))
         loc = localize_ground_state(LmgParams(N=N, h=0.6, gamma=gamma))
         assert loc.energy == energy
-        assert np.array_equal(loc.state.amplitudes, psi.amplitudes)
+        assert np.array_equal(loc.state, psi)

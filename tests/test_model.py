@@ -151,13 +151,13 @@ class TestMeanField:
     def test_north_pole(self):
         sec = build_sector(12)
         state = coherent_state(sec, 0.0)
-        assert state.amplitudes[0] == 1.0
-        assert np.count_nonzero(state.amplitudes) == 1
+        assert state[0] == 1.0
+        assert np.count_nonzero(state) == 1
 
     def test_equator_two_spins(self):
         sec = build_sector(2)
         state = coherent_state(sec, math.pi / 2)
-        assert np.allclose(state.amplitudes, [0.5, 1 / math.sqrt(2), 0.5], atol=1e-15)
+        assert np.allclose(state, [0.5, 1 / math.sqrt(2), 0.5], atol=1e-15)
         sx = collective_operators(sec).sx
         assert expectation(sx, state).real == pytest.approx(1.0, rel=1e-14)
 
@@ -189,7 +189,7 @@ class TestMeanField:
     def test_large_n_stays_finite(self):
         sec = build_sector(2000)
         state = coherent_state(sec, 1.1, 0.2)
-        assert np.all(np.isfinite(state.amplitudes))
+        assert np.all(np.isfinite(state))
 
     def test_energy_matches_quantum_expectation_to_finite_size(self):
         N, h = 200, 0.5

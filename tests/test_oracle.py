@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lmglab.evolve import correlation_fN, eigensystem
 from lmglab import oracle
-from lmglab.model import LmgParams, build_hamiltonian, ground_M
+from lmglab.model import LAM, LmgParams, build_hamiltonian, ground_M
 from lmglab.oracle import (
     FullSpaceOperators,
     _LINE_DROP_RTOL,
@@ -53,7 +53,7 @@ def down_spins(N):
 
 
 def full_hamiltonian(params, ops, g=0.0, phi_n=0.0):
-    """Dense reference H = (lam/N)(Sx^2 + gamma Sy^2) - h Sz - g S_n on the
+    """Dense reference H = (LAM/N)(Sx^2 + gamma Sy^2) - h Sz - g S_n on the
     product space, entry by entry from the index bits.
 
     Sx^2 + gamma Sy^2 is the sum over site pairs (i, j) of
@@ -64,7 +64,7 @@ def full_hamiltonian(params, ops, g=0.0, phi_n=0.0):
     through ``ops``.  H is complex only when the kick has a y component.
     """
     N = ops.N
-    scale = params.lam / params.N
+    scale = LAM / params.N
     gamma = params.gamma
     index = np.arange(1 << N)
     h_full = np.zeros((1 << N, 1 << N))
@@ -237,7 +237,7 @@ class TestGround:
                 params = LmgParams(N=N, h=0.45, gamma=gamma)
                 s2 = ops.sx @ ops.sx + params.gamma * (ops.sy @ ops.sy)
                 kick = math.cos(phi_n) * ops.sx + math.sin(phi_n) * ops.sy
-                expected = (params.lam / N) * s2 - params.h * ops.sz - g * kick
+                expected = (LAM / N) * s2 - params.h * ops.sz - g * kick
                 ham = full_hamiltonian(params, ops, g=g, phi_n=phi_n)
                 assert np.max(np.abs(ham - expected)) <= 1e-13
 

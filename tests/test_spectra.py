@@ -227,7 +227,7 @@ class TestLineSpectrum:
         sx = collective_operators(sec).sx
         psi = localize_ground_state(params, g=1e-3).state
         lines = line_spectrum(eig, psi, sx, threshold=threshold)
-        b = eig.to_energy_basis(psi.amplitudes)
+        b = eig.to_energy_basis(psi)
         full = np.conj(b)[:, None] * (eig.vectors.T @ sx.to_dense() @ eig.vectors) * b
         above = np.abs(full) > threshold
         assert len(lines) == np.count_nonzero(above)

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
+from coherent import basis, unit
+from lmglab.evolve import eigensystem, observable_series, projected_init, propagate
+from lmglab.model import LmgParams, build_hamiltonian
+from lmglab.spectra import line_spectrum
 from lmglab.spinspace import (
     BandedHermitianOperator,
-    StateVector,
-    apply,
-    basis_state,
     build_sector,
     collective_operators,
     expectation,
     ladder_plus_band,
-    normalized_state,
 )
+from lmglab.ssb import order_parameter
 
 
 def test_build_sector_examples():
@@ -64,13 +65,13 @@ def test_casimir_identity(N):
     ops = collective_operators(sec)
     s = N / 2.0
     rng = np.random.default_rng(N)
-    psi = normalized_state(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
+    psi = unit(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
     total = (
-        ops.sx.apply(ops.sx.apply(psi.amplitudes))
-        + ops.sy.apply(ops.sy.apply(psi.amplitudes))
-        + ops.sz.apply(ops.sz.apply(psi.amplitudes))
+        ops.sx.apply(ops.sx.apply(psi))
+        + ops.sy.apply(ops.sy.apply(psi))
+        + ops.sz.apply(ops.sz.apply(psi))
     )
-    assert np.max(np.abs(total - s * (s + 1) * psi.amplitudes)) <= 1e-10 * s * s
+    assert np.max(np.abs(total - s * (s + 1) * psi)) <= 1e-10 * s * s
 
 
 def test_casimir_matvec_large_n():
@@ -80,20 +81,20 @@ def test_casimir_matvec_large_n():
     ops = collective_operators(sec)
     s = N / 2.0
     rng = np.random.default_rng(0)
-    psi = normalized_state(rng.normal(size=N + 1))
+    psi = unit(rng.normal(size=N + 1))
     total = (
-        ops.sx.apply(ops.sx.apply(psi.amplitudes))
-        + ops.sy.apply(ops.sy.apply(psi.amplitudes))
-        + ops.sz.apply(ops.sz.apply(psi.amplitudes))
+        ops.sx.apply(ops.sx.apply(psi))
+        + ops.sy.apply(ops.sy.apply(psi))
+        + ops.sz.apply(ops.sz.apply(psi))
     )
-    assert np.max(np.abs(total - s * (s + 1) * psi.amplitudes)) <= 1e-10 * s * s
+    assert np.max(np.abs(total - s * (s + 1) * psi)) <= 1e-10 * s * s
 
 
 @pytest.mark.parametrize("N", [1, 4, 9])
 def test_apply_ladder_on_top_state(N):
     sec = build_sector(N)
     ops = collective_operators(sec)
-    out = apply(ops.sx, basis_state(sec.dim, 0))
+    out = ops.sx.apply(basis(sec.dim, 0))
     expected = np.zeros(sec.dim, dtype=complex)
     expected[1] = np.sqrt(N) / 2.0
     assert np.allclose(out, expected, atol=1e-14)
@@ -103,7 +104,7 @@ def test_apply_diagonal_action():
     sec = build_sector(6)
     ops = collective_operators(sec)
     for m in range(sec.dim):
-        out = apply(ops.sz, basis_state(sec.dim, m))
+        out = ops.sz.apply(basis(sec.dim, m))
         assert out[m] == sec.m_values[m]
         assert np.count_nonzero(out) <= 1
 
@@ -145,14 +146,14 @@ def test_expectation_examples():
     for N in (2, 5, 100):
         sec = build_sector(N)
         ops = collective_operators(sec)
-        top = basis_state(sec.dim, 0)
+        top = basis(sec.dim, 0)
         assert expectation(ops.sz, top) == pytest.approx(N / 2.0, abs=0)
         for m in range(sec.dim):
-            assert expectation(ops.sx, basis_state(sec.dim, m)) == 0.0
+            assert expectation(ops.sx, basis(sec.dim, m)) == 0.0
 
     sec = build_sector(4)
     ops = collective_operators(sec)
-    psi = normalized_state([1.0, 1.0, 0.0, 0.0, 0.0])
+    psi = unit([1.0, 1.0, 0.0, 0.0, 0.0])
     assert expectation(ops.sx, psi).real == pytest.approx(1.0, rel=1e-14)
 
 
@@ -160,26 +161,72 @@ def test_expectation_agrees_with_quadratic_form():
     rng = np.random.default_rng(11)
     sec = build_sector(23)
     ops = collective_operators(sec)
-    psi = normalized_state(rng.normal(size=24) + 1j * rng.normal(size=24))
+    psi = unit(rng.normal(size=24) + 1j * rng.normal(size=24))
     for op in (ops.sx, ops.sy, ops.sz):
-        direct = np.vdot(psi.amplitudes, op.to_dense() @ psi.amplitudes)
+        direct = np.vdot(psi, op.to_dense() @ psi)
         val = expectation(op, psi)
         assert abs(val - direct) <= 1e-13 * max(1.0, abs(direct))
         # Hermitian operators have real expectations
         assert abs(val.imag) <= 1e-12 * op.norm_inf()
 
 
-def test_state_vector_validation():
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        normalized_state(np.zeros(3))
-
-
 def test_dimension_mismatch_raises():
     sec = build_sector(4)
     ops = collective_operators(sec)
     with pytest.raises(ValueError):
-        apply(ops.sx, basis_state(3, 0))
+        ops.sx.apply(basis(3, 0))
     with pytest.raises(ValueError):
-        expectation(ops.sx, basis_state(3, 0))
+        expectation(ops.sx, basis(3, 0))
+
+
+def _state_entries(N):
+    """Each public function that reads a state, as psi -> call, at N spins."""
+    sec = build_sector(N)
+    ops = collective_operators(sec)
+    eig = eigensystem(build_hamiltonian(LmgParams(N=N, h=0.4, gamma=0.5), sec))
+    tgrid = np.linspace(0.0, 10.0, 8)
+    return {
+        "observable_series": lambda psi: observable_series(eig, psi, ops.sx, tgrid),
+        "line_spectrum": lambda psi: line_spectrum(eig, psi, ops.sx, 1e-8),
+        "projected_init": lambda psi: projected_init(psi, sec, 0.4),
+        "propagate": lambda psi: propagate(eig, psi, 1.5),
+        "order_parameter": lambda psi: order_parameter(psi, 0.3, N),
+        "expectation": lambda psi: expectation(ops.sx, psi),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_state_entries(1)))
+def test_state_entries_check_shape_and_norm(entry):
+    N = 6
+    call = _state_entries(N)[entry]
+    rng = np.random.default_rng(8)
+    good = unit(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
+    bad = [
+        unit(np.ones(N)),  # one amplitude short
+        unit(np.ones(N + 2)),  # one amplitude long
+        unit(np.ones((N + 1, 1))),  # right size, wrong shape
+        2.0 * good,  # unnormalized
+        np.zeros(N + 1),  # cannot be normalized
+        np.array([1.0, 1.0]),
+    ]
+    for psi in bad:
+        with pytest.raises(ValueError):
+            call(psi)
+    # a raw array is read, not taken over: it stays writable and unchanged
+    for psi in (good, good.real / np.linalg.norm(good.real), basis(N + 1, 2)):
+        before = psi.copy()
+        call(psi)
+        assert psi.flags.writeable
+        assert np.array_equal(psi, before)
+
+
+def test_operator_leaves_the_callers_bands_writable():
+    d = np.array([1.0, 2.0, 3.0], dtype=np.complex128)
+    u = np.array([0.5j, 0.25], dtype=np.complex128)
+    op = BandedHermitianOperator(3, {0: d, 1: u})
+    assert d.flags.writeable and u.flags.writeable
+    assert not any(band.flags.writeable for band in op.bands.values())
+    d[0], u[0] = 7.0, 9.0  # the operator keeps its own bands, conjugates included
+    assert np.array_equal(op.band(0), [1.0, 2.0, 3.0])
+    assert np.array_equal(op.to_dense(), op.to_dense().conj().T)
+    assert np.array_equal(op.apply(np.eye(3)), op.to_dense())

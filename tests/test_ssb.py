@@ -10,6 +10,7 @@ from lmglab.evolve import eigensystem, ground_state
 from lmglab.model import LmgParams, build_hamiltonian
 from lmglab.spectra import line_spectrum
 from lmglab.spinspace import (
+    BandedHermitianOperator,
     build_sector,
     collective_operators,
     expectation,
@@ -24,7 +25,7 @@ from lmglab.ssb import (
     wkb_rate,
 )
 
-from coherent import coherent_state
+from coherent import basis, coherent_state, unit
 
 # splittings below this are double-precision noise at O(1) matrix norms
 RESOLUTION_FLOOR = 1e-13
@@ -79,7 +80,7 @@ class TestLocalize:
         eig = eigensystem(build_hamiltonian(params, sec))
         ops = collective_operators(sec)
         lines = line_spectrum(eig, loc.state, ops.sx, threshold=0.0)
-        coeffs = eig.to_energy_basis(loc.state.amplitudes)
+        coeffs = eig.to_energy_basis(loc.state)
         assert np.sum(np.abs(coeffs[:3]) ** 2) >= 0.95
         # line weight version: pairs within k <= 2 carry >= 95 percent
         total = np.sum(np.abs(lines.weights))
@@ -101,7 +102,7 @@ class TestLocalize:
         with mpmath.workdps(50):
             e0 = mpmath.mpf(float(np.min(diag)))
             mass = [mpmath.mpf(float(a.real)) ** 2 + mpmath.mpf(float(a.imag)) ** 2
-                    for a in loc.state.amplitudes]
+                    for a in loc.state]
             num = mpmath.fsum(w * (mpmath.mpf(float(e)) - e0) for w, e in zip(mass, diag))
             ref = num / mpmath.fsum(mass)
             assert abs(mpmath.mpf(loc.delta_e) - ref) <= 1e-11 * ref
@@ -118,7 +119,7 @@ class TestLocalize:
         free = eigensystem(build_hamiltonian(params, build_sector(N)))
         expected = np.zeros(N + 1)
         expected[free.permutation[0]] = 1.0
-        assert np.array_equal(loc.state.amplitudes, expected)
+        assert np.array_equal(loc.state, expected)
         assert loc.m_n == 0.0 and loc.delta_e == 0.0
 
     @pytest.mark.parametrize("gamma", [1.0, 0.5, 0.0])
@@ -136,7 +137,7 @@ class TestLocalize:
         loc = localize_ground_state(params, g=0.0)
         assert len(solved) == 1
         free = eigensystem(build_hamiltonian(params, build_sector(N)))
-        assert np.array_equal(loc.state.amplitudes, ground_state(free).amplitudes)
+        assert np.array_equal(loc.state, ground_state(free))
         assert loc.energy == free.ground_energy == loc.unperturbed_ground_energy
 
     def test_kick_direction_sets_sign(self):
@@ -154,20 +155,16 @@ class TestOrderParameter:
         assert order_parameter(psi, 0.0, 24) == pytest.approx(1.0, abs=1e-12)
 
     def test_eigenstates_have_no_polarization(self):
-        from lmglab.spinspace import basis_state
-
         sec = build_sector(12)
         for m in (0, 5, 12):
-            psi = basis_state(sec.dim, m)
+            psi = basis(sec.dim, m)
             assert order_parameter(psi, 0.3, 12) == 0.0
 
     @pytest.mark.parametrize("N", [1, 2, 7, 40, 501])
     def test_equals_collective_operator_expectation(self, N):
-        from lmglab.spinspace import normalized_state
-
         ops = collective_operators(build_sector(N))
         rng = np.random.default_rng(N)
-        psi = normalized_state(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
+        psi = unit(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
         for phi_n in (0.0, 0.7, math.pi / 2, 4.0):
             val = math.cos(phi_n) * expectation(ops.sx, psi) + math.sin(
                 phi_n
@@ -175,10 +172,8 @@ class TestOrderParameter:
             assert abs(order_parameter(psi, phi_n, N) - 2.0 / N * val.real) <= 1e-15
 
     def test_rejects_wrong_dimension(self):
-        from lmglab.spinspace import StateVector
-
         with pytest.raises(ValueError):
-            order_parameter(StateVector(np.eye(5)[0]), 0.0, 5)
+            order_parameter(basis(5, 0), 0.0, 5)
 
 
 class TestDegeneratePt:
@@ -323,8 +318,11 @@ class TestGammaZeroScan:
         scan = gamma0_gap_scan(ns, h)
         ref = []
         for n in ns:
-            per_spin = build_hamiltonian(LmgParams(N=n, h=h, gamma=0.0), build_sector(n))
-            levels = eigensystem(per_spin.scaled(1.0 / n)).energies
+            ham = build_hamiltonian(LmgParams(N=n, h=h, gamma=0.0), build_sector(n))
+            per_spin = BandedHermitianOperator(
+                n + 1, {off: band * (1.0 / n) for off, band in ham.diags.items()}
+            )
+            levels = eigensystem(per_spin).energies
             ref.append(float(levels[1] - levels[0]))
         assert [n for n, _ in scan] == ns
         assert all(abs(s - r) <= 1e-14 for (_, s), r in zip(scan, ref))
