@@ -4,18 +4,17 @@ ground-state correlation function.
 Sector Hamiltonians are diagonalized in full by LAPACK
 (``numpy.linalg.eigh``), in real arithmetic and by parity blocks where the
 matrix allows (see ``eigensystem``); diagonal ones need only a sort.  The
-kicked ground state, the one eigenpair of that H in use, comes from a
-certified window: at gamma = 1 of a few dozen Sz rows around the lowest
-diagonal entry (``_windowed_ground``), at gamma < 1 of the few dozen
-lowest levels of the free H (``_free_level_ground``), both accepted by one
-Courant-Fischer test (``_certified``).  Dynamics always go through the full
-eigendecomposition: the frequencies of interest are O(1/N) and the states
-live for O(N^3), so time stepping would accumulate phase error where it
-hurts most.  No state is evolved over a grid: an expectation value is a
-sum of Bohr lines with phases factored over the grid and a stated
-truncation bound, a projected mode is two such lines, and f_N(t) sums only
-the levels that Sx reaches.  Propagation uses the e^{-iHt} phase
-convention.
+kicked ground state, the one eigenpair of that H in use, comes from the
+few dozen lowest levels of the free H, whose solve is at hand anyway
+(``_free_level_ground``, accepted by the Courant-Fischer test
+``_certified``); at gamma = 1 those levels are a window of Sz rows.
+Dynamics always go through the full eigendecomposition: the frequencies of
+interest are O(1/N) and the states live for O(N^3), so time stepping would
+accumulate phase error where it hurts most.  No state is evolved over a
+grid: an expectation value is a sum of Bohr lines with phases factored over
+the grid and a stated truncation bound, a projected mode is two such lines,
+and f_N(t) sums only the levels that Sx reaches.  Propagation uses the
+e^{-iHt} phase convention.
 """
 
 from __future__ import annotations
@@ -39,14 +38,13 @@ from .spinspace import (
 _GRID_RTOL = 1e-9
 _LINE_RTOL = 1e-13  # Bohr-line truncation tolerance, relative to a bound on ||O||
 _PHASE_BLOCK = 1 << 20  # complex phases per block of lines in _phase_sum
-_WINDOW_PAD = 16  # first pad of a ground-state window, rows on each side
-_LEVEL_STEP = 16  # free levels per step of _free_level_ground, which starts at two
+_FIRST_LEVELS = 32  # free levels of _free_level_ground's first try, doubled per try
 _EPS = float(np.finfo(np.float64).eps)
 
 
 def _check_grid(t) -> np.ndarray:
-    """t as float64; ValueError unless it is a finite, strictly increasing uniform grid."""
-    t = np.asarray(t, dtype=np.float64)
+    """A float64 copy of t; ValueError unless t is a finite increasing uniform grid."""
+    t = np.array(t, dtype=np.float64)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("time grid needs at least two points")
     if not np.all(np.isfinite(t)):
@@ -67,9 +65,10 @@ class TimeSeries:
     error_bound: float = 0.0
 
     def __post_init__(self):
-        # read-only views: the caller's own arrays stay writable
-        object.__setattr__(self, "t", _readonly(_check_grid(self.t).view()))
-        object.__setattr__(self, "values", _readonly(np.asarray(self.values).view()))
+        # read-only copies: the caller's arrays stay writable, and writes to them
+        # cannot reach the series
+        object.__setattr__(self, "t", _readonly(_check_grid(self.t)))
+        object.__setattr__(self, "values", _readonly(np.array(self.values)))
 
     @property
     def dt(self) -> float:
@@ -114,13 +113,17 @@ class EigenSystem:
     def ground_energy(self) -> float:
         return float(self.energies[0])
 
-    def columns(self, levels) -> np.ndarray:
-        """Eigenvector columns of a sequence of levels, (dim, len(levels))."""
+    def columns(self, levels, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Rows lo:hi (every row by default) of the eigenvector columns of a
+        sequence of levels, (hi - lo, len(levels))."""
+        hi = self.dim if hi is None else hi
         if self.permutation is None:
-            return self.vectors[:, levels]
+            return self.vectors[lo:hi, levels]
         levels = np.asarray(levels, dtype=np.intp)
-        out = np.zeros((self.dim, levels.shape[0]))
-        out[self.permutation[levels], np.arange(levels.shape[0])] = 1.0
+        rows = self.permutation[levels] - lo
+        inside = (rows >= 0) & (rows < hi - lo)
+        out = np.zeros((hi - lo, levels.shape[0]))
+        out[rows[inside], np.flatnonzero(inside)] = 1.0
         return out
 
     def to_energy_basis(self, amps: np.ndarray) -> np.ndarray:
@@ -176,56 +179,6 @@ def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
     return EigenSystem(_readonly(w), _readonly(np.ascontiguousarray(v)))
 
 
-def _windowed_ground(op: BandedHermitianOperator) -> tuple[float, np.ndarray]:
-    """Ground energy and state of H, from a window of rows when that is certified.
-
-    A tridiagonal H (bandwidth 1) is solved on the rows whose Gershgorin
-    disc reaches down to c = min diag H, padded by ``_WINDOW_PAD`` rows on
-    each side, with c taken off the window's diagonal so that the solve's
-    error scales with ||H_W - c|| rather than ||H||.  With (E, v) the
-    window's ground pair, G a Gershgorin lower bound of the block outside
-    the window and C the couplings across its edges, all shifted by c, the
-    window is accepted by ``_certified`` with r = ||H_out,W v||, and the
-    ground energy is c + E.  Otherwise the pad doubles.  A window of at
-    least half the rows, and any H of another bandwidth, goes to
-    ``eigensystem(op)`` whole.
-    """
-    n = op.dim
-    if op.bandwidth == 1:
-        diag, band = op.band(0).real, op.band(1)
-        c = float(diag.min())
-        mag = np.abs(band)
-        radius = np.zeros(n)
-        radius[:-1] += mag
-        radius[1:] += mag
-        lower = diag - c - radius  # Gershgorin lower ends, shifted by c
-        low = np.flatnonzero(lower <= 0.0)
-        pad = _WINDOW_PAD
-        while True:
-            a, b = max(int(low[0]) - pad, 0), min(int(low[-1]) + pad + 1, n)
-            if 2 * (b - a) >= n:
-                break
-            window = eigensystem(
-                BandedHermitianOperator(b - a, {0: diag[a:b] - c, 1: band[a : b - 1]})
-            )
-            levels, v = window.energies, window.columns([0])[:, 0]
-            left = mag[a - 1] if a > 0 else 0.0
-            right = mag[b - 1] if b < n else 0.0
-            r = math.hypot(left * abs(v[0]), right * abs(v[-1]))
-            outside = np.concatenate([lower[:a], lower[b:]])
-            if a > 0:
-                outside[a - 1] += left
-            if b < n:
-                outside[a] += right
-            if _certified(levels, r, float(outside.min()), left**2 + right**2):
-                amps = np.zeros(n, dtype=np.complex128)
-                amps[a:b] = v
-                return c + float(levels[0]), _check_state(amps, n)
-            pad *= 2
-    eig = eigensystem(op)
-    return eig.ground_energy, ground_state(eig)
-
-
 def _certified(levels: np.ndarray, r: float, g_out: float, coupling_sq: float) -> bool:
     """Whether a window's lowest pair (E, v) is the ground pair of the whole H.
 
@@ -252,31 +205,45 @@ def _free_level_ground(
     """Ground energy and state of H = H0 + W from the lowest levels of H0.
 
     ``free`` is the solved H0, which is ``op`` without its band 1; W is that
-    band (a kick), real when its entries are.  For K = 32, 48, ... while
-    4K <= 3 dim, with V_K the K lowest free vectors, M = V_K^H W V_K formed
-    band-wise and H_K = diag(E_K - E0) + M, the lowest pair (E, v) of H_K
-    is accepted by ``_certified`` with r = ||R v||, R = W V_K - V_K M,
+    band (the kick), real when its entries are.  For K = 32, 64, 128, ...
+    while 4K <= 3 dim, with V_K the K lowest free vectors, M = V_K^H W V_K
+    formed band-wise and H_K = diag(E_K - E0) + M, the lowest pair (E, v) of
+    H_K is accepted by ``_certified`` with r = ||R v||, R = W V_K - V_K M,
     C bounded by ||R||_F and G = E_K - E0 - 2 max|band 1|, E_K the first
-    level left out.  The state is then V_K v and the energy E0 + E.  If no
-    K is certified, ``eigensystem(op)`` solves H whole.
+    level left out.  The state is then V_K v and the energy E0 + E.  When
+    H0 is diagonal (gamma = 1) V_K is made of coordinate vectors, and only
+    the rows from one below their lowest Sz row to one above their highest
+    are formed: W V_K and R vanish on the others.  If no K is certified,
+    ``eigensystem(op)`` solves H whole.
     """
+    n = op.dim
     w = op.band(1)
     if not np.any(w.imag):
         w = w.real
     shifted = free.energies - free.energies[0]
-    for k in range(2 * _LEVEL_STEP, 3 * op.dim // 4 + 1, _LEVEL_STEP):
-        vk = free.columns(np.arange(k))
-        wv = np.zeros((op.dim, k), dtype=np.result_type(w, vk))
-        wv[:-1] += w[:, None] * vk[1:]
-        wv[1:] += w.conj()[:, None] * vk[:-1]
+    w_bound = 2.0 * float(np.abs(w).max())
+    k = _FIRST_LEVELS
+    while 4 * k <= 3 * n:
+        lo, hi = 0, n
+        if free.permutation is not None:
+            rows = free.permutation[:k]
+            lo, hi = max(int(rows.min()) - 1, 0), min(int(rows.max()) + 2, n)
+        vk = free.columns(np.arange(k), lo, hi)
+        band = w[lo : hi - 1]
+        wv = np.zeros((hi - lo, k), dtype=np.result_type(w, vk))
+        wv[:-1] += band[:, None] * vk[1:]
+        wv[1:] += band.conj()[:, None] * vk[:-1]
         m = vk.conj().T @ wv
         levels, vecs = np.linalg.eigh(m + np.diag(shifted[:k]))
         v = vecs[:, 0]
         res = wv - vk @ m
         r = float(np.linalg.norm(res @ v))
-        g_out = float(shifted[k] - 2.0 * np.abs(w).max())
+        g_out = float(shifted[k]) - w_bound
         if _certified(levels, r, g_out, float(np.linalg.norm(res)) ** 2):
-            return float(free.energies[0] + levels[0]), _check_state(vk @ v, op.dim)
+            amps = np.zeros(n, dtype=np.complex128)
+            amps[lo:hi] = vk @ v
+            return float(free.energies[0] + levels[0]), _check_state(amps, n)
+        k *= 2
     eig = eigensystem(op)
     return eig.ground_energy, ground_state(eig)
 

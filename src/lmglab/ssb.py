@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import _free_level_ground, _windowed_ground, eigensystem, ground_state
+from .evolve import _free_level_ground, eigensystem, ground_state
 from .model import LmgParams, build_hamiltonian, ground_M
 from .spinspace import SpinSector, _check_state, build_sector, ladder_plus_band
 
@@ -58,9 +58,9 @@ def localize_ground_state(
     b_k = <k|psi>: no two O(N) energies cancel, and what rounding remains
     is that of the gaps E_k - E0, which at gamma = 1 are differences of
     diagonal entries and rounded once.
-    The free H is solved once; the kicked ground state comes from a
-    certified window of Sz rows at gamma = 1 (``_windowed_ground``) or of
-    free levels at gamma < 1 (``_free_level_ground``).  With g = 0 this is
+    The free H is solved once, and the kicked ground state comes from its
+    lowest levels, certified or else solved whole (``_free_level_ground``);
+    at gamma = 1 those levels are a window of Sz rows.  With g = 0 this is
     level 0 of the free solve, the exact ground state with m_n = 0.
     """
     if g is None:
@@ -70,10 +70,8 @@ def localize_ground_state(
     kicked = build_hamiltonian(params, sector, g=g, phi_n=phi_n)
     if g == 0.0:
         energy, psi = free.ground_energy, ground_state(free)
-    elif params.gamma < 1.0:
-        energy, psi = _free_level_ground(kicked, free)
     else:
-        energy, psi = _windowed_ground(kicked)
+        energy, psi = _free_level_ground(kicked, free)
     b = free.to_energy_basis(psi)
     delta_e = float(np.sum(np.abs(b) ** 2 * (free.energies - free.ground_energy)))
     return LocalizedState(

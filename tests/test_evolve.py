@@ -69,6 +69,15 @@ class TestEigensystem:
         assert cols.dtype == ref.dtype and np.array_equal(cols, ref)
         assert np.array_equal(eig.columns(np.array(levels, dtype=int)), ref)
 
+    @pytest.mark.parametrize("gamma", [1.0, 0.5], ids=["permutation", "dense"])
+    @pytest.mark.parametrize("lo,hi", [(0, 13), (3, 9), (0, 1), (12, 13), (5, 5)])
+    def test_columns_row_range_is_a_row_slice(self, gamma, lo, hi):
+        eig = eigensystem(build_hamiltonian(LmgParams(N=12, h=0.3, gamma=gamma),
+                                            build_sector(12)))
+        assert (eig.permutation is not None) == (gamma == 1.0)
+        for levels in ([0], [3, 1, 4], list(range(13))):
+            assert np.array_equal(eig.columns(levels, lo, hi), eig.columns(levels)[lo:hi])
+
     def test_diagonal_solve_stores_no_square_array(self):
         # localize + free solve + observable_series + line_spectrum at
         # gamma = 1: a dense (N+1)^2 identity alone would be 200 MB here
@@ -733,16 +742,19 @@ class TestTimeSeries:
             TimeSeries(t=t, values=np.zeros(4))
 
     def test_caller_arrays_stay_writable(self):
-        # the series keeps read-only views; the caller's own grid and values
-        # are not frozen by building a series on them
+        # the series keeps read-only copies; the caller's own grid and values
+        # are not frozen by building a series on them, and later writes to
+        # them do not reach the series
         t, values = default_time_grid(10, samples=64), np.zeros(64)
         series = TimeSeries(t=t, values=values)
         sec, eig = isotropic_eigensystem(10, 0.5)
         exact = observable_series(eig, basis(11, 3), collective_operators(sec).sx, t)
-        t[0], values[0] = 1.0, 1.0
+        before = [a.copy() for a in (series.t, series.values, exact.t, exact.values)]
+        t[0], values[0], t[2] = 1.0, 1.0, 100.0
         assert t[0] == 1.0 and values[0] == 1.0
-        for arr in (series.t, series.values, exact.t, exact.values):
+        for arr, ref in zip((series.t, series.values, exact.t, exact.values), before):
             assert not arr.flags.writeable
+            assert np.array_equal(arr, ref)
 
 
 class TestConcurrency:
@@ -828,6 +840,36 @@ class TestWindowedGround:
         psi = localize_ground_state(params, g=g, phi_n=phi_n).state
         assert phase_aligned_distance(psi, inverse_iteration_ground(op)) <= 1e-13
 
+    @pytest.mark.parametrize("N,h", [(64, 0.375), (57, 1.0 / 3.0)])
+    def test_former_fallbacks_against_high_precision(self, N, h):
+        # two benchmark points where the whole solve's state lies 1.2e-13 and
+        # 7.3e-14 from the reference: the free levels must certify them
+        params = LmgParams(N=N, h=h)
+        op = build_hamiltonian(params, build_sector(N), g=1.0 / N**2)
+        psi = localize_ground_state(params).state
+        assert phase_aligned_distance(psi, inverse_iteration_ground(op)) <= 1e-14
+
+    def test_rows_read_at_gamma_one(self, monkeypatch):
+        # the free levels are coordinate vectors: each block read spans their
+        # K Sz rows and one neighbour row on each side, never all N + 1 rows
+        N = 10**5
+        params, sec = LmgParams(N=N, h=0.716), build_sector(N)
+        free = eigensystem(build_hamiltonian(params, sec))
+        op = build_hamiltonian(params, sec, g=1.0 / N**2)
+        shapes = []
+        columns = EigenSystem.columns
+
+        def recording(self, levels, *rows):
+            block = columns(self, levels, *rows)
+            shapes.append(block.shape)
+            return block
+
+        monkeypatch.setattr(EigenSystem, "columns", recording)
+        energy, psi = evolve._free_level_ground(op, free)
+        assert shapes and all(rows <= k + 2 for rows, k in shapes)
+        assert energy < free.ground_energy
+        assert np.count_nonzero(psi) <= shapes[-1][0]
+
     @seed(20261018)
     @settings(max_examples=25, deadline=None, database=None)
     @given(
@@ -837,21 +879,23 @@ class TestWindowedGround:
         phi_n=st.floats(0.0, 2.0 * math.pi),
     )
     def test_window_agrees_with_full_solve(self, N, h, log_g, phi_n):
-        op = build_hamiltonian(LmgParams(N=N, h=h), build_sector(N), g=10.0**log_g,
-                               phi_n=phi_n)
-        energy, psi = evolve._windowed_ground(op)
+        params, sec = LmgParams(N=N, h=h), build_sector(N)
+        free = eigensystem(build_hamiltonian(params, sec))
+        op = build_hamiltonian(params, sec, g=10.0**log_g, phi_n=phi_n)
+        energy, psi = evolve._free_level_ground(op, free)
         full = eigensystem(op)
         assert phase_aligned_distance(psi, full.vectors[:, 0]) <= 1e-9
         assert abs(energy - full.ground_energy) <= 1e-12 * op.norm_inf()
 
     @pytest.mark.parametrize(
         "N,gamma,g",
-        [(200, 0.5, 1e-3), (10, 1.0, 1e-2), (200, 1.0, 0.5)],
-        ids=["bandwidth-2", "small-N", "large-g"],
+        [(10, 1.0, 1e-2), (200, 1.0, 0.5)],
+        ids=["small-N", "large-g"],
     )
     def test_other_cases_solve_whole(self, N, gamma, g, monkeypatch):
-        op = build_hamiltonian(LmgParams(N=N, h=0.6, gamma=gamma), build_sector(N), g=g,
-                               phi_n=0.7)
+        params, sec = LmgParams(N=N, h=0.6, gamma=gamma), build_sector(N)
+        free = eigensystem(build_hamiltonian(params, sec))
+        op = build_hamiltonian(params, sec, g=g, phi_n=0.7)
         solved = []
 
         def counting(matrix):
@@ -859,7 +903,7 @@ class TestWindowedGround:
             return eigensystem(matrix)
 
         monkeypatch.setattr(evolve, "eigensystem", counting)
-        energy, psi = evolve._windowed_ground(op)
+        energy, psi = evolve._free_level_ground(op, free)
         assert solved == [op]
         full = eigensystem(op)
         assert energy == full.ground_energy
@@ -867,7 +911,7 @@ class TestWindowedGround:
 
 
 class TestFreeLevelGround:
-    """The gamma < 1 kicked ground state from the lowest free levels."""
+    """The kicked ground state from the lowest free levels."""
 
     @staticmethod
     def solve(N, h, gamma, g, phi_n):
@@ -911,6 +955,19 @@ class TestFreeLevelGround:
     @pytest.mark.parametrize("N", [200, 1000])
     def test_large_n_needs_no_whole_solve(self, N):
         assert self.solve(N, 0.6, 0.5, 1.0 / N**2, 0.7)[3]
+
+    def test_uncertifiable_crescent_doubles_k(self):
+        # a crescent pair split by g = 1e-20 is never certified: K doubles
+        # from 32 to 512 (4K <= 3(N+1)) and the whole solve's pair comes back
+        N = 1000
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            op, energy, psi, certified = self.solve(N, 0.601, 1.0, 1e-20, 0.0)
+        sizes = [call.args[0].shape[0] for call in eigh.call_args_list]
+        assert not certified
+        assert sizes == [32, 64, 128, 256, 512, N + 1]
+        full = eigensystem(op)
+        assert energy == full.ground_energy
+        assert np.array_equal(psi, ground_state(full))
 
     @pytest.mark.parametrize(
         "N,gamma", [(60, 0.5), (40, 0.5)], ids=["residual-too-large", "below-cut-off"]
