@@ -21,7 +21,7 @@ import numpy as np
 
 from .evolve import (
     ProjectedModes,
-    TimeSeries,
+    _series,
     analytic_sum,
     correlation_fN,
     default_time_grid,
@@ -51,7 +51,7 @@ from .spectra import (
     periodogram,
     quasicrystal_h,
 )
-from .spinspace import build_sector, collective_operators
+from .spinspace import _Raising, build_sector, collective_operators
 from .ssb import (
     default_kick,
     degenerate_pt_gap,
@@ -306,7 +306,6 @@ def _series_run(cfg: RunConfig, N: int, h: float, g: float):
     """Prepare the localized state, write its series table and start the
     summary; also return what ``spectrum`` reads of the run."""
     sector = build_sector(N)
-    ops = collective_operators(sector)
     params = LmgParams(N=N, h=h, gamma=cfg.gamma)
     if cfg.trial:
         prepared, prep = trial_localized_state(sector, h), "trial"
@@ -316,16 +315,17 @@ def _series_run(cfg: RunConfig, N: int, h: float, g: float):
     state = prepared.state
     tgrid = _time_grid(cfg, N)
     eig0 = eigensystem(build_hamiltonian(params, sector))
-    mx = observable_series(eig0, state, ops.sx, tgrid)
-    my = observable_series(eig0, state, ops.sy, tgrid)
+    # <S+> = <Sx> + i <Sy>: m_x and m_y from one line sum
+    plus = observable_series(eig0, state, _Raising(sector), tgrid)
     modes = projected_init(state, sector, h)
     ax, ay = analytic_sum(modes, min(cfg.cutoff_k, N), tgrid)
     scale = 2.0 / N
+    mx = plus.values.real * scale
     rows = np.column_stack(
         [
             tgrid,
-            mx.values.real * scale,
-            my.values.real * scale,
+            mx,
+            plus.values.imag * scale,
             ax.values.real * scale,
             ay.values.real * scale,
         ]
@@ -334,8 +334,7 @@ def _series_run(cfg: RunConfig, N: int, h: float, g: float):
     summary["delta_e"] = prepared.delta_e
     summary["preparation"] = prep
     summary["files"] = [_table(cfg, "series", SERIES_HEADER, rows)]
-    mx_series = TimeSeries(t=tgrid, values=mx.values * scale)
-    return summary, mx_series, eig0, state, ops.sx
+    return summary, _series(plus.t, mx), eig0, state, sector
 
 
 def _base_summary(cfg: RunConfig, N: int, h: float, g: float) -> dict:
@@ -364,9 +363,10 @@ def cmd_evolve(cfg: RunConfig) -> dict:
 def cmd_spectrum(cfg: RunConfig) -> dict:
     N, h = cfg.single_n(), cfg.single_h()
     g = cfg.single_g(N)
-    summary, mx_series, eig0, state, sx = _series_run(cfg, N, h, g)
+    summary, mx_series, eig0, state, sector = _series_run(cfg, N, h, g)
     spec = periodogram(mx_series, N, window=cfg.window)
     peaks = find_peaks(spec, cfg.peak_threshold())
+    sx = collective_operators(sector).sx
     lines = line_spectrum(eig0, state, sx, threshold=1e-8 * N)
     summary["peaks"] = [
         {"freq_over_nu": p.freq_over_nu, "height": p.height} for p in peaks

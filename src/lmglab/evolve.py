@@ -206,10 +206,11 @@ def _free_level_ground(
 
     ``free`` is the solved H0, which is ``op`` without its band 1; W is that
     band (the kick), real when its entries are.  For K = 32, 64, 128, ...
-    while 4K <= 3 dim, with V_K the K lowest free vectors, M = V_K^H W V_K
-    formed band-wise and H_K = diag(E_K - E0) + M, the lowest pair (E, v) of
-    H_K is accepted by ``_certified`` with r = ||R v||, R = W V_K - V_K M,
-    C bounded by ||R||_F and G = E_K - E0 - 2 max|band 1|, E_K the first
+    while 4K <= 3 dim, then K = floor(3 dim / 4) if 32 was the only one,
+    with V_K the K lowest free vectors, M = V_K^H W V_K formed band-wise
+    and H_K = diag(E_K - E0) + M, the lowest pair (E, v) of H_K is
+    accepted by ``_certified`` with r = ||R v||, R = W V_K - V_K M, C
+    bounded by ||R||_F and G = E_K - E0 - 2 max|band 1|, E_K the first
     level left out.  The state is then V_K v and the energy E0 + E.  When
     H0 is diagonal (gamma = 1) V_K is made of coordinate vectors, and only
     the rows from one below their lowest Sz row to one above their highest
@@ -243,7 +244,8 @@ def _free_level_ground(
             amps = np.zeros(n, dtype=np.complex128)
             amps[lo:hi] = vk @ v
             return float(free.energies[0] + levels[0]), _check_state(amps, n)
-        k *= 2
+        # 43 < dim < 86, where doubling 32 breaks the cut-off: the largest K next
+        k = 3 * n // 4 if k == _FIRST_LEVELS < 3 * n // 4 < 2 * k else 2 * k
     eig = eigensystem(op)
     return eig.ground_energy, ground_state(eig)
 
@@ -268,6 +270,9 @@ def observable_series(
     """<psi(t)|op|psi(t)> = sum_jk b_j^* O_jk b_k e^{i (E_j - E_k) t} on a
     uniform grid, summed line by line by ``_phase_sum``.
 
+    ``op`` may be any banded operator with ``dim``, ``bands`` and
+    ``apply``, Hermitian or not.  For S+ = Sx + i Sy the values are
+    <Sx> + i <Sy>, and ``error_bound`` bounds the error of both parts.
     When H was diagonal (``eig.permutation`` set) there is one line per
     stored entry of ``op.bands`` and nothing is truncated.  Otherwise the
     lines are those of ``bohr_lines``, and ``error_bound`` is their
@@ -355,17 +360,23 @@ def _phase_sum(freqs: np.ndarray, weights: np.ndarray, tgrid: np.ndarray) -> np.
     With B = ceil(sqrt(T)) and t_{qB+r} = t_{qB} + (t_r - t_0), the sum is
     a (Q x L) @ (L x B) product of phase blocks, L (Q + B) exponentials
     instead of L T, taken over blocks of lines so memory stays bounded.
+    An (L, m) weight matrix gives the (T, m) sums of its columns, all over
+    one set of exponentials.
     """
     T = tgrid.shape[0]
     B = math.isqrt(T - 1) + 1
     anchor_t, offset_t = tgrid[::B], tgrid[:B] - tgrid[0]
+    cols = weights if weights.ndim == 2 else weights[:, None]
     step = max(1, _PHASE_BLOCK // (anchor_t.shape[0] + B))
-    out = np.zeros((anchor_t.shape[0], B), dtype=np.complex128)
+    out = np.zeros((cols.shape[1], anchor_t.shape[0], B), dtype=np.complex128)
     for lo in range(0, freqs.shape[0], step):
-        f, w = freqs[lo : lo + step], weights[lo : lo + step]
+        f, w = freqs[lo : lo + step], cols[lo : lo + step]
         anchors = np.exp(1j * anchor_t[:, None] * f[None, :])
-        out += anchors @ (w[:, None] * np.exp(1j * f[:, None] * offset_t[None, :]))
-    return out.ravel()[:T]
+        offsets = np.exp(1j * f[:, None] * offset_t[None, :])
+        for col, block in zip(w.T, out):
+            block += anchors @ (col[:, None] * offsets)
+    sums = out.reshape(out.shape[0], -1)[:, :T]
+    return sums[0] if weights.ndim == 1 else sums.T
 
 
 @dataclass(frozen=True)
@@ -432,17 +443,20 @@ def projected_solution(
     """Closed-form dynamics of the given modes, summed.
 
     Sx_k(t) = e^{-i nu t} [Sx_k(0) cos(w_k t) + Sy_k(0) sin(w_k t)] and the
-    Sy companion with the rotated sign pattern, each summed as its two Bohr
-    lines (see ``_mode_lines``) by ``_phase_sum``.  Raises ValueError on a
-    grid that is not finite and uniform with at least two points.
+    Sy companion with the rotated sign pattern, each mode summed as its two
+    Bohr lines (see ``_mode_lines``), both components in one ``_phase_sum``.
+    Raises ValueError on a grid that is not finite and uniform with at
+    least two points.
     """
     return _projected(modes, _check_grid(tgrid))
 
 
 def _projected(modes: ProjectedModes, tgrid: np.ndarray) -> tuple[TimeSeries, TimeSeries]:
-    """``projected_solution`` on a grid that ``_check_grid`` returned."""
+    """``projected_solution`` on a grid that ``_check_grid`` returned: both
+    components from one ``_phase_sum`` over one set of exponentials."""
     freqs, wx, wy = _mode_lines(modes)
-    return tuple(_series(tgrid, _phase_sum(freqs, w, tgrid)) for w in (wx, wy))
+    sums = _phase_sum(freqs, np.column_stack([wx, wy]), tgrid)
+    return _series(tgrid, sums[:, 0]), _series(tgrid, sums[:, 1])
 
 
 def analytic_sum(
@@ -450,8 +464,8 @@ def analytic_sum(
 ) -> tuple[TimeSeries, TimeSeries]:
     """Superposition of the projected modes k = 0..K (inclusive).
 
-    One ``_phase_sum`` per component over the 2 (K + 1) Bohr lines of the
-    modes.  With K equal to the level count the sum reproduces the exact
+    One ``_phase_sum`` for both components over the 2 (K + 1) Bohr lines of
+    the modes.  With K equal to the level count the sum reproduces the exact
     <Sx(t)>, <Sy(t)> under the isotropic Hamiltonian.  The grid is checked
     before any work.
     """

@@ -166,6 +166,19 @@ def ladder_plus_band(sector: SpinSector) -> np.ndarray:
     return np.sqrt((ts * (ts + 2) - tm * (tm + 2)) / 4.0)
 
 
+class _Raising:
+    """S+ = Sx + i Sy of a sector, the one band <m|S+|m+1>: not Hermitian, but
+    with the ``dim``, ``bands`` and ``apply`` that ``evolve.observable_series``
+    reads, where <S+> = <Sx> + i <Sy>."""
+
+    def __init__(self, sector: SpinSector):
+        self.dim = sector.dim
+        self.bands = {1: _readonly(ladder_plus_band(sector))}
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        return _band_matvec(self.dim, self.bands, np.asarray(vec, dtype=np.complex128))
+
+
 @dataclass(frozen=True)
 class CollectiveOperators:
     sx: BandedHermitianOperator

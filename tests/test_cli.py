@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import lmglab
+from lmglab import evolve, spectra
 from lmglab.cli import (
     _FLAG_KEYS,
     RunConfig,
@@ -114,6 +115,34 @@ class TestSpectrum:
         header, lines = read_csv(os.path.join(out, "lines.csv"))
         assert header == "freq_over_nu,weight_abs,weight_re,weight_im"
         assert lines.shape[0] >= 4
+
+    @pytest.mark.parametrize("gamma", ["1", "0.5"])
+    def test_kicked_op_builds_two_line_lists_and_two_phase_sums(
+        self, tmp_path, monkeypatch, gamma
+    ):
+        # m_x and m_y from one <S+> line list, lines.csv from the Sx one; one
+        # phase sum for that series and one for both analytic columns
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in (
+            (evolve, "bohr_lines"),
+            (spectra, "bohr_lines"),
+            (evolve, "_band_lines"),
+            (evolve, "_phase_sum"),
+        ):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        out = str(tmp_path / "run")
+        argv = ["spectrum", "--n", "50", "--h", "0.6", "--gamma", gamma, "--out", out]
+        assert main(argv + FAST) == 0
+        assert calls.count("bohr_lines") + calls.count("_band_lines") == 2
+        assert calls.count("_phase_sum") == 2
 
     def test_trial_state_round_mode_single_tone(self, tmp_path):
         out = str(tmp_path / "run")

@@ -33,6 +33,7 @@ from lmglab.model import (
 )
 from lmglab.spinspace import (
     BandedHermitianOperator,
+    _Raising,
     build_sector,
     collective_operators,
     expectation,
@@ -304,6 +305,46 @@ class TestLineSum:
         psi = basis(sec.dim, 3)
         with pytest.raises(ValueError):
             observable_series(eig, psi, collective_operators(sec).sx, tgrid)
+
+
+class TestRaisingSeries:
+    """m_x and m_y from one line sum of <S+> = <Sx> + i <Sy>, and two weight
+    columns over one set of exponentials."""
+
+    @seed(20261019)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        N=st.integers(1, 60),
+        h=st.floats(0.0, 1.5),
+        gamma=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+        log_g=st.floats(-6.0, -2.0),
+        phi_n=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_parts_match_sx_and_sy(self, N, h, gamma, log_g, phi_n):
+        params, sec = LmgParams(N=N, h=h, gamma=gamma), build_sector(N)
+        eig = eigensystem(build_hamiltonian(params, sec))
+        psi = localize_ground_state(params, g=10.0**log_g, phi_n=phi_n).state
+        ops = collective_operators(sec)
+        tgrid = 0.3 + np.arange(257) * (4.0 * math.pi * N / 257)
+        plus = observable_series(eig, psi, _Raising(sec), tgrid)
+        for part, op in ((plus.values.real, ops.sx), (plus.values.imag, ops.sy)):
+            ref = observable_series(eig, psi, op, tgrid)
+            bound = plus.error_bound + ref.error_bound + 1e-12 * N
+            assert np.max(np.abs(part - ref.values)) <= bound
+
+    @pytest.mark.parametrize("L,T", [(0, 16), (1, 17), (7, 4096), (9000, 16385)])
+    def test_weight_columns_share_one_phase_sum(self, L, T):
+        rng = np.random.default_rng(L + T)
+        freqs = rng.normal(size=L)
+        weights = rng.normal(size=(L, 2)) + 1j * rng.normal(size=(L, 2))
+        tgrid = -2.0 + np.arange(T) * (50.0 / T)
+        both = evolve._phase_sum(freqs, weights, tgrid)
+        assert both.shape == (T, 2)
+        for col in range(2):
+            one = evolve._phase_sum(freqs, weights[:, col], tgrid)
+            assert one.shape == (T,)
+            tol = 1e-15 * np.sum(np.abs(weights[:, col]))
+            assert np.max(np.abs(both[:, col] - one), initial=0.0) <= tol
 
 
 class TestBohrLines:
@@ -920,8 +961,10 @@ class TestFreeLevelGround:
         free = eigensystem(build_hamiltonian(params, sec))
         op = build_hamiltonian(params, sec, g=g, phi_n=phi_n)
         with mock.patch.object(evolve, "eigensystem", wraps=evolve.eigensystem) as whole:
-            energy, psi = evolve._free_level_ground(op, free)
-        return op, energy, psi, whole.call_count == 0
+            with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+                energy, psi = evolve._free_level_ground(op, free)
+        sizes = [call.args[0].shape[0] for call in eigh.call_args_list]
+        return op, energy, psi, whole.call_count == 0, sizes
 
     @pytest.mark.parametrize("N", [60, 80, 100])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
@@ -943,7 +986,7 @@ class TestFreeLevelGround:
         phi_n=st.one_of(st.just(0.0), st.floats(0.0, 2.0 * math.pi)),
     )
     def test_certified_levels_agree_with_whole_solve(self, N, h, gamma, log_g, phi_n):
-        op, energy, psi, certified = self.solve(N, h, gamma, 10.0**log_g, phi_n)
+        op, energy, psi, certified, _ = self.solve(N, h, gamma, 10.0**log_g, phi_n)
         full = eigensystem(op)
         if certified:
             assert abs(energy - full.ground_energy) <= 1e-12 * op.norm_inf()
@@ -960,9 +1003,7 @@ class TestFreeLevelGround:
         # a crescent pair split by g = 1e-20 is never certified: K doubles
         # from 32 to 512 (4K <= 3(N+1)) and the whole solve's pair comes back
         N = 1000
-        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-            op, energy, psi, certified = self.solve(N, 0.601, 1.0, 1e-20, 0.0)
-        sizes = [call.args[0].shape[0] for call in eigh.call_args_list]
+        op, energy, psi, certified, sizes = self.solve(N, 0.601, 1.0, 1e-20, 0.0)
         assert not certified
         assert sizes == [32, 64, 128, 256, 512, N + 1]
         full = eigensystem(op)
@@ -970,17 +1011,30 @@ class TestFreeLevelGround:
         assert np.array_equal(psi, ground_state(full))
 
     @pytest.mark.parametrize(
-        "N,gamma", [(60, 0.5), (40, 0.5)], ids=["residual-too-large", "below-cut-off"]
+        "N,gamma,g,sizes",
+        [(60, 0.5, 1.0, [32, 45, 61]), (40, 0.5, 1.0 / 40**2, [41])],
+        ids=["residual-too-large", "below-cut-off"],
     )
-    def test_uncertified_case_returns_the_whole_solve(self, N, gamma):
-        # at N = 60 the only K under the cut-off (32) leaves a residual above
-        # eps max|levels|; at N = 40 no K is under it.  Both return exactly
-        # the ground pair of the whole kicked H
-        op, energy, psi, certified = self.solve(N, 0.6, gamma, 1.0 / N**2, 0.0)
+    def test_uncertified_case_returns_the_whole_solve(self, N, gamma, g, sizes):
+        # at N = 60 and g = 1 both K under the cut-off, 32 and floor(3 * 61 / 4)
+        # = 45, leave a residual above eps max|levels|; at N = 40 no K is under
+        # it.  Both return exactly the ground pair of the whole kicked H
+        op, energy, psi, certified, solved = self.solve(N, 0.6, gamma, g, 0.0)
+        assert solved == sizes
         assert not certified
         full = eigensystem(op)
         assert energy == full.ground_energy
         assert np.array_equal(psi, ground_state(full))
-        loc = localize_ground_state(LmgParams(N=N, h=0.6, gamma=gamma))
+        loc = localize_ground_state(LmgParams(N=N, h=0.6, gamma=gamma), g=g)
         assert loc.energy == energy
         assert np.array_equal(loc.state, psi)
+
+    def test_lone_k_is_followed_by_the_largest_k(self):
+        # a benchmark anisotropic op that K = 32 does not certify (N + 1 = 82,
+        # between 43 and 86, where doubling leaves one K): K = 61 certifies it
+        # with no whole solve, 1.4e-13 from the 40-digit state (whole: 4.3e-13)
+        N, h, gamma, g = 81, 0.598, 0.632, 1.6e-4
+        op, energy, psi, certified, sizes = self.solve(N, h, gamma, g, 0.0)
+        assert certified
+        assert sizes == [32, 61]
+        assert phase_aligned_distance(psi, inverse_iteration_ground(op)) <= 1e-12
