@@ -241,6 +241,8 @@ def validate_config(cfg: RunConfig) -> None:
         reals.append(cfg.threshold)
     if not all(math.isfinite(x) for x in reals):
         raise ValueError("h, g, phi-n and threshold must be finite")
+    if cfg.threshold is not None and cfg.threshold < 0.0:
+        raise ValueError("threshold must be >= 0")
     # oracle and correlation work on the free gamma = 1 H (the oracle adds its
     # own 1/N^2 kick along x), modes on its closed forms, gap kicks along x and
     # a trial state takes no kick: these flags would be recorded, not applied
@@ -249,6 +251,8 @@ def validate_config(cfg: RunConfig) -> None:
             raise ValueError(f"{cfg.command} supports gamma = 1 only")
         if cfg.g is not None or cfg.phi_n != 0.0:
             raise ValueError(f"{cfg.command} takes no --g or --phi-n")
+    if cfg.command in ("oracle", "correlation") and any(h >= 1.0 for h in cfg.h):
+        raise ValueError(f"{cfg.command} needs h < 1")
     if cfg.trial and (cfg.g is not None or cfg.phi_n != 0.0):
         raise ValueError("--trial takes no --g or --phi-n")
     if cfg.command == "gap" and cfg.phi_n != 0.0:
@@ -338,7 +342,7 @@ def _series_run(cfg: RunConfig, N: int, h: float, g: float):
 
 
 def _base_summary(cfg: RunConfig, N: int, h: float, g: float) -> dict:
-    freqs = intrinsic_frequencies(N, h) if h < 1.0 else None
+    mode = classify_mode(N, h) if h < 1.0 else None
     ground = ground_M(N, h)
     return {
         "n": N,
@@ -347,8 +351,8 @@ def _base_summary(cfg: RunConfig, N: int, h: float, g: float) -> dict:
         "g": g,
         "m0": list(ground.levels) if ground.degenerate else ground.m0,
         "nu": 1.0 / N,
-        "omega0": None if freqs is None else freqs.omega0,
-        "mode": classify_mode(N, h).label if h < 1.0 else "symmetric",
+        "omega0": None if mode is None else mode.omega0,
+        "mode": "symmetric" if mode is None else mode.label,
         "delta_e": None,
         "peaks": [],
         "files": [],

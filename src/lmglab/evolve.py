@@ -268,34 +268,23 @@ def observable_series(
     tgrid: np.ndarray,
 ) -> TimeSeries:
     """<psi(t)|op|psi(t)> = sum_jk b_j^* O_jk b_k e^{i (E_j - E_k) t} on a
-    uniform grid, summed line by line by ``_phase_sum``.
+    uniform grid: the lines of ``bohr_lines``, summed by ``_phase_sum``.
 
     ``op`` may be any banded operator with ``dim``, ``bands`` and
     ``apply``, Hermitian or not.  For S+ = Sx + i Sy the values are
-    <Sx> + i <Sy>, and ``error_bound`` bounds the error of both parts.
-    When H was diagonal (``eig.permutation`` set) there is one line per
-    stored entry of ``op.bands`` and nothing is truncated.  Otherwise the
-    lines are those of ``bohr_lines``, and ``error_bound`` is their
-    truncation bound.  Raises ValueError on a state or operator that does not
-    fit ``eig`` or a grid that is not finite and uniform with at least two
-    points, before any work.
+    <Sx> + i <Sy>, and ``error_bound``, the lines' truncation bound, bounds
+    the error of both parts.  Raises ValueError, before any work, on a grid
+    that is not finite and uniform with at least two points, then as
+    ``bohr_lines`` does.
     """
-    amps = _check_state(psi0, eig.dim)
-    if op.dim != eig.dim:
-        raise ValueError("dimension mismatch")
     tgrid = _check_grid(tgrid)
-    if eig.permutation is not None:
-        freqs, weights, bound = *_band_lines(eig, amps, op.bands), 0.0
-    else:
-        freqs, weights, bound = bohr_lines(eig, amps, op)
+    freqs, weights, bound = bohr_lines(eig, psi0, op)
     return _series(tgrid, _phase_sum(freqs, weights, tgrid), bound)
 
 
 def _band_lines(eig: EigenSystem, amps, bands) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero Bohr lines of a diagonal H, one per stored band entry."""
-    dim = eig.dim
-    energies = np.empty(dim)
-    energies[eig.permutation] = eig.energies
+    energies = eig.from_energy_basis(eig.energies)
     freqs = [np.zeros(0)]
     weights = [np.zeros(0, dtype=np.complex128)]
     for off, diag in bands.items():
@@ -316,13 +305,22 @@ def bohr_lines(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Bohr lines of <op> between the levels that carry the state.
 
-    With b = V^H psi, ||O|| <= sum over bands of the largest |entry| and
+    Raises ValueError on a state or operator that does not fit ``eig``.
+    When H was diagonal (``eig.permutation`` set) there is one line per
+    nonzero stored entry of ``op.bands``, band by band in Sz order, nothing
+    is truncated, ``tol`` does not apply and the bound is 0.  Otherwise,
+    with b = V^H psi, ||O|| <= sum over bands of the largest |entry| and
     tol = 1e-13 ||O|| by default, the levels of smallest |b_k| are dropped
     while their amplitude norm d keeps ||O|| (2 d + d^2) <= tol / 2, then
     the lines b_j^* O_jk b_k of smallest |weight| while their summed
     |weight| stays <= tol / 2.  Returns the kept frequencies E_j - E_k and
     weights in row-major (j, k) order, and the sum of both bounds.
     """
+    amps = _check_state(amps, eig.dim)
+    if op.dim != eig.dim:
+        raise ValueError("dimension mismatch")
+    if eig.permutation is not None:
+        return *_band_lines(eig, amps, op.bands), 0.0
     norm = float(sum(np.max(np.abs(band), initial=0.0) for band in op.bands.values()))
     tol = _LINE_RTOL * norm if tol is None else tol
     b = eig.to_energy_basis(amps)
@@ -332,16 +330,8 @@ def bohr_lines(
     n_drop = int(np.count_nonzero(norm * (2.0 * d + d * d) <= 0.5 * tol))
     bound = norm * (2.0 * d[n_drop - 1] + d[n_drop - 1] ** 2) if n_drop else 0.0
     keep = np.sort(by_mass[n_drop:])
-    if eig.permutation is None:
-        vk = eig.columns(keep)
-        block = vk.conj().T @ op.apply(vk)
-    else:  # V_K^H O V_K straight from the bands: entry (a, b) on band index[b] - index[a]
-        index = eig.permutation[keep]
-        offset, low = index - index[:, None], np.minimum(index, index[:, None])
-        block = np.zeros(offset.shape, dtype=np.complex128)
-        for off, diag in op.bands.items():
-            block[offset == off] = diag[low[offset == off]]
-        block += 0.0  # the -0 parts of conjugated bands become +0, as in a matvec
+    vk = eig.columns(keep)
+    block = vk.conj().T @ op.apply(vk)
     energies, bk = eig.energies[keep], b[keep]
     freqs = (energies[:, None] - energies[None, :]).ravel()
     weights = (bk.conj()[:, None] * block * bk[None, :]).ravel()

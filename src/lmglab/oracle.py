@@ -136,7 +136,7 @@ def _orbits(N: int) -> _Orbits:
 
 
 def _lmg_columns(
-    params: LmgParams, N: int, reps: np.ndarray, g: float = 0.0, phi_n: float = 0.0
+    params: LmgParams, reps: np.ndarray, g: float = 0.0, phi_n: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Columns H[:, r] at the indices ``reps`` of
     H = -(1/N)(Sx^2 + gamma Sy^2) - h Sz - g S_n, as (targets, amplitudes),
@@ -151,8 +151,8 @@ def _lmg_columns(
     -g e^(-i phi_n)/2 from down to up.  The amplitudes are real unless the
     kick has a y component (g != 0 and sin(phi_n) != 0).
     """
-    scale = -1.0 / params.N  # lambda = -1
-    gamma = params.gamma
+    N, gamma = params.N, params.gamma
+    scale = -1.0 / N  # lambda = -1
     r = reps[:, None]
     bits = _site_bits(N)
     diag = (N / 4 + gamma * (N / 4)) * scale - params.h * (N / 2 - _down_spins(r, N))
@@ -211,13 +211,13 @@ class FullGround:
 
 
 def full_space_ground(
-    N: int, params: LmgParams, g: float = 0.0, phi_n: float = 0.0
+    params: LmgParams, g: float = 0.0, phi_n: float = 0.0
 ) -> FullGround:
     """Ground state of the (possibly kicked) Hamiltonian on the 2^N space,
-    solved in the momentum blocks of ``_momentum_ground``."""
-    _check_full_size(N)
-    orbits = _orbits(N)
-    return _momentum_ground(orbits, *_lmg_columns(params, N, orbits.reps, g, phi_n))[0]
+    N = ``params.N``, solved in the momentum blocks of ``_momentum_ground``."""
+    _check_full_size(params.N)
+    orbits = _orbits(params.N)
+    return _momentum_ground(orbits, *_lmg_columns(params, orbits.reps, g, phi_n))[0]
 
 
 def _momentum_ground(
@@ -283,7 +283,7 @@ def _free_blocks(orbits: _Orbits, h: float) -> dict:
     N = orbits.N
     down = _down_spins(orbits.reps, N)
     qs = range(N // 2 + 1)  # H is real: block N - q is block q conjugated
-    columns = _lmg_columns(LmgParams(N=N, h=h), N, orbits.reps)
+    columns = _lmg_columns(LmgParams(N=N, h=h), orbits.reps)
     split = {}
     for q, (keep, block) in zip(qs, _momentum_blocks(orbits, *columns, qs)):
         for k in np.flatnonzero(np.bincount(down[keep])).tolist():
@@ -418,7 +418,7 @@ def sector_vs_full_checks(
         )
 
     # localized order parameter
-    kicked = full_space_ground(N, params, g=g)
+    kicked = full_space_ground(params, g=g)
     sx_kicked = _apply_sx(kicked.vector, N)
     mx_full = 2.0 / N * float(np.real(np.vdot(kicked.vector, sx_kicked)))
     dev_mx = abs(localized.m_n - mx_full)

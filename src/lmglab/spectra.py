@@ -15,7 +15,6 @@ import numpy as np
 
 from .evolve import EigenSystem, TimeSeries, bohr_lines
 from .model import ground_M
-from .spinspace import _check_state
 
 ROUND = "round"
 CRESCENT = "crescent"
@@ -45,12 +44,10 @@ def line_spectrum(
     Frequencies are E_j - E_k, so every oscillating line appears with both
     signs; a j = k pair contributes a zero-frequency line.  Pairs come from
     ``evolve.bohr_lines`` at tolerance 2 ``threshold``, which drops no line
-    above ``threshold``: a dropped level's lines weigh at most tol / 4.
+    above ``threshold``: a dropped level's lines weigh at most tol / 4.  A
+    diagonal H gives every line, band by band in Sz order, before the cut.
     """
-    amps = _check_state(psi0, eig.dim)
-    if op.dim != eig.dim:
-        raise ValueError("dimension mismatch")
-    freqs, weights, _ = bohr_lines(eig, amps, op, 2.0 * threshold)
+    freqs, weights, _ = bohr_lines(eig, psi0, op, 2.0 * threshold)
     kept = np.abs(weights) > threshold
     return LineSpectrum(
         frequencies=freqs[kept], weights=weights[kept], threshold=threshold

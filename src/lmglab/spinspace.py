@@ -82,7 +82,7 @@ class BandedHermitianOperator:
     ``diags`` holds the diagonal and superdiagonals as given; ``bands`` is
     the full {offset: diagonal} mapping, offset = j - i, whose subdiagonals
     are their conjugates by construction, so Hermiticity holds exactly as
-    stored.
+    stored, with +0 where a conjugate gives -0, as in a matvec.
     """
 
     def __init__(self, dim: int, diags: dict[int, np.ndarray]):
@@ -104,7 +104,7 @@ class BandedHermitianOperator:
         self.bands = dict(ups)
         for off, diag in ups.items():
             if off > 0:
-                self.bands[-off] = _readonly(diag.conj())
+                self.bands[-off] = _readonly(diag.conj() + 0.0)
 
     @property
     def bandwidth(self) -> int:

@@ -134,14 +134,13 @@ class TestSpectrum:
         for module, name in (
             (evolve, "bohr_lines"),
             (spectra, "bohr_lines"),
-            (evolve, "_band_lines"),
             (evolve, "_phase_sum"),
         ):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         out = str(tmp_path / "run")
         argv = ["spectrum", "--n", "50", "--h", "0.6", "--gamma", gamma, "--out", out]
         assert main(argv + FAST) == 0
-        assert calls.count("bohr_lines") + calls.count("_band_lines") == 2
+        assert calls.count("bohr_lines") == 2
         assert calls.count("_phase_sum") == 2
 
     def test_trial_state_round_mode_single_tone(self, tmp_path):
@@ -515,6 +514,31 @@ class TestUsageErrors:
         out = str(tmp_path / "run")
         assert main(argv + ["--n", "6", "--out", out] + FAST) == 1
         assert not os.path.exists(os.path.join(out, "summary.json"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--n", "6", "--h", "0.5", "--threshold", "-1"],
+            ["spectrum", "--n", "50", "--h", "0.6", "--threshold", "-1"],
+        ],
+        ids=["oracle", "spectrum"],
+    )
+    def test_negative_threshold_exits_one_without_output(self, tmp_path, argv):
+        # the oracle failed every point with exit 3, and spectrum listed
+        # every local maximum of the periodogram as a peak
+        out = tmp_path / "run"
+        assert main(argv + ["--out", str(out)] + FAST) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["oracle", "correlation"])
+    @pytest.mark.parametrize("h", ["1", "1.2", "0.5,1"])
+    def test_broken_phase_commands_reject_h_at_least_one(
+        self, tmp_path, capsys, command, h
+    ):
+        out = tmp_path / "run"
+        assert main([command, "--n", "6", "--h", h, "--out", str(out)]) == 1
+        assert command in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

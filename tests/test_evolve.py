@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import mpmath
@@ -417,26 +418,41 @@ class TestBohrLines:
 
     @pytest.mark.parametrize("N,h", [(40, 0.6), (41, 0.55), (200, 0.716)])
     def test_diagonal_h_reads_lines_off_the_bands(self, N, h):
-        # a diagonal H reads V_K^H O V_K straight from the bands; its dense
-        # copy applies O to the K eigenvector columns
+        # a diagonal H gives one line per nonzero band entry, untruncated: at
+        # tol None the lines its dense copy keeps at tol 0, exactly; at a
+        # loose tol a superset of the dense lines, whose extra weight is
+        # within the dense bound
         params = LmgParams(N=N, h=h)
         sec = build_sector(N)
         eig = eigensystem(build_hamiltonian(params, sec))
         assert eig.permutation is not None
+        dense = dense_copy(eig)
         rng = np.random.default_rng(N)
         states = [
             unit(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)),
             localize_ground_state(params, g=2e-3, phi_n=0.7).state,
         ]
         ops = collective_operators(sec)
+
+        def multiset(freqs, weights):
+            return Counter(zip(freqs.tolist(), weights.real.tolist(), weights.imag.tolist()))
+
         for psi in states:
             for op in (ops.sx, ops.sy, ops.sz, random_band2(sec.dim, N)):
-                for tol in (None, 1e-6 * N):
-                    freqs, weights, bound = bohr_lines(eig, psi, op, tol)
-                    ref = bohr_lines(dense_copy(eig), psi, op, tol)
-                    np.testing.assert_array_equal(freqs, ref[0])
-                    np.testing.assert_array_equal(weights, ref[1])
-                    assert bound == ref[2]
+                freqs, weights, bound = bohr_lines(eig, psi, op)
+                ref_freqs, ref_weights, ref_bound = bohr_lines(dense, psi, op, 0.0)
+                assert bound == ref_bound == 0.0
+                assert multiset(freqs, weights) == multiset(ref_freqs, ref_weights)
+                tol = 1e-6 * N
+                loose = bohr_lines(eig, psi, op, tol)
+                np.testing.assert_array_equal(loose[0], freqs)
+                np.testing.assert_array_equal(loose[1], weights)
+                assert loose[2] == 0.0
+                ref_freqs, ref_weights, ref_bound = bohr_lines(dense, psi, op, tol)
+                lines, ref = multiset(freqs, weights), multiset(ref_freqs, ref_weights)
+                assert not ref - lines
+                extra = [k * math.hypot(re, im) for (_, re, im), k in (lines - ref).items()]
+                assert sum(extra) <= ref_bound
 
     def test_truncation_is_reported(self):
         # the kicked ground state reaches every free level, most of them

@@ -171,13 +171,13 @@ class TestGround:
         params = LmgParams(N=N, h=h)
         sec = build_sector(N)
         e_sector = eigensystem(build_hamiltonian(params, sec)).ground_energy
-        full = full_space_ground(N, params)
+        full = full_space_ground(params)
         assert abs(full.energy - e_sector) <= 1e-10
 
     def test_ground_lives_in_maximal_spin_sector(self):
         N = 8
         ops = full_space_operators(N)
-        full = full_space_ground(N, LmgParams(N=N, h=0.5))
+        full = full_space_ground(LmgParams(N=N, h=0.5))
         # polynomial projector onto S = N/2 built from the Casimir spectrum
         s2 = ops.sx @ ops.sx + ops.sy @ ops.sy + ops.sz @ ops.sz
         s_max = N / 2.0
@@ -193,13 +193,13 @@ class TestGround:
 
     def test_symmetric_phase_ground_is_fully_polarized(self):
         N = 6
-        full = full_space_ground(N, LmgParams(N=N, h=3.0))
+        full = full_space_ground(LmgParams(N=N, h=3.0))
         # all-up product state is index 0 in the kron ordering
         assert abs(full.vector[0]) ** 2 >= 1.0 - 1e-8
 
     def test_degenerate_flag_for_crescent_field(self):
         # N=6, h=0.5: Nh = 3 odd against even N
-        full = full_space_ground(6, LmgParams(N=6, h=0.5))
+        full = full_space_ground(LmgParams(N=6, h=0.5))
         assert full.degenerate
 
 
@@ -212,7 +212,7 @@ class TestGround:
         params = LmgParams(N=N, h=h, gamma=gamma)
         ham = build_hamiltonian(params, build_sector(N), g=g, phi_n=phi_n)
         e_sector = eigensystem(ham).ground_energy
-        full = full_space_ground(N, params, g=g, phi_n=phi_n)
+        full = full_space_ground(params, g=g, phi_n=phi_n)
         assert abs(full.energy - e_sector) <= 1e-10
 
     @pytest.mark.parametrize(
@@ -266,7 +266,7 @@ class TestGround:
         for gamma in (0.0, 0.35, 1.0):
             params = LmgParams(N=N, h=0.45, gamma=gamma)
             for g, phi_n in [(0.0, 0.0), (0.03, 0.0), (0.03, 0.7), (0.03, math.pi / 2)]:
-                targets, amps = _lmg_columns(params, N, index, g, phi_n)
+                targets, amps = _lmg_columns(params, index, g, phi_n)
                 ham = np.zeros((1 << N, 1 << N), dtype=amps.dtype)
                 np.add.at(ham, (targets, index[:, None]), amps)
                 reference = full_hamiltonian(params, ops, g=g, phi_n=phi_n)
@@ -293,7 +293,7 @@ class TestGround:
         ham = full_hamiltonian(params, full_space_operators(N), g=g, phi_n=phi_n)
         w, v = np.linalg.eigh(ham)
         degenerate = w[1] - w[0] <= 1e-10 * max(1.0, abs(w[0]))
-        full = full_space_ground(N, params, g=g, phi_n=phi_n)
+        full = full_space_ground(params, g=g, phi_n=phi_n)
         assert abs(full.energy - w[0]) <= 1e-12
         assert full.degenerate == degenerate
         # a degenerate ground state is any vector of the dense ground pair
@@ -391,7 +391,7 @@ class TestMomentumBlocks:
         sector = build_sector(N)
         for g in (0.0, 1.0 / N**2):
             e_sector = eigensystem(build_hamiltonian(params, sector, g=g)).ground_energy
-            full = full_space_ground(N, params, g=g)
+            full = full_space_ground(params, g=g)
             assert abs(full.energy - e_sector) <= 1e-10
 
     def test_large_n_complex_kick_within_a_second(self):
@@ -401,7 +401,7 @@ class TestMomentumBlocks:
         params = LmgParams(N=N, h=0.6)
         tracemalloc.start()
         try:
-            full = full_space_ground(N, params, g=g, phi_n=phi_n)
+            full = full_space_ground(params, g=g, phi_n=phi_n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -413,7 +413,7 @@ class TestMomentumBlocks:
         elapsed = []
         while len(elapsed) < 3 and min(elapsed, default=math.inf) >= 1.0:
             start = time.perf_counter()
-            full_space_ground(N, params, g=g, phi_n=phi_n)
+            full_space_ground(params, g=g, phi_n=phi_n)
             elapsed.append(time.perf_counter() - start)
         assert min(elapsed) < 1.0
 
@@ -432,9 +432,9 @@ def test_momentum_blocks_match_dense_reference(N, h, gamma, g, phi_n):
     ham = full_hamiltonian(params, full_space_operators(N), g=g, phi_n=phi_n)
     norm = np.linalg.norm(ham, 2)
     orbits = _orbits(N)
-    _, levels = _momentum_ground(orbits, *_lmg_columns(params, N, orbits.reps, g, phi_n))
+    _, levels = _momentum_ground(orbits, *_lmg_columns(params, orbits.reps, g, phi_n))
     assert np.max(np.abs(levels - np.linalg.eigvalsh(ham))) <= 1e-12 * max(1.0, norm)
-    full = full_space_ground(N, params, g=g, phi_n=phi_n)
+    full = full_space_ground(params, g=g, phi_n=phi_n)
     residual = np.linalg.norm(ham @ full.vector - full.energy * full.vector)
     assert residual <= 1e-12 * norm
 
@@ -451,7 +451,7 @@ def test_momentum_blocks_match_dense_reference(N, h, gamma, g, phi_n):
 def test_full_space_ground_energy_matches_sector(N, h, gamma, g, phi_n):
     params = LmgParams(N=N, h=h, gamma=gamma)
     ham = build_hamiltonian(params, build_sector(N), g=g, phi_n=phi_n)
-    full = full_space_ground(N, params, g=g, phi_n=phi_n)
+    full = full_space_ground(params, g=g, phi_n=phi_n)
     assert abs(full.energy - eigensystem(ham).ground_energy) <= 1e-10
 
 
@@ -472,7 +472,7 @@ class TestCorrelation:
         tgrid = np.arange(16) * 1.0
         members = full_space_correlation(N, h, tgrid)
         ops = full_space_operators(N)
-        full = full_space_ground(N, LmgParams(N=N, h=h))
+        full = full_space_ground(LmgParams(N=N, h=h))
         static = 4.0 / N**2 * np.vdot(ops.sx @ full.vector, ops.sx @ full.vector).real
         assert members[0][1].values[0].real == pytest.approx(static, rel=1e-10)
 

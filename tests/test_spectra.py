@@ -218,22 +218,25 @@ class TestLineSpectrum:
 
     @pytest.mark.parametrize("threshold", [0.0, 1e-30, 1e-18, 1e-8])
     def test_every_line_above_threshold_is_listed(self, threshold):
-        # thresholds far below the 1e-13 ||O|| tolerance of a series: the
-        # kicked state reaches every free level, with amplitudes down to 1e-21
+        # thresholds far below the 1e-13 ||O|| tolerance of a series: at
+        # gamma < 1 the kicked state reaches every free level, with amplitudes
+        # down to 1e-21; at gamma = 1 the lines are read off the bands
         N, h = 40, 0.6
-        params = LmgParams(N=N, h=h, gamma=0.5)
         sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(params, sec))
         sx = collective_operators(sec).sx
-        psi = localize_ground_state(params, g=1e-3).state
-        lines = line_spectrum(eig, psi, sx, threshold=threshold)
-        b = eig.to_energy_basis(psi)
-        full = np.conj(b)[:, None] * (eig.vectors.T @ sx.to_dense() @ eig.vectors) * b
-        above = np.abs(full) > threshold
-        assert len(lines) == np.count_nonzero(above)
-        assert np.sum(np.abs(lines.weights)) == pytest.approx(
-            np.sum(np.abs(full[above])), rel=1e-12
-        )
+        for gamma in (0.5, 1.0):
+            params = LmgParams(N=N, h=h, gamma=gamma)
+            eig = eigensystem(build_hamiltonian(params, sec))
+            psi = localize_ground_state(params, g=1e-3).state
+            lines = line_spectrum(eig, psi, sx, threshold=threshold)
+            b = eig.to_energy_basis(psi)
+            v = eig.columns(np.arange(eig.dim))
+            full = np.conj(b)[:, None] * (v.T @ sx.to_dense() @ v) * b
+            above = np.abs(full) > threshold
+            assert len(lines) == np.count_nonzero(above)
+            assert np.sum(np.abs(lines.weights)) == pytest.approx(
+                np.sum(np.abs(full[above])), rel=1e-12
+            )
 
     def test_localized_state_dominant_pair(self):
         N, h = 100, 0.716

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from coherent import basis, unit
-from lmglab.evolve import eigensystem, observable_series, projected_init, propagate
+from lmglab.evolve import (
+    bohr_lines,
+    eigensystem,
+    observable_series,
+    projected_init,
+    propagate,
+)
 from lmglab.model import LmgParams, build_hamiltonian
 from lmglab.spectra import line_spectrum
 from lmglab.spinspace import (
@@ -142,6 +148,13 @@ def test_hermitian_bands_hold_every_entry():
     assert np.array_equal(rebuilt, op.to_dense())
 
 
+def test_conjugated_bands_hold_no_negative_zero():
+    # lines read off the bands would print -0 where a matvec gives 0
+    sub = BandedHermitianOperator(3, {1: [1.0, 2.0j]}).bands[-1]
+    assert np.array_equal(sub, [1.0, -2.0j])
+    assert not np.any(np.signbit([sub[0].imag, sub[1].real]))
+
+
 def test_expectation_examples():
     for N in (2, 5, 100):
         sec = build_sector(N)
@@ -187,6 +200,7 @@ def _state_entries(N):
     tgrid = np.linspace(0.0, 10.0, 8)
     return {
         "observable_series": lambda psi: observable_series(eig, psi, ops.sx, tgrid),
+        "bohr_lines": lambda psi: bohr_lines(eig, psi, ops.sx),
         "line_spectrum": lambda psi: line_spectrum(eig, psi, ops.sx, 1e-8),
         "projected_init": lambda psi: projected_init(psi, sec, 0.4),
         "propagate": lambda psi: propagate(eig, psi, 1.5),
