@@ -123,35 +123,43 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(part) for part in str(text).split(",") if part != ""]
 
 
-def _shared_flags() -> argparse.ArgumentParser:
-    """The flags every subcommand takes, declared once as a parent parser."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--n", type=_parse_int_list, default=None)
-    p.add_argument("--h", type=_parse_float_list, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--g", type=_parse_float_list, default=None)
-    p.add_argument("--phi-n", dest="phi_n", type=float, default=None)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--cutoff-k", dest="cutoff_k", type=int, default=None)
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--window", choices=("hann", "none"), default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--trial", action="store_const", const=True, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--config", type=str, default=None)
-    return p
-
-
-_SHARED_FLAGS = _shared_flags()
-# the keys a --config file may set: every shared flag but --config
-_FLAG_ACTIONS = {
-    action.option_strings[0][2:]: action
-    for action in _SHARED_FLAGS._actions
-    if action.dest != "config"
+# every flag, declared once as argparse keywords under its --config key
+_FLAGS = {
+    "n": {"type": _parse_int_list},
+    "h": {"type": _parse_float_list},
+    "gamma": {"type": float},
+    "g": {"type": _parse_float_list},
+    "phi-n": {"type": float},
+    "tmax": {"type": float},
+    "samples": {"type": int},
+    "cutoff-k": {"type": int},
+    "kappa": {"type": float},
+    "window": {"choices": ("hann", "none")},
+    "threshold": {"type": float},
+    "trial": {"action": "store_const", "const": True},
+    "out": {},
+    "format": {"choices": ("csv", "json")},
 }
-_FLAG_KEYS = tuple(_FLAG_ACTIONS)
+_FLAG_KEYS = tuple(_FLAGS)
+_SERIES_FLAGS = ("n", "h", "gamma", "g", "phi-n", "tmax", "samples", "cutoff-k", "trial")
+# the flags each subcommand reads; every subcommand also takes --out,
+# --format and --config, and argparse rejects any other flag
+_COMMAND_FLAGS = {
+    "evolve": _SERIES_FLAGS,
+    "spectrum": (*_SERIES_FLAGS, "window", "threshold"),
+    "modes": ("n", "h", "tmax", "samples"),
+    "correlation": ("n", "h", "tmax", "samples"),
+    # gap applies --gamma nowhere (its PT part uses gamma = 1, its scan
+    # gamma = 0) and records it as null
+    "gap": ("n", "h", "gamma", "g"),
+    "quasicrystal": ("n", "h", "gamma", "g", "phi-n", "kappa", "tmax", "samples"),
+    "oracle": ("n", "h", "threshold"),
+}
+
+
+def _keys_of(command: str) -> tuple[str, ...]:
+    """The flags ``command`` takes, named as --config keys (--config aside)."""
+    return (*_COMMAND_FLAGS[command], "out", "format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,7 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("quasicrystal", "h(kappa) table, two-tone waveform, symbol sequence"),
         ("oracle", "sector vs full 2^N comparisons (exit 3 on mismatch)"),
     ):
-        sub.add_parser(name, help=text, parents=[_SHARED_FLAGS])
+        command = sub.add_parser(name, help=text)
+        for key in _keys_of(name):
+            command.add_argument(f"--{key}", **_FLAGS[key])
+        command.add_argument("--config")
     return parser
 
 
@@ -184,7 +195,7 @@ def _is_number(value, kind) -> bool:
 def _config_value(key: str, value):
     """A --config value checked against its flag's type and converted as
     the flag would be; any other JSON type is a ValueError naming the key."""
-    kind = _FLAG_ACTIONS[key].type
+    kind = _FLAGS[key].get("type")
     if kind in (_parse_int_list, _parse_float_list):
         item = int if kind is _parse_int_list else float
         if isinstance(value, str):
@@ -207,20 +218,19 @@ def _config_value(key: str, value):
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
+    keys = _keys_of(args.command)
     file_values = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("a config file holds one JSON object")
-        unknown = set(raw) - set(_FLAG_KEYS)
+        unknown = set(raw) - set(keys)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"{args.command} takes no config keys {sorted(unknown)}")
         file_values = {key: _config_value(key, value) for key, value in raw.items()}
-    for key in _FLAG_KEYS:
+    for key in keys:
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            continue
         flag_value = getattr(args, attr)
         if flag_value is not None:
             setattr(cfg, attr, flag_value)
@@ -243,20 +253,11 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("h, g, phi-n and threshold must be finite")
     if cfg.threshold is not None and cfg.threshold < 0.0:
         raise ValueError("threshold must be >= 0")
-    # oracle and correlation work on the free gamma = 1 H (the oracle adds its
-    # own 1/N^2 kick along x), modes on its closed forms, gap kicks along x and
-    # a trial state takes no kick: these flags would be recorded, not applied
-    if cfg.command in ("oracle", "correlation", "modes"):
-        if cfg.gamma != 1.0:
-            raise ValueError(f"{cfg.command} supports gamma = 1 only")
-        if cfg.g is not None or cfg.phi_n != 0.0:
-            raise ValueError(f"{cfg.command} takes no --g or --phi-n")
-    if cfg.command in ("oracle", "correlation") and any(h >= 1.0 for h in cfg.h):
+    # these compute gamma = 1 quantities of the broken phase only
+    if cfg.command in ("oracle", "correlation", "modes") and any(h >= 1.0 for h in cfg.h):
         raise ValueError(f"{cfg.command} needs h < 1")
     if cfg.trial and (cfg.g is not None or cfg.phi_n != 0.0):
         raise ValueError("--trial takes no --g or --phi-n")
-    if cfg.command == "gap" and cfg.phi_n != 0.0:
-        raise ValueError("gap takes no --phi-n")
     if cfg.samples < 16:
         raise ValueError("samples must be >= 16")
     if cfg.cutoff_k < 0:
@@ -405,12 +406,11 @@ def cmd_modes(cfg: RunConfig) -> dict:
     files = []
     table_rows = []
     tgrid = _time_grid(cfg, N)
+    modes = []
     for h in h_grid:
-        mode = classify_mode(N, h)
         freqs = intrinsic_frequencies(N, h)
-        table_rows.append(
-            (h, N * h, freqs.m0, freqs.omega0, 1.0 if mode.degenerate else 0.0)
-        )
+        modes.append({"h": h, "mode": classify_mode(N, h).label})
+        table_rows.append((h, N * h, freqs.m0, freqs.omega0, float(freqs.degenerate)))
         ideal = ProjectedModes(
             1.0 / N, np.array([freqs.omega0]), np.array([N / 2.0]), np.zeros(1)
         )
@@ -427,9 +427,7 @@ def cmd_modes(cfg: RunConfig) -> dict:
         )
     files.insert(0, _table(cfg, "modes", "h,nh,m0,omega0,degenerate", table_rows))
     summary = _base_summary(cfg, N, h_grid[0], 0.0)
-    summary["modes"] = [
-        {"h": h, "mode": classify_mode(N, h).label} for h in h_grid
-    ]
+    summary["modes"] = modes
     summary["files"] = files
     return summary
 

@@ -189,21 +189,23 @@ class ModeClass:
 
 
 def classify_mode(N: int, h: float) -> ModeClass:
-    """Round / crescent / generic oscillation mode from the parity of N and Nh.
+    """Round / crescent / generic oscillation mode of the isotropic ground level.
 
-    Integer Nh with the parity of N gives the round mode (omega_0 = 0, full
-    precession circle at nu); opposite parity gives the crescent mode
-    (degenerate pair, bounded oscillation at 2 nu).  Non-integer Nh is
-    generic with both lines present.
+    A degenerate ground pair (Nh an integer of the other parity than N) gives
+    the crescent mode (bounded oscillation at 2 nu); a single level at
+    M0 = Nh/2 (Nh an integer of N's parity) gives the round mode (omega_0 = 0,
+    full precession circle at nu); any other h is generic with both lines
+    present.  The level comes from ``intrinsic_frequencies``, so the label
+    agrees with the m0 and omega0 reported next to it.
     """
     freqs = intrinsic_frequencies(N, h)
-    nh = N * h
-    nh_int = round(nh)
-    if abs(nh - nh_int) <= NH_INTEGER_TOL:
-        if (nh_int - N) % 2 == 0:
-            return ModeClass(label=ROUND, omega0=freqs.omega0, degenerate=False)
-        return ModeClass(label=CRESCENT, omega0=freqs.omega0, degenerate=True)
-    return ModeClass(label=GENERIC, omega0=freqs.omega0, degenerate=freqs.degenerate)
+    if freqs.degenerate:
+        label = CRESCENT
+    elif abs(N * h - 2.0 * freqs.m0) <= NH_INTEGER_TOL:
+        label = ROUND
+    else:
+        label = GENERIC
+    return ModeClass(label=label, omega0=freqs.omega0, degenerate=freqs.degenerate)
 
 
 def quasicrystal_h(N: int, kappa: float) -> np.ndarray:

@@ -18,9 +18,32 @@ from lmglab.cli import (
     main,
     validate_config,
 )
+from lmglab.model import ground_M
 from lmglab.ssb import wkb_rate
 
 FAST = ["--samples", "64"]
+
+# the flags each subcommand reads, besides --out, --format and --config
+READS = {
+    "evolve": "n h gamma g phi-n tmax samples cutoff-k trial",
+    "spectrum": "n h gamma g phi-n tmax samples cutoff-k trial window threshold",
+    "modes": "n h tmax samples",
+    "correlation": "n h tmax samples",
+    "gap": "n h gamma g",
+    "quasicrystal": "n h gamma g phi-n kappa tmax samples",
+    "oracle": "n h threshold",
+}
+FLAG_VALUES = {
+    "n": ["6"], "h": ["0.5"], "gamma": ["0.5"], "g": ["0.01"], "phi-n": ["0.3"],
+    "tmax": ["50"], "samples": ["64"], "cutoff-k": ["2"], "kappa": ["0.4"],
+    "window": ["none"], "threshold": ["0.02"], "trial": [],
+}
+UNREAD = [
+    (command, flag)
+    for command, reads in READS.items()
+    for flag in FLAG_VALUES
+    if flag not in reads.split()
+]
 
 
 def read_csv(path):
@@ -175,6 +198,25 @@ class TestModes:
         assert rows.shape == (3, 5)
         assert os.path.exists(os.path.join(out, "mode_h0.716.csv"))
 
+    @pytest.mark.parametrize(
+        "n, h, label",
+        # Nh within 1e-9 of an integer of the other parity than N, yet the
+        # levels do not tie; Nh 1e-8 off an integer, yet the levels tie
+        [(10, "0.50000000003", "generic"), (1000, "0.60100000001", "crescent")],
+    )
+    def test_label_and_flag_follow_the_ground_level(self, tmp_path, n, h, label):
+        out = str(tmp_path / "run")
+        assert main(["modes", "--n", str(n), "--h", h, "--out", out] + FAST) == 0
+        ground = ground_M(n, float(h))
+        _, (row,) = read_csv(os.path.join(out, "modes.csv"))
+        assert bool(row[4]) == ground.degenerate
+        assert row[2] == ground.m0
+        expected_omega0 = 1.0 / n if ground.degenerate else float(h) - 2.0 * ground.m0 / n
+        assert row[3] == pytest.approx(expected_omega0, rel=1e-12)
+        summary = read_json(os.path.join(out, "summary.json"))
+        assert summary["mode"] == label
+        assert summary["modes"] == [{"h": float(h), "mode": label}]
+
 
 class TestCorrelation:
     def test_member_files_with_oracle_column(self, tmp_path):
@@ -212,7 +254,7 @@ class TestGap:
             out = str(tmp_path / f"run{gamma}")
             rc = main(
                 ["gap", "--n", "100,20,24,28,32", "--h", "0.71", "--gamma", gamma,
-                 "--out", out] + FAST
+                 "--out", out]
             )
             assert rc == 0
             header, rows = read_csv(os.path.join(out, "gap_pt.csv"))
@@ -344,7 +386,9 @@ class TestOutputFiles:
         # "%.17g" round-trips every float, so a table written exactly comes
         # back byte for byte when parsed and formatted value by value
         out = str(tmp_path / "run")
-        assert main(argv + ["--samples", "512", "--out", out]) == 0
+        # gap and oracle take no --samples
+        samples = [] if argv[0] in ("gap", "oracle") else ["--samples", "512"]
+        assert main(argv + samples + ["--out", out]) == 0
         tables = [name for name in os.listdir(out) if name.endswith(".csv")]
         assert tables
         for name in tables:
@@ -401,22 +445,18 @@ class TestOracleCommand:
             ["evolve", "--trial", "--phi-n", "0.3"],
             ["spectrum", "--trial", "--g", "0.01"],
             ["spectrum", "--trial", "--phi-n", "0.3"],
+            ["correlation", "--gamma", "1"],
         ],
     )
     def test_flags_it_would_ignore_exit_one(self, tmp_path, argv):
         # these commands run at gamma = 1 (modes from its closed forms) and
         # choose their own kick, gap kicks along x and a trial state takes no
         # kick, so these flags would be recorded in summary.json without
-        # taking effect
+        # taking effect; a flag the command does not read is refused even at
+        # the value it would have had
         out = str(tmp_path / "run")
         assert main(argv + ["--n", "4", "--h", "0.5", "--out", out]) == 1
         assert not os.path.exists(os.path.join(out, "summary.json"))
-
-    def test_gamma_one_is_accepted(self, tmp_path):
-        out = str(tmp_path / "run")
-        rc = main(["correlation", "--gamma", "1", "--n", "4", "--h", "0.5",
-                   "--out", out] + FAST)
-        assert rc == 0
 
 
 class TestSweep:
@@ -512,25 +552,28 @@ class TestUsageErrors:
             path.write_text(json.dumps(config))
             argv = argv + ["--config", str(path)]
         out = str(tmp_path / "run")
-        assert main(argv + ["--n", "6", "--out", out] + FAST) == 1
+        # the oracle takes no --samples
+        fast = [] if argv[0] == "oracle" else FAST
+        assert main(argv + ["--n", "6", "--out", out] + fast) == 1
         assert not os.path.exists(os.path.join(out, "summary.json"))
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["oracle", "--n", "6", "--h", "0.5", "--threshold", "-1"],
-            ["spectrum", "--n", "50", "--h", "0.6", "--threshold", "-1"],
+            ["spectrum", "--n", "50", "--h", "0.6", "--threshold", "-1"] + FAST,
         ],
         ids=["oracle", "spectrum"],
     )
-    def test_negative_threshold_exits_one_without_output(self, tmp_path, argv):
+    def test_negative_threshold_exits_one_without_output(self, tmp_path, capsys, argv):
         # the oracle failed every point with exit 3, and spectrum listed
         # every local maximum of the periodogram as a peak
         out = tmp_path / "run"
-        assert main(argv + ["--out", str(out)] + FAST) == 1
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "threshold must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["oracle", "correlation"])
+    @pytest.mark.parametrize("command", ["oracle", "correlation", "modes"])
     @pytest.mark.parametrize("h", ["1", "1.2", "0.5,1"])
     def test_broken_phase_commands_reject_h_at_least_one(
         self, tmp_path, capsys, command, h
@@ -556,6 +599,25 @@ class TestUsageErrors:
         assert main(argv + ["--n", "40", "--out", str(out)] + FAST) == 1
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command, flag", UNREAD, ids=[f"{c}--{f}" for c, f in UNREAD]
+    )
+    def test_unread_flag_exits_one_naming_it(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "run"
+        argv = [command, "--n", "6", "--h", "0.5", f"--{flag}", *FLAG_VALUES[flag]]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert f"--{flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unread_config_key_exits_one_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": "6", "kappa": 0.4}))
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", str(path), "--out", str(out)] + FAST) == 1
+        err = capsys.readouterr().err
+        assert "'kappa'" in err and "evolve" in err
+        assert not out.exists()
+
     def test_unknown_flag(self):
         assert main(["evolve", "--bogus", "1"]) == 1
 
@@ -579,14 +641,14 @@ class TestParser:
         [
             (
                 ["evolve", "--n", "30", "--h", "0.4", "--g", "1e-3", "--phi-n", "0.2",
-                 "--tmax", "50", "--samples", "64", "--cutoff-k", "2", "--window",
-                 "none", "--trial", "--out", "o", "--format", "json"],
+                 "--tmax", "50", "--samples", "64", "--cutoff-k", "2", "--trial",
+                 "--out", "o", "--format", "json"],
                 dict(n=[30], h=[0.4], g=[1e-3], phi_n=0.2, tmax=50.0, samples=64,
-                     cutoff_k=2, window="none", trial=True, out="o", format="json"),
+                     cutoff_k=2, trial=True, out="o", format="json"),
             ),
             (["spectrum", "--n", "100", "--h", "0.5", "--gamma", "0.5",
-              "--threshold", "0.02"],
-             dict(n=[100], h=[0.5], gamma=0.5, threshold=0.02)),
+              "--window", "none", "--threshold", "0.02"],
+             dict(n=[100], h=[0.5], gamma=0.5, window="none", threshold=0.02)),
             (["modes", "--n", "100", "--h", "0.71,0.716"],
              dict(n=[100], h=[0.71, 0.716])),
             (["correlation", "--n", "8", "--h", "0.5", "--samples", "32"],
@@ -606,14 +668,13 @@ class TestParser:
     def test_config_file_under_flags(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(
-            {"n": "25", "samples": 64, "g": "1e-3", "tmax": 10.0, "trial": True,
-             "window": "none"}
+            {"n": "25", "samples": 64, "g": "1e-3", "tmax": 10.0, "trial": True}
         ))
         argv = ["evolve", "--config", str(path), "--h", "0.5"]
         cfg = _config_from_args(build_parser().parse_args(argv))
         assert cfg == RunConfig(
             command="evolve", n=[25], h=[0.5], g=[1e-3], tmax=10.0, samples=64,
-            window="none", trial=True,
+            trial=True,
         )
 
     def test_run_is_a_sweep_flag_only(self):

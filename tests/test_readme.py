@@ -1,6 +1,7 @@
 """README's examples stay runnable: the library quick start runs and finds
 the peaks it promises, and every ``lmglab`` command line parses and passes
-validation (none is run)."""
+validation (none is run).  Its flag table lists, row by row, the flags each
+subcommand's ``--help`` lists."""
 
 import contextlib
 import io
@@ -53,3 +54,33 @@ def test_command_lines_are_found():
 def test_command_line_is_valid(line):
     args = build_parser().parse_args(shlex.split(line)[1:])
     validate_config(_config_from_args(args))
+
+
+def flag_table():
+    """The README's per-subcommand flag table: {subcommand: [flag, ...]},
+    with the --out, --format and --config every subcommand takes."""
+    (table,) = re.findall(
+        r"^\| subcommand \| flags it reads.*\n\| --- \| --- \|\n((?:\|.*\n)+)", README, re.M
+    )
+    rows = {}
+    for line in table.splitlines():
+        names, flags = line.strip("|").split("|")
+        for name in re.findall(r"`(\w+)`", names):
+            rows[name] = [*re.findall(r"--[a-z][a-z-]*", flags), "--out", "--format",
+                          "--config"]
+    return rows
+
+
+def test_flag_table_names_every_subcommand(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--help"])
+    choices = re.search(r"\{([\w,]+)\}", capsys.readouterr().out).group(1)
+    assert sorted(flag_table()) == sorted(choices.split(","))
+
+
+@pytest.mark.parametrize("command", sorted(flag_table()))
+def test_flag_table_row_is_the_subcommand_help(command, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    listed = dict.fromkeys(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert [flag for flag in listed if flag != "--help"] == flag_table()[command]
