@@ -1,11 +1,12 @@
-"""Command-line front end: run experiments, emit CSV/JSON data files.
+"""Command-line front end: run experiments, emit CSV data files.
 
 Subcommands: evolve, spectrum, modes, correlation, gap, quasicrystal,
-oracle.  Each run writes its tables into ``--out`` as CSV or JSON
-(``--format``) plus a ``summary.json``.  Outputs are deterministic
-(17-significant-digit floats, LF endings, sorted JSON keys), so identical
-configs give byte-identical files.  Exit codes: 0 success, 1 usage error,
-2 numeric failure, 3 oracle mismatch.
+oracle.  Each run writes its tables into ``--out`` as CSV plus a
+``summary.json`` that names every file it wrote relative to ``--out``.
+Outputs are deterministic (17-significant-digit floats, LF endings, sorted
+JSON keys), so identical configs give byte-identical files wherever they
+are written.  Exit codes: 0 success, 1 usage error, 2 numeric failure,
+3 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ class RunConfig:
     threshold: float | None = None
     trial: bool = False
     out: str = "."
-    format: str = "csv"
 
     def single_n(self) -> int:
         if not self.n:
@@ -138,12 +138,11 @@ _FLAGS = {
     "threshold": {"type": float},
     "trial": {"action": "store_const", "const": True},
     "out": {},
-    "format": {"choices": ("csv", "json")},
 }
 _FLAG_KEYS = tuple(_FLAGS)
 _SERIES_FLAGS = ("n", "h", "gamma", "g", "phi-n", "tmax", "samples", "cutoff-k", "trial")
-# the flags each subcommand reads; every subcommand also takes --out,
-# --format and --config, and argparse rejects any other flag
+# the flags each subcommand reads; every subcommand also takes --out and
+# --config, and argparse rejects any other flag
 _COMMAND_FLAGS = {
     "evolve": _SERIES_FLAGS,
     "spectrum": (*_SERIES_FLAGS, "window", "threshold"),
@@ -159,10 +158,12 @@ _COMMAND_FLAGS = {
 
 def _keys_of(command: str) -> tuple[str, ...]:
     """The flags ``command`` takes, named as --config keys (--config aside)."""
-    return (*_COMMAND_FLAGS[command], "out", "format")
+    return (*_COMMAND_FLAGS[command], "out")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(subparsers: dict | None = None) -> argparse.ArgumentParser:
+    """The ``lmglab`` parser; ``subparsers`` receives each subcommand's own."""
+    subparsers = {} if subparsers is None else subparsers
     parser = argparse.ArgumentParser(
         prog="lmglab",
         description="Finite-size LMG symmetry-breaking dynamics laboratory",
@@ -177,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("quasicrystal", "h(kappa) table, two-tone waveform, symbol sequence"),
         ("oracle", "sector vs full 2^N comparisons (exit 3 on mismatch)"),
     ):
-        command = sub.add_parser(name, help=text)
+        command = subparsers[name] = sub.add_parser(name, help=text)
         for key in _keys_of(name):
             command.add_argument(f"--{key}", **_FLAGS[key])
         command.add_argument("--config")
@@ -266,39 +267,32 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("tmax must be positive and finite")
     if cfg.window not in ("hann", "none"):
         raise ValueError("window must be hann or none")
-    if cfg.format not in ("csv", "json"):
-        raise ValueError("format must be csv or json")
+    if cfg.command == "gap" and cfg.g is not None:
+        N, h = _pt_point(cfg)
+        if not ground_M(N, h).degenerate:
+            raise ValueError(f"gap reads --g only for the PT table of a degenerate "
+                             f"ground level, and N={N}, h={h} has none")
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _pt_point(cfg: RunConfig) -> tuple[int, float]:
+    """The (N, h) of gap's degenerate-PT table: the first --n, else 100."""
+    return (cfg.n[0] if cfg.n else 100), cfg.single_h()
 
 
-def _write_table(path: str, header: str, rows) -> str:
-    columns = header.split(",")
-    if path.endswith(".json"):
-        payload = {
-            col: [_fmt(row[i]) for row in rows] for i, col in enumerate(columns)
-        }
-        _write_json(path, payload)
-        return path
-    table = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(columns))
-    with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8") + b"\n")
-        fh.writelines(csv_pieces(table))
-    return path
-
-
-def _write_json(path: str, payload) -> str:
+def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _table(cfg: RunConfig, stem: str, header: str, rows) -> str:
-    """Write one table to ``--out`` as ``stem.csv`` or ``stem.json``."""
-    return _write_table(os.path.join(cfg.out, f"{stem}.{cfg.format}"), header, rows)
+    """Write one table to ``--out`` as ``stem.csv`` and return that name."""
+    name = f"{stem}.csv"
+    table = np.asarray(rows, dtype=np.float64).reshape(len(rows), header.count(",") + 1)
+    with open(os.path.join(cfg.out, name), "wb") as fh:
+        fh.write(header.encode("utf-8") + b"\n")
+        fh.writelines(csv_pieces(table))
+    return name
 
 
 def _time_grid(cfg: RunConfig, N: int) -> np.ndarray:
@@ -376,6 +370,7 @@ def cmd_spectrum(cfg: RunConfig) -> dict:
     summary["peaks"] = [
         {"freq_over_nu": p.freq_over_nu, "height": p.height} for p in peaks
     ]
+    _write_json(os.path.join(cfg.out, "spectrum_peaks.json"), {"peaks": summary["peaks"]})
     nu = 1.0 / N
     summary["files"] += [
         _table(
@@ -384,9 +379,7 @@ def cmd_spectrum(cfg: RunConfig) -> dict:
             SPECTRUM_HEADER,
             np.column_stack([spec.freq_over_nu, spec.magnitudes]),
         ),
-        _write_json(
-            os.path.join(cfg.out, "spectrum_peaks.json"), {"peaks": summary["peaks"]}
-        ),
+        "spectrum_peaks.json",
         _table(
             cfg,
             "lines",
@@ -467,8 +460,7 @@ def cmd_correlation(cfg: RunConfig) -> dict:
 
 def cmd_gap(cfg: RunConfig) -> dict:
     # first --n value drives the degenerate-PT part; the list drives the scan
-    N = cfg.n[0] if cfg.n else 100
-    h = cfg.single_h()
+    N, h = _pt_point(cfg)
     files = []
     summary = _base_summary(cfg, N, h, 0.0)
     # the PT part uses gamma = 1 and the scan gamma = 0; --gamma applies to neither
@@ -547,7 +539,7 @@ def cmd_quasicrystal(cfg: RunConfig) -> dict:
     word_path = os.path.join(cfg.out, "cut_project.txt")
     with open(word_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(word + "\n")
-    files.append(word_path)
+    files.append("cut_project.txt")
     summary = _base_summary(cfg, N, h_pick, 0.0)
     summary["kappa"] = kappa
     summary["h_values"] = [float(v) for v in fields]
@@ -578,7 +570,7 @@ def cmd_oracle(cfg: RunConfig) -> dict:
                     report.worst(),
                 )
             )
-    path = _table(
+    name = _table(
         cfg,
         "oracle",
         "n,h,ground_energy_dev,ground_sz_dev,correlation_dev,localized_mx_dev,worst",
@@ -587,7 +579,7 @@ def cmd_oracle(cfg: RunConfig) -> dict:
     summary = _base_summary(cfg, n_values[0], h_values[0], 0.0)
     summary["worst_deviation"] = worst
     summary["tolerance"] = tolerance
-    summary["files"] = [path]
+    summary["files"] = [name]
     if worst > tolerance:
         _write_json(os.path.join(cfg.out, "summary.json"), summary)
         raise OracleMismatchError(
@@ -607,12 +599,15 @@ _COMMANDS = {
 }
 
 
-_PARSER = build_parser()
+_SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
+_PARSER = build_parser(_SUBPARSERS)
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args, unread = _PARSER.parse_known_args(argv)
+        if unread:  # the subcommand's parser reports them, under its usage line
+            _SUBPARSERS[args.command].error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

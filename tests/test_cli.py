@@ -13,7 +13,7 @@ from lmglab.cli import (
     _FLAG_KEYS,
     RunConfig,
     _config_from_args,
-    _write_table,
+    _table,
     build_parser,
     main,
     validate_config,
@@ -23,7 +23,7 @@ from lmglab.ssb import wkb_rate
 
 FAST = ["--samples", "64"]
 
-# the flags each subcommand reads, besides --out, --format and --config
+# the flags each subcommand reads, besides --out and --config
 READS = {
     "evolve": "n h gamma g phi-n tmax samples cutoff-k trial",
     "spectrum": "n h gamma g phi-n tmax samples cutoff-k trial window threshold",
@@ -37,6 +37,8 @@ FLAG_VALUES = {
     "n": ["6"], "h": ["0.5"], "gamma": ["0.5"], "g": ["0.01"], "phi-n": ["0.3"],
     "tmax": ["50"], "samples": ["64"], "cutoff-k": ["2"], "kappa": ["0.4"],
     "window": ["none"], "threshold": ["0.02"], "trial": [],
+    # no subcommand reads it: every table is CSV
+    "format": ["csv"],
 }
 UNREAD = [
     (command, flag)
@@ -110,16 +112,6 @@ class TestEvolve:
             with open(os.path.join(out2, name), "rb") as fh:
                 blob2 = fh.read()
             assert blob1 == blob2.replace(out2.encode(), out1.encode())
-
-    def test_json_format(self, tmp_path):
-        out = str(tmp_path / "run")
-        rc = main(
-            ["evolve", "--n", "20", "--h", "0.4", "--format", "json", "--out", out]
-            + FAST
-        )
-        assert rc == 0
-        payload = read_json(os.path.join(out, "series.json"))
-        assert set(payload) == {"t", "mx_exact", "my_exact", "mx_analytic", "my_analytic"}
 
 
 class TestSpectrum:
@@ -290,6 +282,25 @@ class TestGap:
         assert "gamma0_fitted_rate" not in summary
         assert summary["gamma0_unresolved_n"] == []
 
+    def test_g_without_a_degenerate_ground_exits_one(self, tmp_path, capsys):
+        # --g sets only the PT kicks, and at N h = 20 the PT table is skipped
+        out = tmp_path / "run"
+        argv = ["gap", "--n", "40", "--h", "0.5", "--g", "1e-4", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--g" in err and "N=40" in err and "h=0.5" in err
+        assert not out.exists()
+
+    def test_g_at_a_degenerate_ground_writes_the_pt_table(self, tmp_path):
+        # N h = 21: a crescent point, whose ground level is a degenerate pair
+        out = tmp_path / "run"
+        argv = ["gap", "--n", "40", "--h", "0.525", "--g", "1e-4", "--out", str(out)]
+        assert main(argv) == 0
+        _, rows = read_csv(out / "gap_pt.csv")
+        assert rows[:, 0].tolist() == [1e-4]
+        summary = read_json(out / "summary.json")
+        assert summary["files"] == ["gap_pt.csv", "gap_gamma0.csv"]
+
     def test_sub_floor_splittings_are_flagged(self, tmp_path):
         out = str(tmp_path / "run")
         rc = main(
@@ -337,7 +348,7 @@ class TestQuasicrystal:
 
 
 def per_value_csv(header, rows):
-    """The CSV bytes of the original writer: one _fmt call per value."""
+    """The CSV bytes of the original writer: one `%.17g` per value."""
     lines = [header]
     for row in rows:
         lines.append(",".join(f"{float(v):.17g}" for v in row))
@@ -361,13 +372,37 @@ class TestTableWriter:
     )
     def test_bytes_match_per_value_writer(self, tmp_path, rows):
         header = "a,b,c"
-        path = str(tmp_path / "table.csv")
-        _write_table(path, header, rows)
-        with open(path, "rb") as fh:
+        cfg = RunConfig(command="evolve", out=str(tmp_path))
+        assert _table(cfg, "table", header, rows) == "table.csv"
+        with open(tmp_path / "table.csv", "rb") as fh:
             assert fh.read() == per_value_csv(header, rows)
 
 
 class TestOutputFiles:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--n", "20", "--h", "0.4"] + FAST,
+            ["spectrum", "--n", "20", "--h", "0.4"] + FAST,
+            ["modes", "--n", "20", "--h", "0.4"] + FAST,
+            ["correlation", "--n", "6", "--h", "0.5"] + FAST,
+            ["gap", "--n", "20,24,28", "--h", "0.55"],
+            ["quasicrystal", "--n", "20"] + FAST,
+            ["oracle", "--n", "4", "--h", "0.5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_summary_is_the_same_under_any_out(self, tmp_path, argv):
+        # summary.json names its files relative to --out, so two output
+        # paths of different length give the same bytes
+        outs = [tmp_path / "a", tmp_path / "a_longer_path" / "b"]
+        for out in outs:
+            assert main(argv + ["--out", str(out)]) == 0
+        first, second = (out.joinpath("summary.json").read_bytes() for out in outs)
+        assert first == second
+        files = json.loads(first)["files"]
+        assert files and all((outs[0] / name).is_file() for name in files)
+
     COMMANDS = [
         ["evolve", "--n", "40", "--h", "0.716", "--g", "1e-4"],
         ["spectrum", "--n", "50", "--h", "0.716", "--g", "1e-4"],
@@ -609,6 +644,14 @@ class TestUsageErrors:
         assert f"--{flag}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unread_flag_is_reported_by_its_subcommand(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["gap", "--n", "10", "--samples", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lmglab gap [-h] [--n N]")
+        assert "lmglab gap: error: unrecognized arguments: --samples 5" in err
+        assert not out.exists()
+
     def test_unread_config_key_exits_one_naming_it(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"n": "6", "kappa": 0.4}))
@@ -633,7 +676,7 @@ class TestParser:
     def test_flag_keys(self):
         assert _FLAG_KEYS == (
             "n", "h", "gamma", "g", "phi-n", "tmax", "samples", "cutoff-k",
-            "kappa", "window", "threshold", "trial", "out", "format",
+            "kappa", "window", "threshold", "trial", "out",
         )
 
     @pytest.mark.parametrize(
@@ -642,9 +685,9 @@ class TestParser:
             (
                 ["evolve", "--n", "30", "--h", "0.4", "--g", "1e-3", "--phi-n", "0.2",
                  "--tmax", "50", "--samples", "64", "--cutoff-k", "2", "--trial",
-                 "--out", "o", "--format", "json"],
+                 "--out", "o"],
                 dict(n=[30], h=[0.4], g=[1e-3], phi_n=0.2, tmax=50.0, samples=64,
-                     cutoff_k=2, trial=True, out="o", format="json"),
+                     cutoff_k=2, trial=True, out="o"),
             ),
             (["spectrum", "--n", "100", "--h", "0.5", "--gamma", "0.5",
               "--window", "none", "--threshold", "0.02"],
@@ -712,7 +755,7 @@ class TestConfigFile:
             {"gamma": False},
             {"trial": 1},
             {"out": 5},
-            {"format": ["csv"]},
+            {"out": ["run"]},
             {"n": 10},
             {"n": ["10"]},
             {"h": [0.5, True]},

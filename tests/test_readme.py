@@ -58,16 +58,18 @@ def test_command_line_is_valid(line):
 
 def flag_table():
     """The README's per-subcommand flag table: {subcommand: [flag, ...]},
-    with the --out, --format and --config every subcommand takes."""
-    (table,) = re.findall(
-        r"^\| subcommand \| flags it reads.*\n\| --- \| --- \|\n((?:\|.*\n)+)", README, re.M
+    with the flags every subcommand takes, as its header names them."""
+    ((shared, table),) = re.findall(
+        r"^\| subcommand \| flags it reads \(besides (.*)\) \|\n"
+        r"\| --- \| --- \|\n((?:\|.*\n)+)",
+        README, re.M,
     )
+    shared = re.findall(r"--[a-z][a-z-]*", shared)
     rows = {}
     for line in table.splitlines():
         names, flags = line.strip("|").split("|")
         for name in re.findall(r"`(\w+)`", names):
-            rows[name] = [*re.findall(r"--[a-z][a-z-]*", flags), "--out", "--format",
-                          "--config"]
+            rows[name] = [*re.findall(r"--[a-z][a-z-]*", flags), *shared]
     return rows
 
 
