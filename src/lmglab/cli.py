@@ -1,10 +1,11 @@
 """Command-line front end: run experiments, emit CSV data files.
 
 Subcommands: evolve, spectrum, modes, correlation, gap, quasicrystal,
-oracle.  Each run writes its tables into ``--out`` as CSV plus a
-``summary.json`` that names every file it wrote relative to ``--out``.
+oracle.  A run's settings are its flags alone.  Each run writes its tables
+into ``--out`` as CSV plus a ``summary.json`` that names every file it
+wrote relative to ``--out``, which is made when the first file is opened.
 Outputs are deterministic (17-significant-digit floats, LF endings, sorted
-JSON keys), so identical configs give byte-identical files wherever they
+JSON keys), so identical flags give byte-identical files wherever they
 are written.  Exit codes: 0 success, 1 usage error, 2 numeric failure,
 3 oracle mismatch.
 """
@@ -123,7 +124,7 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(part) for part in str(text).split(",") if part != ""]
 
 
-# every flag, declared once as argparse keywords under its --config key
+# every flag, declared once as argparse keywords under its long name
 _FLAGS = {
     "n": {"type": _parse_int_list},
     "h": {"type": _parse_float_list},
@@ -139,10 +140,9 @@ _FLAGS = {
     "trial": {"action": "store_const", "const": True},
     "out": {},
 }
-_FLAG_KEYS = tuple(_FLAGS)
 _SERIES_FLAGS = ("n", "h", "gamma", "g", "phi-n", "tmax", "samples", "cutoff-k", "trial")
-# the flags each subcommand reads; every subcommand also takes --out and
-# --config, and argparse rejects any other flag
+# the flags each subcommand reads; every subcommand also takes --out, and
+# argparse rejects any other flag
 _COMMAND_FLAGS = {
     "evolve": _SERIES_FLAGS,
     "spectrum": (*_SERIES_FLAGS, "window", "threshold"),
@@ -154,11 +154,6 @@ _COMMAND_FLAGS = {
     "quasicrystal": ("n", "h", "gamma", "g", "phi-n", "kappa", "tmax", "samples"),
     "oracle": ("n", "h", "threshold"),
 }
-
-
-def _keys_of(command: str) -> tuple[str, ...]:
-    """The flags ``command`` takes, named as --config keys (--config aside)."""
-    return (*_COMMAND_FLAGS[command], "out")
 
 
 def build_parser(subparsers: dict | None = None) -> argparse.ArgumentParser:
@@ -179,65 +174,15 @@ def build_parser(subparsers: dict | None = None) -> argparse.ArgumentParser:
         ("oracle", "sector vs full 2^N comparisons (exit 3 on mismatch)"),
     ):
         command = subparsers[name] = sub.add_parser(name, help=text)
-        for key in _keys_of(name):
+        for key in (*_COMMAND_FLAGS[name], "out"):
             command.add_argument(f"--{key}", **_FLAGS[key])
-        command.add_argument("--config")
     return parser
 
 
-def _is_number(value, kind) -> bool:
-    """Whether a JSON value is a number a flag of type ``kind`` (int or
-    float) would read; JSON true and false are not numbers here."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (kind is float and isinstance(value, float))
-
-
-def _config_value(key: str, value):
-    """A --config value checked against its flag's type and converted as
-    the flag would be; any other JSON type is a ValueError naming the key."""
-    kind = _FLAGS[key].get("type")
-    if kind in (_parse_int_list, _parse_float_list):
-        item = int if kind is _parse_int_list else float
-        if isinstance(value, str):
-            try:
-                return kind(value)
-            except ValueError:
-                raise ValueError(f"config key {key!r}: cannot parse {value!r}") from None
-        if isinstance(value, list) and all(_is_number(x, item) for x in value):
-            return [item(x) for x in value]
-    elif kind in (int, float):
-        if _is_number(value, kind):
-            return kind(value)
-    elif key == "trial":
-        if isinstance(value, bool):
-            return value
-    elif isinstance(value, str):
-        return value
-    raise ValueError(f"config key {key!r} has the wrong JSON type: {value!r}")
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    keys = _keys_of(args.command)
-    file_values = {}
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError("a config file holds one JSON object")
-        unknown = set(raw) - set(keys)
-        if unknown:
-            raise ValueError(f"{args.command} takes no config keys {sorted(unknown)}")
-        file_values = {key: _config_value(key, value) for key, value in raw.items()}
-    for key in keys:
-        attr = key.replace("-", "_")
-        flag_value = getattr(args, attr)
-        if flag_value is not None:
-            setattr(cfg, attr, flag_value)
-        elif key in file_values:
-            setattr(cfg, attr, file_values[key])
-    return cfg
+    """The parsed flags as a RunConfig; a flag not given keeps its default."""
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    return RunConfig(**given)
 
 
 def validate_config(cfg: RunConfig) -> None:
@@ -267,6 +212,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("tmax must be positive and finite")
     if cfg.window not in ("hann", "none"):
         raise ValueError("window must be hann or none")
+    if cfg.command == "modes" and len({_mode_stem(h) for h in cfg.h}) < len(cfg.h):
+        raise ValueError(f"modes names each waveform file by --h to 10 digits, "
+                         f"and the values {cfg.h} repeat a name")
     if cfg.command == "gap" and cfg.g is not None:
         N, h = _pt_point(cfg)
         if not ground_M(N, h).degenerate:
@@ -274,22 +222,32 @@ def validate_config(cfg: RunConfig) -> None:
                              f"ground level, and N={N}, h={h} has none")
 
 
+def _mode_stem(h: float) -> str:
+    return f"mode_h{h:.10g}"
+
+
 def _pt_point(cfg: RunConfig) -> tuple[int, float]:
     """The (N, h) of gap's degenerate-PT table: the first --n, else 100."""
     return (cfg.n[0] if cfg.n else 100), cfg.single_h()
 
 
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _create(cfg: RunConfig, name: str):
+    """Open ``name`` in ``--out`` for binary writing, making ``--out`` first:
+    a run that fails before its first file leaves no directory."""
+    os.makedirs(cfg.out, exist_ok=True)
+    return open(os.path.join(cfg.out, name), "wb")
+
+
+def _write_json(cfg: RunConfig, name: str, payload) -> None:
+    with _create(cfg, name) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True).encode("utf-8") + b"\n")
 
 
 def _table(cfg: RunConfig, stem: str, header: str, rows) -> str:
     """Write one table to ``--out`` as ``stem.csv`` and return that name."""
     name = f"{stem}.csv"
     table = np.asarray(rows, dtype=np.float64).reshape(len(rows), header.count(",") + 1)
-    with open(os.path.join(cfg.out, name), "wb") as fh:
+    with _create(cfg, name) as fh:
         fh.write(header.encode("utf-8") + b"\n")
         fh.writelines(csv_pieces(table))
     return name
@@ -370,7 +328,7 @@ def cmd_spectrum(cfg: RunConfig) -> dict:
     summary["peaks"] = [
         {"freq_over_nu": p.freq_over_nu, "height": p.height} for p in peaks
     ]
-    _write_json(os.path.join(cfg.out, "spectrum_peaks.json"), {"peaks": summary["peaks"]})
+    _write_json(cfg, "spectrum_peaks.json", {"peaks": summary["peaks"]})
     nu = 1.0 / N
     summary["files"] += [
         _table(
@@ -411,7 +369,7 @@ def cmd_modes(cfg: RunConfig) -> dict:
         files.append(
             _table(
                 cfg,
-                f"mode_h{h:.10g}",
+                _mode_stem(h),
                 "t,mx_ideal,my_ideal",
                 np.column_stack(
                     [tgrid, wx.values.real * 2.0 / N, wy.values.real * 2.0 / N]
@@ -536,9 +494,8 @@ def cmd_quasicrystal(cfg: RunConfig) -> dict:
         )
     )
     word = cut_and_project_sequence(kappa, CUT_PROJECT_LENGTH)
-    word_path = os.path.join(cfg.out, "cut_project.txt")
-    with open(word_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(word + "\n")
+    with _create(cfg, "cut_project.txt") as fh:
+        fh.write(word.encode("utf-8") + b"\n")
     files.append("cut_project.txt")
     summary = _base_summary(cfg, N, h_pick, 0.0)
     summary["kappa"] = kappa
@@ -581,7 +538,7 @@ def cmd_oracle(cfg: RunConfig) -> dict:
     summary["tolerance"] = tolerance
     summary["files"] = [name]
     if worst > tolerance:
-        _write_json(os.path.join(cfg.out, "summary.json"), summary)
+        _write_json(cfg, "summary.json", summary)
         raise OracleMismatchError(
             f"sector vs full-space deviation {worst:.3e} exceeds {tolerance:.3e}"
         )
@@ -603,7 +560,28 @@ _SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
 _PARSER = build_parser(_SUBPARSERS)
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``--g -1e-3`` as ``--g=-1e-3``: argparse reads only the shapes -1 and
+    -.5 as negative numbers and takes any other leading ``-`` for a flag, so
+    a value-taking flag is joined with a next token its type parses."""
+    joined = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        kind = _FLAGS.get(flag[2:], {}).get("type") if flag.startswith("--") else None
+        if kind is not None and token.startswith("-"):
+            try:
+                kind(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] = f"{flag}={token}"
+                continue
+        joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
+    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args, unread = _PARSER.parse_known_args(argv)
         if unread:  # the subcommand's parser reports them, under its usage line
@@ -613,16 +591,14 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         validate_config(cfg)
-        os.makedirs(cfg.out, exist_ok=True)
-        summary = _COMMANDS[cfg.command](cfg)
-        _write_json(os.path.join(cfg.out, "summary.json"), summary)
+        _write_json(cfg, "summary.json", _COMMANDS[cfg.command](cfg))
     except OracleMismatchError as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return 3
     except np.linalg.LinAlgError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -56,7 +56,7 @@ def _check_grid(t) -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Values on a uniform increasing time grid; ``error_bound`` bounds truncation."""
 
@@ -90,7 +90,7 @@ def default_time_grid(N: int, periods: float = 20.0, samples: int = 4096) -> np.
     return np.arange(samples) * (t_max / samples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Spectrum of a sector Hamiltonian in the Sz basis.
 
@@ -369,7 +369,7 @@ def _phase_sum(freqs: np.ndarray, weights: np.ndarray, tgrid: np.ndarray) -> np.
     return sums[0] if weights.ndim == 1 else sums.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectedModes:
     """In-plane polarization modes: level k (entry k of each array) beats at the
     universal nu = 1/N against its own omega_k = h - 2 M_k / N from sx0, sy0."""
@@ -472,7 +472,7 @@ def analytic_sum(
     return _projected(modes.first(K + 1), tgrid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationMember:
     """Correlation function built on one ground level (one M0)."""
 

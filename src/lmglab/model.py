@@ -134,7 +134,7 @@ def ground_M(N: int, h: float) -> GroundLevel:
     return GroundLevel(m0=m0, levels=levels, degenerate=len(levels) > 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialState:
     """Near-ground trial state and its exact energy elevation."""
 

@@ -69,7 +69,7 @@ def _site_bits(N: int) -> np.ndarray:
     return 1 << (N - 1 - np.arange(N))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullSpaceOperators:
     """Dense collective operators S_x, S_y, S_z on the 2^N product space.
 
@@ -203,7 +203,7 @@ def _momentum_blocks(
     return blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullGround:
     energy: float
     vector: np.ndarray

@@ -24,7 +24,7 @@ GENERIC = "generic"
 NH_INTEGER_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineSpectrum:
     """Exact transition lines (E_j - E_k, b_j^* O_jk b_k) above a weight cut."""
 
@@ -60,7 +60,7 @@ class Peak:
     height: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """One-sided DFT magnitude spectrum with frequencies in units of nu."""
 

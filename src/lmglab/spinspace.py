@@ -25,7 +25,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinSector:
     """The S = N/2 collective-spin sector of N spin-1/2 sites.
 

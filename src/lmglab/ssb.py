@@ -18,7 +18,7 @@ from .model import LmgParams, build_hamiltonian, ground_M
 from .spinspace import SpinSector, _check_state, build_sector, ladder_plus_band
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalizedState:
     """Perturbed ground state together with its energy cost and polarization."""
 
@@ -83,7 +83,7 @@ def localize_ground_state(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegeneratePtGap:
     """First-order splitting of a degenerate crescent ground pair."""
 

@@ -10,7 +10,7 @@ import pytest
 import lmglab
 from lmglab import evolve, spectra
 from lmglab.cli import (
-    _FLAG_KEYS,
+    _FLAGS,
     RunConfig,
     _config_from_args,
     _table,
@@ -23,7 +23,7 @@ from lmglab.ssb import wkb_rate
 
 FAST = ["--samples", "64"]
 
-# the flags each subcommand reads, besides --out and --config
+# the flags each subcommand reads, besides --out
 READS = {
     "evolve": "n h gamma g phi-n tmax samples cutoff-k trial",
     "spectrum": "n h gamma g phi-n tmax samples cutoff-k trial window threshold",
@@ -37,8 +37,8 @@ FLAG_VALUES = {
     "n": ["6"], "h": ["0.5"], "gamma": ["0.5"], "g": ["0.01"], "phi-n": ["0.3"],
     "tmax": ["50"], "samples": ["64"], "cutoff-k": ["2"], "kappa": ["0.4"],
     "window": ["none"], "threshold": ["0.02"], "trial": [],
-    # no subcommand reads it: every table is CSV
-    "format": ["csv"],
+    # no subcommand reads them: every table is CSV, and flags alone set a run
+    "format": ["csv"], "config": ["run.json"],
 }
 UNREAD = [
     (command, flag)
@@ -510,13 +510,6 @@ class TestSweep:
         assert main(argv + FAST) == 1
         assert not os.path.exists(os.path.join(out, "summary.json"))
 
-    def test_jobs_config_key_exits_one(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"n": "12", "h": "0.4", "jobs": 2}))
-        out = str(tmp_path / "run")
-        assert main(["evolve", "--config", str(path), "--out", out] + FAST) == 1
-        assert not os.path.exists(os.path.join(out, "summary.json"))
-
 
 class TestNumericFailure:
     def test_eigensolver_failure_exits_two(self, tmp_path, monkeypatch):
@@ -566,26 +559,20 @@ class TestUsageErrors:
                 validate_config(RunConfig(command="evolve", tmax=tmax))
 
     @pytest.mark.parametrize(
-        "argv, config",
+        "argv",
         [
-            (["evolve", "--h", "nan"], None),
-            (["evolve", "--h", "inf"], None),
-            (["evolve", "--g", "nan"], None),
-            (["evolve", "--phi-n", "inf"], None),
-            (["oracle", "--threshold", "nan"], None),
-            (["evolve"], {"h": math.nan}),
-            (["evolve"], {"g": "1e-4,inf"}),
-            (["evolve"], {"phi-n": -math.inf}),
-            (["oracle"], {"threshold": math.nan}),
+            ["evolve", "--h", "nan"],
+            ["evolve", "--h", "inf"],
+            ["evolve", "--g", "nan"],
+            ["evolve", "--phi-n", "inf"],
+            ["oracle", "--threshold", "nan"],
         ],
+        # stable ids, so runs of this suite compare case by case across versions
+        ids=[f"argv{i}-None" for i in range(5)],
     )
-    def test_non_finite_reals_exit_one(self, tmp_path, argv, config):
+    def test_non_finite_reals_exit_one(self, tmp_path, argv):
         # a nan field crashed the window solve; a nan threshold passed every
         # oracle point and wrote "tolerance": NaN, which is not JSON
-        if config is not None:
-            path = tmp_path / "config.json"
-            path.write_text(json.dumps(config))
-            argv = argv + ["--config", str(path)]
         out = str(tmp_path / "run")
         # the oracle takes no --samples
         fast = [] if argv[0] == "oracle" else FAST
@@ -632,7 +619,58 @@ class TestUsageErrors:
         # the first value used to run and the others to vanish without a word
         out = tmp_path / "run"
         assert main(argv + ["--n", "40", "--out", str(out)] + FAST) == 1
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "--n", "20,2001", "--h", "0.5"],
+            ["oracle", "--n", "11", "--h", "0.5"],
+            ["quasicrystal", "--n", "1"],
+            ["evolve", "--n", "2", "--h", "0.5", "--trial"],
+            ["evolve", "--n", "10", "--h", "1.2", "--trial"],
+        ],
+        ids=["gap-n", "oracle-n", "quasicrystal-no-field", "trial-n", "trial-h"],
+    )
+    def test_command_usage_error_makes_no_out(self, tmp_path, capsys, argv):
+        # these are found by the command itself, after validation; --out
+        # used to be made before it ran and was left empty
+        out = tmp_path / "run"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("h", ["0.5,0.50000000001", "0.5,0.5"])
+    def test_modes_h_values_of_one_file_name_exit_one(self, tmp_path, capsys, h):
+        # the second waveform overwrote the first, and summary.json listed
+        # the file twice
+        out = tmp_path / "run"
+        assert main(["modes", "--n", "10", "--h", h, "--out", str(out)] + FAST) == 1
+        err = capsys.readouterr().err
+        assert "modes" in err and "0.5" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["g", "phi-n"])
+    def test_negative_value_in_exponent_form(self, tmp_path, flag):
+        # argparse reads only -1 and -.5 as numbers and took -1e-3 for a flag
+        out = tmp_path / "run"
+        argv = ["evolve", "--n", "10", "--h", "0.5", f"--{flag}", "-1e-3"]
+        assert main(argv + ["--out", str(out)] + FAST) == 0
+        # without --g the kick is the default 1/N^2
+        assert read_json(out / "summary.json")["g"] == {"g": -0.001, "phi-n": 0.01}[flag]
+
+    def test_negative_kick_list_in_exponent_form(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["gap", "--n", "20", "--h", "0.55", "--g", "-1e-6,1e-5"]
+        assert main(argv + ["--out", str(out)]) == 0
+        header, rows = read_csv(out / "gap_pt.csv")
+        assert rows[:, 0].tolist() == [-1e-6, 1e-5]
+
+    def test_flag_before_a_flag_still_lacks_its_value(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["evolve", "--g", "--h", "0.4", "--out", str(out)]) == 1
+        assert "argument --g: expected one argument" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, flag", UNREAD, ids=[f"{c}--{f}" for c, f in UNREAD]
@@ -652,15 +690,6 @@ class TestUsageErrors:
         assert "lmglab gap: error: unrecognized arguments: --samples 5" in err
         assert not out.exists()
 
-    def test_unread_config_key_exits_one_naming_it(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"n": "6", "kappa": 0.4}))
-        out = tmp_path / "run"
-        assert main(["evolve", "--config", str(path), "--out", str(out)] + FAST) == 1
-        err = capsys.readouterr().err
-        assert "'kappa'" in err and "evolve" in err
-        assert not out.exists()
-
     def test_unknown_flag(self):
         assert main(["evolve", "--bogus", "1"]) == 1
 
@@ -674,7 +703,7 @@ class TestUsageErrors:
 
 class TestParser:
     def test_flag_keys(self):
-        assert _FLAG_KEYS == (
+        assert tuple(_FLAGS) == (
             "n", "h", "gamma", "g", "phi-n", "tmax", "samples", "cutoff-k",
             "kappa", "window", "threshold", "trial", "out",
         )
@@ -708,83 +737,6 @@ class TestParser:
         cfg = _config_from_args(build_parser().parse_args(argv))
         assert cfg == RunConfig(command=argv[0], **expected)
 
-    def test_config_file_under_flags(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(
-            {"n": "25", "samples": 64, "g": "1e-3", "tmax": 10.0, "trial": True}
-        ))
-        argv = ["evolve", "--config", str(path), "--h", "0.5"]
-        cfg = _config_from_args(build_parser().parse_args(argv))
-        assert cfg == RunConfig(
-            command="evolve", n=[25], h=[0.5], g=[1e-3], tmax=10.0, samples=64,
-            trial=True,
-        )
-
     def test_run_is_a_sweep_flag_only(self):
         assert main(["evolve", "--run", "evolve"]) == 1
 
-
-class TestConfigFile:
-    def test_flags_override_config(self, tmp_path):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(
-            json.dumps({"n": "25", "h": "0.4", "samples": 64, "g": "1e-3"})
-        )
-        out = str(tmp_path / "run")
-        rc = main(
-            ["evolve", "--config", str(cfg), "--h", "0.5", "--out", out]
-        )
-        assert rc == 0
-        summary = read_json(os.path.join(out, "summary.json"))
-        assert summary["n"] == 25  # from config
-        assert summary["h"] == 0.5  # flag wins
-
-    def test_unknown_config_key(self, tmp_path):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"nonsense": 1}))
-        assert main(["evolve", "--config", str(cfg)]) == 1
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            {"samples": "64"},  # was a TypeError traceback
-            {"gamma": "0.5"},  # was a TypeError traceback
-            {"trial": "yes"},  # ran with a truthy string
-            {"samples": 64.5},
-            {"samples": True},
-            {"gamma": False},
-            {"trial": 1},
-            {"out": 5},
-            {"out": ["run"]},
-            {"n": 10},
-            {"n": ["10"]},
-            {"h": [0.5, True]},
-            {"g": None},
-            {"h": "0.5,x"},
-        ],
-    )
-    def test_wrong_json_type_exits_one_naming_the_key(self, tmp_path, config, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        out = str(tmp_path / "run")
-        argv = ["evolve", "--n", "6", "--config", str(path), "--out", out] + FAST
-        assert main(argv) == 1
-        (key,) = config
-        assert repr(key) in capsys.readouterr().err
-        assert not os.path.exists(os.path.join(out, "summary.json"))
-
-    def test_config_values_take_the_flag_types(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(
-            json.dumps({"n": [25], "h": [1], "gamma": 1, "samples": 64, "trial": False})
-        )
-        args = build_parser().parse_args(["evolve", "--config", str(path)])
-        cfg = _config_from_args(args)
-        assert cfg.n == [25] and cfg.h == [1.0] and isinstance(cfg.h[0], float)
-        assert cfg.gamma == 1.0 and isinstance(cfg.gamma, float)
-        assert cfg.samples == 64 and cfg.trial is False
-
-    def test_config_file_holds_an_object(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps([["n", 10]]))
-        assert main(["evolve", "--config", str(path)]) == 1

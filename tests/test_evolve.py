@@ -40,8 +40,9 @@ from lmglab.spinspace import (
     expectation,
     ladder_plus_band,
 )
-from lmglab.spectra import line_spectrum
-from lmglab.ssb import localize_ground_state
+from lmglab.oracle import full_space_ground, full_space_operators
+from lmglab.spectra import line_spectrum, periodogram
+from lmglab.ssb import degenerate_pt_gap, localize_ground_state
 
 from coherent import basis, coherent_state, unit
 
@@ -1054,3 +1055,42 @@ class TestFreeLevelGround:
         assert certified
         assert sizes == [32, 61]
         assert phase_aligned_distance(psi, inverse_iteration_ground(op)) <= 1e-12
+
+
+def _kicked():
+    return localize_ground_state(LmgParams(N=6, h=0.5), g=1e-3)
+
+
+def _series():
+    return TimeSeries(t=np.arange(16.0), values=np.cos(np.arange(16.0)))
+
+
+# one maker per frozen record whose fields hold arrays, at N = 6 and h = 0.5
+ARRAY_RECORDS = {
+    "TimeSeries": _series,
+    "EigenSystem": lambda: isotropic_eigensystem(6, 0.5)[1],
+    "ProjectedModes": lambda: projected_init(_kicked().state, build_sector(6), 0.5),
+    "CorrelationMember": lambda: correlation_fN(build_sector(6), 0.5, np.arange(8.0)).members[0],
+    "TrialState": lambda: trial_localized_state(build_sector(6), 0.5),
+    "FullSpaceOperators": lambda: full_space_operators(6),
+    "FullGround": lambda: full_space_ground(LmgParams(N=6, h=0.5)),
+    "LineSpectrum": lambda: line_spectrum(
+        isotropic_eigensystem(6, 0.5)[1], _kicked().state,
+        collective_operators(build_sector(6)).sx, 1e-8,
+    ),
+    "Spectrum": lambda: periodogram(_series(), 6),
+    "SpinSector": lambda: build_sector(6),
+    "LocalizedState": _kicked,
+    "DegeneratePtGap": lambda: degenerate_pt_gap(build_sector(6), 0.5, 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_array_records_compare_and_hash_by_identity(name):
+    # value equality compared arrays, whose truth value raises, and hashing
+    # them raised as well
+    first, second = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert type(first).__name__ == name
+    assert first == first and first != second
+    assert len({first, second}) == 2 and hash(first) == hash(first)
+    assert second in [first, second]
