@@ -390,9 +390,9 @@ def cmd_correlation(cfg: RunConfig) -> dict:
     result = correlation_fN(sector, h, tgrid)
     oracle_members = None
     if N <= MAX_CORRELATION_N:
-        oracle_members = full_space_correlation(N, h, tgrid)
+        oracle_members = dict(full_space_correlation(N, h, tgrid))
     files = []
-    for idx, member in enumerate(result.members):
+    for member in result.members:
         cols = [
             tgrid,
             member.direct.values.real,
@@ -401,9 +401,11 @@ def cmd_correlation(cfg: RunConfig) -> dict:
             member.closed_form.values.imag,
         ]
         header = "t,fn_direct_re,fn_direct_im,fn_closed_re,fn_closed_im"
-        if oracle_members is not None:
-            cols.append(oracle_members[idx][1].values.real)
-            cols.append(oracle_members[idx][1].values.imag)
+        if oracle_members is not None:  # paired by S_z
+            if member.m0 not in oracle_members:
+                raise OracleMismatchError(f"no full-space ground level at M0 = {member.m0:g}")
+            fn_oracle = oracle_members[member.m0].values
+            cols += [fn_oracle.real, fn_oracle.imag]
             header += ",fn_oracle_re,fn_oracle_im"
         files.append(
             _table(cfg, f"correlation_m{member.m0:.10g}", header, np.column_stack(cols))

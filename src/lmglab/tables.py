@@ -50,6 +50,8 @@ import io
 
 import numpy as np
 
+from .spinspace import _readonly
+
 # values converted per pass; sizes the workspace whatever the table size
 CHUNK = 1 << 14
 # values compacted per piece: 48 KB of rows
@@ -103,15 +105,15 @@ def _tables():
     expo = np.zeros((-_K_MIN - 4 + 1, 8), dtype=np.uint8)
     for minus_k in range(5, -_K_MIN + 1):
         expo[minus_k - 4, 2:6] = list(b"e-%02d" % minus_k)
-    return (pow10, pow10_hi, pow10_lo, quads, trailing, masks,
-            lead.view("<u8")[:, 0], expo.view("<u8")[:, 0], point)
+    return tuple(map(_readonly, (pow10, pow10_hi, pow10_lo, quads, trailing, masks,
+                                 lead.view("<u8")[:, 0], expo.view("<u8")[:, 0], point)))
 
 
 @functools.lru_cache(maxsize=8)
 def _separators(n_cols: int) -> np.ndarray:
     """The separator bits of the last row word over a chunk of whole lines."""
     sep = np.where(np.arange(n_cols) < n_cols - 1, ord(","), ord("\n")).astype(np.uint64)
-    return np.tile(sep << _SEP_SHIFT, CHUNK // n_cols)
+    return _readonly(np.tile(sep << _SEP_SHIFT, CHUNK // n_cols))
 
 
 class _Workspace:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lmglab
-from lmglab import evolve, spectra
+from lmglab import cli, evolve, spectra
 from lmglab.cli import (
     _FLAGS,
     RunConfig,
@@ -229,6 +229,36 @@ class TestCorrelation:
         assert os.path.exists(os.path.join(out, "correlation_m1.csv"))
         assert os.path.exists(os.path.join(out, "correlation_m2.csv"))
 
+    @pytest.mark.parametrize("j", [1, 3, 5])
+    @pytest.mark.parametrize("p", [10, 11])
+    def test_oracle_column_pairs_members_by_sz(self, tmp_path, j, p):
+        # just above a crossing h = j/6 the oracle's wider degeneracy
+        # tolerance finds a second ground member that the sector side does
+        # not; the column of each member file is the full-space member of
+        # its M0
+        out = tmp_path / "run"
+        h = j / 6 + 10.0**-p
+        assert main(["correlation", "--n", "6", "--h", repr(h), "--out", str(out)] + FAST) == 0
+        files = sorted(out.glob("correlation_m*.csv"))
+        assert [f.name for f in files] == [
+            f"correlation_m{m0:.10g}.csv" for m0 in ground_M(6, h).levels
+        ]
+        for path in files:
+            header, rows = read_csv(path)
+            assert header.endswith("fn_oracle_re,fn_oracle_im")
+            assert np.max(np.abs(rows[:, 1] - rows[:, 5])) <= 1e-9
+            assert np.max(np.abs(rows[:, 2] - rows[:, 6])) <= 1e-9
+
+    def test_member_missing_from_the_oracle_exits_three(self, tmp_path, monkeypatch, capsys):
+        def only_upper(N, h, tgrid):
+            return [(m, series) for m, series in full(N, h, tgrid) if m != 1.0]
+
+        full = cli.full_space_correlation
+        monkeypatch.setattr(cli, "full_space_correlation", only_upper)
+        out = str(tmp_path / "run")
+        assert main(["correlation", "--n", "6", "--h", "0.5", "--out", out] + FAST) == 3
+        assert "no full-space ground level at M0 = 1" in capsys.readouterr().err
+
     def test_large_n_skips_oracle_column(self, tmp_path):
         out = str(tmp_path / "run")
         rc = main(["correlation", "--n", "60", "--h", "0.57", "--out", out] + FAST)
@@ -434,6 +464,27 @@ class TestOutputFiles:
 
 
 class TestOracleCommand:
+    def test_results_do_not_depend_on_process_history(self, tmp_path):
+        # the oracle keeps per-N solves for the whole process: runs after
+        # other N and h write the bytes of a fresh process
+        for n, h in [("8", "0.3"), ("6", "0.7"), ("10", "0.45"), ("8", "0.95")]:
+            for command in ("oracle", "correlation"):
+                samples = FAST if command == "correlation" else []
+                out = str(tmp_path / f"warm_{command}_{n}_{h}")
+                assert main([command, "--n", n, "--h", h, "--out", out] + samples) == 0
+        src = os.path.dirname(os.path.dirname(lmglab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv in (["oracle", "--n", "8,10", "--h", "0.55,0.7"],
+                     ["correlation", "--n", "10", "--h", "0.55"] + FAST):
+            warm, fresh = tmp_path / f"warm_{argv[0]}", tmp_path / f"fresh_{argv[0]}"
+            assert main(argv + ["--out", str(warm)]) == 0
+            subprocess.run([sys.executable, "-m", "lmglab", *argv, "--out", str(fresh)],
+                           env=env, check=True)
+            names = sorted(p.name for p in warm.iterdir())
+            assert names == sorted(p.name for p in fresh.iterdir())
+            for name in names:
+                assert (warm / name).read_bytes() == (fresh / name).read_bytes(), name
+
     def test_success(self, tmp_path):
         out = str(tmp_path / "run")
         rc = main(["oracle", "--n", "4,6", "--h", "0.3,0.5", "--out", out])

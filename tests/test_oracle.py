@@ -16,6 +16,10 @@ from lmglab.oracle import (
     FullSpaceOperators,
     _LINE_DROP_RTOL,
     _free_blocks,
+    _free_correlation,
+    _free_lines,
+    _free_pairs,
+    _free_spectrum,
     _lmg_columns,
     _momentum_ground,
     _orbits,
@@ -33,6 +37,18 @@ _PAULI_HALF = {
     "y": np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=np.complex128),
     "z": np.array([[0.5, 0.0], [0.0, -0.5]], dtype=np.complex128),
 }
+
+
+def clear_oracle_caches():
+    for cache in (_orbits, _free_spectrum, _free_pairs, _free_lines):
+        cache.cache_clear()
+
+
+@pytest.fixture
+def cold_oracle():
+    """The oracle's per-process caches, emptied: the test sees the solves
+    and allocations of a first call in a fresh process."""
+    clear_oracle_caches()
 
 
 def kron_site_sum(N, single):
@@ -243,17 +259,19 @@ class TestGround:
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_sz_block_spectrum_equals_dense_spectrum(self, N):
-        # the free H in blocks (q, k) of momentum q <= N/2 and k down spins;
-        # a block 0 < q < N/2 also stands for its conjugate at N - q
-        ham = full_hamiltonian(LmgParams(N=N, h=0.37), full_space_operators(N))
-        blocks = _free_blocks(_orbits(N), 0.37)
+        # the free H in blocks (q, k) of momentum q <= N/2 and k down spins,
+        # each the h-free block shifted by -h (N/2 - k); a block
+        # 0 < q < N/2 also stands for its conjugate at N - q
+        h = 0.37
+        ham = full_hamiltonian(LmgParams(N=N, h=h), full_space_operators(N))
+        blocks = _free_blocks(_orbits(N))
         qs = range(N // 2 + 1)
         expected = {(q, k): size for k in range(N + 1)
                     for q, size in zip(qs, momentum_block_sizes(N, qs, down=k)) if size}
         assert {key: b.shape[0] for key, (_, b) in blocks.items()} == expected
         merged = np.sort(np.concatenate([
-            np.linalg.eigvalsh(b)
-            for (q, _), (_, b) in blocks.items()
+            np.linalg.eigvalsh(b) - h * (N / 2 - k)
+            for (q, k), (_, b) in blocks.items()
             for _ in range(2 if 0 < 2 * q < N else 1)
         ]))
         assert np.max(np.abs(merged - np.linalg.eigvalsh(ham))) <= 1e-12
@@ -587,7 +605,7 @@ class TestChecks:
         report = sector_vs_full_checks(N, h)
         assert report.worst() <= 1e-9
 
-    def test_each_hamiltonian_is_solved_once(self, monkeypatch):
+    def test_each_hamiltonian_is_solved_once(self, monkeypatch, cold_oracle):
         N = 8
         sizes = {"eigh": [], "eigvalsh": []}
 
@@ -623,8 +641,16 @@ class TestChecks:
         whole = {2**N} | {math.comb(N, k) for k in range(2, N - 1)}
         assert not whole & set(sizes["eigh"] + sizes["eigvalsh"])
         assert report.worst() <= 1e-9
+        # another field with the same ground M0: the free blocks only shift,
+        # so the kicked H alone is solved
+        assert ground_M(N, 0.55).m0 == ground_M(N, 0.5).m0
+        for solved in sizes.values():
+            solved.clear()
+        assert sector_vs_full_checks(N, 0.55).worst() <= 1e-9
+        assert sorted(sizes["eigvalsh"]) == sorted(momentum)
+        assert sizes["eigh"] == momentum[:1]
 
-    def test_checks_memory_is_bounded(self):
+    def test_checks_memory_is_bounded(self, cold_oracle):
         # a 2^10 x 2^10 float64 matrix alone is 8.4 MB
         tracemalloc.start()
         try:
@@ -642,3 +668,67 @@ class TestChecks:
         monkeypatch.setattr(np.linalg, "eigh", no_solve)
         with pytest.raises(ValueError):
             sector_vs_full_checks(11, 0.5)
+
+
+@pytest.mark.parametrize("N", range(4, 11))
+def test_near_degenerate_fields_pair_members_by_sz(N):
+    # the oracle counts levels within 1e-10 as degenerate, the sector side
+    # within 1e-12, so just above a crossing h = j/N the oracle may hold a
+    # second ground member; members pair by S_z, never by position
+    for j in range(1, N):
+        for p in range(8, 14):
+            for h in (j / N - 10.0**-p, j / N + 10.0**-p):
+                report = sector_vs_full_checks(N, h)
+                assert report.worst() <= 1e-9, (N, h, report)
+
+
+def test_missing_full_space_member_is_a_mismatch(monkeypatch):
+    # the sector's degenerate pair at N = 6, h = 0.5 against a full-space
+    # ground set that lost its M = 1 member
+    def only_upper(N, h, tgrid):
+        e0, members = free(N, h, tgrid)
+        return e0, [(m, series) for m, series in members if m != 1.0]
+
+    free = oracle._free_correlation
+    monkeypatch.setattr(oracle, "_free_correlation", only_upper)
+    assert sector_vs_full_checks(6, 0.5).ground_sz == 1.0
+
+
+def test_cached_arrays_are_read_only(cold_oracle):
+    # a write to a cached array would change every later call in the process
+    N = 6
+    report = sector_vs_full_checks(N, 0.5)
+    split, levels = _free_spectrum(N)
+    cached = list(_orbits(N)[1:]) + list(levels.values())
+    cached += [a for pair in split.values() for a in pair]
+    cached += list(_free_pairs(N, 0, 2)) + [w for _, w, _ in _free_lines(N, 0, 2)]
+    cached += [weight for _, _, weight in _free_lines(N, 0, 2)]
+    for a in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0
+    assert _orbits(N).reps[1] != 0
+    assert sector_vs_full_checks(N, 0.5).worst() == report.worst()
+
+
+@seed(3030)
+@settings(max_examples=25, deadline=None)
+@given(N=st.integers(1, 10), h=st.floats(0.0, 1.5), other=st.floats(0.0, 1.5))
+def test_warm_calls_repeat_cold_calls_bit_for_bit(N, h, other):
+    tgrid = np.arange(48) * (2 * math.pi * N / 48)
+    clear_oracle_caches()
+    e0, cold = _free_correlation(N, h, tgrid)
+    _free_correlation(N, other, tgrid)
+    e0_warm, warm = _free_correlation(N, h, tgrid)
+    assert e0_warm == e0
+    assert [m for m, _ in warm] == [m for m, _ in cold]
+    for (_, series), (_, expected) in zip(warm, cold):
+        assert np.array_equal(series.values, expected.values)
+    # the h-free levels, shifted by -h (N/2 - k), are the free H's levels
+    levels = np.sort(np.concatenate([
+        w - h * (N / 2 - k)
+        for (q, k), w in _free_spectrum(N)[1].items()
+        for _ in range(2 if 0 < 2 * q < N else 1)
+    ]))
+    ham = full_hamiltonian(LmgParams(N=N, h=h), full_space_operators(N))
+    assert np.max(np.abs(levels - np.linalg.eigvalsh(ham))) <= 1e-12
+    assert e0 == levels[0]

@@ -193,6 +193,15 @@ def test_tables_in_any_order_share_nothing():
         assert b"".join(csv_pieces(table)) == csv_body(table), name
 
 
+def test_cached_lookup_arrays_are_read_only():
+    # every later table of the process would be written with the changed bytes
+    shaped = shaped_tables()
+    assert csv_body(shaped["wide"]) == per_value_text(shaped["wide"].tolist())
+    for a in tables._tables() + (tables._separators(7),):
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0
+
+
 def test_interleaved_pieces_use_separate_workspaces():
     # a table whose pieces are still being read keeps its workspace; one
     # formatted meanwhile must build its own
