@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +54,7 @@ from .spectra import (
 )
 from .spinspace import _Raising, build_sector, collective_operators
 from .ssb import (
+    MAX_GAP_SCAN_N,
     default_kick,
     degenerate_pt_gap,
     gamma0_gap_scan,
@@ -67,53 +67,9 @@ from .tables import csv_pieces
 SERIES_HEADER = "t,mx_exact,my_exact,mx_analytic,my_analytic"
 SPECTRUM_HEADER = "freq_over_nu,magnitude"
 CUT_PROJECT_LENGTH = 1000
-ORACLE_TOLERANCE = 1e-9
 # gamma = 0 splittings at or under this are double-precision noise: the fit
 # skips them and summary.json lists their N as unresolved
 SPLITTING_FLOOR = 1e-13
-
-
-@dataclass
-class RunConfig:
-    command: str
-    # empty n/h lists mean "not given"; commands fill their own defaults
-    n: list[int] = field(default_factory=list)
-    h: list[float] = field(default_factory=list)
-    gamma: float = 1.0
-    g: list[float] | None = None
-    phi_n: float = 0.0
-    tmax: float | None = None
-    samples: int = 4096
-    cutoff_k: int = 3
-    kappa: float = 0.6180339887498949
-    window: str = "hann"
-    threshold: float | None = None
-    trial: bool = False
-    out: str = "."
-
-    def single_n(self) -> int:
-        if not self.n:
-            return 100
-        if len(self.n) != 1:
-            raise ValueError("this subcommand takes exactly one --n value")
-        return self.n[0]
-
-    def single_h(self) -> float:
-        if not self.h:
-            return 0.716
-        if len(self.h) != 1:
-            raise ValueError("this subcommand takes exactly one --h value")
-        return self.h[0]
-
-    def peak_threshold(self) -> float:
-        return 0.01 if self.threshold is None else self.threshold
-
-    def single_g(self, N: int) -> float:
-        if self.g is None:
-            return default_kick(N)
-        if len(self.g) != 1:
-            raise ValueError("this subcommand takes exactly one --g value")
-        return self.g[0]
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -124,21 +80,23 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(part) for part in str(text).split(",") if part != ""]
 
 
-# every flag, declared once as argparse keywords under its long name
+# every flag, declared once as argparse keywords under its long name, with
+# its default; None is worked out at run time: --g is 1/N^2 (gap's PT
+# table: 1e-6, 1e-5, 1e-4) and --tmax 40 pi N
 _FLAGS = {
-    "n": {"type": _parse_int_list},
-    "h": {"type": _parse_float_list},
-    "gamma": {"type": float},
+    "n": {"type": _parse_int_list, "default": [100]},
+    "h": {"type": _parse_float_list, "default": [0.716]},
+    "gamma": {"type": float, "default": 1.0},
     "g": {"type": _parse_float_list},
-    "phi-n": {"type": float},
+    "phi-n": {"type": float, "default": 0.0},
     "tmax": {"type": float},
-    "samples": {"type": int},
-    "cutoff-k": {"type": int},
-    "kappa": {"type": float},
-    "window": {"choices": ("hann", "none")},
-    "threshold": {"type": float},
-    "trial": {"action": "store_const", "const": True},
-    "out": {},
+    "samples": {"type": int, "default": 4096},
+    "cutoff-k": {"type": int, "default": 3},
+    "kappa": {"type": float, "default": 0.6180339887498949},
+    "window": {"choices": ("hann", "none"), "default": "hann"},
+    "threshold": {"type": float, "default": 0.01},
+    "trial": {"action": "store_true", "default": False},
+    "out": {"default": "."},
 }
 _SERIES_FLAGS = ("n", "h", "gamma", "g", "phi-n", "tmax", "samples", "cutoff-k", "trial")
 # the flags each subcommand reads; every subcommand also takes --out, and
@@ -154,6 +112,13 @@ _COMMAND_FLAGS = {
     "quasicrystal": ("n", "h", "gamma", "g", "phi-n", "kappa", "tmax", "samples"),
     "oracle": ("n", "h", "threshold"),
 }
+# the defaults of the subcommands that differ; quasicrystal's --h None is
+# the middle field of its h(kappa) table
+_COMMAND_DEFAULTS = {
+    "modes": {"h": [0.710, 0.716, 0.720]},
+    "oracle": {"n": [4, 6, 8], "h": [0.3, 0.5, 0.7], "threshold": 1e-9},
+    "quasicrystal": {"h": None},
+}
 
 
 def build_parser(subparsers: dict | None = None) -> argparse.ArgumentParser:
@@ -163,6 +128,11 @@ def build_parser(subparsers: dict | None = None) -> argparse.ArgumentParser:
         prog="lmglab",
         description="Finite-size LMG symmetry-breaking dynamics laboratory",
     )
+    # every run holds every flag, also those its subcommand does not read,
+    # as validate_config and the summary read them all
+    parser.set_defaults(**{
+        key.replace("-", "_"): spec.get("default") for key, spec in _FLAGS.items()
+    })
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (
         ("evolve", "evolve a localized state and write m_x, m_y time series"),
@@ -176,31 +146,27 @@ def build_parser(subparsers: dict | None = None) -> argparse.ArgumentParser:
         command = subparsers[name] = sub.add_parser(name, help=text)
         for key in (*_COMMAND_FLAGS[name], "out"):
             command.add_argument(f"--{key}", **_FLAGS[key])
+        command.set_defaults(**_COMMAND_DEFAULTS.get(name, {}))
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The parsed flags as a RunConfig; a flag not given keeps its default."""
-    given = {key: value for key, value in vars(args).items() if value is not None}
-    return RunConfig(**given)
-
-
-def validate_config(cfg: RunConfig) -> None:
+def validate_config(cfg: argparse.Namespace) -> None:
+    for key in ("n", "h", "g"):
+        if getattr(cfg, key) == []:
+            raise ValueError(f"--{key} takes at least one value")
+    fields = cfg.h or []  # quasicrystal's None picks its own field
     if any(n < 1 for n in cfg.n):
         raise ValueError("N must be >= 1")
-    if any(h < 0.0 for h in cfg.h):
+    if any(h < 0.0 for h in fields):
         raise ValueError("h must be >= 0")
     if not 0.0 <= cfg.gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    reals = [*cfg.h, *(cfg.g or []), cfg.phi_n]
-    if cfg.threshold is not None:
-        reals.append(cfg.threshold)
-    if not all(math.isfinite(x) for x in reals):
+    if not all(math.isfinite(x) for x in [*fields, *(cfg.g or []), cfg.phi_n, cfg.threshold]):
         raise ValueError("h, g, phi-n and threshold must be finite")
-    if cfg.threshold is not None and cfg.threshold < 0.0:
+    if cfg.threshold < 0.0:
         raise ValueError("threshold must be >= 0")
     # these compute gamma = 1 quantities of the broken phase only
-    if cfg.command in ("oracle", "correlation", "modes") and any(h >= 1.0 for h in cfg.h):
+    if cfg.command in ("oracle", "correlation", "modes") and any(h >= 1.0 for h in fields):
         raise ValueError(f"{cfg.command} needs h < 1")
     if cfg.trial and (cfg.g is not None or cfg.phi_n != 0.0):
         raise ValueError("--trial takes no --g or --phi-n")
@@ -210,13 +176,13 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("cutoff-k must be >= 0")
     if cfg.tmax is not None and not 0.0 < cfg.tmax < math.inf:
         raise ValueError("tmax must be positive and finite")
-    if cfg.window not in ("hann", "none"):
-        raise ValueError("window must be hann or none")
-    if cfg.command == "modes" and len({_mode_stem(h) for h in cfg.h}) < len(cfg.h):
+    if cfg.command == "modes" and len({_mode_stem(h) for h in fields}) < len(fields):
         raise ValueError(f"modes names each waveform file by --h to 10 digits, "
                          f"and the values {cfg.h} repeat a name")
+    if cfg.command == "gap" and len(cfg.n) > 1 and max(cfg.n) > MAX_GAP_SCAN_N:
+        raise ValueError(f"gap scan supports N <= {MAX_GAP_SCAN_N}")
     if cfg.command == "gap" and cfg.g is not None:
-        N, h = _pt_point(cfg)
+        N, h = cfg.n[0], _one(cfg.h, "h")
         if not ground_M(N, h).degenerate:
             raise ValueError(f"gap reads --g only for the PT table of a degenerate "
                              f"ground level, and N={N}, h={h} has none")
@@ -226,24 +192,32 @@ def _mode_stem(h: float) -> str:
     return f"mode_h{h:.10g}"
 
 
-def _pt_point(cfg: RunConfig) -> tuple[int, float]:
-    """The (N, h) of gap's degenerate-PT table: the first --n, else 100."""
-    return (cfg.n[0] if cfg.n else 100), cfg.single_h()
+def _one(values: list, key: str):
+    """The value of a list flag of a subcommand that runs one point."""
+    if len(values) != 1:
+        raise ValueError(f"this subcommand takes exactly one --{key} value")
+    return values[0]
 
 
-def _create(cfg: RunConfig, name: str):
+def _point(cfg: argparse.Namespace) -> tuple[int, float, float]:
+    """The (N, h, g) of a one-point series run."""
+    N, h = _one(cfg.n, "n"), _one(cfg.h, "h")
+    return N, h, default_kick(N) if cfg.g is None else _one(cfg.g, "g")
+
+
+def _create(cfg: argparse.Namespace, name: str):
     """Open ``name`` in ``--out`` for binary writing, making ``--out`` first:
     a run that fails before its first file leaves no directory."""
     os.makedirs(cfg.out, exist_ok=True)
     return open(os.path.join(cfg.out, name), "wb")
 
 
-def _write_json(cfg: RunConfig, name: str, payload) -> None:
+def _write_json(cfg: argparse.Namespace, name: str, payload) -> None:
     with _create(cfg, name) as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True).encode("utf-8") + b"\n")
 
 
-def _table(cfg: RunConfig, stem: str, header: str, rows) -> str:
+def _table(cfg: argparse.Namespace, stem: str, header: str, rows) -> str:
     """Write one table to ``--out`` as ``stem.csv`` and return that name."""
     name = f"{stem}.csv"
     table = np.asarray(rows, dtype=np.float64).reshape(len(rows), header.count(",") + 1)
@@ -253,13 +227,13 @@ def _table(cfg: RunConfig, stem: str, header: str, rows) -> str:
     return name
 
 
-def _time_grid(cfg: RunConfig, N: int) -> np.ndarray:
+def _time_grid(cfg: argparse.Namespace, N: int) -> np.ndarray:
     if cfg.tmax is None:
         return default_time_grid(N, samples=cfg.samples)
     return np.arange(cfg.samples) * (cfg.tmax / cfg.samples)
 
 
-def _series_run(cfg: RunConfig, N: int, h: float, g: float):
+def _series_run(cfg: argparse.Namespace, N: int, h: float, g: float):
     """Prepare the localized state, write its series table and start the
     summary; also return what ``spectrum`` reads of the run."""
     sector = build_sector(N)
@@ -294,7 +268,7 @@ def _series_run(cfg: RunConfig, N: int, h: float, g: float):
     return summary, _series(plus.t, mx), eig0, state, sector
 
 
-def _base_summary(cfg: RunConfig, N: int, h: float, g: float) -> dict:
+def _base_summary(cfg: argparse.Namespace, N: int, h: float, g: float) -> dict:
     mode = classify_mode(N, h) if h < 1.0 else None
     ground = ground_M(N, h)
     return {
@@ -312,17 +286,15 @@ def _base_summary(cfg: RunConfig, N: int, h: float, g: float) -> dict:
     }
 
 
-def cmd_evolve(cfg: RunConfig) -> dict:
-    N, h = cfg.single_n(), cfg.single_h()
-    return _series_run(cfg, N, h, cfg.single_g(N))[0]
+def cmd_evolve(cfg: argparse.Namespace) -> dict:
+    return _series_run(cfg, *_point(cfg))[0]
 
 
-def cmd_spectrum(cfg: RunConfig) -> dict:
-    N, h = cfg.single_n(), cfg.single_h()
-    g = cfg.single_g(N)
+def cmd_spectrum(cfg: argparse.Namespace) -> dict:
+    N, h, g = _point(cfg)
     summary, mx_series, eig0, state, sector = _series_run(cfg, N, h, g)
     spec = periodogram(mx_series, N, window=cfg.window)
-    peaks = find_peaks(spec, cfg.peak_threshold())
+    peaks = find_peaks(spec, cfg.threshold)
     sx = collective_operators(sector).sx
     lines = line_spectrum(eig0, state, sx, threshold=1e-8 * N)
     summary["peaks"] = [
@@ -351,14 +323,13 @@ def cmd_spectrum(cfg: RunConfig) -> dict:
     return summary
 
 
-def cmd_modes(cfg: RunConfig) -> dict:
-    N = cfg.single_n()
-    h_grid = cfg.h if cfg.h else [0.710, 0.716, 0.720]
+def cmd_modes(cfg: argparse.Namespace) -> dict:
+    N = _one(cfg.n, "n")
     files = []
     table_rows = []
     tgrid = _time_grid(cfg, N)
     modes = []
-    for h in h_grid:
+    for h in cfg.h:
         freqs = intrinsic_frequencies(N, h)
         modes.append({"h": h, "mode": classify_mode(N, h).label})
         table_rows.append((h, N * h, freqs.m0, freqs.omega0, float(freqs.degenerate)))
@@ -377,14 +348,14 @@ def cmd_modes(cfg: RunConfig) -> dict:
             )
         )
     files.insert(0, _table(cfg, "modes", "h,nh,m0,omega0,degenerate", table_rows))
-    summary = _base_summary(cfg, N, h_grid[0], 0.0)
+    summary = _base_summary(cfg, N, cfg.h[0], 0.0)
     summary["modes"] = modes
     summary["files"] = files
     return summary
 
 
-def cmd_correlation(cfg: RunConfig) -> dict:
-    N, h = cfg.single_n(), cfg.single_h()
+def cmd_correlation(cfg: argparse.Namespace) -> dict:
+    N, h = _one(cfg.n, "n"), _one(cfg.h, "h")
     sector = build_sector(N)
     tgrid = _time_grid(cfg, N)
     result = correlation_fN(sector, h, tgrid)
@@ -418,9 +389,9 @@ def cmd_correlation(cfg: RunConfig) -> dict:
     return summary
 
 
-def cmd_gap(cfg: RunConfig) -> dict:
+def cmd_gap(cfg: argparse.Namespace) -> dict:
     # first --n value drives the degenerate-PT part; the list drives the scan
-    N, h = _pt_point(cfg)
+    N, h = cfg.n[0], _one(cfg.h, "h")
     files = []
     summary = _base_summary(cfg, N, h, 0.0)
     # the PT part uses gamma = 1 and the scan gamma = 0; --gamma applies to neither
@@ -470,17 +441,18 @@ def cmd_gap(cfg: RunConfig) -> dict:
     return summary
 
 
-def cmd_quasicrystal(cfg: RunConfig) -> dict:
-    N = cfg.single_n()
+def cmd_quasicrystal(cfg: argparse.Namespace) -> dict:
+    N = _one(cfg.n, "n")
     kappa = cfg.kappa
     fields = quasicrystal_h(N, kappa)
-    if len(fields) == 0 and not cfg.h:
+    if len(fields) == 0 and cfg.h is None:
         raise ValueError(f"no field in [0, 1) at N={N}; pass --h")
     # two-tone waveform: the ground-mode component of an actual kicked run
-    h_pick = cfg.single_h() if cfg.h else float(fields[len(fields) // 2])
+    h_pick = float(fields[len(fields) // 2]) if cfg.h is None else _one(cfg.h, "h")
     tgrid = _time_grid(cfg, N)
     params = LmgParams(N=N, h=h_pick, gamma=cfg.gamma)
-    localized = localize_ground_state(params, g=cfg.single_g(N), phi_n=cfg.phi_n)
+    g = default_kick(N) if cfg.g is None else _one(cfg.g, "g")
+    localized = localize_ground_state(params, g=g, phi_n=cfg.phi_n)
     files = [_table(cfg, "quasicrystal_h", "index,h", list(enumerate(fields)))]
     sector = build_sector(N)
     ground_mode = projected_init(localized.state, sector, h_pick).first(1)
@@ -506,16 +478,13 @@ def cmd_quasicrystal(cfg: RunConfig) -> dict:
     return summary
 
 
-def cmd_oracle(cfg: RunConfig) -> dict:
-    tolerance = ORACLE_TOLERANCE if cfg.threshold is None else cfg.threshold
-    n_values = cfg.n if cfg.n else [4, 6, 8]
-    h_values = cfg.h if cfg.h else [0.3, 0.5, 0.7]
-    if max(n_values) > MAX_CORRELATION_N:
+def cmd_oracle(cfg: argparse.Namespace) -> dict:
+    if max(cfg.n) > MAX_CORRELATION_N:
         raise ValueError(f"oracle supports N <= {MAX_CORRELATION_N}")
     rows = []
     worst = 0.0
-    for n_val in n_values:
-        for h_val in h_values:
+    for n_val in cfg.n:
+        for h_val in cfg.h:
             report = sector_vs_full_checks(n_val, h_val)
             worst = max(worst, report.worst())
             rows.append(
@@ -535,14 +504,14 @@ def cmd_oracle(cfg: RunConfig) -> dict:
         "n,h,ground_energy_dev,ground_sz_dev,correlation_dev,localized_mx_dev,worst",
         rows,
     )
-    summary = _base_summary(cfg, n_values[0], h_values[0], 0.0)
+    summary = _base_summary(cfg, cfg.n[0], cfg.h[0], 0.0)
     summary["worst_deviation"] = worst
-    summary["tolerance"] = tolerance
+    summary["tolerance"] = cfg.threshold
     summary["files"] = [name]
-    if worst > tolerance:
+    if worst > cfg.threshold:
         _write_json(cfg, "summary.json", summary)
         raise OracleMismatchError(
-            f"sector vs full-space deviation {worst:.3e} exceeds {tolerance:.3e}"
+            f"sector vs full-space deviation {worst:.3e} exceeds {cfg.threshold:.3e}"
         )
     return summary
 
@@ -585,13 +554,12 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args, unread = _PARSER.parse_known_args(argv)
+        cfg, unread = _PARSER.parse_known_args(argv)
         if unread:  # the subcommand's parser reports them, under its usage line
-            _SUBPARSERS[args.command].error(f"unrecognized arguments: {' '.join(unread)}")
+            _SUBPARSERS[cfg.command].error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        cfg = _config_from_args(args)
         validate_config(cfg)
         _write_json(cfg, "summary.json", _COMMANDS[cfg.command](cfg))
     except OracleMismatchError as exc:

@@ -32,14 +32,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .evolve import TimeSeries, correlation_fN
-from .model import LmgParams
+from .model import DEGENERACY_RTOL, LmgParams
 from .spinspace import _readonly, build_sector
 from .ssb import default_kick, localize_ground_state
 
 MAX_FULL_SPACE_N = 12
 MAX_CORRELATION_N = 10
 
-_DEGEN_RTOL = 1e-10
 # time columns per block of the f_N(t) line sum, so that its phases take
 # bounded memory at any grid length.  A power of two keeps every block
 # aligned as in one product over the whole grid, which with OpenBLAS gives
@@ -253,7 +252,7 @@ def _momentum_ground(
     vector = c[orbits.orbit] * (phase.real if np.isrealobj(c) else phase)
     vector /= np.sqrt(orbits.period[orbits.orbit])
     e0, e1 = levels[:2]
-    degenerate = bool(e1 - e0 <= _DEGEN_RTOL * max(1.0, abs(e0)))
+    degenerate = bool(e1 - e0 <= DEGENERACY_RTOL * max(1.0, abs(e0)))
     return FullGround(energy=float(w[0]), vector=vector, degenerate=degenerate), levels
 
 
@@ -312,14 +311,19 @@ def _free_pairs(N: int, q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
+def _sx_block(N: int, q: int) -> np.ndarray:
+    """Momentum block q of S_x, read-only."""
+    orbits = _orbits(N)
+    columns = (orbits.reps[:, None] ^ _site_bits(N), np.full((orbits.reps.size, N), 0.5))
+    return _readonly(_momentum_blocks(orbits, *columns, [q])[0][1])
+
+
+@functools.cache
 def _free_lines(N: int, q: int, k: int) -> tuple:
     """S_x lines out of block (q, k), as S_x maps k to k +- 1: for each block
     (q, j), j = k -+ 1, the tuple (j, levels of A_(q,j), weights |<a|S_x|c>|^2
     with a row per level a of A_(q,j), a column per level c of A_(q,k))."""
-    orbits, split = _orbits(N), _free_spectrum(N)[0]
-    n = orbits.reps.size
-    sx_columns = (orbits.reps[:, None] ^ _site_bits(N), np.full((n, N), 0.5))
-    sx = _momentum_blocks(orbits, *sx_columns, [q])[0][1]
+    split, sx = _free_spectrum(N)[0], _sx_block(N, q)
     v_k = _free_pairs(N, q, k)[1]
     lines = []
     for j in (k - 1, k + 1):
@@ -343,7 +347,7 @@ def _free_correlation(
     levels are solved once per N (``_free_spectrum``), a block's vectors and
     S_x weights when a ground level first lands in it (``_free_lines``); one
     code path serves cold and warm calls.  The ground levels are the block
-    levels within _DEGEN_RTOL of the lowest.  S_x|ground> stays in the
+    levels within DEGENERACY_RTOL of the lowest.  S_x|ground> stays in the
     symmetric multiplet, so all but one level of each neighbor block carry
     weight at rounding level: ``_weighty_lines`` cuts them, which changes
     f_N by at most _LINE_DROP_RTOL * f_N(0).  The line sum runs over blocks
@@ -351,7 +355,7 @@ def _free_correlation(
     """
     levels = {(q, k): w - h * (N / 2 - k) for (q, k), w in _free_spectrum(N)[1].items()}
     e0 = min(w[0] for w in levels.values())
-    tol = _DEGEN_RTOL * max(1.0, abs(e0))
+    tol = DEGENERACY_RTOL * max(1.0, abs(e0))
     members = []
     for (q, k), w in levels.items():
         if w[0] - e0 > tol:

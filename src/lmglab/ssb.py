@@ -17,6 +17,9 @@ from .evolve import _free_level_ground, eigensystem, ground_state
 from .model import LmgParams, build_hamiltonian, ground_M
 from .spinspace import SpinSector, _check_state, build_sector, ladder_plus_band
 
+# the largest N of gamma0_gap_scan, whose dense solves grow as N^3
+MAX_GAP_SCAN_N = 2000
+
 
 @dataclass(frozen=True, eq=False)
 class LocalizedState:
@@ -240,8 +243,8 @@ def gamma0_gap_scan(N_list, h: float) -> list[tuple[int, float]]:
     results = []
     for n in N_list:
         n = int(n)
-        if n > 2000:
-            raise ValueError("gap scan supports N <= 2000")
+        if n > MAX_GAP_SCAN_N:
+            raise ValueError(f"gap scan supports N <= {MAX_GAP_SCAN_N}")
         sector = build_sector(n)
         params = LmgParams(N=n, h=h, gamma=0.0)
         dense = build_hamiltonian(params, sector).to_dense().real * (1.0 / n)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,8 +12,6 @@ import lmglab
 from lmglab import cli, evolve, spectra
 from lmglab.cli import (
     _FLAGS,
-    RunConfig,
-    _config_from_args,
     _table,
     build_parser,
     main,
@@ -46,6 +45,22 @@ UNREAD = [
     for flag in FLAG_VALUES
     if flag not in reads.split()
 ]
+# a run with no flag given, and the defaults of the subcommands that differ
+DEFAULTS = dict(
+    n=[100], h=[0.716], gamma=1.0, g=None, phi_n=0.0, tmax=None, samples=4096,
+    cutoff_k=3, kappa=0.6180339887498949, window="hann", threshold=0.01,
+    trial=False, out=".",
+)
+COMMAND_DEFAULTS = {
+    "modes": dict(h=[0.710, 0.716, 0.720]),
+    "oracle": dict(n=[4, 6, 8], h=[0.3, 0.5, 0.7], threshold=1e-9),
+    "quasicrystal": dict(h=None),
+}
+
+
+def run(command, **flags):
+    """The parsed run of ``command`` given ``flags``: every flag, by name."""
+    return {"command": command, **DEFAULTS, **COMMAND_DEFAULTS.get(command, {}), **flags}
 
 
 def read_csv(path):
@@ -402,7 +417,7 @@ class TestTableWriter:
     )
     def test_bytes_match_per_value_writer(self, tmp_path, rows):
         header = "a,b,c"
-        cfg = RunConfig(command="evolve", out=str(tmp_path))
+        cfg = argparse.Namespace(**run("evolve", out=str(tmp_path)))
         assert _table(cfg, "table", header, rows) == "table.csv"
         with open(tmp_path / "table.csv", "rb") as fh:
             assert fh.read() == per_value_csv(header, rows)
@@ -607,7 +622,29 @@ class TestUsageErrors:
     def test_bad_tmax_rejected_by_validation(self):
         for tmax in (math.nan, math.inf, 0.0):
             with pytest.raises(ValueError):
-                validate_config(RunConfig(command="evolve", tmax=tmax))
+                validate_config(argparse.Namespace(**run("evolve", tmax=tmax)))
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["evolve", "--n", ","], "--n"),
+            (["modes", "--h", ","], "--h"),
+            (["oracle", "--n", ",", "--h", ","], "--n"),
+            (["quasicrystal", "--n", "20", "--h", ","], "--h"),
+            (["gap", "--n", "20", "--h", "0.55", "--g", ","], "--g"),
+        ],
+    )
+    def test_empty_list_exits_one_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gap_scan_size_is_checked_before_any_write(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["gap", "--n", "100,3000", "--h", "0.71", "--out", str(out)]) == 1
+        assert "gap scan supports N <= 2000" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -785,8 +822,8 @@ class TestParser:
         ],
     )
     def test_each_subcommand_reads_the_shared_flags(self, argv, expected):
-        cfg = _config_from_args(build_parser().parse_args(argv))
-        assert cfg == RunConfig(command=argv[0], **expected)
+        cfg = vars(build_parser().parse_args(argv))
+        assert cfg == run(argv[0], **expected)
 
     def test_run_is_a_sweep_flag_only(self):
         assert main(["evolve", "--run", "evolve"]) == 1

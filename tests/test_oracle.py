@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lmglab.evolve import correlation_fN, eigensystem
 from lmglab import oracle
-from lmglab.model import LAM, LmgParams, build_hamiltonian, ground_M
+from lmglab.model import DEGENERACY_RTOL, LAM, LmgParams, build_hamiltonian, ground_M
 from lmglab.oracle import (
     FullSpaceOperators,
     _LINE_DROP_RTOL,
@@ -23,6 +23,7 @@ from lmglab.oracle import (
     _lmg_columns,
     _momentum_ground,
     _orbits,
+    _sx_block,
     _weighty_lines,
     full_space_correlation,
     full_space_ground,
@@ -40,7 +41,7 @@ _PAULI_HALF = {
 
 
 def clear_oracle_caches():
-    for cache in (_orbits, _free_spectrum, _free_pairs, _free_lines):
+    for cache in (_orbits, _free_spectrum, _free_pairs, _sx_block, _free_lines):
         cache.cache_clear()
 
 
@@ -310,7 +311,7 @@ class TestGround:
         params = LmgParams(N=N, h=h, gamma=gamma)
         ham = full_hamiltonian(params, full_space_operators(N), g=g, phi_n=phi_n)
         w, v = np.linalg.eigh(ham)
-        degenerate = w[1] - w[0] <= 1e-10 * max(1.0, abs(w[0]))
+        degenerate = w[1] - w[0] <= DEGENERACY_RTOL * max(1.0, abs(w[0]))
         full = full_space_ground(params, g=g, phi_n=phi_n)
         assert abs(full.energy - w[0]) <= 1e-12
         assert full.degenerate == degenerate
@@ -392,7 +393,7 @@ class TestMomentumBlocks:
         assert abs(np.linalg.norm(full.vector) - 1.0) <= 1e-12
         residual = np.linalg.norm(ham @ full.vector - full.energy * full.vector)
         assert residual <= 1e-12 * norm
-        assert full.degenerate == (w[1] - w[0] <= 1e-10 * max(1.0, abs(w[0])))
+        assert full.degenerate == (w[1] - w[0] <= DEGENERACY_RTOL * max(1.0, abs(w[0])))
         if bias_q is not None:
             # the ground state has momentum q: T psi = exp(-2 pi i q/N) psi
             shifted = np.zeros_like(full.vector)
@@ -672,9 +673,9 @@ class TestChecks:
 
 @pytest.mark.parametrize("N", range(4, 11))
 def test_near_degenerate_fields_pair_members_by_sz(N):
-    # the oracle counts levels within 1e-10 as degenerate, the sector side
-    # within 1e-12, so just above a crossing h = j/N the oracle may hold a
-    # second ground member; members pair by S_z, never by position
+    # both sides count levels within DEGENERACY_RTOL as degenerate, but
+    # each rounds its own levels, so a hair off a crossing h = j/N one side
+    # may hold a second ground member; members pair by S_z, never by position
     for j in range(1, N):
         for p in range(8, 14):
             for h in (j / N - 10.0**-p, j / N + 10.0**-p):
@@ -702,12 +703,28 @@ def test_cached_arrays_are_read_only(cold_oracle):
     cached = list(_orbits(N)[1:]) + list(levels.values())
     cached += [a for pair in split.values() for a in pair]
     cached += list(_free_pairs(N, 0, 2)) + [w for _, w, _ in _free_lines(N, 0, 2)]
-    cached += [weight for _, _, weight in _free_lines(N, 0, 2)]
+    cached += [weight for _, _, weight in _free_lines(N, 0, 2)] + [_sx_block(N, 0)]
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 0
     assert _orbits(N).reps[1] != 0
     assert sector_vs_full_checks(N, 0.5).worst() == report.worst()
+
+
+def test_sx_block_is_built_once_per_momentum(monkeypatch, cold_oracle):
+    # N = 10, h = 0.5 has a degenerate ground pair, M0 = 2 and 3, in blocks
+    # (0, 3) and (0, 2): one build for the h-free blocks, one for S_x at q = 0
+    built = []
+
+    def counting(orbits, targets, amps, qs):
+        built.append(list(qs))
+        return momentum_blocks(orbits, targets, amps, qs)
+
+    momentum_blocks = oracle._momentum_blocks
+    monkeypatch.setattr(oracle, "_momentum_blocks", counting)
+    tgrid = np.arange(64) * (2 * math.pi * 10 / 64)
+    assert len(full_space_correlation(10, 0.5, tgrid)) == 2
+    assert built == [list(range(6)), [0]]
 
 
 @seed(3030)

@@ -1,7 +1,7 @@
 """README's examples stay runnable: the library quick start runs and finds
 the peaks it promises, and every ``lmglab`` command line parses and passes
 validation (none is run).  Its flag table lists, row by row, the flags each
-subcommand's ``--help`` lists."""
+subcommand's ``--help`` lists, and its defaults table the parser's defaults."""
 
 import contextlib
 import io
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from lmglab.cli import _config_from_args, build_parser, validate_config
+from lmglab.cli import _COMMAND_FLAGS, _FLAGS, build_parser, validate_config
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
     encoding="utf-8"
@@ -53,7 +53,7 @@ def test_command_lines_are_found():
 @pytest.mark.parametrize("line", command_lines())
 def test_command_line_is_valid(line):
     args = build_parser().parse_args(shlex.split(line)[1:])
-    validate_config(_config_from_args(args))
+    validate_config(args)
 
 
 def flag_table():
@@ -86,3 +86,43 @@ def test_flag_table_row_is_the_subcommand_help(command, capsys):
         build_parser().parse_args([command, "--help"])
     listed = dict.fromkeys(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     assert [flag for flag in listed if flag != "--help"] == flag_table()[command]
+
+
+def default_table():
+    """The README's defaults table: {flag: {subcommand: stated default}},
+    where the subcommand "" stands for those without their own."""
+    (table,) = re.findall(
+        r"^\| flag \| default \|\n\| --- \| --- \|\n((?:\|.*\n)+)", README, re.M
+    )
+    rows = {}
+    for line in table.splitlines():
+        flag, cell = (part.strip() for part in line.strip("|").split("|"))
+        first, *own = cell.split("; ")
+        own = (re.fullmatch(r"`(\w+)`: (.*)", part).groups() for part in own)
+        rows[flag.strip("`")] = {"": first, **dict(own)}
+    return rows
+
+
+def parsed(key, text):
+    """A stated default as the parser holds it: a literal in backticks read
+    by the flag's type, ``off`` False, and words (worked out at run time) None."""
+    literal = re.fullmatch(r"`([^`]*)`", text)
+    if literal is None:
+        return False if text == "off" else None
+    return _FLAGS[key].get("type", str)(literal.group(1))
+
+
+def test_default_table_names_every_flag():
+    table = default_table()
+    assert list(table) == [f"--{key}" for key in _FLAGS]
+    for flag, stated in table.items():
+        assert all(flag[2:] in _COMMAND_FLAGS[command] for command in stated if command)
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+def test_stated_defaults_are_the_parsers(command):
+    run = vars(build_parser().parse_args([command]))
+    for key in (*_COMMAND_FLAGS[command], "out"):
+        stated = default_table()[f"--{key}"]
+        text = stated.get(command, stated[""])
+        assert run[key.replace("-", "_")] == parsed(key, text), (command, key)
