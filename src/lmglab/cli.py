@@ -156,26 +156,30 @@ def validate_config(cfg: argparse.Namespace) -> None:
             raise ValueError(f"--{key} takes at least one value")
     fields = cfg.h or []  # quasicrystal's None picks its own field
     if any(n < 1 for n in cfg.n):
-        raise ValueError("N must be >= 1")
+        raise ValueError("--n must be >= 1")
     if any(h < 0.0 for h in fields):
-        raise ValueError("h must be >= 0")
+        raise ValueError("--h must be >= 0")
     if not 0.0 <= cfg.gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
+        raise ValueError("--gamma must lie in [0, 1]")
     if not all(math.isfinite(x) for x in [*fields, *(cfg.g or []), cfg.phi_n, cfg.threshold]):
-        raise ValueError("h, g, phi-n and threshold must be finite")
+        raise ValueError("--h, --g, --phi-n and --threshold must be finite")
     if cfg.threshold < 0.0:
-        raise ValueError("threshold must be >= 0")
+        raise ValueError("--threshold must be >= 0")
     # these compute gamma = 1 quantities of the broken phase only
     if cfg.command in ("oracle", "correlation", "modes") and any(h >= 1.0 for h in fields):
-        raise ValueError(f"{cfg.command} needs h < 1")
+        raise ValueError(f"{cfg.command} needs --h < 1")
     if cfg.trial and (cfg.g is not None or cfg.phi_n != 0.0):
         raise ValueError("--trial takes no --g or --phi-n")
+    if cfg.trial and (min(cfg.n) < 3 or max(fields, default=0.0) >= 1.0):
+        raise ValueError("--trial needs --n >= 3 and --h < 1")
+    if not 0.0 < cfg.kappa < 1.0:
+        raise ValueError("--kappa must lie strictly between 0 and 1")
     if cfg.samples < 16:
-        raise ValueError("samples must be >= 16")
+        raise ValueError("--samples must be >= 16")
     if cfg.cutoff_k < 0:
-        raise ValueError("cutoff-k must be >= 0")
+        raise ValueError("--cutoff-k must be >= 0")
     if cfg.tmax is not None and not 0.0 < cfg.tmax < math.inf:
-        raise ValueError("tmax must be positive and finite")
+        raise ValueError("--tmax must be positive and finite")
     if cfg.command == "modes" and len({_mode_stem(h) for h in fields}) < len(fields):
         raise ValueError(f"modes names each waveform file by --h to 10 digits, "
                          f"and the values {cfg.h} repeat a name")
@@ -435,7 +439,7 @@ def cmd_gap(cfg: argparse.Namespace) -> dict:
         rate = -float(np.polyfit(ns, np.log(ss), 1)[0])
         summary["gamma0_fitted_rate"] = rate
     rates_defined = 0.0 < h and not symmetric
-    summary["c_h"] = -math.log(h) if rates_defined else None
+    summary["c_h"] = 0.0 - math.log(h) if rates_defined else None  # +0.0 at h = 1
     summary["wkb_rate"] = wkb_rate(h) if rates_defined else None
     summary["files"] = files
     return summary

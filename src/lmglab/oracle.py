@@ -18,8 +18,11 @@ also conserves S_z, so each of its momentum blocks splits further by the
 number of down spins (popcount), and in block (q, k) of k down spins the
 field only adds -h (N/2 - k) to the h-free part A = -(S^2 - S_z^2)/N.  So
 A's blocks are solved once per N in a process and shifted for each h.
-Both sides diagonalize with LAPACK (numpy.linalg); the independence lies in
-the 2^N construction.
+Every H here is that free one plus (1 - gamma) S_y^2/N >= 0 and a kick of
+norm |g| N/2, so by Weyl's inequality A's shifted levels less |g| N/2 bound
+its momentum blocks from below, and its ground state is solved only in the
+blocks this bound cannot rule out.  Both sides diagonalize with LAPACK
+(numpy.linalg); the independence lies in the 2^N construction.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -46,6 +49,7 @@ MAX_CORRELATION_N = 10
 _TIME_BLOCK = 256
 # summed weight of the f_N(t) lines dropped, relative to the total weight
 _LINE_DROP_RTOL = 1e-15
+_FLOOR_RTOL = 1e-10  # rounding margin of a block's Weyl bound, relative to the level
 
 
 class OracleMismatchError(RuntimeError):
@@ -176,7 +180,7 @@ def _lmg_columns(
 
 def _momentum_blocks(
     orbits: _Orbits, targets: np.ndarray, amps: np.ndarray, qs
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Momentum blocks of an operator that commutes with T, from its columns
     at the representatives given as (targets, amps), one row per
     representative.
@@ -185,8 +189,8 @@ def _momentum_blocks(
     exist for q P = 0 (mod N) and give block q as
         H_q[o(t), r] = sqrt(P_r/P_o) sum_t H[t, r] exp(-2 pi i q s_t/N),
     a sum over the targets t of column r, each in orbit o(t) at shift s_t.
-    Returns (orbits kept, H_q on them) for each q of ``qs``; a block of a
-    real operator is real at 2q = 0 (mod N).
+    Yields (orbits kept, H_q on them) for each q of ``qs`` in turn; a block
+    of a real operator is real at 2q = 0 (mod N).
     """
     N, n = orbits.N, orbits.reps.size
     rows = orbits.orbit[targets]
@@ -195,15 +199,13 @@ def _momentum_blocks(
     turns = orbits.shift[targets].ravel()
     roots = np.exp(-2j * np.pi * np.arange(N) / N)
     real = not np.iscomplexobj(amps)
-    blocks = []
     for q in qs:
         keep = np.flatnonzero(q * orbits.period % N == 0)
         values = weight * roots[q * turns % N]
         block = np.bincount(flat, values.real, n * n)
         if not (real and 2 * q % N == 0):
             block = block + 1j * np.bincount(flat, values.imag, n * n)
-        blocks.append((keep, block.reshape(n, n)[np.ix_(keep, keep)]))
-    return blocks
+        yield keep, block.reshape(n, n)[np.ix_(keep, keep)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,43 +219,56 @@ def full_space_ground(
     params: LmgParams, g: float = 0.0, phi_n: float = 0.0
 ) -> FullGround:
     """Ground state of the (possibly kicked) Hamiltonian on the 2^N space,
-    N = ``params.N``, solved in the momentum blocks of ``_momentum_ground``."""
+    N = ``params.N``, from the momentum blocks ``_weyl_floor`` cannot rule out."""
     _check_full_size(params.N)
-    orbits = _orbits(params.N)
-    return _momentum_ground(orbits, *_lmg_columns(params, orbits.reps, g, phi_n))[0]
+    orbits, floor = _orbits(params.N), _weyl_floor(params, g)
+    return _momentum_ground(orbits, *_lmg_columns(params, orbits.reps, g, phi_n), floor)[0]
+
+
+def _weyl_floor(params: LmgParams, g: float) -> np.ndarray:
+    """min_k eig(A_(q,k))[0] - h (N/2 - k) - |g| N/2 for each block q (and N - q):
+    a lower bound on its levels (Horn & Johnson, Matrix Analysis, Thm 4.3.1)."""
+    N, floor = params.N, np.full(params.N, np.inf)
+    for (q, k), w in _free_spectrum(N)[1].items():
+        floor[q] = floor[-q] = min(floor[q], w[0] - params.h * (N / 2 - k))
+    return floor - abs(g) * N / 2
 
 
 def _momentum_ground(
-    orbits: _Orbits, targets: np.ndarray, amps: np.ndarray
+    orbits: _Orbits, targets: np.ndarray, amps: np.ndarray, floor=None
 ) -> tuple[FullGround, np.ndarray]:
-    """Ground state and sorted spectrum of the H whose columns at the orbit
+    """Ground state and sorted levels of the H whose columns at the orbit
     representatives are (targets, amps), from its momentum blocks.
 
-    Every block is solved for its eigenvalues only; for a real H, block
-    N - q is the complex conjugate of block q, so only q <= N/2 is solved
-    and 0 < q < N/2 counted twice.  The one block that holds the lowest
-    level is solved again with its vectors and mapped back by
-    psi_i = c_r exp(2 pi i q s_i/N) / sqrt(P).  ``degenerate`` compares the
-    two lowest levels of the spectrum.
+    Blocks are solved by ``eigh`` once each, ascending in their lower bound
+    ``floor[q]`` (none: -inf), until one lies _FLOOR_RTOL above the second
+    level found: the rest hold neither level ``degenerate`` compares.  Block
+    N - q of a real H is block q conjugated, so only q <= N/2 is solved and
+    0 < q < N/2 counted twice.  psi_i = c_r exp(2 pi i q s_i/N) / sqrt(P)
+    maps the ground back.  The levels are the solved blocks': all, unbounded.
     """
     N = orbits.N
     real = not np.iscomplexobj(amps)
     qs = range(N // 2 + 1) if real else range(N)
-    blocks = _momentum_blocks(orbits, targets, amps, qs)
-    solved = [np.linalg.eigvalsh(block) for _, block in blocks]
-    twice = [w for q, w in zip(qs, solved) if real and 0 < 2 * q < N]
-    levels = np.sort(np.concatenate(solved + twice))
-    q = int(np.argmin([w[0] for w in solved]))
-    keep, block = blocks[q]
-    w, v = np.linalg.eigh(block)
-    c = np.zeros(orbits.reps.size, dtype=v.dtype)
-    c[keep] = v[:, 0]
+    floor = np.full(N, -np.inf) if floor is None else floor
+    order = sorted(qs, key=floor.__getitem__)
+    blocks = _momentum_blocks(orbits, targets, amps, order)
+    levels, solved = np.empty(0), []
+    for q in order:
+        if levels.size > 1 and floor[q] - levels[1] > _FLOOR_RTOL * max(1.0, abs(levels[1])):
+            break
+        keep, block = next(blocks)
+        w, v = np.linalg.eigh(block)
+        levels = np.sort(np.concatenate([levels, w, w if real and 0 < 2 * q < N else []]))
+        solved.append((w[0], q, keep, v[:, 0].copy()))
+    energy, q, keep, ground = min(solved)  # q breaks a tie, never an array
+    c = np.zeros(orbits.reps.size, dtype=ground.dtype)
+    c[keep] = ground
     phase = np.exp(2j * np.pi * (q * orbits.shift % N) / N)
     vector = c[orbits.orbit] * (phase.real if np.isrealobj(c) else phase)
     vector /= np.sqrt(orbits.period[orbits.orbit])
-    e0, e1 = levels[:2]
-    degenerate = bool(e1 - e0 <= DEGENERACY_RTOL * max(1.0, abs(e0)))
-    return FullGround(energy=float(w[0]), vector=vector, degenerate=degenerate), levels
+    degenerate = bool(levels[1] - energy <= DEGENERACY_RTOL * max(1.0, abs(energy)))
+    return FullGround(energy=float(energy), vector=vector, degenerate=degenerate), levels
 
 
 def _apply_sx(vector: np.ndarray, N: int) -> np.ndarray:
@@ -315,7 +330,7 @@ def _sx_block(N: int, q: int) -> np.ndarray:
     """Momentum block q of S_x, read-only."""
     orbits = _orbits(N)
     columns = (orbits.reps[:, None] ^ _site_bits(N), np.full((orbits.reps.size, N), 0.5))
-    return _readonly(_momentum_blocks(orbits, *columns, [q])[0][1])
+    return _readonly(next(_momentum_blocks(orbits, *columns, [q]))[1])
 
 
 @functools.cache

@@ -31,11 +31,11 @@ the zero bytes are dropped at the end:
 
 This follows C's %g: fixed notation for -4 <= k <= 16, exponent notation
 below, trailing zeros stripped.  The fast range is 1e-27 <= |x| < 1e17 plus
-the signed zeros.  Everything else (nan, inf, subnormals, other tiny or huge
-values, rows in doubt) is formatted by Python and written into its row, so
-the output is exact for every float64.  Tables of at most
-``PER_VALUE_MAX`` values or more than ``CHUNK`` columns are formatted by
-Python alone.
+the signed zeros.  nan, inf and -inf take fixed rows; everything else
+(subnormals, other tiny or huge values, rows in doubt) is formatted by
+Python and written into its row, so the output is exact for every
+float64.  Tables of at most ``PER_VALUE_MAX`` values or more than
+``CHUNK`` columns are formatted by Python alone.
 
 Every step writes into one ``_Workspace`` of about 4 MB, kept for the
 process in a pool of one (a concurrent call builds its own), through
@@ -69,6 +69,7 @@ _ROW = 48  # bytes of one value's row: 24 uint16 slots
 _POINT0 = 9  # byte of the point slot after digit 0
 _SEP_SHIFT = np.uint64(48)  # the separator's bit offset in the row's last word
 _POOL: list[_Workspace] = []  # the idle workspace, if any
+_NONFINITE = _readonly(np.array(["nan", "inf", "-inf"], f"S{_ROW}").view("<u8").reshape(3, -1))
 
 
 @functools.cache
@@ -257,13 +258,13 @@ def _chunk_text(ws, x, sep):
 
     np.logical_not(np.logical_or(fast, zero, out=flag), out=flag)
     other = np.logical_or(flag, doubt, out=flag).nonzero()[0]
-    if other.size:
-        ends = (sep[other] >> _SEP_SHIFT).astype(np.uint8).tobytes().decode()
-        padded = "".join(
-            ("%.17g" % value + end).ljust(_ROW, "\0")
-            for value, end in zip(x[other].tolist(), ends)
-        )
-        row.view(np.uint8)[other] = np.frombuffer(padded.encode(), np.uint8).reshape(-1, _ROW)
+    if other.size:  # nan, inf and -inf are rows 0, 1 and 2 of _NONFINITE
+        finite = np.isfinite(x[other])
+        fixed, slow = other[~finite], other[finite]
+        row[fixed] = _NONFINITE[np.isinf(x[fixed]) * (1 + np.signbit(x[fixed]))]
+        text = np.array(["%.17g" % value for value in x[slow].tolist()], f"S{_ROW}")
+        row[slow] = text.view("<u8").reshape(-1, _ROW // 8)  # 24 bytes at most
+        row[other, -1] = sep[other]
     return row
 
 

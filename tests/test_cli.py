@@ -327,6 +327,14 @@ class TestGap:
         assert "gamma0_fitted_rate" not in summary
         assert summary["gamma0_unresolved_n"] == []
 
+    def test_critical_field_writes_positive_zero_rate(self, tmp_path):
+        # c(h) = -log h is -0.0 at h = 1, which summary.json wrote as -0.0
+        out = tmp_path / "run"
+        assert main(["gap", "--n", "20,24,28", "--h", "1", "--out", str(out)]) == 0
+        text = (out / "summary.json").read_text(encoding="utf-8")
+        assert '"c_h": 0.0,' in text and '"wkb_rate": 0.0' in text
+        assert "-0.0" not in text
+
     def test_g_without_a_degenerate_ground_exits_one(self, tmp_path, capsys):
         # --g sets only the PT kicks, and at N h = 20 the PT table is skipped
         out = tmp_path / "run"
@@ -638,6 +646,37 @@ class TestUsageErrors:
         out = tmp_path / "run"
         assert main([*argv, "--out", str(out)]) == 1
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["evolve", "--n", "0"], "--n"),
+            (["evolve", "--h", "-0.5"], "--h"),
+            (["evolve", "--gamma", "2"], "--gamma"),
+            (["evolve", "--h", "nan"], "--h"),
+            (["evolve", "--phi-n", "inf"], "--phi-n"),
+            (["oracle", "--threshold", "-1"], "--threshold"),
+            (["correlation", "--n", "6", "--h", "1"], "--h"),
+            (["evolve", "--trial", "--g", "0.1"], "--trial"),
+            (["evolve", "--n", "2", "--h", "0.5", "--trial"], "--trial"),
+            (["evolve", "--n", "10", "--h", "1.2", "--trial"], "--trial"),
+            (["evolve", "--samples", "8"], "--samples"),
+            (["evolve", "--cutoff-k", "-1"], "--cutoff-k"),
+            (["evolve", "--tmax", "-1"], "--tmax"),
+            (["modes", "--h", "0.5,0.5"], "--h"),
+            (["quasicrystal", "--kappa", "1"], "--kappa"),
+            (["gap", "--n", "40", "--h", "0.5", "--g", "1e-4"], "--g"),
+        ],
+        ids=["n", "h", "gamma", "h-nan", "phi-n", "threshold", "broken-phase-h",
+             "trial-g", "trial-n", "trial-h", "samples", "cutoff-k", "tmax",
+             "modes-h", "kappa", "gap-g"],
+    )
+    def test_rejection_names_its_flag(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
         assert not out.exists()
 
     def test_gap_scan_size_is_checked_before_any_write(self, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """A fuzz of the command line: random subcommands with a random subset of
 the flags each reads, at edge values (odd N, fields a hair off a level
 crossing h = j/N, h = 1, negative numbers, empty lists).  Every run ends in
-a clean exit code, a usage error writes nothing, and every table written
-is rectangular."""
+a clean exit code, a usage error names a flag or the subcommand and writes
+nothing, every table written is rectangular, and a second run into another
+--out writes the same bytes."""
 
 import contextlib
 import io
@@ -12,7 +13,7 @@ from pathlib import Path
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from lmglab.cli import _COMMAND_FLAGS, main
+from lmglab.cli import _COMMAND_FLAGS, _FLAGS, main
 
 
 def joined(values):
@@ -74,22 +75,41 @@ def command_lines(draw):
     return argv
 
 
+def run(argv, out):
+    """The exit code and stderr of ``argv`` run into ``out``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([*argv, "--out", str(out)])
+    return rc, err.getvalue()
+
+
+def written(out):
+    """Every file in ``out``, by name, as bytes."""
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
 @seed(1)
 @settings(max_examples=200, deadline=None)
 @given(argv=command_lines())
 def test_fuzzed_command_lines_exit_cleanly(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            rc = main([*argv, "--out", str(out)])
-        assert rc in (0, 1, 3), (argv, err.getvalue())
+        rc, err = run(argv, out)
+        assert rc in (0, 1, 3), (argv, err)
         if rc == 3:
             assert argv[0] in ("oracle", "correlation"), argv
         if rc == 1:
-            assert not out.exists(), (argv, err.getvalue())
+            # the message after argparse's usage line and its prog prefix
+            message = err.rsplit("error: ", 1)[-1]
+            named = [f"--{key}" for key in _FLAGS if f"--{key}" in message]
+            assert named or argv[0] in message, (argv, err)
+            assert not out.exists(), (argv, err)
             return
         for table in out.glob("*.csv"):
             header, *rows = table.read_text(encoding="utf-8").splitlines()
             cells = header.count(",") + 1
             assert all(row.count(",") + 1 == cells for row in rows), (argv, table.name)
+        if rc == 0:
+            again = Path(tmp) / "elsewhere" / "run"
+            assert run(argv, again)[0] == 0, argv
+            assert written(again) == written(out), argv

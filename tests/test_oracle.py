@@ -25,6 +25,7 @@ from lmglab.oracle import (
     _orbits,
     _sx_block,
     _weighty_lines,
+    _weyl_floor,
     full_space_correlation,
     full_space_ground,
     full_space_operators,
@@ -414,8 +415,9 @@ class TestMomentumBlocks:
             assert abs(full.energy - e_sector) <= 1e-10
 
     def test_large_n_complex_kick_within_a_second(self):
-        # the y component makes every block complex and all 12 are solved;
-        # a 2^12 x 2^12 float64 matrix alone is 134 MB
+        # the y component makes every block complex, and the Weyl bound
+        # leaves q = 0 alone to solve; a 2^12 x 2^12 float64 matrix alone is
+        # 134 MB
         N, g, phi_n = 12, 1.0 / 144, 1.3
         params = LmgParams(N=N, h=0.6)
         tracemalloc.start()
@@ -456,6 +458,53 @@ def test_momentum_blocks_match_dense_reference(N, h, gamma, g, phi_n):
     full = full_space_ground(params, g=g, phi_n=phi_n)
     residual = np.linalg.norm(ham @ full.vector - full.energy * full.vector)
     assert residual <= 1e-12 * norm
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    N=st.integers(1, 10),
+    h=st.floats(0.0, 2.0),
+    gamma=st.floats(0.0, 1.0),
+    g=st.floats(0.0, 0.3),
+    phi_n=st.floats(0.0, 2.0 * math.pi),
+)
+def test_weyl_floor_bounds_every_block_and_keeps_the_ground(N, h, gamma, g, phi_n):
+    params = LmgParams(N=N, h=h, gamma=gamma)
+    tol = 1e-12 * N * (1.0 + h + g)  # ||H|| <= N (1 + gamma)/4 + (h + g) N/2
+    orbits = _orbits(N)
+    columns = _lmg_columns(params, orbits.reps, g, phi_n)
+    floor = _weyl_floor(params, g)
+    # every block, also N - q of a real H, lies at or above its bound
+    blocks = oracle._momentum_blocks(orbits, *columns, range(N))
+    for q, (_, block) in enumerate(blocks):
+        assert np.linalg.eigvalsh(block)[0] >= floor[q] - tol
+    # the blocks the bound leaves give the ground of an all-block solve
+    bounded, levels = _momentum_ground(orbits, *columns, floor)
+    full, spectrum = _momentum_ground(orbits, *columns)
+    assert np.max(np.abs(levels[:2] - spectrum[:2])) <= tol
+    assert abs(bounded.energy - full.energy) <= tol
+    assert bounded.degenerate == full.degenerate
+    ham = full_hamiltonian(params, full_space_operators(N), g=g, phi_n=phi_n)
+    assert np.linalg.norm(ham @ bounded.vector - bounded.energy * bounded.vector) <= tol
+
+
+@pytest.mark.parametrize("N", range(4, 13))
+def test_kicked_ground_solves_block_zero_alone(monkeypatch, N):
+    # at gamma = 1 and g = 1/N^2 the Weyl bound of every block q != 0 lies
+    # above the two lowest levels of block q = 0, which holds every orbit
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        def solve(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            if sys._getframe(1).f_code.co_name == "_momentum_ground":
+                solves.append((_name, np.shape(a)[0]))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, solve)
+    for h in (0.2, 0.7, 1.5):
+        solves.clear()
+        full_space_ground(LmgParams(N=N, h=h), g=1.0 / N**2)
+        assert solves == [("eigh", _orbits(N).reps.size)]
 
 
 @seed(20261018)
@@ -626,13 +675,13 @@ class TestChecks:
         # the free H in its blocks (q, k), q <= N/2, for eigenvalues, and
         # with vectors in the block of the ground level (q = 0, k = N/2 - M0
         # for the symmetric multiplet) and its neighbors k +- 1; the kicked
-        # H, real, in its momentum blocks q <= N/2 for eigenvalues, and once
-        # more with vectors in q = 0
+        # H, real, with vectors in q = 0 alone: the Weyl bound of every other
+        # momentum block lies above the two lowest levels of q = 0
         qs = range(N // 2 + 1)
         free = [size for k in range(N + 1)
                 for size in momentum_block_sizes(N, qs, down=k) if size]
         momentum = momentum_block_sizes(N, qs)
-        assert sorted(sizes["eigvalsh"]) == sorted(free + momentum)
+        assert sorted(sizes["eigvalsh"]) == sorted(free)
         k0 = round(N / 2 - ground_M(N, 0.5).m0)
         expected = momentum_block_sizes(N, [0], down=k0)
         expected += momentum_block_sizes(N, [0], down=k0 - 1)
@@ -648,7 +697,7 @@ class TestChecks:
         for solved in sizes.values():
             solved.clear()
         assert sector_vs_full_checks(N, 0.55).worst() <= 1e-9
-        assert sorted(sizes["eigvalsh"]) == sorted(momentum)
+        assert sizes["eigvalsh"] == []
         assert sizes["eigh"] == momentum[:1]
 
     def test_checks_memory_is_bounded(self, cold_oracle):

@@ -281,3 +281,31 @@ def test_table_wider_than_a_chunk():
     # a line longer than CHUNK values goes to Python whole
     table = np.random.default_rng(31).standard_normal((2, CHUNK + 5))
     assert csv_body(table) == per_value_text(table.tolist())
+
+
+def test_non_finite_values_in_every_column_and_at_chunk_edges():
+    # nan, inf and -inf take fixed rows; 7 columns do not divide the chunk,
+    # so rows straddle chunk edges, and each edge value is non-finite
+    rng = np.random.default_rng(37)
+    scale = 10.0 ** rng.integers(-30, 20, size=(1, 7))
+    table = rng.standard_normal((2 * CHUNK // 7 + 5, 7)) * scale
+    flat = table.reshape(-1)
+    special = np.array([math.nan, -math.nan, math.inf, -math.inf])
+    picks = rng.random(flat.size) < 0.1
+    flat[picks] = rng.choice(special, size=np.count_nonzero(picks))
+    edges = [0, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, flat.size - 1]
+    flat[edges] = np.resize(special, len(edges))
+    assert table.size > PER_VALUE_MAX
+    assert not np.isfinite(table).all(axis=0).any()
+    assert_exact(table)
+    with pytest.raises(ValueError, match="read-only"):
+        tables._NONFINITE.flat[0] = 0
+
+
+def test_finite_table_takes_no_non_finite_pass(monkeypatch):
+    # the fixed rows of nan, inf and -inf cost an all-finite chunk nothing
+    calls = []
+    monkeypatch.setattr(np, "isfinite", lambda x, *a, **k: calls.append(x) or True)
+    table = np.random.default_rng(41).standard_normal((CHUNK // 4 + 3, 5))
+    assert csv_body(table) == per_value_text(table.tolist())
+    assert calls == []
