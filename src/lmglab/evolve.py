@@ -139,16 +139,33 @@ class EigenSystem:
         return self.vectors @ coeffs
 
 
+def _parity_blocks(op: BandedHermitianOperator) -> list[np.ndarray]:
+    """The even-m and odd-m blocks of an H with no band 1, each a dense
+    tridiagonal built from bands 0 and 2: real unless band 2 is complex."""
+    d, e = op.band(0), op.band(2)
+    if not np.any(e.imag):
+        d, e = d.real, e.real
+    blocks = []
+    for p in (0, 1):
+        block = np.diag(d[p::2])
+        i = np.arange(block.shape[0] - 1)
+        block[i, i + 1], block[i + 1, i] = e[p::2], e[p::2].conj()
+        blocks.append(block)
+    return blocks
+
+
 def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
     """Diagonalize a banded Hermitian sector operator.
 
     Diagonal input short-circuits to a sort plus permutation.  Otherwise
     dense ``numpy.linalg.eigh`` (``LinAlgError`` if it fails) solves real
-    input in real arithmetic.  A complex tridiagonal is made real first by
+    input in real arithmetic.  With an all-zero band 1, H commutes with the
+    parity (-1)^m: its even-m and odd-m blocks (``_parity_blocks``) are
+    solved apart and each block's vectors go straight to their columns in
+    the stable merge of the two spectra.  Only an H with band 1 is solved
+    whole; if it is tridiagonal and complex it is made real first by
     D = diag(e^{-i theta_m}), theta_m the summed phases of the first m
-    off-diagonals.  Bandwidth 2 with an all-zero band 1 commutes with the
-    parity (-1)^m: its even-m and odd-m blocks are solved apart and merged
-    by a stable sort.
+    off-diagonals.
     """
     n = op.dim
     if op.bandwidth > 2:
@@ -158,6 +175,15 @@ def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
         diag = op.band(0).real
         perm = np.argsort(diag, kind="stable")
         return EigenSystem(_readonly(diag[perm]), None, _readonly(perm))
+    if 1 not in bands:
+        (w0, v0), (w1, v1) = (np.linalg.eigh(block) for block in _parity_blocks(op))
+        w = np.concatenate([w0, w1])
+        order = np.argsort(w, kind="stable")
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        v = np.zeros((n, n), dtype=v0.dtype)
+        v[0::2, rank[: w0.size]], v[1::2, rank[w0.size :]] = v0, v1
+        return EigenSystem(_readonly(w[order]), _readonly(v))
     dense = op.to_dense()
     gauge = None
     if bands == {1} and np.any(op.band(1).imag != 0.0):
@@ -165,15 +191,7 @@ def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
         dense = gauge.conj()[:, None] * dense * gauge[None, :]
     if gauge is not None or not np.any(dense.imag):
         dense = dense.real
-    if 1 in bands:
-        w, v = np.linalg.eigh(dense)
-    else:
-        (w0, v0), (w1, v1) = (np.linalg.eigh(dense[p::2, p::2]) for p in (0, 1))
-        v = np.zeros((n, n), dtype=dense.dtype)
-        v[0::2, : w0.size], v[1::2, w0.size :] = v0, v1
-        w = np.concatenate([w0, w1])
-        order = np.argsort(w, kind="stable")
-        w, v = w[order], v[:, order]
+    w, v = np.linalg.eigh(dense)
     if gauge is not None:
         v = gauge[:, None] * v
     return EigenSystem(_readonly(w), _readonly(np.ascontiguousarray(v)))
@@ -525,29 +543,21 @@ def correlation_fN(
         direct = (4.0 / n**2) * (
             weights_all[reached] @ np.exp(-1j * gaps[:, None] * tgrid[None, :])
         )
-        # closed form: one term per existing neighbor, ladder-element weights
-        freqs = []
-        weights = []
-        closed = np.zeros(tgrid.shape[0], dtype=np.complex128)
-        for step in (+1, -1):
-            two_m1 = two_m0 + 2 * step
-            if abs(two_m1) > n:
-                continue
-            ts64 = np.int64(n)
-            # |<m0 | Sx | m0 -+ 1>|^2 = [S(S+1) - M0 M1] / 4
-            w = float(ts64 * (ts64 + 2) - np.int64(two_m0) * np.int64(two_m1)) / 16.0
-            gap = isotropic_gap(n, two_m1, two_m0, h)
-            freqs.append(gap)
-            weights.append(w)
-            closed += w * np.exp(-1j * gap * tgrid)
-        closed *= 4.0 / n**2
+        # closed form: one term per existing neighbor, M1 = M0 + 1 first, with
+        # |<m0 | Sx | m1>|^2 = [S(S+1) - M0 M1] / 4 in exact integers
+        two_m1 = np.array([two_m0 + 2, two_m0 - 2], dtype=np.int64)
+        two_m1 = two_m1[np.abs(two_m1) <= n]
+        w = (np.int64(n) * (n + 2) - two_m0 * two_m1) / 16.0
+        freqs = isotropic_gap(n, two_m1, two_m0, h)
+        phases = np.exp(-1j * freqs[:, None] * tgrid[None, :])
+        closed = (4.0 / n**2) * (w[:, None] * phases).sum(axis=0)
         members.append(
             CorrelationMember(
                 m0=m0_val,
                 direct=_series(tgrid, direct),
                 closed_form=_series(tgrid, closed),
-                frequencies=tuple(freqs),
-                weights=tuple(weights),
+                frequencies=tuple(freqs.tolist()),
+                weights=tuple(w.tolist()),
             )
         )
     return CorrelationResult(nu=1.0 / n, members=tuple(members))

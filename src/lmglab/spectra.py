@@ -212,18 +212,14 @@ def quasicrystal_h(N: int, kappa: float) -> np.ndarray:
     """Fields h for which the two intrinsic lines have ratio kappa.
 
     Inverting kappa = (nu - w0)/(nu + w0) gives w0 = nu (1-kappa)/(1+kappa);
-    valid fields sit at h = nu (2 zeta + (1-kappa)/(1+kappa)) for even N and
-    h = nu (2 eta + 1 + (1-kappa)/(1+kappa)) for odd N, all inside [0, 1).
+    valid fields sit at h = nu (2 j + N mod 2 + (1-kappa)/(1+kappa)) for
+    j = 0, 1, ..., all inside [0, 1).
     """
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie strictly between 0 and 1")
-    nu = 1.0 / N
     delta = (1.0 - kappa) / (1.0 + kappa)
-    if N % 2 == 0:
-        zeta = np.arange((N - 2) // 2 + 1)
-        return nu * (2.0 * zeta + delta)
-    eta = np.arange((N - 3) // 2 + 1)
-    return nu * (2.0 * eta + 1.0 + delta)
+    j = np.arange((N - 2 - N % 2) // 2 + 1)
+    return (1.0 / N) * (2.0 * j + N % 2 + delta)
 
 
 def cut_and_project_sequence(slope: float, length: int) -> str:

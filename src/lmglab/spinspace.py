@@ -122,18 +122,6 @@ class BandedHermitianOperator:
             raise ValueError("dimension mismatch")
         return _band_matvec(self.dim, self.bands, vec)
 
-    def norm_inf(self) -> float:
-        """Upper bound on the operator norm (max absolute row sum)."""
-        total = np.zeros(self.dim)
-        for off, diag in self.diags.items():
-            a = np.abs(diag)
-            if off == 0:
-                total += a
-            else:
-                total[: self.dim - off] += a
-                total[off:] += a
-        return float(total.max())
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for off, diag in self.diags.items():

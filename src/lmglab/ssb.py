@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import _free_level_ground, eigensystem, ground_state
+from .evolve import _free_level_ground, _parity_blocks, eigensystem, ground_state
 from .model import LmgParams, build_hamiltonian, ground_M
 from .spinspace import SpinSector, _check_state, build_sector, ladder_plus_band
 
@@ -151,7 +151,6 @@ class GapResult:
     alpha: float
     log_alpha: float
     gap: float
-    epsilon_pm: tuple[float, float]
     theta0: float
     c_h: float
     boundary: str | None = None
@@ -172,7 +171,6 @@ def newman_alpha(N: int, h: float) -> GapResult:
             alpha=0.0,
             log_alpha=-math.inf,
             gap=0.0,
-            epsilon_pm=(0.0, 0.0),
             theta0=math.pi / 2.0,
             c_h=math.inf,
             boundary="h=0",
@@ -185,7 +183,6 @@ def newman_alpha(N: int, h: float) -> GapResult:
         alpha=alpha,
         log_alpha=log_alpha,
         gap=2.0 * alpha,
-        epsilon_pm=(alpha, -alpha),
         theta0=math.acos(h),
         c_h=-math.log(h),
         boundary=boundary,
@@ -234,7 +231,8 @@ def gamma0_gap_scan(N_list, h: float) -> list[tuple[int, float]]:
     """Lowest-pair splitting of the per-spin gamma = 0 Hamiltonian vs N.
 
     Takes the eigenvalues alone of H_N = -Sx^2/N^2 - h Sz/N for each N,
-    from its even-m and odd-m parity blocks (``numpy.linalg.eigvalsh``);
+    from its even-m and odd-m parity blocks, built from the bands
+    (``evolve._parity_blocks``) and solved by ``numpy.linalg.eigvalsh``;
     the per-spin normalization keeps the spectrum O(1).  For 0 < h < 1
     the splittings decay at ``wkb_rate(h)``, well above the overlap 2 alpha from
     ``newman_alpha``.  Splittings below roughly 1e3 * eps * |H| are
@@ -245,11 +243,8 @@ def gamma0_gap_scan(N_list, h: float) -> list[tuple[int, float]]:
         n = int(n)
         if n > MAX_GAP_SCAN_N:
             raise ValueError(f"gap scan supports N <= {MAX_GAP_SCAN_N}")
-        sector = build_sector(n)
-        params = LmgParams(N=n, h=h, gamma=0.0)
-        dense = build_hamiltonian(params, sector).to_dense().real * (1.0 / n)
-        levels = np.sort(
-            np.concatenate([np.linalg.eigvalsh(dense[p::2, p::2]) for p in (0, 1)])
-        )
+        op = build_hamiltonian(LmgParams(N=n, h=h, gamma=0.0), build_sector(n))
+        per_spin = [np.linalg.eigvalsh(b * (1.0 / n)) for b in _parity_blocks(op)]
+        levels = np.sort(np.concatenate(per_spin))
         results.append((n, float(levels[1] - levels[0])))
     return results

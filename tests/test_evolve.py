@@ -113,7 +113,7 @@ class TestEigensystem:
         ham = build_hamiltonian(LmgParams(N=N, h=h), sec, g=1e-3)
         eig = eigensystem(ham)
         dense = ham.to_dense()
-        norm_h = ham.norm_inf()
+        norm_h = np.abs(dense).sum(axis=1).max()  # max row sum >= ||H||
         residual_norms = np.linalg.norm(
             dense @ eig.vectors - eig.vectors * eig.energies[None, :], axis=0
         )
@@ -743,6 +743,29 @@ class TestCorrelation:
                 <= 1e-12 * scale
             )
 
+    @pytest.mark.parametrize(
+        "N,h", [(1, 0.5), (2, 0.3), (9, 0.0), (100, 0.71), (101, 0.95)]
+    )
+    def test_closed_form_equals_the_neighbour_loop(self, N, h):
+        # the term-by-term loop over the existing neighbours, as reference
+        sec = build_sector(N)
+        tgrid = 0.3 + np.arange(256) * (2 * math.pi * N / 256)
+        for member in correlation_fN(sec, h, tgrid).members:
+            two_m0 = round(2 * member.m0)
+            freqs, weights = [], []
+            closed = np.zeros(tgrid.shape[0], dtype=np.complex128)
+            for two_m1 in (two_m0 + 2, two_m0 - 2):
+                if abs(two_m1) <= N:
+                    w = float(N * (N + 2) - two_m0 * two_m1) / 16.0
+                    gap = isotropic_gap(N, two_m1, two_m0, h)
+                    freqs.append(gap)
+                    weights.append(w)
+                    closed += w * np.exp(-1j * gap * tgrid)
+            closed *= 4.0 / N**2
+            assert member.frequencies == tuple(freqs)
+            assert member.weights == tuple(weights)
+            assert member.closed_form.values.tobytes() == closed.tobytes()
+
     def test_frequencies_are_nu_plus_minus_omega0(self):
         N, h = 100, 0.716
         sec = build_sector(N)
@@ -943,7 +966,8 @@ class TestWindowedGround:
         energy, psi = evolve._free_level_ground(op, free)
         full = eigensystem(op)
         assert phase_aligned_distance(psi, full.vectors[:, 0]) <= 1e-9
-        assert abs(energy - full.ground_energy) <= 1e-12 * op.norm_inf()
+        norm = np.abs(op.to_dense()).sum(axis=1).max()  # max row sum >= ||H||
+        assert abs(energy - full.ground_energy) <= 1e-12 * norm
 
     @pytest.mark.parametrize(
         "N,gamma,g",
@@ -1006,7 +1030,8 @@ class TestFreeLevelGround:
         op, energy, psi, certified, _ = self.solve(N, h, gamma, 10.0**log_g, phi_n)
         full = eigensystem(op)
         if certified:
-            assert abs(energy - full.ground_energy) <= 1e-12 * op.norm_inf()
+            norm = np.abs(op.to_dense()).sum(axis=1).max()  # max row sum >= ||H||
+            assert abs(energy - full.ground_energy) <= 1e-12 * norm
             assert phase_aligned_distance(psi, full.vectors[:, 0]) <= 1e-9
         else:
             assert energy == full.ground_energy

@@ -355,6 +355,16 @@ class TestQuasicrystal:
             with pytest.raises(ValueError):
                 quasicrystal_h(10, bad)
 
+    @pytest.mark.parametrize("kappa", [0.05, 0.3, GOLDEN, 0.9])
+    def test_one_formula_equals_the_two_parity_branches(self, kappa):
+        delta = (1.0 - kappa) / (1.0 + kappa)
+        for N in range(1, 300):
+            if N % 2 == 0:
+                ref = (1.0 / N) * (2.0 * np.arange((N - 2) // 2 + 1) + delta)
+            else:
+                ref = (1.0 / N) * (2.0 * np.arange((N - 3) // 2 + 1) + 1.0 + delta)
+            assert quasicrystal_h(N, kappa).tobytes() == ref.tobytes()
+
 
 class TestCutAndProject:
     def test_golden_slope_gives_fibonacci_word(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -328,6 +329,32 @@ class TestGammaZeroScan:
         assert all(abs(s - r) <= 1e-14 for (_, s), r in zip(scan, ref))
         unresolved = [n for n, s in scan if s <= SPLITTING_FLOOR]
         assert unresolved == [n for n, r in zip(ns, ref) if r <= SPLITTING_FLOOR]
+
+    @pytest.mark.parametrize("h", [0.0, 0.5, 0.9, 1.5])
+    def test_equals_eigvalsh_of_the_dense_slices_bit_for_bit(self, h):
+        # the construction the scan replaced: the whole dense H, made real and
+        # per spin, sliced into its even-m and odd-m rows
+        ns = [1, 2, 3, 4, 41, 120, 201]
+        ref = []
+        for n in ns:
+            ham = build_hamiltonian(LmgParams(N=n, h=h, gamma=0.0), build_sector(n))
+            dense = ham.to_dense().real * (1.0 / n)
+            blocks = [np.linalg.eigvalsh(dense[p::2, p::2]) for p in (0, 1)]
+            levels = np.sort(np.concatenate(blocks))
+            ref.append((n, float(levels[1] - levels[0])))
+        assert gamma0_gap_scan(ns, h) == ref
+
+    def test_allocates_no_dense_matrix(self):
+        # the two half-size blocks and one scaled copy: 0.75 x 8 (N+1)^2
+        # bytes, where the dense-slice construction read 3.0 x
+        N = 2000
+        tracemalloc.start()
+        try:
+            gamma0_gap_scan([N], 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * (N + 1) ** 2
 
     def test_symmetric_phase_gap_is_polynomial(self):
         h = 1.5

@@ -1,13 +1,15 @@
 """The banded eigensolve path, ``evolve.eigensystem``, against the
 independent cyclic Jacobi reference below and against one dense complex
 ``numpy.linalg.eigh`` call: the real, gauge-transformed and parity-split
-solves.
+solves.  The parity split is also held bit for bit to the dense-slice
+construction it replaced, kept below as ``dense_slice_eigensystem``.
 
 Test names predate the LAPACK solver and are kept so results stay
 comparable across revisions.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,7 +174,7 @@ def test_kicked_isotropic_gauge_matches_complex_solve(N, phi_n):
     eig = eigensystem(op)
     dense = op.to_dense()
     w, v = np.linalg.eigh(dense)
-    norm = op.norm_inf()
+    norm = np.abs(dense).sum(axis=1).max()  # max row sum >= ||H||
     assert np.max(np.abs(eig.energies - w)) <= 1e-13 * norm
     residual = dense @ eig.vectors - eig.vectors * eig.energies[None, :]
     assert np.max(np.abs(residual)) <= 1e-14 * norm
@@ -206,7 +208,7 @@ def parity_operators(draw):
 def test_parity_split_solve(op):
     eig = eigensystem(op)
     dense = op.to_dense()
-    norm = op.norm_inf()
+    norm = np.abs(dense).sum(axis=1).max()
     w, v = eig.energies, eig.vectors
     assert np.all(np.diff(w) >= 0.0)
     assert np.max(np.abs(w - np.linalg.eigvalsh(dense))) <= 1e-13 * norm
@@ -220,4 +222,72 @@ def test_parity_split_solve(op):
 def test_deep_broken_doublets_are_degenerate_to_rounding():
     op = hamiltonian(120, 0.2, 0.0)
     w = eigensystem(op).energies
-    assert w[1] - w[0] <= 4.0 * np.finfo(float).eps * op.norm_inf()
+    norm = np.abs(op.to_dense()).sum(axis=1).max()
+    assert w[1] - w[0] <= 4.0 * np.finfo(float).eps * norm
+
+
+def dense_slice_eigensystem(op):
+    """``eigensystem`` as it was before the parity blocks were built from the
+    bands: the whole dense H, sliced into its parity blocks, their vectors
+    zero-filled into one array and its columns permuted by the merge."""
+    n = op.dim
+    bands = {off for off, band in op.diags.items() if off > 0 and np.any(band != 0.0)}
+    if not bands:
+        diag = op.band(0).real
+        perm = np.argsort(diag, kind="stable")
+        return diag[perm], None, perm
+    assert bands == {2}, "the reference covers the parity split only"
+    dense = op.to_dense()
+    if not np.any(dense.imag):
+        dense = dense.real
+    (w0, v0), (w1, v1) = (np.linalg.eigh(dense[p::2, p::2]) for p in (0, 1))
+    v = np.zeros((n, n), dtype=dense.dtype)
+    v[0::2, : w0.size], v[1::2, w0.size :] = v0, v1
+    w = np.concatenate([w0, w1])
+    order = np.argsort(w, kind="stable")
+    return w[order], np.ascontiguousarray(v[:, order]), None
+
+
+def assert_same_as_dense_slices(op):
+    eig = eigensystem(op)
+    energies, vectors, perm = dense_slice_eigensystem(op)
+    assert np.array_equal(eig.energies, energies)
+    if vectors is None:
+        assert eig.vectors is None
+        assert np.array_equal(eig.permutation, perm)
+    else:
+        assert eig.permutation is None
+        assert eig.vectors.dtype == vectors.dtype
+        assert np.array_equal(eig.vectors, vectors)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 41, 120, 201])
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_parity_split_equals_dense_slices_bit_for_bit(N, gamma):
+    for h in (0.0, 0.6, 1.3):
+        assert_same_as_dense_slices(hamiltonian(N, h, gamma))
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 30, 51])
+def test_complex_band_two_equals_dense_slices_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    band2 = rng.normal(size=n - 2) + 1j * rng.normal(size=n - 2)
+    diags = {0: rng.normal(size=n), 1: np.zeros(n - 1), 2: band2}
+    op = BandedHermitianOperator(n, diags)
+    assert eigensystem(op).vectors.dtype == np.complex128
+    assert_same_as_dense_slices(op)
+
+
+def test_parity_split_allocates_no_dense_matrix():
+    # one free gamma < 1 solve holds its eigenvector array, the two
+    # half-size blocks and their vectors: 1.5 x 8 (N+1)^2 bytes, where the
+    # dense-slice construction read 4.5 x
+    N = 2000
+    op = hamiltonian(N, 0.6, 0.5)
+    tracemalloc.start()
+    try:
+        eigensystem(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * 8 * (N + 1) ** 2
