@@ -13,11 +13,12 @@ solved in the N momentum blocks of T, of about 2^N/N rows each, built
 straight from the columns of H at the orbit representatives of T (Sandvik,
 AIP Conf. Proc. 1297, 135 (2010), sec. 4.1).  A column is a short list of
 (target index, amplitude) pairs: the diagonal entry, the N(N-1)/2 pair flips
-of the coupling and the N single flips of the kick.  The free gamma = 1 H
-also conserves S_z, so each of its momentum blocks splits further by the
-number of down spins (popcount), and in block (q, k) of k down spins the
-field only adds -h (N/2 - k) to the h-free part A = -(S^2 - S_z^2)/N.  So
-A's blocks are solved once per N in a process and shifted for each h.
+of the coupling and the N single flips of the kick, and a block is built
+only on the orbits it is solved on.  The free gamma = 1 H also conserves
+S_z, so each of its momentum blocks splits further by the number of down
+spins (popcount), and in block (q, k) of k down spins the field only adds
+-h (N/2 - k) to the h-free part A = -(S^2 - S_z^2)/N.  So A's blocks are
+built and solved once per N in a process and shifted for each h.
 Every H here is that free one plus (1 - gamma) S_y^2/N >= 0 and a kick of
 norm |g| N/2, so by Weyl's inequality A's shifted levels less |g| N/2 bound
 its momentum blocks from below, and its ground state is solved only in the
@@ -30,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,34 +179,36 @@ def _lmg_columns(
     return np.hstack(targets), np.hstack(amps)
 
 
-def _momentum_blocks(
-    orbits: _Orbits, targets: np.ndarray, amps: np.ndarray, qs
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Momentum blocks of an operator that commutes with T, from its columns
-    at the representatives given as (targets, amps), one row per
-    representative.
+def _momentum_block(
+    orbits: _Orbits, targets: np.ndarray, amps: np.ndarray, q: int,
+    rows: np.ndarray, cols: np.ndarray,
+) -> np.ndarray:
+    """Momentum block q of an operator that commutes with T, on the orbits
+    ``rows`` and ``cols``, from its columns at the representatives given as
+    (targets, amps), one row per representative.
 
     The momentum states |r, q> = P^(-1/2) sum_{s<P} exp(2 pi i q s/N) |T^s r>
     exist for q P = 0 (mod N) and give block q as
         H_q[o(t), r] = sqrt(P_r/P_o) sum_t H[t, r] exp(-2 pi i q s_t/N),
-    a sum over the targets t of column r, each in orbit o(t) at shift s_t.
-    Yields (orbits kept, H_q on them) for each q of ``qs`` in turn; a block
-    of a real operator is real at 2q = 0 (mod N).
+    a sum over the targets t of column r, each in orbit o(t) at shift s_t,
+    taken in column order; targets outside ``rows`` are dropped first.  A
+    block of a real operator is real at 2q = 0 (mod N).
     """
-    N, n = orbits.N, orbits.reps.size
-    rows = orbits.orbit[targets]
-    flat = (rows * n + np.arange(n)[:, None]).ravel()
-    weight = (amps * np.sqrt(orbits.period[:, None] / orbits.period[rows])).ravel()
-    turns = orbits.shift[targets].ravel()
+    N, width = orbits.N, targets.shape[1]
+    position = np.full(orbits.reps.size, -1)
+    position[rows] = np.arange(rows.size)
+    t = targets[cols].ravel()
+    row = position[orbits.orbit[t]]
+    hit = np.flatnonzero(row >= 0)  # column by column, in target order
+    t, col = t[hit], hit // width
+    ratio = orbits.period[cols][col] / orbits.period[orbits.orbit[t]]
     roots = np.exp(-2j * np.pi * np.arange(N) / N)
-    real = not np.iscomplexobj(amps)
-    for q in qs:
-        keep = np.flatnonzero(q * orbits.period % N == 0)
-        values = weight * roots[q * turns % N]
-        block = np.bincount(flat, values.real, n * n)
-        if not (real and 2 * q % N == 0):
-            block = block + 1j * np.bincount(flat, values.imag, n * n)
-        yield keep, block.reshape(n, n)[np.ix_(keep, keep)]
+    values = amps[cols].ravel()[hit] * np.sqrt(ratio) * roots[q * orbits.shift[t] % N]
+    flat, size = row[hit] * cols.size + col, rows.size * cols.size
+    block = np.bincount(flat, values.real, size)
+    if np.iscomplexobj(amps) or 2 * q % N != 0:
+        block = block + 1j * np.bincount(flat, values.imag, size)
+    return block.reshape(rows.size, cols.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,14 +254,12 @@ def _momentum_ground(
     real = not np.iscomplexobj(amps)
     qs = range(N // 2 + 1) if real else range(N)
     floor = np.full(N, -np.inf) if floor is None else floor
-    order = sorted(qs, key=floor.__getitem__)
-    blocks = _momentum_blocks(orbits, targets, amps, order)
     levels, solved = np.empty(0), []
-    for q in order:
+    for q in sorted(qs, key=floor.__getitem__):
         if levels.size > 1 and floor[q] - levels[1] > _FLOOR_RTOL * max(1.0, abs(levels[1])):
             break
-        keep, block = next(blocks)
-        w, v = np.linalg.eigh(block)
+        keep = np.flatnonzero(q * orbits.period % N == 0)
+        w, v = np.linalg.eigh(_momentum_block(orbits, targets, amps, q, keep, keep))
         levels = np.sort(np.concatenate([levels, w, w if real and 0 < 2 * q < N else []]))
         solved.append((w[0], q, keep, v[:, 0].copy()))
     energy, q, keep, ground = min(solved)  # q breaks a tie, never an array
@@ -294,28 +295,23 @@ def _weighty_lines(weights: np.ndarray) -> np.ndarray:
     return np.sort(order[n_drop:])
 
 
-def _free_blocks(orbits: _Orbits) -> dict:
-    """Blocks (q, k), q <= N/2, of the h-free part A = -(S^2 - S_z^2)/N of
-    the free gamma = 1 H, which conserves S_z: the momentum block q
-    restricted to the orbits with k down spins.  Maps (q, k) to (rows of
-    block q, A_(q,k)), read-only; empty blocks are left out."""
-    N = orbits.N
-    down = _down_spins(orbits.reps, N)
-    qs = range(N // 2 + 1)  # H is real: block N - q is block q conjugated
-    columns = _lmg_columns(LmgParams(N=N, h=0.0), orbits.reps)
-    split = {}
-    for q, (keep, block) in zip(qs, _momentum_blocks(orbits, *columns, qs)):
-        for k in np.flatnonzero(np.bincount(down[keep])).tolist():
-            part = np.flatnonzero(down[keep] == k)
-            split[q, k] = _readonly(part), _readonly(block[np.ix_(part, part)])
-    return split
-
-
 @functools.cache
 def _free_spectrum(N: int) -> tuple[dict, dict]:
-    """The blocks A_(q,k) of ``_free_blocks`` and their eigenvalues, solved
-    once per N, read-only."""
-    split = _free_blocks(_orbits(N))
+    """Blocks (q, k), q <= N/2, of the h-free part A = -(S^2 - S_z^2)/N of
+    the free gamma = 1 H, which conserves S_z: the momentum block q on the
+    orbits with k down spins.  Maps (q, k) to (orbits of the block,
+    A_(q,k)) and to the eigenvalues of A_(q,k), solved once per N,
+    read-only; empty blocks are left out."""
+    orbits = _orbits(N)
+    down = _down_spins(orbits.reps, N)
+    columns = _lmg_columns(LmgParams(N=N, h=0.0), orbits.reps)
+    split = {}
+    for q in range(N // 2 + 1):  # H is real: block N - q is block q conjugated
+        allowed = q * orbits.period % N == 0
+        for k in np.flatnonzero(np.bincount(down[allowed])).tolist():
+            rows = np.flatnonzero(allowed & (down == k))
+            block = _momentum_block(orbits, *columns, q, rows, rows)
+            split[q, k] = _readonly(rows), _readonly(block)
     return split, {key: _readonly(np.linalg.eigvalsh(a)) for key, (_, a) in split.items()}
 
 
@@ -326,25 +322,18 @@ def _free_pairs(N: int, q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _sx_block(N: int, q: int) -> np.ndarray:
-    """Momentum block q of S_x, read-only."""
-    orbits = _orbits(N)
-    columns = (orbits.reps[:, None] ^ _site_bits(N), np.full((orbits.reps.size, N), 0.5))
-    return _readonly(next(_momentum_blocks(orbits, *columns, [q]))[1])
-
-
-@functools.cache
 def _free_lines(N: int, q: int, k: int) -> tuple:
     """S_x lines out of block (q, k), as S_x maps k to k +- 1: for each block
     (q, j), j = k -+ 1, the tuple (j, levels of A_(q,j), weights |<a|S_x|c>|^2
     with a row per level a of A_(q,j), a column per level c of A_(q,k))."""
-    split, sx = _free_spectrum(N)[0], _sx_block(N, q)
+    orbits, split = _orbits(N), _free_spectrum(N)[0]
+    sx = (orbits.reps[:, None] ^ _site_bits(N), np.full((orbits.reps.size, N), 0.5))
     v_k = _free_pairs(N, q, k)[1]
     lines = []
     for j in (k - 1, k + 1):
         if (q, j) in split:
             w_j, v_j = _free_pairs(N, q, j)
-            link = sx[np.ix_(split[q, j][0], split[q, k][0])]
+            link = _momentum_block(orbits, *sx, q, split[q, j][0], split[q, k][0])
             lines.append((j, w_j, _readonly(np.abs(v_j.conj().T @ link @ v_k) ** 2)))
     return tuple(lines)
 
@@ -353,7 +342,7 @@ def _free_correlation(
     N: int, h: float, tgrid: np.ndarray
 ) -> tuple[float, list[tuple[float, TimeSeries]]]:
     """Ground energy and f_N(t) members of the free gamma = 1 Hamiltonian,
-    from its blocks (q, k) (``_free_blocks``); a level in block (q, k) has
+    from its blocks (q, k) (``_free_spectrum``); a level in block (q, k) has
     S_z = N/2 - k, and a ground level at 0 < q < N/2 has a conjugate twin
     at N - q with the same f_N(t).
 

@@ -234,19 +234,13 @@ def cut_and_project_sequence(slope: float, length: int) -> str:
         raise ValueError("slope must lie strictly between 0 and 1")
     if length < 0:
         raise ValueError("length must be >= 0")
-    symbols = []
-    i = 1  # next vertical line x = i
-    j = 1  # next horizontal line y = j, crossed at x = j/slope
-    while len(symbols) < length:
-        x_vertical = float(i)
-        x_horizontal = j / slope
-        if x_vertical <= x_horizontal:
-            symbols.append("D")
-            i += 1
-        else:
-            symbols.append("U")
-            j += 1
-    return "".join(symbols)
+    # vertical line x = i follows the i - 1 before it and the horizontal
+    # lines y = j crossed at x = j/slope < i; a tie puts the vertical first
+    i = np.arange(1, length + 1)
+    at = i - 1 + np.searchsorted(i / slope, i, side="left")
+    word = np.full(length, b"U")
+    word[at[at < length]] = b"D"
+    return word.tobytes().decode()
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,14 @@ from lmglab.model import DEGENERACY_RTOL, LAM, LmgParams, build_hamiltonian, gro
 from lmglab.oracle import (
     FullSpaceOperators,
     _LINE_DROP_RTOL,
-    _free_blocks,
     _free_correlation,
     _free_lines,
     _free_pairs,
     _free_spectrum,
     _lmg_columns,
+    _momentum_block,
     _momentum_ground,
     _orbits,
-    _sx_block,
     _weighty_lines,
     _weyl_floor,
     full_space_correlation,
@@ -42,7 +41,12 @@ _PAULI_HALF = {
 
 
 def clear_oracle_caches():
-    for cache in (_orbits, _free_spectrum, _free_pairs, _sx_block, _free_lines):
+    """Empty every functools cache of the oracle module, found by its
+    ``cache_clear``, so that none added later escapes the cold-path tests."""
+    caches = [f for f in vars(oracle).values()
+              if hasattr(f, "cache_clear") and f.__module__ == oracle.__name__]
+    assert caches
+    for cache in caches:
         cache.cache_clear()
 
 
@@ -266,7 +270,7 @@ class TestGround:
         # 0 < q < N/2 also stands for its conjugate at N - q
         h = 0.37
         ham = full_hamiltonian(LmgParams(N=N, h=h), full_space_operators(N))
-        blocks = _free_blocks(_orbits(N))
+        blocks = _free_spectrum(N)[0]
         qs = range(N // 2 + 1)
         expected = {(q, k): size for k in range(N + 1)
                     for q, size in zip(qs, momentum_block_sizes(N, qs, down=k)) if size}
@@ -476,8 +480,9 @@ def test_weyl_floor_bounds_every_block_and_keeps_the_ground(N, h, gamma, g, phi_
     columns = _lmg_columns(params, orbits.reps, g, phi_n)
     floor = _weyl_floor(params, g)
     # every block, also N - q of a real H, lies at or above its bound
-    blocks = oracle._momentum_blocks(orbits, *columns, range(N))
-    for q, (_, block) in enumerate(blocks):
+    for q in range(N):
+        keep = np.flatnonzero(q * orbits.period % N == 0)
+        block = _momentum_block(orbits, *columns, q, keep, keep)
         assert np.linalg.eigvalsh(block)[0] >= floor[q] - tol
     # the blocks the bound leaves give the ground of an all-block solve
     bounded, levels = _momentum_ground(orbits, *columns, floor)
@@ -752,7 +757,7 @@ def test_cached_arrays_are_read_only(cold_oracle):
     cached = list(_orbits(N)[1:]) + list(levels.values())
     cached += [a for pair in split.values() for a in pair]
     cached += list(_free_pairs(N, 0, 2)) + [w for _, w, _ in _free_lines(N, 0, 2)]
-    cached += [weight for _, _, weight in _free_lines(N, 0, 2)] + [_sx_block(N, 0)]
+    cached += [weight for _, _, weight in _free_lines(N, 0, 2)]
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 0
@@ -760,20 +765,89 @@ def test_cached_arrays_are_read_only(cold_oracle):
     assert sector_vs_full_checks(N, 0.5).worst() == report.worst()
 
 
-def test_sx_block_is_built_once_per_momentum(monkeypatch, cold_oracle):
+def test_each_block_and_link_is_built_once(monkeypatch, cold_oracle):
     # N = 10, h = 0.5 has a degenerate ground pair, M0 = 2 and 3, in blocks
-    # (0, 3) and (0, 2): one build for the h-free blocks, one for S_x at q = 0
+    # (0, 3) and (0, 2): one build for each block (q, k) of A, and one for
+    # each S_x link (0, j) x (0, k), j = k -+ 1, out of a ground block k
+    N = 10
     built = []
 
-    def counting(orbits, targets, amps, qs):
-        built.append(list(qs))
-        return momentum_blocks(orbits, targets, amps, qs)
+    def counting(orbits, targets, amps, q, rows, cols):
+        built.append((q, tuple(rows), tuple(cols)))
+        return momentum_block(orbits, targets, amps, q, rows, cols)
 
-    momentum_blocks = oracle._momentum_blocks
-    monkeypatch.setattr(oracle, "_momentum_blocks", counting)
-    tgrid = np.arange(64) * (2 * math.pi * 10 / 64)
-    assert len(full_space_correlation(10, 0.5, tgrid)) == 2
-    assert built == [list(range(6)), [0]]
+    momentum_block = oracle._momentum_block
+    monkeypatch.setattr(oracle, "_momentum_block", counting)
+    tgrid = np.arange(64) * (2 * math.pi * N / 64)
+    assert len(full_space_correlation(N, 0.5, tgrid)) == 2
+    split = _free_spectrum(N)[0]
+    blocks = [(q, tuple(rows), tuple(rows)) for (q, _), (rows, _) in split.items()]
+    links = [(0, tuple(split[0, j][0]), tuple(split[0, k][0]))
+             for k in (2, 3) for j in (k - 1, k + 1)]
+    assert built == blocks + links
+
+
+def whole_momentum_block(orbits, targets, amps, q):
+    """Momentum block q on every orbit, allowed at q or not, from one
+    n^2-long bincount: the reference ``_momentum_block`` is a slice of."""
+    N, n = orbits.N, orbits.reps.size
+    rows = orbits.orbit[targets]
+    flat = (rows * n + np.arange(n)[:, None]).ravel()
+    weight = (amps * np.sqrt(orbits.period[:, None] / orbits.period[rows])).ravel()
+    turns = orbits.shift[targets].ravel()
+    roots = np.exp(-2j * np.pi * np.arange(N) / N)
+    values = weight * roots[q * turns % N]
+    block = np.bincount(flat, values.real, n * n)
+    if np.iscomplexobj(amps) or 2 * q % N != 0:
+        block = block + 1j * np.bincount(flat, values.imag, n * n)
+    return block.reshape(n, n)
+
+
+def assert_same_block(block, expected):
+    assert block.dtype == expected.dtype
+    assert np.array_equal(block, expected)
+
+
+@pytest.mark.parametrize("N", range(1, 11))
+def test_momentum_block_is_a_whole_block_slice_bit_for_bit(N):
+    rng = np.random.default_rng(N)
+    orbits = _orbits(N)
+    params = LmgParams(N=N, h=0.6, gamma=0.5)
+    for phi_n in (0.0, 0.9):  # a real and a complex H
+        columns = _lmg_columns(params, orbits.reps, 1e-2, phi_n)
+        for q in range(N):
+            whole = whole_momentum_block(orbits, *columns, q)
+            keep = np.flatnonzero(q * orbits.period % N == 0)
+            rows, cols = (np.sort(rng.choice(keep, rng.integers(1, keep.size + 1),
+                                             replace=False)) for _ in range(2))
+            for r, c in [(keep, keep), (rows, cols)]:
+                assert_same_block(_momentum_block(orbits, *columns, q, r, c),
+                                  whole[np.ix_(r, c)])
+    # the blocks (q, k) of A, and the S_x links that give the f_N(t) weights
+    split = _free_spectrum(N)[0]
+    free = _lmg_columns(LmgParams(N=N, h=0.0), orbits.reps)
+    sx = (orbits.reps[:, None] ^ oracle._site_bits(N), np.full((orbits.reps.size, N), 0.5))
+    for (q, k), (rows, block) in split.items():
+        assert_same_block(block, whole_momentum_block(orbits, *free, q)[np.ix_(rows, rows)])
+        whole_sx = whole_momentum_block(orbits, *sx, q)
+        v_k = _free_pairs(N, q, k)[1]
+        for j, w_j, weight in _free_lines(N, q, k):
+            link = whole_sx[np.ix_(split[q, j][0], rows)]
+            v_j = _free_pairs(N, q, j)[1]
+            assert np.array_equal(weight, np.abs(v_j.conj().T @ link @ v_k) ** 2)
+
+
+def test_free_spectrum_memory_is_bounded(cold_oracle):
+    # the whole 352 x 352 momentum blocks of N = 12, each from a bincount
+    # over its 1.2e5 cells, peaked at 8.9 MB; its blocks (q, k) have at
+    # most 80 rows
+    tracemalloc.start()
+    try:
+        _free_spectrum(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 @seed(3030)

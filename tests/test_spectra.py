@@ -366,7 +366,35 @@ class TestQuasicrystal:
             assert quasicrystal_h(N, kappa).tobytes() == ref.tobytes()
 
 
+def crossing_walk(slope, length):
+    """Reference symbol sequence: walk along y = slope*x and emit 'D' at each
+    vertical grid line x = i and 'U' at each horizontal one y = j, crossed at
+    x = j/slope, the vertical first at a lattice point."""
+    symbols = []
+    i = j = 1
+    while len(symbols) < length:
+        if float(i) <= j / slope:
+            symbols.append("D")
+            i += 1
+        else:
+            symbols.append("U")
+            j += 1
+    return "".join(symbols)
+
+
 class TestCutAndProject:
+    def test_matches_the_crossing_walk(self):
+        # the walk's word at one length is the prefix of its longer words;
+        # the lattice-point slopes put a vertical and a horizontal crossing
+        # at the same x
+        rng = np.random.default_rng(14)
+        slopes = [1 / 2, 1 / 3, 2 / 3, 1 / 4, GOLDEN, *rng.uniform(0.0, 1.0, 16)]
+        for slope in slopes:
+            reference = crossing_walk(slope, 4096)
+            lengths = [*range(33), *rng.integers(33, 4096, 100), 4096]
+            for length in lengths:
+                assert cut_and_project_sequence(slope, length) == reference[:length]
+
     def test_golden_slope_gives_fibonacci_word(self):
         word = cut_and_project_sequence(GOLDEN, 100)
         assert word == fibonacci_word(100)
