@@ -439,7 +439,7 @@ def cmd_gap(cfg: argparse.Namespace) -> dict:
         rate = -float(np.polyfit(ns, np.log(ss), 1)[0])
         summary["gamma0_fitted_rate"] = rate
     rates_defined = 0.0 < h and not symmetric
-    summary["c_h"] = 0.0 - math.log(h) if rates_defined else None  # +0.0 at h = 1
+    summary["c_h"] = newman_alpha(N, h).c_h if rates_defined else None
     summary["wkb_rate"] = wkb_rate(h) if rates_defined else None
     summary["files"] = files
     return summary

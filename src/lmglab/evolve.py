@@ -517,10 +517,11 @@ def correlation_fN(
     """Ground-state correlation of the order parameter, f_N(t) = <m_x(t) m_x(0)>.
 
     Two evaluations are returned per ground level: a direct spectral sum over
-    every level reached by Sx|M0>, and the closed form carrying one term per
-    existing magnetization neighbor with ladder-element weights.  Both use
-    gap arithmetic for the Bohr frequencies, so they may only differ through
-    the weights and the term count.  A degenerate ground pair yields one
+    every level reached by Sx|M0>, with weights from the matvec, and the
+    closed form carrying one term per existing magnetization neighbor with
+    ladder-element weights.  Sx|M0> reaches exactly those neighbors, so both
+    apply their weights to one set of exponentials from gap arithmetic and
+    may only differ through the weights.  A degenerate ground pair yields one
     member per level, ascending in M.
     """
     n = sector.N
@@ -536,20 +537,16 @@ def correlation_fN(
         amps = np.zeros(sector.dim, dtype=np.complex128)
         amps[idx0] = 1.0
         u = ops.sx.apply(amps)
-        # direct route: every level reached by Sx|M0>, weights from the matvec
-        weights_all = np.abs(u) ** 2
-        reached = np.flatnonzero(weights_all)
-        gaps = isotropic_gap(n, sector.two_m[reached], two_m0, h)
-        direct = (4.0 / n**2) * (
-            weights_all[reached] @ np.exp(-1j * gaps[:, None] * tgrid[None, :])
-        )
-        # closed form: one term per existing neighbor, M1 = M0 + 1 first, with
-        # |<m0 | Sx | m1>|^2 = [S(S+1) - M0 M1] / 4 in exact integers
+        # the levels Sx|M0> reaches: each existing neighbor, M1 = M0 + 1 first
         two_m1 = np.array([two_m0 + 2, two_m0 - 2], dtype=np.int64)
         two_m1 = two_m1[np.abs(two_m1) <= n]
-        w = (np.int64(n) * (n + 2) - two_m0 * two_m1) / 16.0
         freqs = isotropic_gap(n, two_m1, two_m0, h)
         phases = np.exp(-1j * freqs[:, None] * tgrid[None, :])
+        # direct route: every level reached by Sx|M0>, weights from the matvec
+        weights = np.abs(u) ** 2
+        direct = (4.0 / n**2) * (weights[weights != 0.0] @ phases)
+        # closed form: |<m0 | Sx | m1>|^2 = [S(S+1) - M0 M1] / 4 in exact integers
+        w = (np.int64(n) * (n + 2) - two_m0 * two_m1) / 16.0
         closed = (4.0 / n**2) * (w[:, None] * phases).sum(axis=0)
         members.append(
             CorrelationMember(

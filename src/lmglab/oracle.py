@@ -18,7 +18,9 @@ only on the orbits it is solved on.  The free gamma = 1 H also conserves
 S_z, so each of its momentum blocks splits further by the number of down
 spins (popcount), and in block (q, k) of k down spins the field only adds
 -h (N/2 - k) to the h-free part A = -(S^2 - S_z^2)/N.  So A's blocks are
-built and solved once per N in a process and shifted for each h.
+built and solved once per N in a process and shifted for each h, and
+f_N(t) sums every level of the two S_z blocks next to a ground level as a
+line, through the factored phase sum the sector's series use.
 Every H here is that free one plus (1 - gamma) S_y^2/N >= 0 and a kick of
 norm |g| N/2, so by Weyl's inequality A's shifted levels less |g| N/2 bound
 its momentum blocks from below, and its ground state is solved only in the
@@ -35,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evolve import TimeSeries, correlation_fN
+from .evolve import TimeSeries, _check_grid, _phase_sum, _series, correlation_fN
 from .model import DEGENERACY_RTOL, LmgParams
 from .spinspace import _readonly, build_sector
 from .ssb import default_kick, localize_ground_state
@@ -43,13 +45,6 @@ from .ssb import default_kick, localize_ground_state
 MAX_FULL_SPACE_N = 12
 MAX_CORRELATION_N = 10
 
-# time columns per block of the f_N(t) line sum, so that its phases take
-# bounded memory at any grid length.  A power of two keeps every block
-# aligned as in one product over the whole grid, which with OpenBLAS gives
-# the same sums bit for bit.
-_TIME_BLOCK = 256
-# summed weight of the f_N(t) lines dropped, relative to the total weight
-_LINE_DROP_RTOL = 1e-15
 _FLOOR_RTOL = 1e-10  # rounding margin of a block's Weyl bound, relative to the level
 
 
@@ -286,15 +281,6 @@ def _check_correlation_size(N: int) -> None:
     _check_full_size(N)
 
 
-def _weighty_lines(weights: np.ndarray) -> np.ndarray:
-    """Indices, ascending, of the lines left after dropping the smallest
-    weights while their sum stays <= _LINE_DROP_RTOL * sum(weights)."""
-    order = np.argsort(weights)
-    dropped = np.cumsum(weights[order])
-    n_drop = int(np.count_nonzero(dropped <= _LINE_DROP_RTOL * dropped[-1]))
-    return np.sort(order[n_drop:])
-
-
 @functools.cache
 def _free_spectrum(N: int) -> tuple[dict, dict]:
     """Blocks (q, k), q <= N/2, of the h-free part A = -(S^2 - S_z^2)/N of
@@ -351,12 +337,12 @@ def _free_correlation(
     levels are solved once per N (``_free_spectrum``), a block's vectors and
     S_x weights when a ground level first lands in it (``_free_lines``); one
     code path serves cold and warm calls.  The ground levels are the block
-    levels within DEGENERACY_RTOL of the lowest.  S_x|ground> stays in the
-    symmetric multiplet, so all but one level of each neighbor block carry
-    weight at rounding level: ``_weighty_lines`` cuts them, which changes
-    f_N by at most _LINE_DROP_RTOL * f_N(0).  The line sum runs over blocks
-    of time columns, so its phases take bounded memory at any grid length.
+    levels within DEGENERACY_RTOL of the lowest.  Each member sums every
+    level of the two neighbor blocks as a line, through the factored
+    ``_phase_sum`` that bounds its memory at any grid length.  Raises
+    ValueError, before any work, on a grid that ``_check_grid`` rejects.
     """
+    tgrid = _check_grid(tgrid)
     levels = {(q, k): w - h * (N / 2 - k) for (q, k), w in _free_spectrum(N)[1].items()}
     e0 = min(w[0] for w in levels.values())
     tol = DEGENERACY_RTOL * max(1.0, abs(e0))
@@ -368,14 +354,8 @@ def _free_correlation(
         omega = np.concatenate([w_j - h * (N / 2 - j) - e0 for j, w_j, _ in lines])
         for col in np.flatnonzero(w - e0 <= tol):
             weights = np.concatenate([weight[:, col] for _, _, weight in lines])
-            kept = _weighty_lines(weights)
-            weights, omega_kept = weights[kept], omega[kept]
-            values = np.empty(tgrid.shape[0], dtype=np.complex128)
-            for lo in range(0, tgrid.shape[0], _TIME_BLOCK):
-                cols = slice(lo, lo + _TIME_BLOCK)
-                values[cols] = weights @ np.exp(-1j * omega_kept[:, None] * tgrid[None, cols])
-            values *= 4.0 / N**2
-            member = (N / 2 - k, TimeSeries(t=tgrid, values=values))
+            values = (4.0 / N**2) * _phase_sum(-omega, weights, tgrid)
+            member = (N / 2 - k, _series(tgrid, values))
             members += [member] * (2 if 0 < 2 * q < N else 1)
     members.sort(key=lambda pair: pair[0])
     return float(e0), members
@@ -387,10 +367,11 @@ def full_space_correlation(N: int, h: float, tgrid) -> list[tuple[float, TimeSer
     Returns one (ground Sz, series) pair per ground level, ascending in Sz.
     The free Hamiltonian is solved in blocks of fixed S_z, so the two
     members of a degenerate ground pair come out of two different blocks and
-    carry the sector-side magnetizations directly.
+    carry the sector-side magnetizations directly.  The grid is checked
+    before any work.
     """
     _check_correlation_size(N)
-    return _free_correlation(N, h, np.asarray(tgrid, dtype=np.float64))[1]
+    return _free_correlation(N, h, tgrid)[1]
 
 
 @dataclass(frozen=True)

@@ -184,7 +184,7 @@ def newman_alpha(N: int, h: float) -> GapResult:
         log_alpha=log_alpha,
         gap=2.0 * alpha,
         theta0=math.acos(h),
-        c_h=-math.log(h),
+        c_h=0.0 - math.log(h),  # +0.0 at h = 1
         boundary=boundary,
     )
 

@@ -766,6 +766,34 @@ class TestCorrelation:
             assert member.weights == tuple(weights)
             assert member.closed_form.values.tobytes() == closed.tobytes()
 
+    @pytest.mark.parametrize(
+        "N,h", [(1, 0.5), (2, 0.0), (7, 0.3), (8, 0.5), (100, 0.71), (201, 0.95)]
+    )
+    def test_shared_exponentials_equal_two_sets_bit_for_bit(self, N, h):
+        # reference: each route builds its own exponentials, the direct one
+        # from the levels the matvec reaches and the closed form from the
+        # existing neighbours
+        sec = build_sector(N)
+        tgrid = 0.4 + np.arange(300) * (2 * math.pi * N / 300)
+        u_of = collective_operators(sec).sx.apply
+        for member in correlation_fN(sec, h, tgrid).members:
+            two_m0 = round(2 * member.m0)
+            weights = np.abs(u_of(basis(sec.dim, (N - two_m0) // 2))) ** 2
+            reached = np.flatnonzero(weights)
+            gaps = isotropic_gap(N, sec.two_m[reached], two_m0, h)
+            direct = (4.0 / N**2) * (
+                weights[reached] @ np.exp(-1j * gaps[:, None] * tgrid[None, :])
+            )
+            two_m1 = np.array([two_m0 + 2, two_m0 - 2], dtype=np.int64)
+            two_m1 = two_m1[np.abs(two_m1) <= N]
+            w = (np.int64(N) * (N + 2) - two_m0 * two_m1) / 16.0
+            freqs = isotropic_gap(N, two_m1, two_m0, h)
+            phases = np.exp(-1j * freqs[:, None] * tgrid[None, :])
+            closed = (4.0 / N**2) * (w[:, None] * phases).sum(axis=0)
+            assert member.direct.values.tobytes() == direct.tobytes()
+            assert member.closed_form.values.tobytes() == closed.tobytes()
+            assert member.frequencies == tuple(freqs.tolist())
+
     def test_frequencies_are_nu_plus_minus_omega0(self):
         N, h = 100, 0.716
         sec = build_sector(N)

@@ -14,7 +14,6 @@ from lmglab import oracle
 from lmglab.model import DEGENERACY_RTOL, LAM, LmgParams, build_hamiltonian, ground_M
 from lmglab.oracle import (
     FullSpaceOperators,
-    _LINE_DROP_RTOL,
     _free_correlation,
     _free_lines,
     _free_pairs,
@@ -23,7 +22,6 @@ from lmglab.oracle import (
     _momentum_block,
     _momentum_ground,
     _orbits,
-    _weighty_lines,
     _weyl_floor,
     full_space_correlation,
     full_space_ground,
@@ -528,6 +526,47 @@ def test_full_space_ground_energy_matches_sector(N, h, gamma, g, phi_n):
     assert abs(full.energy - eigensystem(ham).ground_energy) <= 1e-10
 
 
+def plain_line_sums(N, h, tgrid):
+    """(S_z, values) of each free ground member, ascending in S_z: every
+    S_x line of its neighbor blocks (``_free_lines``), summed as one
+    (lines x grid) product of exponentials over the whole grid."""
+    levels = {(q, k): w - h * (N / 2 - k) for (q, k), w in _free_spectrum(N)[1].items()}
+    e0 = min(w[0] for w in levels.values())
+    tol = DEGENERACY_RTOL * max(1.0, abs(e0))
+    members = []
+    for (q, k), w in levels.items():
+        for col in np.flatnonzero(w - e0 <= tol):
+            lines = _free_lines(N, q, k)
+            omega = np.concatenate([w_j - h * (N / 2 - j) - e0 for j, w_j, _ in lines])
+            weights = np.concatenate([weight[:, col] for _, _, weight in lines])
+            values = (4.0 / N**2) * (weights @ np.exp(-1j * omega[:, None] * tgrid[None, :]))
+            members += [(N / 2 - k, values)] * (2 if 0 < 2 * q < N else 1)
+    return sorted(members, key=lambda pair: pair[0])
+
+
+@seed(35)
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    N=st.integers(1, 10),
+    h=st.floats(0.0, 0.99),
+    start=st.floats(0.5, 20.0),
+    span=st.floats(0.1, 1.0),
+    samples=st.integers(2, 300),
+)
+def test_full_space_correlation_matches_sector_direct(N, h, start, span, samples):
+    # a uniform grid that starts away from 0 and spans up to one collective
+    # period 2 pi N; members pair by S_z, as a hair off a crossing one side
+    # may hold a second ground member
+    tgrid = start + np.arange(samples) * (span * 2 * math.pi * N / samples)
+    full = dict(full_space_correlation(N, h, tgrid))
+    sector = correlation_fN(build_sector(N), h, tgrid).members
+    paired = [(full[member.m0], member) for member in sector if member.m0 in full]
+    assert paired
+    for series, member in paired:
+        assert np.array_equal(series.t, member.direct.t)
+        assert np.max(np.abs(series.values - member.direct.values)) <= 1e-12
+
+
 class TestCorrelation:
     @pytest.mark.parametrize("N,h", [(8, 0.5), (6, 0.7)])
     def test_matches_sector_computation(self, N, h):
@@ -549,7 +588,7 @@ class TestCorrelation:
         static = 4.0 / N**2 * np.vdot(ops.sx @ full.vector, ops.sx @ full.vector).real
         assert members[0][1].values[0].real == pytest.approx(static, rel=1e-10)
 
-    def test_phase_sum_memory_is_bounded(self, monkeypatch):
+    def test_phase_sum_memory_is_bounded(self):
         # a 2^10 x 2^10 float64 matrix alone is 8.4 MB; unblocked, the lines
         # over 4096 samples took 27.5 MB for their phase arguments
         N, h = 10, 0.5
@@ -561,30 +600,20 @@ class TestCorrelation:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
-        # the same lines summed over the whole grid in one block
-        monkeypatch.setattr(oracle, "_TIME_BLOCK", tgrid.size)
-        unblocked = full_space_correlation(N, h, tgrid)
-        assert [m0 for m0, _ in members] == [m0 for m0, _ in unblocked]
-        for (_, series), (_, expected) in zip(members, unblocked):
-            scale = np.max(np.abs(expected.values))
-            assert np.max(np.abs(series.values - expected.values)) <= 1e-14 * scale
+        expected = plain_line_sums(N, h, tgrid)
+        assert [m0 for m0, _ in members] == [m0 for m0, _ in expected]
+        for (_, series), (_, values) in zip(members, expected):
+            scale = np.max(np.abs(values))
+            assert np.max(np.abs(series.values - values)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("N,h", [(1, 0.5), (3, 0.0), (6, 0.5), (9, 0.95), (10, 0.3)])
-    def test_dropped_lines_carry_no_weight(self, N, h, monkeypatch):
-        tgrid = np.arange(512) * (40 * math.pi * N / 512)
-        members = full_space_correlation(N, h, tgrid)
-        # every line of the same blocks: only exact zeros dropped
-        with monkeypatch.context() as patched:
-            patched.setattr(oracle, "_LINE_DROP_RTOL", 0.0)
-            every = full_space_correlation(N, h, tgrid)
-        assert len(members) == len(every)
-        for (_, series), (_, expected) in zip(members, every):
-            scale = expected.values[0].real
-            assert np.max(np.abs(series.values - expected.values)) <= 2e-15 * scale
+    def test_dropped_lines_carry_no_weight(self, N, h):
         # every line of the two neighbor S_z blocks of the dense H; the
         # phase of a line at t carries its level's rounding, a few
         # eps ||H|| t: at most 2.6 eps ||H|| t on these points, 4.9 at
         # N = 10, h = 0.7
+        tgrid = np.arange(512) * (40 * math.pi * N / 512)
+        members = full_space_correlation(N, h, tgrid)
         ops = full_space_operators(N)
         blocks = dense_sz_blocks(full_hamiltonian(LmgParams(N=N, h=h), ops), N)
         e0 = min(w[0] for _, w, _ in blocks)
@@ -597,15 +626,27 @@ class TestCorrelation:
             phi[blocks[k][0]] = blocks[k][2][:, 0]
             u = ops.sx @ phi
             near = [blocks[j] for j in (k - 1, k + 1) if 0 <= j <= N]
-            weights = np.concatenate([np.abs(v.T @ u[idx]) ** 2 for idx, _, v in near])
+            per_block = [np.abs(v.T @ u[idx]) ** 2 for idx, _, v in near]
+            weights = np.concatenate(per_block)
             omega = np.concatenate([w - e0 for _, w, _ in near])
-            kept = _weighty_lines(weights)
-            assert np.sum(np.delete(weights, kept)) <= _LINE_DROP_RTOL * np.sum(weights)
-            # one line per block: the level of the symmetric multiplet
-            assert kept.size == len(near)
+            # one line per block carries weight: the level of the symmetric
+            # multiplet; the rest are rounding
+            for weight in per_block:
+                assert np.count_nonzero(weight > 1e-20 * np.sum(weights)) == 1
             expected = (4.0 / N**2) * (weights @ np.exp(-1j * omega[:, None] * tgrid))
             bound = (2e-15 + drift) * expected[0].real
             assert np.all(np.abs(series.values - expected) <= bound)
+
+    @pytest.mark.parametrize(
+        "tgrid", [[0.0, 1.0, 3.0], [2.0, 1.0, 0.0], [0.0], [0.0, np.nan], [[0.0, 1.0]]]
+    )
+    def test_bad_grid_is_rejected_before_any_work(self, tgrid, monkeypatch):
+        def no_solve(N):
+            raise AssertionError("solved before the grid was checked")
+
+        monkeypatch.setattr(oracle, "_free_spectrum", no_solve)
+        with pytest.raises(ValueError, match="time grid"):
+            full_space_correlation(6, 0.5, tgrid)
 
     @pytest.mark.parametrize("N", [0, -1])
     def test_empty_chain_is_rejected(self, N):
@@ -613,19 +654,6 @@ class TestCorrelation:
             full_space_correlation(N, 0.5, np.arange(4) * 1.0)
         with pytest.raises(ValueError, match="N must be >= 1"):
             sector_vs_full_checks(N, 0.5)
-
-    def test_dropped_weight_is_bounded(self):
-        rng = np.random.default_rng(5)
-        for size in (1, 2, 7, 400):
-            weights = 10.0 ** rng.uniform(-40, 0, size)
-            kept = _weighty_lines(weights)
-            assert np.array_equal(kept, np.sort(kept))
-            dropped = np.delete(weights, kept)
-            assert np.sum(dropped) <= _LINE_DROP_RTOL * np.sum(weights)
-            # maximal: the lightest kept line would break the bound
-            lightest = np.min(weights[kept])
-            assert np.sum(dropped) + lightest > _LINE_DROP_RTOL * np.sum(weights)
-            assert np.all(dropped <= lightest)
 
     def test_sy_and_sz_are_built_on_first_access(self, monkeypatch):
         ops = full_space_operators(5)

@@ -243,6 +243,10 @@ class TestNewmanAlpha:
         assert r1.boundary == "h=1"
         assert r1.c_h == 0.0
 
+    def test_rate_at_h1_is_positive_zero(self):
+        # -ln 1 is -0.0; the gap summary reads c_h from here and writes 0.0
+        assert math.copysign(1.0, newman_alpha(10, 1.0).c_h) == 1.0
+
 
 class TestWkbRate:
     @pytest.mark.parametrize(
