@@ -33,7 +33,6 @@ from .model import (
     trial_localized_state,
 )
 from .oracle import (
-    FullSpaceOperators,
     OracleMismatchError,
     full_space_correlation,
     full_space_ground,
@@ -62,7 +61,6 @@ from .spinspace import (
     SpinSector,
     build_sector,
     collective_operators,
-    expectation,
 )
 from .ssb import (
     DegeneratePtGap,

@@ -180,6 +180,11 @@ def validate_config(cfg: argparse.Namespace) -> None:
         raise ValueError("--cutoff-k must be >= 0")
     if cfg.tmax is not None and not 0.0 < cfg.tmax < math.inf:
         raise ValueError("--tmax must be positive and finite")
+    # the step tmax/samples must be a normal double (5e-324/16 is 0), and
+    # the top periodogram bin 2 pi N (samples // 2) / tmax must stay finite
+    if cfg.tmax is not None and (cfg.tmax / cfg.samples < sys.float_info.min or math.isinf(
+            2.0 * math.pi * max(cfg.n) * (cfg.samples // 2) / cfg.tmax)):
+        raise ValueError("--tmax is too small for a time grid of --samples steps")
     if cfg.command == "modes" and len({_mode_stem(h) for h in fields}) < len(fields):
         raise ValueError(f"modes names each waveform file by --h to 10 digits, "
                          f"and the values {cfg.h} repeat a name")

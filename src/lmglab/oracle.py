@@ -71,44 +71,19 @@ def _site_bits(N: int) -> np.ndarray:
     return 1 << (N - 1 - np.arange(N))
 
 
-@dataclass(frozen=True, eq=False)
-class FullSpaceOperators:
-    """Dense collective operators S_x, S_y, S_z on the 2^N product space.
+def full_space_operators(N: int) -> np.ndarray:
+    """The collective S_x on the 2^N product space, dense and real: the sum of
+    the single-site Pauli x/2, built by flipping single bits of the index.
 
     The basis follows the Kronecker ordering: site 0 is the most significant
     bit of the index and a 0 bit is spin up, so index 0 is the all-up state.
-    Each site's S_x and S_y connect the indices that differ in its bit, and
-    S_z is diagonal with N/2 minus the number of down spins.  ``sx`` and
-    ``sz`` are real; ``sy`` is complex with a zero real part.  ``sy`` and
-    ``sz`` are built on first access, as only some callers read them.
     """
-
-    N: int
-    sx: np.ndarray
-
-    @functools.cached_property
-    def sy(self) -> np.ndarray:
-        index = np.arange(1 << self.N)
-        sy = np.zeros((1 << self.N, 1 << self.N), dtype=np.complex128)
-        for bit in _site_bits(self.N):
-            # <down|s_y|up> = i/2, <up|s_y|down> = -i/2
-            sy[index ^ bit, index] = np.where((index & bit) != 0, -0.5j, 0.5j)
-        return sy
-
-    @functools.cached_property
-    def sz(self) -> np.ndarray:
-        return np.diag(self.N / 2 - _down_spins(np.arange(1 << self.N), self.N))
-
-
-def full_space_operators(N: int) -> FullSpaceOperators:
-    """Collective spin operators as sums of single-site Pauli/2 matrices,
-    built by flipping single bits of the index (see ``FullSpaceOperators``)."""
     _check_full_size(N)
     index = np.arange(1 << N)
     sx = np.zeros((1 << N, 1 << N))
     for bit in _site_bits(N):
         sx[index ^ bit, index] = 0.5
-    return FullSpaceOperators(N=N, sx=sx)
+    return sx
 
 
 class _Orbits(NamedTuple):

@@ -186,9 +186,3 @@ def collective_operators(sector: SpinSector) -> CollectiveOperators:
     sx = BandedHermitianOperator(sector.dim, {1: a / 2.0})
     sy = BandedHermitianOperator(sector.dim, {1: -0.5j * a})
     return CollectiveOperators(sx=sx, sy=sy, sz=sz)
-
-
-def expectation(op, psi) -> complex:
-    """<psi|op|psi> as a complex scalar."""
-    amps = _check_state(psi, op.dim)
-    return complex(np.vdot(amps, op.apply(amps)))

@@ -1,9 +1,9 @@
 """CSV bodies of float tables, formatted exactly like ``"%.17g"`` but vectorized.
 
-``csv_body(table)`` returns the bytes of ``"%.17g,...,%.17g\\n" % row`` over
-every row of a 2-D float64 table, and ``csv_pieces(table)`` the same bytes
-in pieces for ``writelines``.  CPython formats one float at a time (about
-0.5 us per value); this module does the same conversion over whole arrays.
+``csv_pieces(table)`` yields the bytes of ``"%.17g,...,%.17g\\n" % row`` over
+every row of a 2-D float64 table, in pieces for ``writelines``.  CPython
+formats one float at a time (about 0.5 us per value); this module does the
+same conversion over whole arrays.
 
 For a double x with decimal exponent k, the 17 significant digits are
 D = round-half-even(|x| 10^s), s = 16 - k.  For s <= 22, 10^s is exact in
@@ -46,7 +46,6 @@ faults in chunk-sized temporaries; rows are compacted ``SLICE`` at a time.
 from __future__ import annotations
 
 import functools
-import io
 
 import numpy as np
 
@@ -269,10 +268,11 @@ def _chunk_text(ws, x, sep):
 
 
 def csv_pieces(table):
-    """The bytes of ``csv_body(table)`` in pieces, for ``writelines``."""
+    """The bytes of ``"%.17g,...,%.17g\\n" % row`` over every row of a 2-D
+    ``table``, in pieces for ``writelines``."""
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2:
-        raise ValueError("csv_body takes a 2-D table")
+        raise ValueError("csv_pieces takes a 2-D table")
     if table.size == 0:
         return
     n_cols = table.shape[1]
@@ -294,10 +294,3 @@ def csv_pieces(table):
                 yield row[a : a + SLICE].tobytes().translate(None, b"\0")
     finally:
         _POOL[:] = [ws]
-
-
-def csv_body(table) -> bytes:
-    """The bytes of ``"%.17g,...,%.17g\\n" % row`` over every row of a 2-D ``table``."""
-    body = io.BytesIO()
-    body.writelines(csv_pieces(table))
-    return body.getvalue()

@@ -1,11 +1,12 @@
-"""Reference states for the tests: the product coherent spin state and the
-two plain-array constructors the tests build states with."""
+"""Reference states for the tests: the product coherent spin state, the
+two plain-array constructors the tests build states with, and the
+expectation value the tests read states with."""
 
 import math
 
 import numpy as np
 
-from lmglab.spinspace import SpinSector
+from lmglab.spinspace import SpinSector, _check_state
 
 
 def unit(x) -> np.ndarray:
@@ -19,6 +20,13 @@ def basis(dim: int, i: int) -> np.ndarray:
     amps = np.zeros(dim, dtype=np.complex128)
     amps[i] = 1.0
     return amps
+
+
+def expectation(op, psi) -> complex:
+    """<psi|op|psi> as a complex scalar, for a state that lmglab's own
+    functions would accept."""
+    amps = _check_state(psi, op.dim)
+    return complex(np.vdot(amps, op.apply(amps)))
 
 
 def coherent_state(sector: SpinSector, theta: float, phi: float = 0.0) -> np.ndarray:

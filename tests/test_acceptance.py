@@ -36,7 +36,6 @@ from lmglab.spectra import (
 from lmglab.spinspace import (
     build_sector,
     collective_operators,
-    expectation,
 )
 from lmglab.ssb import (
     degenerate_pt_gap,
@@ -45,7 +44,7 @@ from lmglab.ssb import (
     wkb_rate,
 )
 
-from coherent import basis, unit
+from coherent import basis, expectation, unit
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -664,13 +664,18 @@ class TestUsageErrors:
             (["evolve", "--samples", "8"], "--samples"),
             (["evolve", "--cutoff-k", "-1"], "--cutoff-k"),
             (["evolve", "--tmax", "-1"], "--tmax"),
+            # a subnormal step overflows the periodogram bins; a zero one
+            # is no grid
+            (["spectrum", "--n", "50", "--h", "0.6", "--samples", "16", "--tmax", "1e-310"],
+             "--tmax"),
+            (["quasicrystal", "--n", "50", "--samples", "16", "--tmax", "5e-324"], "--tmax"),
             (["modes", "--h", "0.5,0.5"], "--h"),
             (["quasicrystal", "--kappa", "1"], "--kappa"),
             (["gap", "--n", "40", "--h", "0.5", "--g", "1e-4"], "--g"),
         ],
         ids=["n", "h", "gamma", "h-nan", "phi-n", "threshold", "broken-phase-h",
              "trial-g", "trial-n", "trial-h", "samples", "cutoff-k", "tmax",
-             "modes-h", "kappa", "gap-g"],
+             "tmax-subnormal-step", "tmax-zero-step", "modes-h", "kappa", "gap-g"],
     )
     def test_rejection_names_its_flag(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "run"

@@ -57,7 +57,7 @@ def values(key, N, cap):
         "gamma": rarely(st.floats(0.0, 1.0), st.sampled_from((-0.1, 1.5))),
         "g": listed(st.sampled_from((0.0, 1e-6, 1e-4, 1e-2, -1e-3)), 2),
         "phi-n": st.floats(-3.5, 3.5),
-        "tmax": rarely(st.floats(1.0, 500.0), st.sampled_from((0.0, -10.0))),
+        "tmax": rarely(st.floats(1.0, 500.0), st.sampled_from((0.0, -10.0, 1e-310, 5e-324))),
         "samples": rarely(st.integers(16, 256), st.integers(-5, 15)),
         "cutoff-k": rarely(st.integers(0, 5), st.just(-1)),
         "kappa": rarely(st.floats(0.05, 0.95), st.sampled_from((0.0, 1.0, -0.5))),

@@ -37,14 +37,13 @@ from lmglab.spinspace import (
     _Raising,
     build_sector,
     collective_operators,
-    expectation,
     ladder_plus_band,
 )
-from lmglab.oracle import full_space_ground, full_space_operators
+from lmglab.oracle import full_space_ground
 from lmglab.spectra import line_spectrum, periodogram
 from lmglab.ssb import degenerate_pt_gap, localize_ground_state
 
-from coherent import basis, coherent_state, unit
+from coherent import basis, coherent_state, expectation, unit
 
 
 def isotropic_eigensystem(N, h):
@@ -1125,7 +1124,6 @@ ARRAY_RECORDS = {
     "ProjectedModes": lambda: projected_init(_kicked().state, build_sector(6), 0.5),
     "CorrelationMember": lambda: correlation_fN(build_sector(6), 0.5, np.arange(8.0)).members[0],
     "TrialState": lambda: trial_localized_state(build_sector(6), 0.5),
-    "FullSpaceOperators": lambda: full_space_operators(6),
     "FullGround": lambda: full_space_ground(LmgParams(N=6, h=0.5)),
     "LineSpectrum": lambda: line_spectrum(
         isotropic_eigensystem(6, 0.5)[1], _kicked().state,

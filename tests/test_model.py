@@ -14,10 +14,9 @@ from lmglab.model import (
 from lmglab.spinspace import (
     build_sector,
     collective_operators,
-    expectation,
 )
 
-from coherent import coherent_state
+from coherent import coherent_state, expectation
 
 
 def brute_force_ground_scan(N, h):

@@ -13,7 +13,6 @@ from lmglab.evolve import correlation_fN, eigensystem
 from lmglab import oracle
 from lmglab.model import DEGENERACY_RTOL, LAM, LmgParams, build_hamiltonian, ground_M
 from lmglab.oracle import (
-    FullSpaceOperators,
     _free_correlation,
     _free_lines,
     _free_pairs,
@@ -72,7 +71,24 @@ def down_spins(N):
     return np.array([bin(i).count("1") for i in range(1 << N)])
 
 
-def full_hamiltonian(params, ops, g=0.0, phi_n=0.0):
+def dense_sy(N):
+    """Reference S_y on the product space: each site's s_y connects the
+    indices that differ in its bit, <down|s_y|up> = i/2."""
+    index = np.arange(1 << N)
+    sy = np.zeros((1 << N, 1 << N), dtype=np.complex128)
+    for site in range(N):
+        bit = 1 << (N - 1 - site)
+        sy[index ^ bit, index] = np.where((index & bit) != 0, -0.5j, 0.5j)
+    return sy
+
+
+def dense_operators(N):
+    """Dense (S_x, S_y, S_z): lmglab's S_x, and S_y and S_z built here, S_z
+    diagonal with N/2 minus the number of down spins."""
+    return full_space_operators(N), dense_sy(N), np.diag(N / 2 - down_spins(N))
+
+
+def full_hamiltonian(params, g=0.0, phi_n=0.0):
     """Dense reference H = (LAM/N)(Sx^2 + gamma Sy^2) - h Sz - g S_n on the
     product space, entry by entry from the index bits.
 
@@ -80,10 +96,11 @@ def full_hamiltonian(params, ops, g=0.0, phi_n=0.0):
     s^x_i s^x_j + gamma s^y_i s^y_j.  The N terms with i = j put (1+gamma)/4
     each on the diagonal.  The terms with i != j flip the bits of sites i
     and j: with amplitude (1+gamma)/2 when the two spins are antiparallel
-    and (1-gamma)/2 when they are parallel.  The kick flips single bits
-    through ``ops``.  H is complex only when the kick has a y component.
+    and (1-gamma)/2 when they are parallel.  The kick is -g (cos phi_n S_x
+    + sin phi_n S_y) of ``dense_operators``.  H is complex only when the kick
+    has a y component.
     """
-    N = ops.N
+    N = params.N
     scale = LAM / params.N
     gamma = params.gamma
     index = np.arange(1 << N)
@@ -101,9 +118,9 @@ def full_hamiltonian(params, ops, g=0.0, phi_n=0.0):
                 parallel, double_flip, flip_flop
             )
     if g != 0.0:
-        h_full -= (g * math.cos(phi_n)) * ops.sx
+        h_full -= (g * math.cos(phi_n)) * full_space_operators(N)
         if math.sin(phi_n) != 0.0:
-            h_full = h_full - (g * math.sin(phi_n)) * ops.sy
+            h_full = h_full - (g * math.sin(phi_n)) * dense_sy(N)
     return h_full
 
 
@@ -134,26 +151,26 @@ def sector_multiplicity(N, s):
 
 class TestOperators:
     def test_single_spin(self):
-        ops = full_space_operators(1)
-        assert np.allclose(ops.sx, [[0, 0.5], [0.5, 0]])
-        assert np.allclose(ops.sy, [[0, -0.5j], [0.5j, 0]])
-        assert np.allclose(ops.sz, [[0.5, 0], [0, -0.5]])
+        sx, sy, sz = dense_operators(1)
+        assert np.allclose(sx, [[0, 0.5], [0.5, 0]])
+        assert np.allclose(sy, [[0, -0.5j], [0.5j, 0]])
+        assert np.allclose(sz, [[0.5, 0], [0, -0.5]])
 
     @pytest.mark.parametrize("N", [1, 3, 6])
     def test_traceless(self, N):
-        ops = full_space_operators(N)
-        for op in (ops.sx, ops.sy, ops.sz):
+        sx, sy, sz = dense_operators(N)
+        for op in (sx, sy, sz):
             assert abs(np.trace(op)) <= 1e-12
 
     def test_hermitian(self):
-        ops = full_space_operators(5)
-        for op in (ops.sx, ops.sy, ops.sz):
+        sx, sy, sz = dense_operators(5)
+        for op in (sx, sy, sz):
             assert np.max(np.abs(op - op.conj().T)) <= 1e-12
 
     @pytest.mark.parametrize("N", [4, 6])
     def test_casimir_spectrum_matches_sector_decomposition(self, N):
-        ops = full_space_operators(N)
-        s2 = ops.sx @ ops.sx + ops.sy @ ops.sy + ops.sz @ ops.sz
+        sx, sy, sz = dense_operators(N)
+        s2 = sx @ sx + sy @ sy + sz @ sz
         eigenvalues = np.linalg.eigvalsh(s2)
         s_values = np.arange(N % 2 / 2.0, N / 2.0 + 0.1, 1.0)
         expected = []
@@ -164,12 +181,12 @@ class TestOperators:
 
     @pytest.mark.parametrize("N", range(1, 8))
     def test_bit_construction_equals_kron_sum(self, N):
-        ops = full_space_operators(N)
-        assert np.array_equal(ops.sx, kron_site_sum(N, _PAULI_HALF["x"]))
-        assert np.array_equal(ops.sy, kron_site_sum(N, _PAULI_HALF["y"]))
-        assert np.array_equal(ops.sz, kron_site_sum(N, _PAULI_HALF["z"]))
-        assert not np.iscomplexobj(ops.sx) and not np.iscomplexobj(ops.sz)
-        assert np.iscomplexobj(ops.sy) and not np.any(ops.sy.real)
+        sx, sy, sz = dense_operators(N)
+        assert np.array_equal(sx, kron_site_sum(N, _PAULI_HALF["x"]))
+        assert np.array_equal(sy, kron_site_sum(N, _PAULI_HALF["y"]))
+        assert np.array_equal(sz, kron_site_sum(N, _PAULI_HALF["z"]))
+        assert not np.iscomplexobj(sx) and not np.iscomplexobj(sz)
+        assert np.iscomplexobj(sy) and not np.any(sy.real)
 
     def test_resource_cap(self):
         with pytest.raises(ValueError):
@@ -181,9 +198,9 @@ class TestOperators:
 class TestGround:
     def test_total_spin_is_conserved(self):
         N = 6
-        ops = full_space_operators(N)
-        ham = full_hamiltonian(LmgParams(N=N, h=0.4), ops)
-        s2 = ops.sx @ ops.sx + ops.sy @ ops.sy + ops.sz @ ops.sz
+        sx, sy, sz = dense_operators(N)
+        ham = full_hamiltonian(LmgParams(N=N, h=0.4))
+        s2 = sx @ sx + sy @ sy + sz @ sz
         assert np.max(np.abs(ham @ s2 - s2 @ ham)) <= 1e-10
 
     def test_ground_energy_matches_sector(self):
@@ -196,10 +213,10 @@ class TestGround:
 
     def test_ground_lives_in_maximal_spin_sector(self):
         N = 8
-        ops = full_space_operators(N)
+        sx, sy, sz = dense_operators(N)
         full = full_space_ground(LmgParams(N=N, h=0.5))
         # polynomial projector onto S = N/2 built from the Casimir spectrum
-        s2 = ops.sx @ ops.sx + ops.sy @ ops.sy + ops.sz @ ops.sz
+        s2 = sx @ sx + sy @ sy + sz @ sz
         s_max = N / 2.0
         target = s_max * (s_max + 1.0)
         projector = np.eye(2**N, dtype=complex)
@@ -242,23 +259,22 @@ class TestGround:
     )
     def test_hamiltonian_is_real_unless_kicked_off_axis(self, g, phi_n):
         N = 4
-        ops = full_space_operators(N)
         for gamma in (0.0, 0.5, 1.0):
-            ham = full_hamiltonian(LmgParams(N=N, h=0.5, gamma=gamma), ops, g=g, phi_n=phi_n)
+            ham = full_hamiltonian(LmgParams(N=N, h=0.5, gamma=gamma), g=g, phi_n=phi_n)
             assert np.iscomplexobj(ham) == (g != 0.0 and math.sin(phi_n) != 0.0)
             assert np.max(np.abs(ham - ham.conj().T)) <= 1e-14
 
     def test_hamiltonian_matches_operator_products(self):
         N = 5
-        ops = full_space_operators(N)
+        sx, sy, sz = dense_operators(N)
         kicks = [(0.0, 0.0), (0.03, 0.0), (0.03, 0.7)]  # none, along x, complex
         for gamma in (0.0, 0.35, 1.0):
             for g, phi_n in kicks:
                 params = LmgParams(N=N, h=0.45, gamma=gamma)
-                s2 = ops.sx @ ops.sx + params.gamma * (ops.sy @ ops.sy)
-                kick = math.cos(phi_n) * ops.sx + math.sin(phi_n) * ops.sy
-                expected = (LAM / N) * s2 - params.h * ops.sz - g * kick
-                ham = full_hamiltonian(params, ops, g=g, phi_n=phi_n)
+                s2 = sx @ sx + params.gamma * (sy @ sy)
+                kick = math.cos(phi_n) * sx + math.sin(phi_n) * sy
+                expected = (LAM / N) * s2 - params.h * sz - g * kick
+                ham = full_hamiltonian(params, g=g, phi_n=phi_n)
                 assert np.max(np.abs(ham - expected)) <= 1e-13
 
     @pytest.mark.parametrize("N", range(1, 9))
@@ -267,7 +283,7 @@ class TestGround:
         # each the h-free block shifted by -h (N/2 - k); a block
         # 0 < q < N/2 also stands for its conjugate at N - q
         h = 0.37
-        ham = full_hamiltonian(LmgParams(N=N, h=h), full_space_operators(N))
+        ham = full_hamiltonian(LmgParams(N=N, h=h))
         blocks = _free_spectrum(N)[0]
         qs = range(N // 2 + 1)
         expected = {(q, k): size for k in range(N + 1)
@@ -284,14 +300,13 @@ class TestGround:
     def test_columns_rebuild_the_dense_reference(self, N):
         # with every index as a representative, the columns are all of H
         index = np.arange(1 << N)
-        ops = full_space_operators(N)
         for gamma in (0.0, 0.35, 1.0):
             params = LmgParams(N=N, h=0.45, gamma=gamma)
             for g, phi_n in [(0.0, 0.0), (0.03, 0.0), (0.03, 0.7), (0.03, math.pi / 2)]:
                 targets, amps = _lmg_columns(params, index, g, phi_n)
                 ham = np.zeros((1 << N, 1 << N), dtype=amps.dtype)
                 np.add.at(ham, (targets, index[:, None]), amps)
-                reference = full_hamiltonian(params, ops, g=g, phi_n=phi_n)
+                reference = full_hamiltonian(params, g=g, phi_n=phi_n)
                 assert np.iscomplexobj(ham) == np.iscomplexobj(reference)
                 assert np.array_equal(ham, reference)
 
@@ -312,7 +327,7 @@ class TestGround:
     )
     def test_reversal_block_ground_equals_dense_ground(self, N, h, gamma, g, phi_n):
         params = LmgParams(N=N, h=h, gamma=gamma)
-        ham = full_hamiltonian(params, full_space_operators(N), g=g, phi_n=phi_n)
+        ham = full_hamiltonian(params, g=g, phi_n=phi_n)
         w, v = np.linalg.eigh(ham)
         degenerate = w[1] - w[0] <= DEGENERACY_RTOL * max(1.0, abs(w[0]))
         full = full_space_ground(params, g=g, phi_n=phi_n)
@@ -452,7 +467,7 @@ class TestMomentumBlocks:
 )
 def test_momentum_blocks_match_dense_reference(N, h, gamma, g, phi_n):
     params = LmgParams(N=N, h=h, gamma=gamma)
-    ham = full_hamiltonian(params, full_space_operators(N), g=g, phi_n=phi_n)
+    ham = full_hamiltonian(params, g=g, phi_n=phi_n)
     norm = np.linalg.norm(ham, 2)
     orbits = _orbits(N)
     _, levels = _momentum_ground(orbits, *_lmg_columns(params, orbits.reps, g, phi_n))
@@ -488,8 +503,47 @@ def test_weyl_floor_bounds_every_block_and_keeps_the_ground(N, h, gamma, g, phi_
     assert np.max(np.abs(levels[:2] - spectrum[:2])) <= tol
     assert abs(bounded.energy - full.energy) <= tol
     assert bounded.degenerate == full.degenerate
-    ham = full_hamiltonian(params, full_space_operators(N), g=g, phi_n=phi_n)
+    ham = full_hamiltonian(params, g=g, phi_n=phi_n)
     assert np.linalg.norm(ham @ bounded.vector - bounded.energy * bounded.vector) <= tol
+
+
+def spin_sector_levels(N, gamma, h, g, phi_n):
+    """The 2^N levels from lmglab's Dicke sectors alone.  H commutes with S^2,
+    and on each of the d_S copies of spin S it is the Dicke-sector H of
+    N' = 2S spins at field hN/N' and kick gN/N', scaled by N'/N, as only the
+    coupling carries the 1/N; a singlet S = 0 adds the level 0."""
+    levels = []
+    for n in range(N % 2, N + 1, 2):
+        if n == 0:
+            block = np.zeros(1)
+        else:
+            params = LmgParams(N=n, h=h * N / n, gamma=gamma)
+            ham = build_hamiltonian(params, build_sector(n), g * N / n, phi_n)
+            block = (n / N) * eigensystem(ham).energies
+        levels += [block] * sector_multiplicity(N, n / 2)
+    return np.sort(np.concatenate(levels))
+
+
+@pytest.mark.parametrize("kicked", [False, True])
+@seed(20261020)
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    N=st.integers(1, 10),
+    h=st.floats(0.0, 1.5),
+    gamma=st.floats(0.0, 1.0),
+    g=st.floats(-0.3, 0.3),
+    phi_n=st.floats(0.0, 2.0 * math.pi),
+)
+def test_every_full_level_is_a_rescaled_dicke_level(kicked, N, h, gamma, g, phi_n):
+    # every level of every spin-S copy, against the momentum blocks solved
+    # all (no floor), which share no code with the sector side
+    g = g if kicked else 0.0
+    params = LmgParams(N=N, h=h, gamma=gamma)
+    orbits = _orbits(N)
+    _, full = _momentum_ground(orbits, *_lmg_columns(params, orbits.reps, g, phi_n))
+    sector = spin_sector_levels(N, gamma, h, g, phi_n)
+    assert full.shape == sector.shape == (2**N,)
+    assert np.max(np.abs(full - sector)) <= 1e-13 * np.max(np.abs(full))
 
 
 @pytest.mark.parametrize("N", range(4, 13))
@@ -583,9 +637,9 @@ class TestCorrelation:
         N, h = 6, 0.4
         tgrid = np.arange(16) * 1.0
         members = full_space_correlation(N, h, tgrid)
-        ops = full_space_operators(N)
+        sx = full_space_operators(N)
         full = full_space_ground(LmgParams(N=N, h=h))
-        static = 4.0 / N**2 * np.vdot(ops.sx @ full.vector, ops.sx @ full.vector).real
+        static = 4.0 / N**2 * np.vdot(sx @ full.vector, sx @ full.vector).real
         assert members[0][1].values[0].real == pytest.approx(static, rel=1e-10)
 
     def test_phase_sum_memory_is_bounded(self):
@@ -614,8 +668,8 @@ class TestCorrelation:
         # N = 10, h = 0.7
         tgrid = np.arange(512) * (40 * math.pi * N / 512)
         members = full_space_correlation(N, h, tgrid)
-        ops = full_space_operators(N)
-        blocks = dense_sz_blocks(full_hamiltonian(LmgParams(N=N, h=h), ops), N)
+        sx = full_space_operators(N)
+        blocks = dense_sz_blocks(full_hamiltonian(LmgParams(N=N, h=h)), N)
         e0 = min(w[0] for _, w, _ in blocks)
         norm = max(np.max(np.abs(w)) for _, w, _ in blocks)
         drift = 8 * np.finfo(float).eps * norm * tgrid
@@ -624,7 +678,7 @@ class TestCorrelation:
             k = round(N / 2 - m0)
             phi = np.zeros(2**N)
             phi[blocks[k][0]] = blocks[k][2][:, 0]
-            u = ops.sx @ phi
+            u = sx @ phi
             near = [blocks[j] for j in (k - 1, k + 1) if 0 <= j <= N]
             per_block = [np.abs(v.T @ u[idx]) ** 2 for idx, _, v in near]
             weights = np.concatenate(per_block)
@@ -655,27 +709,13 @@ class TestCorrelation:
         with pytest.raises(ValueError, match="N must be >= 1"):
             sector_vs_full_checks(N, 0.5)
 
-    def test_sy_and_sz_are_built_on_first_access(self, monkeypatch):
-        ops = full_space_operators(5)
-        assert "sy" not in vars(ops) and "sz" not in vars(ops)
-        assert ops.sy is ops.sy and ops.sz is ops.sz
-
-        def refuse(self):
-            raise AssertionError("built an operator nobody reads")
-
-        # the free-H correlation and the gamma = 1 checks read S_x only
-        monkeypatch.setattr(FullSpaceOperators, "sy", property(refuse))
-        monkeypatch.setattr(FullSpaceOperators, "sz", property(refuse))
-        full_space_correlation(5, 0.5, np.arange(8) * 1.0)
-        assert sector_vs_full_checks(5, 0.5).worst() <= 1e-9
-
     def test_exactly_two_lines_in_full_space(self):
         # the spectral weights of Sx|ground> touch only the two neighbors
         N, h = 8, 0.4
-        ops = full_space_operators(N)
+        sx = full_space_operators(N)
         params = LmgParams(N=N, h=h)
-        w, v = np.linalg.eigh(full_hamiltonian(params, ops))
-        u = ops.sx @ v[:, 0]
+        w, v = np.linalg.eigh(full_hamiltonian(params))
+        u = sx @ v[:, 0]
         proj = np.abs(v.conj().T @ u) ** 2
         strong = proj > 1e-20 * proj.max()
         distinct = np.unique(np.round(w[strong] - w[0], 12))
@@ -897,6 +937,6 @@ def test_warm_calls_repeat_cold_calls_bit_for_bit(N, h, other):
         for (q, k), w in _free_spectrum(N)[1].items()
         for _ in range(2 if 0 < 2 * q < N else 1)
     ]))
-    ham = full_hamiltonian(LmgParams(N=N, h=h), full_space_operators(N))
+    ham = full_hamiltonian(LmgParams(N=N, h=h))
     assert np.max(np.abs(levels - np.linalg.eigvalsh(ham))) <= 1e-12
     assert e0 == levels[0]

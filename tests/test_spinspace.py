@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coherent import basis, unit
+from coherent import basis, expectation, unit
 from lmglab.evolve import (
     bohr_lines,
     eigensystem,
@@ -15,7 +15,6 @@ from lmglab.spinspace import (
     BandedHermitianOperator,
     build_sector,
     collective_operators,
-    expectation,
     ladder_plus_band,
 )
 from lmglab.ssb import order_parameter
@@ -193,7 +192,8 @@ def test_dimension_mismatch_raises():
 
 
 def _state_entries(N):
-    """Each public function that reads a state, as psi -> call, at N spins."""
+    """Each public function that reads a state, and the tests' own
+    ``expectation``, as psi -> call, at N spins."""
     sec = build_sector(N)
     ops = collective_operators(sec)
     eig = eigensystem(build_hamiltonian(LmgParams(N=N, h=0.4, gamma=0.5), sec))

@@ -14,7 +14,6 @@ from lmglab.spinspace import (
     BandedHermitianOperator,
     build_sector,
     collective_operators,
-    expectation,
 )
 from lmglab.ssb import (
     two_well_eigenvalues,
@@ -26,7 +25,7 @@ from lmglab.ssb import (
     wkb_rate,
 )
 
-from coherent import basis, coherent_state, unit
+from coherent import basis, coherent_state, expectation, unit
 
 # splittings below this are double-precision noise at O(1) matrix norms
 RESOLUTION_FLOOR = 1e-13

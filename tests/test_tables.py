@@ -1,5 +1,6 @@
-"""csv_body against Python's own "%.17g", byte for byte."""
+"""csv_pieces against Python's own "%.17g", byte for byte."""
 
+import io
 import itertools
 import math
 import os
@@ -16,7 +17,15 @@ from hypothesis import strategies as st
 import lmglab
 from lmglab import tables
 from lmglab.cli import main
-from lmglab.tables import CHUNK, PER_VALUE_MAX, csv_body, csv_pieces
+from lmglab.tables import CHUNK, PER_VALUE_MAX, csv_pieces
+
+
+def csv_body(table):
+    """The text ``csv_pieces`` yields, gathered one piece at a time as a file
+    takes it: ``b"".join`` would hold every piece and the whole at once."""
+    body = io.BytesIO()
+    body.writelines(csv_pieces(table))
+    return body.getvalue()
 
 
 def per_value_text(rows):
@@ -190,7 +199,6 @@ def test_tables_in_any_order_share_nothing():
                  "spectrum", "small", "wide", "special", "spectrum"]:
         table = shaped[name]
         assert csv_body(table) == per_value_text(table.tolist()), name
-        assert b"".join(csv_pieces(table)) == csv_body(table), name
 
 
 def test_cached_lookup_arrays_are_read_only():
