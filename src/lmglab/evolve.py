@@ -129,14 +129,27 @@ class EigenSystem:
     def to_energy_basis(self, amps: np.ndarray) -> np.ndarray:
         if self.permutation is not None:
             return amps[self.permutation]
-        return self.vectors.conj().T @ amps
+        if np.iscomplexobj(self.vectors):
+            return self.vectors.conj().T @ amps
+        return _real_times(self.vectors.T, amps)
 
     def from_energy_basis(self, coeffs: np.ndarray) -> np.ndarray:
         if self.permutation is not None:
             out = np.empty_like(coeffs)
             out[self.permutation] = coeffs
             return out
-        return self.vectors @ coeffs
+        return _real_times(self.vectors, coeffs)
+
+
+def _real_times(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """matrix @ x; a real matrix takes a complex x's real and imaginary parts
+    one at a time, where ``@`` would cast the whole matrix to complex."""
+    if np.iscomplexobj(matrix) or not np.iscomplexobj(x):
+        return matrix @ x
+    real = matrix @ x.real
+    out = np.empty(real.shape, dtype=np.result_type(matrix, x))
+    out.real, out.imag = real, matrix @ x.imag
+    return out
 
 
 def _parity_blocks(op: BandedHermitianOperator) -> list[np.ndarray]:

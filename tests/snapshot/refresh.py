@@ -10,7 +10,10 @@ it ran on.
 
 A refresh records what the program writes now.  It is never a way to make
 a failing snapshot pass: a change that refreshes the digest names in
-CHANGES.md every file whose digest changed, and why.
+CHANGES.md every file whose digest changed, and why.  After writing the
+digest the script prints each file whose SHA-256 differs from the digest it
+replaced, and whether the test's tolerant comparison (``file_mismatches``)
+still holds for it.
 
 The digest of a file holds its SHA-256, and:
 - for a CSV table, its header, its row count and, per column, the sum, the
@@ -23,6 +26,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
+import math
 import platform
 import sys
 import tempfile
@@ -36,6 +40,8 @@ HERE = Path(__file__).resolve().parent
 OPS = HERE / "ops.json"
 DIGEST = HERE / "digest.json"
 SAMPLED_ROWS = 8
+RTOL = 1e-12
+NOISE_ATOL = 1e-13
 
 
 def blas_threads() -> int | None:
@@ -117,12 +123,95 @@ def run_ops(out: Path, workload: str) -> list[dict]:
     return result
 
 
+def is_noise(name: str) -> bool:
+    return name.endswith("_dev") or name.startswith("worst")
+
+
+def close(a, b, tol: float) -> bool:
+    x, y = float(a), float(b)
+    return x == y or (math.isnan(x) and math.isnan(y)) or abs(x - y) <= tol
+
+
+def table_mismatches(old: dict, new: dict) -> list[str]:
+    if (old["header"], old["rows"]) != (new["header"], new["rows"]):
+        return [f"header or rows {old['header']!r} x {old['rows']} -> "
+                f"{new['header']!r} x {new['rows']}"]
+    found = []
+    for j, name in enumerate(old["header"].split(",")):
+        _, abs_total, peak = (float(row[j]) for row in old["stats"])
+        if is_noise(name):
+            value_tol, sum_tol = NOISE_ATOL, NOISE_ATOL * old["rows"]
+        else:
+            value_tol, sum_tol = RTOL * peak, RTOL * abs_total
+        tols = (sum_tol, sum_tol, value_tol)  # sum, sum of |x|, max|x|
+        pairs = [(a[j], b[j], tol) for a, b, tol in zip(old["stats"], new["stats"], tols)]
+        pairs += [(a[j], b[j], value_tol) for a, b in zip(old["sampled"], new["sampled"])]
+        if not all(close(*pair) for pair in pairs):
+            found.append(f"column {name}")
+    return found
+
+
+def json_mismatches(old, new, key: str = "") -> list[str]:
+    if isinstance(old, dict):
+        if not isinstance(new, dict) or old.keys() != new.keys():
+            return [f"keys of {key or 'the file'}"]
+        return [m for k in old for m in json_mismatches(old[k], new[k], k)]
+    if isinstance(old, list):
+        if not isinstance(new, list) or len(old) != len(new):
+            return [f"length of {key}"]
+        return [m for a, b in zip(old, new) for m in json_mismatches(a, b, key)]
+    if isinstance(old, float) and type(new) in (float, int):
+        tol = NOISE_ATOL if is_noise(key) else RTOL * max(1.0, abs(old))
+        return [] if close(old, new, tol) else [f"value of {key}"]
+    return [] if (type(old), old) == (type(new), new) else [f"value of {key}"]
+
+
+def file_mismatches(old: dict, new: dict) -> list[str]:
+    """How the digest ``new`` of a file differs from ``old`` beyond the
+    tolerances, its bytes aside: tables within 1e-12 of a column's scale,
+    JSON numbers within 1e-12 of their magnitude (at least 1), the oracle's
+    deviations (``*_dev``, ``worst*``) within 1e-13 absolute."""
+    if "header" in old:
+        return table_mismatches(old, new)
+    if "value" in old:
+        return json_mismatches(old["value"], new["value"])
+    return []
+
+
+def report(old: dict, new: dict) -> None:
+    """Print each file whose SHA-256 differs between two digests and whether
+    ``file_mismatches`` finds it within the tolerances."""
+    if old["platform"] != new["platform"]:
+        print("the platform changed: bytes may differ in the last bits")
+    changed = 0
+    for workload, new_ops in new["ops"].items():
+        old_ops = old["ops"].get(workload, [])
+        if len(old_ops) != len(new_ops):
+            print(f"{workload}: {len(old_ops)} -> {len(new_ops)} ops")
+        for i, (was, now) in enumerate(zip(old_ops, new_ops)):
+            if was["rc"] != now["rc"]:
+                print(f"{workload} op {i}: exit {was['rc']} -> {now['rc']}")
+            for name in sorted(was["files"].keys() | now["files"].keys()):
+                a, b = was["files"].get(name), now["files"].get(name)
+                if a is None or b is None:
+                    print(f"{workload} op {i} {name}: {'new' if a is None else 'gone'}")
+                elif a["sha256"] != b["sha256"]:
+                    changed += 1
+                    problems = file_mismatches(a, b)
+                    verdict = "fails: " + ", ".join(problems) if problems else "holds"
+                    print(f"{workload} op {i} {name}: bytes changed, tolerant comparison {verdict}")
+    print(f"{changed} files changed bytes")
+
+
 def main() -> None:
+    old = json.loads(DIGEST.read_text(encoding="utf-8")) if DIGEST.exists() else None
     with tempfile.TemporaryDirectory() as tmp:
         digest = {"platform": platform_key(),
                   "ops": {workload: run_ops(Path(tmp), workload) for workload in ops()}}
     DIGEST.write_text(json.dumps(digest, separators=(",", ":")) + "\n", encoding="utf-8")
     print(f"wrote {DIGEST} ({DIGEST.stat().st_size} bytes)", file=sys.stderr)
+    if old is not None:
+        report(old, digest)
 
 
 if __name__ == "__main__":

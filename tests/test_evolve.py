@@ -99,6 +99,25 @@ class TestEigensystem:
             tracemalloc.stop()
         assert peak < 20e6
 
+    @pytest.mark.parametrize("method", ["to_energy_basis", "from_energy_basis"])
+    def test_real_vectors_take_a_complex_state_without_a_complex_copy(self, method):
+        # V @ psi with complex psi would cast the whole real V to complex
+        N = 400
+        eig = eigensystem(build_hamiltonian(LmgParams(N=N, h=0.6, gamma=0.5), build_sector(N)))
+        assert eig.vectors.dtype == np.float64
+        rng = np.random.default_rng(47)
+        psi = unit(rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1))
+        tracemalloc.start()
+        try:
+            out = getattr(eig, method)(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * 8 * (N + 1) ** 2
+        matrix = eig.vectors.T if method == "to_energy_basis" else eig.vectors
+        assert out.dtype == np.complex128
+        assert np.max(np.abs(out - matrix.astype(np.complex128) @ psi)) <= 1e-14
+
     def test_two_level_closed_form(self):
         sec = build_sector(1)
         ham = build_hamiltonian(LmgParams(N=1, h=0.8), sec, g=0.3, phi_n=0.4)

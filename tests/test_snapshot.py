@@ -16,62 +16,15 @@ to make this test pass.
 
 import functools
 import json
-import math
 
 import pytest
 
-from snapshot.refresh import DIGEST, platform_key, run_ops
-
-RTOL = 1e-12
-NOISE_ATOL = 1e-13
+from snapshot.refresh import DIGEST, file_mismatches, platform_key, run_ops
 
 
 @functools.cache
 def recorded() -> dict:
     return json.loads(DIGEST.read_text(encoding="utf-8"))
-
-
-def is_noise(name: str) -> bool:
-    return name.endswith("_dev") or name.startswith("worst")
-
-
-def close(a, b, tol: float) -> bool:
-    x, y = float(a), float(b)
-    return x == y or (math.isnan(x) and math.isnan(y)) or abs(x - y) <= tol
-
-
-def table_mismatches(old: dict, new: dict) -> list[str]:
-    if (old["header"], old["rows"]) != (new["header"], new["rows"]):
-        return [f"header or rows {old['header']!r} x {old['rows']} -> "
-                f"{new['header']!r} x {new['rows']}"]
-    found = []
-    for j, name in enumerate(old["header"].split(",")):
-        _, abs_total, peak = (float(row[j]) for row in old["stats"])
-        if is_noise(name):
-            value_tol, sum_tol = NOISE_ATOL, NOISE_ATOL * old["rows"]
-        else:
-            value_tol, sum_tol = RTOL * peak, RTOL * abs_total
-        tols = (sum_tol, sum_tol, value_tol)  # sum, sum of |x|, max|x|
-        pairs = [(a[j], b[j], tol) for a, b, tol in zip(old["stats"], new["stats"], tols)]
-        pairs += [(a[j], b[j], value_tol) for a, b in zip(old["sampled"], new["sampled"])]
-        if not all(close(*pair) for pair in pairs):
-            found.append(f"column {name}")
-    return found
-
-
-def json_mismatches(old, new, key: str = "") -> list[str]:
-    if isinstance(old, dict):
-        if not isinstance(new, dict) or old.keys() != new.keys():
-            return [f"keys of {key or 'the file'}"]
-        return [m for k in old for m in json_mismatches(old[k], new[k], k)]
-    if isinstance(old, list):
-        if not isinstance(new, list) or len(old) != len(new):
-            return [f"length of {key}"]
-        return [m for a, b in zip(old, new) for m in json_mismatches(a, b, key)]
-    if isinstance(old, float) and type(new) in (float, int):
-        tol = NOISE_ATOL if is_noise(key) else RTOL * max(1.0, abs(old))
-        return [] if close(old, new, tol) else [f"value of {key}"]
-    return [] if (type(old), old) == (type(new), new) else [f"value of {key}"]
 
 
 @pytest.mark.parametrize("workload", ["dynamics", "anisotropic", "validation"])
@@ -88,12 +41,7 @@ def test_outputs_match_the_snapshot(tmp_path, workload):
             continue
         for name, entry in old["files"].items():
             now = new["files"][name]
-            if "header" in entry:
-                problems = table_mismatches(entry, now)
-            elif "value" in entry:
-                problems = json_mismatches(entry["value"], now["value"])
-            else:
-                problems = []
+            problems = file_mismatches(entry, now)
             if byte_for_byte and entry["sha256"] != now["sha256"]:
                 problems.append("bytes")
             found += [f"{where} {name}: {problem}" for problem in problems]

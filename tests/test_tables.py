@@ -264,6 +264,23 @@ def test_second_call_allocates_about_its_output():
     assert peak <= len(body) + 256 * 1024
 
 
+def test_kernel_keeps_under_two_megabytes(monkeypatch):
+    # what the process holds after a table larger than a chunk: the pooled
+    # workspace and the cached separators, not the fixed lookup tables
+    monkeypatch.setattr(tables, "_POOL", [])
+    tables._separators.cache_clear()
+    tables._tables()
+    table = np.random.default_rng(43).standard_normal((20000, 5))
+    tracemalloc.start()
+    try:
+        csv_body(table)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table.size > CHUNK and len(tables._POOL) == 1
+    assert kept <= 2.0e6
+
+
 def test_in_process_run_writes_what_a_fresh_process_writes(tmp_path):
     # the workspace has formatted tables of other shapes before this run
     for table in shaped_tables().values():
