@@ -15,8 +15,9 @@ p1 + e1 = |x| 10^22 by the exact 10^(s-22): p2 + e2 = p1 10^(s-22), and
 f = e2 + fl(e1 10^(s-22)) lies within 2^-48 of |x| 10^s - p2 (p2 < 2^57,
 so |e2| <= 8 and |e1 10^(s-22)| <= 16).  D = p2 + rint(f) is then exact
 unless |x| 10^s is within 2^-46 of a tie; such a row is "in doubt" and
-goes to Python.  k comes from log10 and is corrected on the rows where D
-falls outside [10^16, 10^17); +-0 is D = 0, k = 0.
+goes to Python.  k comes from log10, which may miss it by one next to a
+power of ten: a row whose exact value lies below 10^16 or whose D rounds
+to 10^17 is in doubt too; +-0 is D = 0, k = 0.
 
 Each value's text is laid out in one row of 24 uint16 slots (48 bytes) and
 the zero bytes are dropped at the end:
@@ -31,20 +32,20 @@ the zero bytes are dropped at the end:
 
 This follows C's %g: fixed notation for -4 <= k <= 16, exponent notation
 below, trailing zeros stripped.  The fast range is 1e-27 <= |x| < 1e17 plus
-the signed zeros.  nan, inf and -inf take fixed rows; everything else
-(subnormals, other tiny or huge values, rows in doubt) is formatted by
-Python and written into its row, so the output is exact for every
+the signed zeros.  Every other row (nan, inf, subnormals, other tiny or
+huge values) and every row in doubt takes one route: Python formats it and
+its text is written into its row, so the output is exact for every
 float64.  Tables of at most ``PER_VALUE_MAX`` values or more than
 ``CHUNK`` columns are formatted by Python alone.
 
-Every step writes into one ``_Workspace`` of about 1.8 MB for ``CHUNK`` =
+Every step writes into one ``_Workspace`` of about 1.6 MB for ``CHUNK`` =
 8192 values, kept for the process in a pool of one (a concurrent call
 builds its own), through ``out=`` and ``take(..., out=, mode="clip")``, so
 no table allocates or faults in chunk-sized temporaries; rows are
 compacted ``SLICE`` at a time.  Rows share memory by lifetime: the
 quotients ``hi``, ``lo`` and the four digit groups are int64 views of float
 rows 0-5, which hold the exact products' operands and scratch until D is
-known and are not read again after it, so 6 int rows serve where 12 did.
+known and are not read again after it, so 4 int rows serve where 10 did.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ _ROW = 48  # bytes of one value's row: 24 uint16 slots
 _POINT0 = 9  # byte of the point slot after digit 0
 _SEP_SHIFT = np.uint64(48)  # the separator's bit offset in the row's last word
 _POOL: list[_Workspace] = []  # the idle workspace, if any
-_NONFINITE = _readonly(np.array(["nan", "inf", "-inf"], f"S{_ROW}").view("<u8").reshape(3, -1))
 
 
 @functools.cache
@@ -125,9 +125,9 @@ class _Workspace:
     """The buffers one chunk of up to ``size`` values is formatted in."""
 
     def __init__(self, size: int):
-        self.f = np.empty((12, size))
-        self.i = np.empty((6, size), dtype=np.int64)
-        self.b = np.empty((10, size), dtype=bool)
+        self.f = np.empty((11, size))
+        self.i = np.empty((4, size), dtype=np.int64)
+        self.b = np.empty((8, size), dtype=bool)
         self.word = np.empty(size, dtype=np.uint64)
         self.row = np.empty((size, _ROW // 8), dtype=np.uint64)
         self.row_start = np.arange(size, dtype=np.int64) * _ROW
@@ -184,27 +184,17 @@ def _scaled_digits(ws, v, k, d, up, doubt):
 def _digits_and_exponent(ws, v, k, d, doubt):
     """D into d, k into k and the rows in doubt for positive v in the fast
     range: v = D 10^(k-16) to 17 digits on every row not in doubt.  Works
-    in ws.f[:11], ws.i[:4] and ws.b[:6]."""
+    in ws.f[:10], ws.i[:2] and ws.b[:4]."""
     n = v.size
-    up, redo_up, redo_doubt, wrong = (buf[:n] for buf in ws.b[2:6])
+    up, wrong = (buf[:n] for buf in ws.b[2:4])
     np.floor(np.log10(v, out=ws.f[0, :n]), out=k, casting="unsafe")
     np.maximum(np.minimum(k, 16, out=k), _K_MIN, out=k)
     _scaled_digits(ws, v, k, d, up, doubt)
-    # log10 may miss k by one next to a power of ten.  The exact value, not
-    # the rounded one, tells whether k is one too high; a D of 10^17 after
-    # rounding means the next k, where D = 10^16.  A redone row stays in
-    # doubt if it was: a near-tie under 10^17 is no longer one at k + 1.
-    def redo(rows, step):
-        if c := rows.size:
-            k[rows] += step
-            redo_v = v.take(rows, out=ws.f[10, :c], mode="clip")
-            redo_k = k.take(rows, out=ws.i[2, :c], mode="clip")
-            _scaled_digits(ws, redo_v, redo_k, ws.i[3, :c], redo_up[:c], redo_doubt[:c])
-            d[rows] = ws.i[3, :c]
-            doubt[rows] |= redo_doubt[:c]
-    low = np.less_equal(d, 10**16, out=wrong).nonzero()[0]
-    redo(low[d[low] - up[low] < 10**16], -1)
-    redo(np.greater_equal(d, 10**17, out=wrong).nonzero()[0], 1)
+    # log10 may miss k by one next to a power of ten: k is one too high
+    # where the exact value, not the rounded one, lies below 10^16, and one
+    # too low where D rounds to 10^17.  Such rows are in doubt.
+    doubt |= np.less(np.subtract(d, up, out=ws.i[0, :n]), 10**16, out=wrong)
+    doubt |= np.greater_equal(d, 10**17, out=wrong)
 
 
 def _chunk_text(ws, x, sep):
@@ -212,9 +202,9 @@ def _chunk_text(ws, x, sep):
     one pass per step over the whole chunk; returns those rows."""
     quads, trailing, masks, lead, expo, point = _tables()[3:]
     n = x.size
-    v, word, row = ws.f[11, :n], ws.word[:n], ws.row[:n]
-    k, d = (buf[:n] for buf in ws.i[4:6])
-    fast, zero, doubt, flag = (buf[:n] for buf in ws.b[6:])
+    v, word, row = ws.f[10, :n], ws.word[:n], ws.row[:n]
+    k, d = (buf[:n] for buf in ws.i[2:])
+    fast, zero, doubt, flag = (buf[:n] for buf in ws.b[4:])
 
     np.abs(x, out=v)
     np.greater_equal(v, _FAST_MIN, out=fast)
@@ -264,12 +254,9 @@ def _chunk_text(ws, x, sep):
 
     np.logical_not(np.logical_or(fast, zero, out=flag), out=flag)
     other = np.logical_or(flag, doubt, out=flag).nonzero()[0]
-    if other.size:  # nan, inf and -inf are rows 0, 1 and 2 of _NONFINITE
-        finite = np.isfinite(x[other])
-        fixed, slow = other[~finite], other[finite]
-        row[fixed] = _NONFINITE[np.isinf(x[fixed]) * (1 + np.signbit(x[fixed]))]
-        text = np.array(["%.17g" % value for value in x[slow].tolist()], f"S{_ROW}")
-        row[slow] = text.view("<u8").reshape(-1, _ROW // 8)  # 24 bytes at most
+    if other.size:
+        text = np.array(["%.17g" % value for value in x[other].tolist()], f"S{_ROW}")
+        row[other] = text.view("<u8").reshape(-1, _ROW // 8)  # 24 bytes at most
         row[other, -1] = sep[other]
     return row
 

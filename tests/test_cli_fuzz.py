@@ -95,6 +95,24 @@ def non_finite_allowed(out, table, column):
     return json.loads((out / "summary.json").read_text(encoding="utf-8"))["h"] > 1.0
 
 
+# each rare --tmax value once, on a subcommand that reads --tmax, with
+# otherwise valid flags: the random draws seldom reach the --tmax checks,
+# as another flag of the same line is often rejected first
+TMAX_EDGES = [
+    ["spectrum", "--n", "7", "--tmax", "0.0"],
+    ["correlation", "--n", "5", "--tmax", "-10.0"],
+    ["modes", "--n", "5", "--tmax", "1e-310"],
+    ["quasicrystal", "--n", "7", "--tmax", "5e-324"],
+]
+
+
+def tmax_examples(test):
+    """``test`` with an explicit example for each line of ``TMAX_EDGES``."""
+    for argv in TMAX_EDGES:
+        test = example(argv=argv)(test)
+    return test
+
+
 def written(out):
     """Every file in ``out``, by name, as bytes."""
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
@@ -104,11 +122,13 @@ def written(out):
 @settings(max_examples=200, deadline=None)
 @given(argv=command_lines())
 @example(argv=["gap", "--n", "5", "--h", "1.2"])  # the one allowed nan column
+@tmax_examples
 def test_fuzzed_command_lines_exit_cleanly(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run"
         rc, err = run(argv, out)
         assert rc in (0, 1, 3), (argv, err)
+        assert rc == 1 or argv not in TMAX_EDGES, (argv, err)
         if rc == 3:
             assert argv[0] in ("oracle", "correlation"), argv
         if rc == 1:
@@ -116,6 +136,7 @@ def test_fuzzed_command_lines_exit_cleanly(argv):
             message = err.rsplit("error: ", 1)[-1]
             named = [f"--{key}" for key in _FLAGS if f"--{key}" in message]
             assert named or argv[0] in message, (argv, err)
+            assert "--tmax" in named or argv not in TMAX_EDGES, (argv, err)
             assert not out.exists(), (argv, err)
             return
         for table in out.glob("*.csv"):

@@ -278,7 +278,7 @@ def test_kernel_keeps_under_two_megabytes(monkeypatch):
     finally:
         tracemalloc.stop()
     assert table.size > CHUNK and len(tables._POOL) == 1
-    assert kept <= 2.0e6
+    assert kept <= 1.75e6
 
 
 def test_in_process_run_writes_what_a_fresh_process_writes(tmp_path):
@@ -309,8 +309,8 @@ def test_table_wider_than_a_chunk():
 
 
 def test_non_finite_values_in_every_column_and_at_chunk_edges():
-    # nan, inf and -inf take fixed rows; 7 columns do not divide the chunk,
-    # so rows straddle chunk edges, and each edge value is non-finite
+    # nan, inf and -inf take the Python route; 7 columns do not divide the
+    # chunk, so rows straddle chunk edges, and each edge value is non-finite
     rng = np.random.default_rng(37)
     scale = 10.0 ** rng.integers(-30, 20, size=(1, 7))
     table = rng.standard_normal((2 * CHUNK // 7 + 5, 7)) * scale
@@ -323,12 +323,11 @@ def test_non_finite_values_in_every_column_and_at_chunk_edges():
     assert table.size > PER_VALUE_MAX
     assert not np.isfinite(table).all(axis=0).any()
     assert_exact(table)
-    with pytest.raises(ValueError, match="read-only"):
-        tables._NONFINITE.flat[0] = 0
 
 
 def test_finite_table_takes_no_non_finite_pass(monkeypatch):
-    # the fixed rows of nan, inf and -inf cost an all-finite chunk nothing
+    # nan, inf and -inf share the one Python route of the rows outside the
+    # fast range, so an all-finite chunk makes no pass to find them
     calls = []
     monkeypatch.setattr(np, "isfinite", lambda x, *a, **k: calls.append(x) or True)
     table = np.random.default_rng(41).standard_normal((CHUNK // 4 + 3, 5))
