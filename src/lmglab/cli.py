@@ -238,6 +238,15 @@ def _table(cfg: argparse.Namespace, stem: str, header: str, rows) -> str:
     return name
 
 
+def _waveform(cfg: argparse.Namespace, stem: str, label: str,
+              modes: ProjectedModes, tgrid: np.ndarray, N: int) -> str:
+    """Write the summed modes' m_x, m_y = 2 <S_x, S_y>/N over ``tgrid`` as
+    the table ``stem`` with columns t,mx_<label>,my_<label>."""
+    wx, wy = projected_solution(modes, tgrid)
+    return _table(cfg, stem, f"t,mx_{label},my_{label}",
+                  np.column_stack([tgrid, wx.values.real * 2.0 / N, wy.values.real * 2.0 / N]))
+
+
 def _time_grid(cfg: argparse.Namespace, N: int) -> np.ndarray:
     if cfg.tmax is None:
         return default_time_grid(N, samples=cfg.samples)
@@ -347,17 +356,7 @@ def cmd_modes(cfg: argparse.Namespace) -> dict:
         ideal = ProjectedModes(
             1.0 / N, np.array([freqs.omega0]), np.array([N / 2.0]), np.zeros(1)
         )
-        wx, wy = projected_solution(ideal, tgrid)
-        files.append(
-            _table(
-                cfg,
-                _mode_stem(h),
-                "t,mx_ideal,my_ideal",
-                np.column_stack(
-                    [tgrid, wx.values.real * 2.0 / N, wy.values.real * 2.0 / N]
-                ),
-            )
-        )
+        files.append(_waveform(cfg, _mode_stem(h), "ideal", ideal, tgrid, N))
     files.insert(0, _table(cfg, "modes", "h,nh,m0,omega0,degenerate", table_rows))
     summary = _base_summary(cfg, N, cfg.h[0], 0.0)
     summary["modes"] = modes
@@ -467,17 +466,7 @@ def cmd_quasicrystal(cfg: argparse.Namespace) -> dict:
     files = [_table(cfg, "quasicrystal_h", "index,h", list(enumerate(fields)))]
     sector = build_sector(N)
     ground_mode = projected_init(localized.state, sector, h_pick).first(1)
-    wx, wy = projected_solution(ground_mode, tgrid)
-    files.append(
-        _table(
-            cfg,
-            "waveform",
-            "t,mx_mode,my_mode",
-            np.column_stack(
-                [tgrid, wx.values.real * 2.0 / N, wy.values.real * 2.0 / N]
-            ),
-        )
-    )
+    files.append(_waveform(cfg, "waveform", "mode", ground_mode, tgrid, N))
     word = cut_and_project_sequence(kappa, CUT_PROJECT_LENGTH)
     with _create(cfg, "cut_project.txt") as fh:
         fh.write(word.encode("utf-8") + b"\n")

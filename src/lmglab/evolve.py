@@ -129,9 +129,7 @@ class EigenSystem:
     def to_energy_basis(self, amps: np.ndarray) -> np.ndarray:
         if self.permutation is not None:
             return amps[self.permutation]
-        if np.iscomplexobj(self.vectors):
-            return self.vectors.conj().T @ amps
-        return _real_times(self.vectors.T, amps)
+        return _real_times(self.vectors.conj().T, amps)
 
     def from_energy_basis(self, coeffs: np.ndarray) -> np.ndarray:
         if self.permutation is not None:
@@ -154,13 +152,11 @@ def _real_times(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _parity_blocks(op: BandedHermitianOperator) -> list[np.ndarray]:
     """The even-m and odd-m blocks of an H with no band 1, each a dense
-    tridiagonal built from bands 0 and 2: real unless band 2 is complex."""
+    tridiagonal built from bands 0 and 2 in band 2's dtype."""
     d, e = op.band(0), op.band(2)
-    if not np.any(e.imag):
-        d, e = d.real, e.real
     blocks = []
     for p in (0, 1):
-        block = np.diag(d[p::2])
+        block = np.diag(d[p::2]).astype(e.dtype, copy=False)
         i = np.arange(block.shape[0] - 1)
         block[i, i + 1], block[i + 1, i] = e[p::2], e[p::2].conj()
         blocks.append(block)
@@ -171,21 +167,22 @@ def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
     """Diagonalize a banded Hermitian sector operator.
 
     Diagonal input short-circuits to a sort plus permutation.  Otherwise
-    dense ``numpy.linalg.eigh`` (``LinAlgError`` if it fails) solves real
-    input in real arithmetic.  With an all-zero band 1, H commutes with the
-    parity (-1)^m: its even-m and odd-m blocks (``_parity_blocks``) are
-    solved apart and each block's vectors go straight to their columns in
-    the stable merge of the two spectra.  Only an H with band 1 is solved
-    whole; if it is tridiagonal and complex it is made real first by
-    D = diag(e^{-i theta_m}), theta_m the summed phases of the first m
-    off-diagonals.
+    dense ``numpy.linalg.eigh`` (``LinAlgError`` if it fails) solves H in
+    its bands' dtype: real arithmetic unless a band is complex128, which a
+    ``BandedHermitianOperator`` band is only when its entries are not all
+    real.  With an all-zero band 1, H commutes with the parity (-1)^m: its
+    even-m and odd-m blocks (``_parity_blocks``) are solved apart and each
+    block's vectors go straight to their columns in the stable merge of the
+    two spectra.  Only an H with band 1 is solved whole; if it is
+    tridiagonal and complex it is made real first by D = diag(e^{-i
+    theta_m}), theta_m the summed phases of the first m off-diagonals.
     """
     n = op.dim
     if op.bandwidth > 2:
         raise ValueError("expected bandwidth <= 2")
     bands = {off for off, band in op.diags.items() if off > 0 and np.any(band != 0.0)}
     if not bands:
-        diag = op.band(0).real
+        diag = op.band(0)
         perm = np.argsort(diag, kind="stable")
         return EigenSystem(_readonly(diag[perm]), None, _readonly(perm))
     if 1 not in bands:
@@ -199,11 +196,9 @@ def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
         return EigenSystem(_readonly(w[order]), _readonly(v))
     dense = op.to_dense()
     gauge = None
-    if bands == {1} and np.any(op.band(1).imag != 0.0):
+    if bands == {1} and np.iscomplexobj(op.band(1)):
         gauge = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(op.band(1))))))
-        dense = gauge.conj()[:, None] * dense * gauge[None, :]
-    if gauge is not None or not np.any(dense.imag):
-        dense = dense.real
+        dense = (gauge.conj()[:, None] * dense * gauge[None, :]).real
     w, v = np.linalg.eigh(dense)
     if gauge is not None:
         v = gauge[:, None] * v
@@ -250,8 +245,6 @@ def _free_level_ground(
     """
     n = op.dim
     w = op.band(1)
-    if not np.any(w.imag):
-        w = w.real
     shifted = free.energies - free.energies[0]
     w_bound = 2.0 * float(np.abs(w).max())
     k = _FIRST_LEVELS

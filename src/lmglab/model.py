@@ -66,14 +66,12 @@ def build_hamiltonian(
     casimir_minus_m2 = (ts * (ts + 2) - tm * tm) / 4.0  # S(S+1) - M^2, exact
     diag = (LAM / n) * ((1.0 + params.gamma) / 2.0) * casimir_minus_m2
     diag = diag - params.h * (tm / 2.0)
-    diags: dict[int, np.ndarray] = {0: diag.astype(np.complex128)}
+    diags: dict[int, np.ndarray] = {0: diag}
     a = ladder_plus_band(sector)
     if g != 0.0:
         diags[1] = (-0.5 * g * np.exp(-1j * phi_n)) * a
     if params.gamma != 1.0:
-        diags[2] = (
-            (LAM / n) * ((1.0 - params.gamma) / 4.0) * a[:-1] * a[1:]
-        ).astype(np.complex128)
+        diags[2] = (LAM / n) * ((1.0 - params.gamma) / 4.0) * a[:-1] * a[1:]
     return BandedHermitianOperator(sector.dim, diags)
 
 

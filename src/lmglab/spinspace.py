@@ -77,12 +77,14 @@ def _band_matvec(dim, bands, vec):
 
 
 class BandedHermitianOperator:
-    """Complex Hermitian banded matrix (bandwidth <= 2 in this package).
+    """Hermitian banded matrix (bandwidth <= 2 in this package).
 
     ``diags`` holds the diagonal and superdiagonals as given; ``bands`` is
     the full {offset: diagonal} mapping, offset = j - i, whose subdiagonals
     are their conjugates by construction, so Hermiticity holds exactly as
-    stored, with +0 where a conjugate gives -0, as in a matvec.
+    stored, with +0 where a conjugate gives -0, as in a matvec.  A band is
+    float64 when its imaginary parts are all zero, complex input included,
+    and complex128 otherwise, so its dtype says whether it is real.
     """
 
     def __init__(self, dim: int, diags: dict[int, np.ndarray]):
@@ -95,10 +97,12 @@ class BandedHermitianOperator:
             # a copy: the caller's array stays writable, and later writes to
             # it cannot reach these bands or their stored conjugates
             diag = np.array(diag, dtype=np.complex128)
+            if not np.any(diag.imag):
+                diag = diag.real.copy()
             if diag.shape != (dim - off,):
                 raise ValueError(f"band at offset {off} has wrong length")
             ups[off] = _readonly(diag)
-        if 0 in ups and np.max(np.abs(ups[0].imag), initial=0.0) != 0.0:
+        if 0 in ups and np.iscomplexobj(ups[0]):
             raise ValueError("diagonal of a Hermitian operator must be real")
         self.diags = ups
         self.bands = dict(ups)
@@ -111,10 +115,10 @@ class BandedHermitianOperator:
         return max((o for o in self.diags), default=0)
 
     def band(self, off: int) -> np.ndarray:
-        """Superdiagonal at the given offset, zeros if absent."""
+        """Superdiagonal at the given offset, float64 zeros if absent."""
         if off in self.diags:
             return self.diags[off]
-        return np.zeros(self.dim - abs(off), dtype=np.complex128)
+        return np.zeros(self.dim - abs(off))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec, dtype=np.complex128)
@@ -123,7 +127,8 @@ class BandedHermitianOperator:
         return _band_matvec(self.dim, self.bands, vec)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        dtype = np.result_type(np.float64, *self.diags.values())
+        out = np.zeros((self.dim, self.dim), dtype=dtype)
         for off, diag in self.diags.items():
             idx = np.arange(self.dim - off)
             out[idx, idx + off] = diag

@@ -60,6 +60,7 @@ def replay(ops: dict, package: str) -> tuple[set, dict, Counter]:
         ran[frame.f_code.co_filename].add(frame.f_lineno)
         return on_line
 
+    previous = sys.gettrace()
     sys.settrace(on_call)
     try:
         from lmglab.cli import main
@@ -70,7 +71,7 @@ def replay(ops: dict, package: str) -> tuple[set, dict, Counter]:
                 for i, argv in enumerate(argvs):
                     codes[main([*argv, "--out", f"{tmp}/{workload}/{i:02d}"])] += 1
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
     return entered, ran, codes
 
 
@@ -86,6 +87,14 @@ def runs(lines: list[int], executable: list[int]) -> list[tuple[int, int]]:
     return found
 
 
+def unentered(module: types.CodeType, entered: set) -> list[types.CodeType]:
+    """The named functions of ``module`` that were never entered, leaving out
+    those nested in one of them."""
+    missed = [c for c in code_objects(module)
+              if key(c) not in entered and not c.co_name.startswith("<")]
+    return [c for c in missed if not any(c is not o and c in code_objects(o) for o in missed)]
+
+
 def report(path: Path, entered: set, ran: set) -> list[str]:
     """What of the module at ``path`` never ran, as printable lines."""
     source = path.read_text(encoding="utf-8")
@@ -93,17 +102,13 @@ def report(path: Path, entered: set, ran: set) -> list[str]:
     if key(module) not in entered:
         return [f"{path.name}: never imported"]
     text = source.splitlines()
-    executable, unentered, hidden = set(), [], set()
+    executable, hidden = set(), set()
     for code in code_objects(module):
         executable |= lines_of(code)
-        if key(code) in entered:
-            continue
-        if not code.co_name.startswith("<"):
-            unentered.append(code)
-        # a function no op enters is reported whole, not line by line
-        hidden |= lines_of(code)
-    # a function nested in one that is never entered is not named again
-    outer = [c for c in unentered if not any(c is not o and c in code_objects(o) for o in unentered)]
+        if key(code) not in entered:
+            # a function no op enters is reported whole, not line by line
+            hidden |= lines_of(code)
+    outer = unentered(module, entered)
     missed = sorted(executable - ran - hidden)
     out = [f"{path.name}: {len(missed)} of {len(executable)} statement lines never run"
            + f", {len(outer)} functions never entered" * bool(outer)]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,44 @@ def test_conjugated_bands_hold_no_negative_zero():
     sub = BandedHermitianOperator(3, {1: [1.0, 2.0j]}).bands[-1]
     assert np.array_equal(sub, [1.0, -2.0j])
     assert not np.any(np.signbit([sub[0].imag, sub[1].real]))
+
+
+def test_real_bands_are_stored_float64():
+    rng = np.random.default_rng(6)
+    n = 8
+    op = BandedHermitianOperator(
+        n,
+        {
+            0: rng.normal(size=n),
+            1: rng.normal(size=n - 1) + 0j,  # complex, imaginary parts all zero
+            2: rng.normal(size=n - 2) - 0j,
+        },
+    )
+    assert {band.dtype for band in op.bands.values()} == {np.dtype(np.float64)}
+    assert op.to_dense().dtype == np.float64
+    assert np.array_equal(op.band(1), op.diags[1])
+    # an absent band, and an operator with no bands at all, are real too
+    assert BandedHermitianOperator(n, {0: np.ones(n)}).band(2).dtype == np.float64
+    empty = BandedHermitianOperator(n, {}).to_dense()
+    assert empty.dtype == np.float64 and not np.any(empty)
+
+
+@pytest.mark.parametrize("phi_n,kick", [(0.0, np.float64), (0.7, np.complex128)])
+def test_only_a_kick_with_a_y_component_is_complex(phi_n, kick):
+    params = LmgParams(N=12, h=0.6, gamma=0.5)
+    ham = build_hamiltonian(params, build_sector(12), g=1e-3, phi_n=phi_n)
+    assert [ham.band(off).dtype for off in (0, 1, 2)] == [np.float64, kick, np.float64]
+    assert ham.bands[-1].dtype == kick
+    assert ham.to_dense().dtype == kick
+
+
+def test_diagonal_must_be_real_and_is_stored_real():
+    op = BandedHermitianOperator(3, {0: np.array([1.0, -0.0j, 2.0 + 0j])})
+    assert op.band(0).dtype == np.float64
+    assert np.array_equal(op.band(0), [1.0, 0.0, 2.0])
+    for imag in (1e-300j, math.nan * 1j):
+        with pytest.raises(ValueError, match="diagonal"):
+            BandedHermitianOperator(3, {0: np.array([1.0, imag, 2.0])})
 
 
 def test_expectation_examples():

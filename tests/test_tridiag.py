@@ -278,6 +278,22 @@ def test_complex_band_two_equals_dense_slices_bit_for_bit(n):
     assert_same_as_dense_slices(op)
 
 
+def test_whole_solve_holds_two_real_arrays():
+    # a kicked gamma < 1 H is solved whole: its real dense matrix and the
+    # eigenvector array, 2 x 8 (N+1)^2 bytes, where a complex dense matrix
+    # cast back to real held 3 x
+    N = 1000
+    op = build_hamiltonian(LmgParams(N, 0.6, 0.5), build_sector(N), g=1e-4)
+    tracemalloc.start()
+    try:
+        eig = eigensystem(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eig.vectors.dtype == np.float64
+    assert peak <= 2.2 * 8 * (N + 1) ** 2
+
+
 def test_parity_split_allocates_no_dense_matrix():
     # one free gamma < 1 solve holds its eigenvector array, the two
     # half-size blocks and their vectors: 1.5 x 8 (N+1)^2 bytes, where the
