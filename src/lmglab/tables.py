@@ -38,14 +38,14 @@ its text is written into its row, so the output is exact for every
 float64.  Tables of at most ``PER_VALUE_MAX`` values or more than
 ``CHUNK`` columns are formatted by Python alone.
 
-Every step writes into one ``_Workspace`` of about 1.6 MB for ``CHUNK`` =
+Every step writes into one ``_Workspace`` of 1,376,256 bytes for ``CHUNK`` =
 8192 values, kept for the process in a pool of one (a concurrent call
 builds its own), through ``out=`` and ``take(..., out=, mode="clip")``, so
 no table allocates or faults in chunk-sized temporaries; rows are
-compacted ``SLICE`` at a time.  Rows share memory by lifetime: the
-quotients ``hi``, ``lo`` and the four digit groups are int64 views of float
-rows 0-5, which hold the exact products' operands and scratch until D is
-known and are not read again after it, so 4 int rows serve where 10 did.
+compacted ``SLICE`` at a time.  Rows share memory by lifetime, so 2 int
+rows (k, D) serve where 12 did: s lives in D, ``rest`` in ``e2``, D - up in
+float row 0, and once D is known ``hi``, ``lo``, the four digit groups and
+``word`` in float rows 0-6.  The lookup tables come from a 16-bit digit grid.
 """
 
 from __future__ import annotations
@@ -86,11 +86,11 @@ def _tables():
     pow10_hi = t - (t - pow10)
     pow10_lo = pow10 - pow10_hi
 
-    n = np.arange(10000)
-    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
-    quads = (digits + ord("0")).astype("<u2").view("<u8")[:, 0]
-    trailing = np.where(n % 10 != 0, 0, np.where(n % 100 != 0, 1,
-                        np.where(n % 1000 != 0, 2, np.where(n != 0, 3, 4)))).astype(np.int8)
+    # the four digits of n = 0 .. 9999, first digit first, on a 16-bit grid
+    digits = np.indices((10, 10, 10, 10), dtype=np.uint16).reshape(4, -1)
+    quads = np.add(digits.T, ord("0"), out=np.empty((10000, 4), "<u2")).view("<u8")[:, 0]
+    zero = np.equal(digits[::-1], 0)  # trailing zeros: the zero run from the last digit
+    trailing = np.logical_and.accumulate(zero, out=zero).sum(axis=0, dtype=np.int8)
     # words 1-5 of a row hold digits 0-16, digit j in slot 4 + j; masks[n]
     # keeps the first n digits and the exponent and separator slots 21-23
     slot = np.arange(20).reshape(5, 4)
@@ -126,9 +126,8 @@ class _Workspace:
 
     def __init__(self, size: int):
         self.f = np.empty((11, size))
-        self.i = np.empty((4, size), dtype=np.int64)
+        self.i = np.empty((2, size), dtype=np.int64)
         self.b = np.empty((8, size), dtype=bool)
-        self.word = np.empty(size, dtype=np.uint64)
         self.row = np.empty((size, _ROW // 8), dtype=np.uint64)
         self.row_start = np.arange(size, dtype=np.int64) * _ROW
 
@@ -149,11 +148,11 @@ def _two_product(a, b, b_hi, b_lo, p, e, t, u):
 def _scaled_digits(ws, v, k, d, up, doubt):
     """round-half-even(v 10^(16-k)) into d for positive v in the fast range,
     whether it was rounded up and whether that is in doubt; exact wherever
-    d >= 2^53 and not in doubt.  Works in ws.f[:10], ws.i[:2], ws.b[:2]."""
+    d >= 2^53 and not in doubt.  Works in ws.f[:10] and ws.b[:2], s in d."""
     m = v.size
     pow10s = _tables()[:3]
     b, b_hi, b_lo, p, f, t, u, a2, p2, e2 = (buf[:m] for buf in ws.f[:10])
-    s = np.subtract(16, k, out=ws.i[0, :m])
+    s = np.subtract(16, k, out=d)
     for table, out in zip(pow10s, (b, b_hi, b_lo)):
         table.take(s, out=out, mode="clip")  # 10^min(s, 22)
     _two_product(v, b, b_hi, b_lo, p, f, t, u)
@@ -165,7 +164,7 @@ def _scaled_digits(ws, v, k, d, up, doubt):
         # within 2^-48 of v 10^s - p and only a near-tie is in doubt.
         c = rows.size
         b, b_hi, b_lo, t, u, a2, p2, e2 = (x[:c] for x in (b, b_hi, b_lo, t, u, a2, p2, e2))
-        rest, near = ws.i[1, :c], ws.b[1, :c]
+        rest, near = e2.view(np.int64), ws.b[1, :c]  # e2 is written after the takes
         np.subtract(s.take(rows, out=rest, mode="clip"), _S_EXACT, out=rest)
         for table, out in zip(pow10s, (b, b_hi, b_lo)):
             table.take(rest, out=out, mode="clip")
@@ -184,7 +183,7 @@ def _scaled_digits(ws, v, k, d, up, doubt):
 def _digits_and_exponent(ws, v, k, d, doubt):
     """D into d, k into k and the rows in doubt for positive v in the fast
     range: v = D 10^(k-16) to 17 digits on every row not in doubt.  Works
-    in ws.f[:10], ws.i[:2] and ws.b[:4]."""
+    in ws.f[:10] and ws.b[:4]."""
     n = v.size
     up, wrong = (buf[:n] for buf in ws.b[2:4])
     np.floor(np.log10(v, out=ws.f[0, :n]), out=k, casting="unsafe")
@@ -193,7 +192,7 @@ def _digits_and_exponent(ws, v, k, d, doubt):
     # log10 may miss k by one next to a power of ten: k is one too high
     # where the exact value, not the rounded one, lies below 10^16, and one
     # too low where D rounds to 10^17.  Such rows are in doubt.
-    doubt |= np.less(np.subtract(d, up, out=ws.i[0, :n]), 10**16, out=wrong)
+    doubt |= np.less(np.subtract(d, up, out=ws.f[0, :n].view(np.int64)), 10**16, out=wrong)
     doubt |= np.greater_equal(d, 10**17, out=wrong)
 
 
@@ -202,8 +201,8 @@ def _chunk_text(ws, x, sep):
     one pass per step over the whole chunk; returns those rows."""
     quads, trailing, masks, lead, expo, point = _tables()[3:]
     n = x.size
-    v, word, row = ws.f[10, :n], ws.word[:n], ws.row[:n]
-    k, d = (buf[:n] for buf in ws.i[2:])
+    v, row = ws.f[10, :n], ws.row[:n]
+    k, d = (buf[:n] for buf in ws.i)
     fast, zero, doubt, flag = (buf[:n] for buf in ws.b[4:])
 
     np.abs(x, out=v)
@@ -217,9 +216,10 @@ def _chunk_text(ws, x, sep):
     np.copyto(d, 0, where=zero)
 
     # D as four 4-digit groups g0..g3 and its last digit, which goes to d.
-    # The exact products are done: hi, lo and the groups take float rows 0-5.
+    # The exact products are done: hi, lo, the groups and word take float rows 0-6.
     int_rows = ws.f[:6, :n].view(np.int64)
     hi, lo, groups = int_rows[0], int_rows[1], int_rows[2:]
+    word = ws.f[6, :n].view(np.uint64)
     g0, g1, g2, g3 = groups
     for a, b, q, r in ((d, 10**9, hi, lo), (hi, 10**4, g0, g1),
                        (lo, 10**5, g2, hi), (hi, 10, g3, d)):

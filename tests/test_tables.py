@@ -278,7 +278,56 @@ def test_kernel_keeps_under_two_megabytes(monkeypatch):
     finally:
         tracemalloc.stop()
     assert table.size > CHUNK and len(tables._POOL) == 1
-    assert kept <= 1.75e6
+    assert kept <= 1.5e6
+
+
+def int64_lookup_tables():
+    """The nine lookup arrays built as the kernel first built them: the digit
+    groups and trailing zeros from 10000-entry int64 arithmetic."""
+    pow10 = np.array([float(10**s) for s in range(23)])
+    t = pow10 * float(2**27 + 1)
+    pow10_hi = t - (t - pow10)
+    pow10_lo = pow10 - pow10_hi
+    n = np.arange(10000)
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
+    quads = (digits + ord("0")).astype("<u2").view("<u8")[:, 0]
+    trailing = np.where(n % 10 != 0, 0, np.where(n % 100 != 0, 1,
+                        np.where(n % 1000 != 0, 2, np.where(n != 0, 3, 4)))).astype(np.int8)
+    slot = np.arange(20).reshape(5, 4)
+    kept = (np.arange(18)[:, None, None] > slot) | (slot > 16)
+    masks = (kept * np.uint16(0xFFFF)).astype("<u2").view("<u8")[..., 0]
+    k = np.arange(-27, 17)
+    point = np.select([(k >= 0) & (k < 16), k < -4], [9 + 2 * k, 9], 6)
+    lead = np.zeros((6, 8), dtype=np.uint8)
+    for k in range(-4, 0):
+        text = b"0." + b"0" * (-k - 1)
+        lead[k + 5, 1 : 1 + len(text)] = list(text)
+    expo = np.zeros((24, 8), dtype=np.uint8)
+    for minus_k in range(5, 28):
+        expo[minus_k - 4, 2:6] = list(b"e-%02d" % minus_k)
+    return (pow10, pow10_hi, pow10_lo, quads, trailing, masks,
+            lead.view("<u8")[:, 0], expo.view("<u8")[:, 0], point)
+
+
+def test_lookup_tables_match_the_int64_construction():
+    built, reference = tables._tables(), int64_lookup_tables()
+    assert len(built) == len(reference) == 9
+    for i, (got, want) in enumerate(zip(built, reference)):
+        assert got.dtype == want.dtype and got.shape == want.shape, i
+        assert got.tobytes() == want.tobytes(), i
+
+
+def test_cold_lookup_tables_peak_under_450_kib():
+    # the digit tables come from a 16-bit grid, not 10000-entry int64
+    # temporaries (a 783 KiB peak)
+    tables._tables.cache_clear()
+    tracemalloc.start()
+    try:
+        tables._tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 450 * 1024
 
 
 def test_in_process_run_writes_what_a_fresh_process_writes(tmp_path):
