@@ -95,7 +95,6 @@ _FLAGS = {
     "samples": {"type": int, "default": 4096},
     "cutoff-k": {"type": int, "default": 3},
     "kappa": {"type": float, "default": 0.6180339887498949},
-    "window": {"choices": ("hann", "none"), "default": "hann"},
     "threshold": {"type": float, "default": 0.01},
     "trial": {"action": "store_true", "default": False},
     "out": {"default": "."},
@@ -105,7 +104,7 @@ _SERIES_FLAGS = ("n", "h", "gamma", "g", "phi-n", "tmax", "samples", "cutoff-k",
 # argparse rejects any other flag
 _COMMAND_FLAGS = {
     "evolve": _SERIES_FLAGS,
-    "spectrum": (*_SERIES_FLAGS, "window", "threshold"),
+    "spectrum": (*_SERIES_FLAGS, "threshold"),
     "modes": ("n", "h", "tmax", "samples"),
     "correlation": ("n", "h", "tmax", "samples"),
     # gap applies --gamma nowhere (its PT part uses gamma = 1, its scan
@@ -313,7 +312,7 @@ def cmd_evolve(cfg: argparse.Namespace) -> dict:
 def cmd_spectrum(cfg: argparse.Namespace) -> dict:
     N, h, g = _point(cfg)
     summary, mx_series, eig0, state, sector = _series_run(cfg, N, h, g)
-    spec = periodogram(mx_series, N, window=cfg.window)
+    spec = periodogram(mx_series, N)
     peaks = find_peaks(spec, cfg.threshold)
     sx = collective_operators(sector).sx
     lines = line_spectrum(eig0, state, sx, threshold=1e-8 * N)

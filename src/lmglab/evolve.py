@@ -512,10 +512,6 @@ class CorrelationResult:
     nu: float
     members: tuple[CorrelationMember, ...]
 
-    @property
-    def degenerate(self) -> bool:
-        return len(self.members) > 1
-
 
 def correlation_fN(
     sector: SpinSector, h: float, tgrid: np.ndarray

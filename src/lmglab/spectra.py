@@ -32,9 +32,6 @@ class LineSpectrum:
     weights: np.ndarray
     threshold: float
 
-    def __len__(self) -> int:
-        return self.frequencies.shape[0]
-
 
 def line_spectrum(
     eig: EigenSystem, psi0, op, threshold: float
@@ -66,25 +63,18 @@ class Spectrum:
 
     freq_over_nu: np.ndarray
     magnitudes: np.ndarray
-    window: str = "hann"
 
 
-def periodogram(series: TimeSeries, n_spins: int, window: str = "hann") -> Spectrum:
-    """DFT magnitude spectrum of a time series, frequency axis in nu = 1/N.
+def periodogram(series: TimeSeries, n_spins: int) -> Spectrum:
+    """Hann-windowed DFT magnitude spectrum, frequency axis in nu = 1/N.
 
-    A periodic Hann window (default) controls leakage; magnitudes are scaled
-    by 2/sum(w) so an on-bin unit tone shows height ~1.  ``window`` may be
-    "hann" or "none".
+    A periodic Hann window controls leakage; magnitudes are scaled by
+    2/sum(w) so an on-bin unit tone shows height ~1.
     """
     n = series.t.shape[0]
     if n < 16:
         raise ValueError("need at least 16 samples")
-    if window == "hann":
-        w = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n) / n)
-    elif window == "none":
-        w = np.ones(n)
-    else:
-        raise ValueError(f"unknown window {window!r}")
+    w = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n) / n)
     values = np.asarray(series.values)
     transform = np.fft.fft(values * w)
     half = n // 2
@@ -92,7 +82,7 @@ def periodogram(series: TimeSeries, n_spins: int, window: str = "hann") -> Spect
     # angular bin spacing 2*pi/(n*dt); nu = 1/N converts to nu units
     freq_over_nu = (2.0 * math.pi / (n * dt)) * np.arange(half + 1) * n_spins
     magnitudes = np.abs(transform[: half + 1]) * (2.0 / w.sum())
-    return Spectrum(freq_over_nu=freq_over_nu, magnitudes=magnitudes, window=window)
+    return Spectrum(freq_over_nu=freq_over_nu, magnitudes=magnitudes)
 
 
 def _hann_shape(offset: float) -> float:
@@ -106,9 +96,8 @@ def find_peaks(spectrum: Spectrum, min_height_fraction: float) -> list[Peak]:
     """Interior local maxima above a fraction of the spectral maximum.
 
     The zero-frequency bin is ignored both as a peak candidate and as the
-    height reference.  For Hann-windowed spectra the three-point estimator
-    d = 2 (y+ - y-) / (y- + 2 y0 + y+) is exact for an isolated tone; other
-    windows fall back to a quadratic fit through the log magnitudes.  The
+    height reference.  The Hann three-point estimator
+    d = 2 (y+ - y-) / (y- + 2 y0 + y+) is exact for an isolated tone.  The
     list comes back sorted by height, tallest first.
     """
     mags = spectrum.magnitudes
@@ -125,17 +114,8 @@ def find_peaks(spectrum: Spectrum, min_height_fraction: float) -> list[Peak]:
     peaks = []
     for k in candidates.tolist():
         y0, ym1, yp1 = mags[k], mags[k - 1], mags[k + 1]
-        if spectrum.window == "hann":
-            offset = 2.0 * (yp1 - ym1) / (ym1 + 2.0 * y0 + yp1)
-            height = y0 / _hann_shape(offset)
-        else:
-            if ym1 > 0.0 and yp1 > 0.0:
-                lm1, l0, lp1 = math.log(ym1), math.log(y0), math.log(yp1)
-            else:
-                lm1, l0, lp1 = ym1, y0, yp1
-            denom = 2.0 * (2.0 * l0 - lp1 - lm1)
-            offset = (lp1 - lm1) / denom if denom != 0.0 else 0.0
-            height = y0 - 0.25 * (ym1 - yp1) * offset
+        offset = 2.0 * (yp1 - ym1) / (ym1 + 2.0 * y0 + yp1)
+        height = y0 / _hann_shape(offset)
         peaks.append(
             Peak(
                 freq_over_nu=float(spectrum.freq_over_nu[k] + offset * bin_width),

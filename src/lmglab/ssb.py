@@ -70,10 +70,10 @@ def localize_ground_state(
         g = default_kick(params.N)
     sector = build_sector(params.N)
     free = eigensystem(build_hamiltonian(params, sector))
-    kicked = build_hamiltonian(params, sector, g=g, phi_n=phi_n)
     if g == 0.0:
         energy, psi = free.ground_energy, ground_state(free)
     else:
+        kicked = build_hamiltonian(params, sector, g=g, phi_n=phi_n)
         energy, psi = _free_level_ground(kicked, free)
     b = free.to_energy_basis(psi)
     delta_e = float(np.sum(np.abs(b) ** 2 * (free.energies - free.ground_energy)))

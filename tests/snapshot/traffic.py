@@ -5,6 +5,9 @@
 replays every op of ops.json in process under ``sys.settrace`` and prints
 the ops' exit codes and, per module of the lmglab package, the functions
 that no op enters and the statement lines that no op runs outside them.
+Runs of never-run lines that hold only ``raise`` statements are listed
+after the others, so the branches that do more than reject an input
+stand out.
 Importing lmglab counts as running, so a module's ``def`` and ``class``
 lines run.  A simplicity change can cite this measured traffic, not a grep,
 for code it calls unused; code that only tests or library callers reach
@@ -13,6 +16,7 @@ shows up here too.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib.util
 import io
@@ -110,13 +114,20 @@ def report(path: Path, entered: set, ran: set) -> list[str]:
             hidden |= lines_of(code)
     outer = unentered(module, entered)
     missed = sorted(executable - ran - hidden)
+    raising = {line for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Raise)
+               for line in range(node.lineno, node.end_lineno + 1)}
+    found = runs(missed, sorted(executable))
+    raise_only = [(first, last) for first, last in found
+                  if all(line in raising for line in missed if first <= line <= last)]
     out = [f"{path.name}: {len(missed)} of {len(executable)} statement lines never run"
            + f", {len(outer)} functions never entered" * bool(outer)]
     for code in sorted(outer, key=lambda c: c.co_firstlineno):
         out.append(f"  never entered: {code.co_qualname} (line {code.co_firstlineno})")
-    for first, last in runs(missed, sorted(executable)):
-        span = f"line {first}" if first == last else f"lines {first}-{last}"
-        out.append(f"  never run: {span}: {text[first - 1].strip()}")
+    for label, group in (("never run", [r for r in found if r not in raise_only]),
+                         ("never raised", raise_only)):
+        for first, last in group:
+            span = f"line {first}" if first == last else f"lines {first}-{last}"
+            out.append(f"  {label}: {span}: {text[first - 1].strip()}")
     return out
 
 

@@ -25,7 +25,7 @@ FAST = ["--samples", "64"]
 # the flags each subcommand reads, besides --out
 READS = {
     "evolve": "n h gamma g phi-n tmax samples cutoff-k trial",
-    "spectrum": "n h gamma g phi-n tmax samples cutoff-k trial window threshold",
+    "spectrum": "n h gamma g phi-n tmax samples cutoff-k trial threshold",
     "modes": "n h tmax samples",
     "correlation": "n h tmax samples",
     "gap": "n h gamma g",
@@ -35,9 +35,10 @@ READS = {
 FLAG_VALUES = {
     "n": ["6"], "h": ["0.5"], "gamma": ["0.5"], "g": ["0.01"], "phi-n": ["0.3"],
     "tmax": ["50"], "samples": ["64"], "cutoff-k": ["2"], "kappa": ["0.4"],
-    "window": ["none"], "threshold": ["0.02"], "trial": [],
-    # no subcommand reads them: every table is CSV, and flags alone set a run
-    "format": ["csv"], "config": ["run.json"],
+    "threshold": ["0.02"], "trial": [],
+    # no subcommand reads them: every table is CSV, flags alone set a run,
+    # and every periodogram is Hann-windowed
+    "format": ["csv"], "config": ["run.json"], "window": ["hann"],
 }
 UNREAD = [
     (command, flag)
@@ -48,7 +49,7 @@ UNREAD = [
 # a run with no flag given, and the defaults of the subcommands that differ
 DEFAULTS = dict(
     n=[100], h=[0.716], gamma=1.0, g=None, phi_n=0.0, tmax=None, samples=4096,
-    cutoff_k=3, kappa=0.6180339887498949, window="hann", threshold=0.01,
+    cutoff_k=3, kappa=0.6180339887498949, threshold=0.01,
     trial=False, out=".",
 )
 COMMAND_DEFAULTS = {
@@ -837,7 +838,7 @@ class TestParser:
     def test_flag_keys(self):
         assert tuple(_FLAGS) == (
             "n", "h", "gamma", "g", "phi-n", "tmax", "samples", "cutoff-k",
-            "kappa", "window", "threshold", "trial", "out",
+            "kappa", "threshold", "trial", "out",
         )
 
     @pytest.mark.parametrize(
@@ -851,8 +852,8 @@ class TestParser:
                      cutoff_k=2, trial=True, out="o"),
             ),
             (["spectrum", "--n", "100", "--h", "0.5", "--gamma", "0.5",
-              "--window", "none", "--threshold", "0.02"],
-             dict(n=[100], h=[0.5], gamma=0.5, window="none", threshold=0.02)),
+              "--threshold", "0.02"],
+             dict(n=[100], h=[0.5], gamma=0.5, threshold=0.02)),
             (["modes", "--n", "100", "--h", "0.71,0.716"],
              dict(n=[100], h=[0.71, 0.716])),
             (["correlation", "--n", "8", "--h", "0.5", "--samples", "32"],

@@ -61,7 +61,6 @@ def values(key, N, cap):
         "samples": rarely(st.integers(16, 256), st.integers(-5, 15)),
         "cutoff-k": rarely(st.integers(0, 5), st.just(-1)),
         "kappa": rarely(st.floats(0.05, 0.95), st.sampled_from((0.0, 1.0, -0.5))),
-        "window": st.sampled_from(("hann", "none")),
         "threshold": st.sampled_from((0.0, 1e-9, 1e-2, 0.5, -0.1)),
     }
     return strategies[key].map(lambda v: [v if isinstance(v, str) else repr(v)])

@@ -68,27 +68,24 @@ class TestPeriodogram:
         tgrid = np.arange(n) * 0.1
         values = rng.normal(size=n)
         series = TimeSeries(t=tgrid, values=values.astype(complex))
-        for window, w in (
-            ("hann", 0.5 - 0.5 * np.cos(2 * math.pi * np.arange(n) / n)),
-            ("none", np.ones(n)),
-        ):
-            spec = periodogram(series, 10, window=window)
-            # undo the 2/sum(w) display scaling, fold the one-sided halves
-            raw_sq = (spec.magnitudes * (w.sum() / 2.0)) ** 2
-            fold = np.full(raw_sq.shape, 2.0)
-            fold[0] = 1.0
-            if n % 2 == 0:
-                fold[-1] = 1.0
-            total = np.sum(raw_sq * fold) / n
-            energy = np.sum((values * w) ** 2)
-            assert total == pytest.approx(energy, rel=1e-9)
+        w = 0.5 - 0.5 * np.cos(2 * math.pi * np.arange(n) / n)
+        spec = periodogram(series, 10)
+        # undo the 2/sum(w) display scaling, fold the one-sided halves
+        raw_sq = (spec.magnitudes * (w.sum() / 2.0)) ** 2
+        fold = np.full(raw_sq.shape, 2.0)
+        fold[0] = 1.0
+        if n % 2 == 0:
+            fold[-1] = 1.0
+        total = np.sum(raw_sq * fold) / n
+        energy = np.sum((values * w) ** 2)
+        assert total == pytest.approx(energy, rel=1e-9)
 
     def test_rejects_short_and_non_uniform(self):
         tgrid = np.arange(8) * 1.0
         with pytest.raises(ValueError):
             periodogram(TimeSeries(t=tgrid, values=np.zeros(8)), 10)
         with pytest.raises(ValueError):
-            periodogram(tone_series(10, [1.0], [1.0]), 10, window="hamming")
+            periodogram(TimeSeries(t=np.arange(32.0) ** 2, values=np.zeros(32)), 10)
 
 
 class TestFindPeaks:
@@ -125,17 +122,8 @@ def per_bin_peaks(spectrum, min_height_fraction):
         if y0 < cut or mags[k - 1] >= y0 or mags[k + 1] >= y0:
             continue
         ym1, yp1 = mags[k - 1], mags[k + 1]
-        if spectrum.window == "hann":
-            offset = 2.0 * (yp1 - ym1) / (ym1 + 2.0 * y0 + yp1)
-            height = y0 / _hann_shape(offset)
-        else:
-            if ym1 > 0.0 and yp1 > 0.0:
-                lm1, l0, lp1 = math.log(ym1), math.log(y0), math.log(yp1)
-            else:
-                lm1, l0, lp1 = ym1, y0, yp1
-            denom = 2.0 * (2.0 * l0 - lp1 - lm1)
-            offset = (lp1 - lm1) / denom if denom != 0.0 else 0.0
-            height = y0 - 0.25 * (ym1 - yp1) * offset
+        offset = 2.0 * (yp1 - ym1) / (ym1 + 2.0 * y0 + yp1)
+        height = y0 / _hann_shape(offset)
         peaks.append(
             Peak(
                 freq_over_nu=float(spectrum.freq_over_nu[k] + offset * bin_width),
@@ -153,26 +141,22 @@ class TestFindPeaksAgainstPerBinLoop:
         # few distinct levels, so plateaus of equal neighbours are common
         st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.0]) | st.floats(0.0, 10.0),
                  min_size=0, max_size=40),
-        st.sampled_from(["hann", "none"]),
         st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.5]),
     )
-    def test_same_peaks_as_per_bin_loop(self, mags, window, fraction):
+    def test_same_peaks_as_per_bin_loop(self, mags, fraction):
         spec = Spectrum(
             freq_over_nu=np.arange(len(mags)) * 0.25,
             magnitudes=np.array(mags, dtype=np.float64),
-            window=window,
         )
         assert find_peaks(spec, fraction) == per_bin_peaks(spec, fraction)
 
-    @pytest.mark.parametrize("window", ["hann", "none"])
-    def test_periodograms_and_empty_spectra(self, window):
-        spec = periodogram(tone_series(100, [0.6, 1.4, 7.3], [10.0, 0.2, 1.0]), 100,
-                           window=window)
+    def test_periodograms_and_empty_spectra(self):
+        spec = periodogram(tone_series(100, [0.6, 1.4, 7.3], [10.0, 0.2, 1.0]), 100)
         for fraction in (0.0, 1e-6, 0.01, 0.1, 0.5, 2.0):
             assert find_peaks(spec, fraction) == per_bin_peaks(spec, fraction)
         # nothing above the cut, and nothing above zero
         assert find_peaks(spec, 2.0) == []
-        flat = Spectrum(np.arange(64) * 0.1, np.zeros(64), window=window)
+        flat = Spectrum(np.arange(64) * 0.1, np.zeros(64))
         assert find_peaks(flat, 0.1) == per_bin_peaks(flat, 0.1) == []
 
 
@@ -184,7 +168,7 @@ class TestLineSpectrum:
         ops = collective_operators(sec)
         psi = ground_state(eig)
         lines = line_spectrum(eig, psi, ops.sz, threshold=1e-10)
-        assert len(lines) == 1
+        assert lines.frequencies.size == 1
         assert lines.frequencies[0] == 0.0
 
     def test_exact_ground_state_carries_no_in_plane_lines(self):
@@ -193,7 +177,7 @@ class TestLineSpectrum:
         eig = eigensystem(build_hamiltonian(LmgParams(N=N, h=0.4), sec))
         ops = collective_operators(sec)
         lines = line_spectrum(eig, ground_state(eig), ops.sx, threshold=1e-12)
-        assert len(lines) == 0
+        assert lines.frequencies.size == 0
 
     def test_weakly_localized_state_shows_the_gap_line_pairs(self):
         # in the small-kick limit the only lines above threshold sit at
@@ -214,7 +198,7 @@ class TestLineSpectrum:
         }
         measured = {round(abs(f), 10) for f in lines.frequencies}
         assert measured == gaps
-        assert len(lines) == 4
+        assert lines.frequencies.size == 4
 
     @pytest.mark.parametrize("threshold", [0.0, 1e-30, 1e-18, 1e-8])
     def test_every_line_above_threshold_is_listed(self, threshold):
@@ -233,7 +217,7 @@ class TestLineSpectrum:
             v = eig.columns(np.arange(eig.dim))
             full = np.conj(b)[:, None] * (v.T @ sx.to_dense() @ v) * b
             above = np.abs(full) > threshold
-            assert len(lines) == np.count_nonzero(above)
+            assert lines.frequencies.size == np.count_nonzero(above)
             assert np.sum(np.abs(lines.weights)) == pytest.approx(
                 np.sum(np.abs(full[above])), rel=1e-12
             )

@@ -22,10 +22,8 @@ from snapshot.traffic import OPS, replay, unentered
 KEEPS = {
     "TimeSeries.__post_init__",
     "propagate",
-    "CorrelationResult.degenerate",
     "lifetime_bound",
     "full_space_operators",
-    "LineSpectrum.__len__",
     "frequency_scaling_fit",
     "degenerate_pt_gap",
     "two_well_eigenvalues",
