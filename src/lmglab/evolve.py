@@ -173,9 +173,7 @@ def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
     real.  With an all-zero band 1, H commutes with the parity (-1)^m: its
     even-m and odd-m blocks (``_parity_blocks``) are solved apart and each
     block's vectors go straight to their columns in the stable merge of the
-    two spectra.  Only an H with band 1 is solved whole; if it is
-    tridiagonal and complex it is made real first by D = diag(e^{-i
-    theta_m}), theta_m the summed phases of the first m off-diagonals.
+    two spectra.  An H with band 1 is solved whole.
     """
     n = op.dim
     if op.bandwidth > 2:
@@ -194,15 +192,8 @@ def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
         v = np.zeros((n, n), dtype=v0.dtype)
         v[0::2, rank[: w0.size]], v[1::2, rank[w0.size :]] = v0, v1
         return EigenSystem(_readonly(w[order]), _readonly(v))
-    dense = op.to_dense()
-    gauge = None
-    if bands == {1} and np.iscomplexobj(op.band(1)):
-        gauge = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(op.band(1))))))
-        dense = (gauge.conj()[:, None] * dense * gauge[None, :]).real
-    w, v = np.linalg.eigh(dense)
-    if gauge is not None:
-        v = gauge[:, None] * v
-    return EigenSystem(_readonly(w), _readonly(np.ascontiguousarray(v)))
+    w, v = np.linalg.eigh(op.to_dense())
+    return EigenSystem(_readonly(w), _readonly(v))
 
 
 def _certified(levels: np.ndarray, r: float, g_out: float, coupling_sq: float) -> bool:

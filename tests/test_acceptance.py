@@ -194,7 +194,7 @@ def test_c06_trial_state_claims():
     exponent = float(np.polyfit(np.log(sizes), np.log(values), 1)[0])
     fit_ok = abs(exponent - 0.5) <= 0.05
     lifetimes_ok = all(
-        lifetime_bound(2.0 / N**2, N) == pytest.approx(N**3 / 4.0, rel=1e-12)
+        lifetime_bound(2.0 / N**2, N) == pytest.approx(N**3 / 4.0, rel=1e-12, abs=0)
         for N in (10, 100, 1000)
     )
     ok = gap_ok and fit_ok and lifetimes_ok

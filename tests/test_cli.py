@@ -115,7 +115,7 @@ class TestEvolve:
         assert rc == 0
         summary = read_json(os.path.join(out, "summary.json"))
         assert summary["preparation"] == "trial"
-        assert summary["delta_e"] == pytest.approx(2e-4, rel=1e-10)
+        assert summary["delta_e"] == pytest.approx(2e-4, rel=1e-10, abs=0)
 
     def test_determinism(self, tmp_path):
         args = ["evolve", "--n", "30", "--h", "0.4", "--g", "1e-3"] + FAST
@@ -220,7 +220,7 @@ class TestModes:
         assert bool(row[4]) == ground.degenerate
         assert row[2] == ground.m0
         expected_omega0 = 1.0 / n if ground.degenerate else float(h) - 2.0 * ground.m0 / n
-        assert row[3] == pytest.approx(expected_omega0, rel=1e-12)
+        assert row[3] == pytest.approx(expected_omega0, rel=1e-12, abs=0)
         summary = read_json(os.path.join(out, "summary.json"))
         assert summary["mode"] == label
         assert summary["modes"] == [{"h": float(h), "mode": label}]
@@ -302,8 +302,8 @@ class TestGap:
             assert header == "n,splitting,tunneling_gap_estimate"
             summary = read_json(os.path.join(out, "summary.json"))
             assert summary["gamma0_fitted_rate"] > 0.0
-            assert summary["c_h"] == pytest.approx(-math.log(0.71), rel=1e-12)
-            assert summary["wkb_rate"] == pytest.approx(wkb_rate(0.71), rel=1e-12)
+            assert summary["c_h"] == pytest.approx(-math.log(0.71), rel=1e-12, abs=0)
+            assert summary["wkb_rate"] == pytest.approx(wkb_rate(0.71), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("flags", [["--gamma", "0.5"], []])
     def test_records_no_gamma(self, tmp_path, flags):

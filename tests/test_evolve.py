@@ -821,7 +821,7 @@ class TestCorrelation:
         omega0 = h - 2.0 * member.m0 / N
         measured = sorted(abs(f) for f in member.frequencies)
         expected = sorted((abs(nu - omega0), abs(nu + omega0)))
-        assert measured == pytest.approx(expected, rel=1e-12)
+        assert measured == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_static_moment_at_time_zero(self):
         N, h = 40, 0.3
@@ -832,8 +832,8 @@ class TestCorrelation:
         idx0 = int(np.nonzero(sec.m_values == member.m0)[0][0])
         u = ops.sx.apply(basis(sec.dim, idx0))
         static = (4.0 / N**2) * float(np.sum(np.abs(u) ** 2))
-        assert member.closed_form.values[0].real == pytest.approx(static, rel=1e-14)
-        assert member.direct.values[0].real == pytest.approx(static, rel=1e-14)
+        assert member.closed_form.values[0].real == pytest.approx(static, rel=1e-14, abs=0)
+        assert member.direct.values[0].real == pytest.approx(static, rel=1e-14, abs=0)
 
     def test_degenerate_pair_returns_both_members(self):
         sec = build_sector(100)

@@ -109,7 +109,7 @@ class TestIsotropicEnergies:
         sec = build_sector(8)
         energies = isotropic_energies(sec, 0.0)
         assert sec.m_values[int(np.argmin(energies))] == 0.0
-        assert energies.min() == pytest.approx(-(4.0 * 5.0) / 8.0, rel=1e-15)
+        assert energies.min() == pytest.approx(-(4.0 * 5.0) / 8.0, rel=1e-15, abs=0)
 
     def test_symmetric_phase_minimum_at_edge(self):
         sec = build_sector(9)
@@ -158,7 +158,7 @@ class TestMeanField:
         state = coherent_state(sec, math.pi / 2)
         assert np.allclose(state, [0.5, 1 / math.sqrt(2), 0.5], atol=1e-15)
         sx = collective_operators(sec).sx
-        assert expectation(sx, state).real == pytest.approx(1.0, rel=1e-14)
+        assert expectation(sx, state).real == pytest.approx(1.0, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("N", [3, 40, 400])
     def test_polarization_vector(self, N):
@@ -206,7 +206,7 @@ class TestTrialState:
     @pytest.mark.parametrize("N", [10, 100, 1000])
     def test_energy_elevation_is_two_over_n_squared(self, N):
         trial = trial_localized_state(build_sector(N), 0.5)
-        assert trial.delta_e == pytest.approx(2.0 / N**2, rel=1e-12)
+        assert trial.delta_e == pytest.approx(2.0 / N**2, rel=1e-12, abs=0)
 
     def test_energy_elevation_cross_checked_against_expectation(self):
         N, h = 100, 0.716
@@ -215,7 +215,7 @@ class TestTrialState:
         ham = build_hamiltonian(LmgParams(N=N, h=h), sec)
         e0 = isotropic_energies(sec, h).min()
         measured = expectation(ham, trial.state).real - e0
-        assert measured == pytest.approx(trial.delta_e, rel=1e-6)
+        assert measured == pytest.approx(trial.delta_e, rel=1e-6, abs=0)
 
     def test_sz_expectation_stays_at_ground_magnetization(self):
         N, h = 100, 0.716
@@ -240,7 +240,7 @@ class TestTrialState:
         trial = trial_localized_state(build_sector(10), 0.5)
         assert trial.degenerate_ground
         assert trial.m0 == 2.0
-        assert trial.delta_e == pytest.approx(2.0 / 100.0, rel=1e-12)
+        assert trial.delta_e == pytest.approx(2.0 / 100.0, rel=1e-12, abs=0)
 
     def test_rejects_symmetric_phase_and_tiny_n(self):
         with pytest.raises(ValueError):
@@ -251,7 +251,7 @@ class TestTrialState:
 
 class TestLifetime:
     def test_values(self):
-        assert lifetime_bound(2.0 / 100**2, 100) == pytest.approx(2.5e5, rel=1e-15)
+        assert lifetime_bound(2.0 / 100**2, 100) == pytest.approx(2.5e5, rel=1e-15, abs=0)
         assert lifetime_bound(1.0, 2) == 1.0
 
     def test_cubic_scaling(self):

@@ -640,7 +640,7 @@ class TestCorrelation:
         sx = full_space_operators(N)
         full = full_space_ground(LmgParams(N=N, h=h))
         static = 4.0 / N**2 * np.vdot(sx @ full.vector, sx @ full.vector).real
-        assert members[0][1].values[0].real == pytest.approx(static, rel=1e-10)
+        assert members[0][1].values[0].real == pytest.approx(static, rel=1e-10, abs=0)
 
     def test_phase_sum_memory_is_bounded(self):
         # a 2^10 x 2^10 float64 matrix alone is 8.4 MB; unblocked, the lines

@@ -55,7 +55,7 @@ class TestPeriodogram:
         assert len(peaks) == 2
         assert peaks[0].freq_over_nu == pytest.approx(0.6, abs=0.05)
         assert peaks[1].freq_over_nu == pytest.approx(1.4, abs=0.05)
-        assert peaks[0].height / peaks[1].height == pytest.approx(10.0 / 7.0, rel=0.05)
+        assert peaks[0].height / peaks[1].height == pytest.approx(10.0 / 7.0, rel=0.05, abs=0)
 
     def test_off_bin_tone_located_precisely(self):
         spec = periodogram(tone_series(100, [1.013], [1.0]), 100)
@@ -78,7 +78,7 @@ class TestPeriodogram:
             fold[-1] = 1.0
         total = np.sum(raw_sq * fold) / n
         energy = np.sum((values * w) ** 2)
-        assert total == pytest.approx(energy, rel=1e-9)
+        assert total == pytest.approx(energy, rel=1e-9, abs=0)
 
     def test_rejects_short_and_non_uniform(self):
         tgrid = np.arange(8) * 1.0
@@ -219,7 +219,7 @@ class TestLineSpectrum:
             above = np.abs(full) > threshold
             assert lines.frequencies.size == np.count_nonzero(above)
             assert np.sum(np.abs(lines.weights)) == pytest.approx(
-                np.sum(np.abs(full[above])), rel=1e-12
+                np.sum(np.abs(full[above])), rel=1e-12, abs=0
             )
 
     def test_localized_state_dominant_pair(self):
@@ -307,8 +307,8 @@ class TestQuasicrystal:
     def test_golden_ratio_field_value(self):
         fields = quasicrystal_h(100, GOLDEN)
         delta = (1.0 - GOLDEN) / (1.0 + GOLDEN)
-        assert fields[26] == pytest.approx(0.01 * (52.0 + delta), rel=1e-14)
-        assert delta == pytest.approx((math.sqrt(5) - 1) / (math.sqrt(5) + 3), rel=1e-14)
+        assert fields[26] == pytest.approx(0.01 * (52.0 + delta), rel=1e-14, abs=0)
+        assert delta == pytest.approx((math.sqrt(5) - 1) / (math.sqrt(5) + 3), rel=1e-14, abs=0)
 
     def test_round_trip_ratio_over_random_draws(self):
         rng = np.random.default_rng(12)
@@ -391,7 +391,7 @@ class TestCutAndProject:
         length = 10_000
         word = cut_and_project_sequence(GOLDEN, length)
         ratio = word.count("U") / word.count("D")
-        assert ratio == pytest.approx(GOLDEN, rel=0.02)
+        assert ratio == pytest.approx(GOLDEN, rel=0.02, abs=0)
 
     def test_rejects_bad_slope(self):
         with pytest.raises(ValueError):
@@ -403,7 +403,7 @@ class TestScalingFit:
         samples = [(n, 1.0 / n) for n in (50, 100, 200, 400)]
         fit = frequency_scaling_fit(samples)
         assert fit.exponent == pytest.approx(1.0, abs=1e-10)
-        assert fit.nu0 == pytest.approx(1.0, rel=1e-10)
+        assert fit.nu0 == pytest.approx(1.0, rel=1e-10, abs=0)
 
     def test_constant_data(self):
         fit = frequency_scaling_fit([(10, 2.0), (20, 2.0), (40, 2.0)])

@@ -53,7 +53,7 @@ def test_single_spin_operators_are_half_paulis():
 def test_triplet_ladder_element():
     # <M=0|S+|M=-1> for S=1 is sqrt(2); index 1 holds M=0, index 2 holds M=-1
     plus = ladder_plus_band(build_sector(2))
-    assert plus[1] == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert plus[1] == pytest.approx(np.sqrt(2.0), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 7, 24, 101])
@@ -206,7 +206,7 @@ def test_expectation_examples():
     sec = build_sector(4)
     ops = collective_operators(sec)
     psi = unit([1.0, 1.0, 0.0, 0.0, 0.0])
-    assert expectation(ops.sx, psi).real == pytest.approx(1.0, rel=1e-14)
+    assert expectation(ops.sx, psi).real == pytest.approx(1.0, rel=1e-14, abs=0)
 
 
 def test_expectation_agrees_with_quadratic_form():

@@ -42,7 +42,7 @@ class TestLocalize:
     )
     def test_energy_elevation_reference_values(self, g, target):
         loc = localize_ground_state(LmgParams(N=100, h=0.714), g=g)
-        assert loc.delta_e == pytest.approx(target, rel=0.05)
+        assert loc.delta_e == pytest.approx(target, rel=0.05, abs=0)
 
     def test_order_parameter_approaches_mean_field(self):
         # a strong kick saturates the polarization at the mean-field value;
@@ -50,7 +50,7 @@ class TestLocalize:
         # amplitude is pinned below as a regression value)
         h = 0.716
         strong = localize_ground_state(LmgParams(N=100, h=h), g=0.01)
-        assert strong.m_n == pytest.approx(math.sqrt(1.0 - h * h), rel=0.10)
+        assert strong.m_n == pytest.approx(math.sqrt(1.0 - h * h), rel=0.10, abs=0)
         weak = localize_ground_state(LmgParams(N=100, h=h))  # g = 1/N^2
         assert weak.m_n == pytest.approx(0.2593, abs=5e-4)
 
@@ -145,7 +145,7 @@ class TestLocalize:
         plus = localize_ground_state(params, g=1e-3)
         minus = localize_ground_state(params, g=-1e-3)
         assert plus.m_n > 0.0
-        assert minus.m_n == pytest.approx(-plus.m_n, rel=1e-8)
+        assert minus.m_n == pytest.approx(-plus.m_n, rel=1e-8, abs=0)
 
 
 class TestOrderParameter:
@@ -190,7 +190,7 @@ class TestDegeneratePt:
         pt = degenerate_pt_gap(build_sector(100), 0.71, 1e-4)
         s = 50.0
         expected = math.sqrt(s * (s + 1) - 35.0 * 36.0) / 2.0
-        assert pt.sx_updown == pytest.approx(expected, rel=1e-14)
+        assert pt.sx_updown == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_mixed_states_polarization(self):
         N = 100
@@ -198,8 +198,8 @@ class TestDegeneratePt:
         ops = collective_operators(build_sector(N))
         m_plus = 2.0 / N * expectation(ops.sx, pt.mixed_states[0]).real
         m_minus = 2.0 / N * expectation(ops.sx, pt.mixed_states[1]).real
-        assert m_plus == pytest.approx(2.0 * pt.sx_updown / N, rel=1e-12)
-        assert m_minus == pytest.approx(-2.0 * pt.sx_updown / N, rel=1e-12)
+        assert m_plus == pytest.approx(2.0 * pt.sx_updown / N, rel=1e-12, abs=0)
+        assert m_minus == pytest.approx(-2.0 * pt.sx_updown / N, rel=1e-12, abs=0)
 
     def test_numeric_splitting_matches_first_order(self):
         N, h = 100, 0.71
@@ -219,16 +219,16 @@ class TestDegeneratePt:
 class TestNewmanAlpha:
     def test_reference_value(self):
         result = newman_alpha(20, 0.5)
-        assert result.alpha == pytest.approx(0.3125 * 2.0**-20, rel=1e-12)
-        assert result.gap == pytest.approx(2.0 * result.alpha, rel=1e-15)
-        assert result.c_h == pytest.approx(math.log(2.0), rel=1e-15)
-        assert result.theta0 == pytest.approx(math.pi / 3.0, rel=1e-15)
+        assert result.alpha == pytest.approx(0.3125 * 2.0**-20, rel=1e-12, abs=0)
+        assert result.gap == pytest.approx(2.0 * result.alpha, rel=1e-15, abs=0)
+        assert result.c_h == pytest.approx(math.log(2.0), rel=1e-15, abs=0)
+        assert result.theta0 == pytest.approx(math.pi / 3.0, rel=1e-15, abs=0)
 
     def test_log_slope_equals_log_h(self):
         h = 0.37
         logs = [newman_alpha(n, h).log_alpha for n in (10, 11, 12, 40)]
-        assert logs[1] - logs[0] == pytest.approx(math.log(h), rel=1e-12)
-        assert (logs[3] - logs[0]) / 30.0 == pytest.approx(math.log(h), rel=1e-12)
+        assert logs[1] - logs[0] == pytest.approx(math.log(h), rel=1e-12, abs=0)
+        assert (logs[3] - logs[0]) / 30.0 == pytest.approx(math.log(h), rel=1e-12, abs=0)
 
     def test_no_underflow_in_log_space(self):
         result = newman_alpha(10_000, 0.5)
@@ -268,14 +268,14 @@ class TestWkbRate:
         # c(h) = -ln h - (x - ln(1 + x)) with x - ln(1 + x) > 0 for x > 0
         x = math.sqrt(1.0 - h * h)
         c = wkb_rate(h)
-        assert c == pytest.approx(-math.log(h) - (x - math.log1p(x)), rel=1e-12)
+        assert c == pytest.approx(-math.log(h) - (x - math.log1p(x)), rel=1e-12, abs=0)
         assert c < -math.log(h)
 
     def test_cubic_onset_near_critical_field(self):
         h = 0.999
         x = math.sqrt(1.0 - h * h)
         # next term of the series is x^5/5, a relative correction 3 x^2 / 5
-        assert wkb_rate(h) == pytest.approx(x**3 / 3.0, rel=x * x)
+        assert wkb_rate(h) == pytest.approx(x**3 / 3.0, rel=x * x, abs=0)
 
 
 class TestTwoWellEigenvalues:
@@ -283,7 +283,7 @@ class TestTwoWellEigenvalues:
         assert two_well_eigenvalues(1e-5, 0.0, 0.5).epsilon_plus == 1e-5
         pure_field = two_well_eigenvalues(0.0, 2e-4, 0.6)
         assert pure_field.epsilon_plus == pytest.approx(
-            1e-4 * math.sqrt(1 - 0.36), rel=1e-14
+            1e-4 * math.sqrt(1 - 0.36), rel=1e-14, abs=0
         )
 
     def test_large_kick_expansion(self):
@@ -294,7 +294,7 @@ class TestTwoWellEigenvalues:
 
     def test_crossover_scale(self):
         result = two_well_eigenvalues(1e-6, 0.0, 0.8)
-        assert result.crossover_g == pytest.approx(2e-6 / math.sqrt(0.36), rel=1e-12)
+        assert result.crossover_g == pytest.approx(2e-6 / math.sqrt(0.36), rel=1e-12, abs=0)
 
 
 class TestGammaZeroScan:

@@ -1,8 +1,8 @@
 """The banded eigensolve path, ``evolve.eigensystem``, against the
 independent cyclic Jacobi reference below and against one dense complex
-``numpy.linalg.eigh`` call: the real, gauge-transformed and parity-split
-solves.  The parity split is also held bit for bit to the dense-slice
-construction it replaced, kept below as ``dense_slice_eigensystem``.
+``numpy.linalg.eigh`` call: the real, complex and parity-split solves.
+The parity split is also held bit for bit to the dense-slice construction
+it replaced, kept below as ``dense_slice_eigensystem``.
 
 Test names predate the LAPACK solver and are kept so results stay
 comparable across revisions.
@@ -155,7 +155,7 @@ def eigh_inputs(monkeypatch):
         (40, 0.5, 0.0, 0.0, [(np.float64, (21, 21)), (np.float64, (20, 20))]),
         (41, 0.0, 0.0, 0.0, [(np.float64, (21, 21)), (np.float64, (21, 21))]),
         (40, 0.5, 1e-3, 0.0, [(np.float64, (41, 41))]),
-        (40, 1.0, 1e-3, 0.7, [(np.float64, (41, 41))]),
+        (40, 1.0, 1e-3, 0.7, [(np.complex128, (41, 41))]),
         (40, 0.5, 1e-3, 0.7, [(np.complex128, (41, 41))]),
     ],
 )
@@ -170,6 +170,8 @@ def test_solve_arithmetic_and_block_sizes(monkeypatch, N, gamma, g, phi_n, expec
 @pytest.mark.parametrize("N", [20, 41])
 @pytest.mark.parametrize("phi_n", [0.7, math.pi / 2, 2.5, -1.0])
 def test_kicked_isotropic_gauge_matches_complex_solve(N, phi_n):
+    # The name predates the removal of the real phase gauge (see the module
+    # docstring); a kick off the x axis is now itself one complex solve.
     op = hamiltonian(N, 0.5, 1.0, g=0.01, phi_n=phi_n)
     eig = eigensystem(op)
     dense = op.to_dense()
