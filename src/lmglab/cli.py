@@ -84,7 +84,7 @@ def _parse_float_list(text: str) -> list[float]:
 
 # every flag, declared once as argparse keywords under its long name, with
 # its default; None is worked out at run time: --g is 1/N^2 (gap's PT
-# table: 1e-6, 1e-5, 1e-4) and --tmax 40 pi N
+# table: 1e-6, 1e-5, 1e-4), --tmax 40 pi N and --cutoff-k 3 (gamma = 1 only)
 _FLAGS = {
     "n": {"type": _parse_int_list, "default": [100]},
     "h": {"type": _parse_float_list, "default": [0.716]},
@@ -93,7 +93,7 @@ _FLAGS = {
     "phi-n": {"type": float, "default": 0.0},
     "tmax": {"type": float},
     "samples": {"type": int, "default": 4096},
-    "cutoff-k": {"type": int, "default": 3},
+    "cutoff-k": {"type": int},
     "kappa": {"type": float, "default": 0.6180339887498949},
     "threshold": {"type": float, "default": 0.01},
     "trial": {"action": "store_true", "default": False},
@@ -110,7 +110,7 @@ _COMMAND_FLAGS = {
     # gap applies --gamma nowhere (its PT part uses gamma = 1, its scan
     # gamma = 0) and records it as null
     "gap": ("n", "h", "gamma", "g"),
-    "quasicrystal": ("n", "h", "gamma", "g", "phi-n", "kappa", "tmax", "samples"),
+    "quasicrystal": ("n", "h", "g", "phi-n", "kappa", "tmax", "samples"),
     "oracle": ("n", "h", "threshold"),
 }
 # the defaults of the subcommands that differ; quasicrystal's --h None is
@@ -177,8 +177,11 @@ def validate_config(cfg: argparse.Namespace) -> None:
         raise ValueError("--kappa must lie strictly between 0 and 1")
     if cfg.samples < 16:
         raise ValueError("--samples must be >= 16")
-    if cfg.cutoff_k < 0:
+    if cfg.cutoff_k is not None and cfg.cutoff_k < 0:
         raise ValueError("--cutoff-k must be >= 0")
+    if cfg.cutoff_k is not None and cfg.gamma < 1.0:
+        raise ValueError("--cutoff-k sets the gamma = 1 analytic columns only; "
+                         "drop it with --gamma < 1")
     if cfg.tmax is not None and not 0.0 < cfg.tmax < math.inf:
         raise ValueError("--tmax must be positive and finite")
     # the step tmax/samples must be a normal double (5e-324/16 is 0), and
@@ -268,7 +271,7 @@ def _series_run(cfg: argparse.Namespace, N: int, h: float, g: float):
     # <S+> = <Sx> + i <Sy>: m_x and m_y from one line sum
     plus = observable_series(eig0, state, _Raising(sector), tgrid)
     modes = projected_init(state, sector, h)
-    ax, ay = analytic_sum(modes, min(cfg.cutoff_k, N), tgrid)
+    ax, ay = analytic_sum(modes, min(3 if cfg.cutoff_k is None else cfg.cutoff_k, N), tgrid)
     scale = 2.0 / N
     mx = plus.values.real * scale
     rows = np.column_stack(
@@ -283,6 +286,8 @@ def _series_run(cfg: argparse.Namespace, N: int, h: float, g: float):
     summary = _base_summary(cfg, N, h, g)
     summary["delta_e"] = prepared.delta_e
     summary["preparation"] = prep
+    if cfg.gamma < 1.0:  # gamma = 1 closed forms, which gap keeps for its PT table
+        summary.update(m0=None, nu=None, omega0=None, mode=None)
     summary["files"] = [_table(cfg, "series", SERIES_HEADER, rows)]
     return summary, _series(plus.t, mx), eig0, state, sector
 
@@ -459,7 +464,7 @@ def cmd_quasicrystal(cfg: argparse.Namespace) -> dict:
     # two-tone waveform: the ground-mode component of an actual kicked run
     h_pick = float(fields[len(fields) // 2]) if cfg.h is None else _one(cfg.h, "h")
     tgrid = _time_grid(cfg, N)
-    params = LmgParams(N=N, h=h_pick, gamma=cfg.gamma)
+    params = LmgParams(N=N, h=h_pick)
     g = default_kick(N) if cfg.g is None else _one(cfg.g, "g")
     localized = localize_ground_state(params, g=g, phi_n=cfg.phi_n)
     files = [_table(cfg, "quasicrystal_h", "index,h", list(enumerate(fields)))]

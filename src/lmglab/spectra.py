@@ -169,14 +169,14 @@ class ModeClass:
 
 
 def classify_mode(N: int, h: float) -> ModeClass:
-    """Round / crescent / generic oscillation mode of the isotropic ground level.
+    """Round / crescent / generic oscillation mode of the gamma = 1 ground level.
 
     A degenerate ground pair (Nh an integer of the other parity than N) gives
     the crescent mode (bounded oscillation at 2 nu); a single level at
     M0 = Nh/2 (Nh an integer of N's parity) gives the round mode (omega_0 = 0,
     full precession circle at nu); any other h is generic with both lines
     present.  The level comes from ``intrinsic_frequencies``, so the label
-    agrees with the m0 and omega0 reported next to it.
+    agrees with the m0 and omega0 next to it; no gamma < 1 run reports them.
     """
     freqs = intrinsic_frequencies(N, h)
     if freqs.degenerate:

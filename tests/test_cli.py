@@ -29,7 +29,7 @@ READS = {
     "modes": "n h tmax samples",
     "correlation": "n h tmax samples",
     "gap": "n h gamma g",
-    "quasicrystal": "n h gamma g phi-n kappa tmax samples",
+    "quasicrystal": "n h g phi-n kappa tmax samples",
     "oracle": "n h threshold",
 }
 FLAG_VALUES = {
@@ -49,7 +49,7 @@ UNREAD = [
 # a run with no flag given, and the defaults of the subcommands that differ
 DEFAULTS = dict(
     n=[100], h=[0.716], gamma=1.0, g=None, phi_n=0.0, tmax=None, samples=4096,
-    cutoff_k=3, kappa=0.6180339887498949, threshold=0.01,
+    cutoff_k=None, kappa=0.6180339887498949, threshold=0.01,
     trial=False, out=".",
 )
 COMMAND_DEFAULTS = {
@@ -76,6 +76,11 @@ def read_csv(path):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def written(out):
+    """Every file in ``out``, by name, as bytes."""
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
 class TestEvolve:
@@ -173,6 +178,32 @@ class TestSpectrum:
         assert main(argv + FAST) == 0
         assert calls.count("bohr_lines") == 2
         assert calls.count("_phase_sum") == 2
+
+    def test_anisotropic_summary_holds_no_isotropic_closed_form(self, tmp_path):
+        # m0, nu, omega0 and the mode are those of the gamma = 1 ground level
+        out = tmp_path / "run"
+        argv = ["spectrum", "--n", "40", "--h", "0.6", "--gamma", "0.5", "--out", str(out)]
+        assert main(argv + FAST) == 0
+        summary = read_json(out / "summary.json")
+        assert [summary[key] for key in ("m0", "nu", "omega0", "mode")] == [None] * 4
+        assert summary["gamma"] == 0.5
+
+    def test_cutoff_k_at_gamma_one_sets_only_the_analytic_columns(self, tmp_path):
+        # no --cutoff-k is K = 3; another K moves the two analytic columns alone
+        argv = ["spectrum", "--n", "40", "--h", "0.6", "--samples", "256"]
+        for name, flags in (("default", []), ("k3", ["--cutoff-k", "3"]),
+                            ("k5", ["--cutoff-k", "5"])):
+            assert main(argv + flags + ["--out", str(tmp_path / name)]) == 0
+        default, k3, k5 = (written(tmp_path / name) for name in ("default", "k3", "k5"))
+        assert k3 == default
+        del k5["series.csv"], default["series.csv"]
+        assert k5 == default
+        _, series3 = read_csv(tmp_path / "default" / "series.csv")
+        _, series5 = read_csv(tmp_path / "k5" / "series.csv")
+        assert np.array_equal(series5[:, :3], series3[:, :3])
+        # more modes sum closer to the exact series
+        deviation = [np.max(np.abs(s[:, 1:3] - s[:, 3:5])) for s in (series5, series3)]
+        assert deviation[0] < deviation[1]
 
     def test_trial_state_round_mode_single_tone(self, tmp_path):
         out = str(tmp_path / "run")
@@ -556,14 +587,15 @@ class TestOracleCommand:
             ["spectrum", "--trial", "--g", "0.01"],
             ["spectrum", "--trial", "--phi-n", "0.3"],
             ["correlation", "--gamma", "1"],
+            ["quasicrystal", "--gamma", "1"],
         ],
     )
     def test_flags_it_would_ignore_exit_one(self, tmp_path, argv):
-        # these commands run at gamma = 1 (modes from its closed forms) and
-        # choose their own kick, gap kicks along x and a trial state takes no
-        # kick, so these flags would be recorded in summary.json without
-        # taking effect; a flag the command does not read is refused even at
-        # the value it would have had
+        # these commands run at gamma = 1 (modes and quasicrystal from its
+        # closed forms) and choose their own kick, gap kicks along x and a
+        # trial state takes no kick, so these flags would be recorded in
+        # summary.json without taking effect; a flag the command does not
+        # read is refused even at the value it would have had
         out = str(tmp_path / "run")
         assert main(argv + ["--n", "4", "--h", "0.5", "--out", out]) == 1
         assert not os.path.exists(os.path.join(out, "summary.json"))
@@ -664,6 +696,8 @@ class TestUsageErrors:
             (["evolve", "--n", "10", "--h", "1.2", "--trial"], "--trial"),
             (["evolve", "--samples", "8"], "--samples"),
             (["evolve", "--cutoff-k", "-1"], "--cutoff-k"),
+            (["evolve", "--gamma", "0.5", "--cutoff-k", "5"], "--cutoff-k"),
+            (["spectrum", "--gamma", "0.5", "--cutoff-k", "5"], "--cutoff-k"),
             (["evolve", "--tmax", "-1"], "--tmax"),
             # a subnormal step overflows the periodogram bins; a zero one
             # is no grid
@@ -675,7 +709,8 @@ class TestUsageErrors:
             (["gap", "--n", "40", "--h", "0.5", "--g", "1e-4"], "--g"),
         ],
         ids=["n", "h", "gamma", "h-nan", "phi-n", "threshold", "broken-phase-h",
-             "trial-g", "trial-n", "trial-h", "samples", "cutoff-k", "tmax",
+             "trial-g", "trial-n", "trial-h", "samples", "cutoff-k",
+             "evolve-cutoff-k-gamma", "spectrum-cutoff-k-gamma", "tmax",
              "tmax-subnormal-step", "tmax-zero-step", "modes-h", "kappa", "gap-g"],
     )
     def test_rejection_names_its_flag(self, tmp_path, capsys, argv, flag):

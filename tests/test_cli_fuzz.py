@@ -3,8 +3,9 @@ the flags each reads, at edge values (odd N, fields a hair off a level
 crossing h = j/N, h = 1, negative numbers, empty lists).  Every run ends in
 a clean exit code, a usage error names a flag or the subcommand and writes
 nothing, every table written is rectangular with a float in each cell,
-finite except where ``non_finite_allowed`` says, and a second run into
-another --out writes the same bytes."""
+finite except where ``non_finite_allowed`` says, a gamma < 1 summary holds
+no gamma = 1 closed form, and a second run into another --out writes the
+same bytes."""
 
 import contextlib
 import io
@@ -54,7 +55,9 @@ def values(key, N, cap):
     strategies = {
         "n": listed(rarely(st.integers(1, cap), st.sampled_from((0, -3))), 2, first=[N]),
         "h": listed(fields(N), 3),
-        "gamma": rarely(st.floats(0.0, 1.0), st.sampled_from((-0.1, 1.5))),
+        # gamma = 1 often, the one value at which --cutoff-k is read
+        "gamma": rarely(st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+                        st.sampled_from((-0.1, 1.5))),
         "g": listed(st.sampled_from((0.0, 1e-6, 1e-4, 1e-2, -1e-3)), 2),
         "phi-n": st.floats(-3.5, 3.5),
         "tmax": rarely(st.floats(1.0, 500.0), st.sampled_from((0.0, -10.0, 1e-310, 5e-324))),
@@ -121,6 +124,11 @@ def written(out):
 @settings(max_examples=200, deadline=None)
 @given(argv=command_lines())
 @example(argv=["gap", "--n", "5", "--h", "1.2"])  # the one allowed nan column
+# the gamma = 1 closed forms: quasicrystal reads no --gamma, --cutoff-k is
+# read at gamma = 1 only, and a gamma < 1 summary holds none of them
+@example(argv=["quasicrystal", "--n", "7", "--gamma", "1.0"])
+@example(argv=["spectrum", "--n", "7", "--gamma", "0.5", "--cutoff-k", "2"])
+@example(argv=["evolve", "--n", "7", "--gamma", "0.5", "--samples", "16"])
 @tmax_examples
 def test_fuzzed_command_lines_exit_cleanly(argv):
     with tempfile.TemporaryDirectory() as tmp:
@@ -147,6 +155,10 @@ def test_fuzzed_command_lines_exit_cleanly(argv):
                     if not math.isfinite(cell):
                         assert non_finite_allowed(out, table.name, column), (argv, table.name, row)
         if rc == 0:
+            summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+            if summary["gamma"] is not None and summary["gamma"] < 1.0:
+                closed_forms = [summary[key] for key in ("m0", "nu", "omega0", "mode")]
+                assert closed_forms == [None] * 4, argv
             again = Path(tmp) / "elsewhere" / "run"
             assert run(argv, again)[0] == 0, argv
             assert written(again) == written(out), argv

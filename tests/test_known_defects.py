@@ -79,12 +79,25 @@ def test_crescent_kick_localizes():
     assert_m_n(localize_ground_state(LmgParams(N=1000, h=0.601), g=1e-20), 0.40)
 
 
-@known_defect("ROADMAP item 16: a gamma < 1 spectrum summary reports the "
-              "isotropic mode 'round'")
 def test_anisotropic_summary_has_no_isotropic_mode(tmp_path):
+    # mended (ROADMAP item 16): it reported the isotropic mode 'round'
     summary = run_summary(tmp_path, "spectrum", "--n", "200", "--h", "0.63",
                           "--gamma", "0.5", "--samples", "256")
     assert summary.get("mode") not in {ROUND, CRESCENT, GENERIC}
+
+
+@known_defect("ROADMAP item 21: a gamma < 1 series.csv writes the isotropic "
+              "K-mode sum as mx_analytic, 1.12 from mx_exact")
+def test_anisotropic_series_has_no_isotropic_analytic_columns(tmp_path):
+    # at gamma = 1 the same run's K = 3 sum lies 7.4e-4 from the exact series
+    run_summary(tmp_path, "evolve", "--n", "100", "--h", "0.6", "--gamma", "0.5",
+                "--samples", "256")
+    header, *rows = (tmp_path / "series.csv").read_text(encoding="utf-8").splitlines()
+    columns = dict(zip(header.split(","), zip(*(map(float, row.split(",")) for row in rows))))
+    if "mx_analytic" in columns:  # item 21 may drop the column instead
+        exact, analytic = columns["mx_exact"], columns["mx_analytic"]
+        deviation = max(abs(a - b) for a, b in zip(analytic, exact))
+        assert deviation <= 0.01, deviation
 
 
 @known_defect("ROADMAP item 13: gap --h 1 fits an exponential rate 0.0352 "
