@@ -72,6 +72,11 @@ CUT_PROJECT_LENGTH = 1000
 # gamma = 0 splittings at or under this are double-precision noise: the fit
 # skips them and summary.json lists their N as unresolved
 SPLITTING_FLOOR = 1e-13
+# the gamma = 1 modes k <= CUTOFF_K fill series.csv's analytic columns
+CUTOFF_K = 3
+PEAK_FRACTION = 0.01  # of the periodogram's maximum, for spectrum's peaks
+ORACLE_TOLERANCE = 1e-9  # oracle exits 3 above it
+PT_KICKS = (1e-6, 1e-5, 1e-4)  # gap's degenerate-PT table
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -83,8 +88,7 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 # every flag, declared once as argparse keywords under its long name, with
-# its default; None is worked out at run time: --g is 1/N^2 (gap's PT
-# table: 1e-6, 1e-5, 1e-4), --tmax 40 pi N and --cutoff-k 3 (gamma = 1 only)
+# its default; None is worked out at run time: --g is 1/N^2 and --tmax 40 pi N
 _FLAGS = {
     "n": {"type": _parse_int_list, "default": [100]},
     "h": {"type": _parse_float_list, "default": [0.716]},
@@ -93,31 +97,29 @@ _FLAGS = {
     "phi-n": {"type": float, "default": 0.0},
     "tmax": {"type": float},
     "samples": {"type": int, "default": 4096},
-    "cutoff-k": {"type": int},
     "kappa": {"type": float, "default": 0.6180339887498949},
-    "threshold": {"type": float, "default": 0.01},
     "trial": {"action": "store_true", "default": False},
     "out": {"default": "."},
 }
-_SERIES_FLAGS = ("n", "h", "gamma", "g", "phi-n", "tmax", "samples", "cutoff-k", "trial")
+_SERIES_FLAGS = ("n", "h", "gamma", "g", "phi-n", "tmax", "samples", "trial")
 # the flags each subcommand reads; every subcommand also takes --out, and
 # argparse rejects any other flag
 _COMMAND_FLAGS = {
     "evolve": _SERIES_FLAGS,
-    "spectrum": (*_SERIES_FLAGS, "threshold"),
+    "spectrum": _SERIES_FLAGS,
     "modes": ("n", "h", "tmax", "samples"),
     "correlation": ("n", "h", "tmax", "samples"),
     # gap applies --gamma nowhere (its PT part uses gamma = 1, its scan
     # gamma = 0) and records it as null
-    "gap": ("n", "h", "gamma", "g"),
+    "gap": ("n", "h", "gamma"),
     "quasicrystal": ("n", "h", "g", "phi-n", "kappa", "tmax", "samples"),
-    "oracle": ("n", "h", "threshold"),
+    "oracle": ("n", "h"),
 }
 # the defaults of the subcommands that differ; quasicrystal's --h None is
 # the middle field of its h(kappa) table
 _COMMAND_DEFAULTS = {
     "modes": {"h": [0.710, 0.716, 0.720]},
-    "oracle": {"n": [4, 6, 8], "h": [0.3, 0.5, 0.7], "threshold": 1e-9},
+    "oracle": {"n": [4, 6, 8], "h": [0.3, 0.5, 0.7]},
     "quasicrystal": {"h": None},
 }
 
@@ -144,7 +146,8 @@ def build_parser(subparsers: dict | None = None) -> argparse.ArgumentParser:
         ("quasicrystal", "h(kappa) table, two-tone waveform, symbol sequence"),
         ("oracle", "sector vs full 2^N comparisons (exit 3 on mismatch)"),
     ):
-        command = subparsers[name] = sub.add_parser(name, help=text)
+        # no flag is read from a prefix: gap's unread --g is not its --gamma
+        command = subparsers[name] = sub.add_parser(name, help=text, allow_abbrev=False)
         for key in (*_COMMAND_FLAGS[name], "out"):
             command.add_argument(f"--{key}", **_FLAGS[key])
         command.set_defaults(**_COMMAND_DEFAULTS.get(name, {}))
@@ -162,10 +165,8 @@ def validate_config(cfg: argparse.Namespace) -> None:
         raise ValueError("--h must be >= 0")
     if not 0.0 <= cfg.gamma <= 1.0:
         raise ValueError("--gamma must lie in [0, 1]")
-    if not all(math.isfinite(x) for x in [*fields, *(cfg.g or []), cfg.phi_n, cfg.threshold]):
-        raise ValueError("--h, --g, --phi-n and --threshold must be finite")
-    if cfg.threshold < 0.0:
-        raise ValueError("--threshold must be >= 0")
+    if not all(math.isfinite(x) for x in [*fields, *(cfg.g or []), cfg.phi_n]):
+        raise ValueError("--h, --g and --phi-n must be finite")
     # these compute gamma = 1 quantities of the broken phase only
     if cfg.command in ("oracle", "correlation", "modes") and any(h >= 1.0 for h in fields):
         raise ValueError(f"{cfg.command} needs --h < 1")
@@ -177,11 +178,6 @@ def validate_config(cfg: argparse.Namespace) -> None:
         raise ValueError("--kappa must lie strictly between 0 and 1")
     if cfg.samples < 16:
         raise ValueError("--samples must be >= 16")
-    if cfg.cutoff_k is not None and cfg.cutoff_k < 0:
-        raise ValueError("--cutoff-k must be >= 0")
-    if cfg.cutoff_k is not None and cfg.gamma < 1.0:
-        raise ValueError("--cutoff-k sets the gamma = 1 analytic columns only; "
-                         "drop it with --gamma < 1")
     if cfg.tmax is not None and not 0.0 < cfg.tmax < math.inf:
         raise ValueError("--tmax must be positive and finite")
     # the step tmax/samples must be a normal double (5e-324/16 is 0), and
@@ -194,11 +190,6 @@ def validate_config(cfg: argparse.Namespace) -> None:
                          f"and the values {cfg.h} repeat a name")
     if cfg.command == "gap" and len(cfg.n) > 1 and max(cfg.n) > MAX_GAP_SCAN_N:
         raise ValueError(f"gap scan supports N <= {MAX_GAP_SCAN_N}")
-    if cfg.command == "gap" and cfg.g is not None:
-        N, h = cfg.n[0], _one(cfg.h, "h")
-        if not ground_M(N, h).degenerate:
-            raise ValueError(f"gap reads --g only for the PT table of a degenerate "
-                             f"ground level, and N={N}, h={h} has none")
 
 
 def _mode_stem(h: float) -> str:
@@ -271,7 +262,7 @@ def _series_run(cfg: argparse.Namespace, N: int, h: float, g: float):
     # <S+> = <Sx> + i <Sy>: m_x and m_y from one line sum
     plus = observable_series(eig0, state, _Raising(sector), tgrid)
     modes = projected_init(state, sector, h)
-    ax, ay = analytic_sum(modes, min(3 if cfg.cutoff_k is None else cfg.cutoff_k, N), tgrid)
+    ax, ay = analytic_sum(modes, min(CUTOFF_K, N), tgrid)
     scale = 2.0 / N
     mx = plus.values.real * scale
     rows = np.column_stack(
@@ -318,7 +309,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> dict:
     N, h, g = _point(cfg)
     summary, mx_series, eig0, state, sector = _series_run(cfg, N, h, g)
     spec = periodogram(mx_series, N)
-    peaks = find_peaks(spec, cfg.threshold)
+    peaks = find_peaks(spec, PEAK_FRACTION)
     sx = collective_operators(sector).sx
     lines = line_spectrum(eig0, state, sx, threshold=1e-8 * N)
     summary["peaks"] = [
@@ -414,11 +405,10 @@ def cmd_gap(cfg: argparse.Namespace) -> dict:
     ground = ground_M(N, h)
     if ground.degenerate:
         sector = build_sector(N)
-        kicks = cfg.g if cfg.g is not None else [1e-6, 1e-5, 1e-4]
         # the PT splitting is that of the gamma = 1 H, whatever --gamma says
         params = LmgParams(N=N, h=h)
         rows = []
-        for g in kicks:
+        for g in PT_KICKS:
             pt = degenerate_pt_gap(sector, h, g)
             w = eigensystem(build_hamiltonian(params, sector, g=g)).energies
             rows.append((g, float(w[1] - w[0]), pt.splitting))
@@ -510,12 +500,12 @@ def cmd_oracle(cfg: argparse.Namespace) -> dict:
     )
     summary = _base_summary(cfg, cfg.n[0], cfg.h[0], 0.0)
     summary["worst_deviation"] = worst
-    summary["tolerance"] = cfg.threshold
+    summary["tolerance"] = ORACLE_TOLERANCE
     summary["files"] = [name]
-    if worst > cfg.threshold:
+    if worst > ORACLE_TOLERANCE:
         _write_json(cfg, "summary.json", summary)
         raise OracleMismatchError(
-            f"sector vs full-space deviation {worst:.3e} exceeds {cfg.threshold:.3e}"
+            f"sector vs full-space deviation {worst:.3e} exceeds {ORACLE_TOLERANCE:.3e}"
         )
     return summary
 

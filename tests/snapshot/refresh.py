@@ -3,10 +3,11 @@
     PYTHONPATH=src python tests/snapshot/refresh.py
 
 runs the 92 benchmark ops of ops.json (the seed-4242 op lists of the
-``dynamics``, ``anisotropic`` and ``validation`` workloads, copied once) in
-process with the lmglab on the path, and records a digest of every file
-they write, with the numpy, BLAS, BLAS threads, CPU features and C library
-it ran on.
+``dynamics``, ``anisotropic`` and ``validation`` workloads, copied once)
+with the lmglab on the path, once per OpenBLAS thread count of ``THREADS``,
+each in a fresh process with ``OPENBLAS_NUM_THREADS`` set, and records a
+digest of every file they write, with the numpy, BLAS, CPU features and C
+library it ran on.
 
 A refresh records what the program writes now.  It is never a way to make
 a failing snapshot pass: a change that refreshes the digest names in
@@ -15,7 +16,9 @@ digest the script prints each file whose SHA-256 differs from the digest it
 replaced, and whether the test's tolerant comparison (``file_mismatches``)
 still holds for it.
 
-The digest of a file holds its SHA-256, and:
+The digest of a file holds its SHA-256, one hex string where every thread
+count wrote the same bytes and otherwise a hex string per count, keyed by
+the count as text, and from the run at ``THREADS[0]``:
 - for a CSV table, its header, its row count and, per column, the sum, the
   sum of |x|, max|x| and the values at 8 fixed rows, each as ``%.17g``;
 - for a JSON file, its parsed value.
@@ -27,7 +30,9 @@ import ctypes
 import hashlib
 import json
 import math
+import os
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -42,6 +47,10 @@ DIGEST = HERE / "digest.json"
 SAMPLED_ROWS = 8
 RTOL = 1e-12
 NOISE_ATOL = 1e-13
+# the OpenBLAS thread counts with a SHA-256 of their own: 1 as CI and the
+# benchmark's workers pin it, 2 as the digest's two CPUs run unpinned; the
+# numbers of the tolerant comparison come from the first
+THREADS = (2, 1)
 
 
 def blas_threads() -> int | None:
@@ -62,9 +71,9 @@ def blas_threads() -> int | None:
 
 
 def platform_key() -> dict:
-    """What decides the last bit of a float result besides lmglab: numpy,
-    its BLAS and the threads it splits a product over, the SIMD kernels
-    numpy dispatches to and the C maths library."""
+    """What decides the last bit of a float result besides lmglab and the
+    BLAS thread count: numpy, its BLAS, the SIMD kernels numpy dispatches
+    to and the C maths library."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     try:
         from numpy._core._multiarray_umath import __cpu_features__ as features
@@ -73,7 +82,6 @@ def platform_key() -> dict:
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
-        "blas_threads": blas_threads(),
         "cpu_features": sorted(name for name, on in features.items() if on),
         "libc": " ".join(platform.libc_ver()),
     }
@@ -121,6 +129,45 @@ def run_ops(out: Path, workload: str) -> list[dict]:
         files = sorted(op_out.iterdir()) if op_out.exists() else []
         result.append({"rc": rc, "files": {path.name: file_digest(path) for path in files}})
     return result
+
+
+def run_all() -> dict:
+    """Every op's exit code and file digests, by workload, run in this process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return {workload: run_ops(Path(tmp), workload) for workload in ops()}
+
+
+def run_all_at(threads: int) -> dict:
+    """``run_all`` in a fresh process whose OpenBLAS runs ``threads`` threads."""
+    code = ("import json, sys\n"
+            "from snapshot.refresh import blas_threads, run_all\n"
+            f"if blas_threads() != {threads}:\n"
+            f"    sys.exit('OpenBLAS did not take OPENBLAS_NUM_THREADS={threads}')\n"
+            "json.dump(run_all(), sys.stdout)\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([str(HERE.parent), *sys.path]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True)
+    return json.loads(done.stdout)
+
+
+def merge_threads(runs: dict) -> dict:
+    """One digest of ``run_all``'s results keyed by thread count: the run at
+    ``THREADS[0]`` with each file's SHA-256 made one hash where every run
+    wrote the same bytes and a hash per thread count where they differ."""
+    merged = runs[THREADS[0]]
+    for workload, merged_ops in merged.items():
+        for i, op in enumerate(merged_ops):
+            by_threads = {threads: runs[threads][workload][i] for threads in THREADS}
+            if len({(run["rc"], tuple(run["files"])) for run in by_threads.values()}) > 1:
+                raise RuntimeError(f"{workload} op {i} exits or names its files "
+                                   f"differently by thread count")
+            for name, entry in op["files"].items():
+                hashes = {str(threads): run["files"][name]["sha256"]
+                          for threads, run in by_threads.items()}
+                if len(set(hashes.values())) > 1:
+                    entry["sha256"] = dict(sorted(hashes.items()))
+    return merged
 
 
 def is_noise(name: str) -> bool:
@@ -205,9 +252,8 @@ def report(old: dict, new: dict) -> None:
 
 def main() -> None:
     old = json.loads(DIGEST.read_text(encoding="utf-8")) if DIGEST.exists() else None
-    with tempfile.TemporaryDirectory() as tmp:
-        digest = {"platform": platform_key(),
-                  "ops": {workload: run_ops(Path(tmp), workload) for workload in ops()}}
+    digest = {"platform": platform_key(),
+              "ops": merge_threads({threads: run_all_at(threads) for threads in THREADS})}
     DIGEST.write_text(json.dumps(digest, separators=(",", ":")) + "\n", encoding="utf-8")
     print(f"wrote {DIGEST} ({DIGEST.stat().st_size} bytes)", file=sys.stderr)
     if old is not None:

@@ -24,21 +24,22 @@ FAST = ["--samples", "64"]
 
 # the flags each subcommand reads, besides --out
 READS = {
-    "evolve": "n h gamma g phi-n tmax samples cutoff-k trial",
-    "spectrum": "n h gamma g phi-n tmax samples cutoff-k trial threshold",
+    "evolve": "n h gamma g phi-n tmax samples trial",
+    "spectrum": "n h gamma g phi-n tmax samples trial",
     "modes": "n h tmax samples",
     "correlation": "n h tmax samples",
-    "gap": "n h gamma g",
+    "gap": "n h gamma",
     "quasicrystal": "n h g phi-n kappa tmax samples",
-    "oracle": "n h threshold",
+    "oracle": "n h",
 }
 FLAG_VALUES = {
     "n": ["6"], "h": ["0.5"], "gamma": ["0.5"], "g": ["0.01"], "phi-n": ["0.3"],
-    "tmax": ["50"], "samples": ["64"], "cutoff-k": ["2"], "kappa": ["0.4"],
-    "threshold": ["0.02"], "trial": [],
+    "tmax": ["50"], "samples": ["64"], "kappa": ["0.4"], "trial": [],
     # no subcommand reads them: every table is CSV, flags alone set a run,
-    # and every periodogram is Hann-windowed
+    # every periodogram is Hann-windowed, and the analytic cutoff, the peak
+    # fraction and the oracle's tolerance are constants
     "format": ["csv"], "config": ["run.json"], "window": ["hann"],
+    "cutoff-k": ["2"], "threshold": ["0.02"],
 }
 UNREAD = [
     (command, flag)
@@ -49,12 +50,11 @@ UNREAD = [
 # a run with no flag given, and the defaults of the subcommands that differ
 DEFAULTS = dict(
     n=[100], h=[0.716], gamma=1.0, g=None, phi_n=0.0, tmax=None, samples=4096,
-    cutoff_k=None, kappa=0.6180339887498949, threshold=0.01,
-    trial=False, out=".",
+    kappa=0.6180339887498949, trial=False, out=".",
 )
 COMMAND_DEFAULTS = {
     "modes": dict(h=[0.710, 0.716, 0.720]),
-    "oracle": dict(n=[4, 6, 8], h=[0.3, 0.5, 0.7], threshold=1e-9),
+    "oracle": dict(n=[4, 6, 8], h=[0.3, 0.5, 0.7]),
     "quasicrystal": dict(h=None),
 }
 
@@ -187,23 +187,6 @@ class TestSpectrum:
         summary = read_json(out / "summary.json")
         assert [summary[key] for key in ("m0", "nu", "omega0", "mode")] == [None] * 4
         assert summary["gamma"] == 0.5
-
-    def test_cutoff_k_at_gamma_one_sets_only_the_analytic_columns(self, tmp_path):
-        # no --cutoff-k is K = 3; another K moves the two analytic columns alone
-        argv = ["spectrum", "--n", "40", "--h", "0.6", "--samples", "256"]
-        for name, flags in (("default", []), ("k3", ["--cutoff-k", "3"]),
-                            ("k5", ["--cutoff-k", "5"])):
-            assert main(argv + flags + ["--out", str(tmp_path / name)]) == 0
-        default, k3, k5 = (written(tmp_path / name) for name in ("default", "k3", "k5"))
-        assert k3 == default
-        del k5["series.csv"], default["series.csv"]
-        assert k5 == default
-        _, series3 = read_csv(tmp_path / "default" / "series.csv")
-        _, series5 = read_csv(tmp_path / "k5" / "series.csv")
-        assert np.array_equal(series5[:, :3], series3[:, :3])
-        # more modes sum closer to the exact series
-        deviation = [np.max(np.abs(s[:, 1:3] - s[:, 3:5])) for s in (series5, series3)]
-        assert deviation[0] < deviation[1]
 
     def test_trial_state_round_mode_single_tone(self, tmp_path):
         out = str(tmp_path / "run")
@@ -367,22 +350,13 @@ class TestGap:
         assert '"c_h": 0.0,' in text and '"wkb_rate": 0.0' in text
         assert "-0.0" not in text
 
-    def test_g_without_a_degenerate_ground_exits_one(self, tmp_path, capsys):
-        # --g sets only the PT kicks, and at N h = 20 the PT table is skipped
-        out = tmp_path / "run"
-        argv = ["gap", "--n", "40", "--h", "0.5", "--g", "1e-4", "--out", str(out)]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert "--g" in err and "N=40" in err and "h=0.5" in err
-        assert not out.exists()
-
     def test_g_at_a_degenerate_ground_writes_the_pt_table(self, tmp_path):
         # N h = 21: a crescent point, whose ground level is a degenerate pair
         out = tmp_path / "run"
-        argv = ["gap", "--n", "40", "--h", "0.525", "--g", "1e-4", "--out", str(out)]
+        argv = ["gap", "--n", "40", "--h", "0.525", "--out", str(out)]
         assert main(argv) == 0
         _, rows = read_csv(out / "gap_pt.csv")
-        assert rows[:, 0].tolist() == [1e-4]
+        assert rows[:, 0].tolist() == list(cli.PT_KICKS) == [1e-6, 1e-5, 1e-4]
         summary = read_json(out / "summary.json")
         assert summary["files"] == ["gap_pt.csv", "gap_gamma0.csv"]
 
@@ -548,12 +522,11 @@ class TestOracleCommand:
         assert rows.shape[0] == 4
         assert np.max(rows[:, -1]) <= 1e-9
 
-    def test_mismatch_exit_code(self, tmp_path):
+    def test_mismatch_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "ORACLE_TOLERANCE", 1e-30)
         out = str(tmp_path / "run")
-        rc = main(
-            ["oracle", "--n", "4", "--h", "0.5", "--threshold", "1e-30", "--out", out]
-        )
-        assert rc == 3
+        assert main(["oracle", "--n", "4", "--h", "0.5", "--out", out]) == 3
+        assert read_json(os.path.join(out, "summary.json"))["tolerance"] == 1e-30
 
     @pytest.mark.parametrize("n_values", ["11", "4,11"])
     def test_oversized_n_fails_before_any_solve(self, tmp_path, monkeypatch, n_values):
@@ -672,7 +645,7 @@ class TestUsageErrors:
             (["modes", "--h", ","], "--h"),
             (["oracle", "--n", ",", "--h", ","], "--n"),
             (["quasicrystal", "--n", "20", "--h", ","], "--h"),
-            (["gap", "--n", "20", "--h", "0.55", "--g", ","], "--g"),
+            (["quasicrystal", "--n", "20", "--g", ","], "--g"),
         ],
     )
     def test_empty_list_exits_one_naming_the_flag(self, tmp_path, capsys, argv, flag):
@@ -689,15 +662,11 @@ class TestUsageErrors:
             (["evolve", "--gamma", "2"], "--gamma"),
             (["evolve", "--h", "nan"], "--h"),
             (["evolve", "--phi-n", "inf"], "--phi-n"),
-            (["oracle", "--threshold", "-1"], "--threshold"),
             (["correlation", "--n", "6", "--h", "1"], "--h"),
             (["evolve", "--trial", "--g", "0.1"], "--trial"),
             (["evolve", "--n", "2", "--h", "0.5", "--trial"], "--trial"),
             (["evolve", "--n", "10", "--h", "1.2", "--trial"], "--trial"),
             (["evolve", "--samples", "8"], "--samples"),
-            (["evolve", "--cutoff-k", "-1"], "--cutoff-k"),
-            (["evolve", "--gamma", "0.5", "--cutoff-k", "5"], "--cutoff-k"),
-            (["spectrum", "--gamma", "0.5", "--cutoff-k", "5"], "--cutoff-k"),
             (["evolve", "--tmax", "-1"], "--tmax"),
             # a subnormal step overflows the periodogram bins; a zero one
             # is no grid
@@ -706,12 +675,10 @@ class TestUsageErrors:
             (["quasicrystal", "--n", "50", "--samples", "16", "--tmax", "5e-324"], "--tmax"),
             (["modes", "--h", "0.5,0.5"], "--h"),
             (["quasicrystal", "--kappa", "1"], "--kappa"),
-            (["gap", "--n", "40", "--h", "0.5", "--g", "1e-4"], "--g"),
         ],
-        ids=["n", "h", "gamma", "h-nan", "phi-n", "threshold", "broken-phase-h",
-             "trial-g", "trial-n", "trial-h", "samples", "cutoff-k",
-             "evolve-cutoff-k-gamma", "spectrum-cutoff-k-gamma", "tmax",
-             "tmax-subnormal-step", "tmax-zero-step", "modes-h", "kappa", "gap-g"],
+        ids=["n", "h", "gamma", "h-nan", "phi-n", "broken-phase-h",
+             "trial-g", "trial-n", "trial-h", "samples", "tmax",
+             "tmax-subnormal-step", "tmax-zero-step", "modes-h", "kappa"],
     )
     def test_rejection_names_its_flag(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "run"
@@ -733,35 +700,16 @@ class TestUsageErrors:
             ["evolve", "--h", "inf"],
             ["evolve", "--g", "nan"],
             ["evolve", "--phi-n", "inf"],
-            ["oracle", "--threshold", "nan"],
+            ["quasicrystal", "--g", "-inf"],
         ],
         # stable ids, so runs of this suite compare case by case across versions
         ids=[f"argv{i}-None" for i in range(5)],
     )
     def test_non_finite_reals_exit_one(self, tmp_path, argv):
-        # a nan field crashed the window solve; a nan threshold passed every
-        # oracle point and wrote "tolerance": NaN, which is not JSON
+        # a nan field crashed the window solve
         out = str(tmp_path / "run")
-        # the oracle takes no --samples
-        fast = [] if argv[0] == "oracle" else FAST
-        assert main(argv + ["--n", "6", "--out", out] + fast) == 1
+        assert main(argv + ["--n", "6", "--out", out] + FAST) == 1
         assert not os.path.exists(os.path.join(out, "summary.json"))
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["oracle", "--n", "6", "--h", "0.5", "--threshold", "-1"],
-            ["spectrum", "--n", "50", "--h", "0.6", "--threshold", "-1"] + FAST,
-        ],
-        ids=["oracle", "spectrum"],
-    )
-    def test_negative_threshold_exits_one_without_output(self, tmp_path, capsys, argv):
-        # the oracle failed every point with exit 3, and spectrum listed
-        # every local maximum of the periodogram as a peak
-        out = tmp_path / "run"
-        assert main(argv + ["--out", str(out)]) == 1
-        assert "threshold must be >= 0" in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["oracle", "correlation", "modes"])
     @pytest.mark.parametrize("h", ["1", "1.2", "0.5,1"])
@@ -827,12 +775,13 @@ class TestUsageErrors:
         # without --g the kick is the default 1/N^2
         assert read_json(out / "summary.json")["g"] == {"g": -0.001, "phi-n": 0.01}[flag]
 
-    def test_negative_kick_list_in_exponent_form(self, tmp_path):
+    def test_negative_kick_list_in_exponent_form(self, tmp_path, capsys):
+        # joined as --h=-1e-3,0.5, so validation, not argparse, refuses it
         out = tmp_path / "run"
-        argv = ["gap", "--n", "20", "--h", "0.55", "--g", "-1e-6,1e-5"]
-        assert main(argv + ["--out", str(out)]) == 0
-        header, rows = read_csv(out / "gap_pt.csv")
-        assert rows[:, 0].tolist() == [-1e-6, 1e-5]
+        argv = ["modes", "--n", "20", "--h", "-1e-3,0.5"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --h must be >= 0\n"
+        assert not out.exists()
 
     def test_flag_before_a_flag_still_lacks_its_value(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -872,8 +821,8 @@ class TestUsageErrors:
 class TestParser:
     def test_flag_keys(self):
         assert tuple(_FLAGS) == (
-            "n", "h", "gamma", "g", "phi-n", "tmax", "samples", "cutoff-k",
-            "kappa", "threshold", "trial", "out",
+            "n", "h", "gamma", "g", "phi-n", "tmax", "samples", "kappa",
+            "trial", "out",
         )
 
     @pytest.mark.parametrize(
@@ -881,24 +830,22 @@ class TestParser:
         [
             (
                 ["evolve", "--n", "30", "--h", "0.4", "--g", "1e-3", "--phi-n", "0.2",
-                 "--tmax", "50", "--samples", "64", "--cutoff-k", "2", "--trial",
-                 "--out", "o"],
+                 "--tmax", "50", "--samples", "64", "--trial", "--out", "o"],
                 dict(n=[30], h=[0.4], g=[1e-3], phi_n=0.2, tmax=50.0, samples=64,
-                     cutoff_k=2, trial=True, out="o"),
+                     trial=True, out="o"),
             ),
-            (["spectrum", "--n", "100", "--h", "0.5", "--gamma", "0.5",
-              "--threshold", "0.02"],
-             dict(n=[100], h=[0.5], gamma=0.5, threshold=0.02)),
+            (["spectrum", "--n", "100", "--h", "0.5", "--gamma", "0.5"],
+             dict(n=[100], h=[0.5], gamma=0.5)),
             (["modes", "--n", "100", "--h", "0.71,0.716"],
              dict(n=[100], h=[0.71, 0.716])),
             (["correlation", "--n", "8", "--h", "0.5", "--samples", "32"],
              dict(n=[8], h=[0.5], samples=32)),
-            (["gap", "--n", "100,20,24", "--h", "0.71", "--g", "1e-6,1e-5"],
-             dict(n=[100, 20, 24], h=[0.71], g=[1e-6, 1e-5])),
+            (["gap", "--n", "100,20,24", "--h", "0.71", "--gamma", "0"],
+             dict(n=[100, 20, 24], h=[0.71], gamma=0.0)),
             (["quasicrystal", "--n", "100", "--kappa", "0.4"],
              dict(n=[100], kappa=0.4)),
-            (["oracle", "--n", "4,6", "--h", "0.3", "--threshold", "1e-8"],
-             dict(n=[4, 6], h=[0.3], threshold=1e-8)),
+            (["oracle", "--n", "4,6", "--h", "0.3"],
+             dict(n=[4, 6], h=[0.3])),
         ],
     )
     def test_each_subcommand_reads_the_shared_flags(self, argv, expected):

@@ -55,16 +55,14 @@ def values(key, N, cap):
     strategies = {
         "n": listed(rarely(st.integers(1, cap), st.sampled_from((0, -3))), 2, first=[N]),
         "h": listed(fields(N), 3),
-        # gamma = 1 often, the one value at which --cutoff-k is read
+        # gamma = 1 often, the one value with the gamma = 1 closed forms
         "gamma": rarely(st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
                         st.sampled_from((-0.1, 1.5))),
         "g": listed(st.sampled_from((0.0, 1e-6, 1e-4, 1e-2, -1e-3)), 2),
         "phi-n": st.floats(-3.5, 3.5),
         "tmax": rarely(st.floats(1.0, 500.0), st.sampled_from((0.0, -10.0, 1e-310, 5e-324))),
         "samples": rarely(st.integers(16, 256), st.integers(-5, 15)),
-        "cutoff-k": rarely(st.integers(0, 5), st.just(-1)),
         "kappa": rarely(st.floats(0.05, 0.95), st.sampled_from((0.0, 1.0, -0.5))),
-        "threshold": st.sampled_from((0.0, 1e-9, 1e-2, 0.5, -0.1)),
     }
     return strategies[key].map(lambda v: [v if isinstance(v, str) else repr(v)])
 
@@ -124,10 +122,9 @@ def written(out):
 @settings(max_examples=200, deadline=None)
 @given(argv=command_lines())
 @example(argv=["gap", "--n", "5", "--h", "1.2"])  # the one allowed nan column
-# the gamma = 1 closed forms: quasicrystal reads no --gamma, --cutoff-k is
-# read at gamma = 1 only, and a gamma < 1 summary holds none of them
+# the gamma = 1 closed forms: quasicrystal reads no --gamma, and a
+# gamma < 1 summary holds none of them
 @example(argv=["quasicrystal", "--n", "7", "--gamma", "1.0"])
-@example(argv=["spectrum", "--n", "7", "--gamma", "0.5", "--cutoff-k", "2"])
 @example(argv=["evolve", "--n", "7", "--gamma", "0.5", "--samples", "16"])
 @tmax_examples
 def test_fuzzed_command_lines_exit_cleanly(argv):

@@ -4,14 +4,17 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from lmglab import evolve, ssb
 from lmglab.cli import SPLITTING_FLOOR
-from lmglab.evolve import eigensystem, ground_state
+from lmglab.evolve import default_time_grid, eigensystem, ground_state, observable_series
 from lmglab.model import LmgParams, build_hamiltonian
 from lmglab.spectra import line_spectrum
 from lmglab.spinspace import (
     BandedHermitianOperator,
+    _Raising,
     build_sector,
     collective_operators,
 )
@@ -146,6 +149,54 @@ class TestLocalize:
         minus = localize_ground_state(params, g=-1e-3)
         assert plus.m_n > 0.0
         assert minus.m_n == pytest.approx(-plus.m_n, rel=1e-8, abs=0)
+
+
+def kicked_series(params, g, phi_n):
+    """m(t) = (2/N) <S+>(t) = m_x + i m_y over 512 samples of 40 pi N after
+    the kick along phi_n, and the kicked ground state's m_n."""
+    sector = build_sector(params.N)
+    loc = localize_ground_state(params, g=g, phi_n=phi_n)
+    eig = eigensystem(build_hamiltonian(params, sector))
+    tgrid = default_time_grid(params.N, samples=512)
+    plus = observable_series(eig, loc.state, _Raising(sector), tgrid)
+    return plus.values * (2.0 / params.N), loc.m_n
+
+
+_N = st.integers(2, 199)
+_FIELD = st.floats(0.05, 0.95)
+_KICK = st.floats(-6.0, -1.0).map(lambda e: 10.0 ** e)
+# m(t) lies in the unit disk, so 1e-11 is 1e-11 of the series' scale; the
+# two routes of a relation round their kicked ground states apart, most at
+# gamma < 1 and small N g (4.1e-12 in 600 such draws)
+SYMMETRY_TOL = 1e-11
+
+
+class TestSymmetries:
+    """Relations between a kicked run and a transformed run, which need no
+    second solver: the parity e^{i pi Sz} of H at every gamma, and the U(1)
+    rotation e^{i phi Sz} of the gamma = 1 H."""
+
+    @seed(20261021)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(N=_N, h=_FIELD, gamma=st.one_of(st.just(1.0), st.floats(0.0, 1.0)), g=_KICK)
+    def test_parity_negates_the_series_and_keeps_m_n(self, N, h, gamma, g):
+        # phi_n = 0 kicks by a real band and phi_n = pi by a complex one
+        # (sin pi is 1.2e-16), so the two take the real and complex routes
+        params = LmgParams(N=N, h=h, gamma=gamma)
+        m0, mn0 = kicked_series(params, g, 0.0)
+        m_pi, mn_pi = kicked_series(params, g, math.pi)
+        assert np.max(np.abs(m_pi + m0)) <= SYMMETRY_TOL
+        assert abs(mn_pi - mn0) <= SYMMETRY_TOL
+
+    @seed(20261021)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(N=_N, h=_FIELD, g=_KICK, phi_n=st.floats(-math.pi, math.pi))
+    def test_rotation_turns_the_series_by_phi_n(self, N, h, g, phi_n):
+        params = LmgParams(N=N, h=h)
+        m0, mn0 = kicked_series(params, g, 0.0)
+        m_phi, mn_phi = kicked_series(params, g, phi_n)
+        assert np.max(np.abs(m_phi - np.exp(1j * phi_n) * m0)) <= SYMMETRY_TOL
+        assert abs(mn_phi - mn0) <= SYMMETRY_TOL
 
 
 class TestOrderParameter:
