@@ -188,6 +188,26 @@ class TestSpectrum:
         assert [summary[key] for key in ("m0", "nu", "omega0", "mode")] == [None] * 4
         assert summary["gamma"] == 0.5
 
+    def test_cutoff_k_at_gamma_one_sets_only_the_analytic_columns(
+        self, tmp_path, monkeypatch
+    ):
+        # K = cli.CUTOFF_K = 3; another K moves the two analytic columns alone
+        argv = ["spectrum", "--n", "40", "--h", "0.6", "--samples", "256"]
+        for name, k in (("default", None), ("k3", 3), ("k5", 5)):
+            if k is not None:
+                monkeypatch.setattr(cli, "CUTOFF_K", k)
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        default, k3, k5 = (written(tmp_path / name) for name in ("default", "k3", "k5"))
+        assert k3 == default
+        del k5["series.csv"], default["series.csv"]
+        assert k5 == default
+        _, series3 = read_csv(tmp_path / "default" / "series.csv")
+        _, series5 = read_csv(tmp_path / "k5" / "series.csv")
+        assert np.array_equal(series5[:, :3], series3[:, :3])
+        # more modes sum closer to the exact series
+        deviation = [np.max(np.abs(s[:, 1:3] - s[:, 3:5])) for s in (series5, series3)]
+        assert deviation[0] < deviation[1]
+
     def test_trial_state_round_mode_single_tone(self, tmp_path):
         out = str(tmp_path / "run")
         rc = main(["spectrum", "--n", "100", "--h", "0.72", "--trial", "--out", out])
@@ -349,6 +369,15 @@ class TestGap:
         text = (out / "summary.json").read_text(encoding="utf-8")
         assert '"c_h": 0.0,' in text and '"wkb_rate": 0.0' in text
         assert "-0.0" not in text
+
+    def test_g_without_a_degenerate_ground_exits_one(self, tmp_path, capsys):
+        # gap reads no --g: its PT kicks are cli.PT_KICKS
+        out = tmp_path / "run"
+        argv = ["gap", "--n", "40", "--h", "0.5", "--g", "1e-4", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "lmglab gap: error: unrecognized arguments: --g 1e-4" in err
+        assert not out.exists()
 
     def test_g_at_a_degenerate_ground_writes_the_pt_table(self, tmp_path):
         # N h = 21: a crescent point, whose ground level is a degenerate pair
@@ -662,11 +691,15 @@ class TestUsageErrors:
             (["evolve", "--gamma", "2"], "--gamma"),
             (["evolve", "--h", "nan"], "--h"),
             (["evolve", "--phi-n", "inf"], "--phi-n"),
+            (["oracle", "--threshold", "-1"], "--threshold"),
             (["correlation", "--n", "6", "--h", "1"], "--h"),
             (["evolve", "--trial", "--g", "0.1"], "--trial"),
             (["evolve", "--n", "2", "--h", "0.5", "--trial"], "--trial"),
             (["evolve", "--n", "10", "--h", "1.2", "--trial"], "--trial"),
             (["evolve", "--samples", "8"], "--samples"),
+            (["evolve", "--cutoff-k", "-1"], "--cutoff-k"),
+            (["evolve", "--gamma", "0.5", "--cutoff-k", "5"], "--cutoff-k"),
+            (["spectrum", "--gamma", "0.5", "--cutoff-k", "5"], "--cutoff-k"),
             (["evolve", "--tmax", "-1"], "--tmax"),
             # a subnormal step overflows the periodogram bins; a zero one
             # is no grid
@@ -675,16 +708,22 @@ class TestUsageErrors:
             (["quasicrystal", "--n", "50", "--samples", "16", "--tmax", "5e-324"], "--tmax"),
             (["modes", "--h", "0.5,0.5"], "--h"),
             (["quasicrystal", "--kappa", "1"], "--kappa"),
+            (["gap", "--n", "40", "--h", "0.5", "--g", "1e-4"], "--g"),
         ],
-        ids=["n", "h", "gamma", "h-nan", "phi-n", "broken-phase-h",
-             "trial-g", "trial-n", "trial-h", "samples", "tmax",
-             "tmax-subnormal-step", "tmax-zero-step", "modes-h", "kappa"],
+        ids=["n", "h", "gamma", "h-nan", "phi-n", "threshold", "broken-phase-h",
+             "trial-g", "trial-n", "trial-h", "samples", "cutoff-k",
+             "evolve-cutoff-k-gamma", "spectrum-cutoff-k-gamma", "tmax",
+             "tmax-subnormal-step", "tmax-zero-step", "modes-h", "kappa", "gap-g"],
     )
     def test_rejection_names_its_flag(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "run"
         assert main([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and flag in err
+        if flag[2:] in READS[argv[0]].split():
+            assert err.startswith("error: ") and flag in err
+        else:
+            # a flag its subcommand does not read is refused by that parser
+            assert f"lmglab {argv[0]}: error: unrecognized arguments: {flag}" in err
         assert not out.exists()
 
     def test_gap_scan_size_is_checked_before_any_write(self, tmp_path, capsys):
@@ -710,6 +749,22 @@ class TestUsageErrors:
         out = str(tmp_path / "run")
         assert main(argv + ["--n", "6", "--out", out] + FAST) == 1
         assert not os.path.exists(os.path.join(out, "summary.json"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--n", "6", "--h", "0.5", "--threshold", "-1"],
+            ["spectrum", "--n", "50", "--h", "0.6", "--threshold", "-1"] + FAST,
+        ],
+        ids=["oracle", "spectrum"],
+    )
+    def test_negative_threshold_exits_one_without_output(self, tmp_path, capsys, argv):
+        # neither reads --threshold: the oracle's tolerance and spectrum's
+        # peak fraction are cli.ORACLE_TOLERANCE and cli.PEAK_FRACTION
+        out = tmp_path / "run"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "error: unrecognized arguments: --threshold -1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["oracle", "correlation", "modes"])
     @pytest.mark.parametrize("h", ["1", "1.2", "0.5,1"])
