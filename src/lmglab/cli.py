@@ -119,7 +119,7 @@ _COMMAND_FLAGS = {
 # the middle field of its h(kappa) table
 _COMMAND_DEFAULTS = {
     "modes": {"h": [0.710, 0.716, 0.720]},
-    "oracle": {"n": [4, 6, 8], "h": [0.3, 0.5, 0.7]},
+    "oracle": {"n": [6], "h": [0.5]},
     "quasicrystal": {"h": None},
 }
 
@@ -431,9 +431,10 @@ def cmd_gap(cfg: argparse.Namespace) -> dict:
     summary["gamma0_unresolved_n"] = sorted(
         n_val for n_val, s in scan if s <= SPLITTING_FLOOR
     )
-    # in the symmetric phase the splitting decays as a power of N, so an
-    # exponential rate would mean nothing
-    if not symmetric and len(resolvable) >= 3:
+    # at and above h = 1, and inside the critical window N (1 - h^2)^(3/2) < 1
+    # at the scan's smallest N, the splitting does not decay exponentially
+    # in N, so an exponential rate would mean nothing
+    if h < 1.0 and min(n_values) * (1.0 - h * h) ** 1.5 >= 1.0 and len(resolvable) >= 3:
         ns = np.array([n_val for n_val, _ in resolvable], dtype=float)
         ss = np.array([s for _, s in resolvable])
         rate = -float(np.polyfit(ns, np.log(ss), 1)[0])
@@ -473,32 +474,18 @@ def cmd_quasicrystal(cfg: argparse.Namespace) -> dict:
 
 
 def cmd_oracle(cfg: argparse.Namespace) -> dict:
-    if max(cfg.n) > MAX_CORRELATION_N:
-        raise ValueError(f"oracle supports N <= {MAX_CORRELATION_N}")
-    rows = []
-    worst = 0.0
-    for n_val in cfg.n:
-        for h_val in cfg.h:
-            report = sector_vs_full_checks(n_val, h_val)
-            worst = max(worst, report.worst())
-            rows.append(
-                (
-                    n_val,
-                    h_val,
-                    report.ground_energy,
-                    report.ground_sz,
-                    report.correlation,
-                    report.localized_mx,
-                    report.worst(),
-                )
-            )
+    N, h = _one(cfg.n, "n"), _one(cfg.h, "h")
+    report = sector_vs_full_checks(N, h)
+    worst = report.worst()
+    row = (N, h, report.ground_energy, report.ground_sz, report.correlation,
+           report.localized_mx, worst)
     name = _table(
         cfg,
         "oracle",
         "n,h,ground_energy_dev,ground_sz_dev,correlation_dev,localized_mx_dev,worst",
-        rows,
+        [row],
     )
-    summary = _base_summary(cfg, cfg.n[0], cfg.h[0], 0.0)
+    summary = _base_summary(cfg, N, h, 0.0)
     summary["worst_deviation"] = worst
     summary["tolerance"] = ORACLE_TOLERANCE
     summary["files"] = [name]

@@ -54,7 +54,7 @@ DEFAULTS = dict(
 )
 COMMAND_DEFAULTS = {
     "modes": dict(h=[0.710, 0.716, 0.720]),
-    "oracle": dict(n=[4, 6, 8], h=[0.3, 0.5, 0.7]),
+    "oracle": dict(n=[6], h=[0.5]),
     "quasicrystal": dict(h=None),
 }
 
@@ -370,6 +370,17 @@ class TestGap:
         assert '"c_h": 0.0,' in text and '"wkb_rate": 0.0' in text
         assert "-0.0" not in text
 
+    @pytest.mark.parametrize("h, fitted", [("0.99", False), ("0.9", True)])
+    def test_no_rate_inside_the_critical_window(self, tmp_path, h, fitted):
+        # N (1 - h^2)^(3/2) at the scan's smallest N, 20, is 0.056 at h = 0.99,
+        # where an exponential fit read 0.0359 against wkb_rate 0.00095, and
+        # 1.66 at h = 0.9
+        out = str(tmp_path / "run")
+        assert main(["gap", "--h", h, "--out", out]) == 0
+        summary = read_json(os.path.join(out, "summary.json"))
+        assert ("gamma0_fitted_rate" in summary) == fitted
+        assert summary["wkb_rate"] == pytest.approx(wkb_rate(float(h)), rel=1e-12, abs=0)
+
     def test_g_without_a_degenerate_ground_exits_one(self, tmp_path, capsys):
         # gap reads no --g: its PT kicks are cli.PT_KICKS
         out = tmp_path / "run"
@@ -501,7 +512,7 @@ class TestOutputFiles:
         ["gap", "--n", "100,20,24,28", "--h", "0.71"],
         ["gap", "--n", "20,40", "--h", "1.5"],
         ["quasicrystal", "--n", "60"],
-        ["oracle", "--n", "4,6", "--h", "0.3,0.5"],
+        ["oracle", "--n", "6", "--h", "0.3"],
     ]
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv))
@@ -532,9 +543,10 @@ class TestOracleCommand:
                 assert main([command, "--n", n, "--h", h, "--out", out] + samples) == 0
         src = os.path.dirname(os.path.dirname(lmglab.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        for argv in (["oracle", "--n", "8,10", "--h", "0.55,0.7"],
-                     ["correlation", "--n", "10", "--h", "0.55"] + FAST):
-            warm, fresh = tmp_path / f"warm_{argv[0]}", tmp_path / f"fresh_{argv[0]}"
+        for i, argv in enumerate((["oracle", "--n", "8", "--h", "0.55"],
+                                  ["oracle", "--n", "10", "--h", "0.7"],
+                                  ["correlation", "--n", "10", "--h", "0.55"] + FAST)):
+            warm, fresh = tmp_path / f"warm{i}", tmp_path / f"fresh{i}"
             assert main(argv + ["--out", str(warm)]) == 0
             subprocess.run([sys.executable, "-m", "lmglab", *argv, "--out", str(fresh)],
                            env=env, check=True)
@@ -544,12 +556,16 @@ class TestOracleCommand:
                 assert (warm / name).read_bytes() == (fresh / name).read_bytes(), name
 
     def test_success(self, tmp_path):
+        # with no flags the oracle checks its one default point, N = 6, h = 0.5
         out = str(tmp_path / "run")
-        rc = main(["oracle", "--n", "4,6", "--h", "0.3,0.5", "--out", out])
-        assert rc == 0
+        assert main(["oracle", "--out", out]) == 0
         header, rows = read_csv(os.path.join(out, "oracle.csv"))
-        assert rows.shape[0] == 4
-        assert np.max(rows[:, -1]) <= 1e-9
+        assert rows.shape == (1, 7)
+        assert rows[0, :2].tolist() == [6, 0.5]
+        assert rows[0, -1] <= 1e-9
+        summary = read_json(os.path.join(out, "summary.json"))
+        assert (summary["n"], summary["h"]) == (6, 0.5)
+        assert summary["worst_deviation"] == rows[0, -1]
 
     def test_mismatch_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "ORACLE_TOLERANCE", 1e-30)
@@ -709,11 +725,15 @@ class TestUsageErrors:
             (["modes", "--h", "0.5,0.5"], "--h"),
             (["quasicrystal", "--kappa", "1"], "--kappa"),
             (["gap", "--n", "40", "--h", "0.5", "--g", "1e-4"], "--g"),
+            # the oracle checks one point; a grid is a shell loop
+            (["oracle", "--n", "4,6", "--h", "0.5"], "--n"),
+            (["oracle", "--n", "6", "--h", "0.3,0.5"], "--h"),
         ],
         ids=["n", "h", "gamma", "h-nan", "phi-n", "threshold", "broken-phase-h",
              "trial-g", "trial-n", "trial-h", "samples", "cutoff-k",
              "evolve-cutoff-k-gamma", "spectrum-cutoff-k-gamma", "tmax",
-             "tmax-subnormal-step", "tmax-zero-step", "modes-h", "kappa", "gap-g"],
+             "tmax-subnormal-step", "tmax-zero-step", "modes-h", "kappa", "gap-g",
+             "oracle-n-list", "oracle-h-list"],
     )
     def test_rejection_names_its_flag(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "run"

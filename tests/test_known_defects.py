@@ -100,9 +100,9 @@ def test_anisotropic_series_has_no_isotropic_analytic_columns(tmp_path):
         assert deviation <= 0.01, deviation
 
 
-@known_defect("ROADMAP item 13: gap --h 1 fits an exponential rate 0.0352 "
-              "next to wkb_rate 0.0")
 def test_critical_gap_writes_no_exponential_rate(tmp_path):
+    # mended (ROADMAP item 13): it fitted an exponential rate 0.0352 next to
+    # wkb_rate 0.0
     summary = run_summary(tmp_path, "gap", "--h", "1")
     assert summary.get("gamma0_fitted_rate") is None
 
