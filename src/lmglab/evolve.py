@@ -31,7 +31,6 @@ from .spinspace import (
     SpinSector,
     _check_state,
     _readonly,
-    collective_operators,
     ladder_plus_band,
 )
 
@@ -492,7 +491,6 @@ class CorrelationMember:
     """Correlation function built on one ground level (one M0)."""
 
     m0: float
-    direct: TimeSeries
     closed_form: TimeSeries
     frequencies: tuple[float, ...]
     weights: tuple[float, ...]
@@ -509,42 +507,31 @@ def correlation_fN(
 ) -> CorrelationResult:
     """Ground-state correlation of the order parameter, f_N(t) = <m_x(t) m_x(0)>.
 
-    Two evaluations are returned per ground level: a direct spectral sum over
-    every level reached by Sx|M0>, with weights from the matvec, and the
-    closed form carrying one term per existing magnetization neighbor with
-    ladder-element weights.  Sx|M0> reaches exactly those neighbors, so both
-    apply their weights to one set of exponentials from gap arithmetic and
-    may only differ through the weights.  A degenerate ground pair yields one
-    member per level, ascending in M.
+    One closed form per ground level: Sx|M0> reaches exactly the existing
+    magnetization neighbors M1 = M0 +- 1, so f_N(t) is one term per neighbor,
+    with the ladder-element weight [S(S+1) - M0 M1] / 4 in exact integers on
+    the exponential of the gap from gap arithmetic.  A degenerate ground pair
+    yields one member per level, ascending in M.
     """
     n = sector.N
     if h >= 1.0:
         raise ValueError("correlation function is defined in the broken phase")
     tgrid = _check_grid(tgrid)
-    ops = collective_operators(sector)
     ground = ground_M(n, h)
     members = []
     for m0_val in ground.levels:
         two_m0 = round(2 * m0_val)
-        idx0 = (n - two_m0) // 2
-        amps = np.zeros(sector.dim, dtype=np.complex128)
-        amps[idx0] = 1.0
-        u = ops.sx.apply(amps)
         # the levels Sx|M0> reaches: each existing neighbor, M1 = M0 + 1 first
         two_m1 = np.array([two_m0 + 2, two_m0 - 2], dtype=np.int64)
         two_m1 = two_m1[np.abs(two_m1) <= n]
         freqs = isotropic_gap(n, two_m1, two_m0, h)
         phases = np.exp(-1j * freqs[:, None] * tgrid[None, :])
-        # direct route: every level reached by Sx|M0>, weights from the matvec
-        weights = np.abs(u) ** 2
-        direct = (4.0 / n**2) * (weights[weights != 0.0] @ phases)
-        # closed form: |<m0 | Sx | m1>|^2 = [S(S+1) - M0 M1] / 4 in exact integers
+        # |<m0 | Sx | m1>|^2 = [S(S+1) - M0 M1] / 4 in exact integers
         w = (np.int64(n) * (n + 2) - two_m0 * two_m1) / 16.0
         closed = (4.0 / n**2) * (w[:, None] * phases).sum(axis=0)
         members.append(
             CorrelationMember(
                 m0=m0_val,
-                direct=_series(tgrid, direct),
                 closed_form=_series(tgrid, closed),
                 frequencies=tuple(freqs.tolist()),
                 weights=tuple(w.tolist()),

@@ -46,6 +46,7 @@ MAX_FULL_SPACE_N = 12
 MAX_CORRELATION_N = 10
 
 _FLOOR_RTOL = 1e-10  # rounding margin of a block's Weyl bound, relative to the level
+_ORACLE_SAMPLES = 64  # f_N(t) samples of sector_vs_full_checks, over one period
 
 
 class OracleMismatchError(RuntimeError):
@@ -362,19 +363,20 @@ class OracleReport:
     localized_mx: float
 
     def worst(self) -> float:
-        return max(
-            self.ground_energy, self.ground_sz, self.correlation, self.localized_mx
-        )
+        """The largest deviation, NaN if any deviation is NaN."""
+        return float(np.max(
+            [self.ground_energy, self.ground_sz, self.correlation, self.localized_mx]
+        ))
 
 
-def sector_vs_full_checks(
-    N: int, h: float, g: float | None = None, samples: int = 64
-) -> OracleReport:
+def sector_vs_full_checks(N: int, h: float, g: float | None = None) -> OracleReport:
     """Run every sector-vs-full comparison for one parameter point.
 
     Covers the ground energy, the ground Sz (each sector member against the
-    full-space one of its S_z), f_N(t) on a uniform grid over one
-    collective period, and the order parameter of the kicked ground state.
+    full-space one of its S_z), f_N(t) on a uniform grid of
+    ``_ORACLE_SAMPLES`` points over one collective period (the one closed
+    form per ground level against the full-space member of its S_z), and the
+    order parameter of the kicked ground state.
     """
     _check_correlation_size(N)
     if g is None:
@@ -386,7 +388,7 @@ def sector_vs_full_checks(
     # also feed f_N(t), the sector side from the free solve that localizes
     # the ground state
     localized = localize_ground_state(params, g=g)
-    tgrid = np.arange(samples) * (2.0 * math.pi * N / samples)
+    tgrid = np.arange(_ORACLE_SAMPLES) * (2.0 * math.pi * N / _ORACLE_SAMPLES)
     e0_full, full_members = _free_correlation(N, h, tgrid)
     dev_energy = abs(localized.unperturbed_ground_energy - e0_full)
 
@@ -396,7 +398,7 @@ def sector_vs_full_checks(
     by_sz = dict(full_members)
     dev_sz = max(min(abs(m - member.m0) for m in by_sz) for member in corr.members)
     dev_corr = max(
-        (float(np.max(np.abs(by_sz[member.m0].values - member.direct.values)))
+        (float(np.max(np.abs(by_sz[member.m0].values - member.closed_form.values)))
          for member in corr.members if member.m0 in by_sz),
         default=0.0,
     )

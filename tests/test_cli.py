@@ -18,6 +18,7 @@ from lmglab.cli import (
     validate_config,
 )
 from lmglab.model import ground_M
+from lmglab.oracle import OracleReport
 from lmglab.ssb import wkb_rate
 
 FAST = ["--samples", "64"]
@@ -266,11 +267,26 @@ class TestCorrelation:
         rc = main(["correlation", "--n", "8", "--h", "0.5", "--out", out] + FAST)
         assert rc == 0
         header, rows = read_csv(os.path.join(out, "correlation_m2.csv"))
-        assert header.startswith("t,fn_direct_re,fn_direct_im,fn_closed_re")
+        assert header.startswith("t,fn_closed_re,fn_closed_im")
         assert header.endswith("fn_oracle_re,fn_oracle_im")
-        # direct, closed, oracle all agree
-        assert np.max(np.abs(rows[:, 1] - rows[:, 3])) <= 1e-12
-        assert np.max(np.abs(rows[:, 1] - rows[:, 5])) <= 1e-10
+        # closed form and oracle agree
+        assert np.max(np.abs(rows[:, 1] - rows[:, 3])) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "n,h,header",
+        [
+            ("8", "0.5", "t,fn_closed_re,fn_closed_im,fn_oracle_re,fn_oracle_im"),
+            ("61", "0.71", "t,fn_closed_re,fn_closed_im"),
+        ],
+        ids=["n8", "n61"],
+    )
+    def test_header_is_one_closed_form(self, tmp_path, n, h, header):
+        out = tmp_path / "run"
+        assert main(["correlation", "--n", n, "--h", h, "--out", str(out)] + FAST) == 0
+        files = sorted(out.glob("correlation_m*.csv"))
+        assert files
+        for path in files:
+            assert read_csv(path)[0] == header
 
     def test_degenerate_pair_writes_two_member_files(self, tmp_path):
         out = str(tmp_path / "run")
@@ -296,8 +312,8 @@ class TestCorrelation:
         for path in files:
             header, rows = read_csv(path)
             assert header.endswith("fn_oracle_re,fn_oracle_im")
-            assert np.max(np.abs(rows[:, 1] - rows[:, 5])) <= 1e-9
-            assert np.max(np.abs(rows[:, 2] - rows[:, 6])) <= 1e-9
+            assert np.max(np.abs(rows[:, 1] - rows[:, 3])) <= 1e-9
+            assert np.max(np.abs(rows[:, 2] - rows[:, 4])) <= 1e-9
 
     def test_member_missing_from_the_oracle_exits_three(self, tmp_path, monkeypatch, capsys):
         def only_upper(N, h, tgrid):
@@ -572,6 +588,16 @@ class TestOracleCommand:
         out = str(tmp_path / "run")
         assert main(["oracle", "--n", "4", "--h", "0.5", "--out", out]) == 3
         assert read_json(os.path.join(out, "summary.json"))["tolerance"] == 1e-30
+
+    @pytest.mark.parametrize("position", [0, 1, 2, 3])
+    def test_nan_deviation_exits_three(self, tmp_path, monkeypatch, position):
+        devs = [1e-15] * 4
+        devs[position] = math.nan
+        report = OracleReport(6, 0.5, 0.0, *devs)
+        monkeypatch.setattr(cli, "sector_vs_full_checks", lambda N, h: report)
+        out = tmp_path / "run"
+        assert main(["oracle", "--out", str(out)]) == 3
+        assert math.isnan(read_json(out / "summary.json")["worst_deviation"])
 
     @pytest.mark.parametrize("n_values", ["11", "4,11"])
     def test_oversized_n_fails_before_any_solve(self, tmp_path, monkeypatch, n_values):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -734,7 +735,7 @@ class TestCorrelation:
         tgrid = 0.7 + np.arange(1000) * (40 * math.pi * N / 1000)
         for member in correlation_fN(sec, h, tgrid).members:
             ref = full_direct_sum(sec, h, member.m0, tgrid)
-            assert np.max(np.abs(member.direct.values - ref)) <= 1e-15
+            assert np.max(np.abs(member.closed_form.values - ref)) <= 1e-15
 
     def test_memory_is_two_lines(self):
         # the (N+1) x T phases of a sum over every level peaked at 63-66 MB
@@ -751,15 +752,21 @@ class TestCorrelation:
 
     @pytest.mark.parametrize("N", [8, 50, 500])
     def test_direct_and_closed_form_agree(self, N):
+        # reference: the matvec route, weights |<m1|Sx|M0>|^2 of the levels
+        # Sx|M0> reaches on the exponentials of the existing neighbours
         sec = build_sector(N)
         tgrid = np.arange(128) * (2 * math.pi * N / 128)
-        result = correlation_fN(sec, 0.55, tgrid)
-        for member in result.members:
-            scale = np.max(np.abs(member.direct.values))
-            assert (
-                np.max(np.abs(member.direct.values - member.closed_form.values))
-                <= 1e-12 * scale
+        u_of = collective_operators(sec).sx.apply
+        for member in correlation_fN(sec, 0.55, tgrid).members:
+            two_m0 = round(2 * member.m0)
+            weights = np.abs(u_of(basis(sec.dim, (N - two_m0) // 2))) ** 2
+            reached = np.flatnonzero(weights)
+            gaps = isotropic_gap(N, sec.two_m[reached], two_m0, 0.55)
+            direct = (4.0 / N**2) * (
+                weights[reached] @ np.exp(-1j * gaps[:, None] * tgrid[None, :])
             )
+            scale = np.max(np.abs(direct))
+            assert np.max(np.abs(direct - member.closed_form.values)) <= 1e-12 * scale
 
     @pytest.mark.parametrize(
         "N,h", [(1, 0.5), (2, 0.3), (9, 0.0), (100, 0.71), (101, 0.95)]
@@ -788,27 +795,18 @@ class TestCorrelation:
         "N,h", [(1, 0.5), (2, 0.0), (7, 0.3), (8, 0.5), (100, 0.71), (201, 0.95)]
     )
     def test_shared_exponentials_equal_two_sets_bit_for_bit(self, N, h):
-        # reference: each route builds its own exponentials, the direct one
-        # from the levels the matvec reaches and the closed form from the
-        # existing neighbours
+        # reference: the closed form on exponentials of its own, built from
+        # the existing neighbours
         sec = build_sector(N)
         tgrid = 0.4 + np.arange(300) * (2 * math.pi * N / 300)
-        u_of = collective_operators(sec).sx.apply
         for member in correlation_fN(sec, h, tgrid).members:
             two_m0 = round(2 * member.m0)
-            weights = np.abs(u_of(basis(sec.dim, (N - two_m0) // 2))) ** 2
-            reached = np.flatnonzero(weights)
-            gaps = isotropic_gap(N, sec.two_m[reached], two_m0, h)
-            direct = (4.0 / N**2) * (
-                weights[reached] @ np.exp(-1j * gaps[:, None] * tgrid[None, :])
-            )
             two_m1 = np.array([two_m0 + 2, two_m0 - 2], dtype=np.int64)
             two_m1 = two_m1[np.abs(two_m1) <= N]
             w = (np.int64(N) * (N + 2) - two_m0 * two_m1) / 16.0
             freqs = isotropic_gap(N, two_m1, two_m0, h)
             phases = np.exp(-1j * freqs[:, None] * tgrid[None, :])
             closed = (4.0 / N**2) * (w[:, None] * phases).sum(axis=0)
-            assert member.direct.values.tobytes() == direct.tobytes()
             assert member.closed_form.values.tobytes() == closed.tobytes()
             assert member.frequencies == tuple(freqs.tolist())
 
@@ -833,7 +831,6 @@ class TestCorrelation:
         u = ops.sx.apply(basis(sec.dim, idx0))
         static = (4.0 / N**2) * float(np.sum(np.abs(u) ** 2))
         assert member.closed_form.values[0].real == pytest.approx(static, rel=1e-14, abs=0)
-        assert member.direct.values[0].real == pytest.approx(static, rel=1e-14, abs=0)
 
     def test_degenerate_pair_returns_both_members(self):
         sec = build_sector(100)
@@ -844,6 +841,10 @@ class TestCorrelation:
     def test_rejects_symmetric_phase(self):
         with pytest.raises(ValueError):
             correlation_fN(build_sector(10), 1.0, np.arange(16) * 1.0)
+
+    def test_member_carries_the_closed_form_only(self):
+        names = {f.name for f in dataclasses.fields(evolve.CorrelationMember)}
+        assert names == {"m0", "closed_form", "frequencies", "weights"}
 
 
 class TestTimeSeries:

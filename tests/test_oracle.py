@@ -22,6 +22,7 @@ from lmglab.oracle import (
     _momentum_ground,
     _orbits,
     _weyl_floor,
+    OracleReport,
     full_space_correlation,
     full_space_ground,
     full_space_operators,
@@ -617,8 +618,8 @@ def test_full_space_correlation_matches_sector_direct(N, h, start, span, samples
     paired = [(full[member.m0], member) for member in sector if member.m0 in full]
     assert paired
     for series, member in paired:
-        assert np.array_equal(series.t, member.direct.t)
-        assert np.max(np.abs(series.values - member.direct.values)) <= 1e-12
+        assert np.array_equal(series.t, member.closed_form.t)
+        assert np.max(np.abs(series.values - member.closed_form.values)) <= 1e-12
 
 
 class TestCorrelation:
@@ -631,7 +632,7 @@ class TestCorrelation:
         assert len(full_members) == len(sector_result.members)
         for (m_full, series), member in zip(full_members, sector_result.members):
             assert m_full == pytest.approx(member.m0, abs=1e-9)
-            assert np.max(np.abs(series.values - member.direct.values)) <= 1e-10
+            assert np.max(np.abs(series.values - member.closed_form.values)) <= 1e-10
 
     def test_static_moment_at_time_zero(self):
         N, h = 6, 0.4
@@ -815,6 +816,13 @@ def test_missing_full_space_member_is_a_mismatch(monkeypatch):
     free = oracle._free_correlation
     monkeypatch.setattr(oracle, "_free_correlation", only_upper)
     assert sector_vs_full_checks(6, 0.5).ground_sz == 1.0
+
+
+@pytest.mark.parametrize("position", [1, 2, 3])
+def test_worst_is_nan_when_any_deviation_is(position):
+    devs = [1e-15] * 4
+    devs[position] = math.nan
+    assert math.isnan(OracleReport(6, 0.5, 0.0, *devs).worst())
 
 
 def test_cached_arrays_are_read_only(cold_oracle):
