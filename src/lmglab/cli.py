@@ -93,7 +93,7 @@ _FLAGS = {
     "n": {"type": _parse_int_list, "default": [100]},
     "h": {"type": _parse_float_list, "default": [0.716]},
     "gamma": {"type": float, "default": 1.0},
-    "g": {"type": _parse_float_list},
+    "g": {"type": float},
     "phi-n": {"type": float, "default": 0.0},
     "tmax": {"type": float},
     "samples": {"type": int, "default": 4096},
@@ -155,7 +155,7 @@ def build_parser(subparsers: dict | None = None) -> argparse.ArgumentParser:
 
 
 def validate_config(cfg: argparse.Namespace) -> None:
-    for key in ("n", "h", "g"):
+    for key in ("n", "h"):
         if getattr(cfg, key) == []:
             raise ValueError(f"--{key} takes at least one value")
     fields = cfg.h or []  # quasicrystal's None picks its own field
@@ -165,15 +165,15 @@ def validate_config(cfg: argparse.Namespace) -> None:
         raise ValueError("--h must be >= 0")
     if not 0.0 <= cfg.gamma <= 1.0:
         raise ValueError("--gamma must lie in [0, 1]")
-    if not all(math.isfinite(x) for x in [*fields, *(cfg.g or []), cfg.phi_n]):
+    if not all(math.isfinite(x) for x in [*fields, cfg.g or 0.0, cfg.phi_n]):
         raise ValueError("--h, --g and --phi-n must be finite")
     # these compute gamma = 1 quantities of the broken phase only
     if cfg.command in ("oracle", "correlation", "modes") and any(h >= 1.0 for h in fields):
         raise ValueError(f"{cfg.command} needs --h < 1")
     if cfg.trial and (cfg.g is not None or cfg.phi_n != 0.0):
         raise ValueError("--trial takes no --g or --phi-n")
-    if cfg.trial and (min(cfg.n) < 3 or max(fields, default=0.0) >= 1.0):
-        raise ValueError("--trial needs --n >= 3 and --h < 1")
+    if cfg.trial and (min(cfg.n) < 3 or max(fields, default=0.0) > 1.0 - 1.0 / min(cfg.n)):
+        raise ValueError("--trial needs --n >= 3 and --h <= 1 - 1/N")
     if not 0.0 < cfg.kappa < 1.0:
         raise ValueError("--kappa must lie strictly between 0 and 1")
     if cfg.samples < 16:
@@ -206,7 +206,7 @@ def _one(values: list, key: str):
 def _point(cfg: argparse.Namespace) -> tuple[int, float, float]:
     """The (N, h, g) of a one-point series run."""
     N, h = _one(cfg.n, "n"), _one(cfg.h, "h")
-    return N, h, default_kick(N) if cfg.g is None else _one(cfg.g, "g")
+    return N, h, default_kick(N) if cfg.g is None else cfg.g
 
 
 def _create(cfg: argparse.Namespace, name: str):
@@ -252,7 +252,7 @@ def _series_run(cfg: argparse.Namespace, N: int, h: float, g: float):
     sector = build_sector(N)
     params = LmgParams(N=N, h=h, gamma=cfg.gamma)
     if cfg.trial:
-        prepared, prep = trial_localized_state(sector, h), "trial"
+        prepared, prep = trial_localized_state(N, h), "trial"
     else:
         prepared = localize_ground_state(params, g=g, phi_n=cfg.phi_n)
         prep = "kicked"
@@ -361,9 +361,8 @@ def cmd_modes(cfg: argparse.Namespace) -> dict:
 
 def cmd_correlation(cfg: argparse.Namespace) -> dict:
     N, h = _one(cfg.n, "n"), _one(cfg.h, "h")
-    sector = build_sector(N)
     tgrid = _time_grid(cfg, N)
-    result = correlation_fN(sector, h, tgrid)
+    result = correlation_fN(N, h, tgrid)
     oracle_members = None
     if N <= MAX_CORRELATION_N:
         oracle_members = dict(full_space_correlation(N, h, tgrid))
@@ -403,7 +402,7 @@ def cmd_gap(cfg: argparse.Namespace) -> dict:
         params = LmgParams(N=N, h=h)
         rows = []
         for g in PT_KICKS:
-            pt = degenerate_pt_gap(sector, h, g)
+            pt = degenerate_pt_gap(N, h, g)
             w = eigensystem(build_hamiltonian(params, sector, g=g)).energies
             rows.append((g, float(w[1] - w[0]), pt.splitting))
         files.append(_table(cfg, "gap_pt", "g,splitting_numeric,splitting_pt", rows))
@@ -450,7 +449,7 @@ def cmd_quasicrystal(cfg: argparse.Namespace) -> dict:
     h_pick = float(fields[len(fields) // 2]) if cfg.h is None else _one(cfg.h, "h")
     tgrid = _time_grid(cfg, N)
     params = LmgParams(N=N, h=h_pick)
-    g = default_kick(N) if cfg.g is None else _one(cfg.g, "g")
+    g = default_kick(N) if cfg.g is None else cfg.g
     localized = localize_ground_state(params, g=g, phi_n=cfg.phi_n)
     files = [_table(cfg, "quasicrystal_h", "index,h", list(enumerate(fields)))]
     sector = build_sector(N)

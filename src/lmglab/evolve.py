@@ -195,15 +195,15 @@ def eigensystem(op: BandedHermitianOperator) -> EigenSystem:
     return EigenSystem(_readonly(w), _readonly(v))
 
 
-def _certified(levels: np.ndarray, r: float, g_out: float, coupling_sq: float) -> bool:
+def _certified(levels: np.ndarray, r: float, g_out: float, coupling: float) -> bool:
     """Whether a window's lowest pair (E, v) is the ground pair of the whole H.
 
     ``levels`` is the window's ascending spectrum (E, e1, ...), r the
     residual norm of v in H, G = ``g_out`` a lower bound of H outside the
-    window and ``coupling_sq`` a bound of ||C||_F^2 on the couplings across
-    it.  With scale = eps max|levels| it holds when r <= scale and
+    window and ``coupling`` a bound of ||C||_F on the couplings across it.
+    With scale = eps max|levels| it holds when r <= scale and
 
-        mu = (e1 + G)/2 - sqrt(((G - e1)/2)^2 + ||C||_F^2) > E + r + scale.
+        mu = (e1 + G)/2 - hypot((G - e1)/2, ||C||_F) > E + r + scale.
 
     By Courant-Fischer over x orthogonal to v, lambda_1(H) >= mu, so E is
     lambda_0 and the state error is at most (r + scale)/(mu - E) (Parlett,
@@ -211,7 +211,7 @@ def _certified(levels: np.ndarray, r: float, g_out: float, coupling_sq: float) -
     """
     scale = _EPS * max(abs(levels[0]), abs(levels[-1]))
     e1 = float(levels[1])
-    mu = 0.5 * (e1 + g_out) - math.sqrt((0.5 * (g_out - e1)) ** 2 + coupling_sq)
+    mu = 0.5 * (e1 + g_out) - math.hypot(0.5 * (g_out - e1), coupling)
     return bool(r <= scale and mu > levels[0] + r + scale)
 
 
@@ -252,9 +252,10 @@ def _free_level_ground(
         levels, vecs = np.linalg.eigh(m + np.diag(shifted[:k]))
         v = vecs[:, 0]
         res = wv - vk @ m
-        r = float(np.linalg.norm(res @ v))
+        with np.errstate(over="ignore"):  # a norm past 1e308 is inf: not certified
+            r, coupling = float(np.linalg.norm(res @ v)), float(np.linalg.norm(res))
         g_out = float(shifted[k]) - w_bound
-        if _certified(levels, r, g_out, float(np.linalg.norm(res)) ** 2):
+        if _certified(levels, r, g_out, coupling):
             amps = np.zeros(n, dtype=np.complex128)
             amps[lo:hi] = vk @ v
             return float(free.energies[0] + levels[0]), _check_state(amps, n)
@@ -502,22 +503,20 @@ class CorrelationResult:
     members: tuple[CorrelationMember, ...]
 
 
-def correlation_fN(
-    sector: SpinSector, h: float, tgrid: np.ndarray
-) -> CorrelationResult:
+def correlation_fN(N: int, h: float, tgrid: np.ndarray) -> CorrelationResult:
     """Ground-state correlation of the order parameter, f_N(t) = <m_x(t) m_x(0)>.
 
     One closed form per ground level: Sx|M0> reaches exactly the existing
     magnetization neighbors M1 = M0 +- 1, so f_N(t) is one term per neighbor,
     with the ladder-element weight [S(S+1) - M0 M1] / 4 in exact integers on
     the exponential of the gap from gap arithmetic.  A degenerate ground pair
-    yields one member per level, ascending in M.
+    yields one member per level, ascending in M.  ``ground_M`` raises
+    ValueError unless N is a positive integer.
     """
-    n = sector.N
     if h >= 1.0:
         raise ValueError("correlation function is defined in the broken phase")
     tgrid = _check_grid(tgrid)
-    ground = ground_M(n, h)
+    ground, n = ground_M(N, h), int(N)
     members = []
     for m0_val in ground.levels:
         two_m0 = round(2 * m0_val)

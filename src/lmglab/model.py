@@ -119,9 +119,7 @@ def ground_M(N: int, h: float) -> GroundLevel:
     """
     if h < 0.0:
         raise ValueError("h must be >= 0")
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError("N must be a positive integer")
-    sector = build_sector(int(N))
+    sector = build_sector(N)
     energies = isotropic_energies(sector, h)
     i_min = int(np.argmin(energies))
     e_min = energies[i_min]
@@ -142,20 +140,20 @@ class TrialState:
     degenerate_ground: bool
 
 
-def trial_localized_state(sector: SpinSector, h: float) -> TrialState:
+def trial_localized_state(N: int, h: float) -> TrialState:
     """Three-level trial state mimicking a symmetry-broken ground state.
 
     Weights sqrt(1 - 2/N), 1/sqrt(N), 1/sqrt(N) go on the isotropic ground
     level M0 and its two magnetization neighbors.  The energy elevation is
     (gap_up + gap_down)/N = 2/N^2 independent of h; it is computed from the
-    neighbor gaps directly so the value is exact to rounding.
+    neighbor gaps directly so the value is exact to rounding.  ``ground_M``
+    raises ValueError unless N is a positive integer.
     """
-    n = sector.N
     if h >= 1.0:
         raise ValueError("trial state is defined in the broken phase (h < 1)")
+    ground, n = ground_M(N, h), int(N)
     if n < 3:
         raise ValueError("need N >= 3 for the three-level trial state")
-    ground = ground_M(n, h)
     two_m0 = ground.two_m0
     idx0 = (n - two_m0) // 2  # index with M(m) = M0
     if idx0 < 1 or idx0 > n - 1:
@@ -165,12 +163,12 @@ def trial_localized_state(sector: SpinSector, h: float) -> TrialState:
         )
     gap_up = isotropic_gap(n, two_m0 + 2, two_m0, h)
     gap_down = isotropic_gap(n, two_m0 - 2, two_m0, h)
-    amps = np.zeros(sector.dim, dtype=np.complex128)
+    amps = np.zeros(n + 1, dtype=np.complex128)
     amps[idx0] = math.sqrt(1.0 - 2.0 / n)
     amps[idx0 - 1] = 1.0 / math.sqrt(n)
     amps[idx0 + 1] = 1.0 / math.sqrt(n)
     return TrialState(
-        state=_check_state(amps, sector.dim),
+        state=_check_state(amps, n + 1),
         m0=ground.m0,
         delta_e=(gap_up + gap_down) / n,
         degenerate_ground=ground.degenerate,

@@ -39,7 +39,7 @@ import numpy as np
 
 from .evolve import TimeSeries, _check_grid, _phase_sum, _series, correlation_fN
 from .model import DEGENERACY_RTOL, LmgParams
-from .spinspace import _readonly, build_sector
+from .spinspace import _readonly
 from .ssb import default_kick, localize_ground_state
 
 MAX_FULL_SPACE_N = 12
@@ -382,7 +382,6 @@ def sector_vs_full_checks(N: int, h: float, g: float | None = None) -> OracleRep
     if g is None:
         g = default_kick(N)
     params = LmgParams(N=N, h=h)
-    sector = build_sector(N)
 
     # ground energy: the full side from the block solves of the free H that
     # also feed f_N(t), the sector side from the free solve that localizes
@@ -394,7 +393,7 @@ def sector_vs_full_checks(N: int, h: float, g: float | None = None) -> OracleRep
 
     # ground Sz and f_N(t), each sector member against the full-space member
     # of its S_z; a missing one is off by its distance to the nearest
-    corr = correlation_fN(sector, h, tgrid)
+    corr = correlation_fN(N, h, tgrid)
     by_sz = dict(full_members)
     dev_sz = max(min(abs(m - member.m0) for m in by_sz) for member in corr.members)
     dev_corr = max(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .evolve import _free_level_ground, _parity_blocks, eigensystem, ground_state
 from .model import LmgParams, build_hamiltonian, ground_M
-from .spinspace import SpinSector, _check_state, build_sector, ladder_plus_band
+from .spinspace import _check_state, build_sector, ladder_plus_band
 
 # the largest N of gamma0_gap_scan, whose dense solves grow as N^3
 MAX_GAP_SCAN_N = 2000
@@ -97,16 +97,16 @@ class DegeneratePtGap:
     mixed_states: tuple[np.ndarray, np.ndarray]
 
 
-def degenerate_pt_gap(sector: SpinSector, h: float, g: float) -> DegeneratePtGap:
+def degenerate_pt_gap(N: int, h: float, g: float) -> DegeneratePtGap:
     """Degenerate perturbation theory for V = -g Sx on a crescent ground pair.
 
     The pair differs by one unit of magnetization, so X = <up|Sx|down> is
     nonzero and the kick opens a splitting 2 g X with eigenvalues +-g X and
     the symmetric / antisymmetric mixtures as eigenstates (for g > 0 the
-    symmetric one is lower).
+    symmetric one is lower).  ``ground_M`` raises ValueError unless N is a
+    positive integer.
     """
-    n = sector.N
-    ground = ground_M(n, h)
+    ground, n = ground_M(N, h), int(N)
     if not ground.degenerate:
         raise ValueError(
             f"ground state at N={n}, h={h} is not degenerate; "
@@ -122,10 +122,10 @@ def degenerate_pt_gap(sector: SpinSector, h: float, g: float) -> DegeneratePtGap
     x = math.sqrt(float(ts * (ts + 2) - np.int64(two_lo) * np.int64(two_hi))) / 4.0
     mixed = []
     for sign in (+1.0, -1.0):
-        amps = np.zeros(sector.dim, dtype=np.complex128)
+        amps = np.zeros(n + 1, dtype=np.complex128)
         amps[idx_lo] = 1.0 / math.sqrt(2.0)
         amps[idx_hi] = sign / math.sqrt(2.0)
-        mixed.append(_check_state(amps, sector.dim))
+        mixed.append(_check_state(amps, n + 1))
     return DegeneratePtGap(
         sx_updown=x,
         epsilon_plus=g * x,

@@ -142,7 +142,7 @@ def test_c04_correlation_function_two_routes():
     for N in (50, 100, 500):
         sector = build_sector(N)
         tgrid = np.arange(256) * (2.0 * math.pi * N / 256)
-        result = correlation_fN(sector, 0.716, tgrid)
+        result = correlation_fN(N, 0.716, tgrid)
         sx = collective_operators(sector).sx
         nu = 1.0 / N
         for member in result.members:
@@ -190,14 +190,14 @@ def test_c06_trial_state_claims():
     h = 0.5
     gap_ok = True
     for N in (10, 100, 1000):
-        trial = trial_localized_state(build_sector(N), h)
+        trial = trial_localized_state(N, h)
         if abs(trial.delta_e - 2.0 / N**2) > 1e-12 * (2.0 / N**2):
             gap_ok = False
     sizes = [64, 128, 256, 512, 1024]
     values = []
     for N in sizes:
         sector = build_sector(N)
-        trial = trial_localized_state(sector, h)
+        trial = trial_localized_state(N, h)
         sx = collective_operators(sector).sx
         values.append(expectation(sx, trial.state).real)
     exponent = float(np.polyfit(np.log(sizes), np.log(values), 1)[0])
@@ -261,7 +261,7 @@ def test_c09_tunneling_gap():
     params = LmgParams(N=N, h=h_pt)
     residuals = {}
     for g in (1e-6, 1e-5, 1e-4):
-        pt = degenerate_pt_gap(sector, h_pt, g)
+        pt = degenerate_pt_gap(N, h_pt, g)
         w = eigensystem(build_hamiltonian(params, sector, g=g)).energies
         residuals[g] = abs((w[1] - w[0]) - pt.splitting)
     c_bound = residuals[1e-4] / 1e-4**2

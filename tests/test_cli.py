@@ -673,6 +673,28 @@ class TestNumericFailure:
         assert rc == 2
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--h", "0.5", "--g", "1e200"],
+            ["spectrum", "--h", "0.5", "--g", "1e300"],
+            ["spectrum", "--h", "1e300"],
+            ["spectrum", "--h", "1e300", "--gamma", "0.5"],
+            ["spectrum", "--h", "0.5", "--gamma", "0.5", "--g", "1e200"],
+            ["evolve", "--h", "1e200"],
+            ["quasicrystal", "--g", "1e200"],
+        ],
+    )
+    def test_huge_kick_or_field_writes_finite_tables(self, tmp_path, capsys, argv):
+        # the kicked ground state's window test squared numbers past 1e154:
+        # an OverflowError traceback and exit 1
+        out = tmp_path / "run"
+        assert main([*argv, "--n", "100", "--out", str(out)] + FAST) == 0
+        assert capsys.readouterr().err == ""
+        for table in out.glob("*.csv"):
+            assert np.all(np.isfinite(read_csv(table)[1])), table.name
+
+
 class TestImportCost:
     def test_cli_import_leaves_scipy_out(self):
         # scipy's import alone costs more than all of lmglab.cli
@@ -738,6 +760,9 @@ class TestUsageErrors:
             (["evolve", "--trial", "--g", "0.1"], "--trial"),
             (["evolve", "--n", "2", "--h", "0.5", "--trial"], "--trial"),
             (["evolve", "--n", "10", "--h", "1.2", "--trial"], "--trial"),
+            # above h = 1 - 1/N the ground level is the edge M = N/2, with no
+            # neighbour above it for the trial state
+            (["evolve", "--n", "100", "--h", "0.99999999999", "--trial"], "--trial"),
             (["evolve", "--samples", "8"], "--samples"),
             (["evolve", "--cutoff-k", "-1"], "--cutoff-k"),
             (["evolve", "--gamma", "0.5", "--cutoff-k", "5"], "--cutoff-k"),
@@ -756,7 +781,7 @@ class TestUsageErrors:
             (["oracle", "--n", "6", "--h", "0.3,0.5"], "--h"),
         ],
         ids=["n", "h", "gamma", "h-nan", "phi-n", "threshold", "broken-phase-h",
-             "trial-g", "trial-n", "trial-h", "samples", "cutoff-k",
+             "trial-g", "trial-n", "trial-h", "trial-edge-h", "samples", "cutoff-k",
              "evolve-cutoff-k-gamma", "spectrum-cutoff-k-gamma", "tmax",
              "tmax-subnormal-step", "tmax-zero-step", "modes-h", "kappa", "gap-g",
              "oracle-n-list", "oracle-h-list"],
@@ -932,7 +957,7 @@ class TestParser:
             (
                 ["evolve", "--n", "30", "--h", "0.4", "--g", "1e-3", "--phi-n", "0.2",
                  "--tmax", "50", "--samples", "64", "--trial", "--out", "o"],
-                dict(n=[30], h=[0.4], g=[1e-3], phi_n=0.2, tmax=50.0, samples=64,
+                dict(n=[30], h=[0.4], g=1e-3, phi_n=0.2, tmax=50.0, samples=64,
                      trial=True, out="o"),
             ),
             (["spectrum", "--n", "100", "--h", "0.5", "--gamma", "0.5"],

@@ -1,11 +1,11 @@
 """A fuzz of the command line: random subcommands with a random subset of
 the flags each reads, at edge values (odd N, fields a hair off a level
-crossing h = j/N, h = 1, negative numbers, empty lists).  Every run ends in
-a clean exit code, a usage error names a flag or the subcommand and writes
-nothing, every table written is rectangular with a float in each cell,
-finite except where ``non_finite_allowed`` says, a gamma < 1 summary holds
-no gamma = 1 closed form, and a second run into another --out writes the
-same bytes."""
+crossing h = j/N, h = 1, negative numbers, empty lists, kicks and fields
+of 1e150 to 1e250).  Every run ends in a clean exit code, a usage error
+names a flag or the subcommand and writes nothing, every table written is
+rectangular with a float in each cell, finite except where
+``non_finite_allowed`` says, a gamma < 1 summary holds no gamma = 1 closed
+form, and a second run into another --out writes the same bytes."""
 
 import contextlib
 import io
@@ -31,14 +31,19 @@ def rarely(common, edge, one_in=10):
     )
 
 
+# 1e150 to 1e250, past 1e154, where squares of the energies overflow
+HUGE = st.floats(150.0, 250.0).map(lambda e: 10.0**e)
+
+
 def fields(N):
     """A field at N: a hair off a crossing, on one, anywhere in [0, 1.5],
-    or rarely h = 1 or a negative one."""
+    or rarely h = 1, a negative one or a huge one."""
     near = st.builds(
         lambda j, sign: j / N + sign * 1e-11, st.integers(1, N), st.sampled_from((-1, 1))
     )
     on = st.builds(lambda j: j / N, st.integers(0, N))
-    return rarely(st.one_of(near, on, st.floats(0.0, 1.5)), st.sampled_from((1.0, -0.5)))
+    return rarely(st.one_of(near, on, st.floats(0.0, 1.5)),
+                  st.one_of(st.sampled_from((1.0, -0.5)), HUGE))
 
 
 def listed(element, max_size, first=()):
@@ -58,7 +63,8 @@ def values(key, N, cap):
         # gamma = 1 often, the one value with the gamma = 1 closed forms
         "gamma": rarely(st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
                         st.sampled_from((-0.1, 1.5))),
-        "g": listed(st.sampled_from((0.0, 1e-6, 1e-4, 1e-2, -1e-3)), 2),
+        "g": rarely(st.sampled_from((0.0, 1e-6, 1e-4, 1e-2, -1e-3)),
+                    st.builds(lambda sign, g: sign * g, st.sampled_from((1, -1)), HUGE)),
         "phi-n": st.floats(-3.5, 3.5),
         "tmax": rarely(st.floats(1.0, 500.0), st.sampled_from((0.0, -10.0, 1e-310, 5e-324))),
         "samples": rarely(st.integers(16, 256), st.integers(-5, 15)),
@@ -126,6 +132,10 @@ def written(out):
 # gamma < 1 summary holds none of them
 @example(argv=["quasicrystal", "--n", "7", "--gamma", "1.0"])
 @example(argv=["evolve", "--n", "7", "--gamma", "0.5", "--samples", "16"])
+# a kick and a field past 1e154, which overflowed the kicked ground state's
+# window test
+@example(argv=["spectrum", "--n", "100", "--h", "0.5", "--g", "1e200"])
+@example(argv=["evolve", "--n", "100", "--h", "1e200"])
 @tmax_examples
 def test_fuzzed_command_lines_exit_cleanly(argv):
     with tempfile.TemporaryDirectory() as tmp:

@@ -271,7 +271,7 @@ class TestLineSum:
         eig = eigensystem(build_hamiltonian(params, sec))
         assert eig.permutation is not None
         if prep == "trial":
-            psi = trial_localized_state(sec, h).state
+            psi = trial_localized_state(N, h).state
         else:
             psi = localize_ground_state(params, g=1e-3, phi_n=0.4).state
         ops = collective_operators(sec)
@@ -388,7 +388,7 @@ class TestBohrLines:
         sec = build_sector(N)
         eig = eigensystem(build_hamiltonian(params, sec))
         if prep == "trial":
-            psi = trial_localized_state(sec, h).state
+            psi = trial_localized_state(N, h).state
         else:
             psi = localize_ground_state(params, g=2e-3, phi_n=phi_n).state
         ops = collective_operators(sec)
@@ -410,7 +410,7 @@ class TestBohrLines:
         sec = build_sector(N)
         eig = eigensystem(build_hamiltonian(params, sec, g=0.05, phi_n=0.7))
         assert np.iscomplexobj(eig.vectors)
-        psi = trial_localized_state(sec, h).state
+        psi = trial_localized_state(N, h).state
         ops = collective_operators(sec)
         tgrid = np.arange(150) * (4.0 * math.pi * N / 150)
         op_list = (ops.sx, ops.sy, ops.sz, random_band2(sec.dim, N))
@@ -427,7 +427,7 @@ class TestBohrLines:
         params = LmgParams(N=N, h=h, gamma=gamma)
         sec = build_sector(N)
         eig = eigensystem(build_hamiltonian(params, sec))
-        psi = trial_localized_state(sec, h).state
+        psi = trial_localized_state(N, h).state
         sx = collective_operators(sec).sx
         tgrid = 5.3 + np.arange(101) * (40.0 * math.pi * N / 101)
         monkeypatch.setattr(evolve, "_PHASE_BLOCK", 1)
@@ -733,18 +733,17 @@ class TestCorrelation:
     def test_direct_matches_sum_over_every_level(self, N, h):
         sec = build_sector(N)
         tgrid = 0.7 + np.arange(1000) * (40 * math.pi * N / 1000)
-        for member in correlation_fN(sec, h, tgrid).members:
+        for member in correlation_fN(N, h, tgrid).members:
             ref = full_direct_sum(sec, h, member.m0, tgrid)
             assert np.max(np.abs(member.closed_form.values - ref)) <= 1e-15
 
     def test_memory_is_two_lines(self):
         # the (N+1) x T phases of a sum over every level peaked at 63-66 MB
         N, h = 500, 0.8338
-        sec = build_sector(N)
         tgrid = default_time_grid(N, samples=4096)
         tracemalloc.start()
         try:
-            correlation_fN(sec, h, tgrid)
+            correlation_fN(N, h, tgrid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -757,7 +756,7 @@ class TestCorrelation:
         sec = build_sector(N)
         tgrid = np.arange(128) * (2 * math.pi * N / 128)
         u_of = collective_operators(sec).sx.apply
-        for member in correlation_fN(sec, 0.55, tgrid).members:
+        for member in correlation_fN(N, 0.55, tgrid).members:
             two_m0 = round(2 * member.m0)
             weights = np.abs(u_of(basis(sec.dim, (N - two_m0) // 2))) ** 2
             reached = np.flatnonzero(weights)
@@ -773,9 +772,8 @@ class TestCorrelation:
     )
     def test_closed_form_equals_the_neighbour_loop(self, N, h):
         # the term-by-term loop over the existing neighbours, as reference
-        sec = build_sector(N)
         tgrid = 0.3 + np.arange(256) * (2 * math.pi * N / 256)
-        for member in correlation_fN(sec, h, tgrid).members:
+        for member in correlation_fN(N, h, tgrid).members:
             two_m0 = round(2 * member.m0)
             freqs, weights = [], []
             closed = np.zeros(tgrid.shape[0], dtype=np.complex128)
@@ -797,9 +795,8 @@ class TestCorrelation:
     def test_shared_exponentials_equal_two_sets_bit_for_bit(self, N, h):
         # reference: the closed form on exponentials of its own, built from
         # the existing neighbours
-        sec = build_sector(N)
         tgrid = 0.4 + np.arange(300) * (2 * math.pi * N / 300)
-        for member in correlation_fN(sec, h, tgrid).members:
+        for member in correlation_fN(N, h, tgrid).members:
             two_m0 = round(2 * member.m0)
             two_m1 = np.array([two_m0 + 2, two_m0 - 2], dtype=np.int64)
             two_m1 = two_m1[np.abs(two_m1) <= N]
@@ -812,8 +809,7 @@ class TestCorrelation:
 
     def test_frequencies_are_nu_plus_minus_omega0(self):
         N, h = 100, 0.716
-        sec = build_sector(N)
-        result = correlation_fN(sec, h, np.arange(16) * 1.0)
+        result = correlation_fN(N, h, np.arange(16) * 1.0)
         member = result.members[0]
         nu = 1.0 / N
         omega0 = h - 2.0 * member.m0 / N
@@ -824,7 +820,7 @@ class TestCorrelation:
     def test_static_moment_at_time_zero(self):
         N, h = 40, 0.3
         sec = build_sector(N)
-        result = correlation_fN(sec, h, np.arange(16) * 1.0)
+        result = correlation_fN(N, h, np.arange(16) * 1.0)
         member = result.members[0]
         ops = collective_operators(sec)
         idx0 = int(np.nonzero(sec.m_values == member.m0)[0][0])
@@ -833,14 +829,13 @@ class TestCorrelation:
         assert member.closed_form.values[0].real == pytest.approx(static, rel=1e-14, abs=0)
 
     def test_degenerate_pair_returns_both_members(self):
-        sec = build_sector(100)
-        result = correlation_fN(sec, 0.71, np.arange(16) * 1.0)
+        result = correlation_fN(100, 0.71, np.arange(16) * 1.0)
         assert len(result.members) > 1
         assert [m.m0 for m in result.members] == [35.0, 36.0]
 
     def test_rejects_symmetric_phase(self):
         with pytest.raises(ValueError):
-            correlation_fN(build_sector(10), 1.0, np.arange(16) * 1.0)
+            correlation_fN(10, 1.0, np.arange(16) * 1.0)
 
     def test_member_carries_the_closed_form_only(self):
         names = {f.name for f in dataclasses.fields(evolve.CorrelationMember)}
@@ -1142,8 +1137,8 @@ ARRAY_RECORDS = {
     "TimeSeries": _series,
     "EigenSystem": lambda: isotropic_eigensystem(6, 0.5)[1],
     "ProjectedModes": lambda: projected_init(_kicked().state, build_sector(6), 0.5),
-    "CorrelationMember": lambda: correlation_fN(build_sector(6), 0.5, np.arange(8.0)).members[0],
-    "TrialState": lambda: trial_localized_state(build_sector(6), 0.5),
+    "CorrelationMember": lambda: correlation_fN(6, 0.5, np.arange(8.0)).members[0],
+    "TrialState": lambda: trial_localized_state(6, 0.5),
     "FullGround": lambda: full_space_ground(LmgParams(N=6, h=0.5)),
     "LineSpectrum": lambda: line_spectrum(
         isotropic_eigensystem(6, 0.5)[1], _kicked().state,
@@ -1152,7 +1147,7 @@ ARRAY_RECORDS = {
     "Spectrum": lambda: periodogram(_series(), 6),
     "SpinSector": lambda: build_sector(6),
     "LocalizedState": _kicked,
-    "DegeneratePtGap": lambda: degenerate_pt_gap(build_sector(6), 0.5, 1e-3),
+    "DegeneratePtGap": lambda: degenerate_pt_gap(6, 0.5, 1e-3),
 }
 
 
@@ -1165,3 +1160,37 @@ def test_array_records_compare_and_hash_by_identity(name):
     assert first == first and first != second
     assert len({first, second}) == 2 and hash(first) == hash(first)
     assert second in [first, second]
+
+
+# the closed forms in N: each reads the spin count alone, not a sector
+CLOSED_FORMS = {
+    "correlation_fN": lambda N: correlation_fN(N, 0.5, np.arange(8.0)),
+    "trial_localized_state": lambda N: trial_localized_state(N, 0.5),
+    "degenerate_pt_gap": lambda N: degenerate_pt_gap(N, 4 / 9, 1e-4),
+}
+
+
+@pytest.mark.parametrize("integer", [int, np.int64])
+def test_closed_forms_take_the_spin_count(integer):
+    # N = 8, h = 1/2: M0 = 2 with both neighbour gaps 1/8; N = 9, h = 4/9:
+    # the crescent pair M = 3/2, 5/2 at Sz indices 3 and 2
+    t = np.arange(8.0)
+    (member,) = correlation_fN(integer(8), 0.5, t).members
+    phases = np.exp(-1j * np.array([[0.125], [0.125]]) * t)
+    expected = (4.0 / 64) * (np.array([[3.5], [4.5]]) * phases).sum(axis=0)
+    assert member.closed_form.values.tobytes() == expected.tobytes()
+    trial = trial_localized_state(integer(8), 0.5)
+    amps = np.zeros(9, dtype=np.complex128)
+    amps[1:4] = 1.0 / math.sqrt(8.0), math.sqrt(0.75), 1.0 / math.sqrt(8.0)
+    assert trial.state.tobytes() == amps.tobytes() and trial.delta_e == 2.0 / 64
+    pt = degenerate_pt_gap(integer(9), 4 / 9, 1e-4)
+    assert pt.sx_updown == math.sqrt(9 * 11 - 3 * 5) / 4.0
+    assert [np.flatnonzero(s).tolist() for s in pt.mixed_states] == [[2, 3], [2, 3]]
+
+
+@pytest.mark.parametrize("N", [0, -1, 2.5, True, "8", build_sector(8)],
+                         ids=["zero", "negative", "float", "bool", "str", "sector"])
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_closed_forms_reject_a_spin_count_that_is_no_positive_integer(name, N):
+    with pytest.raises(ValueError, match="spin count"):
+        CLOSED_FORMS[name](N)

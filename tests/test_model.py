@@ -205,13 +205,13 @@ class TestMeanField:
 class TestTrialState:
     @pytest.mark.parametrize("N", [10, 100, 1000])
     def test_energy_elevation_is_two_over_n_squared(self, N):
-        trial = trial_localized_state(build_sector(N), 0.5)
+        trial = trial_localized_state(N, 0.5)
         assert trial.delta_e == pytest.approx(2.0 / N**2, rel=1e-12, abs=0)
 
     def test_energy_elevation_cross_checked_against_expectation(self):
         N, h = 100, 0.716
         sec = build_sector(N)
-        trial = trial_localized_state(sec, h)
+        trial = trial_localized_state(N, h)
         ham = build_hamiltonian(LmgParams(N=N, h=h), sec)
         e0 = isotropic_energies(sec, h).min()
         measured = expectation(ham, trial.state).real - e0
@@ -220,7 +220,7 @@ class TestTrialState:
     def test_sz_expectation_stays_at_ground_magnetization(self):
         N, h = 100, 0.716
         sec = build_sector(N)
-        trial = trial_localized_state(sec, h)
+        trial = trial_localized_state(N, h)
         sz = collective_operators(sec).sz
         assert abs(expectation(sz, trial.state).real - trial.m0) <= 1.0 / N
 
@@ -229,7 +229,7 @@ class TestTrialState:
         values = []
         for N in sizes:
             sec = build_sector(N)
-            trial = trial_localized_state(sec, 0.5)
+            trial = trial_localized_state(N, 0.5)
             sx = collective_operators(sec).sx
             values.append(expectation(sx, trial.state).real)
         slope = np.polyfit(np.log(sizes), np.log(values), 1)[0]
@@ -237,16 +237,16 @@ class TestTrialState:
 
     def test_degenerate_case_flagged_lower_member_used(self):
         # N=10, h=0.5: Nh = 5 is odd against even N, pair {2, 3}
-        trial = trial_localized_state(build_sector(10), 0.5)
+        trial = trial_localized_state(10, 0.5)
         assert trial.degenerate_ground
         assert trial.m0 == 2.0
         assert trial.delta_e == pytest.approx(2.0 / 100.0, rel=1e-12, abs=0)
 
     def test_rejects_symmetric_phase_and_tiny_n(self):
         with pytest.raises(ValueError):
-            trial_localized_state(build_sector(10), 1.0)
+            trial_localized_state(10, 1.0)
         with pytest.raises(ValueError):
-            trial_localized_state(build_sector(2), 0.5)
+            trial_localized_state(2, 0.5)
 
 
 class TestLifetime:

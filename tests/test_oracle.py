@@ -614,7 +614,7 @@ def test_full_space_correlation_matches_sector_direct(N, h, start, span, samples
     # may hold a second ground member
     tgrid = start + np.arange(samples) * (span * 2 * math.pi * N / samples)
     full = dict(full_space_correlation(N, h, tgrid))
-    sector = correlation_fN(build_sector(N), h, tgrid).members
+    sector = correlation_fN(N, h, tgrid).members
     paired = [(full[member.m0], member) for member in sector if member.m0 in full]
     assert paired
     for series, member in paired:
@@ -626,8 +626,7 @@ class TestCorrelation:
     @pytest.mark.parametrize("N,h", [(8, 0.5), (6, 0.7)])
     def test_matches_sector_computation(self, N, h):
         tgrid = np.arange(64) * (2 * math.pi * N / 64)
-        sec = build_sector(N)
-        sector_result = correlation_fN(sec, h, tgrid)
+        sector_result = correlation_fN(N, h, tgrid)
         full_members = full_space_correlation(N, h, tgrid)
         assert len(full_members) == len(sector_result.members)
         for (m_full, series), member in zip(full_members, sector_result.members):

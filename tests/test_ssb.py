@@ -143,6 +143,18 @@ class TestLocalize:
         assert np.array_equal(loc.state, ground_state(free))
         assert loc.energy == free.ground_energy == loc.unperturbed_ground_energy
 
+    @pytest.mark.parametrize(
+        "h, gamma, g",
+        [(0.5, 1.0, 1e200), (0.5, 1.0, 1e300), (0.5, 0.5, 1e200),
+         (1e200, 1.0, 1e-4), (1e300, 1.0, 1e-4), (1e300, 0.5, 1e-4)],
+    )
+    def test_huge_kick_or_field_localizes_along_the_larger(self, h, gamma, g):
+        # the window test squared levels, or the residual norm, past 1e154
+        # and raised OverflowError
+        loc = localize_ground_state(LmgParams(N=100, h=h, gamma=gamma), g=g)
+        assert abs(loc.m_n - (1.0 if g > h else 0.0)) <= 1e-12
+        assert math.isfinite(loc.energy) and math.isfinite(loc.delta_e)
+
     def test_kick_direction_sets_sign(self):
         params = LmgParams(N=30, h=0.4)
         plus = localize_ground_state(params, g=1e-3)
@@ -247,22 +259,22 @@ class TestOrderParameter:
 class TestDegeneratePt:
     def test_requires_degenerate_pair(self):
         with pytest.raises(ValueError):
-            degenerate_pt_gap(build_sector(100), 0.716, 1e-4)
+            degenerate_pt_gap(100, 0.716, 1e-4)
 
     def test_zero_kick_gives_zero_splitting(self):
-        pt = degenerate_pt_gap(build_sector(100), 0.71, 0.0)
+        pt = degenerate_pt_gap(100, 0.71, 0.0)
         assert pt.splitting == 0.0
         assert pt.epsilon_plus == 0.0
 
     def test_matrix_element_against_ladder_formula(self):
-        pt = degenerate_pt_gap(build_sector(100), 0.71, 1e-4)
+        pt = degenerate_pt_gap(100, 0.71, 1e-4)
         s = 50.0
         expected = math.sqrt(s * (s + 1) - 35.0 * 36.0) / 2.0
         assert pt.sx_updown == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_mixed_states_polarization(self):
         N = 100
-        pt = degenerate_pt_gap(build_sector(N), 0.71, 1e-4)
+        pt = degenerate_pt_gap(N, 0.71, 1e-4)
         ops = collective_operators(build_sector(N))
         m_plus = 2.0 / N * expectation(ops.sx, pt.mixed_states[0]).real
         m_minus = 2.0 / N * expectation(ops.sx, pt.mixed_states[1]).real
@@ -275,7 +287,7 @@ class TestDegeneratePt:
         params = LmgParams(N=N, h=h)
         residuals = {}
         for g in (1e-6, 1e-5, 1e-4):
-            pt = degenerate_pt_gap(sec, h, g)
+            pt = degenerate_pt_gap(N, h, g)
             w = eigensystem(build_hamiltonian(params, sec, g=g)).energies
             residuals[g] = abs((w[1] - w[0]) - pt.splitting)
         # residual is bounded quadratically in g (measured: cubic)
