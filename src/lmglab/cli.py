@@ -54,7 +54,7 @@ from .spectra import (
     periodogram,
     quasicrystal_h,
 )
-from .spinspace import _Raising, build_sector, collective_operators
+from .spinspace import _Raising, collective_operators
 from .ssb import (
     MAX_GAP_SCAN_N,
     default_kick,
@@ -77,6 +77,8 @@ CUTOFF_K = 3
 PEAK_FRACTION = 0.01  # of the periodogram's maximum, for spectrum's peaks
 ORACLE_TOLERANCE = 1e-9  # oracle exits 3 above it
 PT_KICKS = (1e-6, 1e-5, 1e-4)  # gap's degenerate-PT table
+GAP_SCAN_N = range(20, 61, 4)  # gap's scan when --n gives one value
+PHASE_BOUND = 1e307  # the largest N (1 + h + |g|) max(t_max, 1): energies, E t stay finite
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -190,6 +192,13 @@ def validate_config(cfg: argparse.Namespace) -> None:
                          f"and the values {cfg.h} repeat a name")
     if cfg.command == "gap" and len(cfg.n) > 1 and max(cfg.n) > MAX_GAP_SCAN_N:
         raise ValueError(f"gap scan supports N <= {MAX_GAP_SCAN_N}")
+    # t_max is 40 pi N by default; gap evolves nothing (t_max 1) but may scan N to 60
+    n_max = max(*cfg.n, *GAP_SCAN_N) if cfg.command == "gap" else max(cfg.n)
+    t_max = 1.0 if cfg.command == "gap" else cfg.tmax or 40.0 * math.pi * n_max
+    size = n_max * (1.0 + max(fields, default=1.0) + abs(cfg.g or 0.0)) * max(t_max, 1.0)
+    if cfg.command not in ("modes", "correlation", "oracle") and not size <= PHASE_BOUND:
+        raise ValueError(f"--h, --g and --tmax must keep N (1 + h + |g|) max(tmax, 1) "
+                         f"<= {PHASE_BOUND:g}, past which the energies or phases E t overflow")
 
 
 def _mode_stem(h: float) -> str:
@@ -249,7 +258,6 @@ def _time_grid(cfg: argparse.Namespace, N: int) -> np.ndarray:
 def _series_run(cfg: argparse.Namespace, N: int, h: float, g: float):
     """Prepare the localized state, write its series table and start the
     summary; also return what ``spectrum`` reads of the run."""
-    sector = build_sector(N)
     params = LmgParams(N=N, h=h, gamma=cfg.gamma)
     if cfg.trial:
         prepared, prep = trial_localized_state(N, h), "trial"
@@ -258,10 +266,10 @@ def _series_run(cfg: argparse.Namespace, N: int, h: float, g: float):
         prep = "kicked"
     state = prepared.state
     tgrid = _time_grid(cfg, N)
-    eig0 = eigensystem(build_hamiltonian(params, sector))
+    eig0 = eigensystem(build_hamiltonian(params))
     # <S+> = <Sx> + i <Sy>: m_x and m_y from one line sum
-    plus = observable_series(eig0, state, _Raising(sector), tgrid)
-    modes = projected_init(state, sector, h)
+    plus = observable_series(eig0, state, _Raising(N), tgrid)
+    modes = projected_init(state, N, h)
     ax, ay = analytic_sum(modes, min(CUTOFF_K, N), tgrid)
     scale = 2.0 / N
     mx = plus.values.real * scale
@@ -280,7 +288,7 @@ def _series_run(cfg: argparse.Namespace, N: int, h: float, g: float):
     if cfg.gamma < 1.0:  # gamma = 1 closed forms, which gap keeps for its PT table
         summary.update(m0=None, nu=None, omega0=None, mode=None)
     summary["files"] = [_table(cfg, "series", SERIES_HEADER, rows)]
-    return summary, _series(plus.t, mx), eig0, state, sector
+    return summary, _series(plus.t, mx), eig0, state
 
 
 def _base_summary(cfg: argparse.Namespace, N: int, h: float, g: float) -> dict:
@@ -307,11 +315,10 @@ def cmd_evolve(cfg: argparse.Namespace) -> dict:
 
 def cmd_spectrum(cfg: argparse.Namespace) -> dict:
     N, h, g = _point(cfg)
-    summary, mx_series, eig0, state, sector = _series_run(cfg, N, h, g)
+    summary, mx_series, eig0, state = _series_run(cfg, N, h, g)
     spec = periodogram(mx_series, N)
     peaks = find_peaks(spec, PEAK_FRACTION)
-    sx = collective_operators(sector).sx
-    lines = line_spectrum(eig0, state, sx, threshold=1e-8 * N)
+    lines = line_spectrum(eig0, state, collective_operators(N).sx, threshold=1e-8 * N)
     summary["peaks"] = [
         {"freq_over_nu": p.freq_over_nu, "height": p.height} for p in peaks
     ]
@@ -395,19 +402,17 @@ def cmd_gap(cfg: argparse.Namespace) -> dict:
     # the PT part uses gamma = 1 and the scan gamma = 0; --gamma applies to neither
     summary["gamma"] = None
 
-    ground = ground_M(N, h)
-    if ground.degenerate:
-        sector = build_sector(N)
+    if ground_M(N, h).degenerate:
         # the PT splitting is that of the gamma = 1 H, whatever --gamma says
         params = LmgParams(N=N, h=h)
         rows = []
         for g in PT_KICKS:
             pt = degenerate_pt_gap(N, h, g)
-            w = eigensystem(build_hamiltonian(params, sector, g=g)).energies
+            w = eigensystem(build_hamiltonian(params, g=g)).energies
             rows.append((g, float(w[1] - w[0]), pt.splitting))
         files.append(_table(cfg, "gap_pt", "g,splitting_numeric,splitting_pt", rows))
 
-    n_values = cfg.n if len(cfg.n) > 1 else list(range(20, 61, 4))
+    n_values = cfg.n if len(cfg.n) > 1 else list(GAP_SCAN_N)
     scan = gamma0_gap_scan(n_values, h)
     symmetric = h > 1.0
     rows = []
@@ -452,8 +457,7 @@ def cmd_quasicrystal(cfg: argparse.Namespace) -> dict:
     g = default_kick(N) if cfg.g is None else cfg.g
     localized = localize_ground_state(params, g=g, phi_n=cfg.phi_n)
     files = [_table(cfg, "quasicrystal_h", "index,h", list(enumerate(fields)))]
-    sector = build_sector(N)
-    ground_mode = projected_init(localized.state, sector, h_pick).first(1)
+    ground_mode = projected_init(localized.state, N, h_pick).first(1)
     files.append(_waveform(cfg, "waveform", "mode", ground_mode, tgrid, N))
     word = cut_and_project_sequence(kappa, CUT_PROJECT_LENGTH)
     with _create(cfg, "cut_project.txt") as fh:

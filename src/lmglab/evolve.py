@@ -28,9 +28,9 @@ import numpy as np
 from .model import ground_M, isotropic_energies, isotropic_gap
 from .spinspace import (
     BandedHermitianOperator,
-    SpinSector,
     _check_state,
     _readonly,
+    build_sector,
     ladder_plus_band,
 )
 
@@ -400,19 +400,19 @@ class ProjectedModes:
         return ProjectedModes(self.nu, self.omega_k[cut], self.sx0[cut], self.sy0[cut])
 
 
-def projected_init(psi0, sector: SpinSector, h: float) -> ProjectedModes:
-    """Initial mode amplitudes of a state under the isotropic Hamiltonian.
+def projected_init(psi0, N: int, h: float) -> ProjectedModes:
+    """Initial mode amplitudes of a state of N spins under the isotropic Hamiltonian.
 
     Level k maps to a single Sz index m; its amplitudes collect the two
     coherences c_m^* c_{m+-1} weighted by the Sx / Sy matrix elements, with
     missing neighbors dropped at the sector edges.  Summing sx0 over all
     modes reproduces <Sx> at t = 0 exactly.
     """
+    sector = build_sector(N)
     n = sector.N
     c = _check_state(psi0, sector.dim)
-    energies = isotropic_energies(sector, h)
-    perm = np.argsort(energies, kind="stable")
-    a = ladder_plus_band(sector)  # <m|S+|m+1>, m = 0..N-1
+    perm = np.argsort(isotropic_energies(n, h), kind="stable")
+    a = ladder_plus_band(n)  # <m|S+|m+1>, m = 0..N-1
     up = np.conj(c[:-1]) * c[1:]  # c_m^* c_{m+1}, m = 0..N-1
     down = np.conj(c[1:]) * c[:-1]  # c_m^* c_{m-1}, m = 1..N
     sx0 = np.zeros(n + 1, dtype=np.complex128)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .spinspace import (
     BandedHermitianOperator,
-    SpinSector,
     _check_state,
     build_sector,
     ladder_plus_band,
@@ -35,10 +34,7 @@ class LmgParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)):
-            raise ValueError("N must be an integer")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
+        build_sector(self.N)  # ValueError unless N is a positive integer
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         if self.h < 0.0:
@@ -46,10 +42,7 @@ class LmgParams:
 
 
 def build_hamiltonian(
-    params: LmgParams,
-    sector: SpinSector,
-    g: float = 0.0,
-    phi_n: float = 0.0,
+    params: LmgParams, g: float = 0.0, phi_n: float = 0.0
 ) -> BandedHermitianOperator:
     """Assemble H = (LAM/N)(Sx^2 + gamma Sy^2) - h Sz - g (Sx cos + Sy sin) band-wise.
 
@@ -58,8 +51,7 @@ def build_hamiltonian(
     (1-gamma)/4 * (S+^2 + S-^2) two off.  Bandwidth is 2 when gamma < 1,
     1 when gamma = 1 and g != 0, and 0 for the isotropic unperturbed case.
     """
-    if sector.N != params.N:
-        raise ValueError("sector and params disagree on N")
+    sector = build_sector(params.N)
     n = sector.N
     ts = np.int64(n)
     tm = sector.two_m
@@ -67,7 +59,7 @@ def build_hamiltonian(
     diag = (LAM / n) * ((1.0 + params.gamma) / 2.0) * casimir_minus_m2
     diag = diag - params.h * (tm / 2.0)
     diags: dict[int, np.ndarray] = {0: diag}
-    a = ladder_plus_band(sector)
+    a = ladder_plus_band(n) if g != 0.0 or params.gamma != 1.0 else None
     if g != 0.0:
         diags[1] = (-0.5 * g * np.exp(-1j * phi_n)) * a
     if params.gamma != 1.0:
@@ -75,8 +67,9 @@ def build_hamiltonian(
     return BandedHermitianOperator(sector.dim, diags)
 
 
-def isotropic_energies(sector: SpinSector, h: float) -> np.ndarray:
+def isotropic_energies(N: int, h: float) -> np.ndarray:
     """E(S, M) = -[S(S+1) - M^2]/N - h M for every basis index, gamma = 1."""
+    sector = build_sector(N)
     ts = np.int64(sector.N)
     tm = sector.two_m
     return -(ts * (ts + 2) - tm * tm) / (4.0 * sector.N) - h * (tm / 2.0)
@@ -120,9 +113,8 @@ def ground_M(N: int, h: float) -> GroundLevel:
     if h < 0.0:
         raise ValueError("h must be >= 0")
     sector = build_sector(N)
-    energies = isotropic_energies(sector, h)
-    i_min = int(np.argmin(energies))
-    e_min = energies[i_min]
+    energies = isotropic_energies(sector.N, h)
+    e_min = energies.min()
     tol = DEGENERACY_RTOL * max(1.0, abs(e_min))
     ties = np.nonzero(energies - e_min <= tol)[0]
     levels = tuple(sorted(sector.two_m[i] / 2.0 for i in ties))

@@ -7,8 +7,10 @@ other modules inherit this ordering.
 
 Magnetizations are kept as doubled integers (2M) internally so that
 half-integer values for odd N stay exact and parity logic never touches
-floating point.  A state is a plain array of its N + 1 Sz amplitudes; each
-public function that reads or makes one checks it with ``_check_state``.
+floating point.  Each reader of the basis takes the spin count N and builds
+the labels with ``build_sector``, the one check that N is a positive
+integer.  A state is a plain array of its N + 1 Sz amplitudes; each public
+function that reads or makes one checks it with ``_check_state``.
 """
 
 from __future__ import annotations
@@ -148,11 +150,12 @@ def _check_state(psi, dim: int) -> np.ndarray:
     return amps
 
 
-def ladder_plus_band(sector: SpinSector) -> np.ndarray:
+def ladder_plus_band(N: int) -> np.ndarray:
     """Matrix elements <m|S+|m+1> for m = 0..N-1, exact integer arithmetic.
 
     S+|S,M> = sqrt(S(S+1) - M(M+1)) |S,M+1>, evaluated at M = M(m+1).
     """
+    sector = build_sector(N)
     ts = np.int64(sector.N)
     tm = sector.two_m[1:]
     # S(S+1) - M(M+1) = (ts(ts+2) - tm(tm+2))/4, an exact integer ratio
@@ -160,13 +163,13 @@ def ladder_plus_band(sector: SpinSector) -> np.ndarray:
 
 
 class _Raising:
-    """S+ = Sx + i Sy of a sector, the one band <m|S+|m+1>: not Hermitian, but
+    """S+ = Sx + i Sy of N spins, the one band <m|S+|m+1>: not Hermitian, but
     with the ``dim``, ``bands`` and ``apply`` that ``evolve.observable_series``
     reads, where <S+> = <Sx> + i <Sy>."""
 
-    def __init__(self, sector: SpinSector):
-        self.dim = sector.dim
-        self.bands = {1: _readonly(ladder_plus_band(sector))}
+    def __init__(self, N: int):
+        self.bands = {1: _readonly(ladder_plus_band(N))}
+        self.dim = self.bands[1].shape[0] + 1
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return _band_matvec(self.dim, self.bands, np.asarray(vec, dtype=np.complex128))
@@ -179,14 +182,15 @@ class CollectiveOperators:
     sz: BandedHermitianOperator
 
 
-def collective_operators(sector: SpinSector) -> CollectiveOperators:
-    """Collective spin operators of the sector as banded matrices.
+def collective_operators(N: int) -> CollectiveOperators:
+    """Collective spin operators of the N-spin sector as banded matrices.
 
     Sz is diagonal with entries M(m).  Sx = (S+ + S-)/2 is real symmetric
     with bandwidth 1 and Sy = (S+ - S-)/(2i) is purely imaginary Hermitian
     with bandwidth 1, both built from ``ladder_plus_band``.
     """
-    a = ladder_plus_band(sector)
+    sector = build_sector(N)
+    a = ladder_plus_band(sector.N)
     sz = BandedHermitianOperator(sector.dim, {0: sector.two_m / 2.0})
     sx = BandedHermitianOperator(sector.dim, {1: a / 2.0})
     sy = BandedHermitianOperator(sector.dim, {1: -0.5j * a})

@@ -15,7 +15,7 @@ import numpy as np
 
 from .evolve import _free_level_ground, _parity_blocks, eigensystem, ground_state
 from .model import LmgParams, build_hamiltonian, ground_M
-from .spinspace import _check_state, build_sector, ladder_plus_band
+from .spinspace import _check_state, ladder_plus_band
 
 # the largest N of gamma0_gap_scan, whose dense solves grow as N^3
 MAX_GAP_SCAN_N = 2000
@@ -44,9 +44,9 @@ def order_parameter(psi, phi_n: float, N: int) -> float:
     <S+> = sum_m conj(psi_m) a_m psi_(m+1) over the ``ladder_plus_band``
     elements a_m.
     """
-    sector = build_sector(N)
-    amps = _check_state(psi, sector.dim)
-    s_plus = np.vdot(amps[:-1], ladder_plus_band(sector) * amps[1:])
+    a = ladder_plus_band(N)
+    amps = _check_state(psi, a.shape[0] + 1)
+    s_plus = np.vdot(amps[:-1], a * amps[1:])
     return 2.0 / N * (complex(math.cos(phi_n), -math.sin(phi_n)) * s_plus).real
 
 
@@ -68,12 +68,11 @@ def localize_ground_state(
     """
     if g is None:
         g = default_kick(params.N)
-    sector = build_sector(params.N)
-    free = eigensystem(build_hamiltonian(params, sector))
+    free = eigensystem(build_hamiltonian(params))
     if g == 0.0:
         energy, psi = free.ground_energy, ground_state(free)
     else:
-        kicked = build_hamiltonian(params, sector, g=g, phi_n=phi_n)
+        kicked = build_hamiltonian(params, g=g, phi_n=phi_n)
         energy, psi = _free_level_ground(kicked, free)
     b = free.to_energy_basis(psi)
     delta_e = float(np.sum(np.abs(b) ** 2 * (free.energies - free.ground_energy)))
@@ -243,7 +242,7 @@ def gamma0_gap_scan(N_list, h: float) -> list[tuple[int, float]]:
         n = int(n)
         if n > MAX_GAP_SCAN_N:
             raise ValueError(f"gap scan supports N <= {MAX_GAP_SCAN_N}")
-        op = build_hamiltonian(LmgParams(N=n, h=h, gamma=0.0), build_sector(n))
+        op = build_hamiltonian(LmgParams(N=n, h=h, gamma=0.0))
         per_spin = [np.linalg.eigvalsh(b * (1.0 / n)) for b in _parity_blocks(op)]
         levels = np.sort(np.concatenate(per_spin))
         results.append((n, float(levels[1] - levels[0])))

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from lmglab.spinspace import SpinSector, _check_state
+from lmglab.spinspace import _check_state
 
 
 def unit(x) -> np.ndarray:
@@ -29,23 +29,22 @@ def expectation(op, psi) -> complex:
     return complex(np.vdot(amps, op.apply(amps)))
 
 
-def coherent_state(sector: SpinSector, theta: float, phi: float = 0.0) -> np.ndarray:
-    """Dicke-sector amplitudes of the coherent state with Bloch angles
-    (theta, phi), <S> = (N/2)(sin t cos p, sin t sin p, cos t).
+def coherent_state(N: int, theta: float, phi: float = 0.0) -> np.ndarray:
+    """Dicke-sector amplitudes of the coherent state of N spins with Bloch
+    angles (theta, phi), <S> = (N/2)(sin t cos p, sin t sin p, cos t).
 
     c_m = sqrt(C(N, m)) cos(theta/2)^(N-m) sin(theta/2)^m e^{i phi (m - N/2)},
     evaluated in log space so N up to a few thousand stays finite.
     """
-    n = sector.N
     ct = math.cos(theta / 2.0)
     st = math.sin(theta / 2.0)
     if st == 0.0:
-        return basis(sector.dim, 0)
-    m = np.arange(n + 1)
-    ln_binom = math.lgamma(n + 1) - np.array(
-        [math.lgamma(k + 1) + math.lgamma(n - k + 1) for k in m]
+        return basis(N + 1, 0)
+    m = np.arange(N + 1)
+    ln_binom = math.lgamma(N + 1) - np.array(
+        [math.lgamma(k + 1) + math.lgamma(N - k + 1) for k in m]
     )
-    log_mag = 0.5 * ln_binom + (n - m) * math.log(abs(ct)) + m * math.log(abs(st))
-    signs = np.sign(ct) ** (n - m) * np.sign(st) ** m
-    amps = signs * np.exp(log_mag) * np.exp(1j * phi * (m - n / 2.0))
+    log_mag = 0.5 * ln_binom + (N - m) * math.log(abs(ct)) + m * math.log(abs(st))
+    signs = np.sign(ct) ** (N - m) * np.sign(st) ** m
+    amps = signs * np.exp(log_mag) * np.exp(1j * phi * (m - N / 2.0))
     return unit(amps)

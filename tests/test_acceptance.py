@@ -57,18 +57,17 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 def _localized_mx_series(N, h, g, periods=20.0, samples=4096):
     params = LmgParams(N=N, h=h)
-    sector = build_sector(N)
     localized = localize_ground_state(params, g=g)
-    eig = eigensystem(build_hamiltonian(params, sector))
-    ops = collective_operators(sector)
+    eig = eigensystem(build_hamiltonian(params))
+    ops = collective_operators(N)
     tgrid = default_time_grid(N, periods=periods, samples=samples)
     series = observable_series(eig, localized.state, ops.sx, tgrid)
     mx = TimeSeries(t=tgrid, values=series.values * (2.0 / N))
-    return localized, eig, sector, mx
+    return localized, eig, mx
 
 
 def _peaks(N, h, g, threshold=0.01):
-    _, _, _, mx = _localized_mx_series(N, h, g)
+    _, _, mx = _localized_mx_series(N, h, g)
     return find_peaks(periodogram(mx, N), threshold)
 
 
@@ -96,8 +95,8 @@ def test_c01_spectrum_of_localized_state():
 
 def test_c02_waveform_matches_truncated_analytic_sum():
     N, h = 100, 0.716
-    localized, eig, sector, mx = _localized_mx_series(N, h, 1e-4)
-    modes = projected_init(localized.state, sector, h)
+    localized, eig, mx = _localized_mx_series(N, h, 1e-4)
+    modes = projected_init(localized.state, N, h)
     approx_x, _ = analytic_sum(modes, 3, mx.t)
     approx_mx = approx_x.values.real * (2.0 / N)
     full_scale = np.max(np.abs(mx.values.real))
@@ -143,11 +142,11 @@ def test_c04_correlation_function_two_routes():
         sector = build_sector(N)
         tgrid = np.arange(256) * (2.0 * math.pi * N / 256)
         result = correlation_fN(N, 0.716, tgrid)
-        sx = collective_operators(sector).sx
+        sx = collective_operators(N).sx
         nu = 1.0 / N
         for member in result.members:
             two_m0 = round(2 * member.m0)
-            ket = np.zeros(sector.dim, dtype=np.complex128)
+            ket = np.zeros(N + 1, dtype=np.complex128)
             ket[(N - two_m0) // 2] = 1.0
             gaps = isotropic_gap(N, sector.two_m, two_m0, 0.716)
             every = (4.0 / N**2) * (
@@ -196,9 +195,8 @@ def test_c06_trial_state_claims():
     sizes = [64, 128, 256, 512, 1024]
     values = []
     for N in sizes:
-        sector = build_sector(N)
         trial = trial_localized_state(N, h)
-        sx = collective_operators(sector).sx
+        sx = collective_operators(N).sx
         values.append(expectation(sx, trial.state).real)
     exponent = float(np.polyfit(np.log(sizes), np.log(values), 1)[0])
     fit_ok = abs(exponent - 0.5) <= 0.05
@@ -257,12 +255,11 @@ def test_c09_tunneling_gap():
 
     # degenerate perturbation theory against full diagonalization
     N, h_pt = 100, 0.71
-    sector = build_sector(N)
     params = LmgParams(N=N, h=h_pt)
     residuals = {}
     for g in (1e-6, 1e-5, 1e-4):
         pt = degenerate_pt_gap(N, h_pt, g)
-        w = eigensystem(build_hamiltonian(params, sector, g=g)).energies
+        w = eigensystem(build_hamiltonian(params, g=g)).energies
         residuals[g] = abs((w[1] - w[0]) - pt.splitting)
     c_bound = residuals[1e-4] / 1e-4**2
     pt_ok = all(res <= c_bound * g * g * (1.0 + 1e-9) for g, res in residuals.items())
@@ -306,8 +303,7 @@ def test_c10_quasicrystal_construction():
 def test_c11_algebra_suite():
     failures = []
     for N in (1, 2, 3, 50, 101, 500):
-        sector = build_sector(N)
-        ops = collective_operators(sector)
+        ops = collective_operators(N)
         s = N / 2.0
         rng = np.random.default_rng(N)
         psi = unit(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
@@ -341,9 +337,7 @@ def test_c11_algebra_suite():
         # parity commutation for the unperturbed Hamiltonian
         h_field = 0.45
         for gamma in (0.0, 1.0):
-            ham = build_hamiltonian(
-                LmgParams(N=N, h=h_field, gamma=gamma), sector
-            ).to_dense()
+            ham = build_hamiltonian(LmgParams(N=N, h=h_field, gamma=gamma)).to_dense()
             parity = np.diag((-1.0) ** np.arange(N + 1))
             if np.max(np.abs(ham @ parity - parity @ ham)) > 1e-12 * max(
                 1.0, np.max(np.abs(ham))
@@ -352,12 +346,12 @@ def test_c11_algebra_suite():
 
         # unitarity and conservation along a kicked trajectory
         params = LmgParams(N=N, h=h_field)
-        ham0 = build_hamiltonian(params, sector)
+        ham0 = build_hamiltonian(params)
         eig = eigensystem(ham0)
         kicked = (
             localize_ground_state(params, g=1.0 / N**2).state
             if N >= 3
-            else basis(sector.dim, 0)
+            else basis(N + 1, 0)
         )
         e_ref = expectation(ham0, kicked).real
         sz_ref = expectation(ops.sz, kicked).real

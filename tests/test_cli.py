@@ -797,6 +797,37 @@ class TestUsageErrors:
             assert f"lmglab {argv[0]}: error: unrecognized arguments: {flag}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--n", "100", "--h", "1e306"],
+            ["spectrum", "--n", "100", "--h", "1e308", "--g", "1e308"],
+            ["evolve", "--n", "100", "--h", "1e306", "--gamma", "0.5"],
+            ["quasicrystal", "--n", "100", "--h", "1e306"],
+            ["spectrum", "--n", "100", "--h", "1e250", "--tmax", "1e200"],
+            # one spin, but the default scan builds H up to N = 60
+            ["gap", "--n", "1", "--h", "7e306"],
+        ],
+    )
+    def test_phases_past_the_float_limit_exit_one(self, tmp_path, capsys, argv):
+        # the energies or the Bohr phases E t overflowed: NaN tables with exit 0,
+        # or for gap a failed eigensolve with exit 2
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in ("--h", "--g", "--tmax")), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["modes", "correlation"])
+    def test_broken_phase_commands_take_a_huge_tmax(self, tmp_path, capsys, command):
+        # their frequencies are O(1) at h < 1, so E t stays finite
+        out = tmp_path / "run"
+        argv = [command, "--n", "100", "--h", "0.5", "--tmax", "1e306", "--out", str(out)]
+        assert main(argv + FAST) == 0
+        assert capsys.readouterr().err == ""
+        for table in out.glob("*.csv"):
+            assert np.all(np.isfinite(read_csv(table)[1])), table.name
+
     def test_gap_scan_size_is_checked_before_any_write(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["gap", "--n", "100,3000", "--h", "0.71", "--out", str(out)]) == 1

@@ -1,7 +1,7 @@
 """A fuzz of the command line: random subcommands with a random subset of
 the flags each reads, at edge values (odd N, fields a hair off a level
 crossing h = j/N, h = 1, negative numbers, empty lists, kicks and fields
-of 1e150 to 1e250).  Every run ends in a clean exit code, a usage error
+of 1e150 to 1e308).  Every run ends in a clean exit code, a usage error
 names a flag or the subcommand and writes nothing, every table written is
 rectangular with a float in each cell, finite except where
 ``non_finite_allowed`` says, a gamma < 1 summary holds no gamma = 1 closed
@@ -31,8 +31,9 @@ def rarely(common, edge, one_in=10):
     )
 
 
-# 1e150 to 1e250, past 1e154, where squares of the energies overflow
-HUGE = st.floats(150.0, 250.0).map(lambda e: 10.0**e)
+# 1e150 to 1e308: past 1e154, where squares of the energies overflow, and
+# up to the float limit, where the energies times t do
+HUGE = st.floats(150.0, 308.0).map(lambda e: 10.0**e)
 
 
 def fields(N):
@@ -136,6 +137,14 @@ def written(out):
 # window test
 @example(argv=["spectrum", "--n", "100", "--h", "0.5", "--g", "1e200"])
 @example(argv=["evolve", "--n", "100", "--h", "1e200"])
+# energies, or energies times t, past the float limit: refused, where they
+# wrote NaN series with exit 0
+@example(argv=["spectrum", "--n", "100", "--h", "1e306"])
+@example(argv=["spectrum", "--n", "100", "--h", "1e308", "--g", "1e308"])
+@example(argv=["evolve", "--n", "100", "--h", "1e306", "--gamma", "0.5"])
+@example(argv=["quasicrystal", "--n", "100", "--h", "1e306"])
+@example(argv=["spectrum", "--n", "100", "--h", "1e250", "--tmax", "1e200"])
+@example(argv=["gap", "--n", "1", "--h", "7e306"])
 @tmax_examples
 def test_fuzzed_command_lines_exit_cleanly(argv):
     with tempfile.TemporaryDirectory() as tmp:

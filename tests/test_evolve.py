@@ -48,13 +48,13 @@ from coherent import basis, coherent_state, expectation, unit
 
 
 def isotropic_eigensystem(N, h):
-    sec = build_sector(N)
-    return sec, eigensystem(build_hamiltonian(LmgParams(N=N, h=h), sec))
+    return eigensystem(build_hamiltonian(LmgParams(N=N, h=h)))
 
 
 class TestEigensystem:
     def test_diagonal_fast_path_levels(self):
-        sec, eig = isotropic_eigensystem(100, 0.716)
+        sec = build_sector(100)
+        eig = isotropic_eigensystem(100, 0.716)
         assert eig.permutation is not None and eig.vectors is None
         assert eig.energies[1] - eig.energies[0] == pytest.approx(0.006, abs=1e-12)
         assert eig.energies[2] - eig.energies[0] == pytest.approx(0.014, abs=1e-12)
@@ -66,8 +66,8 @@ class TestEigensystem:
     @pytest.mark.parametrize("levels", [[0], [3, 1, 4], [], list(range(13))])
     def test_diagonal_columns_are_permuted_identity_columns(self, levels):
         # what a dense identity scattered by the permutation held
-        sec, eig = isotropic_eigensystem(12, 0.3)
-        ref = np.eye(sec.dim)[:, eig.permutation][:, levels]
+        eig = isotropic_eigensystem(12, 0.3)
+        ref = np.eye(13)[:, eig.permutation][:, levels]
         cols = eig.columns(levels)
         assert cols.dtype == ref.dtype and np.array_equal(cols, ref)
         assert np.array_equal(eig.columns(np.array(levels, dtype=int)), ref)
@@ -75,8 +75,7 @@ class TestEigensystem:
     @pytest.mark.parametrize("gamma", [1.0, 0.5], ids=["permutation", "dense"])
     @pytest.mark.parametrize("lo,hi", [(0, 13), (3, 9), (0, 1), (12, 13), (5, 5)])
     def test_columns_row_range_is_a_row_slice(self, gamma, lo, hi):
-        eig = eigensystem(build_hamiltonian(LmgParams(N=12, h=0.3, gamma=gamma),
-                                            build_sector(12)))
+        eig = eigensystem(build_hamiltonian(LmgParams(N=12, h=0.3, gamma=gamma)))
         assert (eig.permutation is not None) == (gamma == 1.0)
         for levels in ([0], [3, 1, 4], list(range(13))):
             assert np.array_equal(eig.columns(levels, lo, hi), eig.columns(levels)[lo:hi])
@@ -86,13 +85,12 @@ class TestEigensystem:
         # gamma = 1: a dense (N+1)^2 identity alone would be 200 MB here
         N, h = 5000, 0.716
         params = LmgParams(N=N, h=h)
-        sec = build_sector(N)
-        ops = collective_operators(sec)
+        ops = collective_operators(N)
         tgrid = default_time_grid(N)
         tracemalloc.start()
         try:
             psi = localize_ground_state(params).state
-            eig = eigensystem(build_hamiltonian(params, sec))
+            eig = eigensystem(build_hamiltonian(params))
             observable_series(eig, psi, ops.sx, tgrid)
             line_spectrum(eig, psi, ops.sx, threshold=1e-8 * N)
             peak = tracemalloc.get_traced_memory()[1]
@@ -104,7 +102,7 @@ class TestEigensystem:
     def test_real_vectors_take_a_complex_state_without_a_complex_copy(self, method):
         # V @ psi with complex psi would cast the whole real V to complex
         N = 400
-        eig = eigensystem(build_hamiltonian(LmgParams(N=N, h=0.6, gamma=0.5), build_sector(N)))
+        eig = eigensystem(build_hamiltonian(LmgParams(N=N, h=0.6, gamma=0.5)))
         assert eig.vectors.dtype == np.float64
         rng = np.random.default_rng(47)
         psi = unit(rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1))
@@ -120,16 +118,14 @@ class TestEigensystem:
         assert np.max(np.abs(out - matrix.astype(np.complex128) @ psi)) <= 1e-14
 
     def test_two_level_closed_form(self):
-        sec = build_sector(1)
-        ham = build_hamiltonian(LmgParams(N=1, h=0.8), sec, g=0.3, phi_n=0.4)
+        ham = build_hamiltonian(LmgParams(N=1, h=0.8), g=0.3, phi_n=0.4)
         eig = eigensystem(ham)
         ref = np.linalg.eigvalsh(ham.to_dense())
         assert np.allclose(eig.energies, ref, atol=1e-14)
 
     def test_banded_solver_residuals(self):
         N, h = 60, 0.4
-        sec = build_sector(N)
-        ham = build_hamiltonian(LmgParams(N=N, h=h), sec, g=1e-3)
+        ham = build_hamiltonian(LmgParams(N=N, h=h), g=1e-3)
         eig = eigensystem(ham)
         dense = ham.to_dense()
         norm_h = np.abs(dense).sum(axis=1).max()  # max row sum >= ||H||
@@ -143,16 +139,16 @@ class TestEigensystem:
 
 class TestPropagate:
     def test_stationary_state_picks_up_global_phase(self):
-        sec, eig = isotropic_eigensystem(12, 0.3)
+        eig = isotropic_eigensystem(12, 0.3)
         k = 4
         m_index = eig.permutation[k]
-        psi = basis(sec.dim, int(m_index))
+        psi = basis(13, int(m_index))
         out = propagate(eig, psi, t=2.5)
         expected = np.exp(-1j * eig.energies[k] * 2.5) * psi
         assert np.max(np.abs(out - expected)) <= 1e-13
 
     def test_time_zero_is_identity(self):
-        sec, eig = isotropic_eigensystem(9, 0.2)
+        eig = isotropic_eigensystem(9, 0.2)
         rng = np.random.default_rng(1)
         psi = unit(rng.normal(size=10) + 1j * rng.normal(size=10))
         out = propagate(eig, psi, 0.0)
@@ -161,11 +157,10 @@ class TestPropagate:
     def test_norm_and_conservation_along_trajectory(self):
         N, h = 40, 0.55
         params = LmgParams(N=N, h=h)
-        sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(params, sec))
+        eig = eigensystem(build_hamiltonian(params))
         loc = localize_ground_state(params, g=1e-3)
-        ham = build_hamiltonian(params, sec)
-        ops = collective_operators(sec)
+        ham = build_hamiltonian(params)
+        ops = collective_operators(N)
         e_ref = expectation(ham, loc.state).real
         sz_ref = expectation(ops.sz, loc.state).real
         for t in (0.0, 3.7, 190.0, 4000.0):
@@ -178,9 +173,9 @@ class TestPropagate:
 class TestObservableSeries:
     def test_exact_ground_state_shows_no_polarization(self):
         N, h = 30, 0.4
-        sec, eig = isotropic_eigensystem(N, h)
+        eig = isotropic_eigensystem(N, h)
         psi = ground_state(eig)
-        ops = collective_operators(sec)
+        ops = collective_operators(N)
         tgrid = default_time_grid(N, periods=2, samples=64)
         series = observable_series(eig, psi, ops.sx, tgrid)
         assert np.max(np.abs(series.values)) <= 1e-10
@@ -188,10 +183,9 @@ class TestObservableSeries:
     def test_conserved_sz_series(self):
         N, h = 30, 0.4
         params = LmgParams(N=N, h=h)
-        sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(params, sec))
+        eig = eigensystem(build_hamiltonian(params))
         loc = localize_ground_state(params, g=1e-3)
-        ops = collective_operators(sec)
+        ops = collective_operators(N)
         tgrid = default_time_grid(N, periods=3, samples=128)
         series = observable_series(eig, loc.state, ops.sz, tgrid)
         assert np.max(np.abs(series.values - series.values[0])) <= 1e-10 * N
@@ -199,10 +193,9 @@ class TestObservableSeries:
     def test_hermitian_series_is_real(self):
         N, h = 24, 0.3
         params = LmgParams(N=N, h=h)
-        sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(params, sec))
+        eig = eigensystem(build_hamiltonian(params))
         loc = localize_ground_state(params, g=1e-2)
-        ops = collective_operators(sec)
+        ops = collective_operators(N)
         tgrid = default_time_grid(N, periods=5, samples=256)
         for op in (ops.sx, ops.sy, ops.sz):
             series = observable_series(eig, loc.state, op, tgrid)
@@ -267,17 +260,16 @@ class TestLineSum:
     def test_matches_dense_path(self, N, T, prep):
         h = 0.6
         params = LmgParams(N=N, h=h)
-        sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(params, sec))
+        eig = eigensystem(build_hamiltonian(params))
         assert eig.permutation is not None
         if prep == "trial":
             psi = trial_localized_state(N, h).state
         else:
             psi = localize_ground_state(params, g=1e-3, phi_n=0.4).state
-        ops = collective_operators(sec)
+        ops = collective_operators(N)
         # t0 != 0 and, for T = 17 and 16385, T not a multiple of ceil(sqrt(T))
         tgrid = 5.3 + np.arange(T) * (40.0 * math.pi * N / T)
-        op_list = (ops.sx, ops.sy, ops.sz, random_band2(sec.dim, N))
+        op_list = (ops.sx, ops.sy, ops.sz, random_band2(N + 1, N))
         for op, ref in zip(op_list, evolved_series(eig, psi, op_list, tgrid)):
             scale = np.max(np.abs(ref))
             for e in (eig, dense_copy(eig)):
@@ -293,13 +285,12 @@ class TestLineSum:
 
         N, h = 40, 0.55
         params = LmgParams(N=N, h=h)
-        sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(params, sec))
+        eig = eigensystem(build_hamiltonian(params))
         psi = localize_ground_state(params, g=1e-3).state
-        ops = collective_operators(sec)
+        ops = collective_operators(N)
         tgrid = default_time_grid(N, periods=2, samples=128)
         monkeypatch.setattr(BandedHermitianOperator, "apply", refuse)
-        for op in (ops.sx, ops.sy, ops.sz, random_band2(sec.dim, N)):
+        for op in (ops.sx, ops.sy, ops.sz, random_band2(N + 1, N)):
             observable_series(eig, psi, op, tgrid)
 
     @pytest.mark.parametrize(
@@ -314,8 +305,7 @@ class TestLineSum:
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_bad_grid_rejected_before_any_work(self, monkeypatch, tgrid, diagonal):
         N, h = 10, 0.5
-        sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(LmgParams(N=N, h=h), sec))
+        eig = eigensystem(build_hamiltonian(LmgParams(N=N, h=h)))
         if not diagonal:
             eig = dense_copy(eig)
 
@@ -323,9 +313,9 @@ class TestLineSum:
             raise AssertionError("phases formed")
 
         monkeypatch.setattr(np, "exp", refuse)
-        psi = basis(sec.dim, 3)
+        psi = basis(N + 1, 3)
         with pytest.raises(ValueError):
-            observable_series(eig, psi, collective_operators(sec).sx, tgrid)
+            observable_series(eig, psi, collective_operators(N).sx, tgrid)
 
 
 class TestRaisingSeries:
@@ -342,12 +332,12 @@ class TestRaisingSeries:
         phi_n=st.floats(0.0, 2.0 * math.pi),
     )
     def test_parts_match_sx_and_sy(self, N, h, gamma, log_g, phi_n):
-        params, sec = LmgParams(N=N, h=h, gamma=gamma), build_sector(N)
-        eig = eigensystem(build_hamiltonian(params, sec))
+        params = LmgParams(N=N, h=h, gamma=gamma)
+        eig = eigensystem(build_hamiltonian(params))
         psi = localize_ground_state(params, g=10.0**log_g, phi_n=phi_n).state
-        ops = collective_operators(sec)
+        ops = collective_operators(N)
         tgrid = 0.3 + np.arange(257) * (4.0 * math.pi * N / 257)
-        plus = observable_series(eig, psi, _Raising(sec), tgrid)
+        plus = observable_series(eig, psi, _Raising(N), tgrid)
         for part, op in ((plus.values.real, ops.sx), (plus.values.imag, ops.sy)):
             ref = observable_series(eig, psi, op, tgrid)
             bound = plus.error_bound + ref.error_bound + 1e-12 * N
@@ -385,16 +375,15 @@ class TestBohrLines:
     def test_matches_state_evolution(self, gamma, N, prep, phi_n):
         h = 0.6
         params = LmgParams(N=N, h=h, gamma=gamma)
-        sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(params, sec))
+        eig = eigensystem(build_hamiltonian(params))
         if prep == "trial":
             psi = trial_localized_state(N, h).state
         else:
             psi = localize_ground_state(params, g=2e-3, phi_n=phi_n).state
-        ops = collective_operators(sec)
+        ops = collective_operators(N)
         tgrid = 5.3 + np.arange(203) * (40.0 * math.pi * N / 203)
         eigs = [eig] if eig.permutation is None else [eig, dense_copy(eig)]
-        op_list = (ops.sx, ops.sy, ops.sz, random_band2(sec.dim, N))
+        op_list = (ops.sx, ops.sy, ops.sz, random_band2(N + 1, N))
         for e in eigs:
             for op, ref in zip(op_list, evolved_series(e, psi, op_list, tgrid)):
                 series = observable_series(e, psi, op, tgrid)
@@ -407,13 +396,12 @@ class TestBohrLines:
     def test_evolution_under_complex_kicked_hamiltonian(self, gamma):
         N, h = 27, 0.55
         params = LmgParams(N=N, h=h, gamma=gamma)
-        sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(params, sec, g=0.05, phi_n=0.7))
+        eig = eigensystem(build_hamiltonian(params, g=0.05, phi_n=0.7))
         assert np.iscomplexobj(eig.vectors)
         psi = trial_localized_state(N, h).state
-        ops = collective_operators(sec)
+        ops = collective_operators(N)
         tgrid = np.arange(150) * (4.0 * math.pi * N / 150)
-        op_list = (ops.sx, ops.sy, ops.sz, random_band2(sec.dim, N))
+        op_list = (ops.sx, ops.sy, ops.sz, random_band2(N + 1, N))
         for op, ref in zip(op_list, evolved_series(eig, psi, op_list, tgrid)):
             series = observable_series(eig, psi, op, tgrid)
             norm = norm_bound(op)
@@ -425,10 +413,9 @@ class TestBohrLines:
         # every block holds a single line, so each block boundary is crossed
         N, h = 30, 0.6
         params = LmgParams(N=N, h=h, gamma=gamma)
-        sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(params, sec))
+        eig = eigensystem(build_hamiltonian(params))
         psi = trial_localized_state(N, h).state
-        sx = collective_operators(sec).sx
+        sx = collective_operators(N).sx
         tgrid = 5.3 + np.arange(101) * (40.0 * math.pi * N / 101)
         monkeypatch.setattr(evolve, "_PHASE_BLOCK", 1)
         series = observable_series(eig, psi, sx, tgrid)
@@ -443,8 +430,7 @@ class TestBohrLines:
         # loose tol a superset of the dense lines, whose extra weight is
         # within the dense bound
         params = LmgParams(N=N, h=h)
-        sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(params, sec))
+        eig = eigensystem(build_hamiltonian(params))
         assert eig.permutation is not None
         dense = dense_copy(eig)
         rng = np.random.default_rng(N)
@@ -452,13 +438,13 @@ class TestBohrLines:
             unit(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)),
             localize_ground_state(params, g=2e-3, phi_n=0.7).state,
         ]
-        ops = collective_operators(sec)
+        ops = collective_operators(N)
 
         def multiset(freqs, weights):
             return Counter(zip(freqs.tolist(), weights.real.tolist(), weights.imag.tolist()))
 
         for psi in states:
-            for op in (ops.sx, ops.sy, ops.sz, random_band2(sec.dim, N)):
+            for op in (ops.sx, ops.sy, ops.sz, random_band2(N + 1, N)):
                 freqs, weights, bound = bohr_lines(eig, psi, op)
                 ref_freqs, ref_weights, ref_bound = bohr_lines(dense, psi, op, 0.0)
                 assert bound == ref_bound == 0.0
@@ -479,10 +465,9 @@ class TestBohrLines:
         # with amplitudes far below the cut, so the bound is nonzero
         N, h = 200, 0.716
         params = LmgParams(N=N, h=h, gamma=0.5)
-        sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(params, sec))
+        eig = eigensystem(build_hamiltonian(params))
         psi = localize_ground_state(params).state
-        sx = collective_operators(sec).sx
+        sx = collective_operators(N).sx
         tgrid = default_time_grid(N, periods=1, samples=64)
         series = observable_series(eig, psi, sx, tgrid)
         assert 0.0 < series.error_bound <= 1e-13 * norm_bound(sx)
@@ -497,11 +482,10 @@ def one_mode(nu, omega_k, sx0, sy0):
 class TestProjectedDynamics:
     def test_mode_sum_telescopes_to_initial_expectation(self):
         N, h = 33, 0.62
-        sec = build_sector(N)
         rng = np.random.default_rng(8)
         psi = unit(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
-        ops = collective_operators(sec)
-        modes = projected_init(psi, sec, h)
+        ops = collective_operators(N)
+        modes = projected_init(psi, N, h)
         sx_total = modes.sx0.sum()
         sy_total = modes.sy0.sum()
         assert sx_total == pytest.approx(expectation(ops.sx, psi), abs=1e-12 * N)
@@ -509,26 +493,23 @@ class TestProjectedDynamics:
 
     def test_top_basis_state_has_no_coherence(self):
         N = 10
-        sec = build_sector(N)
-        modes = projected_init(basis(sec.dim, 0), sec, 0.5)
+        modes = projected_init(basis(N + 1, 0), N, 0.5)
         assert not np.any(modes.sx0) and not np.any(modes.sy0)
 
     def test_ground_mode_is_largest_for_coherent_state(self):
         # the mean-field state is broad, so neighbors are comparable; the
         # ground mode is still the single largest contribution
         N, h = 100, 0.716
-        sec = build_sector(N)
-        psi = coherent_state(sec, math.acos(h))
-        modes = projected_init(psi, sec, h)
+        psi = coherent_state(N, math.acos(h))
+        modes = projected_init(psi, N, h)
         assert int(np.argmax(np.abs(modes.sx0))) == 0
 
     def test_low_modes_dominate_for_weakly_kicked_state(self):
         # a weak kick concentrates the dynamics on the lowest few modes
         N, h = 100, 0.716
         params = LmgParams(N=N, h=h)
-        sec = build_sector(N)
         loc = localize_ground_state(params, g=1e-4)
-        modes = projected_init(loc.state, sec, h)
+        modes = projected_init(loc.state, N, h)
         assert np.all(abs(modes.sx0[0]) > 10.0 * np.abs(modes.sx0[3:]))
 
     def test_round_mode_waveform(self):
@@ -574,18 +555,18 @@ class TestAnalyticSum:
 
     @staticmethod
     def check_full_sum(N, h, state_seed):
-        sec, eig = isotropic_eigensystem(N, h)
-        ops = collective_operators(sec)
+        eig = isotropic_eigensystem(N, h)
+        ops = collective_operators(N)
         rng = np.random.default_rng(state_seed)
         states = [
             unit(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)),
-            coherent_state(sec, 1.0, 0.4),
+            coherent_state(N, 1.0, 0.4),
         ]
         tgrid = np.arange(256) * (2 * math.pi * N / 256)
         for psi in states:
             exact_x = observable_series(eig, psi, ops.sx, tgrid)
             exact_y = observable_series(eig, psi, ops.sy, tgrid)
-            modes = projected_init(psi, sec, h)
+            modes = projected_init(psi, N, h)
             sum_x, sum_y = analytic_sum(modes, N, tgrid)
             assert np.max(np.abs(exact_x.values - sum_x.values)) <= 1e-10 * N
             assert np.max(np.abs(exact_y.values - sum_y.values)) <= 1e-10 * N
@@ -594,13 +575,12 @@ class TestAnalyticSum:
     def test_truncated_sum_tracks_localized_waveform(self):
         N, h = 100, 0.716
         params = LmgParams(N=N, h=h)
-        sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(params, sec))
+        eig = eigensystem(build_hamiltonian(params))
         loc = localize_ground_state(params, g=1e-4)
-        ops = collective_operators(sec)
+        ops = collective_operators(N)
         tgrid = default_time_grid(N)
         exact = observable_series(eig, loc.state, ops.sx, tgrid)
-        modes = projected_init(loc.state, sec, h)
+        modes = projected_init(loc.state, N, h)
         approx, _ = analytic_sum(modes, 3, tgrid)
         full_scale = np.max(np.abs(exact.values.real))
         deviation = np.max(np.abs(exact.values.real - approx.values.real))
@@ -608,9 +588,8 @@ class TestAnalyticSum:
 
     def test_cutoff_clamps_with_warning(self):
         N = 6
-        sec = build_sector(N)
-        psi = coherent_state(sec, 1.2)
-        modes = projected_init(psi, sec, 0.5)
+        psi = coherent_state(N, 1.2)
+        modes = projected_init(psi, N, 0.5)
         tgrid = np.arange(32) * 1.0
         with pytest.warns(UserWarning):
             clamped, _ = analytic_sum(modes, N + 5, tgrid)
@@ -629,11 +608,10 @@ def per_mode_formula(modes, tgrid):
     return sx, sy
 
 
-def per_level_init(psi, sec, h):
+def per_level_init(psi, n, h):
     """projected_init as one loop over the levels: omega_k, sx0 and sy0."""
-    n = sec.N
-    perm = np.argsort(isotropic_energies(sec, h), kind="stable")
-    c, a = psi, ladder_plus_band(sec)
+    perm = np.argsort(isotropic_energies(n, h), kind="stable")
+    c, a, m_values = psi, ladder_plus_band(n), build_sector(n).m_values
     omega_k, sx0s, sy0s = [], [], []
     for k in range(n + 1):
         m = int(perm[k])
@@ -646,7 +624,7 @@ def per_level_init(psi, sec, h):
             coh = np.conj(c[m]) * c[m - 1]
             sx0 += coh * (a[m - 1] / 2.0)
             sy0 += coh * (0.5j * a[m - 1])
-        omega_k.append(h - 2.0 * sec.m_values[m] / n)
+        omega_k.append(h - 2.0 * m_values[m] / n)
         sx0s.append(complex(sx0))
         sy0s.append(complex(sy0))
     return np.array(omega_k), np.array(sx0s), np.array(sy0s)
@@ -688,11 +666,10 @@ class TestModeLines:
 
     @pytest.mark.parametrize("N,h", [(1, 0.5), (10, 0.3), (33, 0.62), (500, 0.8338)])
     def test_init_matches_per_level_loop(self, N, h):
-        sec = build_sector(N)
         rng = np.random.default_rng(N)
         psi = unit(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
-        got = projected_init(psi, sec, h)
-        omega_k, sx0, sy0 = per_level_init(psi, sec, h)
+        got = projected_init(psi, N, h)
+        omega_k, sx0, sy0 = per_level_init(psi, N, h)
         assert got.nu == 1.0 / N
         assert np.array_equal(got.omega_k, omega_k)
         # |sx0| + |sy0| bounds both coherence terms of the level, so this
@@ -717,11 +694,11 @@ class TestModeLines:
             projected_solution(mode, tgrid)
 
 
-def full_direct_sum(sec, h, m0, tgrid):
+def full_direct_sum(N, h, m0, tgrid):
     """(4/N^2) sum over all N + 1 levels of |<m|Sx|M0>|^2 e^{-i (E_m - E_M0) t}."""
-    N = sec.N
+    sec = build_sector(N)
     idx0 = int(np.flatnonzero(sec.m_values == m0)[0])
-    u = collective_operators(sec).sx.apply(basis(sec.dim, idx0))
+    u = collective_operators(N).sx.apply(basis(N + 1, idx0))
     gaps = isotropic_gap(N, sec.two_m, round(2 * m0), h)
     return (4.0 / N**2) * (np.abs(u) ** 2 @ np.exp(-1j * gaps[:, None] * tgrid[None, :]))
 
@@ -731,10 +708,9 @@ class TestCorrelation:
         "N,h", [(1, 0.5), (2, 0.3), (8, 0.55), (100, 0.71), (500, 0.8338)]
     )
     def test_direct_matches_sum_over_every_level(self, N, h):
-        sec = build_sector(N)
         tgrid = 0.7 + np.arange(1000) * (40 * math.pi * N / 1000)
         for member in correlation_fN(N, h, tgrid).members:
-            ref = full_direct_sum(sec, h, member.m0, tgrid)
+            ref = full_direct_sum(N, h, member.m0, tgrid)
             assert np.max(np.abs(member.closed_form.values - ref)) <= 1e-15
 
     def test_memory_is_two_lines(self):
@@ -755,10 +731,10 @@ class TestCorrelation:
         # Sx|M0> reaches on the exponentials of the existing neighbours
         sec = build_sector(N)
         tgrid = np.arange(128) * (2 * math.pi * N / 128)
-        u_of = collective_operators(sec).sx.apply
+        u_of = collective_operators(N).sx.apply
         for member in correlation_fN(N, 0.55, tgrid).members:
             two_m0 = round(2 * member.m0)
-            weights = np.abs(u_of(basis(sec.dim, (N - two_m0) // 2))) ** 2
+            weights = np.abs(u_of(basis(N + 1, (N - two_m0) // 2))) ** 2
             reached = np.flatnonzero(weights)
             gaps = isotropic_gap(N, sec.two_m[reached], two_m0, 0.55)
             direct = (4.0 / N**2) * (
@@ -822,9 +798,9 @@ class TestCorrelation:
         sec = build_sector(N)
         result = correlation_fN(N, h, np.arange(16) * 1.0)
         member = result.members[0]
-        ops = collective_operators(sec)
+        ops = collective_operators(N)
         idx0 = int(np.nonzero(sec.m_values == member.m0)[0][0])
-        u = ops.sx.apply(basis(sec.dim, idx0))
+        u = ops.sx.apply(basis(N + 1, idx0))
         static = (4.0 / N**2) * float(np.sum(np.abs(u) ** 2))
         assert member.closed_form.values[0].real == pytest.approx(static, rel=1e-14, abs=0)
 
@@ -870,8 +846,8 @@ class TestTimeSeries:
         # them do not reach the series
         t, values = default_time_grid(10, samples=64), np.zeros(64)
         series = TimeSeries(t=t, values=values)
-        sec, eig = isotropic_eigensystem(10, 0.5)
-        exact = observable_series(eig, basis(11, 3), collective_operators(sec).sx, t)
+        eig = isotropic_eigensystem(10, 0.5)
+        exact = observable_series(eig, basis(11, 3), collective_operators(10).sx, t)
         before = [a.copy() for a in (series.t, series.values, exact.t, exact.values)]
         t[0], values[0], t[2] = 1.0, 1.0, 100.0
         assert t[0] == 1.0 and values[0] == 1.0
@@ -888,9 +864,8 @@ class TestConcurrency:
 
         N, h = 40, 0.55
         params = LmgParams(N=N, h=h)
-        sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(params, sec))
-        ops = collective_operators(sec)
+        eig = eigensystem(build_hamiltonian(params))
+        ops = collective_operators(N)
         loc = localize_ground_state(params, g=1e-3)
         tgrid = default_time_grid(N, periods=2, samples=128)
 
@@ -959,7 +934,7 @@ class TestWindowedGround:
         h = (2 * M0 + crescent) / N
         g = 1.0 / N**2 if g == "1/N^2" else g
         params = LmgParams(N=N, h=h)
-        op = build_hamiltonian(params, build_sector(N), g=g, phi_n=phi_n)
+        op = build_hamiltonian(params, g=g, phi_n=phi_n)
         psi = localize_ground_state(params, g=g, phi_n=phi_n).state
         assert phase_aligned_distance(psi, inverse_iteration_ground(op)) <= 1e-13
 
@@ -968,7 +943,7 @@ class TestWindowedGround:
         # two benchmark points where the whole solve's state lies 1.2e-13 and
         # 7.3e-14 from the reference: the free levels must certify them
         params = LmgParams(N=N, h=h)
-        op = build_hamiltonian(params, build_sector(N), g=1.0 / N**2)
+        op = build_hamiltonian(params, g=1.0 / N**2)
         psi = localize_ground_state(params).state
         assert phase_aligned_distance(psi, inverse_iteration_ground(op)) <= 1e-14
 
@@ -976,9 +951,9 @@ class TestWindowedGround:
         # the free levels are coordinate vectors: each block read spans their
         # K Sz rows and one neighbour row on each side, never all N + 1 rows
         N = 10**5
-        params, sec = LmgParams(N=N, h=0.716), build_sector(N)
-        free = eigensystem(build_hamiltonian(params, sec))
-        op = build_hamiltonian(params, sec, g=1.0 / N**2)
+        params = LmgParams(N=N, h=0.716)
+        free = eigensystem(build_hamiltonian(params))
+        op = build_hamiltonian(params, g=1.0 / N**2)
         shapes = []
         columns = EigenSystem.columns
 
@@ -1002,9 +977,9 @@ class TestWindowedGround:
         phi_n=st.floats(0.0, 2.0 * math.pi),
     )
     def test_window_agrees_with_full_solve(self, N, h, log_g, phi_n):
-        params, sec = LmgParams(N=N, h=h), build_sector(N)
-        free = eigensystem(build_hamiltonian(params, sec))
-        op = build_hamiltonian(params, sec, g=10.0**log_g, phi_n=phi_n)
+        params = LmgParams(N=N, h=h)
+        free = eigensystem(build_hamiltonian(params))
+        op = build_hamiltonian(params, g=10.0**log_g, phi_n=phi_n)
         energy, psi = evolve._free_level_ground(op, free)
         full = eigensystem(op)
         assert phase_aligned_distance(psi, full.vectors[:, 0]) <= 1e-9
@@ -1017,9 +992,9 @@ class TestWindowedGround:
         ids=["small-N", "large-g"],
     )
     def test_other_cases_solve_whole(self, N, gamma, g, monkeypatch):
-        params, sec = LmgParams(N=N, h=0.6, gamma=gamma), build_sector(N)
-        free = eigensystem(build_hamiltonian(params, sec))
-        op = build_hamiltonian(params, sec, g=g, phi_n=0.7)
+        params = LmgParams(N=N, h=0.6, gamma=gamma)
+        free = eigensystem(build_hamiltonian(params))
+        op = build_hamiltonian(params, g=g, phi_n=0.7)
         solved = []
 
         def counting(matrix):
@@ -1040,9 +1015,8 @@ class TestFreeLevelGround:
     @staticmethod
     def solve(N, h, gamma, g, phi_n):
         params = LmgParams(N=N, h=h, gamma=gamma)
-        sec = build_sector(N)
-        free = eigensystem(build_hamiltonian(params, sec))
-        op = build_hamiltonian(params, sec, g=g, phi_n=phi_n)
+        free = eigensystem(build_hamiltonian(params))
+        op = build_hamiltonian(params, g=g, phi_n=phi_n)
         with mock.patch.object(evolve, "eigensystem", wraps=evolve.eigensystem) as whole:
             with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
                 energy, psi = evolve._free_level_ground(op, free)
@@ -1054,7 +1028,7 @@ class TestFreeLevelGround:
     @pytest.mark.parametrize("phi_n", [0.0, 1.3])
     def test_state_against_high_precision(self, N, gamma, phi_n):
         params = LmgParams(N=N, h=0.6, gamma=gamma)
-        op = build_hamiltonian(params, build_sector(N), g=1.0 / N**2, phi_n=phi_n)
+        op = build_hamiltonian(params, g=1.0 / N**2, phi_n=phi_n)
         psi = localize_ground_state(params, phi_n=phi_n).state
         ref = inverse_iteration_ground(op)
         assert phase_aligned_distance(psi, ref) <= 1e-10
@@ -1135,14 +1109,14 @@ def _series():
 # one maker per frozen record whose fields hold arrays, at N = 6 and h = 0.5
 ARRAY_RECORDS = {
     "TimeSeries": _series,
-    "EigenSystem": lambda: isotropic_eigensystem(6, 0.5)[1],
-    "ProjectedModes": lambda: projected_init(_kicked().state, build_sector(6), 0.5),
+    "EigenSystem": lambda: isotropic_eigensystem(6, 0.5),
+    "ProjectedModes": lambda: projected_init(_kicked().state, 6, 0.5),
     "CorrelationMember": lambda: correlation_fN(6, 0.5, np.arange(8.0)).members[0],
     "TrialState": lambda: trial_localized_state(6, 0.5),
     "FullGround": lambda: full_space_ground(LmgParams(N=6, h=0.5)),
     "LineSpectrum": lambda: line_spectrum(
-        isotropic_eigensystem(6, 0.5)[1], _kicked().state,
-        collective_operators(build_sector(6)).sx, 1e-8,
+        isotropic_eigensystem(6, 0.5), _kicked().state,
+        collective_operators(6).sx, 1e-8,
     ),
     "Spectrum": lambda: periodogram(_series(), 6),
     "SpinSector": lambda: build_sector(6),
@@ -1188,9 +1162,21 @@ def test_closed_forms_take_the_spin_count(integer):
     assert [np.flatnonzero(s).tolist() for s in pt.mixed_states] == [[2, 3], [2, 3]]
 
 
+# the readers of the basis, which build its 2M labels from the spin count,
+# and the LmgParams that carries it to build_hamiltonian
+BASIS_READERS = {
+    "isotropic_energies": lambda N: isotropic_energies(N, 0.5),
+    "ladder_plus_band": ladder_plus_band,
+    "collective_operators": collective_operators,
+    "projected_init": lambda N: projected_init(basis(9, 0), N, 0.5),
+    "_Raising": _Raising,
+    "LmgParams": lambda N: LmgParams(N=N, h=0.5),
+}
+
+
 @pytest.mark.parametrize("N", [0, -1, 2.5, True, "8", build_sector(8)],
                          ids=["zero", "negative", "float", "bool", "str", "sector"])
-@pytest.mark.parametrize("name", CLOSED_FORMS)
+@pytest.mark.parametrize("name", [*CLOSED_FORMS, *BASIS_READERS])
 def test_closed_forms_reject_a_spin_count_that_is_no_positive_integer(name, N):
     with pytest.raises(ValueError, match="spin count"):
-        CLOSED_FORMS[name](N)
+        {**CLOSED_FORMS, **BASIS_READERS}[name](N)

@@ -32,88 +32,76 @@ def brute_force_ground_scan(N, h):
 
 class TestHamiltonian:
     def test_isotropic_unperturbed_is_diagonal(self):
-        sec = build_sector(30)
         params = LmgParams(N=30, h=0.4)
-        ham = build_hamiltonian(params, sec)
+        ham = build_hamiltonian(params)
         assert ham.bandwidth == 0
-        assert np.array_equal(ham.band(0).real, isotropic_energies(sec, 0.4))
+        assert np.array_equal(ham.band(0).real, isotropic_energies(30, 0.4))
 
     def test_bandwidths(self):
-        sec = build_sector(10)
-        assert build_hamiltonian(LmgParams(N=10, h=0.3), sec, g=1e-3).bandwidth == 1
-        assert build_hamiltonian(LmgParams(N=10, h=0.3, gamma=0.0), sec).bandwidth == 2
-        assert build_hamiltonian(LmgParams(N=10, h=0.3, gamma=0.5), sec, g=1.0).bandwidth == 2
+        assert build_hamiltonian(LmgParams(N=10, h=0.3), g=1e-3).bandwidth == 1
+        assert build_hamiltonian(LmgParams(N=10, h=0.3, gamma=0.0)).bandwidth == 2
+        assert build_hamiltonian(LmgParams(N=10, h=0.3, gamma=0.5), g=1.0).bandwidth == 2
 
     def test_single_spin_energies(self):
         # S = M = 1/2 gives E = -1/2 -+ h/2
-        sec = build_sector(1)
         for h in (0.0, 0.3, 2.0):
-            ham = build_hamiltonian(LmgParams(N=1, h=h), sec)
+            ham = build_hamiltonian(LmgParams(N=1, h=h))
             assert np.allclose(
                 np.sort(ham.band(0).real), np.sort([-0.5 - h / 2, -0.5 + h / 2])
             )
 
     def test_gamma_zero_matches_dense_operator_expression(self):
         N, h = 12, 0.4
-        sec = build_sector(N)
-        ops = collective_operators(sec)
+        ops = collective_operators(N)
         sx = ops.sx.to_dense()
         sz = ops.sz.to_dense()
         expected = -(sx @ sx) / N - h * sz
-        ham = build_hamiltonian(LmgParams(N=N, h=h, gamma=0.0), sec)
+        ham = build_hamiltonian(LmgParams(N=N, h=h, gamma=0.0))
         assert np.max(np.abs(ham.to_dense() - expected)) <= 1e-13 * N
 
     def test_kick_direction(self):
         N = 8
-        sec = build_sector(N)
-        ops = collective_operators(sec)
+        ops = collective_operators(N)
         phi = 0.7
         g = 0.05
-        ham = build_hamiltonian(LmgParams(N=N, h=0.3), sec, g=g, phi_n=phi)
+        ham = build_hamiltonian(LmgParams(N=N, h=0.3), g=g, phi_n=phi)
         expected = (
-            build_hamiltonian(LmgParams(N=N, h=0.3), sec).to_dense()
+            build_hamiltonian(LmgParams(N=N, h=0.3)).to_dense()
             - g * (math.cos(phi) * ops.sx.to_dense() + math.sin(phi) * ops.sy.to_dense())
         )
         assert np.max(np.abs(ham.to_dense() - expected)) <= 1e-14 * N
 
     def test_commutes_with_sz_when_isotropic(self):
-        sec = build_sector(14)
-        ham = build_hamiltonian(LmgParams(N=14, h=0.6), sec).to_dense()
-        sz = collective_operators(sec).sz.to_dense()
+        ham = build_hamiltonian(LmgParams(N=14, h=0.6)).to_dense()
+        sz = collective_operators(14).sz.to_dense()
         assert np.max(np.abs(ham @ sz - sz @ ham)) <= 1e-12
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     def test_parity_symmetry_without_kick(self, gamma):
         # spin-flip parity exp(i pi (Sz - S)) = diag((-1)^m) commutes with H
         N = 11
-        sec = build_sector(N)
-        ham = build_hamiltonian(LmgParams(N=N, h=0.45, gamma=gamma), sec).to_dense()
+        ham = build_hamiltonian(LmgParams(N=N, h=0.45, gamma=gamma)).to_dense()
         parity = np.diag((-1.0) ** np.arange(N + 1))
         assert np.max(np.abs(ham @ parity - parity @ ham)) <= 1e-12
-
-    def test_sector_mismatch(self):
-        with pytest.raises(ValueError):
-            build_hamiltonian(LmgParams(N=5, h=0.1), build_sector(6))
 
 
 class TestIsotropicEnergies:
     def test_neighbor_gap_at_figure_parameters(self):
         # E(M=36) - E(M=35) = 71/100 - 0.716 = -0.006 at N=100
-        sec = build_sector(100)
-        energies = isotropic_energies(sec, 0.716)
+        energies = isotropic_energies(100, 0.716)
         idx36 = 50 - 36
         idx35 = 50 - 35
         assert energies[idx36] - energies[idx35] == pytest.approx(-0.006, abs=1e-12)
 
     def test_zero_field_minimum_at_zero_magnetization(self):
         sec = build_sector(8)
-        energies = isotropic_energies(sec, 0.0)
+        energies = isotropic_energies(8, 0.0)
         assert sec.m_values[int(np.argmin(energies))] == 0.0
         assert energies.min() == pytest.approx(-(4.0 * 5.0) / 8.0, rel=1e-15, abs=0)
 
     def test_symmetric_phase_minimum_at_edge(self):
         sec = build_sector(9)
-        energies = isotropic_energies(sec, 1.5)
+        energies = isotropic_energies(9, 1.5)
         assert sec.m_values[int(np.argmin(energies))] == 4.5
 
 
@@ -148,27 +136,24 @@ class TestMeanField:
     expectation approaches."""
 
     def test_north_pole(self):
-        sec = build_sector(12)
-        state = coherent_state(sec, 0.0)
+        state = coherent_state(12, 0.0)
         assert state[0] == 1.0
         assert np.count_nonzero(state) == 1
 
     def test_equator_two_spins(self):
-        sec = build_sector(2)
-        state = coherent_state(sec, math.pi / 2)
+        state = coherent_state(2, math.pi / 2)
         assert np.allclose(state, [0.5, 1 / math.sqrt(2), 0.5], atol=1e-15)
-        sx = collective_operators(sec).sx
+        sx = collective_operators(2).sx
         assert expectation(sx, state).real == pytest.approx(1.0, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("N", [3, 40, 400])
     def test_polarization_vector(self, N):
         rng = np.random.default_rng(N)
-        sec = build_sector(N)
-        ops = collective_operators(sec)
+        ops = collective_operators(N)
         for _ in range(4):
             theta = float(rng.uniform(0.05, math.pi - 0.05))
             phi = float(rng.uniform(0.0, 2 * math.pi))
-            state = coherent_state(sec, theta, phi)
+            state = coherent_state(N, theta, phi)
             measured = np.array(
                 [
                     expectation(ops.sx, state).real,
@@ -186,17 +171,15 @@ class TestMeanField:
             assert np.max(np.abs(measured - target)) <= 1e-10 * N
 
     def test_large_n_stays_finite(self):
-        sec = build_sector(2000)
-        state = coherent_state(sec, 1.1, 0.2)
+        state = coherent_state(2000, 1.1, 0.2)
         assert np.all(np.isfinite(state))
 
     def test_energy_matches_quantum_expectation_to_finite_size(self):
         N, h = 200, 0.5
-        sec = build_sector(N)
         params = LmgParams(N=N, h=h)
         theta = math.acos(h)
-        state = coherent_state(sec, theta)
-        quantum = expectation(build_hamiltonian(params, sec), state).real
+        state = coherent_state(N, theta)
+        quantum = expectation(build_hamiltonian(params), state).real
         classical = -(N / 4.0) * (math.sin(theta) ** 2 + 2.0 * h * math.cos(theta))
         # finite-size corrections are O(1) against an O(N) energy
         assert abs(quantum - classical) <= 2.0
@@ -210,27 +193,24 @@ class TestTrialState:
 
     def test_energy_elevation_cross_checked_against_expectation(self):
         N, h = 100, 0.716
-        sec = build_sector(N)
         trial = trial_localized_state(N, h)
-        ham = build_hamiltonian(LmgParams(N=N, h=h), sec)
-        e0 = isotropic_energies(sec, h).min()
+        ham = build_hamiltonian(LmgParams(N=N, h=h))
+        e0 = isotropic_energies(N, h).min()
         measured = expectation(ham, trial.state).real - e0
         assert measured == pytest.approx(trial.delta_e, rel=1e-6, abs=0)
 
     def test_sz_expectation_stays_at_ground_magnetization(self):
         N, h = 100, 0.716
-        sec = build_sector(N)
         trial = trial_localized_state(N, h)
-        sz = collective_operators(sec).sz
+        sz = collective_operators(N).sz
         assert abs(expectation(sz, trial.state).real - trial.m0) <= 1.0 / N
 
     def test_in_plane_polarization_grows_as_sqrt_n(self):
         sizes = [64, 128, 256, 512, 1024]
         values = []
         for N in sizes:
-            sec = build_sector(N)
             trial = trial_localized_state(N, 0.5)
-            sx = collective_operators(sec).sx
+            sx = collective_operators(N).sx
             values.append(expectation(sx, trial.state).real)
         slope = np.polyfit(np.log(sizes), np.log(values), 1)[0]
         assert slope == pytest.approx(0.5, abs=0.05)

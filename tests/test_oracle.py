@@ -28,7 +28,6 @@ from lmglab.oracle import (
     full_space_operators,
     sector_vs_full_checks,
 )
-from lmglab.spinspace import build_sector
 
 
 _PAULI_HALF = {
@@ -207,8 +206,7 @@ class TestGround:
     def test_ground_energy_matches_sector(self):
         N, h = 8, 0.5
         params = LmgParams(N=N, h=h)
-        sec = build_sector(N)
-        e_sector = eigensystem(build_hamiltonian(params, sec)).ground_energy
+        e_sector = eigensystem(build_hamiltonian(params)).ground_energy
         full = full_space_ground(params)
         assert abs(full.energy - e_sector) <= 1e-10
 
@@ -248,7 +246,7 @@ class TestGround:
     def test_kicked_anisotropic_ground_energy_matches_sector(self, N, h, gamma, phi_n):
         g = 1e-2
         params = LmgParams(N=N, h=h, gamma=gamma)
-        ham = build_hamiltonian(params, build_sector(N), g=g, phi_n=phi_n)
+        ham = build_hamiltonian(params, g=g, phi_n=phi_n)
         e_sector = eigensystem(ham).ground_energy
         full = full_space_ground(params, g=g, phi_n=phi_n)
         assert abs(full.energy - e_sector) <= 1e-10
@@ -426,9 +424,8 @@ class TestMomentumBlocks:
     @pytest.mark.parametrize("N", [11, 12])
     def test_large_n_ground_energy_matches_sector(self, N):
         params = LmgParams(N=N, h=0.6)
-        sector = build_sector(N)
         for g in (0.0, 1.0 / N**2):
-            e_sector = eigensystem(build_hamiltonian(params, sector, g=g)).ground_energy
+            e_sector = eigensystem(build_hamiltonian(params, g=g)).ground_energy
             full = full_space_ground(params, g=g)
             assert abs(full.energy - e_sector) <= 1e-10
 
@@ -445,7 +442,7 @@ class TestMomentumBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
-        sector = build_hamiltonian(params, build_sector(N), g=g, phi_n=phi_n)
+        sector = build_hamiltonian(params, g=g, phi_n=phi_n)
         assert abs(full.energy - eigensystem(sector).ground_energy) <= 1e-10
         # best of up to three calls, so that a burst of load on a shared
         # machine does not decide the outcome
@@ -519,7 +516,7 @@ def spin_sector_levels(N, gamma, h, g, phi_n):
             block = np.zeros(1)
         else:
             params = LmgParams(N=n, h=h * N / n, gamma=gamma)
-            ham = build_hamiltonian(params, build_sector(n), g * N / n, phi_n)
+            ham = build_hamiltonian(params, g * N / n, phi_n)
             block = (n / N) * eigensystem(ham).energies
         levels += [block] * sector_multiplicity(N, n / 2)
     return np.sort(np.concatenate(levels))
@@ -576,7 +573,7 @@ def test_kicked_ground_solves_block_zero_alone(monkeypatch, N):
 )
 def test_full_space_ground_energy_matches_sector(N, h, gamma, g, phi_n):
     params = LmgParams(N=N, h=h, gamma=gamma)
-    ham = build_hamiltonian(params, build_sector(N), g=g, phi_n=phi_n)
+    ham = build_hamiltonian(params, g=g, phi_n=phi_n)
     full = full_space_ground(params, g=g, phi_n=phi_n)
     assert abs(full.energy - eigensystem(ham).ground_energy) <= 1e-10
 

@@ -20,7 +20,7 @@ from lmglab.spectra import (
     periodogram,
     quasicrystal_h,
 )
-from lmglab.spinspace import build_sector, collective_operators
+from lmglab.spinspace import collective_operators
 from lmglab.ssb import localize_ground_state
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -163,9 +163,8 @@ class TestFindPeaksAgainstPerBinLoop:
 class TestLineSpectrum:
     def test_eigenstate_gives_single_dc_line(self):
         N = 12
-        sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(LmgParams(N=N, h=0.4), sec))
-        ops = collective_operators(sec)
+        eig = eigensystem(build_hamiltonian(LmgParams(N=N, h=0.4)))
+        ops = collective_operators(N)
         psi = ground_state(eig)
         lines = line_spectrum(eig, psi, ops.sz, threshold=1e-10)
         assert lines.frequencies.size == 1
@@ -173,9 +172,8 @@ class TestLineSpectrum:
 
     def test_exact_ground_state_carries_no_in_plane_lines(self):
         N = 12
-        sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(LmgParams(N=N, h=0.4), sec))
-        ops = collective_operators(sec)
+        eig = eigensystem(build_hamiltonian(LmgParams(N=N, h=0.4)))
+        ops = collective_operators(N)
         lines = line_spectrum(eig, ground_state(eig), ops.sx, threshold=1e-12)
         assert lines.frequencies.size == 0
 
@@ -184,9 +182,8 @@ class TestLineSpectrum:
         # +-(E1 - E0) and +-(E2 - E0), the content of the correlation formula
         N, h = 60, 0.57
         params = LmgParams(N=N, h=h)
-        sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(params, sec))
-        ops = collective_operators(sec)
+        eig = eigensystem(build_hamiltonian(params))
+        ops = collective_operators(N)
         loc = localize_ground_state(params, g=1e-6)
         lines = line_spectrum(eig, loc.state, ops.sx, threshold=1e-4 * N)
         gaps = {
@@ -206,11 +203,10 @@ class TestLineSpectrum:
         # gamma < 1 the kicked state reaches every free level, with amplitudes
         # down to 1e-21; at gamma = 1 the lines are read off the bands
         N, h = 40, 0.6
-        sec = build_sector(N)
-        sx = collective_operators(sec).sx
+        sx = collective_operators(N).sx
         for gamma in (0.5, 1.0):
             params = LmgParams(N=N, h=h, gamma=gamma)
-            eig = eigensystem(build_hamiltonian(params, sec))
+            eig = eigensystem(build_hamiltonian(params))
             psi = localize_ground_state(params, g=1e-3).state
             lines = line_spectrum(eig, psi, sx, threshold=threshold)
             b = eig.to_energy_basis(psi)
@@ -225,9 +221,8 @@ class TestLineSpectrum:
     def test_localized_state_dominant_pair(self):
         N, h = 100, 0.716
         params = LmgParams(N=N, h=h)
-        sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(params, sec))
-        ops = collective_operators(sec)
+        eig = eigensystem(build_hamiltonian(params))
+        ops = collective_operators(N)
         loc = localize_ground_state(params, g=1e-4)
         lines = line_spectrum(eig, loc.state, ops.sx, threshold=1e-8)
         order = np.argsort(-np.abs(lines.weights))
@@ -243,9 +238,8 @@ class TestPeriodogramAgainstLines:
         # of the dominant exact line frequencies
         N = 100
         params = LmgParams(N=N, h=h)
-        sec = build_sector(N)
-        eig = eigensystem(build_hamiltonian(params, sec))
-        ops = collective_operators(sec)
+        eig = eigensystem(build_hamiltonian(params))
+        ops = collective_operators(N)
         loc = localize_ground_state(params, g=1e-4)
         tgrid = default_time_grid(N)
         from lmglab.evolve import observable_series

@@ -43,7 +43,7 @@ def test_build_sector_rejects_bad_input(bad):
 
 
 def test_single_spin_operators_are_half_paulis():
-    ops = collective_operators(build_sector(1))
+    ops = collective_operators(1)
     half = 0.5
     assert np.allclose(ops.sx.to_dense(), [[0, half], [half, 0]])
     assert np.allclose(ops.sy.to_dense(), [[0, -0.5j], [0.5j, 0]])
@@ -52,13 +52,13 @@ def test_single_spin_operators_are_half_paulis():
 
 def test_triplet_ladder_element():
     # <M=0|S+|M=-1> for S=1 is sqrt(2); index 1 holds M=0, index 2 holds M=-1
-    plus = ladder_plus_band(build_sector(2))
+    plus = ladder_plus_band(2)
     assert plus[1] == pytest.approx(np.sqrt(2.0), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 7, 24, 101])
 def test_cyclic_commutators(N):
-    ops = collective_operators(build_sector(N))
+    ops = collective_operators(N)
     sx, sy, sz = (o.to_dense() for o in (ops.sx, ops.sy, ops.sz))
     tol = 1e-12 * N * N
     assert np.max(np.abs(sx @ sy - sy @ sx - 1j * sz)) <= tol
@@ -68,8 +68,7 @@ def test_cyclic_commutators(N):
 
 @pytest.mark.parametrize("N", [1, 5, 40, 500])
 def test_casimir_identity(N):
-    sec = build_sector(N)
-    ops = collective_operators(sec)
+    ops = collective_operators(N)
     s = N / 2.0
     rng = np.random.default_rng(N)
     psi = unit(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
@@ -84,8 +83,7 @@ def test_casimir_identity(N):
 def test_casimir_matvec_large_n():
     # exactness must survive to N = 2000 (sqrt arguments near N^2/4)
     N = 2000
-    sec = build_sector(N)
-    ops = collective_operators(sec)
+    ops = collective_operators(N)
     s = N / 2.0
     rng = np.random.default_rng(0)
     psi = unit(rng.normal(size=N + 1))
@@ -99,19 +97,18 @@ def test_casimir_matvec_large_n():
 
 @pytest.mark.parametrize("N", [1, 4, 9])
 def test_apply_ladder_on_top_state(N):
-    sec = build_sector(N)
-    ops = collective_operators(sec)
-    out = ops.sx.apply(basis(sec.dim, 0))
-    expected = np.zeros(sec.dim, dtype=complex)
+    ops = collective_operators(N)
+    out = ops.sx.apply(basis(N + 1, 0))
+    expected = np.zeros(N + 1, dtype=complex)
     expected[1] = np.sqrt(N) / 2.0
     assert np.allclose(out, expected, atol=1e-14)
 
 
 def test_apply_diagonal_action():
     sec = build_sector(6)
-    ops = collective_operators(sec)
-    for m in range(sec.dim):
-        out = ops.sz.apply(basis(sec.dim, m))
+    ops = collective_operators(6)
+    for m in range(7):
+        out = ops.sz.apply(basis(7, m))
         assert out[m] == sec.m_values[m]
         assert np.count_nonzero(out) <= 1
 
@@ -179,7 +176,7 @@ def test_real_bands_are_stored_float64():
 @pytest.mark.parametrize("phi_n,kick", [(0.0, np.float64), (0.7, np.complex128)])
 def test_only_a_kick_with_a_y_component_is_complex(phi_n, kick):
     params = LmgParams(N=12, h=0.6, gamma=0.5)
-    ham = build_hamiltonian(params, build_sector(12), g=1e-3, phi_n=phi_n)
+    ham = build_hamiltonian(params, g=1e-3, phi_n=phi_n)
     assert [ham.band(off).dtype for off in (0, 1, 2)] == [np.float64, kick, np.float64]
     assert ham.bands[-1].dtype == kick
     assert ham.to_dense().dtype == kick
@@ -196,23 +193,20 @@ def test_diagonal_must_be_real_and_is_stored_real():
 
 def test_expectation_examples():
     for N in (2, 5, 100):
-        sec = build_sector(N)
-        ops = collective_operators(sec)
-        top = basis(sec.dim, 0)
+        ops = collective_operators(N)
+        top = basis(N + 1, 0)
         assert expectation(ops.sz, top) == pytest.approx(N / 2.0, abs=0)
-        for m in range(sec.dim):
-            assert expectation(ops.sx, basis(sec.dim, m)) == 0.0
+        for m in range(N + 1):
+            assert expectation(ops.sx, basis(N + 1, m)) == 0.0
 
-    sec = build_sector(4)
-    ops = collective_operators(sec)
+    ops = collective_operators(4)
     psi = unit([1.0, 1.0, 0.0, 0.0, 0.0])
     assert expectation(ops.sx, psi).real == pytest.approx(1.0, rel=1e-14, abs=0)
 
 
 def test_expectation_agrees_with_quadratic_form():
     rng = np.random.default_rng(11)
-    sec = build_sector(23)
-    ops = collective_operators(sec)
+    ops = collective_operators(23)
     psi = unit(rng.normal(size=24) + 1j * rng.normal(size=24))
     for op in (ops.sx, ops.sy, ops.sz):
         direct = np.vdot(psi, op.to_dense() @ psi)
@@ -223,8 +217,7 @@ def test_expectation_agrees_with_quadratic_form():
 
 
 def test_dimension_mismatch_raises():
-    sec = build_sector(4)
-    ops = collective_operators(sec)
+    ops = collective_operators(4)
     with pytest.raises(ValueError):
         ops.sx.apply(basis(3, 0))
     with pytest.raises(ValueError):
@@ -234,15 +227,14 @@ def test_dimension_mismatch_raises():
 def _state_entries(N):
     """Each public function that reads a state, and the tests' own
     ``expectation``, as psi -> call, at N spins."""
-    sec = build_sector(N)
-    ops = collective_operators(sec)
-    eig = eigensystem(build_hamiltonian(LmgParams(N=N, h=0.4, gamma=0.5), sec))
+    ops = collective_operators(N)
+    eig = eigensystem(build_hamiltonian(LmgParams(N=N, h=0.4, gamma=0.5)))
     tgrid = np.linspace(0.0, 10.0, 8)
     return {
         "observable_series": lambda psi: observable_series(eig, psi, ops.sx, tgrid),
         "bohr_lines": lambda psi: bohr_lines(eig, psi, ops.sx),
         "line_spectrum": lambda psi: line_spectrum(eig, psi, ops.sx, 1e-8),
-        "projected_init": lambda psi: projected_init(psi, sec, 0.4),
+        "projected_init": lambda psi: projected_init(psi, N, 0.4),
         "propagate": lambda psi: propagate(eig, psi, 1.5),
         "order_parameter": lambda psi: order_parameter(psi, 0.3, N),
         "expectation": lambda psi: expectation(ops.sx, psi),

@@ -15,7 +15,6 @@ from lmglab.spectra import line_spectrum
 from lmglab.spinspace import (
     BandedHermitianOperator,
     _Raising,
-    build_sector,
     collective_operators,
 )
 from lmglab.ssb import (
@@ -78,10 +77,9 @@ class TestLocalize:
     def test_line_weight_concentrated_on_lowest_levels(self):
         N, h = 100, 0.716
         params = LmgParams(N=N, h=h)
-        sec = build_sector(N)
         loc = localize_ground_state(params)  # g = 1/N^2
-        eig = eigensystem(build_hamiltonian(params, sec))
-        ops = collective_operators(sec)
+        eig = eigensystem(build_hamiltonian(params))
+        ops = collective_operators(N)
         lines = line_spectrum(eig, loc.state, ops.sx, threshold=0.0)
         coeffs = eig.to_energy_basis(loc.state)
         assert np.sum(np.abs(coeffs[:3]) ** 2) >= 0.95
@@ -101,7 +99,7 @@ class TestLocalize:
         # the same free diagonal (H is diagonal in the Sz basis at gamma = 1)
         params = LmgParams(N=N, h=h)
         loc = localize_ground_state(params)
-        diag = build_hamiltonian(params, build_sector(N)).band(0).real
+        diag = build_hamiltonian(params).band(0).real
         with mpmath.workdps(50):
             e0 = mpmath.mpf(float(np.min(diag)))
             mass = [mpmath.mpf(float(a.real)) ** 2 + mpmath.mpf(float(a.imag)) ** 2
@@ -119,7 +117,7 @@ class TestLocalize:
         N = 100
         params = LmgParams(N=N, h=h)
         loc = localize_ground_state(params, g=g)
-        free = eigensystem(build_hamiltonian(params, build_sector(N)))
+        free = eigensystem(build_hamiltonian(params))
         expected = np.zeros(N + 1)
         expected[free.permutation[0]] = 1.0
         assert np.array_equal(loc.state, expected)
@@ -139,7 +137,7 @@ class TestLocalize:
         monkeypatch.setattr(evolve, "eigensystem", counting)
         loc = localize_ground_state(params, g=0.0)
         assert len(solved) == 1
-        free = eigensystem(build_hamiltonian(params, build_sector(N)))
+        free = eigensystem(build_hamiltonian(params))
         assert np.array_equal(loc.state, ground_state(free))
         assert loc.energy == free.ground_energy == loc.unperturbed_ground_energy
 
@@ -167,13 +165,12 @@ def kicked_series(params, g, phi_n, backward=False):
     """m(t) = (2/N) <S+>(t) = m_x + i m_y over 512 samples of 40 pi N after
     the kick along phi_n, and the kicked ground state's m_n; ``backward``
     gives m(-t) at the same samples."""
-    sector = build_sector(params.N)
     loc = localize_ground_state(params, g=g, phi_n=phi_n)
-    eig = eigensystem(build_hamiltonian(params, sector))
+    eig = eigensystem(build_hamiltonian(params))
     tgrid = default_time_grid(params.N, samples=512)
     # observable_series takes an increasing grid, so m(-t) is read off -t reversed
     grid = -tgrid[::-1] if backward else tgrid
-    values = observable_series(eig, loc.state, _Raising(sector), grid).values
+    values = observable_series(eig, loc.state, _Raising(params.N), grid).values
     return (values[::-1] if backward else values) * (2.0 / params.N), loc.m_n
 
 
@@ -230,19 +227,17 @@ class TestSymmetries:
 
 class TestOrderParameter:
     def test_fully_polarized_coherent_state(self):
-        sec = build_sector(24)
-        psi = coherent_state(sec, math.pi / 2)
+        psi = coherent_state(24, math.pi / 2)
         assert order_parameter(psi, 0.0, 24) == pytest.approx(1.0, abs=1e-12)
 
     def test_eigenstates_have_no_polarization(self):
-        sec = build_sector(12)
         for m in (0, 5, 12):
-            psi = basis(sec.dim, m)
+            psi = basis(13, m)
             assert order_parameter(psi, 0.3, 12) == 0.0
 
     @pytest.mark.parametrize("N", [1, 2, 7, 40, 501])
     def test_equals_collective_operator_expectation(self, N):
-        ops = collective_operators(build_sector(N))
+        ops = collective_operators(N)
         rng = np.random.default_rng(N)
         psi = unit(rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1))
         for phi_n in (0.0, 0.7, math.pi / 2, 4.0):
@@ -275,7 +270,7 @@ class TestDegeneratePt:
     def test_mixed_states_polarization(self):
         N = 100
         pt = degenerate_pt_gap(N, 0.71, 1e-4)
-        ops = collective_operators(build_sector(N))
+        ops = collective_operators(N)
         m_plus = 2.0 / N * expectation(ops.sx, pt.mixed_states[0]).real
         m_minus = 2.0 / N * expectation(ops.sx, pt.mixed_states[1]).real
         assert m_plus == pytest.approx(2.0 * pt.sx_updown / N, rel=1e-12, abs=0)
@@ -283,12 +278,11 @@ class TestDegeneratePt:
 
     def test_numeric_splitting_matches_first_order(self):
         N, h = 100, 0.71
-        sec = build_sector(N)
         params = LmgParams(N=N, h=h)
         residuals = {}
         for g in (1e-6, 1e-5, 1e-4):
             pt = degenerate_pt_gap(N, h, g)
-            w = eigensystem(build_hamiltonian(params, sec, g=g)).energies
+            w = eigensystem(build_hamiltonian(params, g=g)).energies
             residuals[g] = abs((w[1] - w[0]) - pt.splitting)
         # residual is bounded quadratically in g (measured: cubic)
         c_bound = residuals[1e-4] / 1e-4**2
@@ -402,7 +396,7 @@ class TestGammaZeroScan:
         scan = gamma0_gap_scan(ns, h)
         ref = []
         for n in ns:
-            ham = build_hamiltonian(LmgParams(N=n, h=h, gamma=0.0), build_sector(n))
+            ham = build_hamiltonian(LmgParams(N=n, h=h, gamma=0.0))
             per_spin = BandedHermitianOperator(
                 n + 1, {off: band * (1.0 / n) for off, band in ham.diags.items()}
             )
@@ -420,7 +414,7 @@ class TestGammaZeroScan:
         ns = [1, 2, 3, 4, 41, 120, 201]
         ref = []
         for n in ns:
-            ham = build_hamiltonian(LmgParams(N=n, h=h, gamma=0.0), build_sector(n))
+            ham = build_hamiltonian(LmgParams(N=n, h=h, gamma=0.0))
             dense = ham.to_dense().real * (1.0 / n)
             blocks = [np.linalg.eigvalsh(dense[p::2, p::2]) for p in (0, 1)]
             levels = np.sort(np.concatenate(blocks))

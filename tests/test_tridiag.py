@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from lmglab.evolve import eigensystem
 from lmglab.model import LmgParams, build_hamiltonian
-from lmglab.spinspace import BandedHermitianOperator, build_sector
+from lmglab.spinspace import BandedHermitianOperator
 
 
 def jacobi_eigenvalues(a: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
@@ -133,8 +133,7 @@ def test_bandwidth_cap():
 
 
 def hamiltonian(N, h, gamma, g=0.0, phi_n=0.0):
-    sector = build_sector(N)
-    return build_hamiltonian(LmgParams(N=N, h=h, gamma=gamma), sector, g=g, phi_n=phi_n)
+    return build_hamiltonian(LmgParams(N=N, h=h, gamma=gamma), g=g, phi_n=phi_n)
 
 
 def eigh_inputs(monkeypatch):
@@ -288,7 +287,7 @@ def test_whole_solve_holds_two_real_arrays():
     # eigenvector array, 2 x 8 (N+1)^2 bytes, where a complex dense matrix
     # cast back to real held 3 x
     N = 1000
-    op = build_hamiltonian(LmgParams(N, 0.6, 0.5), build_sector(N), g=1e-4)
+    op = build_hamiltonian(LmgParams(N, 0.6, 0.5), g=1e-4)
     tracemalloc.start()
     try:
         eig = eigensystem(op)
