@@ -58,7 +58,6 @@ from .spectra import (
 from .spinspace import (
     BandedHermitianOperator,
     CollectiveOperators,
-    SpinSector,
     build_sector,
     collective_operators,
 )

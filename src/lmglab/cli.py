@@ -463,7 +463,7 @@ def cmd_quasicrystal(cfg: argparse.Namespace) -> dict:
     with _create(cfg, "cut_project.txt") as fh:
         fh.write(word.encode("utf-8") + b"\n")
     files.append("cut_project.txt")
-    summary = _base_summary(cfg, N, h_pick, 0.0)
+    summary = _base_summary(cfg, N, h_pick, g)
     summary["kappa"] = kappa
     summary["h_values"] = [float(v) for v in fields]
     summary["files"] = files

@@ -408,9 +408,9 @@ def projected_init(psi0, N: int, h: float) -> ProjectedModes:
     missing neighbors dropped at the sector edges.  Summing sx0 over all
     modes reproduces <Sx> at t = 0 exactly.
     """
-    sector = build_sector(N)
-    n = sector.N
-    c = _check_state(psi0, sector.dim)
+    two_m = build_sector(N)
+    n = int(N)
+    c = _check_state(psi0, two_m.size)
     perm = np.argsort(isotropic_energies(n, h), kind="stable")
     a = ladder_plus_band(n)  # <m|S+|m+1>, m = 0..N-1
     up = np.conj(c[:-1]) * c[1:]  # c_m^* c_{m+1}, m = 0..N-1
@@ -421,7 +421,7 @@ def projected_init(psi0, N: int, h: float) -> ProjectedModes:
     sy0[:-1] += up * (-0.5j * a)
     sx0[1:] += down * (a / 2.0)
     sy0[1:] += down * (0.5j * a)
-    omega_k = h - 2.0 * sector.m_values[perm] / n
+    omega_k = h - two_m[perm] / n  # h - 2M/N
     return ProjectedModes(1.0 / n, omega_k, sx0[perm], sy0[perm])
 
 

@@ -51,10 +51,9 @@ def build_hamiltonian(
     (1-gamma)/4 * (S+^2 + S-^2) two off.  Bandwidth is 2 when gamma < 1,
     1 when gamma = 1 and g != 0, and 0 for the isotropic unperturbed case.
     """
-    sector = build_sector(params.N)
-    n = sector.N
+    tm = build_sector(params.N)
+    n = params.N
     ts = np.int64(n)
-    tm = sector.two_m
     casimir_minus_m2 = (ts * (ts + 2) - tm * tm) / 4.0  # S(S+1) - M^2, exact
     diag = (LAM / n) * ((1.0 + params.gamma) / 2.0) * casimir_minus_m2
     diag = diag - params.h * (tm / 2.0)
@@ -64,15 +63,14 @@ def build_hamiltonian(
         diags[1] = (-0.5 * g * np.exp(-1j * phi_n)) * a
     if params.gamma != 1.0:
         diags[2] = (LAM / n) * ((1.0 - params.gamma) / 4.0) * a[:-1] * a[1:]
-    return BandedHermitianOperator(sector.dim, diags)
+    return BandedHermitianOperator(tm.size, diags)
 
 
 def isotropic_energies(N: int, h: float) -> np.ndarray:
     """E(S, M) = -[S(S+1) - M^2]/N - h M for every basis index, gamma = 1."""
-    sector = build_sector(N)
-    ts = np.int64(sector.N)
-    tm = sector.two_m
-    return -(ts * (ts + 2) - tm * tm) / (4.0 * sector.N) - h * (tm / 2.0)
+    tm = build_sector(N)
+    ts = np.int64(N)
+    return -(ts * (ts + 2) - tm * tm) / (4.0 * N) - h * (tm / 2.0)
 
 
 def isotropic_gap(
@@ -112,12 +110,11 @@ def ground_M(N: int, h: float) -> GroundLevel:
     """
     if h < 0.0:
         raise ValueError("h must be >= 0")
-    sector = build_sector(N)
-    energies = isotropic_energies(sector.N, h)
+    energies = isotropic_energies(N, h)
     e_min = energies.min()
     tol = DEGENERACY_RTOL * max(1.0, abs(e_min))
     ties = np.nonzero(energies - e_min <= tol)[0]
-    levels = tuple(sorted(sector.two_m[i] / 2.0 for i in ties))
+    levels = tuple(sorted(build_sector(N)[ties] / 2.0))
     m0 = min(levels, key=lambda m: (abs(m), m))
     return GroundLevel(m0=m0, levels=levels, degenerate=len(levels) > 1)
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .evolve import TimeSeries, _check_grid, _phase_sum, _series, correlation_fN
 from .model import DEGENERACY_RTOL, LmgParams
-from .spinspace import _readonly
+from .spinspace import _readonly, build_sector
 from .ssb import default_kick, localize_ground_state
 
 MAX_FULL_SPACE_N = 12
@@ -54,12 +54,11 @@ class OracleMismatchError(RuntimeError):
 
 
 def _check_full_size(N: int) -> None:
+    build_sector(N)  # ValueError unless N is a positive integer
     if N > MAX_FULL_SPACE_N:
         raise ValueError(
             f"resource limit: full-space operators support N <= {MAX_FULL_SPACE_N}"
         )
-    if N < 1:
-        raise ValueError("N must be >= 1")
 
 
 def _down_spins(index: np.ndarray, N: int) -> np.ndarray:
@@ -250,11 +249,11 @@ def _apply_sx(vector: np.ndarray, N: int) -> np.ndarray:
 
 
 def _check_correlation_size(N: int) -> None:
+    build_sector(N)  # ValueError unless N is a positive integer
     if N > MAX_CORRELATION_N:
         raise ValueError(
             f"resource limit: full-space correlation supports N <= {MAX_CORRELATION_N}"
         )
-    _check_full_size(N)
 
 
 @functools.cache

@@ -7,10 +7,12 @@ other modules inherit this ordering.
 
 Magnetizations are kept as doubled integers (2M) internally so that
 half-integer values for odd N stay exact and parity logic never touches
-floating point.  Each reader of the basis takes the spin count N and builds
-the labels with ``build_sector``, the one check that N is a positive
-integer.  A state is a plain array of its N + 1 Sz amplitudes; each public
-function that reads or makes one checks it with ``_check_state``.
+floating point.  Each reader of the basis takes the spin count N and gets
+the labels from ``build_sector(N)``, which checks that N is a positive
+integer and returns the read-only array of 2M, whose size N + 1 is the
+sector dimension.  A state is a plain array of its N + 1 Sz amplitudes;
+each public function that reads or makes one checks it with
+``_check_state``.
 """
 
 from __future__ import annotations
@@ -27,32 +29,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class SpinSector:
-    """The S = N/2 collective-spin sector of N spin-1/2 sites.
-
-    Attributes
-    ----------
-    N : int
-        Number of spins.
-    dim : int
-        Sector dimension, always N + 1.
-    two_m : ndarray of int
-        2*M for each basis index, descending (two_m[0] = N, two_m[N] = -N).
-    """
-
-    N: int
-    dim: int
-    two_m: np.ndarray
-
-    @property
-    def m_values(self) -> np.ndarray:
-        """Magnetizations M(m) = S - m, descending."""
-        return self.two_m / 2.0
-
-
-def build_sector(N: int) -> SpinSector:
-    """Build the maximal-spin sector for N spins.
+def build_sector(N: int) -> np.ndarray:
+    """The 2M labels of the N-spin sector, descending from N to -N: a
+    read-only int64 array of size N + 1.
 
     Raises ValueError unless N is a positive integer.
     """
@@ -61,8 +40,7 @@ def build_sector(N: int) -> SpinSector:
     if N < 1:
         raise ValueError(f"spin count must be >= 1, got {N}")
     N = int(N)
-    two_m = np.arange(N, -N - 1, -2, dtype=np.int64)
-    return SpinSector(N=N, dim=N + 1, two_m=_readonly(two_m))
+    return _readonly(np.arange(N, -N - 1, -2, dtype=np.int64))
 
 
 def _band_matvec(dim, bands, vec):
@@ -155,9 +133,8 @@ def ladder_plus_band(N: int) -> np.ndarray:
 
     S+|S,M> = sqrt(S(S+1) - M(M+1)) |S,M+1>, evaluated at M = M(m+1).
     """
-    sector = build_sector(N)
-    ts = np.int64(sector.N)
-    tm = sector.two_m[1:]
+    tm = build_sector(N)[1:]
+    ts = np.int64(N)
     # S(S+1) - M(M+1) = (ts(ts+2) - tm(tm+2))/4, an exact integer ratio
     return np.sqrt((ts * (ts + 2) - tm * (tm + 2)) / 4.0)
 
@@ -189,9 +166,9 @@ def collective_operators(N: int) -> CollectiveOperators:
     with bandwidth 1 and Sy = (S+ - S-)/(2i) is purely imaginary Hermitian
     with bandwidth 1, both built from ``ladder_plus_band``.
     """
-    sector = build_sector(N)
-    a = ladder_plus_band(sector.N)
-    sz = BandedHermitianOperator(sector.dim, {0: sector.two_m / 2.0})
-    sx = BandedHermitianOperator(sector.dim, {1: a / 2.0})
-    sy = BandedHermitianOperator(sector.dim, {1: -0.5j * a})
+    two_m = build_sector(N)
+    a = ladder_plus_band(N)
+    sz = BandedHermitianOperator(two_m.size, {0: two_m / 2.0})
+    sx = BandedHermitianOperator(two_m.size, {1: a / 2.0})
+    sy = BandedHermitianOperator(two_m.size, {1: -0.5j * a})
     return CollectiveOperators(sx=sx, sy=sy, sz=sz)

@@ -139,7 +139,7 @@ def test_c04_correlation_function_two_routes():
     worst_rel = 0.0
     worst_freq = 0.0
     for N in (50, 100, 500):
-        sector = build_sector(N)
+        two_m = build_sector(N)
         tgrid = np.arange(256) * (2.0 * math.pi * N / 256)
         result = correlation_fN(N, 0.716, tgrid)
         sx = collective_operators(N).sx
@@ -148,7 +148,7 @@ def test_c04_correlation_function_two_routes():
             two_m0 = round(2 * member.m0)
             ket = np.zeros(N + 1, dtype=np.complex128)
             ket[(N - two_m0) // 2] = 1.0
-            gaps = isotropic_gap(N, sector.two_m, two_m0, 0.716)
+            gaps = isotropic_gap(N, two_m, two_m0, 0.716)
             every = (4.0 / N**2) * (
                 np.abs(sx.apply(ket)) ** 2 @ np.exp(-1j * gaps[:, None] * tgrid[None, :])
             )

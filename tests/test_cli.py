@@ -447,6 +447,14 @@ class TestQuasicrystal:
         # ground-mode component of a weakly kicked state: bounded by m_x = 1
         assert np.max(np.abs(wave[:, 1])) < 1.0
 
+    @pytest.mark.parametrize("flags, g", [([], 1.0 / 100**2), (["--g", "0.01"], 0.01)],
+                             ids=["default", "flag"])
+    def test_summary_records_the_kick_the_waveform_comes_from(self, tmp_path, flags, g):
+        out = str(tmp_path / "run")
+        rc = main(["quasicrystal", "--n", "100", "--phi-n", "0.5", "--out", out,
+                   *FAST, *flags])
+        assert rc == 0
+        assert read_json(os.path.join(out, "summary.json"))["g"] == g
 
     def test_single_spin_has_no_field_and_needs_h(self, tmp_path, capsys):
         out = str(tmp_path / "run")

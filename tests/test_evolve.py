@@ -40,7 +40,12 @@ from lmglab.spinspace import (
     collective_operators,
     ladder_plus_band,
 )
-from lmglab.oracle import full_space_ground
+from lmglab.oracle import (
+    full_space_correlation,
+    full_space_ground,
+    full_space_operators,
+    sector_vs_full_checks,
+)
 from lmglab.spectra import line_spectrum, periodogram
 from lmglab.ssb import degenerate_pt_gap, localize_ground_state
 
@@ -53,12 +58,12 @@ def isotropic_eigensystem(N, h):
 
 class TestEigensystem:
     def test_diagonal_fast_path_levels(self):
-        sec = build_sector(100)
+        two_m = build_sector(100)
         eig = isotropic_eigensystem(100, 0.716)
         assert eig.permutation is not None and eig.vectors is None
         assert eig.energies[1] - eig.energies[0] == pytest.approx(0.006, abs=1e-12)
         assert eig.energies[2] - eig.energies[0] == pytest.approx(0.014, abs=1e-12)
-        assert sec.m_values[eig.permutation[0]] == 36.0
+        assert two_m[eig.permutation[0]] / 2 == 36.0
         # eigenvectors of a diagonal H are coordinate vectors
         cols = eig.columns([0, 1, 2])
         assert np.count_nonzero(cols) == 3
@@ -611,7 +616,7 @@ def per_mode_formula(modes, tgrid):
 def per_level_init(psi, n, h):
     """projected_init as one loop over the levels: omega_k, sx0 and sy0."""
     perm = np.argsort(isotropic_energies(n, h), kind="stable")
-    c, a, m_values = psi, ladder_plus_band(n), build_sector(n).m_values
+    c, a, m_values = psi, ladder_plus_band(n), build_sector(n) / 2
     omega_k, sx0s, sy0s = [], [], []
     for k in range(n + 1):
         m = int(perm[k])
@@ -696,10 +701,10 @@ class TestModeLines:
 
 def full_direct_sum(N, h, m0, tgrid):
     """(4/N^2) sum over all N + 1 levels of |<m|Sx|M0>|^2 e^{-i (E_m - E_M0) t}."""
-    sec = build_sector(N)
-    idx0 = int(np.flatnonzero(sec.m_values == m0)[0])
+    two_m = build_sector(N)
+    idx0 = int(np.flatnonzero(two_m / 2 == m0)[0])
     u = collective_operators(N).sx.apply(basis(N + 1, idx0))
-    gaps = isotropic_gap(N, sec.two_m, round(2 * m0), h)
+    gaps = isotropic_gap(N, two_m, round(2 * m0), h)
     return (4.0 / N**2) * (np.abs(u) ** 2 @ np.exp(-1j * gaps[:, None] * tgrid[None, :]))
 
 
@@ -729,14 +734,14 @@ class TestCorrelation:
     def test_direct_and_closed_form_agree(self, N):
         # reference: the matvec route, weights |<m1|Sx|M0>|^2 of the levels
         # Sx|M0> reaches on the exponentials of the existing neighbours
-        sec = build_sector(N)
+        two_m = build_sector(N)
         tgrid = np.arange(128) * (2 * math.pi * N / 128)
         u_of = collective_operators(N).sx.apply
         for member in correlation_fN(N, 0.55, tgrid).members:
             two_m0 = round(2 * member.m0)
             weights = np.abs(u_of(basis(N + 1, (N - two_m0) // 2))) ** 2
             reached = np.flatnonzero(weights)
-            gaps = isotropic_gap(N, sec.two_m[reached], two_m0, 0.55)
+            gaps = isotropic_gap(N, two_m[reached], two_m0, 0.55)
             direct = (4.0 / N**2) * (
                 weights[reached] @ np.exp(-1j * gaps[:, None] * tgrid[None, :])
             )
@@ -795,11 +800,11 @@ class TestCorrelation:
 
     def test_static_moment_at_time_zero(self):
         N, h = 40, 0.3
-        sec = build_sector(N)
+        two_m = build_sector(N)
         result = correlation_fN(N, h, np.arange(16) * 1.0)
         member = result.members[0]
         ops = collective_operators(N)
-        idx0 = int(np.nonzero(sec.m_values == member.m0)[0][0])
+        idx0 = int(np.nonzero(two_m / 2 == member.m0)[0][0])
         u = ops.sx.apply(basis(N + 1, idx0))
         static = (4.0 / N**2) * float(np.sum(np.abs(u) ** 2))
         assert member.closed_form.values[0].real == pytest.approx(static, rel=1e-14, abs=0)
@@ -1119,7 +1124,6 @@ ARRAY_RECORDS = {
         collective_operators(6).sx, 1e-8,
     ),
     "Spectrum": lambda: periodogram(_series(), 6),
-    "SpinSector": lambda: build_sector(6),
     "LocalizedState": _kicked,
     "DegeneratePtGap": lambda: degenerate_pt_gap(6, 0.5, 1e-3),
 }
@@ -1172,11 +1176,18 @@ BASIS_READERS = {
     "_Raising": _Raising,
     "LmgParams": lambda N: LmgParams(N=N, h=0.5),
 }
+# the oracle's entry points, which check N as the sector side does before
+# their own size limit
+FULL_SPACE = {
+    "full_space_operators": full_space_operators,
+    "full_space_correlation": lambda N: full_space_correlation(N, 0.5, np.arange(8.0)),
+    "sector_vs_full_checks": lambda N: sector_vs_full_checks(N, 0.5),
+}
 
 
 @pytest.mark.parametrize("N", [0, -1, 2.5, True, "8", build_sector(8)],
                          ids=["zero", "negative", "float", "bool", "str", "sector"])
-@pytest.mark.parametrize("name", [*CLOSED_FORMS, *BASIS_READERS])
+@pytest.mark.parametrize("name", [*CLOSED_FORMS, *BASIS_READERS, *FULL_SPACE])
 def test_closed_forms_reject_a_spin_count_that_is_no_positive_integer(name, N):
     with pytest.raises(ValueError, match="spin count"):
-        {**CLOSED_FORMS, **BASIS_READERS}[name](N)
+        {**CLOSED_FORMS, **BASIS_READERS, **FULL_SPACE}[name](N)

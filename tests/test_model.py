@@ -94,15 +94,15 @@ class TestIsotropicEnergies:
         assert energies[idx36] - energies[idx35] == pytest.approx(-0.006, abs=1e-12)
 
     def test_zero_field_minimum_at_zero_magnetization(self):
-        sec = build_sector(8)
+        two_m = build_sector(8)
         energies = isotropic_energies(8, 0.0)
-        assert sec.m_values[int(np.argmin(energies))] == 0.0
+        assert two_m[int(np.argmin(energies))] / 2 == 0.0
         assert energies.min() == pytest.approx(-(4.0 * 5.0) / 8.0, rel=1e-15, abs=0)
 
     def test_symmetric_phase_minimum_at_edge(self):
-        sec = build_sector(9)
+        two_m = build_sector(9)
         energies = isotropic_energies(9, 1.5)
-        assert sec.m_values[int(np.argmin(energies))] == 4.5
+        assert two_m[int(np.argmin(energies))] / 2 == 4.5
 
 
 class TestGroundM:

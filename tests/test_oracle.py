@@ -701,9 +701,9 @@ class TestCorrelation:
 
     @pytest.mark.parametrize("N", [0, -1])
     def test_empty_chain_is_rejected(self, N):
-        with pytest.raises(ValueError, match="N must be >= 1"):
+        with pytest.raises(ValueError, match="spin count must be >= 1"):
             full_space_correlation(N, 0.5, np.arange(4) * 1.0)
-        with pytest.raises(ValueError, match="N must be >= 1"):
+        with pytest.raises(ValueError, match="spin count must be >= 1"):
             sector_vs_full_checks(N, 0.5)
 
     def test_exactly_two_lines_in_full_space(self):

@@ -23,17 +23,19 @@ from lmglab.ssb import order_parameter
 
 
 def test_build_sector_examples():
-    sec = build_sector(2)
-    assert sec.dim == 3
-    assert np.array_equal(sec.m_values, [1.0, 0.0, -1.0])
+    two_m = build_sector(2)
+    assert two_m.dtype == np.int64 and two_m.size == 3
+    assert np.array_equal(two_m / 2, [1.0, 0.0, -1.0])
+    assert not two_m.flags.writeable
 
-    sec = build_sector(100)
-    assert sec.dim == 101
-    assert sec.m_values[0] == 50.0
+    two_m = build_sector(100)
+    assert two_m.dtype == np.int64 and two_m.size == 101
+    assert np.array_equal(two_m, np.arange(100, -101, -2))
+    assert two_m[0] / 2 == 50.0
 
-    sec = build_sector(1)
-    assert sec.dim == 2
-    assert np.array_equal(sec.m_values, [0.5, -0.5])
+    two_m = build_sector(1)
+    assert two_m.dtype == np.int64 and two_m.size == 2
+    assert np.array_equal(two_m / 2, [0.5, -0.5])
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.5, "4", True])
@@ -105,11 +107,11 @@ def test_apply_ladder_on_top_state(N):
 
 
 def test_apply_diagonal_action():
-    sec = build_sector(6)
+    two_m = build_sector(6)
     ops = collective_operators(6)
     for m in range(7):
         out = ops.sz.apply(basis(7, m))
-        assert out[m] == sec.m_values[m]
+        assert out[m] == two_m[m] / 2
         assert np.count_nonzero(out) <= 1
 
 
