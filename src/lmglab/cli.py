@@ -213,7 +213,8 @@ def _one(values: list, key: str):
 
 
 def _point(cfg: argparse.Namespace) -> tuple[int, float, float]:
-    """The (N, h, g) of a one-point series run."""
+    """The (N, h, g) of a one-point run; g is --g or, where it is not given
+    (oracle reads none), the default kick 1/N^2."""
     N, h = _one(cfg.n, "n"), _one(cfg.h, "h")
     return N, h, default_kick(N) if cfg.g is None else cfg.g
 
@@ -411,6 +412,8 @@ def cmd_gap(cfg: argparse.Namespace) -> dict:
             w = eigensystem(build_hamiltonian(params, g=g)).energies
             rows.append((g, float(w[1] - w[0]), pt.splitting))
         files.append(_table(cfg, "gap_pt", "g,splitting_numeric,splitting_pt", rows))
+    else:  # no PT table: no key describes a PT point
+        summary.update(n=None, m0=None, nu=None, omega0=None, mode=None)
 
     n_values = cfg.n if len(cfg.n) > 1 else list(GAP_SCAN_N)
     scan = gamma0_gap_scan(n_values, h)
@@ -471,8 +474,8 @@ def cmd_quasicrystal(cfg: argparse.Namespace) -> dict:
 
 
 def cmd_oracle(cfg: argparse.Namespace) -> dict:
-    N, h = _one(cfg.n, "n"), _one(cfg.h, "h")
-    report = sector_vs_full_checks(N, h)
+    N, h, g = _point(cfg)
+    report = sector_vs_full_checks(N, h, g)
     worst = report.worst()
     row = (N, h, report.ground_energy, report.ground_sz, report.correlation,
            report.localized_mx, worst)
@@ -482,7 +485,7 @@ def cmd_oracle(cfg: argparse.Namespace) -> dict:
         "n,h,ground_energy_dev,ground_sz_dev,correlation_dev,localized_mx_dev,worst",
         [row],
     )
-    summary = _base_summary(cfg, N, h, 0.0)
+    summary = _base_summary(cfg, N, h, g)
     summary["worst_deviation"] = worst
     summary["tolerance"] = ORACLE_TOLERANCE
     summary["files"] = [name]

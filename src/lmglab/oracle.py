@@ -40,7 +40,7 @@ import numpy as np
 from .evolve import TimeSeries, _check_grid, _phase_sum, _series, correlation_fN
 from .model import DEGENERACY_RTOL, LmgParams
 from .spinspace import _readonly, build_sector
-from .ssb import default_kick, localize_ground_state
+from .ssb import localize_ground_state
 
 MAX_FULL_SPACE_N = 12
 MAX_CORRELATION_N = 10
@@ -368,18 +368,17 @@ class OracleReport:
         ))
 
 
-def sector_vs_full_checks(N: int, h: float, g: float | None = None) -> OracleReport:
+def sector_vs_full_checks(N: int, h: float, g: float) -> OracleReport:
     """Run every sector-vs-full comparison for one parameter point.
 
     Covers the ground energy, the ground Sz (each sector member against the
     full-space one of its S_z), f_N(t) on a uniform grid of
     ``_ORACLE_SAMPLES`` points over one collective period (the one closed
     form per ground level against the full-space member of its S_z), and the
-    order parameter of the kicked ground state.
+    order parameter of the ground state kicked with the g given (the CLI's
+    default kick 1/N^2 is ``ssb.default_kick``).
     """
     _check_correlation_size(N)
-    if g is None:
-        g = default_kick(N)
     params = LmgParams(N=N, h=h)
 
     # ground energy: the full side from the block solves of the free H that

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import _free_level_ground, _parity_blocks, eigensystem, ground_state
+from .evolve import _free_level_ground, _parity_blocks, eigensystem
 from .model import LmgParams, build_hamiltonian, ground_M
 from .spinspace import _check_state, ladder_plus_band
 
@@ -50,11 +50,10 @@ def order_parameter(psi, phi_n: float, N: int) -> float:
     return 2.0 / N * (complex(math.cos(phi_n), -math.sin(phi_n)) * s_plus).real
 
 
-def localize_ground_state(
-    params: LmgParams, g: float | None = None, phi_n: float = 0.0
-) -> LocalizedState:
+def localize_ground_state(params: LmgParams, g: float, phi_n: float = 0.0) -> LocalizedState:
     """Ground state of H + V under the instantaneous kick V = -g S_n.
 
+    g is taken as given; the CLI's default kick 1/N^2 is ``default_kick``.
     Reports the energy elevation above the unperturbed ground state,
     delta_e = <psi|H|psi> - E0(H), and the order parameter along n.
     delta_e is summed as sum_k |b_k|^2 (E_k - E0) over the levels of H,
@@ -63,17 +62,13 @@ def localize_ground_state(
     diagonal entries and rounded once.
     The free H is solved once, and the kicked ground state comes from its
     lowest levels, certified or else solved whole (``_free_level_ground``);
-    at gamma = 1 those levels are a window of Sz rows.  With g = 0 this is
-    level 0 of the free solve, the exact ground state with m_n = 0.
+    at gamma = 1 those levels are a window of Sz rows.  g = 0 takes the
+    same route, which returns level 0 of the free solve, the exact ground
+    state with m_n = 0.
     """
-    if g is None:
-        g = default_kick(params.N)
     free = eigensystem(build_hamiltonian(params))
-    if g == 0.0:
-        energy, psi = free.ground_energy, ground_state(free)
-    else:
-        kicked = build_hamiltonian(params, g=g, phi_n=phi_n)
-        energy, psi = _free_level_ground(kicked, free)
+    kicked = build_hamiltonian(params, g=g, phi_n=phi_n)
+    energy, psi = _free_level_ground(kicked, free)
     b = free.to_energy_basis(psi)
     delta_e = float(np.sum(np.abs(b) ** 2 * (free.energies - free.ground_energy)))
     return LocalizedState(

@@ -174,7 +174,7 @@ def test_c05_sector_versus_full_space():
     worst = 0.0
     for N in (4, 6, 8, 10):
         for h in (0.3, 0.5, 0.7):
-            report = sector_vs_full_checks(N, h)
+            report = sector_vs_full_checks(N, h, 1.0 / N**2)
             worst = max(worst, report.worst())
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 60.0

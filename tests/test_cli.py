@@ -17,9 +17,9 @@ from lmglab.cli import (
     main,
     validate_config,
 )
-from lmglab.model import ground_M
+from lmglab.model import LmgParams, ground_M
 from lmglab.oracle import OracleReport
-from lmglab.ssb import wkb_rate
+from lmglab.ssb import localize_ground_state, order_parameter, wkb_rate
 
 FAST = ["--samples", "64"]
 
@@ -416,6 +416,22 @@ class TestGap:
         summary = read_json(out / "summary.json")
         assert summary["files"] == ["gap_pt.csv", "gap_gamma0.csv"]
 
+    @pytest.mark.parametrize("h, pt", [("0.6", None), ("0.61", (100, [30.0, 31.0], "crescent"))],
+                             ids=["round", "crescent"])
+    def test_summary_describes_a_pt_point_only_where_it_solved_one(self, tmp_path, h, pt):
+        # the PT point is the first --n, 100: round at h = 0.6, so no PT
+        # table and no n, m0, mode, nu or omega0; a crescent at h = 0.61
+        out = tmp_path / "run"
+        assert main(["gap", "--h", h, "--out", str(out)]) == 0
+        summary = read_json(out / "summary.json")
+        keys = [summary[key] for key in ("n", "m0", "mode", "nu", "omega0")]
+        if pt is None:
+            assert summary["files"] == ["gap_gamma0.csv"]
+            assert keys == [None] * 5
+        else:
+            assert summary["files"] == ["gap_pt.csv", "gap_gamma0.csv"]
+            assert keys == [*pt, 0.01, 0.01]
+
     def test_sub_floor_splittings_are_flagged(self, tmp_path):
         out = str(tmp_path / "run")
         rc = main(
@@ -447,15 +463,6 @@ class TestQuasicrystal:
         # ground-mode component of a weakly kicked state: bounded by m_x = 1
         assert np.max(np.abs(wave[:, 1])) < 1.0
 
-    @pytest.mark.parametrize("flags, g", [([], 1.0 / 100**2), (["--g", "0.01"], 0.01)],
-                             ids=["default", "flag"])
-    def test_summary_records_the_kick_the_waveform_comes_from(self, tmp_path, flags, g):
-        out = str(tmp_path / "run")
-        rc = main(["quasicrystal", "--n", "100", "--phi-n", "0.5", "--out", out,
-                   *FAST, *flags])
-        assert rc == 0
-        assert read_json(os.path.join(out, "summary.json"))["g"] == g
-
     def test_single_spin_has_no_field_and_needs_h(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         rc = main(["quasicrystal", "--n", "1", "--out", out] + FAST)
@@ -468,6 +475,40 @@ class TestQuasicrystal:
         assert rc == 0
         header, wave = read_csv(os.path.join(out, "waveform.csv"))
         assert wave.shape == (64, 3)
+
+
+# every subcommand that kicks, as (argv, N, h, gamma, phi_n, the kick it
+# applies): --g when given, 1/N^2 otherwise; oracle reads no --g
+KICKS = {
+    "evolve": (["evolve", "--n", "40", "--h", "0.6"], 40, 0.6, 1.0, 0.0, 1.0 / 40**2),
+    "evolve --g": (["evolve", "--n", "40", "--h", "0.6", "--g", "0.01"],
+                   40, 0.6, 1.0, 0.0, 0.01),
+    "spectrum": (["spectrum", "--n", "30", "--h", "0.6", "--gamma", "0.5"],
+                 30, 0.6, 0.5, 0.0, 1.0 / 30**2),
+    "spectrum --g --phi-n": (["spectrum", "--n", "30", "--h", "0.6", "--gamma", "0.5",
+                              "--g", "0.003", "--phi-n", "0.7"], 30, 0.6, 0.5, 0.7, 0.003),
+    "quasicrystal": (["quasicrystal", "--n", "100", "--phi-n", "0.5"],
+                     100, None, 1.0, 0.5, 1.0 / 100**2),
+    "quasicrystal --g": (["quasicrystal", "--n", "100", "--phi-n", "0.5", "--g", "0.01"],
+                         100, None, 1.0, 0.5, 0.01),
+    "oracle": (["oracle", "--n", "6", "--h", "0.5"], 6, 0.5, 1.0, 0.0, 1.0 / 6**2),
+}
+
+
+@pytest.mark.parametrize("case", KICKS)
+def test_summary_records_the_kick_applied(tmp_path, case):
+    argv, N, h, gamma, phi_n, g = KICKS[case]
+    out = tmp_path / "run"
+    samples = [] if argv[0] == "oracle" else FAST
+    assert main([*argv, *samples, "--out", str(out)]) == 0
+    summary = read_json(out / "summary.json")
+    assert summary["g"] == g
+    if argv[0] in ("evolve", "spectrum"):
+        # row 0 of the series is (2/N) <S+> of the state kicked with that g
+        psi = localize_ground_state(LmgParams(N=N, h=h, gamma=gamma), summary["g"], phi_n).state
+        _, rows = read_csv(out / "series.csv")
+        m_x, m_y = (order_parameter(psi, angle, N) for angle in (0.0, math.pi / 2.0))
+        assert abs(rows[0, 1] - m_x) <= 1e-12 and abs(rows[0, 2] - m_y) <= 1e-12
 
 
 def per_value_csv(header, rows):
@@ -602,7 +643,7 @@ class TestOracleCommand:
         devs = [1e-15] * 4
         devs[position] = math.nan
         report = OracleReport(6, 0.5, 0.0, *devs)
-        monkeypatch.setattr(cli, "sector_vs_full_checks", lambda N, h: report)
+        monkeypatch.setattr(cli, "sector_vs_full_checks", lambda N, h, g: report)
         out = tmp_path / "run"
         assert main(["oracle", "--out", str(out)]) == 3
         assert math.isnan(read_json(out / "summary.json")["worst_deviation"])

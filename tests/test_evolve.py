@@ -94,7 +94,7 @@ class TestEigensystem:
         tgrid = default_time_grid(N)
         tracemalloc.start()
         try:
-            psi = localize_ground_state(params).state
+            psi = localize_ground_state(params, g=1.0 / N**2).state
             eig = eigensystem(build_hamiltonian(params))
             observable_series(eig, psi, ops.sx, tgrid)
             line_spectrum(eig, psi, ops.sx, threshold=1e-8 * N)
@@ -471,7 +471,7 @@ class TestBohrLines:
         N, h = 200, 0.716
         params = LmgParams(N=N, h=h, gamma=0.5)
         eig = eigensystem(build_hamiltonian(params))
-        psi = localize_ground_state(params).state
+        psi = localize_ground_state(params, g=1.0 / N**2).state
         sx = collective_operators(N).sx
         tgrid = default_time_grid(N, periods=1, samples=64)
         series = observable_series(eig, psi, sx, tgrid)
@@ -949,7 +949,7 @@ class TestWindowedGround:
         # 7.3e-14 from the reference: the free levels must certify them
         params = LmgParams(N=N, h=h)
         op = build_hamiltonian(params, g=1.0 / N**2)
-        psi = localize_ground_state(params).state
+        psi = localize_ground_state(params, g=1.0 / N**2).state
         assert phase_aligned_distance(psi, inverse_iteration_ground(op)) <= 1e-14
 
     def test_rows_read_at_gamma_one(self, monkeypatch):
@@ -1034,7 +1034,7 @@ class TestFreeLevelGround:
     def test_state_against_high_precision(self, N, gamma, phi_n):
         params = LmgParams(N=N, h=0.6, gamma=gamma)
         op = build_hamiltonian(params, g=1.0 / N**2, phi_n=phi_n)
-        psi = localize_ground_state(params, phi_n=phi_n).state
+        psi = localize_ground_state(params, g=1.0 / N**2, phi_n=phi_n).state
         ref = inverse_iteration_ground(op)
         assert phase_aligned_distance(psi, ref) <= 1e-10
 
@@ -1181,7 +1181,7 @@ BASIS_READERS = {
 FULL_SPACE = {
     "full_space_operators": full_space_operators,
     "full_space_correlation": lambda N: full_space_correlation(N, 0.5, np.arange(8.0)),
-    "sector_vs_full_checks": lambda N: sector_vs_full_checks(N, 0.5),
+    "sector_vs_full_checks": lambda N: sector_vs_full_checks(N, 0.5, 0.01),
 }
 
 

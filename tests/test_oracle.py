@@ -704,7 +704,7 @@ class TestCorrelation:
         with pytest.raises(ValueError, match="spin count must be >= 1"):
             full_space_correlation(N, 0.5, np.arange(4) * 1.0)
         with pytest.raises(ValueError, match="spin count must be >= 1"):
-            sector_vs_full_checks(N, 0.5)
+            sector_vs_full_checks(N, 0.5, 0.01)
 
     def test_exactly_two_lines_in_full_space(self):
         # the spectral weights of Sx|ground> touch only the two neighbors
@@ -722,7 +722,7 @@ class TestCorrelation:
 class TestChecks:
     @pytest.mark.parametrize("N,h", [(4, 0.3), (6, 0.5), (8, 0.7)])
     def test_all_deviations_small(self, N, h):
-        report = sector_vs_full_checks(N, h)
+        report = sector_vs_full_checks(N, h, 1.0 / N**2)
         assert report.worst() <= 1e-9
 
     def test_each_hamiltonian_is_solved_once(self, monkeypatch, cold_oracle):
@@ -741,7 +741,7 @@ class TestChecks:
 
         for name in sizes:
             monkeypatch.setattr(np.linalg, name, counting(name))
-        report = sector_vs_full_checks(N, 0.5)
+        report = sector_vs_full_checks(N, 0.5, 1.0 / N**2)
         # the free H in its blocks (q, k), q <= N/2, for eigenvalues, and
         # with vectors in the block of the ground level (q = 0, k = N/2 - M0
         # for the symmetric multiplet) and its neighbors k +- 1; the kicked
@@ -766,7 +766,7 @@ class TestChecks:
         assert ground_M(N, 0.55).m0 == ground_M(N, 0.5).m0
         for solved in sizes.values():
             solved.clear()
-        assert sector_vs_full_checks(N, 0.55).worst() <= 1e-9
+        assert sector_vs_full_checks(N, 0.55, 1.0 / N**2).worst() <= 1e-9
         assert sizes["eigvalsh"] == []
         assert sizes["eigh"] == momentum[:1]
 
@@ -774,7 +774,7 @@ class TestChecks:
         # a 2^10 x 2^10 float64 matrix alone is 8.4 MB
         tracemalloc.start()
         try:
-            report = sector_vs_full_checks(10, 0.5)
+            report = sector_vs_full_checks(10, 0.5, 1.0 / 10**2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -787,7 +787,7 @@ class TestChecks:
 
         monkeypatch.setattr(np.linalg, "eigh", no_solve)
         with pytest.raises(ValueError):
-            sector_vs_full_checks(11, 0.5)
+            sector_vs_full_checks(11, 0.5, 1.0 / 11**2)
 
 
 @pytest.mark.parametrize("N", range(4, 11))
@@ -798,7 +798,7 @@ def test_near_degenerate_fields_pair_members_by_sz(N):
     for j in range(1, N):
         for p in range(8, 14):
             for h in (j / N - 10.0**-p, j / N + 10.0**-p):
-                report = sector_vs_full_checks(N, h)
+                report = sector_vs_full_checks(N, h, 1.0 / N**2)
                 assert report.worst() <= 1e-9, (N, h, report)
 
 
@@ -811,7 +811,7 @@ def test_missing_full_space_member_is_a_mismatch(monkeypatch):
 
     free = oracle._free_correlation
     monkeypatch.setattr(oracle, "_free_correlation", only_upper)
-    assert sector_vs_full_checks(6, 0.5).ground_sz == 1.0
+    assert sector_vs_full_checks(6, 0.5, 1.0 / 6**2).ground_sz == 1.0
 
 
 @pytest.mark.parametrize("position", [1, 2, 3])
@@ -824,7 +824,7 @@ def test_worst_is_nan_when_any_deviation_is(position):
 def test_cached_arrays_are_read_only(cold_oracle):
     # a write to a cached array would change every later call in the process
     N = 6
-    report = sector_vs_full_checks(N, 0.5)
+    report = sector_vs_full_checks(N, 0.5, 1.0 / N**2)
     split, levels = _free_spectrum(N)
     cached = list(_orbits(N)[1:]) + list(levels.values())
     cached += [a for pair in split.values() for a in pair]
@@ -834,7 +834,7 @@ def test_cached_arrays_are_read_only(cold_oracle):
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 0
     assert _orbits(N).reps[1] != 0
-    assert sector_vs_full_checks(N, 0.5).worst() == report.worst()
+    assert sector_vs_full_checks(N, 0.5, 1.0 / N**2).worst() == report.worst()
 
 
 def test_each_block_and_link_is_built_once(monkeypatch, cold_oracle):

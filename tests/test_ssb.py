@@ -53,7 +53,7 @@ class TestLocalize:
         h = 0.716
         strong = localize_ground_state(LmgParams(N=100, h=h), g=0.01)
         assert strong.m_n == pytest.approx(math.sqrt(1.0 - h * h), rel=0.10, abs=0)
-        weak = localize_ground_state(LmgParams(N=100, h=h))  # g = 1/N^2
+        weak = localize_ground_state(LmgParams(N=100, h=h), g=1.0 / 100**2)
         assert weak.m_n == pytest.approx(0.2593, abs=5e-4)
 
     def test_polarization_grows_with_n_at_fixed_kick(self):
@@ -77,7 +77,7 @@ class TestLocalize:
     def test_line_weight_concentrated_on_lowest_levels(self):
         N, h = 100, 0.716
         params = LmgParams(N=N, h=h)
-        loc = localize_ground_state(params)  # g = 1/N^2
+        loc = localize_ground_state(params, g=1.0 / N**2)
         eig = eigensystem(build_hamiltonian(params))
         ops = collective_operators(N)
         lines = line_spectrum(eig, loc.state, ops.sx, threshold=0.0)
@@ -98,7 +98,7 @@ class TestLocalize:
         # <psi|H|psi>/<psi|psi> - E0 in 50 digits on the same amplitudes and
         # the same free diagonal (H is diagonal in the Sz basis at gamma = 1)
         params = LmgParams(N=N, h=h)
-        loc = localize_ground_state(params)
+        loc = localize_ground_state(params, g=1.0 / N**2)
         diag = build_hamiltonian(params).band(0).real
         with mpmath.workdps(50):
             e0 = mpmath.mpf(float(np.min(diag)))
@@ -140,6 +140,23 @@ class TestLocalize:
         free = eigensystem(build_hamiltonian(params))
         assert np.array_equal(loc.state, ground_state(free))
         assert loc.energy == free.ground_energy == loc.unperturbed_ground_energy
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 11, 40, 41, 60, 61, 100, 101, 201])
+    def test_zero_kick_takes_the_window_route_to_level_zero(self, N, gamma):
+        # g = 0 goes through the same window (or whole) solve as any kick,
+        # and must give level 0 of the free solve bit for bit, also where
+        # the ground pair is degenerate (crescents) or split under rounding
+        for h in (0.0, 0.3, 0.5, 0.6, 0.61, 0.9, 1.0, 1.5):
+            params = LmgParams(N=N, h=h, gamma=gamma)
+            loc = localize_ground_state(params, 0.0)
+            free = eigensystem(build_hamiltonian(params))
+            psi = ground_state(free)
+            b = free.to_energy_basis(psi)
+            delta_e = float(np.sum(np.abs(b) ** 2 * (free.energies - free.ground_energy)))
+            assert loc.state.dtype == psi.dtype and loc.state.tobytes() == psi.tobytes()
+            assert loc.energy == free.ground_energy
+            assert loc.delta_e == delta_e and loc.m_n == 0.0
 
     @pytest.mark.parametrize(
         "h, gamma, g",
