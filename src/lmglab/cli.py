@@ -212,10 +212,10 @@ def _one(values: list, key: str):
     return values[0]
 
 
-def _point(cfg: argparse.Namespace) -> tuple[int, float, float]:
-    """The (N, h, g) of a one-point run; g is --g or, where it is not given
-    (oracle reads none), the default kick 1/N^2."""
-    N, h = _one(cfg.n, "n"), _one(cfg.h, "h")
+def _point(cfg: argparse.Namespace) -> tuple[int, float | None, float]:
+    """The (N, h, g) of a one-point run: h is None without --h (quasicrystal
+    picks its own), g is --g or else (oracle reads none) 1/N^2."""
+    N, h = _one(cfg.n, "n"), None if cfg.h is None else _one(cfg.h, "h")
     return N, h, default_kick(N) if cfg.g is None else cfg.g
 
 
@@ -448,16 +448,15 @@ def cmd_gap(cfg: argparse.Namespace) -> dict:
 
 
 def cmd_quasicrystal(cfg: argparse.Namespace) -> dict:
-    N = _one(cfg.n, "n")
+    N, h, g = _point(cfg)
     kappa = cfg.kappa
     fields = quasicrystal_h(N, kappa)
-    if len(fields) == 0 and cfg.h is None:
+    if len(fields) == 0 and h is None:
         raise ValueError(f"no field in [0, 1) at N={N}; pass --h")
     # two-tone waveform: the ground-mode component of an actual kicked run
-    h_pick = float(fields[len(fields) // 2]) if cfg.h is None else _one(cfg.h, "h")
+    h_pick = float(fields[len(fields) // 2]) if h is None else h
     tgrid = _time_grid(cfg, N)
     params = LmgParams(N=N, h=h_pick)
-    g = default_kick(N) if cfg.g is None else cfg.g
     localized = localize_ground_state(params, g=g, phi_n=cfg.phi_n)
     files = [_table(cfg, "quasicrystal_h", "index,h", list(enumerate(fields)))]
     ground_mode = projected_init(localized.state, N, h_pick).first(1)

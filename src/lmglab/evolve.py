@@ -221,20 +221,22 @@ def _free_level_ground(
     """Ground energy and state of H = H0 + W from the lowest levels of H0.
 
     ``free`` is the solved H0, which is ``op`` without its band 1; W is that
-    band (the kick), real when its entries are.  For K = 32, 64, 128, ...
+    band (the kick), real when its entries are.  An all-zero W (g = 0, or a
+    kick that underflows) gives level 0 of H0.  Else, for K = 32, 64, ...
     while 4K <= 3 dim, then K = floor(3 dim / 4) if 32 was the only one,
-    with V_K the K lowest free vectors, M = V_K^H W V_K formed band-wise
-    and H_K = diag(E_K - E0) + M, the lowest pair (E, v) of H_K is
-    accepted by ``_certified`` with r = ||R v||, R = W V_K - V_K M, C
-    bounded by ||R||_F and G = E_K - E0 - 2 max|band 1|, E_K the first
-    level left out.  The state is then V_K v and the energy E0 + E.  When
-    H0 is diagonal (gamma = 1) V_K is made of coordinate vectors, and only
-    the rows from one below their lowest Sz row to one above their highest
-    are formed: W V_K and R vanish on the others.  If no K is certified,
-    ``eigensystem(op)`` solves H whole.
+    with V_K the K lowest free vectors, M = V_K^H W V_K formed band-wise and
+    H_K = diag(E_K - E0) + M, the lowest pair (E, v) of H_K is accepted by
+    ``_certified`` with r = ||R v||, R = W V_K - V_K M, C bounded by ||R||_F
+    and G = E_K - E0 - 2 max|band 1|, E_K the first level left out.  The
+    state is then V_K v and the energy E0 + E.  At gamma = 1 V_K is made of
+    coordinate vectors, and only the rows from one below their lowest Sz row
+    to one above their highest are formed: W V_K and R vanish on the others.
+    If no K is certified, ``eigensystem(op)`` solves H whole.
     """
     n = op.dim
     w = op.band(1)
+    if not w.any():
+        return free.ground_energy, ground_state(free)
     shifted = free.energies - free.energies[0]
     w_bound = 2.0 * float(np.abs(w).max())
     k = _FIRST_LEVELS

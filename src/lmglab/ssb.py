@@ -63,8 +63,8 @@ def localize_ground_state(params: LmgParams, g: float, phi_n: float = 0.0) -> Lo
     The free H is solved once, and the kicked ground state comes from its
     lowest levels, certified or else solved whole (``_free_level_ground``);
     at gamma = 1 those levels are a window of Sz rows.  g = 0 takes the
-    same route, which returns level 0 of the free solve, the exact ground
-    state with m_n = 0.
+    same route, where an all-zero kick band returns level 0 of the free
+    solve, the exact ground state with m_n = 0.
     """
     free = eigensystem(build_hamiltonian(params))
     kicked = build_hamiltonian(params, g=g, phi_n=phi_n)

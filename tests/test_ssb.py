@@ -112,8 +112,8 @@ class TestLocalize:
     @pytest.mark.parametrize("g", [0.0, 5e-324], ids=["zero", "underflow"])
     def test_zero_kick_returns_the_free_ground_coordinate_vector(self, g, h):
         # h = 0.71 puts a degenerate pair at the bottom: the tie goes to the
-        # lower Sz index, as the stable sort orders it.  g = 5e-324 keeps a
-        # band that underflows to zero, so its window is solved as diagonal
+        # lower Sz index, as the stable sort orders it.  g = 5e-324 gives a
+        # band that underflows to zero, which returns level 0 as g = 0 does
         N = 100
         params = LmgParams(N=N, h=h)
         loc = localize_ground_state(params, g=g)
@@ -123,39 +123,31 @@ class TestLocalize:
         assert np.array_equal(loc.state, expected)
         assert loc.m_n == 0.0 and loc.delta_e == 0.0
 
-    @pytest.mark.parametrize("gamma", [1.0, 0.5, 0.0])
-    def test_zero_kick_reads_level_zero_of_the_one_free_solve(self, gamma, monkeypatch):
-        N = 60
-        params = LmgParams(N=N, h=0.6, gamma=gamma)
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 11, 40, 41, 60, 61, 100, 101, 201, 1000])
+    def test_zero_kick_reads_level_zero_of_the_one_free_solve(self, N, gamma, monkeypatch):
+        # g = 0 leaves H = H0, so its ground pair is level 0 of the one free
+        # solve, bit for bit, also at gamma = 1 crescents: h = 0.601 at
+        # N = 1000 ties its two levels exactly, h = 0.71 at N = 100 splits
+        # them by one rounding (7.1e-15)
         solved = []
 
         def counting(op):
-            solved.append(op)
-            return eigensystem(op)
+            solved.append(eigensystem(op))
+            return solved[-1]
 
         monkeypatch.setattr(ssb, "eigensystem", counting)
         monkeypatch.setattr(evolve, "eigensystem", counting)
-        loc = localize_ground_state(params, g=0.0)
-        assert len(solved) == 1
-        free = eigensystem(build_hamiltonian(params))
-        assert np.array_equal(loc.state, ground_state(free))
-        assert loc.energy == free.ground_energy == loc.unperturbed_ground_energy
-
-    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 11, 40, 41, 60, 61, 100, 101, 201])
-    def test_zero_kick_takes_the_window_route_to_level_zero(self, N, gamma):
-        # g = 0 goes through the same window (or whole) solve as any kick,
-        # and must give level 0 of the free solve bit for bit, also where
-        # the ground pair is degenerate (crescents) or split under rounding
-        for h in (0.0, 0.3, 0.5, 0.6, 0.61, 0.9, 1.0, 1.5):
-            params = LmgParams(N=N, h=h, gamma=gamma)
-            loc = localize_ground_state(params, 0.0)
-            free = eigensystem(build_hamiltonian(params))
+        for h in (0.0, 0.3, 0.5, 0.6, 0.601, 0.61, 0.71, 0.9, 1.0, 1.5):
+            solved.clear()
+            loc = localize_ground_state(LmgParams(N=N, h=h, gamma=gamma), 0.0)
+            assert len(solved) == 1
+            free = solved[0]
             psi = ground_state(free)
             b = free.to_energy_basis(psi)
             delta_e = float(np.sum(np.abs(b) ** 2 * (free.energies - free.ground_energy)))
             assert loc.state.dtype == psi.dtype and loc.state.tobytes() == psi.tobytes()
-            assert loc.energy == free.ground_energy
+            assert loc.energy == free.ground_energy == loc.unperturbed_ground_energy
             assert loc.delta_e == delta_e and loc.m_n == 0.0
 
     @pytest.mark.parametrize(
